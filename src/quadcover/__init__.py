@@ -46,7 +46,6 @@ from .forms import (
     omega_r,
     omega_std,
     pullback,
-    pushed_down_form,
 )
 from .maps import (
     antipodal_cp1,

@@ -6,6 +6,17 @@ checks sample inputs from a private generator stream and report the worst
 residual; witness-style checks (the negative statements) search for a single
 input exceeding a threshold and report the best witness found. A check can be
 re-run on a serialized witness to reproduce its residual exactly.
+
+A check's residual takes the whole list of inputs and returns one float per
+input, in input order; the runner calls it once, for a generated list and for
+a one-element witness replay alike. Checks evaluated per input are lifted to
+that contract by :func:`_each`. The batched residuals group rows by their
+parameters and evaluate chunks of at most ``CHUNK_ROWS`` rows with row-wise
+arithmetic only (elementwise operations, ``einsum("ij,ij->i")`` and
+reductions along the last axis, never stacked matmul or BLAS, whose rounding
+depends on the batch size), so an input's residual does not depend on which
+other inputs share its batch and a replayed witness reproduces the reported
+residual bit for bit.
 """
 
 from __future__ import annotations
@@ -100,6 +111,10 @@ ROOT2 = float(np.sqrt(2.0))
 # (membership, classification, fiber count) fails outright
 SENTINEL = 1.0
 
+# most rows a batched residual evaluates at once; bounds its peak memory
+# whatever the sample count
+CHUNK_ROWS = 1024
+
 
 class UsageError(ValueError):
     """Bad invocation: unknown check id, invalid params, or an empty match."""
@@ -131,15 +146,28 @@ VERIFIED_STATEMENTS: dict[str, str] = {
 
 def _cvec(z: np.ndarray) -> dict:
     z = np.asarray(z, dtype=complex)
-    return {"re": [float(v) for v in z.real], "im": [float(v) for v in z.imag]}
+    return {"re": z.real.tolist(), "im": z.imag.tolist()}
 
 
 def _uncvec(d: dict) -> np.ndarray:
     return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
 
 
+def _uncvecs(inputs: list[dict], key: str) -> np.ndarray:
+    """(N, m) complex array of the N inputs' serialized ``key`` vectors."""
+    vecs = [inp[key] for inp in inputs]
+    return np.array([d["re"] for d in vecs], dtype=float) + 1j * np.array(
+        [d["im"] for d in vecs], dtype=float
+    )
+
+
 def _floats(x) -> list[float]:
-    return [float(v) for v in np.asarray(x, dtype=float)]
+    return np.asarray(x, dtype=float).tolist()
+
+
+def _stack(inputs: list[dict], key: str) -> np.ndarray:
+    """(N, m) real array of the N inputs' ``key`` vectors."""
+    return np.array([inp[key] for inp in inputs], dtype=float)
 
 
 def _point(d: dict) -> CotangentPoint:
@@ -258,8 +286,44 @@ def _evened_rescale_map(n: int, r: float) -> SmoothMap:
 
 # ---------------------------------------------------------------------------
 # Check implementations: a generator of serializable inputs plus a pure
-# residual (or witness score) per input.
+# residual (or witness score), either per input (lifted by _each) or over the
+# whole input list (grouped and chunked by _grouped).
 # ---------------------------------------------------------------------------
+
+
+def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
+    """Lift a per-input residual to the list contract: one call per input."""
+
+    def batch(inputs: list[dict], profile: ToleranceProfile) -> np.ndarray:
+        return np.array([residual(inp, profile) for inp in inputs], dtype=float)
+
+    return batch
+
+
+def _grouped(
+    inputs: list[dict],
+    key: Callable[[dict], Any],
+    evaluate: Callable[[Any, list[dict]], np.ndarray],
+) -> np.ndarray:
+    """Residuals of ``inputs`` in input order, evaluated group by group.
+
+    Inputs sharing ``key(input)`` are passed to ``evaluate(key, rows)`` in
+    chunks of at most CHUNK_ROWS, in input order; it returns one residual per
+    row.
+    """
+    out = np.empty(len(inputs))
+    groups: dict[Any, list[int]] = {}
+    for i, inp in enumerate(inputs):
+        groups.setdefault(key(inp), []).append(i)
+    for k, index in groups.items():
+        for lo in range(0, len(index), CHUNK_ROWS):
+            chunk = index[lo : lo + CHUNK_ROWS]
+            out[chunk] = evaluate(k, [inputs[i] for i in chunk])
+    return out
+
+
+def _n_and_r(inp: dict) -> tuple[int, float]:
+    return inp["n"], inp["r"]
 
 
 def _gen_projemb(params, rng):
@@ -281,15 +345,18 @@ def _gen_projemb(params, rng):
     return inputs
 
 
-def _res_projemb(inp, profile):
-    n, r = inp["n"], inp["r"]
-    emb = ball_embedding(n, r)
-    target = scaled_form(fubini_study_form(n + 1), r * r)
-    x = realify(_uncvec(inp["z"]))
-    v1 = np.asarray(inp["v1"], dtype=float)
-    v2 = np.asarray(inp["v2"], dtype=float)
-    value = pullback(emb, target, x, v1, v2)
-    return abs(value - _omega_std_ambient(v1, v2))
+def _res_projemb(inputs, profile):
+    def evaluate(key, rows):
+        n, r = key
+        emb = ball_embedding(n, r)
+        target = scaled_form(fubini_study_form(n + 1), r * r)
+        x = realify(_uncvecs(rows, "z"))
+        v1 = _stack(rows, "v1")
+        v2 = _stack(rows, "v2")
+        value = pullback(emb, target, x, v1, v2)
+        return np.abs(value - _omega_std_ambient(v1, v2))
+
+    return _grouped(inputs, _n_and_r, evaluate)
 
 
 def _gen_sphereembedding(params, rng):
@@ -356,6 +423,8 @@ def _res_unitcut_boundary(inp, profile):
 
 
 def _gen_unitcut_flow(params, rng):
+    if params["t_grid"] < 1:
+        raise UsageError("P-unitcut-flow needs a time grid of at least one node")
     inputs = []
     for n in params["n"]:
         for _ in range(params["samples"]):
@@ -367,11 +436,10 @@ def _gen_unitcut_flow(params, rng):
 
 
 def _res_unitcut_flow(inp, profile):
+    # the whole time grid at once: both flows return one row per time
     m = _point(inp)
-    worst = 0.0
-    for t in np.linspace(0.0, TWO_PI, inp["t_grid"]):
-        worst = max(worst, _dist(flow_closed_form(m, float(t)), scalar_action(m, float(t))))
-    return worst
+    ts = np.linspace(0.0, TWO_PI, inp["t_grid"])
+    return _dist(flow_closed_form(m, ts), scalar_action(m, ts))
 
 
 def _gen_unitcut_rk4(params, rng):
@@ -525,18 +593,20 @@ def _gen_segre_pullback(params, rng):
     return inputs
 
 
-def _res_segre_pullback(inp, profile):
-    a = _projective(inp["a"])
-    b = _projective(inp["b"])
-    image = segre_unitary(a, b)
-    if abs(quadric_residual(image)) > profile.residual_tol:
-        return SENTINEL
+def _res_segre_pullback(inputs, profile):
     fs1 = scaled_form(fubini_study_form(1), 2.0)
     expected_form = product_form(fs1, fs1)
-    v1 = np.asarray(inp["v1"], dtype=float)
-    v2 = np.asarray(inp["v2"], dtype=float)
-    value = pullback(segre_map(), scaled_form(fubini_study_form(3), 2.0), (a, b), v1, v2)
-    return abs(value - expected_form((a, b), v1, v2))
+    target = scaled_form(fubini_study_form(3), 2.0)
+
+    def evaluate(_, rows):
+        pair = (proj_normalize(_uncvecs(rows, "a")), proj_normalize(_uncvecs(rows, "b")))
+        off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > profile.residual_tol
+        v1 = _stack(rows, "v1")
+        v2 = _stack(rows, "v2")
+        value = pullback(segre_map(), target, pair, v1, v2)
+        return np.where(off_quadric, SENTINEL, np.abs(value - expected_form(pair, v1, v2)))
+
+    return _grouped(inputs, lambda inp: None, evaluate)
 
 
 def _gen_segre_equivariance(params, rng):
@@ -719,18 +789,21 @@ def _gen_omega_r_descent(params, rng):
     return inputs
 
 
-def _res_omega_r_descent(inp, profile):
-    n, r = inp["n"], inp["r"]
-    upstairs = _projective(inp["z"])
-    v1 = realify(_uncvec(inp["v1"]))
-    v2 = realify(_uncvec(inp["v2"]))
-    cover = branched_cover_map(n)
-    image = cover(upstairs)
-    w1 = cover.differential(upstairs, v1)
-    w2 = cover.differential(upstairs, v2)
-    value = omega_r(image, w1, w2, r, profile)
-    expected = 2.0 * r * _omega_std_ambient(v1, v2)
-    return abs(value - expected)
+def _res_omega_r_descent(inputs, profile):
+    def evaluate(key, rows):
+        n, r = key
+        upstairs = proj_normalize(_uncvecs(rows, "z"))
+        v1 = realify(_uncvecs(rows, "v1"))
+        v2 = realify(_uncvecs(rows, "v2"))
+        cover = branched_cover_map(n)
+        image = cover(upstairs)
+        w1 = cover.differential(upstairs, v1)
+        w2 = cover.differential(upstairs, v2)
+        value = omega_r(image, w1, w2, r, profile)
+        expected = 2.0 * r * _omega_std_ambient(v1, v2)
+        return np.abs(value - expected)
+
+    return _grouped(inputs, _n_and_r, evaluate)
 
 
 def _gen_omega_r_not_fs(params, rng):
@@ -827,7 +900,14 @@ def _res_zerosection(inp, profile):
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification: statement, sampler, residual, tolerance."""
+    """One named verification: statement, sampler, residual, tolerance.
+
+    ``residual(inputs, profile)`` takes the full list of generated (or one
+    replayed) inputs and returns a float array with one residual, or witness
+    score, per input in input order. It must be row-invariant: an input's
+    value may not depend on the other inputs in the list, so that
+    ``residual(inputs)[i] == residual([inputs[i]])[0]`` bit for bit.
+    """
 
     id: str
     statement: str
@@ -837,7 +917,7 @@ class Check:
     tolerance: float
     params: dict
     gen: Callable[[dict, np.random.Generator], list[dict]]
-    residual: Callable[[dict, ToleranceProfile], float]
+    residual: Callable[[list[dict], ToleranceProfile], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -873,7 +953,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.residual_tol,
             params={"n": [1, 2, 3], "samples": 1000},
             gen=_gen_sphereembedding,
-            residual=_res_sphereembedding,
+            residual=_each(_res_sphereembedding),
         ),
         Check(
             id="L-sphereembedding-lift",
@@ -883,7 +963,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-8,
             params={"n": [1, 2, 3], "samples": 1000},
             gen=_gen_sphereembedding_lift,
-            residual=_res_sphereembedding_lift,
+            residual=_each(_res_sphereembedding_lift),
         ),
         Check(
             id="P-unitcut-boundary",
@@ -893,7 +973,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.residual_tol,
             params={"n": [1, 2, 3], "samples": 200},
             gen=_gen_unitcut_boundary,
-            residual=_res_unitcut_boundary,
+            residual=_each(_res_unitcut_boundary),
         ),
         Check(
             id="P-unitcut-flow",
@@ -903,7 +983,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.flow_tol,
             params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
             gen=_gen_unitcut_flow,
-            residual=_res_unitcut_flow,
+            residual=_each(_res_unitcut_flow),
         ),
         Check(
             id="P-unitcut-rk4",
@@ -913,7 +993,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-6,
             params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
             gen=_gen_unitcut_rk4,
-            residual=_res_unitcut_rk4,
+            residual=_each(_res_unitcut_rk4),
         ),
         Check(
             id="P-unitcut-rk4-order",
@@ -923,7 +1003,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=4.0,
             params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
             gen=_gen_unitcut_rk4_order,
-            residual=_res_unitcut_rk4_order,
+            residual=_each(_res_unitcut_rk4_order),
         ),
         Check(
             id="C-branchedcover-deck",
@@ -933,7 +1013,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.flow_tol,
             params={"n": [1, 2, 3], "samples": 1000},
             gen=_gen_branchedcover_deck,
-            residual=_res_branchedcover_deck,
+            residual=_each(_res_branchedcover_deck),
         ),
         Check(
             id="C-branchedcover-fibers",
@@ -943,7 +1023,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-9,
             params={"n": [1, 2, 3], "samples": 200},
             gen=_gen_branchedcover_fibers,
-            residual=_res_branchedcover_fibers,
+            residual=_each(_res_branchedcover_fibers),
         ),
         Check(
             id="R-pi-not-symplectic",
@@ -953,7 +1033,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-8,
             params={"n": [1, 2, 3], "samples": 100},
             gen=_gen_pi_not_symplectic,
-            residual=_res_pi_not_symplectic,
+            residual=_each(_res_pi_not_symplectic),
         ),
         Check(
             id="P-segre-pullback",
@@ -973,7 +1053,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.flow_tol,
             params={"samples": 1000},
             gen=_gen_segre_equivariance,
-            residual=_res_segre_equivariance,
+            residual=_each(_res_segre_equivariance),
         ),
         Check(
             id="R-diag-antidiag",
@@ -983,7 +1063,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-9,
             params={"samples": 1000},
             gen=_gen_diag_antidiag,
-            residual=_res_diag_antidiag,
+            residual=_each(_res_diag_antidiag),
         ),
         Check(
             id="P-evenedrescale",
@@ -993,7 +1073,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-9,
             params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
             gen=_gen_evenedrescale,
-            residual=_res_evenedrescale,
+            residual=_each(_res_evenedrescale),
         ),
         Check(
             id="P-evenedflow-restored",
@@ -1009,7 +1089,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
                 "t_checks": [float(np.pi), TWO_PI],
             },
             gen=_gen_evenedflow_restored,
-            residual=_res_evenedflow_restored,
+            residual=_each(_res_evenedflow_restored),
         ),
         Check(
             id="R-uneven-flow",
@@ -1025,7 +1105,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
                 "t_checks": [float(np.pi / 2.0), float(np.pi)],
             },
             gen=_gen_uneven_flow,
-            residual=_score_uneven_flow,
+            residual=_each(_score_uneven_flow),
         ),
         Check(
             id="P-omega-r-descent",
@@ -1045,7 +1125,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=0.1,
             params={"n": [2], "r": [1.0], "samples": 50, "pairs": 4},
             gen=_gen_omega_r_not_fs,
-            residual=_score_omega_r_not_fs,
+            residual=_each(_score_omega_r_not_fs),
         ),
         Check(
             id="I-period-CP1",
@@ -1055,7 +1135,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=profile.quadrature_tol,
             params={"nodes": 200},
             gen=_gen_period_cp1,
-            residual=_res_period_cp1,
+            residual=_each(_res_period_cp1),
         ),
         Check(
             id="I-period-Q1",
@@ -1065,7 +1145,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-5,
             params={"nodes": 64},
             gen=_gen_period_q1,
-            residual=_res_period_q1,
+            residual=_each(_res_period_q1),
         ),
         Check(
             id="I-period-match",
@@ -1075,7 +1155,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-5,
             params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
             gen=_gen_period_match,
-            residual=_res_period_match,
+            residual=_each(_res_period_match),
         ),
         Check(
             id="T-zerosection",
@@ -1085,7 +1165,7 @@ def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Che
             tolerance=1e-9,
             params={"n": [2], "samples": 500},
             gen=_gen_zerosection,
-            residual=_res_zerosection,
+            residual=_each(_res_zerosection),
         ),
     ]
     registry = {c.id: c for c in checks}
@@ -1153,7 +1233,16 @@ def run_check(
     else:
         rng = derive_stream(seed, check_id)
         inputs = check.gen(merged, rng)
-    residuals = [check.residual(inp, prof) for inp in inputs]
+    if not inputs:
+        raise UsageError(
+            f"check {check_id} generated no inputs: sample counts must be positive "
+            "and parameter lists non-empty"
+        )
+    residuals = check.residual(inputs, prof)
+    if residuals.shape != (len(inputs),):
+        raise RuntimeError(
+            f"check {check_id} returned {residuals.shape} residuals for {len(inputs)} inputs"
+        )
     elapsed = time.perf_counter() - start
     if check.kind == "witness":
         best = int(np.argmax(residuals))

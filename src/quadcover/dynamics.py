@@ -125,7 +125,8 @@ def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
 
     sigma_t(p, q) = (cos t p + sin t q, cos t q - sin t p); exact (and equal
     to the scalar action) only under the evened condition |p| = |q|, so
-    uneven input is rejected with a pointer to even_rescale.
+    uneven input is rejected with a pointer to even_rescale. A 1-D array of
+    T times gives p and q of shape (T, n+1), one row per time.
     """
     fiber = float(np.linalg.norm(m.q))
     if abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius):
@@ -134,6 +135,8 @@ def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
             "apply even_rescale first"
         )
     c, s = np.cos(t), np.sin(t)
+    if np.ndim(t):
+        c, s = c[:, None], s[:, None]
     return CotangentPoint(p=c * m.p + s * m.q, q=c * m.q - s * m.p, base_radius=m.base_radius)
 
 
@@ -158,8 +161,10 @@ def scalar_action(m: CotangentPoint, t: float) -> CotangentPoint:
 
     Defined for every (p, q); the result satisfies the cotangent constraints
     iff the input is evened, which is exactly the point of the comparison
-    checks.
+    checks. A 1-D array of T times gives p and q of shape (T, n+1).
     """
+    if np.ndim(t):
+        t = np.asarray(t)[:, None]
     z = (m.p + 1j * m.q) * np.exp(-1j * t)
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=m.base_radius)
 

@@ -39,7 +39,6 @@ __all__ = [
     "omega_fs",
     "fubini_study_form",
     "omega_r",
-    "pushed_down_form",
     "scaled_form",
     "product_form",
     "pullback",
@@ -381,8 +380,14 @@ def omega_r(
     equation gives dw = -(z . v)/w) and evaluates 2r * omega_FS on the
     quadric upstairs. The value is sheet-independent because the deck map is
     a unitary coordinate sign flip.
+
+    A batch of N points (an (N, n+1) representative array) with (N, 2(n+1))
+    real tangents gives N values; BranchLocusError is raised if any row is
+    within the branch margin.
     """
     rep = point.rep
+    if rep.ndim != 1:
+        return _omega_r_rows(rep, v1, v2, r, profile, sheet)
     lifted, s = _lift_to_quadric(rep, sheet)
     if abs(s) <= profile.branch_margin:
         raise BranchLocusError(
@@ -403,13 +408,29 @@ def omega_r(
     return 2.0 * r * float(np.imag(np.vdot(h1, h2)))
 
 
-def pushed_down_form(n: int, r: float, profile: ToleranceProfile = DEFAULT_PROFILE) -> TwoForm:
-    """omega_r as a TwoForm on CP^n (branch-margin guarded)."""
-    return TwoForm(
-        space=ProjectiveSpace(n),
-        func=lambda pt, a, b: omega_r(pt, a, b, r, profile),
-        name=f"omega_{r:g}",
-    )
+def _omega_r_rows(rep, v1, v2, r, profile, sheet) -> np.ndarray:
+    """Row-wise :func:`omega_r` on a batch of representatives and real tangents."""
+    s = np.einsum("ij,ij->i", rep, rep)
+    near = np.abs(s) <= profile.branch_margin
+    if near.any():
+        bad = abs(s[int(np.argmax(near))])
+        raise BranchLocusError(
+            f"|sum z^2| = {bad:.3e} is within the branch margin {profile.branch_margin:g}"
+        )
+    w = sheet * 1j * np.sqrt(s)
+    lifted = np.concatenate([rep, w[:, None]], axis=1)
+    norm2 = 1.0 + np.abs(s)
+
+    def lift_tangent(vc: np.ndarray) -> np.ndarray:
+        dw = -np.einsum("ij,ij->i", rep, vc) / w
+        tilde = np.concatenate([vc, dw[:, None]], axis=1)
+        tilde = tilde - (np.einsum("ij,ij->i", lifted.conj(), tilde) / norm2)[:, None] * lifted
+        return tilde / np.sqrt(norm2)[:, None]
+
+    space = ProjectiveSpace(rep.shape[1] - 1)
+    h1 = lift_tangent(complexify(space.tangent_ambient(v1)))
+    h2 = lift_tangent(complexify(space.tangent_ambient(v2)))
+    return 2.0 * r * np.einsum("ij,ij->i", h1.conj(), h2).imag
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cotangent import CotangentPoint
 from .forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace, SmoothMap
-from .numerics import complexify
+from .numerics import complexify, realify
 from .projective import ProjectivePoint, proj_normalize
 
 __all__ = [
@@ -51,13 +51,26 @@ def ball_to_projective(z: np.ndarray, r: float) -> ProjectivePoint:
     """Embed the open radius-r complex ball: z -> [z : i sqrt(r^2 - |z|^2)].
 
     The image misses the last coordinate hyperplane; |z| >= r is a domain
-    error.
+    error. An (N, n+1) ``z`` is a batch of N points, mapped row by row; the
+    domain error is raised if any row is outside the ball.
     """
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 1:
+        return _ball_to_projective_rows(z, r)
     rad2 = float(r) ** 2 - float(np.vdot(z, z).real)
     if rad2 <= 0.0:
         raise ValueError(f"point with |z| = {np.linalg.norm(z):.6g} is outside the open ball B({r:g})")
     return proj_normalize(np.concatenate([z, [1j * np.sqrt(rad2)]]))
+
+
+def _ball_to_projective_rows(z: np.ndarray, r: float) -> ProjectivePoint:
+    x = realify(z)
+    rad2 = float(r) ** 2 - np.einsum("ij,ij->i", x, x)
+    outside = rad2 <= 0.0
+    if outside.any():
+        bad = x[int(np.argmax(outside))]
+        raise ValueError(f"point with |z| = {np.linalg.norm(bad):.6g} is outside the open ball B({r:g})")
+    return proj_normalize(np.concatenate([z, 1j * np.sqrt(rad2)[:, None]], axis=1))
 
 
 def ball_embedding(n: int, r: float) -> SmoothMap:
@@ -126,8 +139,14 @@ def cosphere_boundary(m: CotangentPoint) -> ProjectivePoint:
 def branched_cover(point: ProjectivePoint) -> ProjectivePoint:
     """Drop the last homogeneous coordinate: [z_0 : ... : z_{n+1}] -> [z_0 : ... : z_n].
 
-    Undefined at the center point [0 : ... : 0 : 1].
+    Undefined at the center point [0 : ... : 0 : 1]; a batch of points (an
+    (N, n+2) representative array) is undefined if any row is the center.
     """
+    if point.rep.ndim != 1:
+        head = point.rep[:, :-1]
+        if np.any(np.linalg.norm(head, axis=1) <= 1e-12):
+            raise ValueError("branched cover is undefined at the center point [0:...:0:1]")
+        return proj_normalize(head)
     head = point.rep[:-1]
     if np.linalg.norm(head) <= 1e-12:
         raise ValueError("branched cover is undefined at the center point [0:...:0:1]")
@@ -180,8 +199,15 @@ def segre_unitary(a: ProjectivePoint, b: ProjectivePoint) -> ProjectivePoint:
     """Twisted Segre map ([x:y], [a:b]) -> [xa+yb : i(xa-yb) : i(xb+ya) : xb-ya].
 
     Composition of the Segre embedding with a unitary (up to scale) change of
-    coordinates; the image lies on the quadric surface in CP^3.
+    coordinates; the image lies on the quadric surface in CP^3. Two batches of
+    N points (representative arrays of shape (N, 2)) map to a batch of N.
     """
+    if a.rep.ndim != 1:
+        x, y = a.rep[:, 0], a.rep[:, 1]
+        s, t = b.rep[:, 0], b.rep[:, 1]
+        return proj_normalize(
+            np.stack([x * s + y * t, 1j * (x * s - y * t), 1j * (x * t + y * s), x * t - y * s], axis=1)
+        )
     x, y = a.rep
     s, t = b.rep
     return proj_normalize(

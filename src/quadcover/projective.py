@@ -34,7 +34,7 @@ class ProjectivePoint:
 
     ``rep`` may also be an (N, n+1) batch of representatives, as returned by
     :func:`proj_normalize` on a 2-D array; ``residuals`` and the predicates
-    of this module take single points only.
+    of this module, except :func:`quadric_residual`, take single points only.
     """
 
     rep: np.ndarray
@@ -110,8 +110,13 @@ def horizontal_project(point: ProjectivePoint, v: np.ndarray) -> ProjectiveTange
     return ProjectiveTangent(base=point, vec=vec)
 
 
-def quadric_residual(point: ProjectivePoint) -> complex:
-    """Sum of squared representative entries; zero iff the point is on the quadric."""
+def quadric_residual(point: ProjectivePoint) -> complex | np.ndarray:
+    """Sum of squared representative entries; zero iff the point is on the quadric.
+
+    A batch of N points gives an array of N sums, one per row.
+    """
+    if point.rep.ndim != 1:
+        return np.einsum("ij,ij->i", point.rep, point.rep)
     return complex(np.sum(point.rep * point.rep))
 
 

@@ -3,9 +3,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+import quadcover.checks as checks_module
 from quadcover.checks import (
+    SENTINEL,
     SuiteConfig,
     UsageError,
     VERIFIED_STATEMENTS,
@@ -16,6 +19,11 @@ from quadcover.checks import (
     run_check,
     run_suite,
 )
+from quadcover.cotangent import CotangentPoint, sample_cosphere
+from quadcover.forms import BranchLocusError
+from quadcover.maps import cotangent_to_quadric, segre_unitary
+from quadcover.numerics import DEFAULT_PROFILE, derive_stream
+from quadcover.projective import ProjectivePoint, proj_normalize
 
 CANONICAL_IDS = [
     "L-projemb",
@@ -165,3 +173,95 @@ def test_strict_profile_still_passes_representative_checks():
 def test_reports_keep_registry_order():
     reports, _ = run_suite("I-period-*", SuiteConfig())
     assert [r.id for r in reports] == ["I-period-CP1", "I-period-Q1", "I-period-match"]
+
+
+# The four checks whose residuals evaluate the whole input list at once, with
+# parameters that give several (n, r) groups at a small sample count.
+BATCHED = {
+    "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
+    "P-omega-r-descent": {"n": [1, 2], "r": [0.5, 2.0], "samples": 8},
+    "P-segre-pullback": {"samples": 12},
+    "P-unitcut-flow": {"n": [1, 2], "samples": 6},
+}
+
+
+def _inputs(cid):
+    check = build_registry()[cid]
+    params = dict(check.params, **BATCHED[cid])
+    inputs = check.gen(params, derive_stream(5, cid))
+    # interleave the (n, r) groups so each group's rows are scattered
+    order = np.random.default_rng(0).permutation(len(inputs))
+    return check, [inputs[i] for i in order]
+
+
+@pytest.mark.parametrize("cid", sorted(BATCHED))
+def test_batched_residual_is_row_invariant(cid, monkeypatch):
+    check, inputs = _inputs(cid)
+    whole = check.residual(inputs, DEFAULT_PROFILE)
+    monkeypatch.setattr(checks_module, "CHUNK_ROWS", 5)
+    chunked = check.residual(inputs, DEFAULT_PROFILE)
+    assert whole.shape == (len(inputs),)
+    assert np.array_equal(whole, chunked)
+    for i, inp in enumerate(inputs):
+        assert check.residual([inp], DEFAULT_PROFILE)[0] == chunked[i]
+
+
+@pytest.mark.parametrize("cid", sorted(BATCHED))
+def test_batched_witness_replays_bit_for_bit(cid):
+    report = run_check(cid, dict(BATCHED[cid], tolerance=1e-16))
+    assert not report.passed
+    witness = json.loads(render_json([report]))[0]["witness"]
+    replay = run_check(cid, {"witness": witness})
+    assert replay.samples == 1
+    assert replay.max_residual == report.max_residual
+
+
+def test_out_of_ball_row_fails_the_batch():
+    check, inputs = _inputs("L-projemb")
+    bad = dict(inputs[3])
+    z = np.asarray(bad["z"]["re"]) + 1j * np.asarray(bad["z"]["im"])
+    z *= 1.01 * bad["r"] / np.linalg.norm(z)
+    bad["z"] = {"re": z.real.tolist(), "im": z.imag.tolist()}
+    inputs[3] = bad
+    with pytest.raises(ValueError, match="outside the open ball"):
+        check.residual(inputs, DEFAULT_PROFILE)
+
+
+def test_uneven_row_fails_the_flow_batch():
+    check, inputs = _inputs("P-unitcut-flow")
+    inputs[4] = dict(inputs[4], q=[1.1 * v for v in inputs[4]["q"]])
+    with pytest.raises(ValueError, match="closed-form flow needs"):
+        check.residual(inputs, DEFAULT_PROFILE)
+
+
+def test_branch_locus_row_fails_the_descent_batch():
+    check, inputs = _inputs("P-omega-r-descent")
+    m = sample_cosphere(inputs[2]["n"], 1.0, 1.0, derive_stream(5, "branch"))
+    near = CotangentPoint(p=m.p, q=(1.0 - 1e-9) * m.q)
+    rep = cotangent_to_quadric(near).rep
+    inputs[2] = dict(inputs[2], z={"re": rep.real.tolist(), "im": rep.imag.tolist()})
+    with pytest.raises(BranchLocusError):
+        check.residual(inputs, DEFAULT_PROFILE)
+
+
+def test_off_quadric_segre_row_gets_the_sentinel(monkeypatch):
+    check, inputs = _inputs("P-segre-pullback")
+    clean = check.residual(inputs, DEFAULT_PROFILE)
+
+    def moved_first_row(a, b):
+        image = segre_unitary(a, b)
+        rep = image.rep.copy()
+        rep[0] = proj_normalize(np.array([1.0, 0.0, 0.0, 0.0])).rep
+        return ProjectivePoint(rep=rep)
+
+    monkeypatch.setattr(checks_module, "segre_unitary", moved_first_row)
+    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    assert flagged[0] == SENTINEL
+    assert np.array_equal(flagged[1:], clean[1:])
+
+
+def test_empty_input_list_is_usage_error():
+    with pytest.raises(UsageError, match="generated no inputs"):
+        run_check("L-projemb", {"samples": 0})
+    with pytest.raises(UsageError, match="time grid"):
+        run_check("P-unitcut-flow", {"t_grid": 0})

@@ -85,3 +85,8 @@ def test_radius_and_dimension_overrides(tmp_path):
 
 def test_tol_profile_flag(capsys):
     assert main(["run", "--suite", "P-unitcut-flow", "--samples", "10", "--tol-profile", "strict"]) == 0
+
+
+def test_zero_samples_is_usage_error(capsys):
+    assert main(["run", "--suite", "L-projemb", "--samples", "0"]) == 2
+    assert "generated no inputs" in capsys.readouterr().err

@@ -168,3 +168,18 @@ def test_rescale_conjugates_the_flows_at_equal_times():
             lhs = even_rescale(flow_uneven_cosphere(m, t), r)
             rhs = flow_closed_form(even_rescale(m, r), t)
             assert _dist(lhs, rhs) < 1e-9
+
+
+def test_flows_take_a_grid_of_times():
+    # an array of times gives one row per time, equal to the scalar-time values
+    rng = derive_stream(67, "grid")
+    m = sample_cosphere(3, 1.0, 1.0, rng)
+    ts = np.linspace(0.0, 2 * np.pi, 7)
+    for flow in (flow_closed_form, scalar_action):
+        grid = flow(m, ts)
+        assert grid.p.shape == grid.q.shape == (7, 4)
+        for i, t in enumerate(ts):
+            single = flow(m, float(t))
+            assert np.array_equal(grid.p[i], single.p) and np.array_equal(grid.q[i], single.q)
+    with pytest.raises(ValueError, match="even_rescale"):
+        flow_closed_form(sample_cosphere(2, 1.0, 0.5, rng), ts)

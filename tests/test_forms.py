@@ -26,6 +26,7 @@ from quadcover.projective import (
     ProjectiveTangent,
     horizontal_project,
     proj_normalize,
+    quadric_residual,
     same_point,
     sample_horizontal,
     sample_projective,
@@ -278,3 +279,22 @@ def test_even_rescale_pullback_preserves_omega_std():
         v2 = np.concatenate([t2.u, t2.w])
         value = pullback(rescale, omega, m, v1, v2)
         assert abs(value - _omega_std_ambient(v1, v2)) < 1e-9
+
+
+def test_omega_r_rows_match_single_points():
+    rng = derive_stream(4, "omega-r-rows")
+    points, v1s, v2s = [], [], []
+    while len(points) < 6:
+        point = sample_projective(2, rng)
+        if abs(quadric_residual(point)) > 0.1:
+            points.append(point)
+            v1s.append(realify(sample_horizontal(point, rng).vec))
+            v2s.append(realify(sample_horizontal(point, rng).vec))
+    batch = ProjectivePoint(rep=np.array([p.rep for p in points]))
+    values = omega_r(batch, np.array(v1s), np.array(v2s), 0.7)
+    assert values.shape == (6,)
+    for i, point in enumerate(points):
+        assert abs(values[i] - omega_r(point, v1s[i], v2s[i], 0.7)) < 1e-14
+    near = np.array([points[0].rep, proj_normalize(np.array([1.0, 1j, 1e-4])).rep])
+    with pytest.raises(BranchLocusError):
+        omega_r(ProjectivePoint(rep=near), np.array(v1s[:2]), np.array(v2s[:2]), 0.7)

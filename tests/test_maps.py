@@ -306,3 +306,32 @@ def test_catalog_maps_agree_with_coarser_differences():
             fine = smooth.differential(x, v)
             coarse = dataclasses.replace(smooth, step=3e-4).differential(x, v)
             assert np.max(np.abs(fine - coarse)) < 1e-6, entry.name
+
+
+def test_batched_maps_match_single_points_row_by_row():
+    # a leading batch axis gives, row by row, the single-point value of each map
+    rng = derive_stream(3, "batched-maps")
+    zs = np.array([0.6 * sample_projective(2, rng).rep for _ in range(5)])
+    balls = ball_to_projective(zs, 1.0)
+    ups = proj_normalize(np.array([sample_projective(3, rng).rep for _ in range(5)]))
+    covers = branched_cover(ups)
+    a = proj_normalize(np.array([sample_projective(1, rng).rep for _ in range(5)]))
+    b = proj_normalize(np.array([sample_projective(1, rng).rep for _ in range(5)]))
+    segres = segre_unitary(a, b)
+    assert np.allclose(quadric_residual(segres), 0.0, atol=1e-15)
+    for i in range(5):
+        assert projective_defect(proj_normalize(balls.rep[i]), ball_to_projective(zs[i], 1.0)) < 1e-15
+        single_cover = branched_cover(proj_normalize(ups.rep[i]))
+        assert projective_defect(proj_normalize(covers.rep[i]), single_cover) < 1e-15
+        pair = (proj_normalize(a.rep[i]), proj_normalize(b.rep[i]))
+        assert projective_defect(proj_normalize(segres.rep[i]), segre_unitary(*pair)) < 1e-15
+
+
+def test_batched_maps_keep_their_guards():
+    outside = np.zeros((3, 2), dtype=complex)
+    outside[1, 0] = 1.5
+    with pytest.raises(ValueError, match="outside the open ball"):
+        ball_to_projective(outside, 1.0)
+    reps = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="center point"):
+        branched_cover(proj_normalize(reps))
