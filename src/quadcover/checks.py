@@ -1239,10 +1239,6 @@ def run_check(
             "and parameter lists non-empty"
         )
     residuals = check.residual(inputs, prof)
-    if residuals.shape != (len(inputs),):
-        raise RuntimeError(
-            f"check {check_id} returned {residuals.shape} residuals for {len(inputs)} inputs"
-        )
     elapsed = time.perf_counter() - start
     if check.kind == "witness":
         best = int(np.argmax(residuals))

@@ -142,13 +142,8 @@ def branched_cover(point: ProjectivePoint) -> ProjectivePoint:
     Undefined at the center point [0 : ... : 0 : 1]; a batch of points (an
     (N, n+2) representative array) is undefined if any row is the center.
     """
-    if point.rep.ndim != 1:
-        head = point.rep[:, :-1]
-        if np.any(np.linalg.norm(head, axis=1) <= 1e-12):
-            raise ValueError("branched cover is undefined at the center point [0:...:0:1]")
-        return proj_normalize(head)
-    head = point.rep[:-1]
-    if np.linalg.norm(head) <= 1e-12:
+    head = point.rep[..., :-1]
+    if (np.linalg.norm(head, axis=-1) <= 1e-12).any():
         raise ValueError("branched cover is undefined at the center point [0:...:0:1]")
     return proj_normalize(head)
 

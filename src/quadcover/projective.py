@@ -115,9 +115,7 @@ def quadric_residual(point: ProjectivePoint) -> complex | np.ndarray:
 
     A batch of N points gives an array of N sums, one per row.
     """
-    if point.rep.ndim != 1:
-        return np.einsum("ij,ij->i", point.rep, point.rep)
-    return complex(np.sum(point.rep * point.rep))
+    return np.sum(point.rep * point.rep, axis=-1)
 
 
 def in_hyperplane(point: ProjectivePoint, i: int, tol: float = 1e-10) -> bool:
