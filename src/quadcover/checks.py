@@ -22,6 +22,7 @@ residual bit for bit.
 from __future__ import annotations
 
 import fnmatch
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -223,8 +224,8 @@ def _quadric_frame(rep: np.ndarray) -> np.ndarray:
     return np.conj(vh[rank:])
 
 
-def _quadric_tangent(rep: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    frame = _quadric_frame(rep)
+def _quadric_tangent(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random unit tangent vector spanned by the rows of a :func:`_quadric_frame`."""
     coeff = rng.standard_normal(frame.shape[0]) + 1j * rng.standard_normal(frame.shape[0])
     v = coeff @ frame
     return v / np.linalg.norm(v)
@@ -775,8 +776,9 @@ def _gen_omega_r_descent(params, rng):
                 if (1.0 - q2) / (1.0 + q2) > margin:
                     break
             upstairs = cotangent_to_quadric(m)
-            v1 = _quadric_tangent(upstairs.rep, rng)
-            v2 = _quadric_tangent(upstairs.rep, rng)
+            frame = _quadric_frame(upstairs.rep)
+            v1 = _quadric_tangent(frame, rng)
+            v2 = _quadric_tangent(frame, rng)
             inputs.append(
                 {
                     "n": int(n),
@@ -1240,7 +1242,14 @@ def run_check(
         )
     residuals = check.residual(inputs, prof)
     elapsed = time.perf_counter() - start
-    if check.kind == "witness":
+    non_finite = np.flatnonzero(~np.isfinite(residuals))
+    if non_finite.size:
+        # a NaN or infinite residual fails either kind; its input is the witness
+        first = int(non_finite[0])
+        max_residual = float(residuals[first])
+        passed = False
+        witness = inputs[first]
+    elif check.kind == "witness":
         best = int(np.argmax(residuals))
         max_residual = float(residuals[best])
         passed = max_residual > tolerance
@@ -1271,8 +1280,13 @@ def run_suite(
 
     ``overrides`` maps check ids to extra per-check parameters (including an
     injected ``tolerance``). Returns the reports plus an exit status: 0 iff
-    every matched check passed. Raises UsageError if the glob matches nothing.
+    every matched check passed. Raises UsageError if the glob matches nothing,
+    or if a dimension is below 1 or a radius is not finite and positive.
     """
+    if config.n_values is not None and any(n < 1 for n in config.n_values):
+        raise UsageError(f"dimensions must be at least 1, got {list(config.n_values)}")
+    if config.radii is not None and not all(math.isfinite(r) and r > 0 for r in config.radii):
+        raise UsageError(f"radii must be finite and positive, got {list(config.radii)}")
     prof = _resolve_profile(config.profile)
     registry = build_registry(prof)
     matched = [cid for cid in registry if fnmatch.fnmatchcase(cid, pattern)]
@@ -1302,7 +1316,6 @@ def run_suite(
 
 def _json_scalar(value) -> str:
     import json as _json
-    import math as _math
 
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
@@ -1310,8 +1323,8 @@ def _json_scalar(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if not _math.isfinite(v):
-            raise ValueError("non-finite real in report")
+        if not math.isfinite(v):
+            return _json.dumps(str(v))
         return format(v, ".17g")
     if isinstance(value, str):
         return _json.dumps(value)
@@ -1320,14 +1333,15 @@ def _json_scalar(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     if isinstance(value, dict):
-        import json as _j
-
-        return "{" + ", ".join(f"{_j.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{_json.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_json(reports: list[CheckReport]) -> str:
     """Stable-order JSON; reals carry 17 significant digits.
+
+    A non-finite real, which fails its check, is written as the string
+    ``"nan"``, ``"inf"`` or ``"-inf"``, since JSON has no literal for it.
 
     ``elapsed`` is deliberately omitted so identical (filter, config, seed)
     runs are byte-identical.

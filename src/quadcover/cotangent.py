@@ -17,6 +17,7 @@ __all__ = [
     "CotangentTangent",
     "sample_disc_bundle",
     "sample_cosphere",
+    "constraint_frame",
     "tangent_basis",
     "antipode",
     "even_rescale",
@@ -110,6 +111,8 @@ def _fiber_direction(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Projects twice: a draw nearly parallel to p leaves a tiny residual whose
     normalization would amplify the first projection's rounding error.
     """
+    if p.size < 2:
+        raise ValueError("a fiber direction needs p with at least 2 entries (n >= 1)")
     pp = p @ p
     while True:
         g = rng.standard_normal(p.size)
@@ -121,26 +124,32 @@ def _fiber_direction(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             return g / np.linalg.norm(g)
 
 
-def tangent_basis(m: CotangentPoint) -> list[CotangentTangent]:
-    """Orthonormal basis (ambient inner product) of the constraint tangent space.
+def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Orthonormal rows (ambient inner product) spanning the constraint tangent space at (p, q).
 
-    The two linearized constraints are rows of a 2 x 2(n+1) matrix whose null
-    space has dimension exactly 2n for every valid point; a deficient rank
-    signals numerically degenerate input.
+    The two linearized constraints are the rows (p, 0) and (q, p) of a
+    2 x 2d matrix; its null space, the last 2d - 2 right singular vectors, has
+    dimension exactly 2(d - 1) for every valid point. A second singular value
+    at or below 1e-10 of the first signals numerically degenerate input.
     """
-    d = m.p.size
-    rows = np.zeros((2, 2 * d))
-    rows[0, :d] = m.p
-    rows[1, :d] = m.q
-    rows[1, d:] = m.p
+    d = p.size
+    rows = np.concatenate((p, np.zeros(d), q, p)).reshape(2, 2 * d)
     _, svals, vh = np.linalg.svd(rows)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    basis = vh[rank:]
-    if basis.shape[0] != 2 * m.n:
+    if not svals[1] > 1e-10 * svals[0]:
+        rank = int(np.sum(svals > 1e-10 * svals[0]))
         raise RuntimeError(
-            f"numerical rank failure: expected tangent dimension {2 * m.n}, got {basis.shape[0]}"
+            f"numerical rank failure: expected tangent dimension {2 * (d - 1)}, got {2 * d - rank}"
         )
-    return [CotangentTangent(at=m, u=row[:d].copy(), w=row[d:].copy()) for row in basis]
+    return vh[2:]
+
+
+def tangent_basis(m: CotangentPoint) -> list[CotangentTangent]:
+    """Orthonormal basis of the constraint tangent space, from :func:`constraint_frame`."""
+    d = m.p.size
+    return [
+        CotangentTangent(at=m, u=row[:d].copy(), w=row[d:].copy())
+        for row in constraint_frame(m.p, m.q)
+    ]
 
 
 def sample_tangent(

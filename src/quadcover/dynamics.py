@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cotangent import CotangentPoint, CotangentTangent, retract, tangent_basis
+from .cotangent import CotangentPoint, CotangentTangent, constraint_frame, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = [
@@ -57,45 +57,38 @@ class FlowResult:
     steps: int
 
 
-def _constraint_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    d = p.size
-    rows = np.zeros((2, 2 * d))
-    rows[0, :d] = p
-    rows[1, :d] = q
-    rows[1, d:] = p
-    return rows
-
-
 def _restricted_energy(offsets: np.ndarray, k_base: float, k_ham: float, d: int) -> np.ndarray:
     """H = k|q| after retracting a batch of ambient offsets onto the constraint set."""
     p = offsets[:, :d]
     q = offsets[:, d:]
-    p_hat = p * (k_base / np.linalg.norm(p, axis=1))[:, None]
+    p_hat = p * (k_base / np.sqrt((p * p).sum(axis=1)))[:, None]
     q_tan = q - (np.einsum("ij,ij->i", p_hat, q) / (k_base * k_base))[:, None] * p_hat
-    return k_ham * np.linalg.norm(q_tan, axis=1)
+    return k_ham * np.sqrt((q_tan * q_tan).sum(axis=1))
 
 
 def _solve_field(k_base: float, k_ham: float, p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q)."""
+    """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q).
+
+    Called once per RK4 stage, so it keeps the numpy call count low: the
+    offsets at +h and -h go through one energy evaluation, and Omega comes
+    from a single product.
+    """
     d = p.size
-    _, svals, vh = np.linalg.svd(_constraint_rows(p, q))
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    mat = vh[rank:]
-    if mat.shape[0] != 2 * (d - 1):
-        raise RuntimeError("numerical rank failure on the constraint tangent space")
-    # Omega[i, j] = omega_std(b_i, b_j) = u_i . w_j - w_i . u_j
-    omega = mat[:, :d] @ mat[:, d:].T - mat[:, d:] @ mat[:, :d].T
-    amb = np.concatenate([p, q])
-    grad = (
-        _restricted_energy(amb[None, :] + h * mat, k_base, k_ham, d)
-        - _restricted_energy(amb[None, :] - h * mat, k_base, k_ham, d)
-    ) / (2.0 * h)
+    mat = constraint_frame(p, q)
+    half = mat.shape[0]
+    # Omega[i, j] = omega_std(b_i, b_j) = u_i . w_j - w_i . u_j = A - A^T
+    a = mat[:, :d] @ mat[:, d:].T
+    omega_t = a.T - a
+    amb = np.concatenate((p, q))
+    step = h * mat
+    energy = _restricted_energy(np.concatenate((amb + step, amb - step)), k_base, k_ham, d)
+    grad = (energy[:half] - energy[half:]) / (2.0 * h)
     try:
         # omega(X, b_i) = grad_i with X = sum x_j b_j reads Omega^T x = grad
-        coeff = np.linalg.solve(omega.T, grad)
+        coeff = np.linalg.solve(omega_t, grad)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("degenerate restricted symplectic form") from exc
-    residual = float(np.max(np.abs(omega.T @ coeff - grad)))
+    residual = np.abs(omega_t @ coeff - grad).max()
     if residual > 1e-8:
         raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
     return coeff @ mat
@@ -193,9 +186,9 @@ def rk4_integrate(
         # retract the stage point, then solve the field there
         p = x[:d]
         q = x[d:]
-        p = p * (k / np.linalg.norm(p))
+        p = p * (k / np.sqrt(p @ p))
         q = q - ((p @ q) / (k * k)) * p
-        if np.linalg.norm(q) <= 1e-8:
+        if np.sqrt(q @ q) <= 1e-8:
             raise ZeroSectionError("trajectory reached the zero section")
         return _solve_field(k, ham.base_radius, p, q, h)
 

@@ -265,3 +265,31 @@ def test_empty_input_list_is_usage_error():
         run_check("L-projemb", {"samples": 0})
     with pytest.raises(UsageError, match="time grid"):
         run_check("P-unitcut-flow", {"t_grid": 0})
+
+
+@pytest.mark.parametrize("cid, attr", [("T-zerosection", "_res_zerosection"), ("R-uneven-flow", "_score_uneven_flow")])
+def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkeypatch):
+    params = {"samples": 4} if cid == "T-zerosection" else {"trajectories": 4}
+    check = build_registry()[cid]
+    inputs = check.gen({**check.params, **params}, derive_stream(42, cid))
+    # argmax would pick the NaN and a witness check would pass on +inf
+    values = iter([0.0, float("inf"), float("nan"), 0.0])
+    monkeypatch.setattr(checks_module, attr, lambda inp, profile: next(values))
+    report = run_check(cid, params)
+    assert not report.passed
+    assert report.max_residual == float("inf")
+    assert report.witness == inputs[1]
+    parsed = json.loads(render_json([report]))[0]
+    assert parsed["max_residual"] == "inf"
+    assert parsed["witness"] == json.loads(json.dumps(inputs[1]))
+
+
+def test_json_writes_non_finite_reals_as_strings():
+    reports = [
+        checks_module.CheckReport(
+            id=f"x{i}", seed=1, samples=1, max_residual=value, tolerance=1.0, passed=False, elapsed=0.0
+        )
+        for i, value in enumerate([float("nan"), float("inf"), float("-inf")])
+    ]
+    parsed = json.loads(render_json(reports))
+    assert [entry["max_residual"] for entry in parsed] == ["nan", "inf", "-inf"]

@@ -90,3 +90,34 @@ def test_tol_profile_flag(capsys):
 def test_zero_samples_is_usage_error(capsys):
     assert main(["run", "--suite", "L-projemb", "--samples", "0"]) == 2
     assert "generated no inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("P-unitcut-rk4", ["--n", "0"]),
+        ("L-projemb", ["--n", "1", "--n", "-2"]),
+        ("P-evenedrescale", ["--radius", "-1"]),
+        ("P-omega-r-descent", ["--radius", "0"]),
+        ("L-projemb", ["--radius", "nan"]),
+        ("L-projemb", ["--radius", "inf"]),
+    ],
+)
+def test_bad_dimension_or_radius_is_usage_error(suite, flags, capsys):
+    assert main(["run", "--suite", suite, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "dimensions must be at least 1" in err or "radii must be finite and positive" in err
+
+
+def test_non_finite_residual_exits_one_with_string_value(tmp_path, monkeypatch):
+    import quadcover.checks as checks_module
+
+    # -inf is below every tolerance, yet it is no residual
+    monkeypatch.setattr(checks_module, "_res_zerosection", lambda inp, profile: float("-inf"))
+    out = tmp_path / "inf.json"
+    code = main(["run", "--suite", "T-zerosection", "--samples", "2", "--format", "json", "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())[0]
+    assert entry["max_residual"] == "-inf"
+    assert entry["passed"] is False
+    assert "witness" in entry

@@ -65,6 +65,15 @@ def test_sampler_rejects_bad_radii():
         sample_cosphere(2, 1.0, 0.0, rng)
 
 
+def test_sampler_rejects_zero_dimension_instead_of_looping():
+    # n = 0 leaves p one entry and no direction orthogonal to it
+    rng = derive_stream(25, "n0")
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        sample_disc_bundle(0, 1.0, 1.0, rng)
+    with pytest.raises(ValueError, match="at least 2 entries"):
+        sample_cosphere(0, 1.0, 1.0, rng)
+
+
 def test_tangent_basis_size_orthonormality_and_invariants():
     rng = derive_stream(26, "basis")
     for n in (1, 2, 3):

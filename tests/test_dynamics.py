@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadcover import dynamics
 from quadcover.cotangent import (
     CotangentPoint,
     antipode,
@@ -54,6 +55,65 @@ def test_vector_field_rejects_zero_section():
     m = CotangentPoint(p=np.array([1.0, 0.0]), q=np.zeros(2))
     with pytest.raises(ZeroSectionError):
         hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+
+
+def test_collapsed_base_point_is_a_rank_failure():
+    # p = 0 with q != 0: the constraint rows (p, 0) and (q, p) have rank 1
+    m = CotangentPoint(p=np.zeros(3), q=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(RuntimeError, match="rank failure"):
+        tangent_basis(m)
+    with pytest.raises(RuntimeError, match="rank failure"):
+        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+
+
+def test_inexact_field_solve_trips_the_residual_guard(monkeypatch):
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
+    solve = np.linalg.solve
+    monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
+        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+
+
+def test_singular_field_solve_is_a_runtime_error(monkeypatch):
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(dynamics.np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match="degenerate restricted symplectic form"):
+        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+
+
+def _plain_field(k_base, k_ham, p, q, h):
+    """The field solve written plainly: norm(), two products for Omega, one energy call per side."""
+    d = p.size
+    rows = np.zeros((2, 2 * d))
+    rows[0, :d] = p
+    rows[1, :d] = q
+    rows[1, d:] = p
+    mat = np.linalg.svd(rows)[2][2:]
+    omega = mat[:, :d] @ mat[:, d:].T - mat[:, d:] @ mat[:, :d].T
+
+    def energy(offsets):
+        op, oq = offsets[:, :d], offsets[:, d:]
+        p_hat = op * (k_base / np.linalg.norm(op, axis=1))[:, None]
+        q_tan = oq - (np.einsum("ij,ij->i", p_hat, oq) / (k_base * k_base))[:, None] * p_hat
+        return k_ham * np.linalg.norm(q_tan, axis=1)
+
+    amb = np.concatenate([p, q])
+    grad = (energy(amb + h * mat) - energy(amb - h * mat)) / (2.0 * h)
+    return np.linalg.solve(omega.T, grad) @ mat
+
+
+def test_field_solve_equals_the_plain_solve_bit_for_bit():
+    rng = derive_stream(65, "plain")
+    for n in range(1, 7):
+        for k in (1.0, np.sqrt(0.5), 3.0):
+            for m in (sample_cosphere(n, k, k, rng), sample_cosphere(n, k, 0.3, rng)):
+                for k_ham in (1.0, k):
+                    lean = dynamics._solve_field(k, k_ham, m.p, m.q, 1e-5)
+                    assert np.array_equal(lean, _plain_field(k, k_ham, m.p, m.q, 1e-5))
 
 
 def test_closed_form_flow_special_times():
