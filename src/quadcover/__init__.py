@@ -55,7 +55,6 @@ from .maps import (
     cotangent_to_quadric,
     deck,
     locus_classify,
-    map_catalog,
     quadric_fiber,
     quadric_to_cotangent,
     segre_unitary,
@@ -66,8 +65,6 @@ from .numerics import (
     ToleranceProfile,
     derive_stream,
     gauss_legendre_2d,
-    jacobian,
-    sample_gaussian,
 )
 from .projective import (
     ProjectivePoint,

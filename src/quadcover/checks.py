@@ -60,6 +60,7 @@ from .forms import (
     scaled_form,
 )
 from .maps import (
+    ROOT2,
     antipodal_cp1,
     ball_embedding,
     branched_cover,
@@ -82,7 +83,6 @@ from .numerics import (
 )
 from .projective import (
     ProjectivePoint,
-    horizontal_project,
     in_hyperplane,
     proj_normalize,
     projective_defect,
@@ -106,7 +106,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-ROOT2 = float(np.sqrt(2.0))
 
 # a residual far above every tolerance, used when a structural expectation
 # (membership, classification, fiber count) fails outright
@@ -327,6 +326,30 @@ def _n_and_r(inp: dict) -> tuple[int, float]:
     return inp["n"], inp["r"]
 
 
+def _cotangent_generator(sampler: Callable, count="samples", radius=None, fields=lambda params: [{}]):
+    """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``.
+
+    The fiber radius r is 1, or ``params[radius]`` when ``radius`` names a
+    param. A point yields one input per dict of ``fields(params)``, keyed
+    ``n``, then ``r`` when a radius is named, then ``p``, ``q`` and the dict.
+    """
+
+    def gen(params, rng):
+        r = float(params[radius]) if radius else 1.0
+        head = {"r": r} if radius else {}
+        tails = fields(params)
+        inputs = []
+        for n in params["n"]:
+            for _ in range(params[count]):
+                m = sampler(n, 1.0, r, rng)
+                p, q = _floats(m.p), _floats(m.q)
+                for tail in tails:
+                    inputs.append({"n": int(n), **head, "p": p, "q": q, **tail})
+        return inputs
+
+    return gen
+
+
 def _gen_projemb(params, rng):
     inputs = []
     for n in params["n"]:
@@ -360,13 +383,7 @@ def _res_projemb(inputs, profile):
     return _grouped(inputs, _n_and_r, evaluate)
 
 
-def _gen_sphereembedding(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["samples"]):
-            m = sample_disc_bundle(n, 1.0, 1.0, rng)
-            inputs.append({"n": int(n), "p": _floats(m.p), "q": _floats(m.q)})
-    return inputs
+_gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
 
 
 def _res_sphereembedding(inp, profile):
@@ -401,13 +418,7 @@ def _res_sphereembedding_lift(inp, profile):
     return max(base_defect, ortho_defect, roundtrip)
 
 
-def _gen_unitcut_boundary(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["samples"]):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append({"n": int(n), "p": _floats(m.p), "q": _floats(m.q)})
-    return inputs
+_gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
 
 
 def _res_unitcut_boundary(inp, profile):
@@ -423,17 +434,9 @@ def _res_unitcut_boundary(inp, profile):
     return worst
 
 
-def _gen_unitcut_flow(params, rng):
-    if params["t_grid"] < 1:
-        raise UsageError("P-unitcut-flow needs a time grid of at least one node")
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["samples"]):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append(
-                {"n": int(n), "p": _floats(m.p), "q": _floats(m.q), "t_grid": int(params["t_grid"])}
-            )
-    return inputs
+_gen_unitcut_flow = _cotangent_generator(
+    sample_cosphere, fields=lambda params: [{"t_grid": int(params["t_grid"])}]
+)
 
 
 def _res_unitcut_flow(inp, profile):
@@ -443,21 +446,10 @@ def _res_unitcut_flow(inp, profile):
     return _dist(flow_closed_form(m, ts), scalar_action(m, ts))
 
 
-def _gen_unitcut_rk4(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["trajectories"]):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append(
-                {
-                    "n": int(n),
-                    "p": _floats(m.p),
-                    "q": _floats(m.q),
-                    "dt": float(params["dt"]),
-                    "t_final": float(params["t_final"]),
-                }
-            )
-    return inputs
+_gen_unitcut_rk4 = _cotangent_generator(
+    sample_cosphere, "trajectories",
+    fields=lambda params: [{"dt": float(params["dt"]), "t_final": float(params["t_final"])}],
+)
 
 
 def _res_unitcut_rk4(inp, profile):
@@ -466,21 +458,10 @@ def _res_unitcut_rk4(inp, profile):
     return _dist(result.endpoint, flow_closed_form(m, inp["t_final"]))
 
 
-def _gen_unitcut_rk4_order(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["trajectories"]):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append(
-                {
-                    "n": int(n),
-                    "p": _floats(m.p),
-                    "q": _floats(m.q),
-                    "dt0": float(params["dt0"]),
-                    "t_final": float(params["t_final"]),
-                }
-            )
-    return inputs
+_gen_unitcut_rk4_order = _cotangent_generator(
+    sample_cosphere, "trajectories",
+    fields=lambda params: [{"dt0": float(params["dt0"]), "t_final": float(params["t_final"])}],
+)
 
 
 def _res_unitcut_rk4_order(inp, profile):
@@ -498,13 +479,7 @@ def _res_unitcut_rk4_order(inp, profile):
     return abs(errs[0] / errs[1] - 16.0)
 
 
-def _gen_branchedcover_deck(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["samples"]):
-            m = sample_disc_bundle(n, 1.0, 1.0, rng)
-            inputs.append({"n": int(n), "p": _floats(m.p), "q": _floats(m.q)})
-    return inputs
+_gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
 
 
 def _res_branchedcover_deck(inp, profile):
@@ -517,11 +492,12 @@ def _res_branchedcover_deck(inp, profile):
 
 
 def _gen_branchedcover_fibers(params, rng):
+    # each half gets at least one input, so a single sample still draws both kinds
     inputs = []
     for n in params["n"]:
         half = params["samples"] // 2
         count = 0
-        while count < half:
+        while count < max(1, half):
             point = sample_projective(n, rng)
             if abs(quadric_residual(point)) <= 1e-3:
                 continue
@@ -546,13 +522,7 @@ def _res_branchedcover_fibers(inp, profile):
     return worst
 
 
-def _gen_pi_not_symplectic(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["samples"]):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append({"n": int(n), "p": _floats(m.p), "q": _floats(m.q)})
-    return inputs
+_gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
 
 
 def _res_pi_not_symplectic(inp, profile):
@@ -610,13 +580,19 @@ def _res_segre_pullback(inputs, profile):
     return _grouped(inputs, lambda inp: None, evaluate)
 
 
-def _gen_segre_equivariance(params, rng):
-    inputs = []
-    for _ in range(params["samples"]):
-        a = sample_projective(1, rng)
-        b = sample_projective(1, rng)
-        inputs.append({"a": _cvec(a.rep), "b": _cvec(b.rep)})
-    return inputs
+def _cp1_generator(*keys: str) -> Callable[[dict, np.random.Generator], list[dict]]:
+    """Generator of ``params["samples"]`` inputs, each one CP^1 point per key, drawn in key order."""
+
+    def gen(params, rng):
+        return [
+            {key: _cvec(sample_projective(1, rng).rep) for key in keys}
+            for _ in range(params["samples"])
+        ]
+
+    return gen
+
+
+_gen_segre_equivariance = _cp1_generator("a", "b")
 
 
 def _res_segre_equivariance(inp, profile):
@@ -627,12 +603,7 @@ def _res_segre_equivariance(inp, profile):
     return max(swap, diagonal)
 
 
-def _gen_diag_antidiag(params, rng):
-    inputs = []
-    for _ in range(params["samples"]):
-        a = sample_projective(1, rng)
-        inputs.append({"a": _cvec(a.rep)})
-    return inputs
+_gen_diag_antidiag = _cp1_generator("a")
 
 
 def _res_diag_antidiag(inp, profile):
@@ -703,23 +674,10 @@ def _res_evenedrescale(inp, profile):
     return _dist(lhs, rhs)
 
 
-def _gen_evenedflow_restored(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["trajectories"]):
-            m = sample_cosphere(n, 1.0, params["r_uneven"], rng)
-            for t in params["t_checks"]:
-                inputs.append(
-                    {
-                        "n": int(n),
-                        "r": float(params["r_uneven"]),
-                        "p": _floats(m.p),
-                        "q": _floats(m.q),
-                        "t": float(t),
-                        "dt": float(params["dt"]),
-                    }
-                )
-    return inputs
+_gen_evenedflow_restored = _cotangent_generator(
+    sample_cosphere, "trajectories", "r_uneven",
+    lambda params: [{"t": float(t), "dt": float(params["dt"])} for t in params["t_checks"]],
+)
 
 
 def _res_evenedflow_restored(inp, profile):
@@ -730,22 +688,10 @@ def _res_evenedflow_restored(inp, profile):
     return _dist(result.endpoint, scalar_action(evened, inp["t"]))
 
 
-def _gen_uneven_flow(params, rng):
-    inputs = []
-    for n in params["n"]:
-        for _ in range(params["trajectories"]):
-            m = sample_cosphere(n, 1.0, params["r"], rng)
-            inputs.append(
-                {
-                    "n": int(n),
-                    "r": float(params["r"]),
-                    "p": _floats(m.p),
-                    "q": _floats(m.q),
-                    "dt": float(params["dt"]),
-                    "ts": [float(t) for t in params["t_checks"]],
-                }
-            )
-    return inputs
+_gen_uneven_flow = _cotangent_generator(
+    sample_cosphere, "trajectories", "r",
+    lambda params: [{"dt": float(params["dt"]), "ts": [float(t) for t in params["t_checks"]]}],
+)
 
 
 def _score_uneven_flow(inp, profile):
@@ -835,8 +781,12 @@ def _score_omega_r_not_fs(inp, profile):
     return max(ratios) - min(ratios)
 
 
-def _gen_period_cp1(params, rng):
+def _quadrature_input(params, rng):
+    """The one input of a period check: its node count per axis."""
     return [{"nodes": int(params["nodes"])}]
+
+
+_gen_period_cp1 = _quadrature_input
 
 
 def _res_period_cp1(inp, profile):
@@ -844,8 +794,7 @@ def _res_period_cp1(inp, profile):
     return abs(value - np.pi)
 
 
-def _gen_period_q1(params, rng):
-    return [{"nodes": int(params["nodes"])}]
+_gen_period_q1 = _quadrature_input
 
 
 def _res_period_q1(inp, profile):
@@ -869,10 +818,11 @@ def _res_period_match(inp, profile):
 
 
 def _gen_zerosection(params, rng):
+    # each half gets at least one input, as in _gen_branchedcover_fibers
     inputs = []
     for n in params["n"]:
         half = params["samples"] // 2
-        for _ in range(half):
+        for _ in range(max(1, half)):
             p = _unit_real(n + 1, rng)
             inputs.append({"kind": "zero", "n": int(n), "p": _floats(p), "q": _floats(np.zeros(n + 1))})
         for _ in range(params["samples"] - half):
@@ -1190,6 +1140,23 @@ class SuiteConfig:
     profile: str = "default"
 
 
+# least usable value of each count parameter; a quadrature rule needs two nodes
+_LEAST_COUNT = {"samples": 1, "trajectories": 1, "pairs": 1, "t_grid": 1, "nodes": 2}
+
+
+def _validate(check_id: str, params: dict) -> None:
+    """Raise UsageError unless a generated run's dimensions, radii and counts are usable."""
+    for key, value in params.items():
+        if key == "n" and not all(n >= 1 for n in value):
+            raise UsageError(f"check {check_id}: dimensions must be at least 1, got {value!r}")
+        if key in ("r", "r_uneven"):
+            radii = value if isinstance(value, list) else [value]
+            if not all(math.isfinite(r) and r > 0 for r in radii):
+                raise UsageError(f"check {check_id}: radii must be finite and positive, got {value!r}")
+        if key in _LEAST_COUNT and not value >= _LEAST_COUNT[key]:
+            raise UsageError(f"check {check_id}: {key} must be at least {_LEAST_COUNT[key]}, got {value!r}")
+
+
 def _resolve_profile(profile: str | ToleranceProfile) -> ToleranceProfile:
     if isinstance(profile, ToleranceProfile):
         return profile
@@ -1209,7 +1176,8 @@ def run_check(
 
     ``params`` may override the check's declared parameters, inject a
     ``tolerance``, or supply a single serialized ``witness`` input to
-    re-evaluate.
+    re-evaluate. A generated run needs dimensions of at least 1, finite
+    positive radii, counts of at least 1 and at least 2 quadrature nodes.
     """
     prof = _resolve_profile(profile)
     registry = build_registry(prof)
@@ -1233,8 +1201,8 @@ def run_check(
     if witness_input is not None:
         inputs = [witness_input]
     else:
-        rng = derive_stream(seed, check_id)
-        inputs = check.gen(merged, rng)
+        _validate(check_id, merged)
+        inputs = check.gen(merged, derive_stream(seed, check_id))
     if not inputs:
         raise UsageError(
             f"check {check_id} generated no inputs: sample counts must be positive "
@@ -1280,13 +1248,9 @@ def run_suite(
 
     ``overrides`` maps check ids to extra per-check parameters (including an
     injected ``tolerance``). Returns the reports plus an exit status: 0 iff
-    every matched check passed. Raises UsageError if the glob matches nothing,
-    or if a dimension is below 1 or a radius is not finite and positive.
+    every matched check passed. Raises UsageError if the glob matches nothing
+    or a check's parameters are invalid (see :func:`run_check`).
     """
-    if config.n_values is not None and any(n < 1 for n in config.n_values):
-        raise UsageError(f"dimensions must be at least 1, got {list(config.n_values)}")
-    if config.radii is not None and not all(math.isfinite(r) and r > 0 for r in config.radii):
-        raise UsageError(f"radii must be finite and positive, got {list(config.radii)}")
     prof = _resolve_profile(config.profile)
     registry = build_registry(prof)
     matched = [cid for cid in registry if fnmatch.fnmatchcase(cid, pattern)]

@@ -80,29 +80,27 @@ def sample_disc_bundle(
     fiber_radius * u^(1/n) with u uniform in (0, 1). The u^(1/n) radial law
     makes fiber discs uniform by volume.
     """
-    if base_radius <= 0 or fiber_radius <= 0:
-        raise ValueError("radii must be positive")
-    p = rng.standard_normal(n + 1)
-    p *= base_radius / np.linalg.norm(p)
-    q = _fiber_direction(p, rng)
-    u = rng.uniform()
-    if u == 0.0:
-        u = 0.5
-    point = CotangentPoint(p=p, q=q * (fiber_radius * u ** (1.0 / n)), base_radius=base_radius)
-    return point.validate()
+    return _sample_bundle(n, base_radius, fiber_radius, rng, disc=True)
 
 
 def sample_cosphere(
     n: int, base_radius: float, fiber_radius: float, rng: np.random.Generator
 ) -> CotangentPoint:
     """As :func:`sample_disc_bundle` but with |q| = fiber_radius exactly."""
+    return _sample_bundle(n, base_radius, fiber_radius, rng, disc=False)
+
+
+def _sample_bundle(n, base_radius, fiber_radius, rng, disc) -> CotangentPoint:
+    """Body of both samplers: |q| = fiber_radius, times u^(1/n) for the disc."""
     if base_radius <= 0 or fiber_radius <= 0:
         raise ValueError("radii must be positive")
     p = rng.standard_normal(n + 1)
     p *= base_radius / np.linalg.norm(p)
     q = _fiber_direction(p, rng)
-    point = CotangentPoint(p=p, q=q * fiber_radius, base_radius=base_radius)
-    return point.validate()
+    if disc:
+        u = rng.uniform()
+        fiber_radius *= (u if u != 0.0 else 0.5) ** (1.0 / n)
+    return CotangentPoint(p=p, q=q * fiber_radius, base_radius=base_radius).validate()
 
 
 def _fiber_direction(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -152,14 +150,11 @@ def tangent_basis(m: CotangentPoint) -> list[CotangentTangent]:
     ]
 
 
-def sample_tangent(
-    m: CotangentPoint, rng: np.random.Generator, unit: bool = True
-) -> CotangentTangent:
-    """Random constraint-tangent vector at ``m``."""
+def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> CotangentTangent:
+    """Random unit constraint-tangent vector at ``m``."""
     basis = tangent_basis(m)
     coeff = rng.standard_normal(len(basis))
-    if unit:
-        coeff /= np.linalg.norm(coeff)
+    coeff /= np.linalg.norm(coeff)
     u = sum(c * b.u for c, b in zip(coeff, basis))
     w = sum(c * b.w for c, b in zip(coeff, basis))
     return CotangentTangent(at=m, u=u, w=w)

@@ -13,12 +13,10 @@ predicate, never entrywise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cotangent import CotangentPoint
-from .forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace, SmoothMap
+from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
 from .numerics import complexify, realify
 from .projective import ProjectivePoint, proj_normalize
 
@@ -26,22 +24,17 @@ __all__ = [
     "ball_to_projective",
     "ball_embedding",
     "cotangent_to_quadric",
-    "cotangent_embedding",
     "quadric_to_cotangent",
     "cosphere_boundary",
     "branched_cover",
     "branched_cover_map",
     "quadric_fiber",
     "deck",
-    "deck_map",
     "segre_unitary",
     "segre_map",
     "swap_factors",
-    "swap_map",
     "antipodal_cp1",
     "locus_classify",
-    "MapCatalogEntry",
-    "map_catalog",
 ]
 
 ROOT2 = float(np.sqrt(2.0))
@@ -94,15 +87,6 @@ def cotangent_to_quadric(m: CotangentPoint) -> ProjectivePoint:
     if np.linalg.norm(m.q) >= 1.0:
         raise ValueError("quadric embedding expects |q| < 1 (open disc bundle)")
     return ball_to_projective(m.p + 1j * m.q, ROOT2)
-
-
-def cotangent_embedding(n: int) -> SmoothMap:
-    return SmoothMap(
-        domain=CotangentSpace(n, 1.0),
-        target=ProjectiveSpace(n + 1),
-        func=cotangent_to_quadric,
-        name=f"T*S{n}->Q{n}",
-    )
 
 
 def quadric_to_cotangent(point: ProjectivePoint) -> CotangentPoint:
@@ -181,15 +165,6 @@ def deck(point: ProjectivePoint) -> ProjectivePoint:
     return proj_normalize(rep)
 
 
-def deck_map(n: int) -> SmoothMap:
-    return SmoothMap(
-        domain=ProjectiveSpace(n + 1),
-        target=ProjectiveSpace(n + 1),
-        func=deck,
-        name=f"deck(CP{n + 1})",
-    )
-
-
 def segre_unitary(a: ProjectivePoint, b: ProjectivePoint) -> ProjectivePoint:
     """Twisted Segre map ([x:y], [a:b]) -> [xa+yb : i(xa-yb) : i(xb+ya) : xb-ya].
 
@@ -232,12 +207,6 @@ def swap_factors(pair: tuple[ProjectivePoint, ProjectivePoint]):
     return (pair[1], pair[0])
 
 
-def swap_map() -> SmoothMap:
-    p1 = ProjectiveSpace(1)
-    space = ProductSpace(p1, p1)
-    return SmoothMap(domain=space, target=space, func=swap_factors, name="swap")
-
-
 def antipodal_cp1(a: ProjectivePoint) -> ProjectivePoint:
     """Fixed-point-free involution of CP^1: [x : y] -> [-conj(y) : conj(x)]."""
     x, y = a.rep
@@ -257,54 +226,3 @@ def locus_classify(point: ProjectivePoint, tol: float = 1e-9) -> str:
     if float(pairwise.max()) < tol:
         return "on_RP2"
     return "generic"
-
-
-@dataclass(frozen=True)
-class MapCatalogEntry:
-    name: str
-    map: SmoothMap
-    statement: str
-
-
-def map_catalog(n: int = 2, r: float = ROOT2) -> list[MapCatalogEntry]:
-    """Named catalog of the construction's maps at a given dimension.
-
-    Names are unique; the statement strings record the defining property each
-    map is checked against.
-    """
-    entries = [
-        MapCatalogEntry(
-            name="ball-embedding",
-            map=ball_embedding(n, r),
-            statement="open radius-r ball onto the complement of the last hyperplane",
-        ),
-        MapCatalogEntry(
-            name="cotangent-embedding",
-            map=cotangent_embedding(n),
-            statement="open unit disc bundle onto the quadric minus the lower quadric",
-        ),
-        MapCatalogEntry(
-            name="branched-cover",
-            map=branched_cover_map(n),
-            statement="coordinate-dropping double cover branched along the lower quadric",
-        ),
-        MapCatalogEntry(
-            name="deck",
-            map=deck_map(n),
-            statement="sign flip of the last coordinate; generates the cover's deck group",
-        ),
-        MapCatalogEntry(
-            name="segre-unitary",
-            map=segre_map(),
-            statement="product of lines onto the quadric surface, unitary twist of Segre",
-        ),
-        MapCatalogEntry(
-            name="factor-swap",
-            map=swap_map(),
-            statement="involution of the product intertwined with the deck map",
-        ),
-    ]
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise ValueError("catalog names must be unique")
-    return entries

@@ -1,10 +1,10 @@
 """Shared numerical primitives.
 
-Finite-difference Jacobians, counter-based seeded sampling streams, and
-tensor-product Gauss-Legendre quadrature. Everything downstream (pullback
-checks, flow comparisons, period integrals) is built on these three
-ingredients, so their contracts are kept deliberately small: pure functions,
-explicit generator state, no hidden caches.
+Counter-based seeded sampling streams, tensor-product Gauss-Legendre
+quadrature, the real-complex coordinate pairing and the tolerance profiles.
+Everything downstream (pullback checks, flow comparisons, period integrals)
+is built on these ingredients, so their contracts are kept deliberately
+small: pure functions, explicit generator state, no hidden caches.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ __all__ = [
     "DEFAULT_PROFILE",
     "STRICT_PROFILE",
     "PROFILES",
-    "jacobian",
     "derive_stream",
-    "sample_gaussian",
     "gauss_legendre_2d",
     "realify",
     "complexify",
@@ -57,48 +55,6 @@ STRICT_PROFILE = ToleranceProfile(residual_tol=1e-11, flow_tol=1e-13, quadrature
 PROFILES = {"default": DEFAULT_PROFILE, "strict": STRICT_PROFILE}
 
 
-def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``x``.
-
-    Parameters
-    ----------
-    f : callable
-        Map from R^m to R^k, evaluable at the 2m axis offsets ``x +- h e_j``.
-    x : array_like
-        Base point, length m.
-    h : float
-        Step size.
-
-    Returns
-    -------
-    ndarray, shape (k, m)
-        ``J[i, j] = (f_i(x + h e_j) - f_i(x - h e_j)) / (2 h)``; error O(h^2)
-        for thrice-differentiable f.
-
-    Raises
-    ------
-    ValueError
-        If evaluation fails at an offset point (e.g. the offset leaves the
-        map's domain); the message names the offending offset.
-    """
-    x = np.asarray(x, dtype=float)
-    m = x.size
-    cols = []
-    for j in range(m):
-        step = np.zeros(m)
-        step[j] = h
-        vals = []
-        for sgn, pt in (("+", x + step), ("-", x - step)):
-            try:
-                vals.append(np.asarray(f(pt), dtype=float))
-            except Exception as exc:
-                raise ValueError(
-                    f"evaluation failed at offset x {sgn} {h:g}*e_{j}: {exc}"
-                ) from exc
-        cols.append((vals[0] - vals[1]) / (2.0 * h))
-    return np.stack(cols, axis=1)
-
-
 def derive_stream(master_seed: int, name: str) -> np.random.Generator:
     """Independent counter-based stream keyed by (master seed, name).
 
@@ -108,13 +64,6 @@ def derive_stream(master_seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     key = int.from_bytes(digest[:16], "big")
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard-normal vector of length ``dim``; advances the stream state."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return rng.standard_normal(dim)
 
 
 def gauss_legendre_2d(

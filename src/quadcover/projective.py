@@ -141,15 +141,11 @@ def sample_projective(n: int, rng: np.random.Generator) -> ProjectivePoint:
     return proj_normalize(z)
 
 
-def sample_horizontal(
-    point: ProjectivePoint, rng: np.random.Generator, unit: bool = True
-) -> ProjectiveTangent:
-    """Random horizontal tangent at ``point``, unit ambient norm by default."""
+def sample_horizontal(point: ProjectivePoint, rng: np.random.Generator) -> ProjectiveTangent:
+    """Random horizontal tangent at ``point`` of unit ambient norm."""
     v = rng.standard_normal(point.rep.size) + 1j * rng.standard_normal(point.rep.size)
     tangent = horizontal_project(point, v)
-    if unit:
-        norm = np.linalg.norm(tangent.vec)
-        if norm <= 1e-12:
-            return sample_horizontal(point, rng, unit=unit)
-        tangent = ProjectiveTangent(base=point, vec=tangent.vec / norm)
-    return tangent
+    norm = np.linalg.norm(tangent.vec)
+    if norm <= 1e-12:
+        return sample_horizontal(point, rng)
+    return ProjectiveTangent(base=point, vec=tangent.vec / norm)

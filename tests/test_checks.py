@@ -1,5 +1,6 @@
 """Registry completeness, determinism, witnesses, and report formats."""
 
+import hashlib
 import io
 import json
 
@@ -262,8 +263,8 @@ def test_off_quadric_segre_row_gets_the_sentinel(monkeypatch):
 
 def test_empty_input_list_is_usage_error():
     with pytest.raises(UsageError, match="generated no inputs"):
-        run_check("L-projemb", {"samples": 0})
-    with pytest.raises(UsageError, match="time grid"):
+        run_check("L-projemb", {"n": []})
+    with pytest.raises(UsageError, match="t_grid must be at least 1"):
         run_check("P-unitcut-flow", {"t_grid": 0})
 
 
@@ -293,3 +294,74 @@ def test_json_writes_non_finite_reals_as_strings():
     ]
     parsed = json.loads(render_json(reports))
     assert [entry["max_residual"] for entry in parsed] == ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize(
+    "cid, params, message",
+    [
+        # passed with residual exactly 0: both sides of the identity vanish
+        ("P-omega-r-descent", {"r": [0.0], "samples": 20}, "radii must be finite and positive"),
+        # ended in the sampler's ValueError
+        ("P-unitcut-rk4", {"n": [0]}, "dimensions must be at least 1"),
+        # ended in the quadrature's ValueError
+        ("I-period-CP1", {"nodes": 1}, "nodes must be at least 2"),
+        ("L-projemb", {"samples": 0}, "samples must be at least 1"),
+        ("R-omega-r-not-FS", {"pairs": 0}, "pairs must be at least 1"),
+        ("R-uneven-flow", {"r": float("nan")}, "radii must be finite and positive"),
+        ("P-evenedflow-restored", {"r_uneven": -0.5}, "radii must be finite and positive"),
+    ],
+)
+def test_run_check_rejects_invalid_params(cid, params, message):
+    with pytest.raises(UsageError, match=message):
+        run_check(cid, params)
+
+
+@pytest.mark.parametrize(
+    "cid, kinds", [("C-branchedcover-fibers", {"off", "on"}), ("T-zerosection", {"zero", "boundary"})]
+)
+def test_one_sample_still_draws_both_kinds_for_every_n(cid, kinds):
+    check = build_registry()[cid]
+    params = {**check.params, "n": [1, 2, 3], "samples": 1}
+    inputs = check.gen(params, derive_stream(42, cid))
+    # the fiber check's inputs carry no n; a point of dimension n has n + 1 entries
+    drawn = {(len(inp["z"]["re"] if "z" in inp else inp["p"]) - 1, inp["kind"]) for inp in inputs}
+    assert drawn == {(n, kind) for n in (1, 2, 3) for kind in kinds}
+    assert run_check(cid, {"samples": 1}).passed
+
+
+# sha256 of each check's serialized inputs at seed 42 with every "samples" set
+# to 4, recorded before the generators were rewritten on a shared sampler
+PINNED_INPUT_HASHES = {
+    "L-projemb": "b7ae915b845df49cc81b2dbe1ac448f7423941926304a9f03adfa85fde7085af",
+    "L-sphereembedding": "f752201ea9939078de44da9ca781479aae20272f80719b8758456f9d3fadb1b6",
+    "L-sphereembedding-lift": "b08f2e4869fa23d37aed8d268e8f5ef642847f2c1f41c90170b9f5b39ac5bce7",
+    "P-unitcut-boundary": "5efbba87fe4ae6fc8202a90436d8c10dc9fad44db45ccca4ee6af45c60c0d60a",
+    "P-unitcut-flow": "592df388bfea9c27bdde53a68b13efd46873322d0ca045dd92c6230a52e572f2",
+    "P-unitcut-rk4": "c2db59b3de469f8fd93ce5275008057102625d27f04e99eb835062026e5ce8e8",
+    "P-unitcut-rk4-order": "5df37b44aaff33323ebbea749769a1fc0cc877c40eff7a857cd5e412c3213a5c",
+    "C-branchedcover-deck": "d651dd938f7b118f94e7ce3661b802ba2de2b871aa45bfae2374976fc72b142d",
+    "C-branchedcover-fibers": "cfa3132ab2f3af79e5d923d6d025d597bcdbca6fedc9c3a83b545a1c40cdb48d",
+    "R-pi-not-symplectic": "ba088a324dae82f3a889822d8c278f1bfd1db70d1dc01b2793653b7a75ecedc2",
+    "P-segre-pullback": "4917a5f976a2a7640a65662d4ef9742d783230ccb9d7740861edaa56f4705362",
+    "P-segre-equivariance": "c1048049a72f79c3737b1be98ffea1a84de9998aa5d0cb2f7d4814e670f4881d",
+    "R-diag-antidiag": "ebfd52fd60a2a00ac5ce89908d6da8237d702b9d6766dcf16f1f8f19562c8812",
+    "P-evenedrescale": "c26ea0483f75340d4994dfcd674a62874df27eb32e77662f94f7d417c11de674",
+    "P-evenedflow-restored": "52b41aea121b13dcc3c5af7fb4f26f9e34c40210781b0308b909d86acd1531ca",
+    "R-uneven-flow": "c06c37ab213215bd6de9bed1ec072e9f9e939533a879fe3a980c0ad7d0fb9f91",
+    "P-omega-r-descent": "b847a83a9058b4b3b0e8ef15007297897bb484555949b0ea7d35fa89ab7e1ce5",
+    "R-omega-r-not-FS": "c32f4f255ca4a94ba0b0314308d4f01e30e568942e01e7264106adc77ef2ab4f",
+    "I-period-CP1": "087e30deae33f4c3c97859894f9848d64c0adbde42a376592342be3ba8f42524",
+    "I-period-Q1": "320a66c0d9a75fca980b42c80a6958c7e038a7646dd55d4d1a53ffc9568b0202",
+    "I-period-match": "9fbe10420106a35515163740d5ab7c1cf5a5d22b3581b5c7fbd9b9efe9432ad0",
+    "T-zerosection": "4ba0c9b69e249afa0647f9074ea549710d273471ae0fbaa3248eaa873fdf2491",
+}
+
+
+def test_generated_inputs_match_their_pinned_hashes():
+    # a refactor of the generators must keep both the RNG order and the key order
+    registry = build_registry()
+    assert set(registry) == set(PINNED_INPUT_HASHES)
+    for cid, check in registry.items():
+        params = {**check.params, "samples": 4} if "samples" in check.params else dict(check.params)
+        text = checks_module._json_scalar(check.gen(params, derive_stream(42, cid)))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INPUT_HASHES[cid], cid

@@ -89,7 +89,7 @@ def test_tol_profile_flag(capsys):
 
 def test_zero_samples_is_usage_error(capsys):
     assert main(["run", "--suite", "L-projemb", "--samples", "0"]) == 2
-    assert "generated no inputs" in capsys.readouterr().err
+    assert "samples must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

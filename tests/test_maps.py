@@ -12,6 +12,7 @@ from quadcover.forms import (
     CotangentSpace,
     ProductSpace,
     ProjectiveSpace,
+    SmoothMap,
     fubini_study_form,
     product_form,
     pullback,
@@ -22,11 +23,11 @@ from quadcover.maps import (
     ball_embedding,
     ball_to_projective,
     branched_cover,
+    branched_cover_map,
     cosphere_boundary,
     cotangent_to_quadric,
     deck,
     locus_classify,
-    map_catalog,
     quadric_fiber,
     quadric_to_cotangent,
     segre_map,
@@ -293,19 +294,27 @@ def _domain_sample(space, rng):
 
 def test_catalog_maps_agree_with_coarser_differences():
     # jacobian-action consistency: a chord at step 3e-4 reproduces the
-    # differential at the default step within 1e-6
+    # differential at the default step within 1e-6, for the construction's
+    # six maps at n = 2 and r = sqrt(2)
     rng = derive_stream(55, "catalog")
-    entries = map_catalog()
-    assert len({e.name for e in entries}) == len(entries)
-    for entry in entries:
-        smooth = entry.map
+    n = 2
+    p1 = ProjectiveSpace(1)
+    catalog = {
+        "ball-embedding": ball_embedding(n, ROOT2),
+        "cotangent-embedding": SmoothMap(CotangentSpace(n, 1.0), ProjectiveSpace(n + 1), cotangent_to_quadric),
+        "branched-cover": branched_cover_map(n),
+        "deck": SmoothMap(ProjectiveSpace(n + 1), ProjectiveSpace(n + 1), deck),
+        "segre-unitary": segre_map(),
+        "factor-swap": SmoothMap(ProductSpace(p1, p1), ProductSpace(p1, p1), swap_factors),
+    }
+    for name, smooth in catalog.items():
         for _ in range(5):
             x = _domain_sample(smooth.domain, rng)
             v = rng.standard_normal(smooth.domain.ambient)
             v /= np.linalg.norm(v)
             fine = smooth.differential(x, v)
             coarse = dataclasses.replace(smooth, step=3e-4).differential(x, v)
-            assert np.max(np.abs(fine - coarse)) < 1e-6, entry.name
+            assert np.max(np.abs(fine - coarse)) < 1e-6, name
 
 
 def test_batched_maps_match_single_points_row_by_row():
