@@ -19,6 +19,7 @@ from .checks import (
 from .cotangent import (
     CotangentPoint,
     CotangentTangent,
+    OffBundleError,
     antipode,
     even_rescale,
     even_rescale_inverse,
@@ -42,9 +43,7 @@ from .forms import (
     TwoForm,
     fubini_study_form,
     integrate_surface,
-    omega_fs,
     omega_r,
-    omega_std,
     pullback,
 )
 from .maps import (
@@ -58,7 +57,6 @@ from .maps import (
     quadric_fiber,
     quadric_to_cotangent,
     segre_unitary,
-    swap_factors,
 )
 from .numerics import (
     DEFAULT_PROFILE,
@@ -69,11 +67,9 @@ from .numerics import (
 from .projective import (
     ProjectivePoint,
     ProjectiveTangent,
-    horizontal_project,
     in_hyperplane,
     proj_normalize,
     quadric_residual,
-    same_point,
 )
 
 __version__ = "0.1.0"

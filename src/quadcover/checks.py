@@ -1,11 +1,13 @@
 """Named verification registry, runner, and machine-readable reporting.
 
 Every computationally checkable statement of the compactification
-construction is bound to one check id with a pinned tolerance. Residual-style
-checks sample inputs from a private generator stream and report the worst
-residual; witness-style checks (the negative statements) search for a single
-input exceeding a threshold and report the best witness found. A check can be
-re-run on a serialized witness to reproduce its residual exactly.
+construction is bound to one check id with a pinned tolerance, declared once
+by :func:`_check` directly above the check's residual; the registry is built
+once, at import. Residual-style checks sample inputs from a private generator
+stream and report the worst residual; witness-style checks (the negative
+statements) search for a single input exceeding a threshold and report the
+best witness found. A check can be re-run on a serialized witness to
+reproduce its residual exactly.
 
 A check's residual takes the whole list of inputs and returns one float per
 input, in input order; the runner calls it once, for a generated list and for
@@ -22,15 +24,19 @@ residual bit for bit.
 from __future__ import annotations
 
 import fnmatch
+import json
 import math
+import sys
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any, Callable
 
 import numpy as np
 
 from .cotangent import (
     CotangentPoint,
+    OffBundleError,
     antipode,
     even_rescale,
     even_rescale_inverse,
@@ -171,11 +177,7 @@ def _stack(inputs: list[dict], key: str) -> np.ndarray:
 
 
 def _point(d: dict) -> CotangentPoint:
-    return CotangentPoint(
-        p=np.asarray(d["p"], dtype=float),
-        q=np.asarray(d["q"], dtype=float),
-        base_radius=float(d.get("k", 1.0)),
-    )
+    return CotangentPoint(p=np.asarray(d["p"], dtype=float), q=np.asarray(d["q"], dtype=float))
 
 
 def _projective(d: dict) -> ProjectivePoint:
@@ -266,13 +268,12 @@ def _conic_chart() -> SmoothMap:
 
 def _diagonal_chart() -> SmoothMap:
     chart = _sphere_chart()
-    segre = segre_map()
 
     def func(x):
         a = chart(x)
         return (a, a)
 
-    return SmoothMap(domain=chart.domain, target=segre.domain, func=func, name="diagonal-chart")
+    return SmoothMap(domain=chart.domain, target=segre_map().domain, func=func, name="diagonal-chart")
 
 
 def _evened_rescale_map(n: int, r: float) -> SmoothMap:
@@ -285,6 +286,63 @@ def _evened_rescale_map(n: int, r: float) -> SmoothMap:
 
 
 # ---------------------------------------------------------------------------
+# Registry: one @_check declaration per check, directly above its residual.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named verification: statement, tolerance, and the name of its functions.
+
+    ``gen`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
+    (``_score_<name>`` for a witness check), looked up in this module when
+    read, so a function rebound after import is the one that runs; an
+    ``each`` residual takes one input and is lifted by :func:`_each`.
+    ``tolerance`` is a number or the name of a :class:`ToleranceProfile` field.
+    """
+
+    id: str
+    statement: str
+    covers: tuple[str, ...]
+    kind: str  # "residual": pass iff max residual <= tolerance;
+    #            "witness": pass iff some sampled score exceeds the threshold
+    tolerance: float | str
+    params: dict
+    name: str
+    each: bool
+
+    @property
+    def gen(self) -> Callable[[dict, np.random.Generator], list[dict]]:
+        return globals()[f"_gen_{self.name}"]
+
+    @property
+    def residual(self) -> Callable[[list[dict], ToleranceProfile], np.ndarray]:
+        func = globals()[("_score_" if self.kind == "witness" else "_res_") + self.name]
+        return _each(func) if self.each else func
+
+
+_REGISTRY: dict[str, Check] = {}
+
+
+def _check(id, statement, covers, tolerance, params, kind="residual", each=True):
+    """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``."""
+
+    def register(func):
+        if id in _REGISTRY:
+            raise RuntimeError(f"check id {id!r} is already registered")
+        name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
+        _REGISTRY[id] = Check(id, statement, covers, kind, tolerance, params, name, each)
+        return func
+
+    return register
+
+
+def build_registry() -> dict[str, Check]:
+    """All checks in canonical order: a fresh copy of the registry, safe to mutate."""
+    return dict(_REGISTRY)
+
+
+# ---------------------------------------------------------------------------
 # Check implementations: a generator of serializable inputs plus a pure
 # residual (or witness score), either per input (lifted by _each) or over the
 # whole input list (grouped and chunked by _grouped).
@@ -292,10 +350,20 @@ def _evened_rescale_map(n: int, r: float) -> SmoothMap:
 
 
 def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
-    """Lift a per-input residual to the list contract: one call per input."""
+    """Lift a per-input residual to the list contract: one call per input.
+
+    An input off the bundle a map is defined on scores NaN, so the check
+    fails with that input as its witness instead of raising.
+    """
 
     def batch(inputs: list[dict], profile: ToleranceProfile) -> np.ndarray:
-        return np.array([residual(inp, profile) for inp in inputs], dtype=float)
+        out = np.empty(len(inputs))
+        for i, inp in enumerate(inputs):
+            try:
+                out[i] = residual(inp, profile)
+            except OffBundleError:
+                out[i] = np.nan
+        return out
 
     return batch
 
@@ -369,6 +437,13 @@ def _gen_projemb(params, rng):
     return inputs
 
 
+@_check(
+    "L-projemb",
+    "pullback of r^2 omega_FS under the radius-r ball embedding equals omega_std",
+    covers=("ball-embedding-pullback",), tolerance=1e-6,
+    params={"n": [1, 2, 3], "r": [1.0, ROOT2, 2.0], "samples": 1000, "pairs": 3},
+    each=False,
+)
 def _res_projemb(inputs, profile):
     def evaluate(key, rows):
         n, r = key
@@ -386,6 +461,12 @@ def _res_projemb(inputs, profile):
 _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
 
 
+@_check(
+    "L-sphereembedding",
+    "disc bundle images satisfy the quadric equation and avoid the last hyperplane",
+    covers=("cotangent-to-quadric-image",), tolerance="residual_tol",
+    params={"n": [1, 2, 3], "samples": 1000},
+)
 def _res_sphereembedding(inp, profile):
     n = inp["n"]
     image = cotangent_to_quadric(_point(inp))
@@ -409,6 +490,12 @@ def _gen_sphereembedding_lift(params, rng):
     return inputs
 
 
+@_check(
+    "L-sphereembedding-lift",
+    "off-hyperplane quadric points lift to unit-base orthogonal (p, q) pairs",
+    covers=("cotangent-to-quadric-image",), tolerance=1e-8,
+    params={"n": [1, 2, 3], "samples": 1000},
+)
 def _res_sphereembedding_lift(inp, profile):
     point = _projective(inp["z"])
     m = quadric_to_cotangent(point)
@@ -421,6 +508,12 @@ def _res_sphereembedding_lift(inp, profile):
 _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
 
 
+@_check(
+    "P-unitcut-boundary",
+    "the unit cosphere maps into the lower quadric and circle orbits collapse",
+    covers=("unit-cosphere-cut",), tolerance="residual_tol",
+    params={"n": [1, 2, 3], "samples": 200},
+)
 def _res_unitcut_boundary(inp, profile):
     n = inp["n"]
     m = _point(inp)
@@ -439,6 +532,12 @@ _gen_unitcut_flow = _cotangent_generator(
 )
 
 
+@_check(
+    "P-unitcut-flow",
+    "the evened closed-form flow equals the scalar circle action",
+    covers=("unit-cosphere-cut",), tolerance="flow_tol",
+    params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
+)
 def _res_unitcut_flow(inp, profile):
     # the whole time grid at once: both flows return one row per time
     m = _point(inp)
@@ -452,6 +551,12 @@ _gen_unitcut_rk4 = _cotangent_generator(
 )
 
 
+@_check(
+    "P-unitcut-rk4",
+    "RK4 integration of the solved Hamiltonian field reproduces the closed form",
+    covers=("unit-cosphere-cut",), tolerance=1e-6,
+    params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
+)
 def _res_unitcut_rk4(inp, profile):
     m = _point(inp)
     result = rk4_integrate(HamiltonianSpec(1.0), m, inp["t_final"], inp["dt"], profile)
@@ -464,6 +569,12 @@ _gen_unitcut_rk4_order = _cotangent_generator(
 )
 
 
+@_check(
+    "P-unitcut-rk4-order",
+    "RK4 endpoint error falls 16x under step halving (order four)",
+    covers=("unit-cosphere-cut",), tolerance=4.0,
+    params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
+)
 def _res_unitcut_rk4_order(inp, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
@@ -482,6 +593,12 @@ def _res_unitcut_rk4_order(inp, profile):
 _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
 
 
+@_check(
+    "C-branchedcover-deck",
+    "the deck involution intertwines the embedding with the antipodal map",
+    covers=("branched-double-cover",), tolerance="flow_tol",
+    params={"n": [1, 2, 3], "samples": 1000},
+)
 def _res_branchedcover_deck(inp, profile):
     m = _point(inp)
     upstairs = cotangent_to_quadric(m)
@@ -510,6 +627,12 @@ def _gen_branchedcover_fibers(params, rng):
     return inputs
 
 
+@_check(
+    "C-branchedcover-fibers",
+    "fibers of the cover have two points off the branch quadric and one on it",
+    covers=("branched-double-cover",), tolerance=1e-9,
+    params={"n": [1, 2, 3], "samples": 200},
+)
 def _res_branchedcover_fibers(inp, profile):
     point = _projective(inp["z"])
     fiber = quadric_fiber(point, tol=profile.residual_tol)
@@ -525,6 +648,12 @@ def _res_branchedcover_fibers(inp, profile):
 _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
 
 
+@_check(
+    "R-pi-not-symplectic",
+    "the cover kills a branch-locus direction that omega_FS pairs nontrivially",
+    covers=("branch-locus-degeneracy",), tolerance=1e-8,
+    params={"n": [1, 2, 3], "samples": 100},
+)
 def _res_pi_not_symplectic(inp, profile):
     # at a branch point the vertical direction is tangent to the quadric and
     # killed by the cover, yet pairs nontrivially with its i-rotation upstairs
@@ -564,6 +693,13 @@ def _gen_segre_pullback(params, rng):
     return inputs
 
 
+@_check(
+    "P-segre-pullback",
+    "the twisted Segre map lands on the quadric and pulls 2 omega_FS back to the product form",
+    covers=("quadric-product-structure",), tolerance=1e-6,
+    params={"samples": 1000},
+    each=False,
+)
 def _res_segre_pullback(inputs, profile):
     fs1 = scaled_form(fubini_study_form(1), 2.0)
     expected_form = product_form(fs1, fs1)
@@ -595,6 +731,12 @@ def _cp1_generator(*keys: str) -> Callable[[dict, np.random.Generator], list[dic
 _gen_segre_equivariance = _cp1_generator("a", "b")
 
 
+@_check(
+    "P-segre-equivariance",
+    "the twisted Segre map intertwines the deck involution with the factor swap",
+    covers=("quadric-product-structure",), tolerance="flow_tol",
+    params={"samples": 1000},
+)
 def _res_segre_equivariance(inp, profile):
     a = _projective(inp["a"])
     b = _projective(inp["b"])
@@ -606,6 +748,12 @@ def _res_segre_equivariance(inp, profile):
 _gen_diag_antidiag = _cp1_generator("a")
 
 
+@_check(
+    "R-diag-antidiag",
+    "the diagonal maps onto the conic and the antidiagonal covers the real points",
+    covers=("quadric-product-structure",), tolerance=1e-9,
+    params={"samples": 1000},
+)
 def _res_diag_antidiag(inp, profile):
     a = _projective(inp["a"])
     on_conic = branched_cover(segre_unitary(a, a))
@@ -654,6 +802,12 @@ def _gen_evenedrescale(params, rng):
     return inputs
 
 
+@_check(
+    "P-evenedrescale",
+    "the evening rescale preserves omega_std and conjugates the cosphere flows",
+    covers=("evened-disc-bundle",), tolerance=1e-9,
+    params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
+)
 def _res_evenedrescale(inp, profile):
     n, r = inp["n"], inp["r"]
     m = _point(inp)
@@ -680,6 +834,18 @@ _gen_evenedflow_restored = _cotangent_generator(
 )
 
 
+@_check(
+    "P-evenedflow-restored",
+    "after evening, the RK4 flow agrees with the scalar action",
+    covers=("evened-disc-bundle",), tolerance=1e-6,
+    params={
+        "n": [2],
+        "r_uneven": 0.5,
+        "trajectories": 1,
+        "dt": 0.01,
+        "t_checks": [float(np.pi), TWO_PI],
+    },
+)
 def _res_evenedflow_restored(inp, profile):
     r = inp["r"]
     evened = even_rescale(_point(inp), r)
@@ -694,6 +860,19 @@ _gen_uneven_flow = _cotangent_generator(
 )
 
 
+@_check(
+    "R-uneven-flow",
+    "on an uneven cosphere the Hamiltonian flow leaves the scalar orbit",
+    covers=("evened-disc-bundle",), tolerance=0.01,
+    params={
+        "n": [2],
+        "r": 0.5,
+        "trajectories": 3,
+        "dt": 0.01,
+        "t_checks": [float(np.pi / 2.0), float(np.pi)],
+    },
+    kind="witness",
+)
 def _score_uneven_flow(inp, profile):
     # witness search: how far the true flow drifts from the scalar action
     m = _point(inp)
@@ -737,6 +916,13 @@ def _gen_omega_r_descent(params, rng):
     return inputs
 
 
+@_check(
+    "P-omega-r-descent",
+    "pullback of the pushed-down form through the cover returns 2r omega_FS",
+    covers=("pushed-down-form",), tolerance=1e-6,
+    params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
+    each=False,
+)
 def _res_omega_r_descent(inputs, profile):
     def evaluate(key, rows):
         n, r = key
@@ -770,6 +956,13 @@ def _gen_omega_r_not_fs(params, rng):
     return inputs
 
 
+@_check(
+    "R-omega-r-not-FS",
+    "the pushed-down form is not pointwise proportional to omega_FS",
+    covers=("pushed-down-form",), tolerance=0.1,
+    params={"n": [2], "r": [1.0], "samples": 50, "pairs": 4},
+    kind="witness",
+)
 def _score_omega_r_not_fs(inp, profile):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across directions at one point;
     # omega_FS(v, iv) = |v|^2 = 1 for unit horizontal v
@@ -789,6 +982,12 @@ def _quadrature_input(params, rng):
 _gen_period_cp1 = _quadrature_input
 
 
+@_check(
+    "I-period-CP1",
+    "the projective line has omega_FS area pi",
+    covers=("pushed-down-form",), tolerance="quadrature_tol",
+    params={"nodes": 200},
+)
 def _res_period_cp1(inp, profile):
     value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=inp["nodes"])
     return abs(value - np.pi)
@@ -797,6 +996,12 @@ def _res_period_cp1(inp, profile):
 _gen_period_q1 = _quadrature_input
 
 
+@_check(
+    "I-period-Q1",
+    "the conic has 2 omega_FS area 4 pi",
+    covers=("pushed-down-form",), tolerance=1e-5,
+    params={"nodes": 64},
+)
 def _res_period_q1(inp, profile):
     form = scaled_form(fubini_study_form(2), 2.0)
     value = integrate_surface(_conic_chart(), form, nodes=inp["nodes"])
@@ -807,6 +1012,12 @@ def _gen_period_match(params, rng):
     return [{"nodes": int(params["nodes"]), "r": float(r)} for r in params["r"]]
 
 
+@_check(
+    "I-period-match",
+    "diagonal sphere and conic periods agree under the product identification",
+    covers=("pushed-down-form",), tolerance=1e-5,
+    params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
+)
 def _res_period_match(inp, profile):
     r = inp["r"]
     fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
@@ -831,6 +1042,12 @@ def _gen_zerosection(params, rng):
     return inputs
 
 
+@_check(
+    "T-zerosection",
+    "the zero section lands on the real locus and the boundary on the conic",
+    covers=("zero-section-image",), tolerance=1e-9,
+    params={"n": [2], "samples": 500},
+)
 def _res_zerosection(inp, profile):
     m = _point(inp)
     if inp["kind"] == "zero":
@@ -845,33 +1062,6 @@ def _res_zerosection(inp, profile):
     return abs(quadric_residual(image))
 
 
-# ---------------------------------------------------------------------------
-# Registry.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Check:
-    """One named verification: statement, sampler, residual, tolerance.
-
-    ``residual(inputs, profile)`` takes the full list of generated (or one
-    replayed) inputs and returns a float array with one residual, or witness
-    score, per input in input order. It must be row-invariant: an input's
-    value may not depend on the other inputs in the list, so that
-    ``residual(inputs)[i] == residual([inputs[i]])[0]`` bit for bit.
-    """
-
-    id: str
-    statement: str
-    covers: tuple[str, ...]
-    kind: str  # "residual": pass iff max residual <= tolerance;
-    #            "witness": pass iff some sampled score exceeds the threshold
-    tolerance: float
-    params: dict
-    gen: Callable[[dict, np.random.Generator], list[dict]]
-    residual: Callable[[list[dict], ToleranceProfile], np.ndarray]
-
-
 @dataclass(frozen=True)
 class CheckReport:
     id: str
@@ -882,248 +1072,6 @@ class CheckReport:
     passed: bool
     elapsed: float
     witness: dict | None = None
-
-
-def build_registry(profile: ToleranceProfile = DEFAULT_PROFILE) -> dict[str, Check]:
-    """All checks in canonical order, tolerances resolved against ``profile``."""
-    checks = [
-        Check(
-            id="L-projemb",
-            statement="pullback of r^2 omega_FS under the radius-r ball embedding equals omega_std",
-            covers=("ball-embedding-pullback",),
-            kind="residual",
-            tolerance=1e-6,
-            params={"n": [1, 2, 3], "r": [1.0, ROOT2, 2.0], "samples": 1000, "pairs": 3},
-            gen=_gen_projemb,
-            residual=_res_projemb,
-        ),
-        Check(
-            id="L-sphereembedding",
-            statement="disc bundle images satisfy the quadric equation and avoid the last hyperplane",
-            covers=("cotangent-to-quadric-image",),
-            kind="residual",
-            tolerance=profile.residual_tol,
-            params={"n": [1, 2, 3], "samples": 1000},
-            gen=_gen_sphereembedding,
-            residual=_each(_res_sphereembedding),
-        ),
-        Check(
-            id="L-sphereembedding-lift",
-            statement="off-hyperplane quadric points lift to unit-base orthogonal (p, q) pairs",
-            covers=("cotangent-to-quadric-image",),
-            kind="residual",
-            tolerance=1e-8,
-            params={"n": [1, 2, 3], "samples": 1000},
-            gen=_gen_sphereembedding_lift,
-            residual=_each(_res_sphereembedding_lift),
-        ),
-        Check(
-            id="P-unitcut-boundary",
-            statement="the unit cosphere maps into the lower quadric and circle orbits collapse",
-            covers=("unit-cosphere-cut",),
-            kind="residual",
-            tolerance=profile.residual_tol,
-            params={"n": [1, 2, 3], "samples": 200},
-            gen=_gen_unitcut_boundary,
-            residual=_each(_res_unitcut_boundary),
-        ),
-        Check(
-            id="P-unitcut-flow",
-            statement="the evened closed-form flow equals the scalar circle action",
-            covers=("unit-cosphere-cut",),
-            kind="residual",
-            tolerance=profile.flow_tol,
-            params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
-            gen=_gen_unitcut_flow,
-            residual=_each(_res_unitcut_flow),
-        ),
-        Check(
-            id="P-unitcut-rk4",
-            statement="RK4 integration of the solved Hamiltonian field reproduces the closed form",
-            covers=("unit-cosphere-cut",),
-            kind="residual",
-            tolerance=1e-6,
-            params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
-            gen=_gen_unitcut_rk4,
-            residual=_each(_res_unitcut_rk4),
-        ),
-        Check(
-            id="P-unitcut-rk4-order",
-            statement="RK4 endpoint error falls 16x under step halving (order four)",
-            covers=("unit-cosphere-cut",),
-            kind="residual",
-            tolerance=4.0,
-            params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
-            gen=_gen_unitcut_rk4_order,
-            residual=_each(_res_unitcut_rk4_order),
-        ),
-        Check(
-            id="C-branchedcover-deck",
-            statement="the deck involution intertwines the embedding with the antipodal map",
-            covers=("branched-double-cover",),
-            kind="residual",
-            tolerance=profile.flow_tol,
-            params={"n": [1, 2, 3], "samples": 1000},
-            gen=_gen_branchedcover_deck,
-            residual=_each(_res_branchedcover_deck),
-        ),
-        Check(
-            id="C-branchedcover-fibers",
-            statement="fibers of the cover have two points off the branch quadric and one on it",
-            covers=("branched-double-cover",),
-            kind="residual",
-            tolerance=1e-9,
-            params={"n": [1, 2, 3], "samples": 200},
-            gen=_gen_branchedcover_fibers,
-            residual=_each(_res_branchedcover_fibers),
-        ),
-        Check(
-            id="R-pi-not-symplectic",
-            statement="the cover kills a branch-locus direction that omega_FS pairs nontrivially",
-            covers=("branch-locus-degeneracy",),
-            kind="residual",
-            tolerance=1e-8,
-            params={"n": [1, 2, 3], "samples": 100},
-            gen=_gen_pi_not_symplectic,
-            residual=_each(_res_pi_not_symplectic),
-        ),
-        Check(
-            id="P-segre-pullback",
-            statement="the twisted Segre map lands on the quadric and pulls 2 omega_FS back to the product form",
-            covers=("quadric-product-structure",),
-            kind="residual",
-            tolerance=1e-6,
-            params={"samples": 1000},
-            gen=_gen_segre_pullback,
-            residual=_res_segre_pullback,
-        ),
-        Check(
-            id="P-segre-equivariance",
-            statement="the twisted Segre map intertwines the deck involution with the factor swap",
-            covers=("quadric-product-structure",),
-            kind="residual",
-            tolerance=profile.flow_tol,
-            params={"samples": 1000},
-            gen=_gen_segre_equivariance,
-            residual=_each(_res_segre_equivariance),
-        ),
-        Check(
-            id="R-diag-antidiag",
-            statement="the diagonal maps onto the conic and the antidiagonal covers the real points",
-            covers=("quadric-product-structure",),
-            kind="residual",
-            tolerance=1e-9,
-            params={"samples": 1000},
-            gen=_gen_diag_antidiag,
-            residual=_each(_res_diag_antidiag),
-        ),
-        Check(
-            id="P-evenedrescale",
-            statement="the evening rescale preserves omega_std and conjugates the cosphere flows",
-            covers=("evened-disc-bundle",),
-            kind="residual",
-            tolerance=1e-9,
-            params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
-            gen=_gen_evenedrescale,
-            residual=_each(_res_evenedrescale),
-        ),
-        Check(
-            id="P-evenedflow-restored",
-            statement="after evening, the RK4 flow agrees with the scalar action",
-            covers=("evened-disc-bundle",),
-            kind="residual",
-            tolerance=1e-6,
-            params={
-                "n": [2],
-                "r_uneven": 0.5,
-                "trajectories": 1,
-                "dt": 0.01,
-                "t_checks": [float(np.pi), TWO_PI],
-            },
-            gen=_gen_evenedflow_restored,
-            residual=_each(_res_evenedflow_restored),
-        ),
-        Check(
-            id="R-uneven-flow",
-            statement="on an uneven cosphere the Hamiltonian flow leaves the scalar orbit",
-            covers=("evened-disc-bundle",),
-            kind="witness",
-            tolerance=0.01,
-            params={
-                "n": [2],
-                "r": 0.5,
-                "trajectories": 3,
-                "dt": 0.01,
-                "t_checks": [float(np.pi / 2.0), float(np.pi)],
-            },
-            gen=_gen_uneven_flow,
-            residual=_each(_score_uneven_flow),
-        ),
-        Check(
-            id="P-omega-r-descent",
-            statement="pullback of the pushed-down form through the cover returns 2r omega_FS",
-            covers=("pushed-down-form",),
-            kind="residual",
-            tolerance=1e-6,
-            params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
-            gen=_gen_omega_r_descent,
-            residual=_res_omega_r_descent,
-        ),
-        Check(
-            id="R-omega-r-not-FS",
-            statement="the pushed-down form is not pointwise proportional to omega_FS",
-            covers=("pushed-down-form",),
-            kind="witness",
-            tolerance=0.1,
-            params={"n": [2], "r": [1.0], "samples": 50, "pairs": 4},
-            gen=_gen_omega_r_not_fs,
-            residual=_each(_score_omega_r_not_fs),
-        ),
-        Check(
-            id="I-period-CP1",
-            statement="the projective line has omega_FS area pi",
-            covers=("pushed-down-form",),
-            kind="residual",
-            tolerance=profile.quadrature_tol,
-            params={"nodes": 200},
-            gen=_gen_period_cp1,
-            residual=_each(_res_period_cp1),
-        ),
-        Check(
-            id="I-period-Q1",
-            statement="the conic has 2 omega_FS area 4 pi",
-            covers=("pushed-down-form",),
-            kind="residual",
-            tolerance=1e-5,
-            params={"nodes": 64},
-            gen=_gen_period_q1,
-            residual=_each(_res_period_q1),
-        ),
-        Check(
-            id="I-period-match",
-            statement="diagonal sphere and conic periods agree under the product identification",
-            covers=("pushed-down-form",),
-            kind="residual",
-            tolerance=1e-5,
-            params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
-            gen=_gen_period_match,
-            residual=_each(_res_period_match),
-        ),
-        Check(
-            id="T-zerosection",
-            statement="the zero section lands on the real locus and the boundary on the conic",
-            covers=("zero-section-image",),
-            kind="residual",
-            tolerance=1e-9,
-            params={"n": [2], "samples": 500},
-            gen=_gen_zerosection,
-            residual=_each(_res_zerosection),
-        ),
-    ]
-    registry = {c.id: c for c in checks}
-    if len(registry) != len(checks):
-        raise RuntimeError("check ids must be unique")
-    return registry
 
 
 # ---------------------------------------------------------------------------
@@ -1144,17 +1092,33 @@ class SuiteConfig:
 _LEAST_COUNT = {"samples": 1, "trajectories": 1, "pairs": 1, "t_grid": 1, "nodes": 2}
 
 
-def _validate(check_id: str, params: dict) -> None:
-    """Raise UsageError unless a generated run's dimensions, radii and counts are usable."""
+def _validate(check: Check, params: dict) -> None:
+    """Raise UsageError unless a generated run's dimensions, radii and counts are usable.
+
+    A radius parameter takes the shape the check declares: a list of reals
+    or one real.
+    """
     for key, value in params.items():
-        if key == "n" and not all(n >= 1 for n in value):
-            raise UsageError(f"check {check_id}: dimensions must be at least 1, got {value!r}")
-        if key in ("r", "r_uneven"):
-            radii = value if isinstance(value, list) else [value]
-            if not all(math.isfinite(r) and r > 0 for r in radii):
-                raise UsageError(f"check {check_id}: radii must be finite and positive, got {value!r}")
-        if key in _LEAST_COUNT and not value >= _LEAST_COUNT[key]:
-            raise UsageError(f"check {check_id}: {key} must be at least {_LEAST_COUNT[key]}, got {value!r}")
+        problem = None
+        if key == "n":
+            if not (isinstance(value, (list, tuple)) and all(isinstance(n, Integral) for n in value)):
+                problem = "dimensions must be a list of integers"
+            elif not all(n >= 1 for n in value):
+                problem = "dimensions must be at least 1"
+        elif key in ("r", "r_uneven"):
+            listed = isinstance(check.params[key], list)
+            radii = value if listed and isinstance(value, (list, tuple)) else [value]
+            if listed != isinstance(value, (list, tuple)) or not all(isinstance(r, Real) for r in radii):
+                problem = "radii must be a list of real numbers" if listed else "radius must be a real number"
+            elif not all(math.isfinite(r) and r > 0 for r in radii):
+                problem = "radii must be finite and positive"
+        elif key in _LEAST_COUNT:
+            if not isinstance(value, Integral):
+                problem = f"{key} must be an integer"
+            elif not value >= _LEAST_COUNT[key]:
+                problem = f"{key} must be at least {_LEAST_COUNT[key]}"
+        if problem:
+            raise UsageError(f"check {check.id}: {problem}, got {value!r}")
 
 
 def _resolve_profile(profile: str | ToleranceProfile) -> ToleranceProfile:
@@ -1176,32 +1140,33 @@ def run_check(
 
     ``params`` may override the check's declared parameters, inject a
     ``tolerance``, or supply a single serialized ``witness`` input to
-    re-evaluate. A generated run needs dimensions of at least 1, finite
-    positive radii, counts of at least 1 and at least 2 quadrature nodes.
+    re-evaluate. A generated run needs a list of integer dimensions of at
+    least 1, finite positive real radii, integer counts of at least 1 and at
+    least 2 quadrature nodes.
     """
     prof = _resolve_profile(profile)
-    registry = build_registry(prof)
+    registry = build_registry()
     if check_id not in registry:
         raise UsageError(f"unknown check id {check_id!r}")
     check = registry[check_id]
     merged = dict(check.params)
-    tolerance = check.tolerance
+    # a tolerance declared by name is the field of that name in the run's profile
+    tolerance = getattr(prof, check.tolerance) if isinstance(check.tolerance, str) else check.tolerance
     witness_input = None
-    if params:
-        for key, value in params.items():
-            if key == "tolerance":
-                tolerance = float(value)
-            elif key == "witness":
-                witness_input = value
-            elif key in check.params:
-                merged[key] = value
-            else:
-                raise UsageError(f"check {check_id} does not take parameter {key!r}")
+    for key, value in (params or {}).items():
+        if key == "tolerance":
+            tolerance = float(value)
+        elif key == "witness":
+            witness_input = value
+        elif key in check.params:
+            merged[key] = value
+        else:
+            raise UsageError(f"check {check_id} does not take parameter {key!r}")
     start = time.perf_counter()
     if witness_input is not None:
         inputs = [witness_input]
     else:
-        _validate(check_id, merged)
+        _validate(check, merged)
         inputs = check.gen(merged, derive_stream(seed, check_id))
     if not inputs:
         raise UsageError(
@@ -1217,16 +1182,12 @@ def run_check(
         max_residual = float(residuals[first])
         passed = False
         witness = inputs[first]
-    elif check.kind == "witness":
-        best = int(np.argmax(residuals))
-        max_residual = float(residuals[best])
-        passed = max_residual > tolerance
-        witness = inputs[best]
     else:
-        worst = int(np.argmax(residuals))
-        max_residual = float(residuals[worst])
-        passed = max_residual <= tolerance
-        witness = None if passed else inputs[worst]
+        # a witness check always reports its best find; a residual check its worst failure
+        top = int(np.argmax(residuals))
+        max_residual = float(residuals[top])
+        passed = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
+        witness = inputs[top] if check.kind == "witness" or not passed else None
     return CheckReport(
         id=check_id,
         seed=seed,
@@ -1252,7 +1213,7 @@ def run_suite(
     or a check's parameters are invalid (see :func:`run_check`).
     """
     prof = _resolve_profile(config.profile)
-    registry = build_registry(prof)
+    registry = build_registry()
     matched = [cid for cid in registry if fnmatch.fnmatchcase(cid, pattern)]
     if not matched:
         raise UsageError(f"no check matches pattern {pattern!r}")
@@ -1279,8 +1240,6 @@ def run_suite(
 
 
 def _json_scalar(value) -> str:
-    import json as _json
-
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -1288,16 +1247,16 @@ def _json_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         v = float(value)
         if not math.isfinite(v):
-            return _json.dumps(str(v))
+            return json.dumps(str(v))
         return format(v, ".17g")
     if isinstance(value, str):
-        return _json.dumps(value)
+        return json.dumps(value)
     if value is None:
         return "null"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{_json.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -1351,8 +1310,6 @@ def emit_report(reports: list[CheckReport], format: str = "text", destination=No
     else:
         raise UsageError(f"unknown report format {format!r}")
     if destination is None:
-        import sys
-
         sys.stdout.write(payload + "\n")
     elif hasattr(destination, "write"):
         destination.write(payload + "\n")

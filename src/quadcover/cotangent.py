@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "CotangentPoint",
     "CotangentTangent",
+    "OffBundleError",
     "sample_disc_bundle",
     "sample_cosphere",
     "constraint_frame",
@@ -25,6 +26,10 @@ __all__ = [
     "retract",
     "sample_tangent",
 ]
+
+
+class OffBundleError(ValueError):
+    """A point lies off the bundle a map or flow is defined on."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +181,7 @@ def even_rescale(m: CotangentPoint, r: float) -> CotangentPoint:
     if r <= 0:
         raise ValueError("rescale parameter r must be positive")
     if abs(m.base_radius - 1.0) > 1e-12:
-        raise ValueError("even_rescale expects a point over the unit base sphere")
+        raise OffBundleError("even_rescale expects a point over the unit base sphere")
     s = np.sqrt(r)
     return CotangentPoint(p=s * m.p, q=m.q / s, base_radius=s)
 
@@ -187,7 +192,7 @@ def even_rescale_inverse(m: CotangentPoint, r: float) -> CotangentPoint:
         raise ValueError("rescale parameter r must be positive")
     s = np.sqrt(r)
     if abs(m.base_radius - s) > 1e-9:
-        raise ValueError("point is not on the evened bundle for this r")
+        raise OffBundleError("point is not on the evened bundle for this r")
     return CotangentPoint(p=m.p / s, q=m.q * s, base_radius=1.0)
 
 

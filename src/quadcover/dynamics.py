@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cotangent import CotangentPoint, CotangentTangent, constraint_frame, retract
+from .cotangent import CotangentPoint, CotangentTangent, OffBundleError, constraint_frame, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = [
@@ -123,7 +123,7 @@ def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
     """
     fiber = float(np.linalg.norm(m.q))
     if abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius):
-        raise ValueError(
+        raise OffBundleError(
             f"closed-form flow needs |q| = |p| (got |q| = {fiber:.6g}, |p| = {m.base_radius:.6g}); "
             "apply even_rescale first"
         )

@@ -34,9 +34,7 @@ __all__ = [
     "ProductSpace",
     "SmoothMap",
     "TwoForm",
-    "omega_std",
     "cotangent_omega_std",
-    "omega_fs",
     "fubini_study_form",
     "omega_r",
     "scaled_form",
@@ -275,6 +273,11 @@ class TwoForm:
 
 
 def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
+    """Standard symplectic form on R^{2m}: sum_k (v1^x_k v2^y_k - v1^y_k v2^x_k).
+
+    The first half of a vector (x-block) pairs with the second (y-block), as
+    z_k = x_k + i y_k under :func:`quadcover.numerics.realify`.
+    """
     if v1.ndim != 1:
         # (N, 2m) batches of tangents: one value per row
         m = v1.shape[1] // 2
@@ -283,20 +286,6 @@ def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
         )
     m = v1.size // 2
     return float(v1[:m] @ v2[m:] - v1[m:] @ v2[:m])
-
-
-def omega_std(x, v1, v2) -> float:
-    """Standard symplectic form on R^{2m}: sum_k (v1^x_k v2^y_k - v1^y_k v2^x_k).
-
-    Coordinates pair the first half (x-block) with the second half (y-block),
-    matching z_k = x_k + i y_k under :func:`quadcover.numerics.realify`.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if v1.size != v2.size or v1.size != x.size or x.size % 2:
-        raise ValueError("omega_std needs matching even-dimensional vectors")
-    return _omega_std_ambient(v1, v2)
 
 
 def cotangent_omega_std(n: int, base_radius: float = 1.0) -> TwoForm:
@@ -318,14 +307,6 @@ def fubini_study_form(n: int, name: str = "omega_FS") -> TwoForm:
     return TwoForm(
         space=ProjectiveSpace(n), func=lambda _, a, b: _omega_std_ambient(a, b), name=name
     )
-
-
-def omega_fs(point: ProjectivePoint, u: ProjectiveTangent, v: ProjectiveTangent) -> float:
-    """Fubini-Study form evaluated on two horizontal tangents based at ``point``."""
-    for t in (u, v):
-        if abs(np.vdot(t.base.rep, point.rep)) < 1.0 - 1e-9:
-            raise ValueError("tangent vectors must be based at the evaluation point")
-    return _omega_std_ambient(realify(u.vec), realify(v.vec))
 
 
 def scaled_form(form: TwoForm, c: float, name: str = "") -> TwoForm:

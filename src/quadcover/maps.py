@@ -32,7 +32,6 @@ __all__ = [
     "deck",
     "segre_unitary",
     "segre_map",
-    "swap_factors",
     "antipodal_cp1",
     "locus_classify",
 ]
@@ -200,11 +199,6 @@ def segre_map() -> SmoothMap:
         func=lambda pair: segre_unitary(pair[0], pair[1]),
         name="CP1xCP1->Q2",
     )
-
-
-def swap_factors(pair: tuple[ProjectivePoint, ProjectivePoint]):
-    """Exchange the two factors of a product point."""
-    return (pair[1], pair[0])
 
 
 def antipodal_cp1(a: ProjectivePoint) -> ProjectivePoint:

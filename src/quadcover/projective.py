@@ -18,10 +18,8 @@ __all__ = [
     "ProjectivePoint",
     "ProjectiveTangent",
     "proj_normalize",
-    "horizontal_project",
     "quadric_residual",
     "in_hyperplane",
-    "same_point",
     "projective_defect",
     "sample_projective",
     "sample_horizontal",
@@ -123,11 +121,6 @@ def in_hyperplane(point: ProjectivePoint, i: int, tol: float = 1e-10) -> bool:
     if not 0 <= i < point.rep.size:
         raise IndexError(f"coordinate index {i} out of range for CP^{point.dim}")
     return bool(abs(point.rep[i]) <= tol)
-
-
-def same_point(a: ProjectivePoint, b: ProjectivePoint, tol: float = 1e-9) -> bool:
-    """Projective equality: |<rep_a, rep_b>| >= 1 - tol. Chart-free."""
-    return bool(abs(np.vdot(a.rep, b.rep)) >= 1.0 - tol)
 
 
 def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float:

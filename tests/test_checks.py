@@ -1,5 +1,6 @@
 """Registry completeness, determinism, witnesses, and report formats."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,10 +21,10 @@ from quadcover.checks import (
     run_check,
     run_suite,
 )
-from quadcover.cotangent import CotangentPoint, sample_cosphere
+from quadcover.cotangent import CotangentPoint, OffBundleError, sample_cosphere
 from quadcover.forms import BranchLocusError
 from quadcover.maps import cotangent_to_quadric, segre_unitary
-from quadcover.numerics import DEFAULT_PROFILE, derive_stream
+from quadcover.numerics import DEFAULT_PROFILE, ToleranceProfile, derive_stream
 from quadcover.projective import ProjectivePoint, proj_normalize
 
 CANONICAL_IDS = [
@@ -57,9 +58,45 @@ def test_registry_contains_the_canonical_ids():
         assert cid in registry
 
 
-def test_registry_statements_are_unique_ids():
+def test_registering_a_duplicate_id_raises():
+    before = build_registry()
+    with pytest.raises(RuntimeError, match="already registered"):
+        checks_module._check("L-projemb", "again", ("ball-embedding-pullback",), 1.0, {})(
+            lambda inp, profile: 0.0
+        )
+    assert build_registry() == before
+
+
+def test_every_entry_resolves_its_functions_and_tolerance():
+    # a misspelt function or profile field fails here, not in the middle of a run
+    fields = {f.name for f in dataclasses.fields(ToleranceProfile)}
+    for cid, check in build_registry().items():
+        assert callable(check.gen) and callable(check.residual), cid
+        assert isinstance(check.tolerance, float) or check.tolerance in fields, cid
+
+
+def test_mutating_the_returned_registry_leaves_run_check_alone():
     registry = build_registry()
-    assert len(registry) == len({c.id for c in registry.values()})
+    registry["I-period-CP1"] = dataclasses.replace(registry["I-period-CP1"], tolerance=1e-300)
+    del registry["I-period-Q1"]
+    assert run_check("I-period-CP1", {"nodes": 24}).passed
+    assert run_check("I-period-Q1", {"nodes": 24}).passed
+    assert build_registry()["I-period-CP1"].tolerance == "quadrature_tol"
+
+
+def test_run_check_calls_the_generator_bound_at_call_time(monkeypatch):
+    # a function rebound after import, as a tracer does, is the one that runs
+    calls = []
+    original = checks_module._gen_sphereembedding
+
+    def traced(params, rng):
+        calls.append(params["samples"])
+        return original(params, rng)
+
+    monkeypatch.setattr(checks_module, "_gen_sphereembedding", traced)
+    report = run_check("L-sphereembedding", {"samples": 3})
+    assert calls == [3]
+    assert report.samples == 9
 
 
 def test_run_check_is_deterministic():
@@ -229,10 +266,15 @@ def test_out_of_ball_row_fails_the_batch():
 
 
 def test_uneven_row_fails_the_flow_batch():
+    # the closed-form flow's membership guard scores the row NaN, leaving the rest
     check, inputs = _inputs("P-unitcut-flow")
+    clean = check.residual(inputs, DEFAULT_PROFILE)
     inputs[4] = dict(inputs[4], q=[1.1 * v for v in inputs[4]["q"]])
-    with pytest.raises(ValueError, match="closed-form flow needs"):
-        check.residual(inputs, DEFAULT_PROFILE)
+    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    assert np.isnan(flagged[4])
+    assert np.array_equal(np.delete(flagged, 4), np.delete(clean, 4))
+    report = run_check("P-unitcut-flow", {"witness": inputs[4]})
+    assert not report.passed and report.witness == inputs[4]
 
 
 def test_branch_locus_row_fails_the_descent_batch():
@@ -285,6 +327,23 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
     assert parsed["witness"] == json.loads(json.dumps(inputs[1]))
 
 
+def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
+    # a NaN, not the sentinel: a sentinel score of 1.0 would pass a witness check
+    def off_bundle(inp, profile):
+        raise OffBundleError("not on the evened bundle")
+
+    def broken(inp, profile):
+        raise ValueError("a bug, not a domain error")
+
+    monkeypatch.setattr(checks_module, "_score_uneven_flow", off_bundle)
+    report = run_check("R-uneven-flow", {"trajectories": 1})
+    assert not report.passed and np.isnan(report.max_residual)
+    assert report.witness is not None
+    monkeypatch.setattr(checks_module, "_score_uneven_flow", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run_check("R-uneven-flow", {"trajectories": 1})
+
+
 def test_json_writes_non_finite_reals_as_strings():
     reports = [
         checks_module.CheckReport(
@@ -309,6 +368,12 @@ def test_json_writes_non_finite_reals_as_strings():
         ("R-omega-r-not-FS", {"pairs": 0}, "pairs must be at least 1"),
         ("R-uneven-flow", {"r": float("nan")}, "radii must be finite and positive"),
         ("P-evenedflow-restored", {"r_uneven": -0.5}, "radii must be finite and positive"),
+        # ended in a TypeError inside the generator
+        ("L-sphereembedding", {"n": 2}, "dimensions must be a list of integers"),
+        ("L-projemb", {"samples": 2.5}, "samples must be an integer"),
+        ("L-projemb", {"r": 0.5}, "radii must be a list of real numbers"),
+        ("R-uneven-flow", {"r": [0.5]}, "radius must be a real number"),
+        ("P-segre-pullback", {"samples": "4"}, "samples must be an integer"),
     ],
 )
 def test_run_check_rejects_invalid_params(cid, params, message):

@@ -32,7 +32,6 @@ from quadcover.maps import (
     quadric_to_cotangent,
     segre_map,
     segre_unitary,
-    swap_factors,
 )
 from quadcover.numerics import derive_stream, realify
 from quadcover.projective import (
@@ -40,7 +39,6 @@ from quadcover.projective import (
     proj_normalize,
     projective_defect,
     quadric_residual,
-    same_point,
     sample_projective,
 )
 
@@ -86,7 +84,7 @@ def test_ball_pullback_identity_sampled():
 def test_zero_section_maps_to_standard_point():
     m = CotangentPoint(p=np.array([1.0, 0, 0]), q=np.zeros(3))
     image = cotangent_to_quadric(m)
-    assert same_point(image, proj_normalize(np.array([1.0, 0, 0, 1j])))
+    assert projective_defect(image, proj_normalize(np.array([1.0, 0, 0, 1j]))) <= 1e-9
     assert abs(quadric_residual(image)) < 1e-14
 
 
@@ -103,7 +101,7 @@ def test_embedding_is_injective_on_samples():
     rng = derive_stream(43, "inj")
     a = cotangent_to_quadric(sample_disc_bundle(2, 1.0, 1.0, rng))
     b = cotangent_to_quadric(sample_disc_bundle(2, 1.0, 1.0, rng))
-    assert not same_point(a, b)
+    assert projective_defect(a, b) > 1e-9
 
 
 def test_embedding_rejects_invalid_points():
@@ -135,7 +133,7 @@ def test_quadric_chart_lifts_fresh_quadric_points():
         assert abs(np.linalg.norm(m.p) - 1.0) < 1e-8
         assert abs(m.p @ m.q) < 1e-8
         assert np.linalg.norm(m.q) < 1.0
-        assert same_point(cotangent_to_quadric(m), point)
+        assert projective_defect(cotangent_to_quadric(m), point) <= 1e-9
 
 
 def test_quadric_chart_rejects_hyperplane_points():
@@ -146,7 +144,7 @@ def test_quadric_chart_rejects_hyperplane_points():
 def test_cosphere_boundary_standard_point():
     m = CotangentPoint(p=np.array([1.0, 0, 0]), q=np.array([0.0, 1.0, 0.0]))
     image = cosphere_boundary(m)
-    assert same_point(image, proj_normalize(np.array([1.0, 1j, 0, 0])))
+    assert projective_defect(image, proj_normalize(np.array([1.0, 1j, 0, 0]))) <= 1e-9
     assert abs(quadric_residual(image)) < 1e-14
     assert in_hyperplane(image, 3)
 
@@ -166,7 +164,7 @@ def test_circle_orbits_collapse_through_the_boundary_map():
 
 def test_branched_cover_drops_last_coordinate():
     point = proj_normalize(np.array([1.0, 1j, 0, 0]))
-    assert same_point(branched_cover(point), proj_normalize(np.array([1.0, 1j, 0])))
+    assert projective_defect(branched_cover(point), proj_normalize(np.array([1.0, 1j, 0]))) <= 1e-9
     with pytest.raises(ValueError, match="center"):
         branched_cover(proj_normalize(np.array([0, 0, 0, 1.0], dtype=complex)))
 
@@ -182,10 +180,10 @@ def test_cover_composed_with_deck_is_cover():
 def test_deck_is_involution_fixing_branch_locus():
     rng = derive_stream(48, "deck")
     point = sample_projective(3, rng)
-    assert same_point(deck(deck(point)), point)
+    assert projective_defect(deck(deck(point)), point) <= 1e-9
     m = sample_cosphere(2, 1.0, 1.0, rng)
     boundary = cosphere_boundary(m)
-    assert same_point(deck(boundary), boundary)
+    assert projective_defect(deck(boundary), boundary) <= 1e-9
 
 
 def test_deck_equivariance_with_antipode():
@@ -201,10 +199,10 @@ def test_fiber_counts_off_and_on_the_branch_quadric():
     generic = proj_normalize(np.array([1.0, 0.2, 0.1], dtype=complex))
     fiber = quadric_fiber(generic)
     assert len(fiber) == 2
-    assert not same_point(fiber[0], fiber[1])
+    assert projective_defect(fiber[0], fiber[1]) > 1e-9
     for lift in fiber:
         assert abs(quadric_residual(lift)) < 1e-12
-        assert same_point(branched_cover(lift), generic)
+        assert projective_defect(branched_cover(lift), generic) <= 1e-9
     on_quadric = proj_normalize(np.array([1.0, 1j, 0.0]))
     assert len(quadric_fiber(on_quadric)) == 1
 
@@ -213,10 +211,10 @@ def test_segre_standard_values():
     e0 = proj_normalize(np.array([1.0, 0.0], dtype=complex))
     e1 = proj_normalize(np.array([0.0, 1.0], dtype=complex))
     first = segre_unitary(e0, e0)
-    assert same_point(first, proj_normalize(np.array([1.0, 1j, 0, 0])))
+    assert projective_defect(first, proj_normalize(np.array([1.0, 1j, 0, 0]))) <= 1e-9
     assert abs(quadric_residual(first)) < 1e-14
     second = segre_unitary(e0, e1)
-    assert same_point(second, proj_normalize(np.array([0, 0, 1j, 1.0])))
+    assert projective_defect(second, proj_normalize(np.array([0, 0, 1j, 1.0]))) <= 1e-9
     assert abs(quadric_residual(second)) < 1e-14
 
 
@@ -254,10 +252,11 @@ def test_swap_is_involution_intertwined_by_deck():
     rng = derive_stream(52, "swap")
     a = sample_projective(1, rng)
     b = sample_projective(1, rng)
+    swap_factors = lambda pair: (pair[1], pair[0])
     assert swap_factors(swap_factors((a, b))) == (a, b)
     assert projective_defect(deck(segre_unitary(a, b)), segre_unitary(b, a)) < 1e-12
     diagonal = segre_unitary(a, a)
-    assert same_point(deck(diagonal), diagonal)
+    assert projective_defect(deck(diagonal), diagonal) <= 1e-9
 
 
 def test_locus_classification():
@@ -274,8 +273,8 @@ def test_locus_classification():
 def test_antipodal_cp1_is_fixed_point_free_involution():
     rng = derive_stream(54, "anti1")
     a = sample_projective(1, rng)
-    assert same_point(antipodal_cp1(antipodal_cp1(a)), a)
-    assert not same_point(antipodal_cp1(a), a)
+    assert projective_defect(antipodal_cp1(antipodal_cp1(a)), a) <= 1e-9
+    assert projective_defect(antipodal_cp1(a), a) > 1e-9
 
 
 def _domain_sample(space, rng):
@@ -305,7 +304,7 @@ def test_catalog_maps_agree_with_coarser_differences():
         "branched-cover": branched_cover_map(n),
         "deck": SmoothMap(ProjectiveSpace(n + 1), ProjectiveSpace(n + 1), deck),
         "segre-unitary": segre_map(),
-        "factor-swap": SmoothMap(ProductSpace(p1, p1), ProductSpace(p1, p1), swap_factors),
+        "factor-swap": SmoothMap(ProductSpace(p1, p1), ProductSpace(p1, p1), lambda pair: (pair[1], pair[0])),
     }
     for name, smooth in catalog.items():
         for _ in range(5):

@@ -13,7 +13,7 @@ import pytest
 
 import quadcover.checks as checks_module
 import quadcover.maps as maps_module
-from quadcover.cotangent import retract
+from quadcover.cotangent import CotangentPoint, retract
 from quadcover.dynamics import FlowResult, hamiltonian_vector_field
 from quadcover.projective import ProjectivePoint, proj_normalize
 
@@ -22,9 +22,9 @@ def _assert_fails_with_witness(cid, params=None):
     report = checks_module.run_check(cid, params)
     assert not report.passed, (cid, report.max_residual)
     assert report.witness is not None
-    # the witness alone reproduces the failure
+    # the witness alone reproduces the failure, bit for bit (NaN replays as NaN)
     replay = checks_module.run_check(cid, {"witness": report.witness})
-    assert replay.max_residual == report.max_residual
+    np.testing.assert_equal(replay.max_residual, report.max_residual)
     return report
 
 
@@ -84,3 +84,15 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
     monkeypatch.setattr(checks_module, "rk4_integrate", rk2_integrate)
     report = _assert_fails_with_witness("P-unitcut-rk4-order")
     assert report.max_residual > report.tolerance
+
+
+def test_even_rescale_without_its_square_roots(monkeypatch):
+    def unrooted(m, r):
+        # (p, q) -> (r p, q / r): lands over the radius-r sphere, not radius sqrt(r)
+        return CotangentPoint(p=r * m.p, q=m.q / r, base_radius=r)
+
+    monkeypatch.setattr(checks_module, "even_rescale", unrooted)
+    # the evened bundle's membership guards trip, so the check fails with NaN
+    report = _assert_fails_with_witness("P-evenedrescale", {"samples": 60})
+    assert math.isnan(report.max_residual)
+    assert report.witness["r"] != 1.0
