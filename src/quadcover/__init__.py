@@ -18,14 +18,12 @@ from .checks import (
 )
 from .cotangent import (
     CotangentPoint,
-    CotangentTangent,
     OffBundleError,
     antipode,
     even_rescale,
     even_rescale_inverse,
     sample_cosphere,
     sample_disc_bundle,
-    tangent_basis,
 )
 from .dynamics import (
     FlowResult,
@@ -66,7 +64,6 @@ from .numerics import (
 )
 from .projective import (
     ProjectivePoint,
-    ProjectiveTangent,
     in_hyperplane,
     proj_normalize,
     quadric_residual,

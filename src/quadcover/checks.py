@@ -30,7 +30,8 @@ import sys
 import time
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -299,6 +300,8 @@ class Check:
     read, so a function rebound after import is the one that runs; an
     ``each`` residual takes one input and is lifted by :func:`_each`.
     ``tolerance`` is a number or the name of a :class:`ToleranceProfile` field.
+    ``params`` is read-only, with list defaults stored as tuples, so no caller
+    can change a declared default for later runs.
     """
 
     id: str
@@ -307,7 +310,7 @@ class Check:
     kind: str  # "residual": pass iff max residual <= tolerance;
     #            "witness": pass iff some sampled score exceeds the threshold
     tolerance: float | str
-    params: dict
+    params: Mapping[str, Any]
     name: str
     each: bool
 
@@ -331,7 +334,10 @@ def _check(id, statement, covers, tolerance, params, kind="residual", each=True)
         if id in _REGISTRY:
             raise RuntimeError(f"check id {id!r} is already registered")
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
-        _REGISTRY[id] = Check(id, statement, covers, kind, tolerance, params, name, each)
+        frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
+        _REGISTRY[id] = Check(
+            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each
+        )
         return func
 
     return register
@@ -682,10 +688,10 @@ def _gen_segre_pullback(params, rng):
         a = sample_projective(1, rng)
         b = sample_projective(1, rng)
         v1 = np.concatenate(
-            [realify(sample_horizontal(a, rng).vec), realify(sample_horizontal(b, rng).vec)]
+            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
         )
         v2 = np.concatenate(
-            [realify(sample_horizontal(a, rng).vec), realify(sample_horizontal(b, rng).vec)]
+            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
         )
         inputs.append(
             {"a": _cvec(a.rep), "b": _cvec(b.rep), "v1": _floats(v1), "v2": _floats(v2)}
@@ -783,8 +789,8 @@ def _gen_evenedrescale(params, rng):
                         "r": float(r),
                         "p": _floats(m.p),
                         "q": _floats(m.q),
-                        "v1": _floats(np.concatenate([t1.u, t1.w])),
-                        "v2": _floats(np.concatenate([t2.u, t2.w])),
+                        "v1": _floats(t1),
+                        "v2": _floats(t2),
                     }
                 )
             for _ in range(per_r):
@@ -949,7 +955,7 @@ def _gen_omega_r_not_fs(params, rng):
                 point = sample_projective(n, rng)
                 if abs(quadric_residual(point)) > margin:
                     break
-            dirs = [_cvec(sample_horizontal(point, rng).vec) for _ in range(params["pairs"])]
+            dirs = [_cvec(sample_horizontal(point, rng)) for _ in range(params["pairs"])]
             inputs.append(
                 {"n": int(n), "r": float(params["r"][0]), "z": _cvec(point.rep), "dirs": dirs}
             )
@@ -970,7 +976,7 @@ def _score_omega_r_not_fs(inp, profile):
     ratios = []
     for d in inp["dirs"]:
         v = _uncvec(d)
-        ratios.append(omega_r(point, v, 1j * v, inp["r"], profile))
+        ratios.append(omega_r(point, realify(v), realify(1j * v), inp["r"], profile))
     return max(ratios) - min(ratios)
 
 
@@ -1106,7 +1112,7 @@ def _validate(check: Check, params: dict) -> None:
             elif not all(n >= 1 for n in value):
                 problem = "dimensions must be at least 1"
         elif key in ("r", "r_uneven"):
-            listed = isinstance(check.params[key], list)
+            listed = isinstance(check.params[key], tuple)
             radii = value if listed and isinstance(value, (list, tuple)) else [value]
             if listed != isinstance(value, (list, tuple)) or not all(isinstance(r, Real) for r in radii):
                 problem = "radii must be a list of real numbers" if listed else "radius must be a real number"
@@ -1225,7 +1231,7 @@ def run_suite(
             params["samples"] = config.samples
         if config.n_values is not None and "n" in check.params:
             params["n"] = list(config.n_values)
-        if config.radii is not None and "r" in check.params and isinstance(check.params["r"], list):
+        if config.radii is not None and "r" in check.params and isinstance(check.params["r"], tuple):
             params["r"] = list(config.radii)
         if overrides and cid in overrides:
             params.update(overrides[cid])

@@ -3,7 +3,8 @@
 A point is a pair (p, q) with |p| equal to the base radius and <p, q> = 0;
 q is the fiber coordinate. Disc and sphere sub-bundles are sampled with
 explicit generator streams, and the antipodal map and the "evening" rescale
-are provided as exact formulas.
+are provided as exact formulas. A tangent vector is the ambient (u, w) array;
+the rows of :func:`constraint_frame` are an orthonormal basis of them.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ import numpy as np
 
 __all__ = [
     "CotangentPoint",
-    "CotangentTangent",
     "OffBundleError",
     "sample_disc_bundle",
     "sample_cosphere",
     "constraint_frame",
-    "tangent_basis",
     "antipode",
     "even_rescale",
     "even_rescale_inverse",
@@ -58,21 +57,6 @@ class CotangentPoint:
                 f"constraint violation: |p| off by {base_defect:.3e}, <p,q> = {ortho_defect:.3e}"
             )
         return self
-
-
-@dataclass(frozen=True, eq=False)
-class CotangentTangent:
-    """Linearized-constraint solution (u, w): <p,u> = 0 and <u,q> + <p,w> = 0."""
-
-    at: CotangentPoint
-    u: np.ndarray
-    w: np.ndarray
-
-    def residuals(self) -> tuple[float, float]:
-        return (
-            abs(float(self.at.p @ self.u)),
-            abs(float(self.u @ self.at.q) + float(self.at.p @ self.w)),
-        )
 
 
 def sample_disc_bundle(
@@ -146,23 +130,12 @@ def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return vh[2:]
 
 
-def tangent_basis(m: CotangentPoint) -> list[CotangentTangent]:
-    """Orthonormal basis of the constraint tangent space, from :func:`constraint_frame`."""
-    d = m.p.size
-    return [
-        CotangentTangent(at=m, u=row[:d].copy(), w=row[d:].copy())
-        for row in constraint_frame(m.p, m.q)
-    ]
-
-
-def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> CotangentTangent:
-    """Random unit constraint-tangent vector at ``m``."""
-    basis = tangent_basis(m)
-    coeff = rng.standard_normal(len(basis))
+def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> np.ndarray:
+    """Random unit constraint-tangent vector at ``m``, as an ambient (u, w) array."""
+    frame = constraint_frame(m.p, m.q)
+    coeff = rng.standard_normal(len(frame))
     coeff /= np.linalg.norm(coeff)
-    u = sum(c * b.u for c, b in zip(coeff, basis))
-    w = sum(c * b.w for c, b in zip(coeff, basis))
-    return CotangentTangent(at=m, u=u, w=w)
+    return sum(c * row for c, row in zip(coeff, frame))
 
 
 def antipode(m: CotangentPoint) -> CotangentPoint:

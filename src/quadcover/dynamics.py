@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cotangent import CotangentPoint, CotangentTangent, OffBundleError, constraint_frame, retract
+from .cotangent import CotangentPoint, OffBundleError, constraint_frame, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = [
@@ -98,19 +98,18 @@ def hamiltonian_vector_field(
     ham: HamiltonianSpec,
     m: CotangentPoint,
     profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> CotangentTangent:
+) -> np.ndarray:
     """Solve omega_std(X, b_i) = dH(b_i) on the constraint tangent space.
 
-    dH is differenced along curves that stay on the constraint set (offset and
-    retract); Omega is assembled on an orthonormal tangent basis and is never
-    singular on the cotangent bundle of a sphere, so a singular solve signals
-    a non-symplectic constraint set.
+    X is returned as the ambient (u, w) array. dH is differenced along curves
+    that stay on the constraint set (offset and retract); Omega is assembled
+    on an orthonormal tangent basis and is never singular on the cotangent
+    bundle of a sphere, so a singular solve signals a non-symplectic
+    constraint set.
     """
     if np.linalg.norm(m.q) <= 1e-8:
         raise ZeroSectionError("Hamiltonian vector field undefined within 1e-8 of the zero section")
-    d = m.p.size
-    vec = _solve_field(m.base_radius, ham.base_radius, m.p, m.q, profile.fd_step)
-    return CotangentTangent(at=m, u=vec[:d].copy(), w=vec[d:].copy())
+    return _solve_field(m.base_radius, ham.base_radius, m.p, m.q, profile.fd_step)
 
 
 def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:

@@ -1,12 +1,12 @@
 """Two-forms, smooth maps between coordinate domains and manifolds, pullbacks.
 
-Every tangent vector is carried as a plain real ambient vector so one
-finite-difference pipeline serves all point kinds: real boxes, the cotangent
-constraint set, projective spaces, and products of projective spaces. Maps
-into projective targets get their offset outputs phase-aligned against the
-center value before differencing (a canonical-phase gauge can jump when the
-largest-modulus entry changes index) and the difference quotient is then
-projected onto the horizontal space.
+Every tangent vector is a plain real ambient array (a complex horizontal
+vector of CP^n enters realified) so one finite-difference pipeline serves all
+point kinds: real boxes, the cotangent constraint set, projective spaces, and
+products of projective spaces. Maps into projective targets get their offset
+outputs phase-aligned against the center value before differencing (a
+canonical-phase gauge can jump when the largest-modulus entry changes index)
+and the difference quotient is then projected onto the horizontal space.
 
 The concrete forms are omega_std (the constant symplectic form of
 R^{2m} = C^m), the Fubini-Study form evaluated on horizontal lifts at unit
@@ -22,9 +22,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .cotangent import CotangentPoint, CotangentTangent, retract, tangent_basis
+from .cotangent import CotangentPoint, constraint_frame, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile, complexify, gauss_legendre_2d, realify
-from .projective import ProjectivePoint, ProjectiveTangent, proj_normalize
+from .projective import ProjectivePoint, horizontal_project, proj_normalize
 
 __all__ = [
     "BranchLocusError",
@@ -74,9 +74,6 @@ class BoxSpace:
     def tangent_project(self, x, w: np.ndarray) -> np.ndarray:
         return w
 
-    def tangent_ambient(self, v) -> np.ndarray:
-        return np.asarray(v, dtype=float)
-
 
 class ProjectiveSpace:
     """CP^n through unit representatives; ambient = realified C^{n+1}."""
@@ -112,20 +109,7 @@ class ProjectiveSpace:
         return realify(rep)
 
     def tangent_project(self, point: ProjectivePoint, w: np.ndarray) -> np.ndarray:
-        v = complexify(w)
-        rep = point.rep
-        if rep.ndim != 1:
-            return realify(v - np.einsum("ij,ij->i", rep.conj(), v)[:, None] * rep)
-        v = v - np.vdot(rep, v) * rep
-        return realify(v)
-
-    def tangent_ambient(self, v) -> np.ndarray:
-        if isinstance(v, ProjectiveTangent):
-            return realify(v.vec)
-        v = np.asarray(v)
-        if np.iscomplexobj(v):
-            return realify(v)
-        return v.astype(float)
+        return realify(horizontal_project(point, complexify(w)))
 
 
 class CotangentSpace:
@@ -150,13 +134,8 @@ class CotangentSpace:
         return self.to_ambient(m)
 
     def tangent_project(self, m: CotangentPoint, w: np.ndarray) -> np.ndarray:
-        basis = np.stack([np.concatenate([b.u, b.w]) for b in tangent_basis(m)])
-        return basis.T @ (basis @ w)
-
-    def tangent_ambient(self, v) -> np.ndarray:
-        if isinstance(v, CotangentTangent):
-            return np.concatenate([v.u, v.w])
-        return np.asarray(v, dtype=float)
+        frame = constraint_frame(m.p, m.q)
+        return frame.T @ (frame @ w)
 
 
 class ProductSpace:
@@ -199,13 +178,6 @@ class ProductSpace:
             axis=-1,
         )
 
-    def tangent_ambient(self, v) -> np.ndarray:
-        if isinstance(v, tuple):
-            return np.concatenate(
-                [self.left.tangent_ambient(v[0]), self.right.tangent_ambient(v[1])]
-            )
-        return np.asarray(v, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # Smooth maps with finite-difference jacobian action.
@@ -234,7 +206,6 @@ class SmoothMap:
 
     def differential(self, x, v, center=None) -> np.ndarray:
         h = self.step
-        v = self.domain.tangent_ambient(v)
         if center is None:
             center = self.func(x)
         base = self.domain.to_ambient(x)
@@ -260,8 +231,8 @@ class SmoothMap:
 class TwoForm:
     """Antisymmetric bilinear evaluator (point, v1, v2) -> real.
 
-    ``space`` fixes the point/vector kind; tangents may be passed as typed
-    wrappers, complex vectors, or raw ambient real vectors.
+    ``space`` fixes the point kind; both tangents are real ambient arrays of
+    that space, or (N, ambient) batches of them for a batch of points.
     """
 
     space: Any
@@ -269,7 +240,7 @@ class TwoForm:
     name: str = ""
 
     def __call__(self, point, v1, v2) -> float:
-        return self.func(point, self.space.tangent_ambient(v1), self.space.tangent_ambient(v2))
+        return self.func(point, v1, v2)
 
 
 def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
@@ -322,10 +293,8 @@ def product_form(left: TwoForm, right: TwoForm, name: str = "") -> TwoForm:
     space = ProductSpace(left.space, right.space)
 
     def evaluate(pair, a, b):
-        k = space.left.ambient
-        return left.func(pair[0], a[..., :k], b[..., :k]) + right.func(
-            pair[1], a[..., k:], b[..., k:]
-        )
+        (a1, a2), (b1, b2) = space._split(a), space._split(b)
+        return left.func(pair[0], a1, b1) + right.func(pair[1], a2, b2)
 
     return TwoForm(space=space, func=evaluate, name=name or f"{left.name}(+){right.name}")
 
@@ -333,17 +302,6 @@ def product_form(left: TwoForm, right: TwoForm, name: str = "") -> TwoForm:
 # ---------------------------------------------------------------------------
 # The pushed-down form omega_r on CP^n minus the branch quadric.
 # ---------------------------------------------------------------------------
-
-
-def _lift_to_quadric(rep: np.ndarray, sheet: int = +1) -> tuple[np.ndarray, complex]:
-    """Square-root section [z] -> [z : i sqrt(sum z^2)] of the double cover.
-
-    The principal square root (positive imaginary part of i*sqrt) fixes the
-    sheet; ``sheet=-1`` selects the deck image.
-    """
-    s = complex(np.sum(rep * rep))
-    w = sheet * 1j * np.sqrt(s)
-    return np.concatenate([rep, [w]]), s
 
 
 def omega_r(
@@ -356,11 +314,14 @@ def omega_r(
 ) -> float:
     """Pushed-down form on CP^n, off the branch quadric.
 
-    Lifts the point and both tangents through the local inverse of the
-    coordinate-dropping cover (implicit differentiation of the quadric
-    equation gives dw = -(z . v)/w) and evaluates 2r * omega_FS on the
-    quadric upstairs. The value is sheet-independent because the deck map is
-    a unitary coordinate sign flip.
+    Lifts the point and both tangents (realified horizontal vectors) through
+    the local inverse of the coordinate-dropping cover (implicit
+    differentiation of the quadric equation gives dw = -(z . v)/w) and
+    evaluates 2r * omega_FS on the quadric upstairs. The value is
+    sheet-independent because the deck map is a unitary coordinate sign flip.
+    The point lifts by the square-root section [z] -> [z : i sqrt(sum z^2)];
+    the principal square root fixes the sheet, and ``sheet=-1`` selects the
+    deck image.
 
     A batch of N points (an (N, n+1) representative array) with (N, 2(n+1))
     real tangents gives N values; BranchLocusError is raised if any row is
@@ -369,12 +330,13 @@ def omega_r(
     rep = point.rep
     if rep.ndim != 1:
         return _omega_r_rows(rep, v1, v2, r, profile, sheet)
-    lifted, s = _lift_to_quadric(rep, sheet)
+    s = complex(np.sum(rep * rep))
     if abs(s) <= profile.branch_margin:
         raise BranchLocusError(
             f"|sum z^2| = {abs(s):.3e} is within the branch margin {profile.branch_margin:g}"
         )
-    w = lifted[-1]
+    w = sheet * 1j * np.sqrt(s)
+    lifted = np.concatenate([rep, [w]])
     norm2 = 1.0 + abs(s)
 
     def lift_tangent(vc: np.ndarray) -> np.ndarray:
@@ -383,9 +345,8 @@ def omega_r(
         tilde = tilde - (np.vdot(lifted, tilde) / norm2) * lifted
         return tilde / np.sqrt(norm2)
 
-    space = ProjectiveSpace(point.dim)
-    h1 = lift_tangent(complexify(space.tangent_ambient(v1)))
-    h2 = lift_tangent(complexify(space.tangent_ambient(v2)))
+    h1 = lift_tangent(complexify(v1))
+    h2 = lift_tangent(complexify(v2))
     return 2.0 * r * float(np.imag(np.vdot(h1, h2)))
 
 
@@ -408,9 +369,8 @@ def _omega_r_rows(rep, v1, v2, r, profile, sheet) -> np.ndarray:
         tilde = tilde - (np.einsum("ij,ij->i", lifted.conj(), tilde) / norm2)[:, None] * lifted
         return tilde / np.sqrt(norm2)[:, None]
 
-    space = ProjectiveSpace(rep.shape[1] - 1)
-    h1 = lift_tangent(complexify(space.tangent_ambient(v1)))
-    h2 = lift_tangent(complexify(space.tangent_ambient(v2)))
+    h1 = lift_tangent(complexify(v1))
+    h2 = lift_tangent(complexify(v2))
     return 2.0 * r * np.einsum("ij,ij->i", h1.conj(), h2).imag
 
 

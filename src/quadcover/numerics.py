@@ -111,7 +111,9 @@ def realify(z: np.ndarray) -> np.ndarray:
 
 
 def complexify(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` on the last axis; requires even length."""
+    """Inverse of :func:`realify` on the last axis; requires real input of even length."""
+    if np.iscomplexobj(x):
+        raise ValueError("cannot pair coordinates of a complex vector; realify it first")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] % 2:
         raise ValueError("cannot pair coordinates of an odd-length vector")

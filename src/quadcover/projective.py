@@ -1,11 +1,11 @@
-"""Points and tangent vectors of complex projective space.
+"""Points and complex horizontal tangent vectors of complex projective space.
 
 Points are stored as unit-norm representatives with a canonical phase (the
 entry of largest modulus is real and positive, ties broken by lowest index),
-so no charts are ever needed. Tangent vectors are horizontal lifts: ambient
-complex vectors orthogonal, in the real sense, to both the representative and
-its i-rotation, which is the same as complex orthogonality to the
-representative.
+so no charts are ever needed. A tangent vector is a plain complex array, the
+horizontal lift: an ambient vector orthogonal, in the real sense, to both the
+representative and its i-rotation, which is the same as complex
+orthogonality to the representative. Maps and forms take it realified.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ProjectivePoint",
-    "ProjectiveTangent",
     "proj_normalize",
     "quadric_residual",
     "in_hyperplane",
@@ -31,8 +30,9 @@ class ProjectivePoint:
     """Point of CP^n held as a unit-norm complex representative.
 
     ``rep`` may also be an (N, n+1) batch of representatives, as returned by
-    :func:`proj_normalize` on a 2-D array; ``residuals`` and the predicates
-    of this module, except :func:`quadric_residual`, take single points only.
+    :func:`proj_normalize` on a 2-D array; the other functions of this
+    module take single points only, except :func:`quadric_residual` and
+    :func:`horizontal_project`.
     """
 
     rep: np.ndarray
@@ -40,26 +40,6 @@ class ProjectivePoint:
     @property
     def dim(self) -> int:
         return self.rep.shape[-1] - 1
-
-    def residuals(self) -> tuple[float, float]:
-        """(norm defect, canonical-phase defect) of the stored representative."""
-        norm_defect = abs(np.linalg.norm(self.rep) - 1.0)
-        k = int(np.argmax(np.abs(self.rep)))
-        entry = self.rep[k]
-        phase_defect = abs(entry.imag) + max(0.0, -entry.real)
-        return norm_defect, phase_defect
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveTangent:
-    """Horizontal ambient vector at a point's representative."""
-
-    base: ProjectivePoint
-    vec: np.ndarray
-
-    def residuals(self) -> tuple[float, float]:
-        product = np.vdot(self.base.rep, self.vec)
-        return abs(product.real), abs(product.imag)
 
 
 def proj_normalize(z: np.ndarray) -> ProjectivePoint:
@@ -97,15 +77,18 @@ def _proj_normalize_rows(z: np.ndarray) -> ProjectivePoint:
     return ProjectivePoint(rep=z)
 
 
-def horizontal_project(point: ProjectivePoint, v: np.ndarray) -> ProjectiveTangent:
+def horizontal_project(point: ProjectivePoint, v: np.ndarray) -> np.ndarray:
     """Project an ambient complex vector onto the horizontal space at ``point``.
 
     Subtracting the real components along rep and i*rep equals the complex
-    projection v - <rep, v> rep.
+    projection v - <rep, v> rep. A batch of N points takes an (N, n+1) array
+    of vectors, one per row.
     """
     v = np.asarray(v, dtype=complex)
-    vec = v - np.vdot(point.rep, v) * point.rep
-    return ProjectiveTangent(base=point, vec=vec)
+    rep = point.rep
+    if rep.ndim != 1:
+        return v - np.einsum("ij,ij->i", rep.conj(), v)[:, None] * rep
+    return v - np.vdot(rep, v) * rep
 
 
 def quadric_residual(point: ProjectivePoint) -> complex | np.ndarray:
@@ -134,11 +117,11 @@ def sample_projective(n: int, rng: np.random.Generator) -> ProjectivePoint:
     return proj_normalize(z)
 
 
-def sample_horizontal(point: ProjectivePoint, rng: np.random.Generator) -> ProjectiveTangent:
+def sample_horizontal(point: ProjectivePoint, rng: np.random.Generator) -> np.ndarray:
     """Random horizontal tangent at ``point`` of unit ambient norm."""
     v = rng.standard_normal(point.rep.size) + 1j * rng.standard_normal(point.rep.size)
     tangent = horizontal_project(point, v)
-    norm = np.linalg.norm(tangent.vec)
+    norm = np.linalg.norm(tangent)
     if norm <= 1e-12:
         return sample_horizontal(point, rng)
-    return ProjectiveTangent(base=point, vec=tangent.vec / norm)
+    return tangent / norm

@@ -84,6 +84,16 @@ def test_mutating_the_returned_registry_leaves_run_check_alone():
     assert build_registry()["I-period-CP1"].tolerance == "quadrature_tol"
 
 
+def test_declared_params_are_read_only():
+    params = build_registry()["L-sphereembedding"].params
+    with pytest.raises(AttributeError):
+        params["n"].append(4)
+    with pytest.raises(TypeError):
+        params["samples"] = 1
+    # one sample for each of the declared n = 1, 2, 3
+    assert run_check("L-sphereembedding", {"samples": 1}).samples == 3
+
+
 def test_run_check_calls_the_generator_bound_at_call_time(monkeypatch):
     # a function rebound after import, as a tracer does, is the one that runs
     calls = []

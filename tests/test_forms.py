@@ -21,7 +21,6 @@ from quadcover.maps import ball_embedding, quadric_fiber
 from quadcover.numerics import DEFAULT_PROFILE, derive_stream, realify
 from quadcover.projective import (
     ProjectivePoint,
-    ProjectiveTangent,
     horizontal_project,
     proj_normalize,
     projective_defect,
@@ -53,8 +52,8 @@ def test_omega_std_bilinear_antisymmetric_on_random_inputs():
 
 def test_omega_fs_at_standard_point():
     point = proj_normalize(np.array([1.0, 0.0], dtype=complex))
-    u = horizontal_project(point, np.array([0.0, 1.0], dtype=complex))
-    v = horizontal_project(point, np.array([0.0, 1j]))
+    u = realify(horizontal_project(point, np.array([0.0, 1.0], dtype=complex)))
+    v = realify(horizontal_project(point, np.array([0.0, 1j])))
     omega_fs = fubini_study_form(1)
     assert abs(omega_fs(point, u, v) - 1.0) < 1e-12
     assert omega_fs(point, u, u) == 0.0
@@ -66,11 +65,11 @@ def test_omega_fs_is_gauge_independent():
     u = sample_horizontal(point, rng)
     v = sample_horizontal(point, rng)
     omega_fs = fubini_study_form(2)
-    base_value = omega_fs(point, u, v)
+    base_value = omega_fs(point, realify(u), realify(v))
     phase = np.exp(0.7j)
     rotated = ProjectivePoint(rep=phase * point.rep)
-    ur = ProjectiveTangent(base=rotated, vec=phase * u.vec)
-    vr = ProjectiveTangent(base=rotated, vec=phase * v.vec)
+    ur = realify(phase * u)
+    vr = realify(phase * v)
     assert abs(omega_fs(rotated, ur, vr) - base_value) < 1e-10
 
 
@@ -99,8 +98,8 @@ def test_pullback_along_identity_map():
     space = ProjectiveSpace(2)
     identity = SmoothMap(domain=space, target=space, func=lambda p: p, name="id")
     point = sample_projective(2, rng)
-    u = sample_horizontal(point, rng)
-    v = sample_horizontal(point, rng)
+    u = realify(sample_horizontal(point, rng))
+    v = realify(sample_horizontal(point, rng))
     value = pullback(identity, fubini_study_form(2), point, u, v)
     assert abs(value - fubini_study_form(2)(point, u, v)) < 1e-9
 
@@ -133,8 +132,8 @@ def test_omega_r_sheet_independence_and_antisymmetry():
         point = sample_projective(2, rng)
         if abs(np.sum(point.rep * point.rep)) < 1e-2:
             continue
-        v1 = sample_horizontal(point, rng).vec
-        v2 = sample_horizontal(point, rng).vec
+        v1 = realify(sample_horizontal(point, rng))
+        v2 = realify(sample_horizontal(point, rng))
         up = omega_r(point, v1, v2, 1.3, sheet=+1)
         down = omega_r(point, v1, v2, 1.3, sheet=-1)
         assert abs(up - down) < 1e-8
@@ -145,9 +144,9 @@ def test_omega_r_sheet_independence_and_antisymmetry():
 def test_omega_r_linear_in_each_slot():
     rng = derive_stream(38, "omrlin")
     point = sample_projective(2, rng)
-    v1 = sample_horizontal(point, rng).vec
-    v2 = sample_horizontal(point, rng).vec
-    v3 = sample_horizontal(point, rng).vec
+    v1 = realify(sample_horizontal(point, rng))
+    v2 = realify(sample_horizontal(point, rng))
+    v3 = realify(sample_horizontal(point, rng))
     a, b = 0.9, -0.4
     lhs = omega_r(point, a * v1 + b * v3, v2, 0.8)
     rhs = a * omega_r(point, v1, v2, 0.8) + b * omega_r(point, v3, v2, 0.8)
@@ -168,9 +167,9 @@ def test_omega_r_standard_point_preimages():
 
 def test_omega_r_raises_on_branch_locus():
     on_quadric = proj_normalize(np.array([1.0, 1j, 0.0]))
-    v = sample_horizontal(on_quadric, derive_stream(39, "bl")).vec
+    v = sample_horizontal(on_quadric, derive_stream(39, "bl"))
     with pytest.raises(BranchLocusError):
-        omega_r(on_quadric, v, 1j * v, 1.0)
+        omega_r(on_quadric, realify(v), realify(1j * v), 1.0)
 
 
 def test_integrate_surface_constant_param_is_zero():
@@ -261,10 +260,8 @@ def test_even_rescale_pullback_preserves_omega_std():
     omega = cotangent_omega_std(2, float(np.sqrt(r)))
     for _ in range(10):
         m = sample_disc_bundle(2, 1.0, r, rng)
-        t1 = sample_tangent(m, rng)
-        t2 = sample_tangent(m, rng)
-        v1 = np.concatenate([t1.u, t1.w])
-        v2 = np.concatenate([t2.u, t2.w])
+        v1 = sample_tangent(m, rng)
+        v2 = sample_tangent(m, rng)
         value = pullback(rescale, omega, m, v1, v2)
         assert abs(value - _omega_std_ambient(v1, v2)) < 1e-9
 
@@ -276,8 +273,8 @@ def test_omega_r_rows_match_single_points():
         point = sample_projective(2, rng)
         if abs(quadric_residual(point)) > 0.1:
             points.append(point)
-            v1s.append(realify(sample_horizontal(point, rng).vec))
-            v2s.append(realify(sample_horizontal(point, rng).vec))
+            v1s.append(realify(sample_horizontal(point, rng)))
+            v2s.append(realify(sample_horizontal(point, rng)))
     batch = ProjectivePoint(rep=np.array([p.rep for p in points]))
     values = omega_r(batch, np.array(v1s), np.array(v2s), 0.7)
     assert values.shape == (6,)

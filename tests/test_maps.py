@@ -238,10 +238,10 @@ def test_segre_pullback_of_double_fs_is_product_form():
         a = sample_projective(1, rng)
         b = sample_projective(1, rng)
         v1 = np.concatenate(
-            [realify(sample_horizontal(a, rng).vec), realify(sample_horizontal(b, rng).vec)]
+            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
         )
         v2 = np.concatenate(
-            [realify(sample_horizontal(a, rng).vec), realify(sample_horizontal(b, rng).vec)]
+            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
         )
         value = pullback(segre, target, (a, b), v1, v2)
         worst = max(worst, abs(value - expected_form((a, b), v1, v2)))

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import quadcover.checks as checks_module
+import quadcover.forms as forms_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint, retract
 from quadcover.dynamics import FlowResult, hamiltonian_vector_field
+from quadcover.forms import ProductSpace, TwoForm
+from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
 
 
@@ -73,10 +76,10 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
             step = min(dt, t_final - t)
             x = np.concatenate([point.p, point.q])
             k1 = hamiltonian_vector_field(ham, point, profile)
-            mid = x + 0.5 * step * np.concatenate([k1.u, k1.w])
+            mid = x + 0.5 * step * k1
             half = retract(mid[: m.p.size], mid[m.p.size :], m.base_radius)
             k2 = hamiltonian_vector_field(ham, half, profile)
-            x = x + step * np.concatenate([k2.u, k2.w])
+            x = x + step * k2
             point = retract(x[: m.p.size], x[m.p.size :], m.base_radius)
             t += step
         return FlowResult(endpoint=point, energy_drift=0.0, constraint_drift=0.0, steps=0)
@@ -96,3 +99,36 @@ def test_even_rescale_without_its_square_roots(monkeypatch):
     report = _assert_fails_with_witness("P-evenedrescale", {"samples": 60})
     assert math.isnan(report.max_residual)
     assert report.witness["r"] != 1.0
+
+
+def test_omega_r_lift_without_the_dw_term(monkeypatch):
+    def lift_without_dw(rep, v1, v2, r, profile, sheet):
+        # the lifted tangent keeps dw = 0, so it leaves the quadric's tangent space
+        s = np.einsum("ij,ij->i", rep, rep)
+        lifted = np.concatenate([rep, (sheet * 1j * np.sqrt(s))[:, None]], axis=1)
+        norm2 = 1.0 + np.abs(s)
+
+        def lift_tangent(vc):
+            tilde = np.concatenate([vc, np.zeros((len(vc), 1))], axis=1)
+            tilde = tilde - (np.einsum("ij,ij->i", lifted.conj(), tilde) / norm2)[:, None] * lifted
+            return tilde / np.sqrt(norm2)[:, None]
+
+        h1 = lift_tangent(complexify(v1))
+        h2 = lift_tangent(complexify(v2))
+        return 2.0 * r * np.einsum("ij,ij->i", h1.conj(), h2).imag
+
+    monkeypatch.setattr(forms_module, "_omega_r_rows", lift_without_dw)
+    report = _assert_fails_with_witness("P-omega-r-descent", {"samples": 30})
+    assert report.max_residual > 0.1
+
+
+def test_product_form_that_drops_its_right_factor(monkeypatch):
+    def left_factor_only(left, right, name=""):
+        space = ProductSpace(left.space, right.space)
+        k = space.left.ambient
+        return TwoForm(space, lambda pair, a, b: left.func(pair[0], a[..., :k], b[..., :k]))
+
+    monkeypatch.setattr(checks_module, "product_form", left_factor_only)
+    # the diagonal period halves: 2 pi r short of the conic's 4 pi r
+    report = _assert_fails_with_witness("I-period-match")
+    assert abs(report.max_residual - 2.0 * np.pi * report.witness["r"]) < 1e-6

@@ -162,3 +162,6 @@ def test_realify_complexify_roundtrip():
     assert np.allclose(complexify(realify(z)), z)
     with pytest.raises(ValueError):
         complexify(np.zeros(3))
+    # a complex vector would lose its imaginary part in the float cast
+    with pytest.raises(ValueError, match="complex"):
+        complexify(z)
