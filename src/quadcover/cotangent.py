@@ -3,8 +3,9 @@
 A point is a pair (p, q) with |p| equal to the base radius and <p, q> = 0;
 q is the fiber coordinate. Disc and sphere sub-bundles are sampled with
 explicit generator streams, and the antipodal map and the "evening" rescale
-are provided as exact formulas. A tangent vector is the ambient (u, w) array;
-the rows of :func:`constraint_frame` are an orthonormal basis of them.
+are provided as exact formulas. A tangent vector is the ambient (u, w) array
+annihilated by the constraint gradient rows (p, 0) and (q, p); the rows of
+:func:`constraint_frame` are an orthonormal basis of them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class CotangentPoint:
     def residuals(self) -> tuple[float, float]:
         """(base-norm defect, orthogonality defect)."""
         return (
-            abs(float(np.linalg.norm(self.p)) - self.base_radius),
+            abs(float(np.sqrt(self.p @ self.p)) - self.base_radius),
             abs(float(self.p @ self.q)),
         )
 
@@ -118,6 +119,8 @@ def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     2 x 2d matrix; its null space, the last 2d - 2 right singular vectors, has
     dimension exactly 2(d - 1) for every valid point. A second singular value
     at or below 1e-10 of the first signals numerically degenerate input.
+    Its one caller is :func:`sample_tangent`, whose draws this frame orders;
+    the field solve and the tangent projection use the rows in closed form.
     """
     d = p.size
     rows = np.concatenate((p, np.zeros(d), q, p)).reshape(2, 2 * d)
@@ -177,7 +180,7 @@ def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(p)
+    norm = np.sqrt(p @ p)
     if norm <= 1e-12:
         raise ValueError("cannot retract: base point collapsed to the origin")
     p = p * (base_radius / norm)

@@ -1,13 +1,18 @@
 """Hamiltonian circle action on cosphere bundles.
 
 The Hamiltonian is H_k(p, q) = k |q| on the bundle over the radius-k sphere
-(base block first, fiber block second). Its vector field is solved on the
-constraint tangent space from the defining equation omega_std(X, v) = dH(v),
-with dH taken by projected finite differences so the equation lives entirely
-on the constraint set. On an "evened" cosphere (|p| = |q| = k) the flow has
-the closed form (cos t p + sin t q, cos t q - sin t p), which equals the
-scalar action e^{-it} on z = p + iq; on an uneven cosphere over the unit
-sphere (|q| = r != 1) the trajectory instead reads
+(base block first, fiber block second). Its vector field X solves
+omega_std(X, v) = dH(v) for every v tangent to the constraint set
+|p|^2 = k^2, p.q = 0. In Lagrange (Dirac) form that is X = J(g + G^T lambda)
+with G X = 0, where g is the ambient gradient of H, G holds the constraint
+gradient rows (p, 0) and (q, p), and J(a, b) = (b, -a). Because
+G J G^T = [[0, |p|^2], [-|p|^2, 0]] exactly, the multipliers lambda are
+closed form: no frame and no linear solve. g is still a central difference
+of the energy of retracted ambient offsets, so dH is measured from H and only
+the constraint geometry is exact. On an "evened" cosphere (|p| = |q| = k)
+the flow has the closed form (cos t p + sin t q, cos t q - sin t p), which
+equals the scalar action e^{-it} on z = p + iq; on an uneven cosphere over
+the unit sphere (|q| = r != 1) the trajectory instead reads
 (cos t p + sin t q / r, cos t q - r sin t p) and the two actions diverge,
 which is what the evening rescale repairs.
 """
@@ -15,10 +20,11 @@ which is what the evening rescale repairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .cotangent import CotangentPoint, OffBundleError, constraint_frame, retract
+from .cotangent import CotangentPoint, OffBundleError, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = [
@@ -44,7 +50,7 @@ class HamiltonianSpec:
     base_radius: float = 1.0
 
     def value(self, m: CotangentPoint) -> float:
-        return self.base_radius * float(np.linalg.norm(m.q))
+        return self.base_radius * float(np.sqrt(m.q @ m.q))
 
 
 @dataclass(frozen=True)
@@ -57,41 +63,63 @@ class FlowResult:
     steps: int
 
 
-def _restricted_energy(offsets: np.ndarray, k_base: float, k_ham: float, d: int) -> np.ndarray:
-    """H = k|q| after retracting a batch of ambient offsets onto the constraint set."""
+def _restricted_energy(offsets: np.ndarray, k_ham: float, d: int) -> np.ndarray:
+    """H = k|q| after retracting a batch of ambient offsets onto the constraint set.
+
+    Retracting (p, q) leaves q - (p.q / |p|^2) p whatever the base radius, so
+    the retracted energy is k sqrt(|q|^2 - (p.q)^2 / |p|^2), one row per offset.
+    """
     p = offsets[:, :d]
     q = offsets[:, d:]
-    p_hat = p * (k_base / np.sqrt((p * p).sum(axis=1)))[:, None]
-    q_tan = q - (np.einsum("ij,ij->i", p_hat, q) / (k_base * k_base))[:, None] * p_hat
-    return k_ham * np.sqrt((q_tan * q_tan).sum(axis=1))
+    pq = np.einsum("ij,ij->i", p, q)
+    qq = np.einsum("ij,ij->i", q, q)
+    return k_ham * np.sqrt(qq - pq * pq / np.einsum("ij,ij->i", p, p))
 
 
-def _solve_field(k_base: float, k_ham: float, p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+def _multipliers(p, q, g_p, g_q, pp):
+    """Closed-form Lagrange multipliers (lambda_0, lambda_1) that keep X tangent."""
+    return (q @ g_q - p @ g_p) / pp, -(p @ g_q) / pp
+
+
+def _solve_field(k_ham: float, p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
     """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q).
 
-    Called once per RK4 stage, so it keeps the numpy call count low: the
-    offsets at +h and -h go through one energy evaluation, and Omega comes
-    from a single product.
+    With g the ambient gradient of the retracted energy and G the constraint
+    rows (p, 0) and (q, p), X = J(g + G^T lambda) with G X = 0. G J G^T is
+    [[0, |p|^2], [-|p|^2, 0]], so lambda needs no solve and X reads
+    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). Called once per RK4
+    stage: the offsets at +h and -h along all 2d axes go through one energy
+    evaluation.
     """
     d = p.size
-    mat = constraint_frame(p, q)
-    half = mat.shape[0]
-    # Omega[i, j] = omega_std(b_i, b_j) = u_i . w_j - w_i . u_j = A - A^T
-    a = mat[:, :d] @ mat[:, d:].T
-    omega_t = a.T - a
+    pp = p @ p
+    qq = q @ q
+    if not pp > 1e-20 * (pp + qq):
+        raise RuntimeError(
+            f"numerical rank failure: |p|^2 = {pp:.3e} is at or below 1e-20 |(p, q)|^2, "
+            "a degenerate restricted symplectic form"
+        )
     amb = np.concatenate((p, q))
-    step = h * mat
-    energy = _restricted_energy(np.concatenate((amb + step, amb - step)), k_base, k_ham, d)
-    grad = (energy[:half] - energy[half:]) / (2.0 * h)
-    try:
-        # omega(X, b_i) = grad_i with X = sum x_j b_j reads Omega^T x = grad
-        coeff = np.linalg.solve(omega_t, grad)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("degenerate restricted symplectic form") from exc
-    residual = np.abs(omega_t @ coeff - grad).max()
+    energy = _restricted_energy(amb + _axis_offsets(2 * d, h), k_ham, d)
+    grad = (energy[: 2 * d] - energy[2 * d :]) / (2.0 * h)
+    g_p = grad[:d]
+    g_q = grad[d:]
+    lam0, lam1 = _multipliers(p, q, g_p, g_q, pp)
+    u = g_q + lam1 * p
+    w = -(g_p + lam0 * p + lam1 * q)
+    residual = max(abs(p @ u), abs(q @ u + p @ w))
     if residual > 1e-8:
         raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
-    return coeff @ mat
+    return np.concatenate((u, w))
+
+
+@lru_cache(maxsize=None)
+def _axis_offsets(size: int, h: float) -> np.ndarray:
+    """Rows +h e_i, then -h e_i, for i < size (read-only, shared between calls)."""
+    step = h * np.eye(size)
+    offsets = np.concatenate((step, -step))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def hamiltonian_vector_field(
@@ -99,17 +127,18 @@ def hamiltonian_vector_field(
     m: CotangentPoint,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> np.ndarray:
-    """Solve omega_std(X, b_i) = dH(b_i) on the constraint tangent space.
+    """Solve omega_std(X, v) = dH(v) for every v tangent to the constraint set.
 
-    X is returned as the ambient (u, w) array. dH is differenced along curves
-    that stay on the constraint set (offset and retract); Omega is assembled
-    on an orthonormal tangent basis and is never singular on the cotangent
-    bundle of a sphere, so a singular solve signals a non-symplectic
-    constraint set.
+    X is returned as the ambient (u, w) array, from the closed-form
+    multipliers of :func:`_solve_field`; dH is differenced along ambient
+    offsets that are retracted onto the constraint set. A base point with
+    |p|^2 at or below 1e-20 |(p, q)|^2 makes the constraint rows dependent and
+    the restricted symplectic form degenerate, and raises a numerical rank
+    failure; a field that leaves |G X| above 1e-8 raises too.
     """
     if np.linalg.norm(m.q) <= 1e-8:
         raise ZeroSectionError("Hamiltonian vector field undefined within 1e-8 of the zero section")
-    return _solve_field(m.base_radius, ham.base_radius, m.p, m.q, profile.fd_step)
+    return _solve_field(ham.base_radius, m.p, m.q, profile.fd_step)
 
 
 def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
@@ -189,7 +218,7 @@ def rk4_integrate(
         q = q - ((p @ q) / (k * k)) * p
         if np.sqrt(q @ q) <= 1e-8:
             raise ZeroSectionError("trajectory reached the zero section")
-        return _solve_field(k, ham.base_radius, p, q, h)
+        return _solve_field(ham.base_radius, p, q, h)
 
     x = np.concatenate([m.p, m.q])
     energy0 = ham.value(m)

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .cotangent import CotangentPoint, constraint_frame, retract
+from .cotangent import CotangentPoint, retract
 from .numerics import DEFAULT_PROFILE, ToleranceProfile, complexify, gauss_legendre_2d, realify
 from .projective import ProjectivePoint, horizontal_project, proj_normalize
 
@@ -134,8 +134,17 @@ class CotangentSpace:
         return self.to_ambient(m)
 
     def tangent_project(self, m: CotangentPoint, w: np.ndarray) -> np.ndarray:
-        frame = constraint_frame(m.p, m.q)
-        return frame.T @ (frame @ w)
+        # w - G^T (G G^T)^{-1} G w for the constraint rows G = [(p, 0); (q, p)]
+        p, q = m.p, m.q
+        d = p.size
+        u, v = w[:d], w[d:]
+        pp, pq, qq = p @ p, p @ q, q @ q
+        a0 = p @ u
+        a1 = q @ u + p @ v
+        det = pp * (pp + qq) - pq * pq
+        mu0 = ((pp + qq) * a0 - pq * a1) / det
+        mu1 = (pp * a1 - pq * a0) / det
+        return np.concatenate((u - mu0 * p - mu1 * q, v - mu1 * p))
 
 
 class ProductSpace:

@@ -68,25 +68,30 @@ def test_collapsed_base_point_is_a_rank_failure():
 
 def test_inexact_field_solve_trips_the_residual_guard(monkeypatch):
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
-    solve = np.linalg.solve
-    monkeypatch.setattr(dynamics.np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    multipliers = dynamics._multipliers
+
+    def off_by_a_little(*args):
+        lam0, lam1 = multipliers(*args)
+        return lam0, lam1 + 1e-6
+
+    monkeypatch.setattr(dynamics, "_multipliers", off_by_a_little)
     with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
         hamiltonian_vector_field(HamiltonianSpec(1.0), m)
 
 
-def test_singular_field_solve_is_a_runtime_error(monkeypatch):
+def test_singular_field_solve_is_a_runtime_error():
+    # G J G^T = [[0, |p|^2], [-|p|^2, 0]] is singular once |p|^2 falls to its
+    # floor, 1e-20 |(p, q)|^2, at every scale of the point
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(dynamics.np.linalg, "solve", singular)
-    with pytest.raises(RuntimeError, match="degenerate restricted symplectic form"):
-        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+    for scale in (1e-3, 1.0, 1e3):
+        with pytest.raises(RuntimeError, match="degenerate restricted symplectic form"):
+            dynamics._solve_field(1.0, 1e-11 * scale * m.p, scale * m.q, 1e-5)
+        just_above = dynamics._solve_field(1.0, 1e-9 * scale * m.p, scale * m.q, 1e-5)
+        assert np.all(np.isfinite(just_above))
 
 
 def _plain_field(k_base, k_ham, p, q, h):
-    """The field solve written plainly: norm(), two products for Omega, one energy call per side."""
+    """The field solved on an SVD frame: Omega on the frame, then np.linalg.solve."""
     d = p.size
     rows = np.zeros((2, 2 * d))
     rows[0, :d] = p
@@ -107,13 +112,27 @@ def _plain_field(k_base, k_ham, p, q, h):
 
 
 def test_field_solve_equals_the_plain_solve_bit_for_bit():
+    # the closed-form multipliers against the frame solve, to the finite-difference floor
     rng = derive_stream(65, "plain")
     for n in range(1, 7):
         for k in (1.0, np.sqrt(0.5), 3.0):
             for m in (sample_cosphere(n, k, k, rng), sample_cosphere(n, k, 0.3, rng)):
                 for k_ham in (1.0, k):
-                    lean = dynamics._solve_field(k, k_ham, m.p, m.q, 1e-5)
-                    assert np.array_equal(lean, _plain_field(k, k_ham, m.p, m.q, 1e-5))
+                    lean = dynamics._solve_field(k_ham, m.p, m.q, 1e-5)
+                    assert np.max(np.abs(lean - _plain_field(k, k_ham, m.p, m.q, 1e-5))) < 1e-9
+
+
+def test_rk4_loop_makes_no_svd_and_no_linear_solve(monkeypatch):
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(75, "nosvd"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the RK4 loop must not factor a matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    result = rk4_integrate(HamiltonianSpec(1.0), m, 0.05, 0.01)
+    assert result.steps == 5
+    assert _dist(result.endpoint, flow_closed_form(m, 0.05)) < 1e-9
 
 
 def test_closed_form_flow_special_times():

@@ -266,6 +266,24 @@ def test_even_rescale_pullback_preserves_omega_std():
         assert abs(value - _omega_std_ambient(v1, v2)) < 1e-9
 
 
+def test_cotangent_tangent_project_matches_the_frame_projection():
+    # the closed form w - G^T (G G^T)^{-1} G w against the SVD frame's projector
+    from quadcover.cotangent import constraint_frame
+    from quadcover.forms import CotangentSpace
+
+    rng = derive_stream(41, "tproj")
+    for n in range(1, 6):
+        for k in (0.3, 1.0, 3.0):
+            space = CotangentSpace(n, k)
+            m = sample_disc_bundle(n, k, 2.0, rng)
+            frame = constraint_frame(m.p, m.q)
+            for _ in range(5):
+                w = rng.standard_normal(2 * (n + 1))
+                out = space.tangent_project(m, w)
+                assert np.max(np.abs(out - frame.T @ (frame @ w))) < 1e-13
+                assert np.max(np.abs(space.tangent_project(m, out) - out)) < 1e-13
+
+
 def test_omega_r_rows_match_single_points():
     rng = derive_stream(4, "omega-r-rows")
     points, v1s, v2s = [], [], []

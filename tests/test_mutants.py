@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import quadcover.checks as checks_module
+import quadcover.dynamics as dynamics_module
 import quadcover.forms as forms_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint, retract
@@ -87,6 +88,27 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
     monkeypatch.setattr(checks_module, "rk4_integrate", rk2_integrate)
     report = _assert_fails_with_witness("P-unitcut-rk4-order")
     assert report.max_residual > report.tolerance
+
+
+def test_zero_hamiltonian_field(monkeypatch):
+    # a field whose flow is 2 pi periodic (here: constant) lands on the closed
+    # form at t = 2 pi; the halfway comparison must catch it
+    monkeypatch.setattr(dynamics_module, "_solve_field", lambda k_ham, p, q, h: np.zeros(2 * p.size))
+    report = _assert_fails_with_witness("P-unitcut-rk4")
+    assert report.max_residual > 1.0
+
+
+def test_hamiltonian_squared_in_place_of_the_norm(monkeypatch):
+    # H = k|q|^2 turns the unit cosphere at twice the speed: the flow at pi is
+    # the identity where the closed form is the antipode
+    original = dynamics_module._restricted_energy
+    monkeypatch.setattr(
+        dynamics_module,
+        "_restricted_energy",
+        lambda offsets, k_ham, d: original(offsets, k_ham, d) ** 2 / k_ham,
+    )
+    report = _assert_fails_with_witness("P-unitcut-rk4")
+    assert report.max_residual > 1.0
 
 
 def test_even_rescale_without_its_square_roots(monkeypatch):
