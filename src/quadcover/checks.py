@@ -70,6 +70,7 @@ from .maps import (
     ROOT2,
     antipodal_cp1,
     ball_embedding,
+    ball_to_projective,
     branched_cover,
     branched_cover_map,
     cosphere_boundary,
@@ -86,7 +87,9 @@ from .numerics import (
     PROFILES,
     ToleranceProfile,
     derive_stream,
+    fill_accepted,
     realify,
+    row_norms,
 )
 from .projective import (
     ProjectivePoint,
@@ -151,9 +154,9 @@ VERIFIED_STATEMENTS: dict[str, str] = {
 # ---------------------------------------------------------------------------
 
 
-def _cvec(z: np.ndarray) -> dict:
-    z = np.asarray(z, dtype=complex)
-    return {"re": z.real.tolist(), "im": z.imag.tolist()}
+def _cvecs(z: np.ndarray) -> list[dict]:
+    """One ``{"re", "im"}`` dict per row of a complex (N, m) array."""
+    return [{"re": re, "im": im} for re, im in zip(z.real.tolist(), z.imag.tolist())]
 
 
 def _uncvec(d: dict) -> np.ndarray:
@@ -166,10 +169,6 @@ def _uncvecs(inputs: list[dict], key: str) -> np.ndarray:
     return np.array([d["re"] for d in vecs], dtype=float) + 1j * np.array(
         [d["im"] for d in vecs], dtype=float
     )
-
-
-def _floats(x) -> list[float]:
-    return np.asarray(x, dtype=float).tolist()
 
 
 def _stack(inputs: list[dict], key: str) -> np.ndarray:
@@ -194,21 +193,21 @@ def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ball_sample(n: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    """Volume-uniform interior point of the open complex ball.
+def _ball_sample(n: int, r: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` volume-uniform interior points of the open complex ball, one per row.
 
     Kept within 0.95 r: the embedding's square root loses derivatives at the
     boundary faster than central differences at step 1e-5 can tolerate.
     """
-    z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    z /= np.linalg.norm(z)
-    radius = 0.95 * r * rng.uniform() ** (1.0 / (2 * (n + 1)))
-    return radius * z
+    z = rng.standard_normal((size, n + 1)) + 1j * rng.standard_normal((size, n + 1))
+    z /= row_norms(z)[:, None]
+    radius = 0.95 * r * rng.uniform(size=size) ** (1.0 / (2 * (n + 1)))
+    return radius[:, None] * z
 
 
-def _unit_real(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _unit_rows(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(shape)
+    return v / row_norms(v)[:, None]
 
 
 def _quadric_frame(rep: np.ndarray) -> np.ndarray:
@@ -216,21 +215,24 @@ def _quadric_frame(rep: np.ndarray) -> np.ndarray:
 
     Tangency means complex orthogonality to both rep (horizontality) and
     conj(rep) (the quadric constraint sum z_k v_k = 0); the two are
-    independent everywhere on the quadric because sum rep^2 = 0.
+    independent everywhere on the quadric because sum rep^2 = 0. An (N, m)
+    ``rep`` gives N stacked frames of shape (N, m - 2, m).
     """
-    rows = np.stack([np.conj(rep), rep])
+    rows = np.stack([np.conj(rep), rep], axis=-2)
     _, svals, vh = np.linalg.svd(rows)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    if rank != 2:
+    if not np.all(svals[..., 1] > 1e-10 * svals[..., 0]):
         raise RuntimeError("degenerate quadric tangent frame")
-    return np.conj(vh[rank:])
+    return np.conj(vh[..., 2:, :])
 
 
-def _quadric_tangent(frame: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random unit tangent vector spanned by the rows of a :func:`_quadric_frame`."""
-    coeff = rng.standard_normal(frame.shape[0]) + 1j * rng.standard_normal(frame.shape[0])
-    v = coeff @ frame
-    return v / np.linalg.norm(v)
+def _projective_off_quadric(n: int, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
+    """Representatives of ``size`` uniform CP^n points with |sum z_k^2| above ``margin``, one per row."""
+    (reps,) = fill_accepted(
+        size,
+        lambda index: (sample_projective(n, rng, index.size).rep,),
+        lambda reps: np.abs(quadric_residual(ProjectivePoint(reps))) > margin,
+    )
+    return reps
 
 
 def _sphere_chart() -> SmoothMap:
@@ -403,9 +405,10 @@ def _n_and_r(inp: dict) -> tuple[int, float]:
 def _cotangent_generator(sampler: Callable, count="samples", radius=None, fields=lambda params: [{}]):
     """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``.
 
-    The fiber radius r is 1, or ``params[radius]`` when ``radius`` names a
-    param. A point yields one input per dict of ``fields(params)``, keyed
-    ``n``, then ``r`` when a radius is named, then ``p``, ``q`` and the dict.
+    Each ``n`` draws its points in one bulk call. The fiber radius r is 1, or
+    ``params[radius]`` when ``radius`` names a param. A point yields one
+    input per dict of ``fields(params)``, keyed ``n``, then ``r`` when a
+    radius is named, then ``p``, ``q`` and the dict.
     """
 
     def gen(params, rng):
@@ -414,9 +417,8 @@ def _cotangent_generator(sampler: Callable, count="samples", radius=None, fields
         tails = fields(params)
         inputs = []
         for n in params["n"]:
-            for _ in range(params[count]):
-                m = sampler(n, 1.0, r, rng)
-                p, q = _floats(m.p), _floats(m.q)
+            m = sampler(n, 1.0, r, rng, size=params[count])
+            for p, q in zip(m.p.tolist(), m.q.tolist()):
                 for tail in tails:
                     inputs.append({"n": int(n), **head, "p": p, "q": q, **tail})
         return inputs
@@ -426,19 +428,16 @@ def _cotangent_generator(sampler: Callable, count="samples", radius=None, fields
 
 def _gen_projemb(params, rng):
     inputs = []
+    samples, pairs = params["samples"], params["pairs"]
     for n in params["n"]:
         for r in params["r"]:
-            for _ in range(params["samples"]):
-                z = _ball_sample(n, r, rng)
-                for _ in range(params["pairs"]):
+            zs = _cvecs(_ball_sample(n, r, rng, samples))
+            # v1, v2 of each pair are consecutive rows of one block
+            vs = iter(_unit_rows((2 * samples * pairs, 2 * (n + 1)), rng).tolist())
+            for z in zs:
+                for _ in range(pairs):
                     inputs.append(
-                        {
-                            "n": int(n),
-                            "r": float(r),
-                            "z": _cvec(z),
-                            "v1": _floats(_unit_real(2 * (n + 1), rng)),
-                            "v2": _floats(_unit_real(2 * (n + 1), rng)),
-                        }
+                        {"n": int(n), "r": float(r), "z": z, "v1": next(vs), "v2": next(vs)}
                     )
     return inputs
 
@@ -481,18 +480,22 @@ def _res_sphereembedding(inp, profile):
     return abs(quadric_residual(image))
 
 
+def _quadric_lifts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Representatives [z : i sqrt(sum z_k^2)] of ``size`` quadric points, one per row."""
+    z = rng.standard_normal((size, n + 1)) + 1j * rng.standard_normal((size, n + 1))
+    last = 1j * np.sqrt(np.sum(z * z, axis=1))
+    return proj_normalize(np.concatenate([z, last[:, None]], axis=1)).rep
+
+
 def _gen_sphereembedding_lift(params, rng):
     inputs = []
     for n in params["n"]:
-        count = 0
-        while count < params["samples"]:
-            z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-            s = complex(np.sum(z * z))
-            point = proj_normalize(np.concatenate([z, [1j * np.sqrt(s)]]))
-            if abs(point.rep[-1]) <= 1e-6:
-                continue
-            inputs.append({"n": int(n), "z": _cvec(point.rep)})
-            count += 1
+        (reps,) = fill_accepted(
+            params["samples"],
+            lambda index, n=n: (_quadric_lifts(n, rng, index.size),),
+            lambda reps: np.abs(reps[:, -1]) > 1e-6,
+        )
+        inputs += [{"n": int(n), "z": z} for z in _cvecs(reps)]
     return inputs
 
 
@@ -564,16 +567,18 @@ _gen_unitcut_rk4 = _cotangent_generator(
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
 )
 def _res_unitcut_rk4(inp, profile):
-    # compared halfway as well: at t_final = 2 pi the closed form is the
-    # identity, so any field whose flow is 2 pi periodic would pass there
+    # compared at a third and halfway as well: at t_final = 2 pi the closed
+    # form is the identity and at pi the antipode, so a field whose flow is
+    # 2 pi periodic, or three times too fast, would pass at those two times
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
-    half = inp["t_final"] / 2.0
-    mid = rk4_integrate(ham, m, half, inp["dt"], profile).endpoint
-    end = rk4_integrate(ham, mid, inp["t_final"] - half, inp["dt"], profile).endpoint
-    return max(
-        _dist(mid, flow_closed_form(m, half)), _dist(end, flow_closed_form(m, inp["t_final"]))
-    )
+    t_final = inp["t_final"]
+    point, t_done, worst = m, 0.0, 0.0
+    for t in (t_final / 3.0, t_final / 2.0, t_final):
+        point = rk4_integrate(ham, point, t - t_done, inp["dt"], profile).endpoint
+        t_done = t
+        worst = max(worst, _dist(point, flow_closed_form(m, t)))
+    return worst
 
 
 _gen_unitcut_rk4_order = _cotangent_generator(
@@ -626,17 +631,11 @@ def _gen_branchedcover_fibers(params, rng):
     inputs = []
     for n in params["n"]:
         half = params["samples"] // 2
-        count = 0
-        while count < max(1, half):
-            point = sample_projective(n, rng)
-            if abs(quadric_residual(point)) <= 1e-3:
-                continue
-            inputs.append({"kind": "off", "expected": 2, "z": _cvec(point.rep)})
-            count += 1
-        for _ in range(params["samples"] - half):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            point = proj_normalize(m.p + 1j * m.q)
-            inputs.append({"kind": "on", "expected": 1, "z": _cvec(point.rep)})
+        off = _projective_off_quadric(n, rng, max(1, half), 1e-3)
+        m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
+        on = proj_normalize(m.p + 1j * m.q).rep
+        inputs += [{"kind": "off", "expected": 2, "z": z} for z in _cvecs(off)]
+        inputs += [{"kind": "on", "expected": 1, "z": z} for z in _cvecs(on)]
     return inputs
 
 
@@ -690,20 +689,16 @@ def _res_pi_not_symplectic(inp, profile):
 
 
 def _gen_segre_pullback(params, rng):
-    inputs = []
-    for _ in range(params["samples"]):
-        a = sample_projective(1, rng)
-        b = sample_projective(1, rng)
-        v1 = np.concatenate(
-            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
-        )
-        v2 = np.concatenate(
-            [realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))]
-        )
-        inputs.append(
-            {"a": _cvec(a.rep), "b": _cvec(b.rep), "v1": _floats(v1), "v2": _floats(v2)}
-        )
-    return inputs
+    a = sample_projective(1, rng, params["samples"])
+    b = sample_projective(1, rng, params["samples"])
+    v1, v2 = (
+        np.concatenate([realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))], axis=1)
+        for _ in range(2)
+    )
+    return [
+        {"a": za, "b": zb, "v1": x1, "v2": x2}
+        for za, zb, x1, x2 in zip(_cvecs(a.rep), _cvecs(b.rep), v1.tolist(), v2.tolist())
+    ]
 
 
 @_check(
@@ -730,13 +725,11 @@ def _res_segre_pullback(inputs, profile):
 
 
 def _cp1_generator(*keys: str) -> Callable[[dict, np.random.Generator], list[dict]]:
-    """Generator of ``params["samples"]`` inputs, each one CP^1 point per key, drawn in key order."""
+    """Generator of ``params["samples"]`` inputs, each one CP^1 point per key, one block per key."""
 
     def gen(params, rng):
-        return [
-            {key: _cvec(sample_projective(1, rng).rep) for key in keys}
-            for _ in range(params["samples"])
-        ]
+        columns = [_cvecs(sample_projective(1, rng, params["samples"]).rep) for _ in keys]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
 
     return gen
 
@@ -785,33 +778,17 @@ def _gen_evenedrescale(params, rng):
     for n in params["n"]:
         per_r = max(1, params["samples"] // (2 * len(params["r"])))
         for r in params["r"]:
-            for _ in range(per_r):
-                m = sample_disc_bundle(n, 1.0, r, rng)
-                t1 = sample_tangent(m, rng)
-                t2 = sample_tangent(m, rng)
+            m = sample_disc_bundle(n, 1.0, r, rng, size=per_r)
+            t1 = sample_tangent(m, rng)
+            t2 = sample_tangent(m, rng)
+            for p, q, v1, v2 in zip(m.p.tolist(), m.q.tolist(), t1.tolist(), t2.tolist()):
                 inputs.append(
-                    {
-                        "part": "form",
-                        "n": int(n),
-                        "r": float(r),
-                        "p": _floats(m.p),
-                        "q": _floats(m.q),
-                        "v1": _floats(t1),
-                        "v2": _floats(t2),
-                    }
+                    {"part": "form", "n": int(n), "r": float(r), "p": p, "q": q, "v1": v1, "v2": v2}
                 )
-            for _ in range(per_r):
-                m = sample_cosphere(n, 1.0, r, rng)
-                inputs.append(
-                    {
-                        "part": "flow",
-                        "n": int(n),
-                        "r": float(r),
-                        "p": _floats(m.p),
-                        "q": _floats(m.q),
-                        "t": float(rng.uniform(0.0, TWO_PI)),
-                    }
-                )
+            m = sample_cosphere(n, 1.0, r, rng, size=per_r)
+            ts = rng.uniform(0.0, TWO_PI, per_r)
+            for p, q, t in zip(m.p.tolist(), m.q.tolist(), ts.tolist()):
+                inputs.append({"part": "flow", "n": int(n), "r": float(r), "p": p, "q": q, "t": t})
     return inputs
 
 
@@ -904,28 +881,28 @@ def _score_uneven_flow(inp, profile):
 def _gen_omega_r_descent(params, rng):
     inputs = []
     margin = 2.5 * DEFAULT_PROFILE.branch_margin
+
+    def draw(n, index):
+        m = sample_disc_bundle(n, 1.0, 1.0, rng, size=index.size)
+        return m.p, m.q
+
+    def away_from_branch(p, q):
+        q2 = np.einsum("ij,ij->i", q, q)
+        return (1.0 - q2) / (1.0 + q2) > margin
+
+    radii = list(params["r"])
     for n in params["n"]:
-        radii = list(params["r"])
-        for i in range(params["samples"]):
-            r = radii[i % len(radii)]
-            while True:
-                m = sample_disc_bundle(n, 1.0, 1.0, rng)
-                q2 = float(m.q @ m.q)
-                if (1.0 - q2) / (1.0 + q2) > margin:
-                    break
-            upstairs = cotangent_to_quadric(m)
-            frame = _quadric_frame(upstairs.rep)
-            v1 = _quadric_tangent(frame, rng)
-            v2 = _quadric_tangent(frame, rng)
-            inputs.append(
-                {
-                    "n": int(n),
-                    "r": float(r),
-                    "z": _cvec(upstairs.rep),
-                    "v1": _cvec(v1),
-                    "v2": _cvec(v2),
-                }
-            )
+        p, q = fill_accepted(params["samples"], lambda index, n=n: draw(n, index), away_from_branch)
+        # the row path of cotangent_to_quadric, whose |q| guard spans the whole array
+        upstairs = ball_to_projective(p + 1j * q, ROOT2).rep
+        frame = _quadric_frame(upstairs)
+        tangents = []
+        for _ in range(2):
+            coeff = rng.standard_normal(frame.shape[:2]) + 1j * rng.standard_normal(frame.shape[:2])
+            v = np.einsum("ik,ikj->ij", coeff, frame)
+            tangents.append(_cvecs(v / row_norms(v)[:, None]))
+        for i, (z, v1, v2) in enumerate(zip(_cvecs(upstairs), *tangents)):
+            inputs.append({"n": int(n), "r": float(radii[i % len(radii)]), "z": z, "v1": v1, "v2": v2})
     return inputs
 
 
@@ -957,15 +934,10 @@ def _gen_omega_r_not_fs(params, rng):
     inputs = []
     margin = 2.0 * DEFAULT_PROFILE.branch_margin
     for n in params["n"]:
-        for _ in range(params["samples"]):
-            while True:
-                point = sample_projective(n, rng)
-                if abs(quadric_residual(point)) > margin:
-                    break
-            dirs = [_cvec(sample_horizontal(point, rng)) for _ in range(params["pairs"])]
-            inputs.append(
-                {"n": int(n), "r": float(params["r"][0]), "z": _cvec(point.rep), "dirs": dirs}
-            )
+        point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
+        dirs = [_cvecs(sample_horizontal(point, rng)) for _ in range(params["pairs"])]
+        for z, row in zip(_cvecs(point.rep), zip(*dirs)):
+            inputs.append({"n": int(n), "r": float(params["r"][0]), "z": z, "dirs": list(row)})
     return inputs
 
 
@@ -1046,12 +1018,12 @@ def _gen_zerosection(params, rng):
     inputs = []
     for n in params["n"]:
         half = params["samples"] // 2
-        for _ in range(max(1, half)):
-            p = _unit_real(n + 1, rng)
-            inputs.append({"kind": "zero", "n": int(n), "p": _floats(p), "q": _floats(np.zeros(n + 1))})
-        for _ in range(params["samples"] - half):
-            m = sample_cosphere(n, 1.0, 1.0, rng)
-            inputs.append({"kind": "boundary", "n": int(n), "p": _floats(m.p), "q": _floats(m.q)})
+        zero = _unit_rows((max(1, half), n + 1), rng)
+        m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
+        inputs += [{"kind": "zero", "n": int(n), "p": p, "q": [0.0] * (n + 1)} for p in zero.tolist()]
+        inputs += [
+            {"kind": "boundary", "n": int(n), "p": p, "q": q} for p, q in zip(m.p.tolist(), m.q.tolist())
+        ]
     return inputs
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import fill_accepted, row_norms
+
 __all__ = [
     "CotangentPoint",
     "OffBundleError",
@@ -34,7 +36,12 @@ class OffBundleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CotangentPoint:
-    """Pair (p, q) with |p| = base_radius and <p, q> = 0."""
+    """Pair (p, q) with |p| = base_radius and <p, q> = 0.
+
+    p and q may also be (N, n+1) arrays of N points, one per row, as a bulk
+    draw of the samplers or :func:`flow_closed_form` over T times returns;
+    :meth:`residuals` takes a single point.
+    """
 
     p: np.ndarray
     q: np.ndarray
@@ -42,17 +49,19 @@ class CotangentPoint:
 
     @property
     def n(self) -> int:
-        return self.p.size - 1
+        return self.p.shape[-1] - 1
 
     def residuals(self) -> tuple[float, float]:
-        """(base-norm defect, orthogonality defect)."""
+        """(base-norm defect, orthogonality defect) of a single point."""
         return (
             abs(float(np.sqrt(self.p @ self.p)) - self.base_radius),
             abs(float(self.p @ self.q)),
         )
 
     def validate(self, tol: float = 1e-12) -> "CotangentPoint":
-        base_defect, ortho_defect = self.residuals()
+        """Raise ValueError unless every row meets both constraints to within ``tol``."""
+        base_defect = float(np.max(np.abs(row_norms(self.p) - self.base_radius)))
+        ortho_defect = float(np.max(np.abs(np.einsum("...i,...i->...", self.p, self.q))))
         if base_defect > tol or ortho_defect > tol:
             raise ValueError(
                 f"constraint violation: |p| off by {base_defect:.3e}, <p,q> = {ortho_defect:.3e}"
@@ -61,55 +70,77 @@ class CotangentPoint:
 
 
 def sample_disc_bundle(
-    n: int, base_radius: float, fiber_radius: float, rng: np.random.Generator
+    n: int,
+    base_radius: float,
+    fiber_radius: float,
+    rng: np.random.Generator,
+    size: int | None = None,
 ) -> CotangentPoint:
     """Volume-uniform sample of the open radius-``fiber_radius`` disc bundle.
 
     p is uniform on the base sphere (normalized Gaussian); q is a Gaussian
     projected onto the p-orthogonal complement, scaled to |q| =
     fiber_radius * u^(1/n) with u uniform in (0, 1). The u^(1/n) radial law
-    makes fiber discs uniform by volume.
+    makes fiber discs uniform by volume. ``size=None`` draws one point, with
+    p and q of shape (n+1,); ``size=N`` draws N independent points as one
+    point holding (N, n+1) arrays, one draw per row.
     """
-    return _sample_bundle(n, base_radius, fiber_radius, rng, disc=True)
+    return _sample_bundle(n, base_radius, fiber_radius, rng, size, disc=True)
 
 
 def sample_cosphere(
-    n: int, base_radius: float, fiber_radius: float, rng: np.random.Generator
+    n: int,
+    base_radius: float,
+    fiber_radius: float,
+    rng: np.random.Generator,
+    size: int | None = None,
 ) -> CotangentPoint:
     """As :func:`sample_disc_bundle` but with |q| = fiber_radius exactly."""
-    return _sample_bundle(n, base_radius, fiber_radius, rng, disc=False)
+    return _sample_bundle(n, base_radius, fiber_radius, rng, size, disc=False)
 
 
-def _sample_bundle(n, base_radius, fiber_radius, rng, disc) -> CotangentPoint:
-    """Body of both samplers: |q| = fiber_radius, times u^(1/n) for the disc."""
+def _sample_bundle(n, base_radius, fiber_radius, rng, size, disc) -> CotangentPoint:
+    """Body of both samplers: |q| = fiber_radius, times u^(1/n) for the disc.
+
+    Reads the stream in blocks: all base points, then all fiber directions,
+    then all radial draws.
+    """
     if base_radius <= 0 or fiber_radius <= 0:
         raise ValueError("radii must be positive")
-    p = rng.standard_normal(n + 1)
-    p *= base_radius / np.linalg.norm(p)
-    q = _fiber_direction(p, rng)
+    rows = 1 if size is None else size
+    p = rng.standard_normal((rows, n + 1))
+    p *= (base_radius / row_norms(p))[:, None]
+    q = fiber_radius * _fiber_direction(p, rng)
     if disc:
-        u = rng.uniform()
-        fiber_radius *= (u if u != 0.0 else 0.5) ** (1.0 / n)
-    return CotangentPoint(p=p, q=q * fiber_radius, base_radius=base_radius).validate()
+        u = rng.uniform(size=rows)
+        u[u == 0.0] = 0.5
+        q *= (u ** (1.0 / n))[:, None]
+    if size is None:
+        p, q = p[0], q[0]
+    return CotangentPoint(p=p, q=q, base_radius=base_radius).validate()
 
 
 def _fiber_direction(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector orthogonal to p, uniform on the fiber sphere.
+    """Unit vectors orthogonal to the rows of p, uniform on each fiber sphere.
 
-    Projects twice: a draw nearly parallel to p leaves a tiny residual whose
-    normalization would amplify the first projection's rounding error.
+    A draw whose projection has norm at or below 1e-6 is drawn again. The
+    projection is made twice: a draw nearly parallel to p leaves a tiny
+    residual whose normalization would amplify the first projection's
+    rounding error.
     """
-    if p.size < 2:
+    if p.shape[-1] < 2:
         raise ValueError("a fiber direction needs p with at least 2 entries (n >= 1)")
-    pp = p @ p
-    while True:
-        g = rng.standard_normal(p.size)
-        g -= (p @ g) / pp * p
-        norm = np.linalg.norm(g)
-        if norm > 1e-6:
-            g /= norm
-            g -= (p @ g) / pp * p
-            return g / np.linalg.norm(g)
+    pp = np.einsum("ij,ij->i", p, p)
+
+    def orthogonal(g, index):
+        return g - (np.einsum("ij,ij->i", p[index], g) / pp[index])[:, None] * p[index]
+
+    def draw(index):
+        return (orthogonal(rng.standard_normal((index.size, p.shape[1])), index),)
+
+    (g,) = fill_accepted(len(p), draw, lambda g: row_norms(g) > 1e-6)
+    g = orthogonal(g / row_norms(g)[:, None], slice(None))
+    return g / row_norms(g)[:, None]
 
 
 def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -119,26 +150,35 @@ def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     2 x 2d matrix; its null space, the last 2d - 2 right singular vectors, has
     dimension exactly 2(d - 1) for every valid point. A second singular value
     at or below 1e-10 of the first signals numerically degenerate input.
+    (N, d) arrays p and q give N stacked frames of shape (N, 2d - 2, 2d).
     Its one caller is :func:`sample_tangent`, whose draws this frame orders;
     the field solve and the tangent projection use the rows in closed form.
     """
-    d = p.size
-    rows = np.concatenate((p, np.zeros(d), q, p)).reshape(2, 2 * d)
+    d = p.shape[-1]
+    rows = np.stack(
+        [np.concatenate([p, np.zeros_like(p)], axis=-1), np.concatenate([q, p], axis=-1)],
+        axis=-2,
+    )
     _, svals, vh = np.linalg.svd(rows)
-    if not svals[1] > 1e-10 * svals[0]:
-        rank = int(np.sum(svals > 1e-10 * svals[0]))
+    degenerate = ~(svals[..., 1] > 1e-10 * svals[..., 0])
+    if degenerate.any():
+        first = svals[np.unravel_index(np.argmax(degenerate), degenerate.shape)]
+        rank = int(np.sum(first > 1e-10 * first[0]))
         raise RuntimeError(
             f"numerical rank failure: expected tangent dimension {2 * (d - 1)}, got {2 * d - rank}"
         )
-    return vh[2:]
+    return vh[..., 2:, :]
 
 
 def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> np.ndarray:
-    """Random unit constraint-tangent vector at ``m``, as an ambient (u, w) array."""
+    """Random unit constraint-tangent vector at ``m``, as an ambient (u, w) array.
+
+    A point holding (N, d) arrays gives an (N, 2d) array, one vector per row.
+    """
     frame = constraint_frame(m.p, m.q)
-    coeff = rng.standard_normal(len(frame))
-    coeff /= np.linalg.norm(coeff)
-    return sum(c * row for c, row in zip(coeff, frame))
+    coeff = rng.standard_normal(frame.shape[:-1])
+    coeff /= row_norms(coeff)[..., None]
+    return np.einsum("...k,...kj->...j", coeff, frame)
 
 
 def antipode(m: CotangentPoint) -> CotangentPoint:

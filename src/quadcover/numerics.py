@@ -21,7 +21,9 @@ __all__ = [
     "STRICT_PROFILE",
     "PROFILES",
     "derive_stream",
+    "fill_accepted",
     "gauss_legendre_2d",
+    "row_norms",
     "realify",
     "complexify",
 ]
@@ -64,6 +66,39 @@ def derive_stream(master_seed: int, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     key = int.from_bytes(digest[:16], "big")
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def fill_accepted(count: int, draw: Callable, accept: Callable) -> tuple[np.ndarray, ...]:
+    """``count`` rows, each slot holding the first of its draws that ``accept`` keeps.
+
+    ``draw(index)`` returns a tuple of arrays with one candidate row per slot
+    of the integer array ``index``; ``accept(*arrays)`` marks the rows to
+    keep. The first round draws every slot and each later round one block
+    for the slots still empty, so a stream is read in one call per round and
+    ``draw`` may tie a row to its slot (a fiber direction to its base point).
+    """
+    index = np.arange(count)
+    out = None
+    while out is None or index.size:
+        rows = draw(index)
+        keep = np.asarray(accept(*rows), dtype=bool)
+        if out is None:
+            out = tuple(np.empty((count, *a.shape[1:]), dtype=a.dtype) for a in rows)
+        for full, part in zip(out, rows):
+            full[index[keep]] = part[keep]
+        index = index[~keep]
+    return out
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of a real or complex array, row by row.
+
+    Row arithmetic only, so a row's norm does not depend on the other rows;
+    its bits can differ from ``np.linalg.norm``, whose 1-D dot may fuse
+    multiply and add.
+    """
+    x = realify(x) if np.iscomplexobj(x) else np.asarray(x, dtype=float)
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 def gauss_legendre_2d(

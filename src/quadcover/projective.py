@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import fill_accepted, row_norms
+
 __all__ = [
     "ProjectivePoint",
     "proj_normalize",
@@ -30,9 +32,10 @@ class ProjectivePoint:
     """Point of CP^n held as a unit-norm complex representative.
 
     ``rep`` may also be an (N, n+1) batch of representatives, as returned by
-    :func:`proj_normalize` on a 2-D array; the other functions of this
-    module take single points only, except :func:`quadric_residual` and
-    :func:`horizontal_project`.
+    :func:`proj_normalize` on a 2-D array or by :func:`sample_projective`
+    with a ``size``; the other functions of this module take single points
+    only, except :func:`quadric_residual`, :func:`horizontal_project` and
+    :func:`sample_horizontal`.
     """
 
     rep: np.ndarray
@@ -111,17 +114,31 @@ def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float:
     return float(1.0 - abs(np.vdot(a.rep, b.rep)))
 
 
-def sample_projective(n: int, rng: np.random.Generator) -> ProjectivePoint:
-    """Uniform point of CP^n (normalized complex Gaussian)."""
-    z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+def sample_projective(
+    n: int, rng: np.random.Generator, size: int | None = None
+) -> ProjectivePoint:
+    """Uniform point of CP^n (normalized complex Gaussian).
+
+    ``size=N`` draws N independent points as one batch of (N, n+1)
+    representatives.
+    """
+    shape = (n + 1,) if size is None else (size, n + 1)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return proj_normalize(z)
 
 
 def sample_horizontal(point: ProjectivePoint, rng: np.random.Generator) -> np.ndarray:
-    """Random horizontal tangent at ``point`` of unit ambient norm."""
-    v = rng.standard_normal(point.rep.size) + 1j * rng.standard_normal(point.rep.size)
-    tangent = horizontal_project(point, v)
-    norm = np.linalg.norm(tangent)
-    if norm <= 1e-12:
-        return sample_horizontal(point, rng)
-    return tangent / norm
+    """Random horizontal tangent at ``point`` of unit ambient norm.
+
+    A batch of N points gives an (N, n+1) array, one tangent per row. A draw
+    whose projection has norm at or below 1e-12 is drawn again.
+    """
+    rep = np.atleast_2d(point.rep)
+
+    def draw(index):
+        shape = (index.size, rep.shape[1])
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return (horizontal_project(ProjectivePoint(rep[index]), v),)
+
+    (tangent,) = fill_accepted(len(rep), draw, lambda t: row_norms(t) > 1e-12)
+    return (tangent / row_norms(tangent)[:, None]).reshape(point.rep.shape)

@@ -23,7 +23,7 @@ from quadcover.checks import (
 )
 from quadcover.cotangent import CotangentPoint, OffBundleError, sample_cosphere
 from quadcover.forms import BranchLocusError
-from quadcover.maps import cotangent_to_quadric, segre_unitary
+from quadcover.maps import cotangent_to_quadric, quadric_to_cotangent, segre_unitary
 from quadcover.numerics import DEFAULT_PROFILE, ToleranceProfile, derive_stream
 from quadcover.projective import ProjectivePoint, proj_normalize
 
@@ -404,31 +404,81 @@ def test_one_sample_still_draws_both_kinds_for_every_n(cid, kinds):
     assert run_check(cid, {"samples": 1}).passed
 
 
+# the integrator checks cost seconds per seed; their verdicts are pinned at
+# seeds 42 and 1-10 by full suite runs
+RK4_CHECKS = {"P-unitcut-rk4", "P-unitcut-rk4-order", "P-evenedflow-restored", "R-uneven-flow"}
+
+
+def test_verdicts_hold_over_a_sweep_of_seeds():
+    # outcomes must not depend on the seed; a failing seed is a finding
+    for cid, check in build_registry().items():
+        if cid in RK4_CHECKS:
+            continue
+        if "samples" not in check.params:
+            # a period check draws nothing: every seed gives the same inputs
+            drawn = [check.gen(dict(check.params), derive_stream(s, cid)) for s in (1, 20)]
+            assert drawn[0] == drawn[1], cid
+            assert run_check(cid, seed=1).passed, cid
+            continue
+        for seed in range(1, 21):
+            report = run_check(cid, {"samples": 50}, seed=seed)
+            assert report.passed, (cid, seed, report.max_residual)
+
+
+def test_rejection_loops_top_up_to_the_requested_count(monkeypatch):
+    # a branch margin that rejects about 95% of the disc draws at n = 2
+    monkeypatch.setattr(
+        checks_module, "DEFAULT_PROFILE", dataclasses.replace(DEFAULT_PROFILE, branch_margin=0.36)
+    )
+    drawn = []
+    sampler = checks_module.sample_disc_bundle
+
+    def counting(*args, size=None):
+        drawn.append(size)
+        return sampler(*args, size=size)
+
+    monkeypatch.setattr(checks_module, "sample_disc_bundle", counting)
+    check = build_registry()["P-omega-r-descent"]
+    params = {**check.params, "samples": 20}
+    inputs = check.gen(params, derive_stream(42, check.id))
+    again = check.gen(params, derive_stream(42, check.id))
+    assert checks_module._json_scalar(inputs) == checks_module._json_scalar(again)
+    # several rounds per n, each drawing only the shortfall, and most rows rejected
+    assert len(drawn) > 2 * len(params["n"]) and sum(drawn) > 5 * len(inputs)
+    for n in params["n"]:
+        rows = [inp for inp in inputs if inp["n"] == n]
+        assert len(rows) == 20
+        for inp in rows:
+            m = quadric_to_cotangent(proj_normalize(checks_module._uncvec(inp["z"])))
+            q2 = m.q @ m.q
+            assert (1.0 - q2) / (1.0 + q2) > 0.9 - 1e-12
+
+
 # sha256 of each check's serialized inputs at seed 42 with every "samples" set
-# to 4, recorded before the generators were rewritten on a shared sampler
+# to 4, recorded from the generators that draw each (n, r) group in bulk
 PINNED_INPUT_HASHES = {
-    "L-projemb": "b7ae915b845df49cc81b2dbe1ac448f7423941926304a9f03adfa85fde7085af",
-    "L-sphereembedding": "f752201ea9939078de44da9ca781479aae20272f80719b8758456f9d3fadb1b6",
-    "L-sphereembedding-lift": "b08f2e4869fa23d37aed8d268e8f5ef642847f2c1f41c90170b9f5b39ac5bce7",
-    "P-unitcut-boundary": "5efbba87fe4ae6fc8202a90436d8c10dc9fad44db45ccca4ee6af45c60c0d60a",
-    "P-unitcut-flow": "592df388bfea9c27bdde53a68b13efd46873322d0ca045dd92c6230a52e572f2",
-    "P-unitcut-rk4": "c2db59b3de469f8fd93ce5275008057102625d27f04e99eb835062026e5ce8e8",
-    "P-unitcut-rk4-order": "5df37b44aaff33323ebbea749769a1fc0cc877c40eff7a857cd5e412c3213a5c",
-    "C-branchedcover-deck": "d651dd938f7b118f94e7ce3661b802ba2de2b871aa45bfae2374976fc72b142d",
-    "C-branchedcover-fibers": "cfa3132ab2f3af79e5d923d6d025d597bcdbca6fedc9c3a83b545a1c40cdb48d",
-    "R-pi-not-symplectic": "ba088a324dae82f3a889822d8c278f1bfd1db70d1dc01b2793653b7a75ecedc2",
-    "P-segre-pullback": "4917a5f976a2a7640a65662d4ef9742d783230ccb9d7740861edaa56f4705362",
-    "P-segre-equivariance": "c1048049a72f79c3737b1be98ffea1a84de9998aa5d0cb2f7d4814e670f4881d",
-    "R-diag-antidiag": "ebfd52fd60a2a00ac5ce89908d6da8237d702b9d6766dcf16f1f8f19562c8812",
-    "P-evenedrescale": "c26ea0483f75340d4994dfcd674a62874df27eb32e77662f94f7d417c11de674",
-    "P-evenedflow-restored": "52b41aea121b13dcc3c5af7fb4f26f9e34c40210781b0308b909d86acd1531ca",
-    "R-uneven-flow": "c06c37ab213215bd6de9bed1ec072e9f9e939533a879fe3a980c0ad7d0fb9f91",
-    "P-omega-r-descent": "b847a83a9058b4b3b0e8ef15007297897bb484555949b0ea7d35fa89ab7e1ce5",
-    "R-omega-r-not-FS": "c32f4f255ca4a94ba0b0314308d4f01e30e568942e01e7264106adc77ef2ab4f",
+    "L-projemb": "9673acd495c2315d56fab498087e750ef5d7e07455faa9f05279ed03bee37df5",
+    "L-sphereembedding": "ec2428e34e9aca0e702f71762ab1ec2b2d52011976b0a5cc5456565899abab26",
+    "L-sphereembedding-lift": "0989ad187d3a22ff44c1a02818a17af00d4e29bae80a2d23090b09e56ce2415d",
+    "P-unitcut-boundary": "da7d2dfad159f8fc46234bf8f79f7cf5ecfce52064f7223439054fc1be1fe398",
+    "P-unitcut-flow": "15c6ad6b2e63b68939c7b47942d6c6c52b482e50fbf4f53818e56a26aaf08fdf",
+    "P-unitcut-rk4": "59a602113c638e86e3cb1328d7d5880ec659a6d6eda74b46f1efa7e6c54c1b88",
+    "P-unitcut-rk4-order": "84c63d523729a85d2999c1a8be61242f4570c5f84f1e1431dbeb8be5fd24fd81",
+    "C-branchedcover-deck": "298337d629856d466f74e4dec56e4f78dcc523548510948a149c84a0e2d84777",
+    "C-branchedcover-fibers": "85c4c2f63deb1fd4ec127f494241f3bac1a93a91eab0033b28bf5a3ba2c65138",
+    "R-pi-not-symplectic": "8c5dd591655c2467aa6d41633dd95d0a9e029b5e397b31f3675f2521ee873ce6",
+    "P-segre-pullback": "296b2bf3ae91086f38d926a58ce14476f0f4a3284ed3351f7e9b4c8ad9ee5a80",
+    "P-segre-equivariance": "59bf9c05d629298a40e4c03630c994a4f1b81fe3be6d8eb7a4804b70b19ceca4",
+    "R-diag-antidiag": "52f58e96177d52fe5b9b67c60761c22d1c21dc1ce5b3e18f0197ac268fb3e109",
+    "P-evenedrescale": "65a2c4b4a5736bf593c2332a8f6aa6b788fa8820ef17ce5b848b1a2bbd8b76f4",
+    "P-evenedflow-restored": "3634cd7272505c9ccbd5ee9679f8cc41f2eca84d6d1ed9591c393ead0f29e40a",
+    "R-uneven-flow": "83865a5d2c43d67df608307971918ae86d25f46b1f22709572adb7e17d7310ea",
+    "P-omega-r-descent": "8ef0849b70d095eae458be9389886f0b4542be6965cffb617adb5cce95cf4d9b",
+    "R-omega-r-not-FS": "e4e126e8a72148f3e86b76e85037fe2b578157d8947424f98de4b7e5fac1b761",
     "I-period-CP1": "087e30deae33f4c3c97859894f9848d64c0adbde42a376592342be3ba8f42524",
     "I-period-Q1": "320a66c0d9a75fca980b42c80a6958c7e038a7646dd55d4d1a53ffc9568b0202",
     "I-period-match": "9fbe10420106a35515163740d5ab7c1cf5a5d22b3581b5c7fbd9b9efe9432ad0",
-    "T-zerosection": "4ba0c9b69e249afa0647f9074ea549710d273471ae0fbaa3248eaa873fdf2491",
+    "T-zerosection": "6e6351950471e2c60eb798d38ced91b3b113b346a4c18bafe02b3ba9b5af0b7c",
 }
 
 

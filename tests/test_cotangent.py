@@ -40,12 +40,57 @@ def test_disc_sampler_radial_moment():
     # E |q|^2 / fiber^2 = n / (n + 2) = 1/2 for n = 2
     rng = derive_stream(23, "moment")
     n, fiber = 2, 1.0
-    total = 0.0
     count = 100_000
-    for _ in range(count):
-        m = sample_disc_bundle(n, 1.0, fiber, rng)
-        total += float(m.q @ m.q) / fiber**2
-    assert abs(total / count - 0.5) < 0.02
+    m = sample_disc_bundle(n, 1.0, fiber, rng, size=count)
+    mean = float(np.mean(np.einsum("ij,ij->i", m.q, m.q))) / fiber**2
+    assert abs(mean - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("sampler", [sample_disc_bundle, sample_cosphere])
+def test_bulk_draw_has_the_shapes_and_constraints_of_single_draws(sampler):
+    rng = derive_stream(30, "bulk")
+    for n, base, fiber in [(1, 1.0, 1.0), (2, 1.0, 0.5), (3, 2.0, 1.5)]:
+        one = sampler(n, base, fiber, rng)
+        assert one.p.shape == one.q.shape == (n + 1,)
+        bulk = sampler(n, base, fiber, rng, size=500)
+        assert bulk.p.shape == bulk.q.shape == (500, n + 1)
+        assert bulk.base_radius == base and bulk.n == n
+        assert np.max(np.abs(np.linalg.norm(bulk.p, axis=1) - base)) < 1e-12
+        assert np.max(np.abs(np.einsum("ij,ij->i", bulk.p, bulk.q))) < 1e-12
+        fibers = np.linalg.norm(bulk.q, axis=1)
+        if sampler is sample_cosphere:
+            assert np.max(np.abs(fibers - fiber)) < 1e-12
+        else:
+            assert np.all(fibers < fiber)
+
+
+class _ParallelFirstFiber:
+    """Stream whose first fiber draw repeats, scaled, the first base point draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        if len(self.shapes) == 1:
+            g[0] = 3.0 * self.base_row
+        elif not self.shapes:
+            self.base_row = g[0].copy()
+        self.shapes.append(shape)
+        return g
+
+    def uniform(self, size=None):
+        return self.rng.uniform(size=size)
+
+
+def test_fiber_draw_parallel_to_p_is_drawn_again():
+    stub = _ParallelFirstFiber(derive_stream(31, "parallel"))
+    m = sample_cosphere(2, 1.0, 1.0, stub, size=4)
+    # base points, fiber directions, then one redraw for the rejected row only
+    assert stub.shapes == [(4, 3), (4, 3), (1, 3)]
+    assert np.max(np.abs(np.linalg.norm(m.q, axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.einsum("ij,ij->i", m.p, m.q))) < 1e-12
 
 
 def test_cosphere_sampler_hits_fiber_radius_exactly():
@@ -110,6 +155,20 @@ def test_sample_tangent_satisfies_linearized_constraints():
     u, w = t[:3], t[3:]
     assert abs(m.p @ u) < 1e-10
     assert abs(u @ m.q + m.p @ w) < 1e-10
+
+
+def test_bulk_sample_tangent_rows_satisfy_the_linearized_constraints():
+    rng = derive_stream(28, "tan-rows")
+    for n in (1, 2, 3):
+        m = sample_disc_bundle(n, 1.0, 1.0, rng, size=200)
+        frames = constraint_frame(m.p, m.q)
+        assert frames.shape == (200, 2 * n, 2 * (n + 1))
+        t = sample_tangent(m, rng)
+        assert t.shape == (200, 2 * (n + 1))
+        u, w = t[:, : n + 1], t[:, n + 1 :]
+        assert np.max(np.abs(np.linalg.norm(t, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.einsum("ij,ij->i", m.p, u))) < 1e-12
+        assert np.max(np.abs(np.einsum("ij,ij->i", u, m.q) + np.einsum("ij,ij->i", m.p, w))) < 1e-12
 
 
 def test_antipode_is_involution_preserving_fiber_norm():

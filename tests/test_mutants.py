@@ -111,6 +111,20 @@ def test_hamiltonian_squared_in_place_of_the_norm(monkeypatch):
     assert report.max_residual > 1.0
 
 
+def test_hamiltonian_three_times_too_fast(monkeypatch):
+    # H = 3k|q| flows the unit cosphere at three times the speed: at pi and
+    # 2 pi it lands where the closed form does (the antipode, the identity),
+    # so only the comparison at t_final / 3 catches it
+    original = dynamics_module._restricted_energy
+    monkeypatch.setattr(
+        dynamics_module,
+        "_restricted_energy",
+        lambda offsets, k_ham, d: 3.0 * original(offsets, k_ham, d),
+    )
+    report = _assert_fails_with_witness("P-unitcut-rk4")
+    assert report.max_residual > 1.0
+
+
 def test_even_rescale_without_its_square_roots(monkeypatch):
     def unrooted(m, r):
         # (p, q) -> (r p, q / r): lands over the radius-r sphere, not radius sqrt(r)

@@ -139,6 +139,17 @@ def test_sample_horizontal_is_unit_and_horizontal():
     assert abs(np.vdot(point.rep, tangent)) < 1e-10
 
 
+def test_bulk_projective_draws_are_unit_and_their_tangents_horizontal():
+    rng = derive_stream(18, "tan-rows")
+    points = sample_projective(2, rng, size=500)
+    assert points.rep.shape == (500, 3) and points.dim == 2
+    assert np.max(np.abs(np.linalg.norm(points.rep, axis=1) - 1.0)) < 1e-12
+    tangents = sample_horizontal(points, rng)
+    assert tangents.shape == (500, 3)
+    assert np.max(np.abs(np.linalg.norm(tangents, axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.einsum("ij,ij->i", points.rep.conj(), tangents))) < 1e-12
+
+
 def test_horizontal_project_rows_match_single_points():
     rng = derive_stream(19, "rows")
     points = [sample_projective(2, rng) for _ in range(5)]
