@@ -184,8 +184,13 @@ def _projective(d: dict) -> ProjectivePoint:
     return proj_normalize(_uncvec(d))
 
 
+def _worst(values) -> float:
+    """Largest of the values; a NaN among them wins, where max() would drop it."""
+    return float(np.max(values))
+
+
 def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
-    return max(float(np.max(np.abs(a.p - b.p))), float(np.max(np.abs(a.q - b.q))))
+    return _worst((np.max(np.abs(a.p - b.p)), np.max(np.abs(a.q - b.q))))
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +578,12 @@ def _res_unitcut_rk4(inp, profile):
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
     t_final = inp["t_final"]
-    point, t_done, worst = m, 0.0, 0.0
+    point, t_done, dists = m, 0.0, []
     for t in (t_final / 3.0, t_final / 2.0, t_final):
         point = rk4_integrate(ham, point, t - t_done, inp["dt"], profile).endpoint
         t_done = t
-        worst = max(worst, _dist(point, flow_closed_form(m, t)))
-    return worst
+        dists.append(_dist(point, flow_closed_form(m, t)))
+    return _worst(dists)
 
 
 _gen_unitcut_rk4_order = _cotangent_generator(
@@ -599,13 +604,14 @@ def _res_unitcut_rk4_order(inp, profile):
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
     exact = flow_closed_form(m, inp["t_final"])
-    errs = []
-    for dt in (inp["dt0"], inp["dt0"] / 2.0):
-        result = rk4_integrate(ham, m, inp["t_final"], dt, profile)
-        errs.append(_dist(result.endpoint, exact))
-    if errs[1] <= 0.0:
-        return SENTINEL
-    return abs(errs[0] / errs[1] - 16.0)
+    coarse, fine = (
+        _dist(rk4_integrate(ham, m, inp["t_final"], dt, profile).endpoint, exact)
+        for dt in (inp["dt0"], inp["dt0"] / 2.0)
+    )
+    # a fine-step error of 0 shows no order and fails (SENTINEL, 1.0, would
+    # pass the tolerance of 4); a NaN error stays NaN
+    ratio = coarse / fine if fine != 0.0 else math.inf
+    return abs(ratio - 16.0)
 
 
 _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
@@ -867,15 +873,12 @@ def _score_uneven_flow(inp, profile):
     # witness search: how far the true flow drifts from the scalar action
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
-    best = 0.0
-    current = m
-    t_done = 0.0
+    current, t_done, dists = m, 0.0, [0.0]
     for t in inp["ts"]:
-        result = rk4_integrate(ham, current, t - t_done, inp["dt"], profile)
-        current = result.endpoint
+        current = rk4_integrate(ham, current, t - t_done, inp["dt"], profile).endpoint
         t_done = t
-        best = max(best, _dist(current, scalar_action(m, t)))
-    return best
+        dists.append(_dist(current, scalar_action(m, t)))
+    return _worst(dists)
 
 
 def _gen_omega_r_descent(params, rng):
@@ -1076,12 +1079,20 @@ class SuiteConfig:
 # least usable value of each count parameter; a quadrature rule needs two nodes
 _LEAST_COUNT = {"samples": 1, "trajectories": 1, "pairs": 1, "t_grid": 1, "nodes": 2}
 
+# finite positive real parameters, named (one value, a list) in messages: the
+# radii, and the RK4 time step, final time and check times
+_POSITIVE_REALS = {
+    "r": ("radius", "radii"),
+    "r_uneven": ("radius", "radii"),
+    **{key: (key, key) for key in ("dt", "dt0", "t_final", "t_checks")},
+}
+
 
 def _validate(check: Check, params: dict) -> None:
-    """Raise UsageError unless a generated run's dimensions, radii and counts are usable.
+    """Raise UsageError unless a generated run's dimensions, radii, times and counts are usable.
 
-    A radius parameter takes the shape the check declares: a list of reals
-    or one real.
+    A radius or time parameter takes the shape the check declares, a list of
+    reals or one real, and each of its values must be finite and positive.
     """
     for key, value in params.items():
         problem = None
@@ -1090,13 +1101,14 @@ def _validate(check: Check, params: dict) -> None:
                 problem = "dimensions must be a list of integers"
             elif not all(n >= 1 for n in value):
                 problem = "dimensions must be at least 1"
-        elif key in ("r", "r_uneven"):
+        elif key in _POSITIVE_REALS:
+            one, many = _POSITIVE_REALS[key]
             listed = isinstance(check.params[key], tuple)
-            radii = value if listed and isinstance(value, (list, tuple)) else [value]
-            if listed != isinstance(value, (list, tuple)) or not all(isinstance(r, Real) for r in radii):
-                problem = "radii must be a list of real numbers" if listed else "radius must be a real number"
-            elif not all(math.isfinite(r) and r > 0 for r in radii):
-                problem = "radii must be finite and positive"
+            values = value if listed and isinstance(value, (list, tuple)) else [value]
+            if listed != isinstance(value, (list, tuple)) or not all(isinstance(v, Real) for v in values):
+                problem = f"{many} must be a list of real numbers" if listed else f"{one} must be a real number"
+            elif not all(math.isfinite(v) and v > 0 for v in values):
+                problem = f"{many} must be finite and positive"
         elif key in _LEAST_COUNT:
             if not isinstance(value, Integral):
                 problem = f"{key} must be an integer"
@@ -1126,8 +1138,8 @@ def run_check(
     ``params`` may override the check's declared parameters, inject a
     ``tolerance``, or supply a single serialized ``witness`` input to
     re-evaluate. A generated run needs a list of integer dimensions of at
-    least 1, finite positive real radii, integer counts of at least 1 and at
-    least 2 quadrature nodes.
+    least 1, finite positive real radii and times, integer counts of at least
+    1 and at least 2 quadrature nodes.
     """
     prof = _resolve_profile(profile)
     registry = build_registry()

@@ -9,7 +9,12 @@ gradient rows (p, 0) and (q, p), and J(a, b) = (b, -a). Because
 G J G^T = [[0, |p|^2], [-|p|^2, 0]] exactly, the multipliers lambda are
 closed form: no frame and no linear solve. g is still a central difference
 of the energy of retracted ambient offsets, so dH is measured from H and only
-the constraint geometry is exact. On an "evened" cosphere (|p| = |q| = k)
+the constraint geometry is exact. The retracted energy depends on an offset
+only through its Gram entries |p|^2, |q|^2 and p.q, and an axis offset
++-h e_i changes those by a closed-form update, so a field solve is O(d).
+Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
+so the field solve and the projected RK4 loop run on 2d Python floats and
+build one CotangentPoint at the end. On an "evened" cosphere (|p| = |q| = k)
 the flow has the closed form (cos t p + sin t q, cos t q - sin t p), which
 equals the scalar action e^{-it} on z = p + iq; on an uneven cosphere over
 the unit sphere (|q| = r != 1) the trajectory instead reads
@@ -20,11 +25,12 @@ which is what the evening rescale repairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import hypot, sqrt
+from operator import mul
 
 import numpy as np
 
-from .cotangent import CotangentPoint, OffBundleError, retract
+from .cotangent import CotangentPoint, OffBundleError
 from .numerics import DEFAULT_PROFILE, ToleranceProfile
 
 __all__ = [
@@ -63,63 +69,60 @@ class FlowResult:
     steps: int
 
 
-def _restricted_energy(offsets: np.ndarray, k_ham: float, d: int) -> np.ndarray:
-    """H = k|q| after retracting a batch of ambient offsets onto the constraint set.
+def _restricted_energy(pp: float, qq: float, pq: float, k_ham: float) -> float:
+    """H = k|q| at the retraction of an ambient (p, q) with Gram entries |p|^2, |q|^2, p.q.
 
     Retracting (p, q) leaves q - (p.q / |p|^2) p whatever the base radius, so
-    the retracted energy is k sqrt(|q|^2 - (p.q)^2 / |p|^2), one row per offset.
+    the retracted energy is k sqrt(|q|^2 - (p.q)^2 / |p|^2).
     """
-    p = offsets[:, :d]
-    q = offsets[:, d:]
-    pq = np.einsum("ij,ij->i", p, q)
-    qq = np.einsum("ij,ij->i", q, q)
-    return k_ham * np.sqrt(qq - pq * pq / np.einsum("ij,ij->i", p, p))
+    return k_ham * sqrt(qq - pq * pq / pp)
 
 
-def _multipliers(p, q, g_p, g_q, pp):
+def _multipliers(pp, p_gp, q_gq, p_gq):
     """Closed-form Lagrange multipliers (lambda_0, lambda_1) that keep X tangent."""
-    return (q @ g_q - p @ g_p) / pp, -(p @ g_q) / pp
+    return (q_gq - p_gp) / pp, -p_gq / pp
 
 
-def _solve_field(k_ham: float, p: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q).
+def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
+    """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q), as 2d floats.
 
     With g the ambient gradient of the retracted energy and G the constraint
     rows (p, 0) and (q, p), X = J(g + G^T lambda) with G X = 0. G J G^T is
     [[0, |p|^2], [-|p|^2, 0]], so lambda needs no solve and X reads
-    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). Called once per RK4
-    stage: the offsets at +h and -h along all 2d axes go through one energy
-    evaluation.
+    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). g is a central
+    difference of the energy at the 4d offsets (p, q) +- h e_i, each read
+    from its Gram entries: a p-axis offset has |p|^2 +- 2h p_i + h^2 and
+    p.q +- h q_i, a q-axis offset |q|^2 +- 2h q_i + h^2 and p.q +- h p_i.
+    Called once per RK4 stage.
     """
-    d = p.size
-    pp = p @ p
-    qq = q @ q
+    pp = hypot(*p) ** 2
+    qq = hypot(*q) ** 2
     if not pp > 1e-20 * (pp + qq):
         raise RuntimeError(
             f"numerical rank failure: |p|^2 = {pp:.3e} is at or below 1e-20 |(p, q)|^2, "
             "a degenerate restricted symplectic form"
         )
-    amb = np.concatenate((p, q))
-    energy = _restricted_energy(amb + _axis_offsets(2 * d, h), k_ham, d)
-    grad = (energy[: 2 * d] - energy[2 * d :]) / (2.0 * h)
-    g_p = grad[:d]
-    g_q = grad[d:]
-    lam0, lam1 = _multipliers(p, q, g_p, g_q, pp)
-    u = g_q + lam1 * p
-    w = -(g_p + lam0 * p + lam1 * q)
-    residual = max(abs(p @ u), abs(q @ u + p @ w))
+    pq = sum(map(mul, p, q))
+    energy = _restricted_energy
+    two_h = 2.0 * h
+    pp_h, qq_h = pp + h * h, qq + h * h
+    g_p = [
+        (energy(pp_h + two_h * a, qq, pq + h * b, k_ham) - energy(pp_h - two_h * a, qq, pq - h * b, k_ham))
+        / two_h
+        for a, b in zip(p, q)
+    ]
+    g_q = [
+        (energy(pp, qq_h + two_h * b, pq + h * a, k_ham) - energy(pp, qq_h - two_h * b, pq - h * a, k_ham))
+        / two_h
+        for a, b in zip(p, q)
+    ]
+    lam0, lam1 = _multipliers(pp, sum(map(mul, p, g_p)), sum(map(mul, q, g_q)), sum(map(mul, p, g_q)))
+    u = [g + lam1 * a for g, a in zip(g_q, p)]
+    w = [-(g + lam0 * a + lam1 * b) for g, a, b in zip(g_p, p, q)]
+    residual = max(abs(sum(map(mul, p, u))), abs(sum(map(mul, q, u)) + sum(map(mul, p, w))))
     if residual > 1e-8:
         raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
-    return np.concatenate((u, w))
-
-
-@lru_cache(maxsize=None)
-def _axis_offsets(size: int, h: float) -> np.ndarray:
-    """Rows +h e_i, then -h e_i, for i < size (read-only, shared between calls)."""
-    step = h * np.eye(size)
-    offsets = np.concatenate((step, -step))
-    offsets.flags.writeable = False
-    return offsets
+    return u + w
 
 
 def hamiltonian_vector_field(
@@ -138,7 +141,7 @@ def hamiltonian_vector_field(
     """
     if np.linalg.norm(m.q) <= 1e-8:
         raise ZeroSectionError("Hamiltonian vector field undefined within 1e-8 of the zero section")
-    return _solve_field(ham.base_radius, m.p, m.q, profile.fd_step)
+    return np.array(_solve_field(ham.base_radius, m.p.tolist(), m.q.tolist(), profile.fd_step))
 
 
 def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
@@ -190,6 +193,18 @@ def scalar_action(m: CotangentPoint, t: float) -> CotangentPoint:
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=m.base_radius)
 
 
+def _retract(x: list[float], k: float, d: int) -> tuple[list[float], list[float]]:
+    """Scalar retract of an ambient 2d-float state: |p| = k, then q loses its p-component."""
+    p, q = x[:d], x[d:]
+    norm = hypot(*p)
+    if norm <= 1e-12:
+        raise ValueError("cannot retract: base point collapsed to the origin")
+    scale = k / norm
+    p = [scale * a for a in p]
+    c = sum(map(mul, p, q)) / (k * k)
+    return p, [b - c * a for a, b in zip(p, q)]
+
+
 def rk4_integrate(
     ham: HamiltonianSpec,
     m: CotangentPoint,
@@ -204,23 +219,21 @@ def rk4_integrate(
     constraint drift at rounding level over full periods. Energy and
     constraint drifts are measured along the reported trajectory.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     k = m.base_radius
+    k_ham = ham.base_radius
     d = m.p.size
     h = profile.fd_step
 
-    def field(x: np.ndarray) -> np.ndarray:
+    def field(x: list[float]) -> list[float]:
         # retract the stage point, then solve the field there
-        p = x[:d]
-        q = x[d:]
-        p = p * (k / np.sqrt(p @ p))
-        q = q - ((p @ q) / (k * k)) * p
-        if np.sqrt(q @ q) <= 1e-8:
+        p, q = _retract(x, k, d)
+        if hypot(*q) <= 1e-8:
             raise ZeroSectionError("trajectory reached the zero section")
-        return _solve_field(ham.base_radius, p, q, h)
+        return _solve_field(k_ham, p, q, h)
 
-    x = np.concatenate([m.p, m.q])
+    x = m.p.tolist() + m.q.tolist()
     energy0 = ham.value(m)
     energy_drift = 0.0
     constraint_drift = max(m.residuals())
@@ -228,20 +241,25 @@ def rk4_integrate(
     t = 0.0
     while t < t_final - 1e-12:
         step = min(dt, t_final - t)
+        half = 0.5 * step
         k1 = field(x)
-        k2 = field(x + 0.5 * step * k1)
-        k3 = field(x + 0.5 * step * k2)
-        k4 = field(x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        point = retract(x[:d], x[d:], k)
-        x = np.concatenate([point.p, point.q])
-        energy_drift = max(energy_drift, abs(ham.value(point) - energy0))
-        constraint_drift = max(constraint_drift, *point.residuals())
+        k2 = field([a + half * b for a, b in zip(x, k1)])
+        k3 = field([a + half * b for a, b in zip(x, k2)])
+        k4 = field([a + step * b for a, b in zip(x, k3)])
+        sixth = step / 6.0
+        x = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        p, q = _retract(x, k, d)
+        x = p + q
+        energy_drift = max(energy_drift, abs(k_ham * hypot(*q) - energy0))
+        constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(sum(map(mul, p, q))))
         t += step
         steps += 1
-    endpoint = retract(x[:d], x[d:], k)
+    p, q = _retract(x, k, d)
     return FlowResult(
-        endpoint=endpoint,
+        endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k),
         energy_drift=energy_drift,
         constraint_drift=constraint_drift,
         steps=steps,

@@ -384,11 +384,54 @@ def test_json_writes_non_finite_reals_as_strings():
         ("L-projemb", {"r": 0.5}, "radii must be a list of real numbers"),
         ("R-uneven-flow", {"r": [0.5]}, "radius must be a real number"),
         ("P-segre-pullback", {"samples": "4"}, "samples must be an integer"),
+        ("P-unitcut-rk4", {"dt": "0.01"}, "dt must be a real number"),
+        ("R-uneven-flow", {"t_checks": 3.0}, "t_checks must be a list of real numbers"),
+        ("P-evenedflow-restored", {"t_checks": [1.0, None]}, "t_checks must be a list of real numbers"),
     ],
 )
 def test_run_check_rejects_invalid_params(cid, params, message):
     with pytest.raises(UsageError, match=message):
         run_check(cid, params)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "cid, key, listed",
+    [
+        ("P-unitcut-rk4", "dt", False),
+        ("P-unitcut-rk4", "t_final", False),
+        ("P-unitcut-rk4-order", "dt0", False),
+        ("P-unitcut-rk4-order", "t_final", False),
+        ("P-evenedflow-restored", "dt", False),
+        ("P-evenedflow-restored", "t_checks", True),
+        ("R-uneven-flow", "t_checks", True),
+    ],
+)
+def test_run_check_rejects_a_time_that_is_not_finite_and_positive(cid, key, listed, bad):
+    # a NaN step ended in a rank failure, a negative one in a ValueError, and a
+    # negative final time ran without integrating at all
+    value = [1.0, bad] if listed else bad
+    with pytest.raises(UsageError, match=f"{key} must be finite and positive"):
+        run_check(cid, {key: value})
+
+
+@pytest.mark.parametrize(
+    "cid, times",
+    [
+        ("P-unitcut-rk4", {"t_final": float("nan")}),
+        ("P-unitcut-rk4-order", {"t_final": float("nan")}),
+        ("R-uneven-flow", {"ts": [float("nan"), 1.0]}),
+    ],
+)
+def test_a_nan_time_in_a_witness_fails_with_itself_as_witness(cid, times):
+    # the loop never runs at a NaN time, and max() used to drop the NaN
+    # distance, so the replay passed with a residual of 0.0
+    check = build_registry()[cid]
+    inp = {**check.gen(dict(check.params), derive_stream(42, cid))[0], **times}
+    report = run_check(cid, {"witness": inp})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness == inp
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from quadcover.cotangent import (
     antipode,
     constraint_frame,
     even_rescale,
+    retract,
     sample_cosphere,
 )
 from quadcover.dynamics import (
@@ -109,6 +110,71 @@ def _plain_field(k_base, k_ham, p, q, h):
     amb = np.concatenate([p, q])
     grad = (energy(amb + h * mat) - energy(amb - h * mat)) / (2.0 * h)
     return np.linalg.solve(omega.T, grad) @ mat
+
+
+def _numpy_field(k_ham, p, q, h):
+    """The field solve on numpy arrays: all 4d axis offsets through one batched energy."""
+    d = p.size
+    step = h * np.eye(2 * d)
+    offsets = np.concatenate((p, q)) + np.concatenate((step, -step))
+    op, oq = offsets[:, :d], offsets[:, d:]
+    pq = np.einsum("ij,ij->i", op, oq)
+    energy = k_ham * np.sqrt(np.einsum("ij,ij->i", oq, oq) - pq * pq / np.einsum("ij,ij->i", op, op))
+    grad = (energy[: 2 * d] - energy[2 * d :]) / (2.0 * h)
+    g_p, g_q = grad[:d], grad[d:]
+    pp = p @ p
+    lam0, lam1 = (q @ g_q - p @ g_p) / pp, -(p @ g_q) / pp
+    return np.concatenate((g_q + lam1 * p, -(g_p + lam0 * p + lam1 * q)))
+
+
+def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
+    """Projected RK4 with an ndarray state: the oracle for the float loop."""
+    k = m.base_radius
+    d = m.p.size
+
+    def field(x):
+        p = x[:d]
+        q = x[d:]
+        p = p * (k / np.sqrt(p @ p))
+        q = q - ((p @ q) / (k * k)) * p
+        return _numpy_field(ham.base_radius, p, q, h)
+
+    x = np.concatenate([m.p, m.q])
+    energy0 = ham.value(m)
+    energy_drift = 0.0
+    constraint_drift = max(m.residuals())
+    steps = 0
+    t = 0.0
+    while t < t_final - 1e-12:
+        step = min(dt, t_final - t)
+        k1 = field(x)
+        k2 = field(x + 0.5 * step * k1)
+        k3 = field(x + 0.5 * step * k2)
+        k4 = field(x + step * k3)
+        x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        point = retract(x[:d], x[d:], k)
+        x = np.concatenate([point.p, point.q])
+        energy_drift = max(energy_drift, abs(ham.value(point) - energy0))
+        constraint_drift = max(constraint_drift, *point.residuals())
+        t += step
+        steps += 1
+    return FlowResult(retract(x[:d], x[d:], k), energy_drift, constraint_drift, steps)
+
+
+def test_float_loop_matches_the_numpy_oracle():
+    # same scheme, same steps; only the rounding of the Gram-updated differences differs
+    rng = derive_stream(76, "oracle")
+    for n in range(1, 5):
+        for k in (1.0, np.sqrt(0.5), 3.0):
+            for fiber in (k, 0.4 * k):
+                m = sample_cosphere(n, k, fiber, rng)
+                ham = HamiltonianSpec(k)
+                fast = rk4_integrate(ham, m, 0.5, 0.01)
+                slow = _numpy_rk4(ham, m, 0.5, 0.01)
+                assert fast.steps == slow.steps == 50
+                assert _dist(fast.endpoint, slow.endpoint) < 1e-10
+                assert abs(fast.energy_drift - slow.energy_drift) < 1e-10
+                assert abs(fast.constraint_drift - slow.constraint_drift) < 1e-10
 
 
 def test_field_solve_equals_the_plain_solve_bit_for_bit():

@@ -93,7 +93,7 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
 def test_zero_hamiltonian_field(monkeypatch):
     # a field whose flow is 2 pi periodic (here: constant) lands on the closed
     # form at t = 2 pi; the halfway comparison must catch it
-    monkeypatch.setattr(dynamics_module, "_solve_field", lambda k_ham, p, q, h: np.zeros(2 * p.size))
+    monkeypatch.setattr(dynamics_module, "_solve_field", lambda k_ham, p, q, h: [0.0] * (2 * len(p)))
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
 
@@ -105,7 +105,7 @@ def test_hamiltonian_squared_in_place_of_the_norm(monkeypatch):
     monkeypatch.setattr(
         dynamics_module,
         "_restricted_energy",
-        lambda offsets, k_ham, d: original(offsets, k_ham, d) ** 2 / k_ham,
+        lambda pp, qq, pq, k_ham: original(pp, qq, pq, k_ham) ** 2 / k_ham,
     )
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
@@ -119,7 +119,7 @@ def test_hamiltonian_three_times_too_fast(monkeypatch):
     monkeypatch.setattr(
         dynamics_module,
         "_restricted_energy",
-        lambda offsets, k_ham, d: 3.0 * original(offsets, k_ham, d),
+        lambda pp, qq, pq, k_ham: 3.0 * original(pp, qq, pq, k_ham),
     )
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
