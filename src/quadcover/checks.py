@@ -70,7 +70,6 @@ from .maps import (
     ROOT2,
     antipodal_cp1,
     ball_embedding,
-    ball_to_projective,
     branched_cover,
     branched_cover_map,
     cosphere_boundary,
@@ -180,6 +179,11 @@ def _point(d: dict) -> CotangentPoint:
     return CotangentPoint(p=np.asarray(d["p"], dtype=float), q=np.asarray(d["q"], dtype=float))
 
 
+def _points(inputs: list[dict]) -> CotangentPoint:
+    """One point holding the N inputs' (p, q) pairs as (N, n+1) rows."""
+    return CotangentPoint(p=_stack(inputs, "p"), q=_stack(inputs, "q"))
+
+
 def _projective(d: dict) -> ProjectivePoint:
     return proj_normalize(_uncvec(d))
 
@@ -189,8 +193,23 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
+    """Largest entry difference of p or q, one per row of (N, n+1) arrays; a NaN stays NaN."""
+    return np.maximum(np.abs(a.p - b.p).max(axis=-1), np.abs(a.q - b.q).max(axis=-1))
+
+
 def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
-    return _worst((np.max(np.abs(a.p - b.p)), np.max(np.abs(a.q - b.q))))
+    return _worst(_row_dist(a, b))
+
+
+def _positive_times(*times) -> bool:
+    """True iff every time is a finite positive real.
+
+    A witness replay skips :func:`_validate`, so an RK4 residual scores NaN
+    on a time that fails this instead of integrating it (an infinite final
+    time would never return).
+    """
+    return all(isinstance(t, Real) and math.isfinite(t) and t > 0 for t in times)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +409,9 @@ def _grouped(
 
     Inputs sharing ``key(input)`` are passed to ``evaluate(key, rows)`` in
     chunks of at most CHUNK_ROWS, in input order; it returns one residual per
-    row.
+    row. A chunk that raises OffBundleError is evaluated again one row at a
+    time, which row arithmetic makes bit-identical, so only the rows off the
+    bundle score NaN.
     """
     out = np.empty(len(inputs))
     groups: dict[Any, list[int]] = {}
@@ -399,7 +420,14 @@ def _grouped(
     for k, index in groups.items():
         for lo in range(0, len(index), CHUNK_ROWS):
             chunk = index[lo : lo + CHUNK_ROWS]
-            out[chunk] = evaluate(k, [inputs[i] for i in chunk])
+            try:
+                out[chunk] = evaluate(k, [inputs[i] for i in chunk])
+            except OffBundleError:
+                for i in chunk:
+                    try:
+                        out[i] = evaluate(k, [inputs[i]])[0]
+                    except OffBundleError:
+                        out[i] = np.nan
     return out
 
 
@@ -527,18 +555,23 @@ _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
     "the unit cosphere maps into the lower quadric and circle orbits collapse",
     covers=("unit-cosphere-cut",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 200},
+    each=False,
 )
-def _res_unitcut_boundary(inp, profile):
-    n = inp["n"]
-    m = _point(inp)
-    image = cosphere_boundary(m)
-    if not in_hyperplane(image, n + 1, tol=profile.residual_tol):
-        return SENTINEL
-    worst = abs(quadric_residual(image))
-    for t in np.linspace(0.0, TWO_PI, 17)[1:]:
-        orbit = cosphere_boundary(scalar_action(m, float(t)))
-        worst = max(worst, projective_defect(orbit, image))
-    return worst
+def _res_unitcut_boundary(inputs, profile):
+    ts = np.linspace(0.0, TWO_PI, 17)[1:]
+
+    def evaluate(n, rows):
+        m = _points(rows)
+        image = cosphere_boundary(m)
+        off_hyperplane = ~(np.abs(image.rep[:, n + 1]) <= profile.residual_tol)
+        # the N x 16 orbit points in one call: row i * 16 + j is input i at ts[j]
+        repeated = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
+        orbit = cosphere_boundary(scalar_action(repeated, np.tile(ts, len(rows))))
+        defects = projective_defect(orbit, ProjectivePoint(np.repeat(image.rep, ts.size, axis=0)))
+        worst = np.maximum(np.abs(quadric_residual(image)), defects.reshape(len(rows), ts.size).max(axis=1))
+        return np.where(off_hyperplane, SENTINEL, worst)
+
+    return _grouped(inputs, lambda inp: inp["n"], evaluate)
 
 
 _gen_unitcut_flow = _cotangent_generator(
@@ -575,9 +608,11 @@ def _res_unitcut_rk4(inp, profile):
     # compared at a third and halfway as well: at t_final = 2 pi the closed
     # form is the identity and at pi the antipode, so a field whose flow is
     # 2 pi periodic, or three times too fast, would pass at those two times
+    t_final = inp["t_final"]
+    if not _positive_times(t_final, inp["dt"]):
+        return math.nan
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
-    t_final = inp["t_final"]
     point, t_done, dists = m, 0.0, []
     for t in (t_final / 3.0, t_final / 2.0, t_final):
         point = rk4_integrate(ham, point, t - t_done, inp["dt"], profile).endpoint
@@ -601,6 +636,8 @@ _gen_unitcut_rk4_order = _cotangent_generator(
 def _res_unitcut_rk4_order(inp, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
+    if not _positive_times(inp["t_final"], inp["dt0"]):
+        return math.nan
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
     exact = flow_closed_form(m, inp["t_final"])
@@ -671,27 +708,36 @@ _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
     "the cover kills a branch-locus direction that omega_FS pairs nontrivially",
     covers=("branch-locus-degeneracy",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 100},
+    each=False,
 )
-def _res_pi_not_symplectic(inp, profile):
+def _res_pi_not_symplectic(inputs, profile):
     # at a branch point the vertical direction is tangent to the quadric and
     # killed by the cover, yet pairs nontrivially with its i-rotation upstairs
-    n = inp["n"]
-    branch = cosphere_boundary(_point(inp))
-    rep = branch.rep
-    vertical = np.zeros(n + 2, dtype=complex)
-    vertical[-1] = 1.0
-    if _omega_std_ambient(realify(vertical), realify(1j * vertical)) <= 0.1:
-        return SENTINEL
-    cover = branched_cover_map(n)
-    fs_downstairs = fubini_study_form(n)
-    image = cover(branch)
-    w_vert = cover.differential(branch, realify(vertical))
-    worst = 0.0
-    for row in _quadric_frame(rep):
-        for tangent in (row, 1j * row):
-            w_tan = cover.differential(branch, realify(tangent))
-            worst = max(worst, abs(fs_downstairs(image, w_vert, w_tan)))
-    return worst
+    def evaluate(n, rows):
+        branch = cosphere_boundary(_points(rows))
+        frame = _quadric_frame(branch.rep)
+        vertical = np.zeros((len(rows), 1, n + 2), dtype=complex)
+        vertical[..., -1] = 1.0
+        # per input: the vertical direction, then each frame row and its i-rotation
+        tangents = np.stack([frame, 1j * frame], axis=2).reshape(len(rows), 2 * n, n + 2)
+        dirs = np.concatenate([vertical, tangents], axis=1)
+        cover = branched_cover_map(n)
+        image = cover(branch)
+
+        def each_dir(a):
+            return np.repeat(a, 2 * n + 1, axis=0)
+
+        w = cover.differential(
+            ProjectivePoint(each_dir(branch.rep)),
+            realify(dirs.reshape(-1, n + 2)),
+            center=ProjectivePoint(each_dir(image.rep)),
+        ).reshape(len(rows), 2 * n + 1, -1)
+        w_vert = np.repeat(w[:, 0], 2 * n, axis=0)
+        w_tan = w[:, 1:].reshape(len(rows) * 2 * n, -1)
+        pairing = fubini_study_form(n)(ProjectivePoint(np.repeat(image.rep, 2 * n, axis=0)), w_vert, w_tan)
+        return np.abs(pairing).reshape(len(rows), 2 * n).max(axis=1)
+
+    return _grouped(inputs, lambda inp: inp["n"], evaluate)
 
 
 def _gen_segre_pullback(params, rng):
@@ -803,25 +849,29 @@ def _gen_evenedrescale(params, rng):
     "the evening rescale preserves omega_std and conjugates the cosphere flows",
     covers=("evened-disc-bundle",), tolerance=1e-9,
     params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
+    each=False,
 )
-def _res_evenedrescale(inp, profile):
-    n, r = inp["n"], inp["r"]
-    m = _point(inp)
-    if inp["part"] == "form":
-        rescale = _evened_rescale_map(n, r)
-        omega = cotangent_omega_std(n, float(np.sqrt(r)))
-        v1 = np.asarray(inp["v1"], dtype=float)
-        v2 = np.asarray(inp["v2"], dtype=float)
-        value = pullback(rescale, omega, m, v1, v2)
-        form_defect = abs(value - _omega_std_ambient(v1, v2))
-        roundtrip = _dist(even_rescale_inverse(even_rescale(m, r), r), m)
-        return max(form_defect, roundtrip)
-    # flow part: rescaling intertwines the radius-r trajectory with the
-    # evened closed form at the same time parameter
-    t = inp["t"]
-    lhs = even_rescale(flow_uneven_cosphere(m, t), r)
-    rhs = flow_closed_form(even_rescale(m, r), t)
-    return _dist(lhs, rhs)
+def _res_evenedrescale(inputs, profile):
+    def evaluate(key, rows):
+        part, n, r = key
+        m = _points(rows)
+        if part == "form":
+            rescale = _evened_rescale_map(n, r)
+            omega = cotangent_omega_std(n, float(np.sqrt(r)))
+            v1 = _stack(rows, "v1")
+            v2 = _stack(rows, "v2")
+            value = pullback(rescale, omega, m, v1, v2)
+            form_defect = np.abs(value - _omega_std_ambient(v1, v2))
+            roundtrip = _row_dist(even_rescale_inverse(even_rescale(m, r), r), m)
+            return np.maximum(form_defect, roundtrip)
+        # flow part: rescaling intertwines the radius-r trajectory with the
+        # evened closed form at the same time parameter
+        t = np.array([inp["t"] for inp in rows], dtype=float)
+        lhs = even_rescale(flow_uneven_cosphere(m, t), r)
+        rhs = flow_closed_form(even_rescale(m, r), t)
+        return _row_dist(lhs, rhs)
+
+    return _grouped(inputs, lambda inp: (inp["part"], inp["n"], inp["r"]), evaluate)
 
 
 _gen_evenedflow_restored = _cotangent_generator(
@@ -843,6 +893,8 @@ _gen_evenedflow_restored = _cotangent_generator(
     },
 )
 def _res_evenedflow_restored(inp, profile):
+    if not _positive_times(inp["t"], inp["dt"]):
+        return math.nan
     r = inp["r"]
     evened = even_rescale(_point(inp), r)
     ham = HamiltonianSpec(evened.base_radius)
@@ -870,11 +922,15 @@ _gen_uneven_flow = _cotangent_generator(
     kind="witness",
 )
 def _score_uneven_flow(inp, profile):
-    # witness search: how far the true flow drifts from the scalar action
+    # witness search: how far the true flow drifts from the scalar action;
+    # the segments chain, so a time that does not increase scores NaN
+    ts = inp["ts"]
+    if not (_positive_times(inp["dt"], *ts) and all(a < b for a, b in zip(ts, ts[1:]))):
+        return math.nan
     m = _point(inp)
     ham = HamiltonianSpec(1.0)
     current, t_done, dists = m, 0.0, [0.0]
-    for t in inp["ts"]:
+    for t in ts:
         current = rk4_integrate(ham, current, t - t_done, inp["dt"], profile).endpoint
         t_done = t
         dists.append(_dist(current, scalar_action(m, t)))
@@ -896,8 +952,7 @@ def _gen_omega_r_descent(params, rng):
     radii = list(params["r"])
     for n in params["n"]:
         p, q = fill_accepted(params["samples"], lambda index, n=n: draw(n, index), away_from_branch)
-        # the row path of cotangent_to_quadric, whose |q| guard spans the whole array
-        upstairs = ball_to_projective(p + 1j * q, ROOT2).rep
+        upstairs = cotangent_to_quadric(CotangentPoint(p=p, q=q)).rep
         frame = _quadric_frame(upstairs)
         tangents = []
         for _ in range(2):
@@ -924,8 +979,8 @@ def _res_omega_r_descent(inputs, profile):
         v2 = realify(_uncvecs(rows, "v2"))
         cover = branched_cover_map(n)
         image = cover(upstairs)
-        w1 = cover.differential(upstairs, v1)
-        w2 = cover.differential(upstairs, v2)
+        w1 = cover.differential(upstairs, v1, center=image)
+        w2 = cover.differential(upstairs, v2, center=image)
         value = omega_r(image, w1, w2, r, profile)
         expected = 2.0 * r * _omega_std_ambient(v1, v2)
         return np.abs(value - expected)
@@ -1092,7 +1147,8 @@ def _validate(check: Check, params: dict) -> None:
     """Raise UsageError unless a generated run's dimensions, radii, times and counts are usable.
 
     A radius or time parameter takes the shape the check declares, a list of
-    reals or one real, and each of its values must be finite and positive.
+    reals or one real, and each of its values must be finite and positive; a
+    list of check times must strictly increase.
     """
     for key, value in params.items():
         problem = None
@@ -1109,6 +1165,8 @@ def _validate(check: Check, params: dict) -> None:
                 problem = f"{many} must be a list of real numbers" if listed else f"{one} must be a real number"
             elif not all(math.isfinite(v) and v > 0 for v in values):
                 problem = f"{many} must be finite and positive"
+            elif key == "t_checks" and not all(a < b for a, b in zip(values, values[1:])):
+                problem = "t_checks must strictly increase"
         elif key in _LEAST_COUNT:
             if not isinstance(value, Integral):
                 problem = f"{key} must be an integer"

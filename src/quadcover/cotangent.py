@@ -216,13 +216,16 @@ def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
     """Project an ambient (p, q) pair back onto the constraint set.
 
     Normalizes p to the base radius and removes the p-component of q; used
-    after finite-difference offsets and integrator steps.
+    after finite-difference offsets. Acts on the last axis with row
+    arithmetic, so (N, d) arrays retract N pairs, each as it would alone.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    norm = np.sqrt(p @ p)
-    if norm <= 1e-12:
+    norm = row_norms(p)[..., None]
+    if (norm <= 1e-12).any():
         raise ValueError("cannot retract: base point collapsed to the origin")
     p = p * (base_radius / norm)
-    q = q - (p @ q) / (p @ p) * p
+    pq = np.einsum("...i,...i->...", p, q)[..., None]
+    pp = np.einsum("...i,...i->...", p, p)[..., None]
+    q = q - pq / pp * p
     return CotangentPoint(p=p, q=q, base_radius=base_radius)

@@ -25,13 +25,13 @@ which is what the evening rescale repairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, sqrt
+from math import hypot, isfinite, sqrt
 from operator import mul
 
 import numpy as np
 
 from .cotangent import CotangentPoint, OffBundleError
-from .numerics import DEFAULT_PROFILE, ToleranceProfile
+from .numerics import DEFAULT_PROFILE, ToleranceProfile, row_norms
 
 __all__ = [
     "HamiltonianSpec",
@@ -144,40 +144,51 @@ def hamiltonian_vector_field(
     return np.array(_solve_field(ham.base_radius, m.p.tolist(), m.q.tolist(), profile.fd_step))
 
 
-def flow_closed_form(m: CotangentPoint, t: float) -> CotangentPoint:
+def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
     """Closed-form cogeodesic flow on an evened cosphere.
 
     sigma_t(p, q) = (cos t p + sin t q, cos t q - sin t p); exact (and equal
     to the scalar action) only under the evened condition |p| = |q|, so
     uneven input is rejected with a pointer to even_rescale. A 1-D array of
-    T times gives p and q of shape (T, n+1), one row per time.
+    T times gives p and q of shape (T, n+1), one row per time; a point
+    holding (N, n+1) arrays takes one time or N times, one per row, and
+    every row must be evened.
     """
-    fiber = float(np.linalg.norm(m.q))
-    if abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius):
+    fiber = row_norms(m.q)
+    uneven = np.abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius)
+    if uneven.any():
         raise OffBundleError(
-            f"closed-form flow needs |q| = |p| (got |q| = {fiber:.6g}, |p| = {m.base_radius:.6g}); "
-            "apply even_rescale first"
+            f"closed-form flow needs |q| = |p| (got |q| = {fiber[uneven].flat[0]:.6g}, "
+            f"|p| = {m.base_radius:.6g}); apply even_rescale first"
         )
-    c, s = np.cos(t), np.sin(t)
-    if np.ndim(t):
-        c, s = c[:, None], s[:, None]
+    c, s = _cos_sin(t)
     return CotangentPoint(p=c * m.p + s * m.q, q=c * m.q - s * m.p, base_radius=m.base_radius)
 
 
-def flow_uneven_cosphere(m: CotangentPoint, t: float) -> CotangentPoint:
+def flow_uneven_cosphere(m: CotangentPoint, t) -> CotangentPoint:
     """Hamiltonian trajectory of H(p, q) = |q| on the radius-r cosphere over S^n(1).
 
     For |q| = r the orbit is (cos t p + sin t q / r, cos t q - r sin t p);
     it reduces to the evened closed form at r = 1 and is validated against
-    the RK4 route in the test suite.
+    the RK4 route in the test suite. A point holding (N, n+1) arrays takes
+    one time or N times and flows each row with its own r.
     """
     if abs(m.base_radius - 1.0) > 1e-12:
-        raise ValueError("uneven cosphere flow is stated over the unit base sphere")
-    r = float(np.linalg.norm(m.q))
-    if r <= 1e-12:
+        raise OffBundleError("uneven cosphere flow is stated over the unit base sphere")
+    r = row_norms(m.q)
+    if (r <= 1e-12).any():
         raise ZeroSectionError("flow undefined on the zero section")
-    c, s = np.cos(t), np.sin(t)
+    r = r[..., None]
+    c, s = _cos_sin(t)
     return CotangentPoint(p=c * m.p + (s / r) * m.q, q=c * m.q - r * s * m.p, base_radius=1.0)
+
+
+def _cos_sin(t) -> tuple:
+    """cos t and sin t, with a trailing axis on an array of times so each scales one row."""
+    c, s = np.cos(t), np.sin(t)
+    if np.ndim(t):
+        c, s = c[:, None], s[:, None]
+    return c, s
 
 
 def scalar_action(m: CotangentPoint, t: float) -> CotangentPoint:
@@ -217,10 +228,13 @@ def rk4_integrate(
     Stage points are retracted onto the constraint set before each field
     evaluation; after every step the endpoint is reprojected, which keeps the
     constraint drift at rounding level over full periods. Energy and
-    constraint drifts are measured along the reported trajectory.
+    constraint drifts are measured along the reported trajectory. A step that
+    is not positive, or a final time that is not finite, raises ValueError.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not isfinite(t_final):
+        raise ValueError("t_final must be finite")
     k = m.base_radius
     k_ham = ham.base_radius
     d = m.p.size

@@ -113,7 +113,11 @@ class ProjectiveSpace:
 
 
 class CotangentSpace:
-    """Constraint set {|p| = k, <p,q> = 0} inside R^{n+1} + R^{n+1}."""
+    """Constraint set {|p| = k, <p,q> = 0} inside R^{n+1} + R^{n+1}.
+
+    Points holding (N, n+1) arrays and (N, 2(n+1)) tangents are N rows, each
+    mapped by the same row arithmetic as a single point.
+    """
 
     def __init__(self, n: int, base_radius: float = 1.0):
         self.n = n
@@ -124,11 +128,11 @@ class CotangentSpace:
         return 2 * (self.n + 1)
 
     def to_ambient(self, m: CotangentPoint) -> np.ndarray:
-        return np.concatenate([m.p, m.q])
+        return np.concatenate([m.p, m.q], axis=-1)
 
     def from_ambient(self, x: np.ndarray) -> CotangentPoint:
-        d = x.size // 2
-        return retract(x[:d], x[d:], self.base_radius)
+        d = x.shape[-1] // 2
+        return retract(x[..., :d], x[..., d:], self.base_radius)
 
     def aligned_ambient(self, center: CotangentPoint, m: CotangentPoint) -> np.ndarray:
         return self.to_ambient(m)
@@ -136,15 +140,19 @@ class CotangentSpace:
     def tangent_project(self, m: CotangentPoint, w: np.ndarray) -> np.ndarray:
         # w - G^T (G G^T)^{-1} G w for the constraint rows G = [(p, 0); (q, p)]
         p, q = m.p, m.q
-        d = p.size
-        u, v = w[:d], w[d:]
-        pp, pq, qq = p @ p, p @ q, q @ q
-        a0 = p @ u
-        a1 = q @ u + p @ v
+        d = p.shape[-1]
+        u, v = w[..., :d], w[..., d:]
+
+        def dot(a, b):
+            return np.einsum("...i,...i->...", a, b)[..., None]
+
+        pp, pq, qq = dot(p, p), dot(p, q), dot(q, q)
+        a0 = dot(p, u)
+        a1 = dot(q, u) + dot(p, v)
         det = pp * (pp + qq) - pq * pq
         mu0 = ((pp + qq) * a0 - pq * a1) / det
         mu1 = (pp * a1 - pq * a0) / det
-        return np.concatenate((u - mu0 * p - mu1 * q, v - mu1 * p))
+        return np.concatenate((u - mu0 * p - mu1 * q, v - mu1 * p), axis=-1)
 
 
 class ProductSpace:
@@ -389,10 +397,11 @@ def _omega_r_rows(rep, v1, v2, r, profile, sheet) -> np.ndarray:
 
 
 def pullback(f: SmoothMap, target_form: TwoForm, x, v1, v2) -> float:
-    """(f^* form)(x; v1, v2) = form(f(x), Df(x) v1, Df(x) v2)."""
-    w1 = f.differential(x, v1)
-    w2 = f.differential(x, v2)
-    return target_form(f(x), w1, w2)
+    """(f^* form)(x; v1, v2) = form(f(x), Df(x) v1, Df(x) v2), with f(x) evaluated once."""
+    center = f(x)
+    w1 = f.differential(x, v1, center=center)
+    w2 = f.differential(x, v2, center=center)
+    return target_form(center, w1, w2)
 
 
 def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> float:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cotangent import CotangentPoint
+from .cotangent import CotangentPoint, OffBundleError
 from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
-from .numerics import complexify, realify
+from .numerics import complexify, realify, row_norms
 from .projective import ProjectivePoint, proj_normalize
 
 __all__ = [
@@ -79,12 +79,14 @@ def cotangent_to_quadric(m: CotangentPoint) -> ProjectivePoint:
     """Embed the open unit disc bundle into the quadric: (p, q) -> [p + iq : i sqrt(1 - |q|^2)].
 
     This is the radius-sqrt(2) ball embedding applied to z = p + iq; the image
-    satisfies sum z_k^2 = 0 because |p| = 1 and <p, q> = 0.
+    satisfies sum z_k^2 = 0 because |p| = 1 and <p, q> = 0. A point holding
+    (N, n+1) arrays maps row by row. A point off the bundle (base radius not
+    1, or some row with |q| >= 1) raises OffBundleError.
     """
     if abs(m.base_radius - 1.0) > 1e-12:
-        raise ValueError("quadric embedding expects the unit base sphere")
-    if np.linalg.norm(m.q) >= 1.0:
-        raise ValueError("quadric embedding expects |q| < 1 (open disc bundle)")
+        raise OffBundleError("quadric embedding expects the unit base sphere")
+    if (row_norms(m.q) >= 1.0).any():
+        raise OffBundleError("quadric embedding expects |q| < 1 (open disc bundle)")
     return ball_to_projective(m.p + 1j * m.q, ROOT2)
 
 
@@ -108,15 +110,18 @@ def cosphere_boundary(m: CotangentPoint) -> ProjectivePoint:
     """Boundary map of the cut: a unit cosphere point to [p + iq : 0].
 
     The image lies on both the quadric and the last hyperplane, hence on the
-    lower quadric.
+    lower quadric. A point holding (N, n+1) arrays maps row by row. A point
+    off the unit cosphere (base radius not 1, or some row with |q| != 1)
+    raises OffBundleError.
     """
     if abs(m.base_radius - 1.0) > 1e-12:
-        raise ValueError("boundary map expects the unit base sphere")
-    fiber = float(np.linalg.norm(m.q))
-    if abs(fiber - 1.0) > 1e-10:
-        raise ValueError(f"boundary map expects |q| = 1, got {fiber:.12g}")
+        raise OffBundleError("boundary map expects the unit base sphere")
+    fiber = row_norms(m.q)
+    off = np.abs(fiber - 1.0) > 1e-10
+    if off.any():
+        raise OffBundleError(f"boundary map expects |q| = 1, got {fiber[off].flat[0]:.12g}")
     z = m.p + 1j * m.q
-    return proj_normalize(np.concatenate([z, [0.0 + 0.0j]]))
+    return proj_normalize(np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1))
 
 
 def branched_cover(point: ProjectivePoint) -> ProjectivePoint:

@@ -34,8 +34,8 @@ class ProjectivePoint:
     ``rep`` may also be an (N, n+1) batch of representatives, as returned by
     :func:`proj_normalize` on a 2-D array or by :func:`sample_projective`
     with a ``size``; the other functions of this module take single points
-    only, except :func:`quadric_residual`, :func:`horizontal_project` and
-    :func:`sample_horizontal`.
+    only, except :func:`quadric_residual`, :func:`horizontal_project`,
+    :func:`projective_defect` and :func:`sample_horizontal`.
     """
 
     rep: np.ndarray
@@ -109,8 +109,13 @@ def in_hyperplane(point: ProjectivePoint, i: int, tol: float = 1e-10) -> bool:
     return bool(abs(point.rep[i]) <= tol)
 
 
-def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float:
-    """1 - |<rep_a, rep_b>|; zero iff the two classes coincide."""
+def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float | np.ndarray:
+    """1 - |<rep_a, rep_b>|; zero iff the two classes coincide.
+
+    Two batches of N points give an array of N defects, one per row.
+    """
+    if a.rep.ndim != 1:
+        return 1.0 - np.abs(np.einsum("ij,ij->i", a.rep.conj(), b.rep))
     return float(1.0 - abs(np.vdot(a.rep, b.rep)))
 
 

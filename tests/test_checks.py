@@ -21,11 +21,29 @@ from quadcover.checks import (
     run_check,
     run_suite,
 )
-from quadcover.cotangent import CotangentPoint, OffBundleError, sample_cosphere
-from quadcover.forms import BranchLocusError
-from quadcover.maps import cotangent_to_quadric, quadric_to_cotangent, segre_unitary
-from quadcover.numerics import DEFAULT_PROFILE, ToleranceProfile, derive_stream
-from quadcover.projective import ProjectivePoint, proj_normalize
+from quadcover.cotangent import (
+    CotangentPoint,
+    OffBundleError,
+    even_rescale,
+    even_rescale_inverse,
+    sample_cosphere,
+)
+from quadcover.dynamics import flow_closed_form, flow_uneven_cosphere, scalar_action
+from quadcover.forms import BranchLocusError, _omega_std_ambient, cotangent_omega_std, pullback
+from quadcover.maps import (
+    branched_cover_map,
+    cosphere_boundary,
+    cotangent_to_quadric,
+    quadric_to_cotangent,
+    segre_unitary,
+)
+from quadcover.numerics import DEFAULT_PROFILE, ToleranceProfile, derive_stream, realify
+from quadcover.projective import (
+    ProjectivePoint,
+    proj_normalize,
+    projective_defect,
+    quadric_residual,
+)
 
 CANONICAL_IDS = [
     "L-projemb",
@@ -223,13 +241,17 @@ def test_reports_keep_registry_order():
     assert [r.id for r in reports] == ["I-period-CP1", "I-period-Q1", "I-period-match"]
 
 
-# The four checks whose residuals evaluate the whole input list at once, with
-# parameters that give several (n, r) groups at a small sample count.
+# The checks whose residuals evaluate the whole input list at once, with
+# parameters that give several groups at a small sample count, some larger
+# than the five rows a chunk holds in the row-invariance test.
 BATCHED = {
     "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
+    "P-evenedrescale": {"n": [1, 2], "r": [0.5, 2.0], "samples": 24},
     "P-omega-r-descent": {"n": [1, 2], "r": [0.5, 2.0], "samples": 8},
     "P-segre-pullback": {"samples": 12},
+    "P-unitcut-boundary": {"n": [1, 2], "samples": 6},
     "P-unitcut-flow": {"n": [1, 2], "samples": 6},
+    "R-pi-not-symplectic": {"n": [1, 2], "samples": 6},
 }
 
 
@@ -256,7 +278,9 @@ def test_batched_residual_is_row_invariant(cid, monkeypatch):
 
 @pytest.mark.parametrize("cid", sorted(BATCHED))
 def test_batched_witness_replays_bit_for_bit(cid):
-    report = run_check(cid, dict(BATCHED[cid], tolerance=1e-16))
+    # a negative tolerance fails every finite residual, even the exact 0 of
+    # R-pi-not-symplectic
+    report = run_check(cid, dict(BATCHED[cid], tolerance=-1.0))
     assert not report.passed
     witness = json.loads(render_json([report]))[0]["witness"]
     replay = run_check(cid, {"witness": witness})
@@ -285,6 +309,79 @@ def test_uneven_row_fails_the_flow_batch():
     assert np.array_equal(np.delete(flagged, 4), np.delete(clean, 4))
     report = run_check("P-unitcut-flow", {"witness": inputs[4]})
     assert not report.passed and report.witness == inputs[4]
+
+
+def _cotangent_point(inp):
+    return CotangentPoint(p=np.asarray(inp["p"], dtype=float), q=np.asarray(inp["q"], dtype=float))
+
+
+def _unitcut_boundary_loop(inp):
+    m = _cotangent_point(inp)
+    image = cosphere_boundary(m)
+    worst = abs(quadric_residual(image))
+    for t in np.linspace(0.0, 2.0 * np.pi, 17)[1:]:
+        worst = max(worst, projective_defect(cosphere_boundary(scalar_action(m, float(t))), image))
+    return worst
+
+
+def _pi_not_symplectic_loop(inp):
+    branch = cosphere_boundary(_cotangent_point(inp))
+    cover = branched_cover_map(inp["n"])
+    vertical = np.zeros(inp["n"] + 2, dtype=complex)
+    vertical[-1] = 1.0
+    w_vert = cover.differential(branch, realify(vertical))
+    return max(
+        abs(_omega_std_ambient(w_vert, cover.differential(branch, realify(tangent))))
+        for row in checks_module._quadric_frame(branch.rep)
+        for tangent in (row, 1j * row)
+    )
+
+
+def _evenedrescale_loop(inp):
+    n, r = inp["n"], inp["r"]
+    m = _cotangent_point(inp)
+    if inp["part"] == "form":
+        v1 = np.asarray(inp["v1"], dtype=float)
+        v2 = np.asarray(inp["v2"], dtype=float)
+        omega = cotangent_omega_std(n, float(np.sqrt(r)))
+        value = pullback(checks_module._evened_rescale_map(n, r), omega, m, v1, v2)
+        roundtrip = checks_module._dist(even_rescale_inverse(even_rescale(m, r), r), m)
+        return max(abs(value - _omega_std_ambient(v1, v2)), roundtrip)
+    lhs = even_rescale(flow_uneven_cosphere(m, inp["t"]), r)
+    return checks_module._dist(lhs, flow_closed_form(even_rescale(m, r), inp["t"]))
+
+
+# The per-input loops that the three row-batched residuals replaced, run on
+# single points, with the largest difference allowed: a few units of rounding
+# (eps = 2.2e-16) for the orbit defects, none for the exact 0 of the cover,
+# and eps / h = 2.2e-11 for the finite difference at step h = 1e-5.
+PER_INPUT_LOOPS = {
+    "P-unitcut-boundary": (_unitcut_boundary_loop, 1e-15),
+    "R-pi-not-symplectic": (_pi_not_symplectic_loop, 0.0),
+    "P-evenedrescale": (_evenedrescale_loop, 2.2e-11),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(PER_INPUT_LOOPS))
+def test_row_batched_residuals_match_their_per_input_loops(cid):
+    loop, bound = PER_INPUT_LOOPS[cid]
+    check, inputs = _inputs(cid)
+    batched = check.residual(inputs, DEFAULT_PROFILE)
+    looped = np.array([loop(inp) for inp in inputs])
+    assert np.max(np.abs(batched - looped)) <= bound
+
+
+def test_uneven_row_fails_the_evenedrescale_flow_batch():
+    # only the uneven row scores NaN; its chunk is evaluated again row by row
+    check, inputs = _inputs("P-evenedrescale")
+    clean = check.residual(inputs, DEFAULT_PROFILE)
+    bad = next(i for i, inp in enumerate(inputs) if inp["part"] == "flow")
+    inputs[bad] = dict(inputs[bad], q=[1.1 * v for v in inputs[bad]["q"]])
+    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    assert np.isnan(flagged[bad])
+    assert np.array_equal(np.delete(flagged, bad), np.delete(clean, bad))
+    report = run_check("P-evenedrescale", {"witness": inputs[bad]})
+    assert not report.passed and report.witness == inputs[bad]
 
 
 def test_branch_locus_row_fails_the_descent_batch():
@@ -354,6 +451,23 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
         run_check("R-uneven-flow", {"trajectories": 1})
 
 
+@pytest.mark.parametrize(
+    "cid, witness",
+    [
+        ("P-unitcut-boundary", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.1]}),
+        ("C-branchedcover-deck", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0]}),
+        ("L-sphereembedding", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.5]}),
+    ],
+)
+def test_an_off_bundle_witness_fails_with_itself_as_witness(cid, witness):
+    # the fiber guards of the boundary map and the quadric embedding raised a
+    # ValueError out of run_check
+    report = run_check(cid, {"witness": witness})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness == witness
+
+
 def test_json_writes_non_finite_reals_as_strings():
     reports = [
         checks_module.CheckReport(
@@ -387,6 +501,10 @@ def test_json_writes_non_finite_reals_as_strings():
         ("P-unitcut-rk4", {"dt": "0.01"}, "dt must be a real number"),
         ("R-uneven-flow", {"t_checks": 3.0}, "t_checks must be a list of real numbers"),
         ("P-evenedflow-restored", {"t_checks": [1.0, None]}, "t_checks must be a list of real numbers"),
+        # passed with 1.29 on an evened cosphere: the later segment ran backwards
+        # zero steps and compared a stale point
+        ("R-uneven-flow", {"r": 1.0, "t_checks": [np.pi, np.pi / 2.0]}, "t_checks must strictly increase"),
+        ("P-evenedflow-restored", {"t_checks": [1.0, 1.0]}, "t_checks must strictly increase"),
     ],
 )
 def test_run_check_rejects_invalid_params(cid, params, message):
@@ -432,6 +550,43 @@ def test_a_nan_time_in_a_witness_fails_with_itself_as_witness(cid, times):
     assert not report.passed
     assert np.isnan(report.max_residual)
     assert report.witness == inp
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize(
+    "cid, key",
+    [
+        ("P-unitcut-rk4", "t_final"),
+        ("P-unitcut-rk4", "dt"),
+        ("P-unitcut-rk4-order", "t_final"),
+        ("P-unitcut-rk4-order", "dt0"),
+        ("P-evenedflow-restored", "t"),
+        ("P-evenedflow-restored", "dt"),
+        ("R-uneven-flow", "ts"),
+        ("R-uneven-flow", "dt"),
+    ],
+)
+def test_a_witness_time_that_is_not_finite_and_positive_scores_nan(cid, key, bad):
+    # a witness replay skips the parameter checks; an infinite final time
+    # never returned from the integrator
+    check = build_registry()[cid]
+    inp = check.gen(dict(check.params), derive_stream(42, cid))[0]
+    inp = {**inp, key: [1.0, bad] if key == "ts" else bad}
+    report = run_check(cid, {"witness": inp})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness == inp
+
+
+def test_an_uneven_flow_witness_whose_times_do_not_increase_scores_nan():
+    # on an evened cosphere no witness exists; backwards times passed with 1.29
+    check = build_registry()["R-uneven-flow"]
+    inp = check.gen({**check.params, "r": 1.0}, derive_stream(42, check.id))[0]
+    assert not run_check(check.id, {"witness": inp}).passed
+    for ts in ([np.pi, np.pi / 2.0], [1.0, 1.0]):
+        report = run_check(check.id, {"witness": {**inp, "ts": ts}})
+        assert not report.passed
+        assert np.isnan(report.max_residual)
 
 
 @pytest.mark.parametrize(

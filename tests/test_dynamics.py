@@ -6,6 +6,7 @@ import pytest
 from quadcover import dynamics
 from quadcover.cotangent import (
     CotangentPoint,
+    OffBundleError,
     antipode,
     constraint_frame,
     even_rescale,
@@ -291,6 +292,32 @@ def test_rk4_rejects_nonpositive_step():
     m = sample_cosphere(2, 1.0, 1.0, rng)
     with pytest.raises(ValueError):
         rk4_integrate(HamiltonianSpec(1.0), m, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_final", [float("inf"), float("nan")])
+def test_rk4_rejects_a_final_time_that_is_not_finite(t_final):
+    # an infinite final time looped forever
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        rk4_integrate(HamiltonianSpec(1.0), m, t_final, 0.1)
+
+
+def test_flows_take_one_time_per_row():
+    rng = derive_stream(74, "rows")
+    ts = rng.uniform(0.0, 2.0 * np.pi, 5)
+    for flow, r in ((flow_closed_form, 1.0), (flow_uneven_cosphere, 0.5)):
+        m = sample_cosphere(2, 1.0, r, rng, size=5)
+        rows = flow(m, ts)
+        assert rows.p.shape == rows.q.shape == (5, 3)
+        for i, t in enumerate(ts):
+            single = flow(CotangentPoint(p=m.p[i], q=m.q[i]), float(t))
+            assert _dist(CotangentPoint(p=rows.p[i], q=rows.q[i]), single) < 1e-15
+    # one uneven row fails the whole call
+    m = sample_cosphere(2, 1.0, 1.0, rng, size=5)
+    q = m.q.copy()
+    q[2] *= 1.1
+    with pytest.raises(OffBundleError, match="even_rescale"):
+        flow_closed_form(CotangentPoint(p=m.p, q=q), ts)
 
 
 def test_uneven_flow_diverges_from_scalar_action_until_evened():

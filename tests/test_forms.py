@@ -284,6 +284,42 @@ def test_cotangent_tangent_project_matches_the_frame_projection():
                 assert np.max(np.abs(space.tangent_project(m, out) - out)) < 1e-13
 
 
+def test_cotangent_space_rows_match_single_points():
+    # retract and the tangent projection act on the last axis, row by row
+    from quadcover.forms import CotangentSpace
+
+    rng = derive_stream(42, "cot-rows")
+    space = CotangentSpace(2, 1.5)
+    m = sample_disc_bundle(2, 1.5, 1.0, rng, size=5)
+    w = rng.standard_normal((5, 6))
+    x = space.to_ambient(m) + 0.1 * w
+    assert x.shape == (5, 6)
+    back = space.from_ambient(x)
+    projected = space.tangent_project(m, w)
+    for i in range(5):
+        single = CotangentPoint(p=m.p[i], q=m.q[i], base_radius=1.5)
+        one = space.from_ambient(x[i])
+        assert np.max(np.abs(back.p[i] - one.p)) < 1e-15
+        assert np.max(np.abs(back.q[i] - one.q)) < 1e-15
+        assert max(one.residuals()) < 1e-14
+        assert np.max(np.abs(projected[i] - space.tangent_project(single, w[i]))) < 1e-15
+
+
+def test_pullback_evaluates_the_map_once():
+    calls = []
+    emb = ball_embedding(1, 1.0)
+
+    def counting(x):
+        calls.append(x)
+        return emb(x)
+
+    counted = SmoothMap(emb.domain, emb.target, counting)
+    x = np.array([0.1, 0.2, 0.3, -0.1])
+    pullback(counted, fubini_study_form(2), x, np.eye(4)[0], np.eye(4)[1])
+    # the center once, and two offsets for each of the two differentials
+    assert len(calls) == 5
+
+
 def test_omega_r_rows_match_single_points():
     rng = derive_stream(4, "omega-r-rows")
     points, v1s, v2s = [], [], []

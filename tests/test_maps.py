@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadcover.cotangent import CotangentPoint, antipode, sample_cosphere, sample_disc_bundle
+from quadcover.cotangent import CotangentPoint, OffBundleError, antipode, sample_cosphere, sample_disc_bundle
 from quadcover.dynamics import scalar_action
 from quadcover.forms import (
     BoxSpace,
@@ -105,11 +105,11 @@ def test_embedding_is_injective_on_samples():
 
 
 def test_embedding_rejects_invalid_points():
-    with pytest.raises(ValueError, match="unit base"):
+    with pytest.raises(OffBundleError, match="unit base"):
         cotangent_to_quadric(
             CotangentPoint(p=np.array([2.0, 0.0]), q=np.zeros(2), base_radius=2.0)
         )
-    with pytest.raises(ValueError, match="open disc"):
+    with pytest.raises(OffBundleError, match="open disc"):
         cotangent_to_quadric(CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0])))
 
 
@@ -150,8 +150,24 @@ def test_cosphere_boundary_standard_point():
 
 
 def test_cosphere_boundary_requires_unit_fiber():
-    with pytest.raises(ValueError, match=r"\|q\| = 1"):
+    with pytest.raises(OffBundleError, match=r"\|q\| = 1"):
         cosphere_boundary(CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.0, 0.5])))
+
+
+def test_boundary_map_and_embedding_rows_match_single_points():
+    rng = derive_stream(47, "rows")
+    for sampler, embed in ((sample_cosphere, cosphere_boundary), (sample_disc_bundle, cotangent_to_quadric)):
+        m = sampler(2, 1.0, 1.0, rng, size=6)
+        rows = embed(m).rep
+        assert rows.shape == (6, 4)
+        for i in range(6):
+            single = embed(CotangentPoint(p=m.p[i], q=m.q[i])).rep
+            assert np.max(np.abs(rows[i] - single)) < 1e-15
+        # one row off the bundle fails the whole call
+        q = m.q.copy()
+        q[3] *= 1.5 if embed is cosphere_boundary else 1.0 / np.linalg.norm(q[3])
+        with pytest.raises(OffBundleError):
+            embed(CotangentPoint(p=m.p, q=q))
 
 
 def test_circle_orbits_collapse_through_the_boundary_map():

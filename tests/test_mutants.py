@@ -57,6 +57,21 @@ def test_segre_twist_with_a_flipped_sign(cid, monkeypatch):
     assert report.max_residual > 0.1
 
 
+def test_boundary_map_with_a_doubled_fiber(monkeypatch):
+    original = maps_module.cosphere_boundary
+
+    def doubled_fiber(m):
+        # [p + 2iq : 0], behind the original map's membership guards
+        original(m)
+        z = m.p + 2j * m.q
+        return proj_normalize(np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1))
+
+    monkeypatch.setattr(checks_module, "cosphere_boundary", doubled_fiber)
+    report = _assert_fails_with_witness("P-unitcut-boundary", {"samples": 20})
+    # the image misses the quadric: sum (p + 2iq)^2 / |p + 2iq|^2 = -3/5
+    assert report.max_residual > 0.1
+
+
 def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
     def wrong_deck(point):
         rep = point.rep.copy()
