@@ -82,6 +82,7 @@ from .maps import (
     segre_unitary,
 )
 from .numerics import (
+    CHUNK_ROWS,
     DEFAULT_PROFILE,
     PROFILES,
     ToleranceProfile,
@@ -119,11 +120,6 @@ TWO_PI = 2.0 * np.pi
 # a residual far above every tolerance, used when a structural expectation
 # (membership, classification, fiber count) fails outright
 SENTINEL = 1.0
-
-# most rows a batched residual evaluates at once; bounds its peak memory
-# whatever the sample count
-CHUNK_ROWS = 1024
-
 
 class UsageError(ValueError):
     """Bad invocation: unknown check id, invalid params, or an empty match."""

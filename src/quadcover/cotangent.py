@@ -10,7 +10,9 @@ annihilated by the constraint gradient rows (p, 0) and (q, p); the rows of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -59,12 +61,29 @@ class CotangentPoint:
         )
 
     def validate(self, tol: float = 1e-12) -> "CotangentPoint":
-        """Raise ValueError unless every row meets both constraints to within ``tol``."""
-        base_defect = float(np.max(np.abs(row_norms(self.p) - self.base_radius)))
-        ortho_defect = float(np.max(np.abs(np.einsum("...i,...i->...", self.p, self.q))))
-        if base_defect > tol or ortho_defect > tol:
-            raise ValueError(
-                f"constraint violation: |p| off by {base_defect:.3e}, <p,q> = {ortho_defect:.3e}"
+        """Raise OffBundleError unless every row lies on the bundle to within ``tol``.
+
+        |p| must be the base radius to within ``tol`` relative to it, and
+        <p, q> must vanish to within ``tol`` relative to |p| |q|; a
+        non-finite row is off the bundle. Each row is judged on its own. The
+        samplers validate their draws, and the maps and flows defined on the
+        bundle their input (at 1e-10). A single point or a batch of one row
+        (a witness replay) is checked on Python floats, at a tenth of the
+        cost of the array path on one row.
+        """
+        p, q, k = self.p, self.q, self.base_radius
+        if p.size == p.shape[-1]:
+            p, q = p.ravel().tolist(), q.ravel().tolist()
+            norm = math.hypot(*p)
+            base, ortho = abs(norm - k), abs(sum(map(mul, p, q)))
+            on = base <= tol * k and ortho <= tol * norm * math.hypot(*q)
+        else:
+            norm = row_norms(p)
+            base, ortho = np.abs(norm - k), np.abs(np.einsum("ij,ij->i", p, q))
+            on = ((base <= tol * k) & (ortho <= tol * norm * row_norms(q))).all()
+        if not on:
+            raise OffBundleError(
+                f"constraint violation: |p| off by {np.max(base):.3e}, <p,q> = {np.max(ortho):.3e}"
             )
         return self
 

@@ -152,7 +152,7 @@ def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
     uneven input is rejected with a pointer to even_rescale. A 1-D array of
     T times gives p and q of shape (T, n+1), one row per time; a point
     holding (N, n+1) arrays takes one time or N times, one per row, and
-    every row must be evened.
+    every row must be evened and on the bundle (OffBundleError otherwise).
     """
     fiber = row_norms(m.q)
     uneven = np.abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius)
@@ -161,6 +161,7 @@ def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
             f"closed-form flow needs |q| = |p| (got |q| = {fiber[uneven].flat[0]:.6g}, "
             f"|p| = {m.base_radius:.6g}); apply even_rescale first"
         )
+    m.validate(1e-10)
     c, s = _cos_sin(t)
     return CotangentPoint(p=c * m.p + s * m.q, q=c * m.q - s * m.p, base_radius=m.base_radius)
 

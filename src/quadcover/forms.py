@@ -409,11 +409,14 @@ def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> floa
 
     ``param`` must have a bounded 2d BoxSpace domain; the integrand is
     form(param(u, v), d_u param, d_v param) evaluated by tensor-product
-    Gauss-Legendre quadrature, one row of nodes at a time: ``param``, its
-    differential and ``form`` are called on the (N, 2) array of a row's
-    (u, v) nodes, so the chart and the form must accept a leading batch axis
-    (a chart that returns a single point for the whole row is allowed; its
-    value is broadcast over the row).
+    Gauss-Legendre quadrature on blocks of whole rows of nodes (see
+    :func:`quadcover.numerics.gauss_legendre_2d`): each block makes one
+    ``param`` call on the (N, 2) array of its (u, v) nodes and two
+    differentials that share that value as their center, and ``form`` is
+    called once on the block. The chart and the form must accept a leading
+    batch axis and compute each node by row arithmetic (a chart that
+    returns a single point for the whole block is allowed; its value is
+    broadcast over the block).
     """
     dom = param.domain
     if not isinstance(dom, BoxSpace) or dom.dim != 2 or dom.bounds is None:
@@ -422,8 +425,8 @@ def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> floa
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
 
-    def integrand(u: float, vs: np.ndarray) -> np.ndarray | float:
-        x = np.column_stack([np.full(vs.size, u), vs])
+    def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
+        x = np.column_stack([u, v])
         point = param(x)
         du = param.differential(x, e1, center=point)
         dv = param.differential(x, e2, center=point)

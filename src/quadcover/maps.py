@@ -81,12 +81,14 @@ def cotangent_to_quadric(m: CotangentPoint) -> ProjectivePoint:
     This is the radius-sqrt(2) ball embedding applied to z = p + iq; the image
     satisfies sum z_k^2 = 0 because |p| = 1 and <p, q> = 0. A point holding
     (N, n+1) arrays maps row by row. A point off the bundle (base radius not
-    1, or some row with |q| >= 1) raises OffBundleError.
+    1, or some row with |q| >= 1, |p| != 1 or <p, q> != 0) raises
+    OffBundleError.
     """
     if abs(m.base_radius - 1.0) > 1e-12:
         raise OffBundleError("quadric embedding expects the unit base sphere")
     if (row_norms(m.q) >= 1.0).any():
         raise OffBundleError("quadric embedding expects |q| < 1 (open disc bundle)")
+    m.validate(1e-10)
     return ball_to_projective(m.p + 1j * m.q, ROOT2)
 
 
@@ -111,8 +113,8 @@ def cosphere_boundary(m: CotangentPoint) -> ProjectivePoint:
 
     The image lies on both the quadric and the last hyperplane, hence on the
     lower quadric. A point holding (N, n+1) arrays maps row by row. A point
-    off the unit cosphere (base radius not 1, or some row with |q| != 1)
-    raises OffBundleError.
+    off the unit cosphere (base radius not 1, or some row with |q| != 1,
+    |p| != 1 or <p, q> != 0) raises OffBundleError.
     """
     if abs(m.base_radius - 1.0) > 1e-12:
         raise OffBundleError("boundary map expects the unit base sphere")
@@ -120,6 +122,7 @@ def cosphere_boundary(m: CotangentPoint) -> ProjectivePoint:
     off = np.abs(fiber - 1.0) > 1e-10
     if off.any():
         raise OffBundleError(f"boundary map expects |q| = 1, got {fiber[off].flat[0]:.12g}")
+    m.validate(1e-10)
     z = m.p + 1j * m.q
     return proj_normalize(np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1))
 

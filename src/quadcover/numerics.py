@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "CHUNK_ROWS",
     "ToleranceProfile",
     "DEFAULT_PROFILE",
     "STRICT_PROFILE",
@@ -55,6 +56,10 @@ class ToleranceProfile:
 DEFAULT_PROFILE = ToleranceProfile()
 STRICT_PROFILE = ToleranceProfile(residual_tol=1e-11, flow_tol=1e-13, quadrature_tol=1e-7)
 PROFILES = {"default": DEFAULT_PROFILE, "strict": STRICT_PROFILE}
+
+# most rows a batched residual, or quadrature nodes an integrand call,
+# evaluates at once; bounds peak memory whatever the sample or node count
+CHUNK_ROWS = 1024
 
 
 def derive_stream(master_seed: int, name: str) -> np.random.Generator:
@@ -102,7 +107,7 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def gauss_legendre_2d(
-    g: Callable[[float, np.ndarray], np.ndarray | float],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     a: float,
     b: float,
     c: float,
@@ -111,12 +116,17 @@ def gauss_legendre_2d(
 ) -> float:
     """Tensor-product Gauss-Legendre estimate of a double integral.
 
-    ``g`` is called once per quadrature row as ``g(u, vs)``, where ``u`` is
-    the row's node on [a, b] and ``vs`` is the array of all nodes on [c, d];
-    it returns the row's values, one per entry of ``vs``, or a scalar that
-    is broadcast over the row. ``g`` must be continuous on the closed
-    rectangle; a non-finite value at any node is raised as an evaluation
-    error naming the first such node, rather than silently summed.
+    ``g`` is called as ``g(u, v)`` on blocks of whole quadrature rows: a
+    block holds ``max(1, CHUNK_ROWS // nodes_per_axis)`` consecutive rows
+    (the last one may hold fewer), and ``u`` and ``v`` are flat arrays of
+    equal length with the block's nodes row by row, a row being one node on
+    [a, b] paired with every node on [c, d]. ``g`` returns one value per
+    node, or a scalar that is broadcast over the block. Each row is reduced
+    as ``wv @ row`` and the rows are summed in order, so an integrand that
+    computes each node by elementwise row arithmetic gives the same bits at
+    every block size. ``g`` must be continuous on the closed rectangle; a
+    non-finite value at any node is raised as an evaluation error naming the
+    first such node, rather than silently summed.
     """
     if nodes_per_axis < 2:
         raise ValueError("nodes_per_axis must be >= 2")
@@ -125,14 +135,19 @@ def gauss_legendre_2d(
     vs = 0.5 * (d - c) * xs + 0.5 * (c + d)
     wu = 0.5 * (b - a) * wx
     wv = 0.5 * (d - c) * wx
+    per_block = max(1, CHUNK_ROWS // nodes_per_axis)
     total = 0.0
-    for i, u in enumerate(us):
-        vals = np.broadcast_to(np.asarray(g(u, vs), dtype=float), vs.shape)
+    for lo in range(0, nodes_per_axis, per_block):
+        rows = us[lo : lo + per_block]
+        u = np.repeat(rows, nodes_per_axis)
+        v = np.tile(vs, rows.size)
+        vals = np.broadcast_to(np.asarray(g(u, v), dtype=float), u.shape)
         bad = ~np.isfinite(vals)
         if bad.any():
             j = int(np.argmax(bad))
-            raise ValueError(f"integrand returned non-finite value {vals[j]} at ({u}, {vs[j]})")
-        total += wu[i] * float(wv @ vals)
+            raise ValueError(f"integrand returned non-finite value {vals[j]} at ({u[j]}, {v[j]})")
+        for i, row in enumerate(vals.reshape(rows.size, nodes_per_axis), start=lo):
+            total += wu[i] * float(wv @ row)
     return total
 
 

@@ -457,6 +457,11 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
         ("P-unitcut-boundary", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.1]}),
         ("C-branchedcover-deck", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0]}),
         ("L-sphereembedding", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.5]}),
+        # off the bundle in p with |q| in range: the boundary map raised out of
+        # the branch-locus frame, and the flow and the quadric embedding passed
+        ("R-pi-not-symplectic", {"n": 1, "p": [0.0, 0.0], "q": [0.0, 1.0]}),
+        ("P-unitcut-flow", {"n": 1, "p": [0.0, 0.0], "q": [0.0, 1.0], "t_grid": 100}),
+        ("C-branchedcover-deck", {"n": 1, "p": [1.0, 0.0], "q": [0.5, 0.0]}),
     ],
 )
 def test_an_off_bundle_witness_fails_with_itself_as_witness(cid, witness):
@@ -466,6 +471,14 @@ def test_an_off_bundle_witness_fails_with_itself_as_witness(cid, witness):
     assert not report.passed
     assert np.isnan(report.max_residual)
     assert report.witness == witness
+    assert render_json([run_check(cid, {"witness": report.witness})]) == render_json([report])
+
+
+def test_period_residuals_are_pinned():
+    # the quadrature's block size must not move a bit of the three periods
+    assert run_check("I-period-CP1").max_residual == 5.99436056347713e-11
+    assert run_check("I-period-Q1").max_residual == 4.991136393073248e-10
+    assert run_check("I-period-match").max_residual == 5.357243537673639e-10
 
 
 def test_json_writes_non_finite_reals_as_strings():

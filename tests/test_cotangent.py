@@ -5,6 +5,7 @@ import pytest
 
 from quadcover.cotangent import (
     CotangentPoint,
+    OffBundleError,
     antipode,
     constraint_frame,
     even_rescale,
@@ -209,6 +210,33 @@ def test_validate_flags_constraint_violations():
     bad = CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="constraint"):
         bad.validate()
+
+
+def test_validate_flags_each_row_off_the_bundle():
+    # the membership guard of the maps and flows: row by row, relative to the
+    # base radius and to |p| |q|, so an evened point and a tiny fiber pass
+    rng = derive_stream(12, "guard")
+    m = sample_disc_bundle(2, 1.0, 1.0, rng, size=6)
+    for good in (m, even_rescale(m, 9.0), CotangentPoint(p=m.p, q=1e-100 * m.q)):
+        assert good.validate(1e-10) is good
+        for row in (0, slice(0, 1)):
+            one = CotangentPoint(p=good.p[row], q=good.q[row], base_radius=good.base_radius)
+            assert one.validate(1e-10) is one
+    for row in range(6):
+        for p, q in ((1.5 * m.p[row], m.q[row]), (np.zeros(3), m.q[row]), (m.p[row], m.q[row] + 0.1 * m.p[row])):
+            bad_p, bad_q = m.p.copy(), m.q.copy()
+            bad_p[row], bad_q[row] = p, q
+            with pytest.raises(OffBundleError, match="constraint"):
+                CotangentPoint(p=bad_p, q=bad_q).validate(1e-10)
+            for one in (CotangentPoint(p=p, q=q), CotangentPoint(p=p[None], q=q[None])):
+                with pytest.raises(OffBundleError):
+                    one.validate(1e-10)
+    nan_q = m.q.copy()
+    nan_q[2, 0] = np.nan
+    # a single point and a batch of one row take Python floats, more rows arrays
+    for p, q in ((m.p, nan_q), (m.p[2], nan_q[2]), (m.p[2:3], nan_q[2:3])):
+        with pytest.raises(OffBundleError):
+            CotangentPoint(p=p, q=q).validate(1e-10)
 
 
 def test_retract_restores_constraints():

@@ -181,58 +181,91 @@ def test_integrate_surface_constant_param_is_zero():
     assert abs(integrate_surface(param, fubini_study_form(1), nodes=8)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "chart_name, form",
-    [
-        ("_sphere_chart", fubini_study_form(1)),
-        ("_conic_chart", scaled_form(fubini_study_form(2), 2.0)),
-        (
-            "_diagonal_chart",
-            product_form(
-                scaled_form(fubini_study_form(1), 3.0), scaled_form(fubini_study_form(1), 3.0)
-            ),
-        ),
-    ],
-)
-def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form):
-    # the period charts are evaluated one quadrature row at a time; each value
-    # of a row must be the value of its own node, never a mix across the batch
-    import quadcover.forms as forms_module
-    from quadcover import checks
+# the charts of the period checks, each with a form on its target
+PERIOD_CHARTS = [
+    ("_sphere_chart", fubini_study_form(1)),
+    ("_conic_chart", scaled_form(fubini_study_form(2), 2.0)),
+    (
+        "_diagonal_chart",
+        product_form(scaled_form(fubini_study_form(1), 3.0), scaled_form(fubini_study_form(1), 3.0)),
+    ),
+]
 
+
+@pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
+def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form):
+    # the period charts are evaluated on blocks of whole quadrature rows; each
+    # value of a block must be the value of its own node, never a mix across
+    # the batch. Three rows a block gives blocks of 3, 3 and 2 rows.
+    import quadcover.forms as forms_module
+    from quadcover import checks, numerics
+
+    nodes = 8
+    monkeypatch.setattr(numerics, "CHUNK_ROWS", 3 * nodes)
     chart = getattr(checks, chart_name)()
-    rows = []
+    calls = []
+    counted = SmoothMap(
+        domain=chart.domain,
+        target=chart.target,
+        func=lambda x: calls.append(len(x)) or chart(x),
+        name=chart.name,
+    )
+    blocks = []
     original = forms_module.gauss_legendre_2d
 
     def recording(g, *args, **kwargs):
-        def row(u, vs):
-            vals = g(u, vs)
-            rows.append((u, vs.copy(), np.broadcast_to(vals, vs.shape).copy()))
+        def block(u, v):
+            vals = g(u, v)
+            blocks.append((u.copy(), v.copy(), np.broadcast_to(vals, u.shape).copy()))
             return vals
 
-        return original(row, *args, **kwargs)
+        return original(block, *args, **kwargs)
 
     monkeypatch.setattr(forms_module, "gauss_legendre_2d", recording)
-    integrate_surface(chart, form, nodes=8)
-    assert len(rows) == 8
+    integrate_surface(counted, form, nodes=nodes)
+    # one chart call for the center and two per differential, on whole rows
+    assert [len(u) for u, _, _ in blocks] == [24, 24, 16]
+    assert calls == [size for size in (24, 24, 16) for _ in range(5)]
+    lo, hi = chart.domain.bounds
+    xs = np.polynomial.legendre.leggauss(nodes)[0]
+    us = 0.5 * (hi[0] - lo[0]) * xs + 0.5 * (lo[0] + hi[0])
+    vs = 0.5 * (hi[1] - lo[1]) * xs + 0.5 * (lo[1] + hi[1])
+    assert np.array_equal(np.concatenate([u for u, _, _ in blocks]), np.repeat(us, nodes))
+    assert np.array_equal(np.concatenate([v for _, v, _ in blocks]), np.tile(vs, nodes))
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    for u, vs, vals in rows:
-        assert vals.shape == (8,)
-        # the row's points and differentials too: the integrands of the sphere
-        # and diagonal charts depend on u alone, so a shuffled row hides in vals
-        batch = np.column_stack([np.full(8, u), vs])
-        row_point = chart.target.to_ambient(chart(batch))
-        row_du = chart.differential(batch, e1)
-        row_dv = chart.differential(batch, e2)
-        for j, v in enumerate(vs):
-            x = np.array([u, v])
+    for u, v, vals in blocks:
+        # the block's points and differentials too: the integrands of the
+        # sphere and diagonal charts depend on u alone, so a shuffled row
+        # hides in vals
+        batch = np.column_stack([u, v])
+        block_point = chart.target.to_ambient(chart(batch))
+        block_du = chart.differential(batch, e1)
+        block_dv = chart.differential(batch, e2)
+        for j in range(len(u)):
+            x = np.array([u[j], v[j]])
             point = chart(x)
             du = chart.differential(x, e1, center=point)
             dv = chart.differential(x, e2, center=point)
-            assert np.max(np.abs(row_point[j] - chart.target.to_ambient(point))) < 1e-12
-            assert np.max(np.abs(row_du[j] - du)) < 1e-9
-            assert np.max(np.abs(row_dv[j] - dv)) < 1e-9
+            assert np.max(np.abs(block_point[j] - chart.target.to_ambient(point))) < 1e-12
+            assert np.max(np.abs(block_du[j] - du)) < 1e-9
+            assert np.max(np.abs(block_dv[j] - dv)) < 1e-9
             assert abs(vals[j] - form(point, du, dv)) < 1e-9
+
+
+@pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
+def test_integrate_surface_total_does_not_depend_on_the_block_size(monkeypatch, chart_name, form):
+    # row arithmetic in the charts and forms, one reduction per row and the
+    # rows summed in order: one row a block, three rows a block (the last
+    # block short) and all rows in one block give the same bits
+    from quadcover import checks, numerics
+
+    nodes = 20
+    chart = getattr(checks, chart_name)()
+    totals = []
+    for chunk in (1, 3 * nodes, nodes * nodes):
+        monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+        totals.append(integrate_surface(chart, form, nodes=nodes))
+    assert totals[0] == totals[1] == totals[2]
 
 
 def test_integrate_surface_requires_bounded_2d_domain():

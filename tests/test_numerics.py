@@ -142,6 +142,26 @@ def test_quadrature_names_first_non_finite_node_of_a_row():
         gauss_legendre_2d(g, -1, 1, -1, 1, 4)
 
 
+@pytest.mark.parametrize("chunk, nodes, sizes", [(7, 3, [6, 3]), (8, 4, [8, 8]), (10, 12, [12] * 12)])
+def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, chunk, nodes, sizes):
+    # max(1, CHUNK_ROWS // nodes) rows a call, the last block possibly short,
+    # so no call sees more than max(CHUNK_ROWS, nodes) nodes
+    from quadcover import numerics
+
+    seen = []
+
+    def g(u, v):
+        seen.append(u.size)
+        assert u.shape == v.shape
+        return np.exp(u) * np.cos(v)
+
+    one_block = gauss_legendre_2d(g, 0, 1, 0, 0.5, nodes)
+    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    seen.clear()
+    assert gauss_legendre_2d(g, 0, 1, 0, 0.5, nodes) == one_block
+    assert seen == sizes
+
+
 def test_quadrature_rejects_single_node():
     with pytest.raises(ValueError):
         gauss_legendre_2d(lambda u, v: 1.0, 0, 1, 0, 1, 1)
