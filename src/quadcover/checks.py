@@ -18,7 +18,14 @@ arithmetic only (elementwise operations, ``einsum("ij,ij->i")`` and
 reductions along the last axis, never stacked matmul or BLAS, whose rounding
 depends on the batch size), so an input's residual does not depend on which
 other inputs share its batch and a replayed witness reproduces the reported
-residual bit for bit.
+residual bit for bit. A body written once on the last axis (``[..., k]``,
+``np.maximum``, ``einsum("...i,...i->...")``) builds its arrays with
+``flat=True`` and so evaluates a chunk of one input, every witness replay
+among them, on the 1-D point: the 1-D twins of the maps it calls use the
+same reductions as their row twins and give the same bits, at the cost of
+the 1-D path. That identity depends on the loops numpy picks (Python
+``abs`` of a numpy complex scalar, for one, can differ from ``np.abs`` in the
+last bit); the tests of twins and of replays guard it.
 """
 
 from __future__ import annotations
@@ -93,7 +100,6 @@ from .numerics import (
 )
 from .projective import (
     ProjectivePoint,
-    in_hyperplane,
     proj_normalize,
     projective_defect,
     quadric_residual,
@@ -158,8 +164,13 @@ def _uncvec(d: dict) -> np.ndarray:
     return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
 
 
-def _uncvecs(inputs: list[dict], key: str) -> np.ndarray:
-    """(N, m) complex array of the N inputs' serialized ``key`` vectors."""
+def _uncvecs(inputs: list[dict], key: str, flat: bool = False) -> np.ndarray:
+    """(N, m) complex array of the N inputs' serialized ``key`` vectors.
+
+    With ``flat``, a single input gives its 1-D vector, as does :func:`_points`.
+    """
+    if flat and len(inputs) == 1:
+        return _uncvec(inputs[0][key])
     vecs = [inp[key] for inp in inputs]
     return np.array([d["re"] for d in vecs], dtype=float) + 1j * np.array(
         [d["im"] for d in vecs], dtype=float
@@ -175,8 +186,15 @@ def _point(d: dict) -> CotangentPoint:
     return CotangentPoint(p=np.asarray(d["p"], dtype=float), q=np.asarray(d["q"], dtype=float))
 
 
-def _points(inputs: list[dict]) -> CotangentPoint:
-    """One point holding the N inputs' (p, q) pairs as (N, n+1) rows."""
+def _points(inputs: list[dict], flat: bool = False) -> CotangentPoint:
+    """One point holding the N inputs' (p, q) pairs as (N, n+1) rows.
+
+    With ``flat``, a single input gives its point of 1-D arrays, which a body
+    written on the last axis evaluates by the maps' 1-D twins, to the bits of
+    its row in a batch.
+    """
+    if flat and len(inputs) == 1:
+        return _point(inputs[0])
     return CotangentPoint(p=_stack(inputs, "p"), q=_stack(inputs, "q"))
 
 
@@ -405,9 +423,10 @@ def _grouped(
 
     Inputs sharing ``key(input)`` are passed to ``evaluate(key, rows)`` in
     chunks of at most CHUNK_ROWS, in input order; it returns one residual per
-    row. A chunk that raises OffBundleError is evaluated again one row at a
-    time, which row arithmetic makes bit-identical, so only the rows off the
-    bundle score NaN.
+    row, or a scalar for a chunk of one row that it evaluates as a 1-D point.
+    A chunk that raises OffBundleError is evaluated again one row at a time,
+    which row arithmetic makes bit-identical, so only the rows off the bundle
+    score NaN.
     """
     out = np.empty(len(inputs))
     groups: dict[Any, list[int]] = {}
@@ -421,10 +440,14 @@ def _grouped(
             except OffBundleError:
                 for i in chunk:
                     try:
-                        out[i] = evaluate(k, [inputs[i]])[0]
+                        out[i : i + 1] = evaluate(k, [inputs[i]])
                     except OffBundleError:
                         out[i] = np.nan
     return out
+
+
+def _n(inp: dict) -> int:
+    return inp["n"]
 
 
 def _n_and_r(inp: dict) -> tuple[int, float]:
@@ -500,13 +523,15 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
     "disc bundle images satisfy the quadric equation and avoid the last hyperplane",
     covers=("cotangent-to-quadric-image",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 1000},
+    each=False,
 )
-def _res_sphereembedding(inp, profile):
-    n = inp["n"]
-    image = cotangent_to_quadric(_point(inp))
-    if in_hyperplane(image, n + 1, tol=profile.residual_tol):
-        return SENTINEL
-    return abs(quadric_residual(image))
+def _res_sphereembedding(inputs, profile):
+    def evaluate(n, rows):
+        image = cotangent_to_quadric(_points(rows, flat=True))
+        on_hyperplane = np.abs(image.rep[..., n + 1]) <= profile.residual_tol
+        return np.where(on_hyperplane, SENTINEL, np.abs(quadric_residual(image)))
+
+    return _grouped(inputs, _n, evaluate)
 
 
 def _quadric_lifts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -533,14 +558,18 @@ def _gen_sphereembedding_lift(params, rng):
     "off-hyperplane quadric points lift to unit-base orthogonal (p, q) pairs",
     covers=("cotangent-to-quadric-image",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 1000},
+    each=False,
 )
-def _res_sphereembedding_lift(inp, profile):
-    point = _projective(inp["z"])
-    m = quadric_to_cotangent(point)
-    base_defect = abs(float(np.linalg.norm(m.p)) - 1.0)
-    ortho_defect = abs(float(m.p @ m.q))
-    roundtrip = projective_defect(cotangent_to_quadric(m), point)
-    return max(base_defect, ortho_defect, roundtrip)
+def _res_sphereembedding_lift(inputs, profile):
+    def evaluate(n, rows):
+        point = proj_normalize(_uncvecs(rows, "z", flat=True))
+        m = quadric_to_cotangent(point)
+        base_defect = np.abs(row_norms(m.p) - 1.0)
+        ortho_defect = np.abs(np.einsum("...i,...i->...", m.p, m.q))
+        roundtrip = projective_defect(cotangent_to_quadric(m), point)
+        return np.maximum(np.maximum(base_defect, ortho_defect), roundtrip)
+
+    return _grouped(inputs, _n, evaluate)
 
 
 _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
@@ -567,7 +596,7 @@ def _res_unitcut_boundary(inputs, profile):
         worst = np.maximum(np.abs(quadric_residual(image)), defects.reshape(len(rows), ts.size).max(axis=1))
         return np.where(off_hyperplane, SENTINEL, worst)
 
-    return _grouped(inputs, lambda inp: inp["n"], evaluate)
+    return _grouped(inputs, _n, evaluate)
 
 
 _gen_unitcut_flow = _cotangent_generator(
@@ -655,14 +684,18 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
     "the deck involution intertwines the embedding with the antipodal map",
     covers=("branched-double-cover",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 1000},
+    each=False,
 )
-def _res_branchedcover_deck(inp, profile):
-    m = _point(inp)
-    upstairs = cotangent_to_quadric(m)
-    flipped = deck(upstairs)
-    equivariance = projective_defect(flipped, cotangent_to_quadric(antipode(m)))
-    collapse = projective_defect(branched_cover(flipped), branched_cover(upstairs))
-    return max(equivariance, collapse)
+def _res_branchedcover_deck(inputs, profile):
+    def evaluate(n, rows):
+        m = _points(rows, flat=True)
+        upstairs = cotangent_to_quadric(m)
+        flipped = deck(upstairs)
+        equivariance = projective_defect(flipped, cotangent_to_quadric(antipode(m)))
+        collapse = projective_defect(branched_cover(flipped), branched_cover(upstairs))
+        return np.maximum(equivariance, collapse)
+
+    return _grouped(inputs, _n, evaluate)
 
 
 def _gen_branchedcover_fibers(params, rng):
@@ -733,7 +766,7 @@ def _res_pi_not_symplectic(inputs, profile):
         pairing = fubini_study_form(n)(ProjectivePoint(np.repeat(image.rep, 2 * n, axis=0)), w_vert, w_tan)
         return np.abs(pairing).reshape(len(rows), 2 * n).max(axis=1)
 
-    return _grouped(inputs, lambda inp: inp["n"], evaluate)
+    return _grouped(inputs, _n, evaluate)
 
 
 def _gen_segre_pullback(params, rng):
@@ -1226,16 +1259,16 @@ def run_check(
         )
     residuals = check.residual(inputs, prof)
     elapsed = time.perf_counter() - start
-    non_finite = np.flatnonzero(~np.isfinite(residuals))
-    if non_finite.size:
+    finite = np.isfinite(residuals)
+    if not finite.all():
         # a NaN or infinite residual fails either kind; its input is the witness
-        first = int(non_finite[0])
+        first = int(np.argmin(finite))
         max_residual = float(residuals[first])
         passed = False
         witness = inputs[first]
     else:
         # a witness check always reports its best find; a residual check its worst failure
-        top = int(np.argmax(residuals))
+        top = int(residuals.argmax())
         max_residual = float(residuals[top])
         passed = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
         witness = inputs[top] if check.kind == "witness" or not passed else None

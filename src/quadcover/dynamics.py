@@ -154,14 +154,13 @@ def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
     holding (N, n+1) arrays takes one time or N times, one per row, and
     every row must be evened and on the bundle (OffBundleError otherwise).
     """
-    fiber = row_norms(m.q)
+    fiber = m.validate(1e-10)
     uneven = np.abs(fiber - m.base_radius) > 1e-9 * max(1.0, m.base_radius)
     if uneven.any():
         raise OffBundleError(
-            f"closed-form flow needs |q| = |p| (got |q| = {fiber[uneven].flat[0]:.6g}, "
+            f"closed-form flow needs |q| = |p| (got |q| = {np.extract(uneven, fiber)[0]:.6g}, "
             f"|p| = {m.base_radius:.6g}); apply even_rescale first"
         )
-    m.validate(1e-10)
     c, s = _cos_sin(t)
     return CotangentPoint(p=c * m.p + s * m.q, q=c * m.q - s * m.p, base_radius=m.base_radius)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .cotangent import CotangentPoint, OffBundleError
 from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
-from .numerics import complexify, realify, row_norms
-from .projective import ProjectivePoint, proj_normalize
+from .numerics import complexify, realify
+from .projective import ProjectivePoint, _normalize_point, proj_normalize
 
 __all__ = [
     "ball_to_projective",
@@ -43,26 +43,34 @@ def ball_to_projective(z: np.ndarray, r: float) -> ProjectivePoint:
     """Embed the open radius-r complex ball: z -> [z : i sqrt(r^2 - |z|^2)].
 
     The image misses the last coordinate hyperplane; |z| >= r is a domain
-    error. An (N, n+1) ``z`` is a batch of N points, mapped row by row; the
+    error. An (N, n+1) ``z`` is a batch of N points, mapped row by row with
+    the bits of each row alone (a batch of one row takes the 1-D body); the
     domain error is raised if any row is outside the ball.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        return _ball_to_projective_rows(z, r)
-    rad2 = float(r) ** 2 - float(np.vdot(z, z).real)
-    if rad2 <= 0.0:
-        raise ValueError(f"point with |z| = {np.linalg.norm(z):.6g} is outside the open ball B({r:g})")
-    return proj_normalize(np.concatenate([z, [1j * np.sqrt(rad2)]]))
-
-
-def _ball_to_projective_rows(z: np.ndarray, r: float) -> ProjectivePoint:
+    if z.ndim == 1:
+        return ProjectivePoint(rep=_ball_point(z, r))
+    if len(z) == 1:
+        return ProjectivePoint(rep=_ball_point(z[0], r)[None])
     x = realify(z)
     rad2 = float(r) ** 2 - np.einsum("ij,ij->i", x, x)
     outside = rad2 <= 0.0
     if outside.any():
-        bad = x[int(np.argmax(outside))]
-        raise ValueError(f"point with |z| = {np.linalg.norm(bad):.6g} is outside the open ball B({r:g})")
+        _outside_ball(x[int(np.argmax(outside))], r)
     return proj_normalize(np.concatenate([z, 1j * np.sqrt(rad2)[:, None]], axis=1))
+
+
+def _ball_point(z: np.ndarray, r: float) -> np.ndarray:
+    """Representative of :func:`ball_to_projective` at one 1-D point, by the row arithmetic."""
+    x = realify(z)
+    rad2 = float(r) ** 2 - float(np.einsum("i,i->", x, x))
+    if rad2 <= 0.0:
+        _outside_ball(x, r)
+    return _normalize_point(np.concatenate([z, [1j * np.sqrt(rad2)]]))
+
+
+def _outside_ball(x: np.ndarray, r: float):
+    raise ValueError(f"point with |z| = {np.linalg.norm(x):.6g} is outside the open ball B({r:g})")
 
 
 def ball_embedding(n: int, r: float) -> SmoothMap:
@@ -86,9 +94,8 @@ def cotangent_to_quadric(m: CotangentPoint) -> ProjectivePoint:
     """
     if abs(m.base_radius - 1.0) > 1e-12:
         raise OffBundleError("quadric embedding expects the unit base sphere")
-    if (row_norms(m.q) >= 1.0).any():
+    if (m.validate(1e-10) >= 1.0).any():
         raise OffBundleError("quadric embedding expects |q| < 1 (open disc bundle)")
-    m.validate(1e-10)
     return ball_to_projective(m.p + 1j * m.q, ROOT2)
 
 
@@ -97,14 +104,16 @@ def quadric_to_cotangent(point: ProjectivePoint) -> CotangentPoint:
 
     Rescales the representative to norm sqrt(2) with last coordinate i*t,
     t > 0; the first block then splits as p + iq with |p| = 1, <p, q> = 0
-    exactly when the input is on the quadric.
+    exactly when the input is on the quadric. Acts on the last axis, so a
+    batch of N points gives (N, n+1) arrays, each row with the bits of its
+    point alone.
     """
     rep = point.rep
-    last = rep[-1]
-    if abs(last) <= 1e-12:
+    last = rep[..., -1:]
+    size = np.abs(last)
+    if (size <= 1e-12).any():
         raise ValueError("point lies on the last coordinate hyperplane; chart does not apply")
-    gauge = 1j * last.conjugate() / abs(last)
-    z = ROOT2 * gauge * rep[:-1]
+    z = ROOT2 * (1j * last.conjugate() / size) * rep[..., :-1]
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=1.0)
 
 
@@ -118,11 +127,10 @@ def cosphere_boundary(m: CotangentPoint) -> ProjectivePoint:
     """
     if abs(m.base_radius - 1.0) > 1e-12:
         raise OffBundleError("boundary map expects the unit base sphere")
-    fiber = row_norms(m.q)
+    fiber = m.validate(1e-10)
     off = np.abs(fiber - 1.0) > 1e-10
     if off.any():
-        raise OffBundleError(f"boundary map expects |q| = 1, got {fiber[off].flat[0]:.12g}")
-    m.validate(1e-10)
+        raise OffBundleError(f"boundary map expects |q| = 1, got {np.extract(off, fiber)[0]:.12g}")
     z = m.p + 1j * m.q
     return proj_normalize(np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1))
 
@@ -133,10 +141,10 @@ def branched_cover(point: ProjectivePoint) -> ProjectivePoint:
     Undefined at the center point [0 : ... : 0 : 1]; a batch of points (an
     (N, n+2) representative array) is undefined if any row is the center.
     """
-    head = point.rep[..., :-1]
-    if (np.linalg.norm(head, axis=-1) <= 1e-12).any():
-        raise ValueError("branched cover is undefined at the center point [0:...:0:1]")
-    return proj_normalize(head)
+    try:
+        return proj_normalize(point.rep[..., :-1])
+    except ValueError:
+        raise ValueError("branched cover is undefined at the center point [0:...:0:1]") from None
 
 
 def branched_cover_map(n: int) -> SmoothMap:
@@ -166,9 +174,12 @@ def quadric_fiber(point: ProjectivePoint, tol: float = 1e-10) -> list[Projective
 
 
 def deck(point: ProjectivePoint) -> ProjectivePoint:
-    """Deck involution of the cover: negate the last homogeneous coordinate."""
+    """Deck involution of the cover: negate the last homogeneous coordinate.
+
+    Acts on the last axis, so a batch of N points maps row by row.
+    """
     rep = point.rep.copy()
-    rep[-1] = -rep[-1]
+    rep[..., -1] = -rep[..., -1]
     return proj_normalize(rep)
 
 

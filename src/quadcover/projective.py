@@ -49,26 +49,34 @@ def proj_normalize(z: np.ndarray) -> ProjectivePoint:
     """Canonical-phase unit representative of the projective class [z].
 
     A 1-D ``z`` is one point. An (N, m) array is a batch of N points, each
-    row normalized by the same arithmetic as a 1-D input; the result holds
-    the (N, m) array of representatives. Raises ValueError on near-zero input
-    (degenerate point), for a batch if any row is degenerate.
+    row normalized by the same arithmetic as a 1-D input, so a row and the
+    point alone give the same bits; a batch of one row takes the 1-D body.
+    Raises ValueError on near-zero input (degenerate point), for a batch if
+    any row is degenerate.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 1:
-        return _proj_normalize_rows(z)
+    if z.ndim == 1:
+        return ProjectivePoint(rep=_normalize_point(z))
+    if len(z) == 1:
+        return ProjectivePoint(rep=_normalize_point(z[0])[None])
+    return ProjectivePoint(rep=_normalize_rows(z))
+
+
+def _normalize_point(z: np.ndarray) -> np.ndarray:
+    """Body of :func:`proj_normalize` on one 1-D point; the same reductions as the row twin."""
     mags = np.abs(z)
-    norm = np.sqrt(float(mags @ mags))
+    norm = np.sqrt(np.einsum("i,i->", mags, mags))
     if norm <= 1e-12:
         raise ValueError("degenerate point: representative norm below 1e-12")
-    k = int(np.argmax(mags))
+    k = int(mags.argmax())
     z = z * (z[k].conjugate() / (mags[k] * norm))
     # force the pivot entry exactly real; its imaginary part is rounding noise
     z[k] = z[k].real
-    return ProjectivePoint(rep=z)
+    return z
 
 
-def _proj_normalize_rows(z: np.ndarray) -> ProjectivePoint:
-    """Row-wise :func:`proj_normalize` of an (N, m) array."""
+def _normalize_rows(z: np.ndarray) -> np.ndarray:
+    """Body of :func:`proj_normalize` on the rows of an (N, m) array."""
     mags = np.abs(z)
     norm = np.sqrt(np.einsum("ij,ij->i", mags, mags))
     if np.any(norm <= 1e-12):
@@ -77,7 +85,7 @@ def _proj_normalize_rows(z: np.ndarray) -> ProjectivePoint:
     k = np.argmax(mags, axis=1)
     z = z * (z[rows, k].conjugate() / (mags[rows, k] * norm))[:, None]
     z[rows, k] = z[rows, k].real
-    return ProjectivePoint(rep=z)
+    return z
 
 
 def horizontal_project(point: ProjectivePoint, v: np.ndarray) -> np.ndarray:
@@ -112,11 +120,12 @@ def in_hyperplane(point: ProjectivePoint, i: int, tol: float = 1e-10) -> bool:
 def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float | np.ndarray:
     """1 - |<rep_a, rep_b>|; zero iff the two classes coincide.
 
-    Two batches of N points give an array of N defects, one per row.
+    Two batches of N points give an array of N defects, one per row, each
+    with the bits of the two rows' single-point defect.
     """
     if a.rep.ndim != 1:
         return 1.0 - np.abs(np.einsum("ij,ij->i", a.rep.conj(), b.rep))
-    return float(1.0 - abs(np.vdot(a.rep, b.rep)))
+    return float(1.0 - np.abs(np.einsum("i,i->", a.rep.conj(), b.rep)))
 
 
 def sample_projective(

@@ -245,7 +245,10 @@ def test_reports_keep_registry_order():
 # parameters that give several groups at a small sample count, some larger
 # than the five rows a chunk holds in the row-invariance test.
 BATCHED = {
+    "C-branchedcover-deck": {"n": [1, 2], "samples": 6},
     "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
+    "L-sphereembedding": {"n": [1, 2], "samples": 6},
+    "L-sphereembedding-lift": {"n": [1, 2], "samples": 6},
     "P-evenedrescale": {"n": [1, 2], "r": [0.5, 2.0], "samples": 24},
     "P-omega-r-descent": {"n": [1, 2], "r": [0.5, 2.0], "samples": 8},
     "P-segre-pullback": {"samples": 12},
@@ -286,6 +289,18 @@ def test_batched_witness_replays_bit_for_bit(cid):
     replay = run_check(cid, {"witness": witness})
     assert replay.samples == 1
     assert replay.max_residual == report.max_residual
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("cid", sorted(cid for cid, check in build_registry().items() if not check.each))
+def test_every_generated_input_replays_its_suite_residual(cid, seed):
+    # each input of a batched check, replayed alone through run_check, scores
+    # the bits it scored in its batch, whichever rows shared its chunk
+    check = build_registry()[cid]
+    inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(seed, cid))
+    suite = check.residual(inputs, DEFAULT_PROFILE)
+    for inp, residual in zip(inputs, suite):
+        assert run_check(cid, {"witness": inp}).max_residual == residual, inp
 
 
 def test_out_of_ball_row_fails_the_batch():

@@ -15,7 +15,7 @@ from quadcover.cotangent import (
     sample_disc_bundle,
     sample_tangent,
 )
-from quadcover.numerics import derive_stream
+from quadcover.numerics import derive_stream, row_norms
 
 
 def test_disc_sampler_satisfies_invariants_exactly():
@@ -217,11 +217,13 @@ def test_validate_flags_each_row_off_the_bundle():
     # base radius and to |p| |q|, so an evened point and a tiny fiber pass
     rng = derive_stream(12, "guard")
     m = sample_disc_bundle(2, 1.0, 1.0, rng, size=6)
+    # a point on the bundle gives back |q| of each row, with the row_norms bits
+    # on both paths, for the callers' fiber bounds
     for good in (m, even_rescale(m, 9.0), CotangentPoint(p=m.p, q=1e-100 * m.q)):
-        assert good.validate(1e-10) is good
+        assert np.array_equal(good.validate(1e-10), row_norms(good.q))
         for row in (0, slice(0, 1)):
             one = CotangentPoint(p=good.p[row], q=good.q[row], base_radius=good.base_radius)
-            assert one.validate(1e-10) is one
+            assert np.array_equal(one.validate(1e-10), row_norms(one.q))
     for row in range(6):
         for p, q in ((1.5 * m.p[row], m.q[row]), (np.zeros(3), m.q[row]), (m.p[row], m.q[row] + 0.1 * m.p[row])):
             bad_p, bad_q = m.p.copy(), m.q.copy()

@@ -33,8 +33,9 @@ from quadcover.maps import (
     segre_map,
     segre_unitary,
 )
-from quadcover.numerics import derive_stream, realify
+from quadcover.numerics import derive_stream, realify, row_norms
 from quadcover.projective import (
+    ProjectivePoint,
     in_hyperplane,
     proj_normalize,
     projective_defect,
@@ -168,6 +169,16 @@ def test_boundary_map_and_embedding_rows_match_single_points():
         q[3] *= 1.5 if embed is cosphere_boundary else 1.0 / np.linalg.norm(q[3])
         with pytest.raises(OffBundleError):
             embed(CotangentPoint(p=m.p, q=q))
+
+
+def test_the_open_disc_bound_judges_a_point_alone_as_in_a_batch():
+    # |q| is 1.0 by math.hypot and 1 - 2**-53 by row_norms: both paths read
+    # the row_norms bits, so the point is inside the open disc either way
+    q = np.array([-0.9362295715951175, -0.18702023803429815, -0.29748549516979317])
+    p = np.array([-0.19588884334918655, 0.9806261066539672, 0.0])
+    rows = cotangent_to_quadric(CotangentPoint(p=np.stack([p, p]), q=np.stack([q, q]))).rep
+    for one in (CotangentPoint(p=p, q=q), CotangentPoint(p=p[None], q=q[None])):
+        assert np.array_equal(cotangent_to_quadric(one).rep.reshape(-1), rows[0])
 
 
 def test_circle_orbits_collapse_through_the_boundary_map():
@@ -349,6 +360,42 @@ def test_batched_maps_match_single_points_row_by_row():
         assert projective_defect(proj_normalize(covers.rep[i]), single_cover) < 1e-15
         pair = (proj_normalize(a.rep[i]), proj_normalize(b.rep[i]))
         assert projective_defect(proj_normalize(segres.rep[i]), segre_unitary(*pair)) < 1e-15
+
+
+def _defect_of_halves(z):
+    a, b = np.split(z, 2, axis=-1)
+    return projective_defect(ProjectivePoint(a), ProjectivePoint(b))
+
+
+def _chart_of(z):
+    m = quadric_to_cotangent(ProjectivePoint(z))
+    return np.concatenate([m.p, m.q], axis=-1)
+
+
+# each map as a function of one complex array, a point of width m or a batch
+# of rows of width m, with the width it takes at dimension n
+TWINS = {
+    "proj_normalize": (lambda z: proj_normalize(z).rep, lambda n: n + 1),
+    "ball_to_projective": (lambda z: ball_to_projective(z, 1.0).rep, lambda n: n + 1),
+    "projective_defect": (_defect_of_halves, lambda n: 2 * (n + 1)),
+    "deck": (lambda z: deck(ProjectivePoint(z)).rep, lambda n: n + 2),
+    "quadric_to_cotangent": (_chart_of, lambda n: n + 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_batch_rows_and_single_points_give_the_same_bits(name):
+    # a row of a batch, a batch of that one row and the point alone agree bit
+    # for bit: a witness replayed alone reproduces its residual in the suite
+    func, width = TWINS[name]
+    rng = derive_stream(13, name)
+    for n in range(1, 5):
+        z = rng.standard_normal((200, width(n))) + 1j * rng.standard_normal((200, width(n)))
+        z *= 0.9 / row_norms(z).max()
+        rows = func(z)
+        for i in range(len(z)):
+            assert np.array_equal(func(z[i]), rows[i]), (n, i)
+            assert np.array_equal(func(z[i : i + 1]), rows[i : i + 1]), (n, i)
 
 
 def test_batched_maps_keep_their_guards():

@@ -74,8 +74,9 @@ def test_boundary_map_with_a_doubled_fiber(monkeypatch):
 
 def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
     def wrong_deck(point):
+        # the first homogeneous coordinate of every row, not the last
         rep = point.rep.copy()
-        rep[0] = -rep[0]
+        rep[..., 0] = -rep[..., 0]
         return proj_normalize(rep)
 
     monkeypatch.setattr(checks_module, "deck", wrong_deck)
