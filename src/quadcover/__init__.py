@@ -64,7 +64,6 @@ from .numerics import (
 )
 from .projective import (
     ProjectivePoint,
-    in_hyperplane,
     proj_normalize,
     quadric_residual,
 )

@@ -9,23 +9,22 @@ statements) search for a single input exceeding a threshold and report the
 best witness found. A check can be re-run on a serialized witness to
 reproduce its residual exactly.
 
-A check's residual takes the whole list of inputs and returns one float per
-input, in input order; the runner calls it once, for a generated list and for
-a one-element witness replay alike. Checks evaluated per input are lifted to
-that contract by :func:`_each`. The batched residuals group rows by their
-parameters and evaluate chunks of at most ``CHUNK_ROWS`` rows with row-wise
-arithmetic only (elementwise operations, ``einsum("ij,ij->i")`` and
-reductions along the last axis, never stacked matmul or BLAS, whose rounding
-depends on the batch size), so an input's residual does not depend on which
-other inputs share its batch and a replayed witness reproduces the reported
-residual bit for bit. A body written once on the last axis (``[..., k]``,
-``np.maximum``, ``einsum("...i,...i->...")``) builds its arrays with
-``flat=True`` and so evaluates a chunk of one input, every witness replay
-among them, on the 1-D point: the 1-D twins of the maps it calls use the
-same reductions as their row twins and give the same bits, at the cost of
-the 1-D path. That identity depends on the loops numpy picks (Python
-``abs`` of a numpy complex scalar, for one, can differ from ``np.abs`` in the
-last bit); the tests of twins and of replays guard it.
+Each check declares its input fields in row order with their kinds, which
+validate a generated run's params and parse a witness row into a one-row
+:class:`Block` (NaN if the row breaks them). Generators return blocks of rows
+stored by field; a row becomes a plain-JSON dict only as a witness, in a
+report or for a hash.
+
+A residual takes one row (``each``) or a chunk of at most ``CHUNK_ROWS`` rows
+of one block, computed by row arithmetic only (elementwise operations,
+``einsum("ij,ij->i")``, reductions along the last axis; never stacked matmul
+or BLAS, whose rounding depends on the batch size), so a replayed witness
+reproduces its residual bit for bit. A body written once on the last axis
+reads :meth:`Block.flat`, so a chunk of one row, every witness replay among
+them, runs on the 1-D point, where the maps' 1-D twins use the reductions of
+their row twins. That identity depends on the loops numpy picks (Python
+``abs`` of a numpy complex scalar can differ from ``np.abs`` in the last
+bit); the tests of twins and of replays guard it.
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ import json
 import math
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -123,9 +123,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# a residual far above every tolerance, used when a structural expectation
-# (membership, classification, fiber count) fails outright
-SENTINEL = 1.0
 
 class UsageError(ValueError):
     """Bad invocation: unknown check id, invalid params, or an empty match."""
@@ -150,56 +147,193 @@ VERIFIED_STATEMENTS: dict[str, str] = {
 
 
 # ---------------------------------------------------------------------------
-# Serialization helpers: every sampled input is a plain-JSON dict so the
-# worst case can be stored as a witness and replayed bit-for-bit.
+# Input fields: the kinds a check declares, and blocks of rows stored by field.
 # ---------------------------------------------------------------------------
 
 
-def _cvecs(z: np.ndarray) -> list[dict]:
-    """One ``{"re", "im"}`` dict per row of a complex (N, m) array."""
-    return [{"re": re, "im": im} for re, im in zip(z.real.tolist(), z.imag.tolist())]
+@dataclass(frozen=True)
+class _Number:
+    """An integer of at least ``least`` (a dimension or a count) or, with no ``least``, a finite positive real.
 
-
-def _uncvec(d: dict) -> np.ndarray:
-    return np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-
-
-def _uncvecs(inputs: list[dict], key: str, flat: bool = False) -> np.ndarray:
-    """(N, m) complex array of the N inputs' serialized ``key`` vectors.
-
-    With ``flat``, a single input gives its 1-D vector, as does :func:`_points`.
+    ``one`` and ``many`` name one value and a list of them in messages, the key
+    by default; with ``increasing``, a row holds a list that strictly increases.
     """
-    if flat and len(inputs) == 1:
-        return _uncvec(inputs[0][key])
-    vecs = [inp[key] for inp in inputs]
-    return np.array([d["re"] for d in vecs], dtype=float) + 1j * np.array(
-        [d["im"] for d in vecs], dtype=float
-    )
+
+    least: int | None = None
+    one: str = ""
+    many: str = ""
+    increasing: bool = False
+
+    def typed(self, value) -> bool:
+        # the builtin types first: an isinstance test against a numbers ABC costs about a microsecond
+        return isinstance(value, (int, Integral) if self.least is not None else (float, int, Real))
+
+    def in_range(self, value) -> bool:
+        return value >= self.least if self.least is not None else math.isfinite(value) and value > 0
+
+    def problem(self, key: str, value, listed: bool) -> str | None:
+        """Why ``value``, one value or with ``listed`` a list of them, is not of this kind; None if it is."""
+        integer, many = self.least is not None, self.many or key
+        values = value if listed and isinstance(value, (list, tuple)) else [value]
+        if listed != isinstance(value, (list, tuple)) or not all(map(self.typed, values)):
+            noun = "integer" if integer else "real number"
+            if listed:
+                return f"{many} must be a list of {noun}s"
+            return f"{self.one or key} must be {'an' if integer else 'a'} {noun}"
+        if not all(map(self.in_range, values)):
+            return f"{many} must be at least {self.least}" if integer else f"{many} must be finite and positive"
+        if self.increasing and not all(a < b for a, b in zip(values, values[1:])):
+            return f"{many} must strictly increase"
+        return None
+
+    def parse(self, value, n):
+        if self.increasing:
+            if self.problem("", value, True):
+                raise ValueError("malformed times")
+            return tuple(float(v) for v in value)
+        if not (self.typed(value) and self.in_range(value)):
+            raise ValueError("malformed number")
+        return int(value) if self.least is not None else float(value)
 
 
-def _stack(inputs: list[dict], key: str) -> np.ndarray:
-    """(N, m) real array of the N inputs' ``key`` vectors."""
-    return np.array([inp[key] for inp in inputs], dtype=float)
+@dataclass(frozen=True)
+class _Vector:
+    """A real vector, or with ``complex`` a ``{"re", "im"}`` pair of them; with ``many``, a non-empty list.
 
-
-def _point(d: dict) -> CotangentPoint:
-    return CotangentPoint(p=np.asarray(d["p"], dtype=float), q=np.asarray(d["q"], dtype=float))
-
-
-def _points(inputs: list[dict], flat: bool = False) -> CotangentPoint:
-    """One point holding the N inputs' (p, q) pairs as (N, n+1) rows.
-
-    With ``flat``, a single input gives its point of 1-D arrays, which a body
-    written on the last axis evaluates by the maps' 1-D twins, to the bits of
-    its row in a batch.
+    ``size`` is the length: a number, a function of the row's dimension n, or
+    None for any length above 1 (a point of CP^n, n >= 1).
     """
-    if flat and len(inputs) == 1:
-        return _point(inputs[0])
-    return CotangentPoint(p=_stack(inputs, "p"), q=_stack(inputs, "q"))
+
+    size: Any
+    complex: bool = False
+    many: bool = False
+
+    def parse(self, value, n):
+        size = self.size(n) if callable(self.size) else self.size
+        if not self.many:
+            return self._parse(value, size)[None]
+        if not isinstance(value, list) or not value:
+            raise ValueError("malformed list of vectors")
+        return np.stack([self._parse(v, size) for v in value])[None]
+
+    def _parse(self, value, size) -> np.ndarray:
+        if self.complex:
+            if not isinstance(value, dict) or set(value) != {"re", "im"}:
+                raise ValueError("malformed complex vector")
+            value = [value["re"], value["im"]]
+        a = np.asarray(value)
+        shape = (2, size) if self.complex else (size,)
+        if a.dtype.kind not in "iuf" or a.ndim != len(shape) or (a.shape != shape if size else a.shape[-1] < 2):
+            raise ValueError("malformed vector")
+        a = a.astype(float, copy=False)
+        return a[0] + 1j * a[1] if self.complex else a
 
 
-def _projective(d: dict) -> ProjectivePoint:
-    return proj_normalize(_uncvec(d))
+class _Param(NamedTuple):
+    """The kind of a name read only from the params, never a field of a row."""
+
+    kind: _Number
+
+
+DIM = _Number(1, many="dimensions")
+COUNT = _Number(1)
+NODES = _Number(2)  # a quadrature rule needs two nodes per axis
+RADIUS = _Number(one="radius", many="radii")
+TIME = _Number()
+TIMES = _Number(increasing=True)
+POINT = _Vector(lambda n: n + 1)  # p or q of a point of the cotangent bundle of S^n
+TANGENT = _Vector(lambda n: 2 * n + 2)  # an ambient (u, w) tangent there
+CVEC = _Vector(lambda n: n + 1, complex=True)  # a vector of C^{n+1}
+QVEC = _Vector(lambda n: n + 2, complex=True)  # a vector of C^{n+2}, at the quadric
+CP1 = _Vector(2, complex=True)
+
+
+class Block:
+    """Rows of a check's inputs stored by field: a column array with one entry per row, or one shared value."""
+
+    __slots__ = ("size", "columns")
+
+    def __init__(self, size: int, **columns):
+        self.size = size
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, key: str):
+        return self.columns[key]
+
+    def rows(self, index) -> Block:
+        """The rows a slice or an index array selects, in its order."""
+        size = np.arange(self.size)[index].size
+        return Block(size, **{k: v[index] if isinstance(v, np.ndarray) else v for k, v in self.columns.items()})
+
+    def row(self, i: int) -> dict:
+        """Row ``i``: its vectors as 1-D arrays, its numbers and labels as Python scalars."""
+        return {
+            k: (v[i] if v.ndim > 1 else v[i].item()) if isinstance(v, np.ndarray) else v
+            for k, v in self.columns.items()
+        }
+
+    def flat(self) -> Block:
+        """A block of one row as that row, for a body written on the last axis; any other block as it is."""
+        return Block(1, **self.row(0)) if self.size == 1 else self
+
+
+class Inputs(Sequence):
+    """A check's inputs in row order, held as blocks; ``inputs[i]`` is row i as a plain-JSON dict."""
+
+    def __init__(self, fields: Mapping[str, Any], blocks: list[Block]):
+        self.fields, self.blocks = fields, blocks
+
+    def __len__(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+    def __getitem__(self, i: int) -> dict:
+        for block in self.blocks:
+            if 0 <= i < len(block):
+                row = block.row(i)
+                return {key: _plain(row[key]) for key in self.fields if key in row}
+            i -= len(block)
+        raise IndexError("input index out of range")
+
+
+def _plain(value):
+    """A row's value as plain JSON: a complex vector as its ``{"re", "im"}`` pair, times as a list."""
+    if not isinstance(value, np.ndarray):
+        return list(value) if isinstance(value, tuple) else value
+    if value.ndim > 1:
+        return [_plain(v) for v in value]
+    return {"re": value.real.tolist(), "im": value.imag.tolist()} if np.iscomplexobj(value) else value.tolist()
+
+
+def _parse(fields: Mapping[str, Any], witness) -> Block | None:
+    """One-row block of a witness row; None unless it holds exactly the declared fields, each of its kind.
+
+    A label (a dict from each of its values to the extra fields a row of that
+    value carries), declared before those fields, keeps its value's only.
+    """
+    try:
+        columns: dict[str, Any] = {}
+        skip: Any = ()
+        for key, kind in fields.items():
+            if isinstance(kind, _Param) or key in skip:
+                continue
+            value = witness[key]
+            if isinstance(kind, dict):
+                skip = set().union(*kind.values()).difference(kind[value])
+                columns[key] = value
+            else:
+                columns[key] = kind.parse(value, columns.get("n"))
+        # every parsed field is a key of the row, so equal counts mean no other keys
+        return Block(1, **columns) if len(witness) == len(columns) else None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _pq(rows) -> CotangentPoint:
+    """The (p, q) point of a block or a row."""
+    return CotangentPoint(p=rows["p"], q=rows["q"])
 
 
 def _worst(values) -> float:
@@ -216,14 +350,15 @@ def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
     return _worst(_row_dist(a, b))
 
 
-def _positive_times(*times) -> bool:
-    """True iff every time is a finite positive real.
-
-    A witness replay skips :func:`_validate`, so an RK4 residual scores NaN
-    on a time that fails this instead of integrating it (an infinite final
-    time would never return).
-    """
-    return all(isinstance(t, Real) and math.isfinite(t) and t > 0 for t in times)
+def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> float:
+    """Largest distance of the RK4 trajectory of ``m``, on its base radius, from ``exact(m, t)`` at each ``ts``."""
+    ham = HamiltonianSpec(m.base_radius)
+    point, t_done, dists = m, 0.0, [0.0]
+    for t in ts:
+        point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
+        t_done = t
+        dists.append(_dist(point, exact(m, t)))
+    return _worst(dists)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +468,15 @@ def _evened_rescale_map(n: int, r: float) -> SmoothMap:
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification: statement, tolerance, and the name of its functions.
+    """One named verification: statement, tolerance, input fields, and the name of its functions.
 
     ``gen`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
     (``_score_<name>`` for a witness check), looked up in this module when
     read, so a function rebound after import is the one that runs; an
-    ``each`` residual takes one input and is lifted by :func:`_each`.
-    ``tolerance`` is a number or the name of a :class:`ToleranceProfile` field.
-    ``params`` is read-only, with list defaults stored as tuples, so no caller
-    can change a declared default for later runs.
+    ``each`` residual takes one row (:func:`_each`), any other a chunk of rows
+    (:func:`_chunked`). ``tolerance`` is a number or the name of a
+    :class:`ToleranceProfile` field. ``params`` is read-only, list defaults
+    stored as tuples, so no caller can change a declared default later.
     """
 
     id: str
@@ -353,22 +488,31 @@ class Check:
     params: Mapping[str, Any]
     name: str
     each: bool
+    fields: Mapping[str, Any]
 
     @property
-    def gen(self) -> Callable[[dict, np.random.Generator], list[dict]]:
-        return globals()[f"_gen_{self.name}"]
+    def gen(self) -> Callable[[dict, np.random.Generator], Inputs]:
+        blocks = globals()[f"_gen_{self.name}"]
+        return lambda params, rng: Inputs(self.fields, blocks(params, rng))
 
     @property
-    def residual(self) -> Callable[[list[dict], ToleranceProfile], np.ndarray]:
+    def residual(self) -> Callable[[Inputs, ToleranceProfile], np.ndarray]:
         func = globals()[("_score_" if self.kind == "witness" else "_res_") + self.name]
-        return _each(func) if self.each else func
+        return _each(func) if self.each else _chunked(func)
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id, statement, covers, tolerance, params, kind="residual", each=True):
-    """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``."""
+def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=True):
+    """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
+
+    ``fields`` declares each input field, in row order, with its kind; a label
+    is a dict from each of its values to the extra fields its rows carry, and
+    a name read only from the params has its kind wrapped in :class:`_Param`.
+    A param has the kind declared under its name, as one value or a list
+    after its default; a param declared nowhere is a count of at least 1.
+    """
 
     def register(func):
         if id in _REGISTRY:
@@ -376,7 +520,7 @@ def _check(id, statement, covers, tolerance, params, kind="residual", each=True)
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
-            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each
+            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each, MappingProxyType(fields)
         )
         return func
 
@@ -389,109 +533,84 @@ def build_registry() -> dict[str, Check]:
 
 
 # ---------------------------------------------------------------------------
-# Check implementations: a generator of serializable inputs plus a pure
-# residual (or witness score), either per input (lifted by _each) or over the
-# whole input list (grouped and chunked by _grouped).
+# Check implementations: a generator of blocks of rows plus a pure residual
+# (or witness score) of one row or of a chunk of rows.
 # ---------------------------------------------------------------------------
 
 
 def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
-    """Lift a per-input residual to the list contract: one call per input.
+    """Lift a per-row residual to the list contract, one call per :meth:`Block.row`; off the bundle scores NaN."""
 
-    An input off the bundle a map is defined on scores NaN, so the check
-    fails with that input as its witness instead of raising.
-    """
-
-    def batch(inputs: list[dict], profile: ToleranceProfile) -> np.ndarray:
-        out = np.empty(len(inputs))
-        for i, inp in enumerate(inputs):
-            try:
-                out[i] = residual(inp, profile)
-            except OffBundleError:
-                out[i] = np.nan
-        return out
+    def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
+        out = []
+        for block in inputs.blocks:
+            for i in range(len(block)):
+                try:
+                    out.append(residual(block.row(i), profile))
+                except OffBundleError:
+                    out.append(np.nan)
+        return np.array(out, dtype=float)
 
     return batch
 
 
-def _grouped(
-    inputs: list[dict],
-    key: Callable[[dict], Any],
-    evaluate: Callable[[Any, list[dict]], np.ndarray],
-) -> np.ndarray:
-    """Residuals of ``inputs`` in input order, evaluated group by group.
+def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Callable:
+    """Lift a residual of a chunk of rows to the list contract: chunks of at most CHUNK_ROWS rows, in order.
 
-    Inputs sharing ``key(input)`` are passed to ``evaluate(key, rows)`` in
-    chunks of at most CHUNK_ROWS, in input order; it returns one residual per
-    row, or a scalar for a chunk of one row that it evaluates as a 1-D point.
-    A chunk that raises OffBundleError is evaluated again one row at a time,
-    which row arithmetic makes bit-identical, so only the rows off the bundle
-    score NaN.
+    The residual returns one value per row, or a scalar for a chunk of one
+    row that it evaluates as a 1-D point. A chunk that raises OffBundleError
+    is evaluated again row by row, bit-identical by row arithmetic, so only
+    the rows off the bundle score NaN, failing the check as its witnesses.
     """
-    out = np.empty(len(inputs))
-    groups: dict[Any, list[int]] = {}
-    for i, inp in enumerate(inputs):
-        groups.setdefault(key(inp), []).append(i)
-    for k, index in groups.items():
-        for lo in range(0, len(index), CHUNK_ROWS):
-            chunk = index[lo : lo + CHUNK_ROWS]
-            try:
-                out[chunk] = evaluate(k, [inputs[i] for i in chunk])
-            except OffBundleError:
-                for i in chunk:
-                    try:
-                        out[i : i + 1] = evaluate(k, [inputs[i]])
-                    except OffBundleError:
-                        out[i] = np.nan
-    return out
+
+    def or_nan(rows: Block, profile: ToleranceProfile) -> np.ndarray:
+        try:
+            return np.asarray(residual(rows, profile), dtype=float).reshape(len(rows))
+        except OffBundleError:
+            if len(rows) == 1:
+                return np.full(1, np.nan)
+            return np.concatenate([or_nan(rows.rows(slice(i, i + 1)), profile) for i in range(len(rows))])
+
+    def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
+        out = []
+        for block in inputs.blocks:
+            for lo in range(0, len(block), CHUNK_ROWS):
+                chunk = block if len(block) <= CHUNK_ROWS else block.rows(slice(lo, lo + CHUNK_ROWS))
+                out.append(or_nan(chunk, profile))
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    return batch
 
 
-def _n(inp: dict) -> int:
-    return inp["n"]
+def _cotangent_generator(sampler: Callable, count="samples", radius=None, shared=lambda params: {}):
+    """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``, one block per ``n``.
 
-
-def _n_and_r(inp: dict) -> tuple[int, float]:
-    return inp["n"], inp["r"]
-
-
-def _cotangent_generator(sampler: Callable, count="samples", radius=None, fields=lambda params: [{}]):
-    """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``.
-
-    Each ``n`` draws its points in one bulk call. The fiber radius r is 1, or
-    ``params[radius]`` when ``radius`` names a param. A point yields one
-    input per dict of ``fields(params)``, keyed ``n``, then ``r`` when a
-    radius is named, then ``p``, ``q`` and the dict.
+    The fiber radius r is 1, or the field ``r`` read from ``params[radius]``;
+    ``shared(params)`` gives the other values every row shares.
     """
 
     def gen(params, rng):
         r = float(params[radius]) if radius else 1.0
-        head = {"r": r} if radius else {}
-        tails = fields(params)
-        inputs = []
+        fixed = {"r": r} if radius else {}
+        blocks = []
         for n in params["n"]:
             m = sampler(n, 1.0, r, rng, size=params[count])
-            for p, q in zip(m.p.tolist(), m.q.tolist()):
-                for tail in tails:
-                    inputs.append({"n": int(n), **head, "p": p, "q": q, **tail})
-        return inputs
+            blocks.append(Block(len(m.p), n=int(n), **fixed, p=m.p, q=m.q, **shared(params)))
+        return blocks
 
     return gen
 
 
 def _gen_projemb(params, rng):
-    inputs = []
+    blocks = []
     samples, pairs = params["samples"], params["pairs"]
     for n in params["n"]:
         for r in params["r"]:
-            zs = _cvecs(_ball_sample(n, r, rng, samples))
-            # v1, v2 of each pair are consecutive rows of one block
-            vs = iter(_unit_rows((2 * samples * pairs, 2 * (n + 1)), rng).tolist())
-            for z in zs:
-                for _ in range(pairs):
-                    inputs.append(
-                        {"n": int(n), "r": float(r), "z": z, "v1": next(vs), "v2": next(vs)}
-                    )
-    return inputs
+            z = np.repeat(_ball_sample(n, r, rng, samples), pairs, axis=0)
+            # v1, v2 of each pair are consecutive rows of one draw
+            vs = _unit_rows((2 * len(z), 2 * (n + 1)), rng)
+            blocks.append(Block(len(z), n=int(n), r=float(r), z=z, v1=vs[0::2].copy(), v2=vs[1::2].copy()))
+    return blocks
 
 
 @_check(
@@ -499,20 +618,14 @@ def _gen_projemb(params, rng):
     "pullback of r^2 omega_FS under the radius-r ball embedding equals omega_std",
     covers=("ball-embedding-pullback",), tolerance=1e-6,
     params={"n": [1, 2, 3], "r": [1.0, ROOT2, 2.0], "samples": 1000, "pairs": 3},
+    fields={"n": DIM, "r": RADIUS, "z": CVEC, "v1": TANGENT, "v2": TANGENT},
     each=False,
 )
-def _res_projemb(inputs, profile):
-    def evaluate(key, rows):
-        n, r = key
-        emb = ball_embedding(n, r)
-        target = scaled_form(fubini_study_form(n + 1), r * r)
-        x = realify(_uncvecs(rows, "z"))
-        v1 = _stack(rows, "v1")
-        v2 = _stack(rows, "v2")
-        value = pullback(emb, target, x, v1, v2)
-        return np.abs(value - _omega_std_ambient(v1, v2))
-
-    return _grouped(inputs, _n_and_r, evaluate)
+def _res_projemb(rows, profile):
+    n, r, v1, v2 = rows["n"], rows["r"], rows["v1"], rows["v2"]
+    target = scaled_form(fubini_study_form(n + 1), r * r)
+    value = pullback(ball_embedding(n, r), target, realify(rows["z"]), v1, v2)
+    return np.abs(value - _omega_std_ambient(v1, v2))
 
 
 _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
@@ -523,15 +636,13 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
     "disc bundle images satisfy the quadric equation and avoid the last hyperplane",
     covers=("cotangent-to-quadric-image",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 1000},
+    fields={"n": DIM, "p": POINT, "q": POINT},
     each=False,
 )
-def _res_sphereembedding(inputs, profile):
-    def evaluate(n, rows):
-        image = cotangent_to_quadric(_points(rows, flat=True))
-        on_hyperplane = np.abs(image.rep[..., n + 1]) <= profile.residual_tol
-        return np.where(on_hyperplane, SENTINEL, np.abs(quadric_residual(image)))
-
-    return _grouped(inputs, _n, evaluate)
+def _res_sphereembedding(rows, profile):
+    image = cotangent_to_quadric(_pq(rows.flat()))
+    on_hyperplane = np.abs(image.rep[..., rows["n"] + 1]) <= profile.residual_tol
+    return np.where(on_hyperplane, np.nan, np.abs(quadric_residual(image)))
 
 
 def _quadric_lifts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -542,15 +653,15 @@ def _quadric_lifts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _gen_sphereembedding_lift(params, rng):
-    inputs = []
+    blocks = []
     for n in params["n"]:
         (reps,) = fill_accepted(
             params["samples"],
             lambda index, n=n: (_quadric_lifts(n, rng, index.size),),
             lambda reps: np.abs(reps[:, -1]) > 1e-6,
         )
-        inputs += [{"n": int(n), "z": z} for z in _cvecs(reps)]
-    return inputs
+        blocks.append(Block(len(reps), n=int(n), z=reps))
+    return blocks
 
 
 @_check(
@@ -558,18 +669,16 @@ def _gen_sphereembedding_lift(params, rng):
     "off-hyperplane quadric points lift to unit-base orthogonal (p, q) pairs",
     covers=("cotangent-to-quadric-image",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 1000},
+    fields={"n": DIM, "z": QVEC},
     each=False,
 )
-def _res_sphereembedding_lift(inputs, profile):
-    def evaluate(n, rows):
-        point = proj_normalize(_uncvecs(rows, "z", flat=True))
-        m = quadric_to_cotangent(point)
-        base_defect = np.abs(row_norms(m.p) - 1.0)
-        ortho_defect = np.abs(np.einsum("...i,...i->...", m.p, m.q))
-        roundtrip = projective_defect(cotangent_to_quadric(m), point)
-        return np.maximum(np.maximum(base_defect, ortho_defect), roundtrip)
-
-    return _grouped(inputs, _n, evaluate)
+def _res_sphereembedding_lift(rows, profile):
+    point = proj_normalize(rows.flat()["z"])
+    m = quadric_to_cotangent(point)
+    base_defect = np.abs(row_norms(m.p) - 1.0)
+    ortho_defect = np.abs(np.einsum("...i,...i->...", m.p, m.q))
+    roundtrip = projective_defect(cotangent_to_quadric(m), point)
+    return np.maximum(np.maximum(base_defect, ortho_defect), roundtrip)
 
 
 _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
@@ -580,28 +689,23 @@ _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
     "the unit cosphere maps into the lower quadric and circle orbits collapse",
     covers=("unit-cosphere-cut",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 200},
+    fields={"n": DIM, "p": POINT, "q": POINT},
     each=False,
 )
-def _res_unitcut_boundary(inputs, profile):
+def _res_unitcut_boundary(rows, profile):
     ts = np.linspace(0.0, TWO_PI, 17)[1:]
-
-    def evaluate(n, rows):
-        m = _points(rows)
-        image = cosphere_boundary(m)
-        off_hyperplane = ~(np.abs(image.rep[:, n + 1]) <= profile.residual_tol)
-        # the N x 16 orbit points in one call: row i * 16 + j is input i at ts[j]
-        repeated = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
-        orbit = cosphere_boundary(scalar_action(repeated, np.tile(ts, len(rows))))
-        defects = projective_defect(orbit, ProjectivePoint(np.repeat(image.rep, ts.size, axis=0)))
-        worst = np.maximum(np.abs(quadric_residual(image)), defects.reshape(len(rows), ts.size).max(axis=1))
-        return np.where(off_hyperplane, SENTINEL, worst)
-
-    return _grouped(inputs, _n, evaluate)
+    m = _pq(rows)
+    image = cosphere_boundary(m)
+    off_hyperplane = ~(np.abs(image.rep[:, rows["n"] + 1]) <= profile.residual_tol)
+    # the N x 16 orbit points in one call: row i * 16 + j is input i at ts[j]
+    repeated = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
+    orbit = cosphere_boundary(scalar_action(repeated, np.tile(ts, len(rows))))
+    defects = projective_defect(orbit, ProjectivePoint(np.repeat(image.rep, ts.size, axis=0)))
+    worst = np.maximum(np.abs(quadric_residual(image)), defects.reshape(len(rows), ts.size).max(axis=1))
+    return np.where(off_hyperplane, np.nan, worst)
 
 
-_gen_unitcut_flow = _cotangent_generator(
-    sample_cosphere, fields=lambda params: [{"t_grid": int(params["t_grid"])}]
-)
+_gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: {"t_grid": int(params["t_grid"])})
 
 
 @_check(
@@ -609,17 +713,18 @@ _gen_unitcut_flow = _cotangent_generator(
     "the evened closed-form flow equals the scalar circle action",
     covers=("unit-cosphere-cut",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
+    fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
 )
 def _res_unitcut_flow(inp, profile):
     # the whole time grid at once: both flows return one row per time
-    m = _point(inp)
+    m = _pq(inp)
     ts = np.linspace(0.0, TWO_PI, inp["t_grid"])
     return _dist(flow_closed_form(m, ts), scalar_action(m, ts))
 
 
 _gen_unitcut_rk4 = _cotangent_generator(
     sample_cosphere, "trajectories",
-    fields=lambda params: [{"dt": float(params["dt"]), "t_final": float(params["t_final"])}],
+    shared=lambda params: {"dt": float(params["dt"]), "t_final": float(params["t_final"])},
 )
 
 
@@ -628,27 +733,19 @@ _gen_unitcut_rk4 = _cotangent_generator(
     "RK4 integration of the solved Hamiltonian field reproduces the closed form",
     covers=("unit-cosphere-cut",), tolerance=1e-6,
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
+    fields={"n": DIM, "p": POINT, "q": POINT, "dt": TIME, "t_final": TIME},
 )
 def _res_unitcut_rk4(inp, profile):
     # compared at a third and halfway as well: at t_final = 2 pi the closed
     # form is the identity and at pi the antipode, so a field whose flow is
     # 2 pi periodic, or three times too fast, would pass at those two times
     t_final = inp["t_final"]
-    if not _positive_times(t_final, inp["dt"]):
-        return math.nan
-    m = _point(inp)
-    ham = HamiltonianSpec(1.0)
-    point, t_done, dists = m, 0.0, []
-    for t in (t_final / 3.0, t_final / 2.0, t_final):
-        point = rk4_integrate(ham, point, t - t_done, inp["dt"], profile).endpoint
-        t_done = t
-        dists.append(_dist(point, flow_closed_form(m, t)))
-    return _worst(dists)
+    return _rk4_drift(_pq(inp), (t_final / 3.0, t_final / 2.0, t_final), inp["dt"], profile, flow_closed_form)
 
 
 _gen_unitcut_rk4_order = _cotangent_generator(
     sample_cosphere, "trajectories",
-    fields=lambda params: [{"dt0": float(params["dt0"]), "t_final": float(params["t_final"])}],
+    shared=lambda params: {"dt0": float(params["dt0"]), "t_final": float(params["t_final"])},
 )
 
 
@@ -657,21 +754,15 @@ _gen_unitcut_rk4_order = _cotangent_generator(
     "RK4 endpoint error falls 16x under step halving (order four)",
     covers=("unit-cosphere-cut",), tolerance=4.0,
     params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
+    fields={"n": DIM, "p": POINT, "q": POINT, "dt0": TIME, "t_final": TIME},
 )
 def _res_unitcut_rk4_order(inp, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
-    if not _positive_times(inp["t_final"], inp["dt0"]):
-        return math.nan
-    m = _point(inp)
-    ham = HamiltonianSpec(1.0)
-    exact = flow_closed_form(m, inp["t_final"])
-    coarse, fine = (
-        _dist(rk4_integrate(ham, m, inp["t_final"], dt, profile).endpoint, exact)
-        for dt in (inp["dt0"], inp["dt0"] / 2.0)
-    )
-    # a fine-step error of 0 shows no order and fails (SENTINEL, 1.0, would
-    # pass the tolerance of 4); a NaN error stays NaN
+    m, t_final, dt0 = _pq(inp), (inp["t_final"],), inp["dt0"]
+    coarse, fine = (_rk4_drift(m, t_final, dt, profile, flow_closed_form) for dt in (dt0, dt0 / 2.0))
+    # a fine-step error of 0 shows no order and fails with an infinite
+    # ratio; a NaN error stays NaN
     ratio = coarse / fine if fine != 0.0 else math.inf
     return abs(ratio - 16.0)
 
@@ -684,31 +775,28 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
     "the deck involution intertwines the embedding with the antipodal map",
     covers=("branched-double-cover",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 1000},
+    fields={"n": DIM, "p": POINT, "q": POINT},
     each=False,
 )
-def _res_branchedcover_deck(inputs, profile):
-    def evaluate(n, rows):
-        m = _points(rows, flat=True)
-        upstairs = cotangent_to_quadric(m)
-        flipped = deck(upstairs)
-        equivariance = projective_defect(flipped, cotangent_to_quadric(antipode(m)))
-        collapse = projective_defect(branched_cover(flipped), branched_cover(upstairs))
-        return np.maximum(equivariance, collapse)
-
-    return _grouped(inputs, _n, evaluate)
+def _res_branchedcover_deck(rows, profile):
+    m = _pq(rows.flat())
+    upstairs = cotangent_to_quadric(m)
+    flipped = deck(upstairs)
+    equivariance = projective_defect(flipped, cotangent_to_quadric(antipode(m)))
+    collapse = projective_defect(branched_cover(flipped), branched_cover(upstairs))
+    return np.maximum(equivariance, collapse)
 
 
 def _gen_branchedcover_fibers(params, rng):
     # each half gets at least one input, so a single sample still draws both kinds
-    inputs = []
+    blocks = []
     for n in params["n"]:
         half = params["samples"] // 2
         off = _projective_off_quadric(n, rng, max(1, half), 1e-3)
         m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
         on = proj_normalize(m.p + 1j * m.q).rep
-        inputs += [{"kind": "off", "expected": 2, "z": z} for z in _cvecs(off)]
-        inputs += [{"kind": "on", "expected": 1, "z": z} for z in _cvecs(on)]
-    return inputs
+        blocks += [Block(len(off), kind="off", expected=2, z=off), Block(len(on), kind="on", expected=1, z=on)]
+    return blocks
 
 
 @_check(
@@ -716,12 +804,13 @@ def _gen_branchedcover_fibers(params, rng):
     "fibers of the cover have two points off the branch quadric and one on it",
     covers=("branched-double-cover",), tolerance=1e-9,
     params={"n": [1, 2, 3], "samples": 200},
+    fields={"kind": {"off": (), "on": ()}, "expected": COUNT, "z": _Vector(None, complex=True), "n": _Param(DIM)},
 )
 def _res_branchedcover_fibers(inp, profile):
-    point = _projective(inp["z"])
+    point = proj_normalize(inp["z"])
     fiber = quadric_fiber(point, tol=profile.residual_tol)
     if len(fiber) != inp["expected"]:
-        return SENTINEL
+        return math.nan
     worst = 0.0
     for lift in fiber:
         worst = max(worst, abs(quadric_residual(lift)))
@@ -737,36 +826,31 @@ _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
     "the cover kills a branch-locus direction that omega_FS pairs nontrivially",
     covers=("branch-locus-degeneracy",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 100},
+    fields={"n": DIM, "p": POINT, "q": POINT},
     each=False,
 )
-def _res_pi_not_symplectic(inputs, profile):
+def _res_pi_not_symplectic(rows, profile):
     # at a branch point the vertical direction is tangent to the quadric and
     # killed by the cover, yet pairs nontrivially with its i-rotation upstairs
-    def evaluate(n, rows):
-        branch = cosphere_boundary(_points(rows))
-        frame = _quadric_frame(branch.rep)
-        vertical = np.zeros((len(rows), 1, n + 2), dtype=complex)
-        vertical[..., -1] = 1.0
-        # per input: the vertical direction, then each frame row and its i-rotation
-        tangents = np.stack([frame, 1j * frame], axis=2).reshape(len(rows), 2 * n, n + 2)
-        dirs = np.concatenate([vertical, tangents], axis=1)
-        cover = branched_cover_map(n)
-        image = cover(branch)
-
-        def each_dir(a):
-            return np.repeat(a, 2 * n + 1, axis=0)
-
-        w = cover.differential(
-            ProjectivePoint(each_dir(branch.rep)),
-            realify(dirs.reshape(-1, n + 2)),
-            center=ProjectivePoint(each_dir(image.rep)),
-        ).reshape(len(rows), 2 * n + 1, -1)
-        w_vert = np.repeat(w[:, 0], 2 * n, axis=0)
-        w_tan = w[:, 1:].reshape(len(rows) * 2 * n, -1)
-        pairing = fubini_study_form(n)(ProjectivePoint(np.repeat(image.rep, 2 * n, axis=0)), w_vert, w_tan)
-        return np.abs(pairing).reshape(len(rows), 2 * n).max(axis=1)
-
-    return _grouped(inputs, _n, evaluate)
+    n = rows["n"]
+    branch = cosphere_boundary(_pq(rows))
+    frame = _quadric_frame(branch.rep)
+    vertical = np.zeros((len(rows), 1, n + 2), dtype=complex)
+    vertical[..., -1] = 1.0
+    # per input: the vertical direction, then each frame row and its i-rotation
+    tangents = np.stack([frame, 1j * frame], axis=2).reshape(len(rows), 2 * n, n + 2)
+    dirs = np.concatenate([vertical, tangents], axis=1)
+    cover = branched_cover_map(n)
+    image = cover(branch)
+    w = cover.differential(
+        ProjectivePoint(np.repeat(branch.rep, 2 * n + 1, axis=0)),
+        realify(dirs.reshape(-1, n + 2)),
+        center=ProjectivePoint(np.repeat(image.rep, 2 * n + 1, axis=0)),
+    ).reshape(len(rows), 2 * n + 1, -1)
+    w_vert = np.repeat(w[:, 0], 2 * n, axis=0)
+    w_tan = w[:, 1:].reshape(len(rows) * 2 * n, -1)
+    pairing = fubini_study_form(n)(ProjectivePoint(np.repeat(image.rep, 2 * n, axis=0)), w_vert, w_tan)
+    return np.abs(pairing).reshape(len(rows), 2 * n).max(axis=1)
 
 
 def _gen_segre_pullback(params, rng):
@@ -776,10 +860,7 @@ def _gen_segre_pullback(params, rng):
         np.concatenate([realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))], axis=1)
         for _ in range(2)
     )
-    return [
-        {"a": za, "b": zb, "v1": x1, "v2": x2}
-        for za, zb, x1, x2 in zip(_cvecs(a.rep), _cvecs(b.rep), v1.tolist(), v2.tolist())
-    ]
+    return [Block(len(a.rep), a=a.rep, b=b.rep, v1=v1, v2=v2)]
 
 
 @_check(
@@ -787,35 +868,22 @@ def _gen_segre_pullback(params, rng):
     "the twisted Segre map lands on the quadric and pulls 2 omega_FS back to the product form",
     covers=("quadric-product-structure",), tolerance=1e-6,
     params={"samples": 1000},
+    fields={"a": CP1, "b": CP1, "v1": _Vector(8), "v2": _Vector(8)},
     each=False,
 )
-def _res_segre_pullback(inputs, profile):
+def _res_segre_pullback(rows, profile):
     fs1 = scaled_form(fubini_study_form(1), 2.0)
-    expected_form = product_form(fs1, fs1)
     target = scaled_form(fubini_study_form(3), 2.0)
-
-    def evaluate(_, rows):
-        pair = (proj_normalize(_uncvecs(rows, "a")), proj_normalize(_uncvecs(rows, "b")))
-        off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > profile.residual_tol
-        v1 = _stack(rows, "v1")
-        v2 = _stack(rows, "v2")
-        value = pullback(segre_map(), target, pair, v1, v2)
-        return np.where(off_quadric, SENTINEL, np.abs(value - expected_form(pair, v1, v2)))
-
-    return _grouped(inputs, lambda inp: None, evaluate)
+    pair = (proj_normalize(rows["a"]), proj_normalize(rows["b"]))
+    off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > profile.residual_tol
+    v1, v2 = rows["v1"], rows["v2"]
+    value = pullback(segre_map(), target, pair, v1, v2)
+    return np.where(off_quadric, np.nan, np.abs(value - product_form(fs1, fs1)(pair, v1, v2)))
 
 
-def _cp1_generator(*keys: str) -> Callable[[dict, np.random.Generator], list[dict]]:
-    """Generator of ``params["samples"]`` inputs, each one CP^1 point per key, one block per key."""
-
-    def gen(params, rng):
-        columns = [_cvecs(sample_projective(1, rng, params["samples"]).rep) for _ in keys]
-        return [dict(zip(keys, row)) for row in zip(*columns)]
-
-    return gen
-
-
-_gen_segre_equivariance = _cp1_generator("a", "b")
+def _gen_segre_equivariance(params, rng):
+    a = sample_projective(1, rng, params["samples"]).rep
+    return [Block(len(a), a=a, b=sample_projective(1, rng, params["samples"]).rep)]
 
 
 @_check(
@@ -823,16 +891,18 @@ _gen_segre_equivariance = _cp1_generator("a", "b")
     "the twisted Segre map intertwines the deck involution with the factor swap",
     covers=("quadric-product-structure",), tolerance="flow_tol",
     params={"samples": 1000},
+    fields={"a": CP1, "b": CP1},
 )
 def _res_segre_equivariance(inp, profile):
-    a = _projective(inp["a"])
-    b = _projective(inp["b"])
+    a = proj_normalize(inp["a"])
+    b = proj_normalize(inp["b"])
     swap = projective_defect(deck(segre_unitary(a, b)), segre_unitary(b, a))
     diagonal = projective_defect(deck(segre_unitary(a, a)), segre_unitary(a, a))
     return max(swap, diagonal)
 
 
-_gen_diag_antidiag = _cp1_generator("a")
+def _gen_diag_antidiag(params, rng):
+    return [Block(params["samples"], a=sample_projective(1, rng, params["samples"]).rep)]
 
 
 @_check(
@@ -840,37 +910,33 @@ _gen_diag_antidiag = _cp1_generator("a")
     "the diagonal maps onto the conic and the antidiagonal covers the real points",
     covers=("quadric-product-structure",), tolerance=1e-9,
     params={"samples": 1000},
+    fields={"a": CP1},
 )
 def _res_diag_antidiag(inp, profile):
-    a = _projective(inp["a"])
+    a = proj_normalize(inp["a"])
     on_conic = branched_cover(segre_unitary(a, a))
     if locus_classify(on_conic) != "on_Q1":
-        return SENTINEL
+        return math.nan
     on_real = branched_cover(segre_unitary(a, antipodal_cp1(a)))
     if locus_classify(on_real) != "on_RP2":
-        return SENTINEL
+        return math.nan
     rep = on_real.rep
     imag_defect = float(np.max(np.abs(np.imag(np.outer(rep, rep.conjugate())))))
     return max(abs(quadric_residual(on_conic)), imag_defect)
 
 
 def _gen_evenedrescale(params, rng):
-    inputs = []
+    blocks = []
     for n in params["n"]:
         per_r = max(1, params["samples"] // (2 * len(params["r"])))
         for r in params["r"]:
+            shared = {"n": int(n), "r": float(r)}
             m = sample_disc_bundle(n, 1.0, r, rng, size=per_r)
-            t1 = sample_tangent(m, rng)
-            t2 = sample_tangent(m, rng)
-            for p, q, v1, v2 in zip(m.p.tolist(), m.q.tolist(), t1.tolist(), t2.tolist()):
-                inputs.append(
-                    {"part": "form", "n": int(n), "r": float(r), "p": p, "q": q, "v1": v1, "v2": v2}
-                )
+            v1, v2 = sample_tangent(m, rng), sample_tangent(m, rng)
+            blocks.append(Block(per_r, part="form", **shared, p=m.p, q=m.q, v1=v1, v2=v2))
             m = sample_cosphere(n, 1.0, r, rng, size=per_r)
-            ts = rng.uniform(0.0, TWO_PI, per_r)
-            for p, q, t in zip(m.p.tolist(), m.q.tolist(), ts.tolist()):
-                inputs.append({"part": "flow", "n": int(n), "r": float(r), "p": p, "q": q, "t": t})
-    return inputs
+            blocks.append(Block(per_r, part="flow", **shared, p=m.p, q=m.q, t=rng.uniform(0.0, TWO_PI, per_r)))
+    return blocks
 
 
 @_check(
@@ -878,62 +944,58 @@ def _gen_evenedrescale(params, rng):
     "the evening rescale preserves omega_std and conjugates the cosphere flows",
     covers=("evened-disc-bundle",), tolerance=1e-9,
     params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
+    fields={
+        "part": {"form": ("v1", "v2"), "flow": ("t",)}, "n": DIM, "r": RADIUS, "p": POINT, "q": POINT,
+        "v1": TANGENT, "v2": TANGENT, "t": TIME,
+    },
     each=False,
 )
-def _res_evenedrescale(inputs, profile):
-    def evaluate(key, rows):
-        part, n, r = key
-        m = _points(rows)
-        if part == "form":
-            rescale = _evened_rescale_map(n, r)
-            omega = cotangent_omega_std(n, float(np.sqrt(r)))
-            v1 = _stack(rows, "v1")
-            v2 = _stack(rows, "v2")
-            value = pullback(rescale, omega, m, v1, v2)
-            form_defect = np.abs(value - _omega_std_ambient(v1, v2))
-            roundtrip = _row_dist(even_rescale_inverse(even_rescale(m, r), r), m)
-            return np.maximum(form_defect, roundtrip)
-        # flow part: rescaling intertwines the radius-r trajectory with the
-        # evened closed form at the same time parameter
-        t = np.array([inp["t"] for inp in rows], dtype=float)
-        lhs = even_rescale(flow_uneven_cosphere(m, t), r)
-        rhs = flow_closed_form(even_rescale(m, r), t)
-        return _row_dist(lhs, rhs)
-
-    return _grouped(inputs, lambda inp: (inp["part"], inp["n"], inp["r"]), evaluate)
+def _res_evenedrescale(rows, profile):
+    n, r, m = rows["n"], rows["r"], _pq(rows)
+    if rows["part"] == "form":
+        rescale = _evened_rescale_map(n, r)
+        omega = cotangent_omega_std(n, float(np.sqrt(r)))
+        v1, v2 = rows["v1"], rows["v2"]
+        value = pullback(rescale, omega, m, v1, v2)
+        form_defect = np.abs(value - _omega_std_ambient(v1, v2))
+        roundtrip = _row_dist(even_rescale_inverse(even_rescale(m, r), r), m)
+        return np.maximum(form_defect, roundtrip)
+    # flow part: rescaling intertwines the radius-r trajectory with the
+    # evened closed form at the same time parameter
+    t = np.broadcast_to(rows["t"], len(rows))
+    lhs = even_rescale(flow_uneven_cosphere(m, t), r)
+    rhs = flow_closed_form(even_rescale(m, r), t)
+    return _row_dist(lhs, rhs)
 
 
-_gen_evenedflow_restored = _cotangent_generator(
-    sample_cosphere, "trajectories", "r_uneven",
-    lambda params: [{"t": float(t), "dt": float(params["dt"])} for t in params["t_checks"]],
-)
+def _gen_evenedflow_restored(params, rng):
+    # one row per trajectory and check time, a trajectory's times consecutive
+    r, ts = float(params["r_uneven"]), [float(t) for t in params["t_checks"]]
+    blocks = []
+    for n in params["n"]:
+        m = sample_cosphere(n, 1.0, r, rng, size=params["trajectories"])
+        p, q = (np.repeat(x, len(ts), axis=0) for x in (m.p, m.q))
+        blocks.append(Block(len(p), n=int(n), r=r, p=p, q=q, t=np.tile(ts, len(m.p)), dt=float(params["dt"])))
+    return blocks
 
 
 @_check(
     "P-evenedflow-restored",
     "after evening, the RK4 flow agrees with the scalar action",
     covers=("evened-disc-bundle",), tolerance=1e-6,
-    params={
-        "n": [2],
-        "r_uneven": 0.5,
-        "trajectories": 1,
-        "dt": 0.01,
-        "t_checks": [float(np.pi), TWO_PI],
+    params={"n": [2], "r_uneven": 0.5, "trajectories": 1, "dt": 0.01, "t_checks": [float(np.pi), TWO_PI]},
+    fields={
+        "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "t": TIME, "dt": TIME,
+        "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
 )
 def _res_evenedflow_restored(inp, profile):
-    if not _positive_times(inp["t"], inp["dt"]):
-        return math.nan
-    r = inp["r"]
-    evened = even_rescale(_point(inp), r)
-    ham = HamiltonianSpec(evened.base_radius)
-    result = rk4_integrate(ham, evened, inp["t"], inp["dt"], profile)
-    return _dist(result.endpoint, scalar_action(evened, inp["t"]))
+    return _rk4_drift(even_rescale(_pq(inp), inp["r"]), (inp["t"],), inp["dt"], profile, scalar_action)
 
 
 _gen_uneven_flow = _cotangent_generator(
     sample_cosphere, "trajectories", "r",
-    lambda params: [{"dt": float(params["dt"]), "ts": [float(t) for t in params["t_checks"]]}],
+    lambda params: {"dt": float(params["dt"]), "ts": tuple(float(t) for t in params["t_checks"])},
 )
 
 
@@ -941,33 +1003,17 @@ _gen_uneven_flow = _cotangent_generator(
     "R-uneven-flow",
     "on an uneven cosphere the Hamiltonian flow leaves the scalar orbit",
     covers=("evened-disc-bundle",), tolerance=0.01,
-    params={
-        "n": [2],
-        "r": 0.5,
-        "trajectories": 3,
-        "dt": 0.01,
-        "t_checks": [float(np.pi / 2.0), float(np.pi)],
-    },
+    params={"n": [2], "r": 0.5, "trajectories": 3, "dt": 0.01, "t_checks": [float(np.pi / 2.0), float(np.pi)]},
+    fields={"n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES, "t_checks": _Param(TIMES)},
     kind="witness",
 )
 def _score_uneven_flow(inp, profile):
-    # witness search: how far the true flow drifts from the scalar action;
-    # the segments chain, so a time that does not increase scores NaN
-    ts = inp["ts"]
-    if not (_positive_times(inp["dt"], *ts) and all(a < b for a, b in zip(ts, ts[1:]))):
-        return math.nan
-    m = _point(inp)
-    ham = HamiltonianSpec(1.0)
-    current, t_done, dists = m, 0.0, [0.0]
-    for t in ts:
-        current = rk4_integrate(ham, current, t - t_done, inp["dt"], profile).endpoint
-        t_done = t
-        dists.append(_dist(current, scalar_action(m, t)))
-    return _worst(dists)
+    # witness search: how far the true flow drifts from the scalar action
+    return _rk4_drift(_pq(inp), inp["ts"], inp["dt"], profile, scalar_action)
 
 
 def _gen_omega_r_descent(params, rng):
-    inputs = []
+    blocks = []
     margin = 2.5 * DEFAULT_PROFILE.branch_margin
 
     def draw(n, index):
@@ -978,7 +1024,7 @@ def _gen_omega_r_descent(params, rng):
         q2 = np.einsum("ij,ij->i", q, q)
         return (1.0 - q2) / (1.0 + q2) > margin
 
-    radii = list(params["r"])
+    radii = np.array(params["r"], dtype=float)
     for n in params["n"]:
         p, q = fill_accepted(params["samples"], lambda index, n=n: draw(n, index), away_from_branch)
         upstairs = cotangent_to_quadric(CotangentPoint(p=p, q=q)).rep
@@ -987,10 +1033,10 @@ def _gen_omega_r_descent(params, rng):
         for _ in range(2):
             coeff = rng.standard_normal(frame.shape[:2]) + 1j * rng.standard_normal(frame.shape[:2])
             v = np.einsum("ik,ikj->ij", coeff, frame)
-            tangents.append(_cvecs(v / row_norms(v)[:, None]))
-        for i, (z, v1, v2) in enumerate(zip(_cvecs(upstairs), *tangents)):
-            inputs.append({"n": int(n), "r": float(radii[i % len(radii)]), "z": z, "v1": v1, "v2": v2})
-    return inputs
+            tangents.append(v / row_norms(v)[:, None])
+        r = np.resize(radii, len(p))  # the radii take turns along the rows
+        blocks.append(Block(len(p), n=int(n), r=r, z=upstairs, v1=tangents[0], v2=tangents[1]))
+    return blocks
 
 
 @_check(
@@ -998,34 +1044,33 @@ def _gen_omega_r_descent(params, rng):
     "pullback of the pushed-down form through the cover returns 2r omega_FS",
     covers=("pushed-down-form",), tolerance=1e-6,
     params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
+    fields={"n": DIM, "r": RADIUS, "z": QVEC, "v1": QVEC, "v2": QVEC},
     each=False,
 )
-def _res_omega_r_descent(inputs, profile):
-    def evaluate(key, rows):
-        n, r = key
-        upstairs = proj_normalize(_uncvecs(rows, "z"))
-        v1 = realify(_uncvecs(rows, "v1"))
-        v2 = realify(_uncvecs(rows, "v2"))
-        cover = branched_cover_map(n)
-        image = cover(upstairs)
-        w1 = cover.differential(upstairs, v1, center=image)
-        w2 = cover.differential(upstairs, v2, center=image)
-        value = omega_r(image, w1, w2, r, profile)
-        expected = 2.0 * r * _omega_std_ambient(v1, v2)
-        return np.abs(value - expected)
-
-    return _grouped(inputs, _n_and_r, evaluate)
+def _res_omega_r_descent(rows, profile):
+    # each row with its own radius: the form and the expected value both
+    # scale elementwise by 2r
+    n, r = rows["n"], np.broadcast_to(rows["r"], len(rows))
+    upstairs = proj_normalize(rows["z"])
+    v1 = realify(rows["v1"])
+    v2 = realify(rows["v2"])
+    cover = branched_cover_map(n)
+    image = cover(upstairs)
+    w1 = cover.differential(upstairs, v1, center=image)
+    w2 = cover.differential(upstairs, v2, center=image)
+    value = omega_r(image, w1, w2, r, profile)
+    expected = 2.0 * r * _omega_std_ambient(v1, v2)
+    return np.abs(value - expected)
 
 
 def _gen_omega_r_not_fs(params, rng):
-    inputs = []
+    blocks = []
     margin = 2.0 * DEFAULT_PROFILE.branch_margin
     for n in params["n"]:
         point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
-        dirs = [_cvecs(sample_horizontal(point, rng)) for _ in range(params["pairs"])]
-        for z, row in zip(_cvecs(point.rep), zip(*dirs)):
-            inputs.append({"n": int(n), "r": float(params["r"][0]), "z": z, "dirs": list(row)})
-    return inputs
+        dirs = np.stack([sample_horizontal(point, rng) for _ in range(params["pairs"])], axis=1)
+        blocks.append(Block(len(dirs), n=int(n), r=float(params["r"][0]), z=point.rep, dirs=dirs))
+    return blocks
 
 
 @_check(
@@ -1033,25 +1078,20 @@ def _gen_omega_r_not_fs(params, rng):
     "the pushed-down form is not pointwise proportional to omega_FS",
     covers=("pushed-down-form",), tolerance=0.1,
     params={"n": [2], "r": [1.0], "samples": 50, "pairs": 4},
+    fields={"n": DIM, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
     kind="witness",
 )
 def _score_omega_r_not_fs(inp, profile):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across directions at one point;
     # omega_FS(v, iv) = |v|^2 = 1 for unit horizontal v
-    point = _projective(inp["z"])
-    ratios = []
-    for d in inp["dirs"]:
-        v = _uncvec(d)
-        ratios.append(omega_r(point, realify(v), realify(1j * v), inp["r"], profile))
+    point = proj_normalize(inp["z"])
+    ratios = [omega_r(point, realify(v), realify(1j * v), inp["r"], profile) for v in inp["dirs"]]
     return max(ratios) - min(ratios)
 
 
-def _quadrature_input(params, rng):
-    """The one input of a period check: its node count per axis."""
-    return [{"nodes": int(params["nodes"])}]
-
-
-_gen_period_cp1 = _quadrature_input
+def _gen_period_cp1(params, rng):
+    # the one input of a period check: its node count per axis
+    return [Block(1, nodes=int(params["nodes"]))]
 
 
 @_check(
@@ -1059,13 +1099,15 @@ _gen_period_cp1 = _quadrature_input
     "the projective line has omega_FS area pi",
     covers=("pushed-down-form",), tolerance="quadrature_tol",
     params={"nodes": 200},
+    fields={"nodes": NODES},
 )
 def _res_period_cp1(inp, profile):
     value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=inp["nodes"])
     return abs(value - np.pi)
 
 
-_gen_period_q1 = _quadrature_input
+def _gen_period_q1(params, rng):
+    return [Block(1, nodes=int(params["nodes"]))]
 
 
 @_check(
@@ -1073,6 +1115,7 @@ _gen_period_q1 = _quadrature_input
     "the conic has 2 omega_FS area 4 pi",
     covers=("pushed-down-form",), tolerance=1e-5,
     params={"nodes": 64},
+    fields={"nodes": NODES},
 )
 def _res_period_q1(inp, profile):
     form = scaled_form(fubini_study_form(2), 2.0)
@@ -1081,7 +1124,7 @@ def _res_period_q1(inp, profile):
 
 
 def _gen_period_match(params, rng):
-    return [{"nodes": int(params["nodes"]), "r": float(r)} for r in params["r"]]
+    return [Block(len(params["r"]), nodes=int(params["nodes"]), r=np.array(params["r"], dtype=float))]
 
 
 @_check(
@@ -1089,29 +1132,27 @@ def _gen_period_match(params, rng):
     "diagonal sphere and conic periods agree under the product identification",
     covers=("pushed-down-form",), tolerance=1e-5,
     params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
+    fields={"nodes": NODES, "r": RADIUS},
 )
 def _res_period_match(inp, profile):
     r = inp["r"]
     fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
     diag = integrate_surface(_diagonal_chart(), product_form(fs1, fs1), nodes=inp["nodes"])
-    conic = integrate_surface(
-        _conic_chart(), scaled_form(fubini_study_form(2), 2.0 * r), nodes=inp["nodes"]
-    )
+    form = scaled_form(fubini_study_form(2), 2.0 * r)
+    conic = integrate_surface(_conic_chart(), form, nodes=inp["nodes"])
     return abs(diag - conic)
 
 
 def _gen_zerosection(params, rng):
     # each half gets at least one input, as in _gen_branchedcover_fibers
-    inputs = []
+    blocks = []
     for n in params["n"]:
         half = params["samples"] // 2
         zero = _unit_rows((max(1, half), n + 1), rng)
         m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
-        inputs += [{"kind": "zero", "n": int(n), "p": p, "q": [0.0] * (n + 1)} for p in zero.tolist()]
-        inputs += [
-            {"kind": "boundary", "n": int(n), "p": p, "q": q} for p, q in zip(m.p.tolist(), m.q.tolist())
-        ]
-    return inputs
+        blocks.append(Block(len(zero), kind="zero", n=int(n), p=zero, q=np.zeros_like(zero)))
+        blocks.append(Block(len(m.p), kind="boundary", n=int(n), p=m.p, q=m.q))
+    return blocks
 
 
 @_check(
@@ -1119,18 +1160,19 @@ def _gen_zerosection(params, rng):
     "the zero section lands on the real locus and the boundary on the conic",
     covers=("zero-section-image",), tolerance=1e-9,
     params={"n": [2], "samples": 500},
+    fields={"kind": {"zero": (), "boundary": ()}, "n": DIM, "p": POINT, "q": POINT},
 )
 def _res_zerosection(inp, profile):
-    m = _point(inp)
+    m = _pq(inp)
     if inp["kind"] == "zero":
         image = branched_cover(cotangent_to_quadric(m))
         if inp["n"] == 2 and locus_classify(image) != "on_RP2":
-            return SENTINEL
+            return math.nan
         rep = image.rep
         return float(np.max(np.abs(np.imag(np.outer(rep, rep.conjugate())))))
     image = branched_cover(cosphere_boundary(m))
     if inp["n"] == 2 and locus_classify(image) != "on_Q1":
-        return SENTINEL
+        return math.nan
     return abs(quadric_residual(image))
 
 
@@ -1160,51 +1202,6 @@ class SuiteConfig:
     profile: str = "default"
 
 
-# least usable value of each count parameter; a quadrature rule needs two nodes
-_LEAST_COUNT = {"samples": 1, "trajectories": 1, "pairs": 1, "t_grid": 1, "nodes": 2}
-
-# finite positive real parameters, named (one value, a list) in messages: the
-# radii, and the RK4 time step, final time and check times
-_POSITIVE_REALS = {
-    "r": ("radius", "radii"),
-    "r_uneven": ("radius", "radii"),
-    **{key: (key, key) for key in ("dt", "dt0", "t_final", "t_checks")},
-}
-
-
-def _validate(check: Check, params: dict) -> None:
-    """Raise UsageError unless a generated run's dimensions, radii, times and counts are usable.
-
-    A radius or time parameter takes the shape the check declares, a list of
-    reals or one real, and each of its values must be finite and positive; a
-    list of check times must strictly increase.
-    """
-    for key, value in params.items():
-        problem = None
-        if key == "n":
-            if not (isinstance(value, (list, tuple)) and all(isinstance(n, Integral) for n in value)):
-                problem = "dimensions must be a list of integers"
-            elif not all(n >= 1 for n in value):
-                problem = "dimensions must be at least 1"
-        elif key in _POSITIVE_REALS:
-            one, many = _POSITIVE_REALS[key]
-            listed = isinstance(check.params[key], tuple)
-            values = value if listed and isinstance(value, (list, tuple)) else [value]
-            if listed != isinstance(value, (list, tuple)) or not all(isinstance(v, Real) for v in values):
-                problem = f"{many} must be a list of real numbers" if listed else f"{one} must be a real number"
-            elif not all(math.isfinite(v) and v > 0 for v in values):
-                problem = f"{many} must be finite and positive"
-            elif key == "t_checks" and not all(a < b for a, b in zip(values, values[1:])):
-                problem = "t_checks must strictly increase"
-        elif key in _LEAST_COUNT:
-            if not isinstance(value, Integral):
-                problem = f"{key} must be an integer"
-            elif not value >= _LEAST_COUNT[key]:
-                problem = f"{key} must be at least {_LEAST_COUNT[key]}"
-        if problem:
-            raise UsageError(f"check {check.id}: {problem}, got {value!r}")
-
-
 def _resolve_profile(profile: str | ToleranceProfile) -> ToleranceProfile:
     if isinstance(profile, ToleranceProfile):
         return profile
@@ -1224,54 +1221,54 @@ def run_check(
 
     ``params`` may override the check's declared parameters, inject a
     ``tolerance``, or supply a single serialized ``witness`` input to
-    re-evaluate. A generated run needs a list of integer dimensions of at
-    least 1, finite positive real radii and times, integer counts of at least
-    1 and at least 2 quadrature nodes.
+    re-evaluate; a witness that breaks the check's input fields scores NaN,
+    and a param of a generated run that breaks its kind is a UsageError.
     """
     prof = _resolve_profile(profile)
     registry = build_registry()
     if check_id not in registry:
         raise UsageError(f"unknown check id {check_id!r}")
     check = registry[check_id]
-    merged = dict(check.params)
     # a tolerance declared by name is the field of that name in the run's profile
     tolerance = getattr(prof, check.tolerance) if isinstance(check.tolerance, str) else check.tolerance
-    witness_input = None
+    witness_input, overrides = None, {}
     for key, value in (params or {}).items():
         if key == "tolerance":
             tolerance = float(value)
         elif key == "witness":
             witness_input = value
         elif key in check.params:
-            merged[key] = value
+            overrides[key] = value
         else:
             raise UsageError(f"check {check_id} does not take parameter {key!r}")
     start = time.perf_counter()
     if witness_input is not None:
-        inputs = [witness_input]
+        inputs, block = [witness_input], _parse(check.fields, witness_input)
+        residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]), prof)
     else:
-        _validate(check, merged)
+        merged = {**check.params, **overrides}
+        for key, value in merged.items():
+            kind = check.fields.get(key, COUNT)
+            kind = kind.kind if isinstance(kind, _Param) else kind
+            problem = kind.problem(key, value, isinstance(check.params[key], tuple))
+            if problem:
+                raise UsageError(f"check {check_id}: {problem}, got {value!r}")
         inputs = check.gen(merged, derive_stream(seed, check_id))
-    if not inputs:
-        raise UsageError(
-            f"check {check_id} generated no inputs: sample counts must be positive "
-            "and parameter lists non-empty"
-        )
-    residuals = check.residual(inputs, prof)
+        if not inputs:
+            raise UsageError(
+                f"check {check_id} generated no inputs: sample counts must be positive "
+                "and parameter lists non-empty"
+            )
+        residuals = check.residual(inputs, prof)
     elapsed = time.perf_counter() - start
     finite = np.isfinite(residuals)
-    if not finite.all():
-        # a NaN or infinite residual fails either kind; its input is the witness
-        first = int(np.argmin(finite))
-        max_residual = float(residuals[first])
-        passed = False
-        witness = inputs[first]
-    else:
-        # a witness check always reports its best find; a residual check its worst failure
-        top = int(residuals.argmax())
-        max_residual = float(residuals[top])
-        passed = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
-        witness = inputs[top] if check.kind == "witness" or not passed else None
+    # the first NaN or infinite residual fails either kind, with its input as the witness
+    top = int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
+    max_residual = float(residuals[top])
+    within = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
+    passed = math.isfinite(max_residual) and within
+    # a witness check always reports its best find; a residual check its worst failure
+    witness = inputs[top] if check.kind == "witness" or not passed else None
     return CheckReport(
         id=check_id,
         seed=seed,
@@ -1337,7 +1334,7 @@ def _json_scalar(value) -> str:
         return json.dumps(value)
     if value is None:
         return "null"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Inputs)):
         return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"

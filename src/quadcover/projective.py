@@ -20,7 +20,6 @@ __all__ = [
     "ProjectivePoint",
     "proj_normalize",
     "quadric_residual",
-    "in_hyperplane",
     "projective_defect",
     "sample_projective",
     "sample_horizontal",
@@ -108,13 +107,6 @@ def quadric_residual(point: ProjectivePoint) -> complex | np.ndarray:
     A batch of N points gives an array of N sums, one per row.
     """
     return np.sum(point.rep * point.rep, axis=-1)
-
-
-def in_hyperplane(point: ProjectivePoint, i: int, tol: float = 1e-10) -> bool:
-    """True iff the i-th homogeneous coordinate vanishes to within ``tol``."""
-    if not 0 <= i < point.rep.size:
-        raise IndexError(f"coordinate index {i} out of range for CP^{point.dim}")
-    return bool(abs(point.rep[i]) <= tol)
 
 
 def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float | np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import quadcover.checks as checks_module
 from quadcover.checks import (
-    SENTINEL,
+    Inputs,
     SuiteConfig,
     UsageError,
     VERIFIED_STATEMENTS,
@@ -79,7 +79,7 @@ def test_registry_contains_the_canonical_ids():
 def test_registering_a_duplicate_id_raises():
     before = build_registry()
     with pytest.raises(RuntimeError, match="already registered"):
-        checks_module._check("L-projemb", "again", ("ball-embedding-pullback",), 1.0, {})(
+        checks_module._check("L-projemb", "again", ("ball-embedding-pullback",), 1.0, {}, {})(
             lambda inp, profile: 0.0
         )
     assert build_registry() == before
@@ -241,9 +241,9 @@ def test_reports_keep_registry_order():
     assert [r.id for r in reports] == ["I-period-CP1", "I-period-Q1", "I-period-match"]
 
 
-# The checks whose residuals evaluate the whole input list at once, with
-# parameters that give several groups at a small sample count, some larger
-# than the five rows a chunk holds in the row-invariance test.
+# The checks whose residuals evaluate chunks of rows, with parameters that
+# give several blocks at a small sample count, some larger than the five rows
+# a chunk holds in the row-invariance test.
 BATCHED = {
     "C-branchedcover-deck": {"n": [1, 2], "samples": 6},
     "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
@@ -258,13 +258,31 @@ BATCHED = {
 }
 
 
+# Every other check, with parameters that keep a replay of each input cheap:
+# coarse RK4 steps and few quadrature nodes.
+SMALL = {
+    **BATCHED,
+    "C-branchedcover-fibers": {"n": [1, 2], "samples": 6},
+    "I-period-CP1": {"nodes": 8},
+    "I-period-Q1": {"nodes": 8},
+    "I-period-match": {"nodes": 8},
+    "P-evenedflow-restored": {"dt": 0.1},
+    "P-segre-equivariance": {"samples": 6},
+    "P-unitcut-rk4": {"dt": 0.05},
+    "P-unitcut-rk4-order": {},
+    "R-diag-antidiag": {"samples": 6},
+    "R-omega-r-not-FS": {"samples": 4, "pairs": 2},
+    "R-uneven-flow": {"trajectories": 2, "dt": 0.1},
+    "T-zerosection": {"n": [1, 2], "samples": 6},
+}
+
+
 def _inputs(cid):
     check = build_registry()[cid]
-    params = dict(check.params, **BATCHED[cid])
-    inputs = check.gen(params, derive_stream(5, cid))
-    # interleave the (n, r) groups so each group's rows are scattered
-    order = np.random.default_rng(0).permutation(len(inputs))
-    return check, [inputs[i] for i in order]
+    inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(5, cid))
+    # shuffle the rows of each block, so each chunk holds them in a new order
+    rng = np.random.default_rng(0)
+    return check, Inputs(check.fields, [block.rows(rng.permutation(len(block))) for block in inputs.blocks])
 
 
 @pytest.mark.parametrize("cid", sorted(BATCHED))
@@ -275,8 +293,9 @@ def test_batched_residual_is_row_invariant(cid, monkeypatch):
     chunked = check.residual(inputs, DEFAULT_PROFILE)
     assert whole.shape == (len(inputs),)
     assert np.array_equal(whole, chunked)
-    for i, inp in enumerate(inputs):
-        assert check.residual([inp], DEFAULT_PROFILE)[0] == chunked[i]
+    alone = [Inputs(check.fields, [block.rows([i])]) for block in inputs.blocks for i in range(len(block))]
+    for i, row in enumerate(alone):
+        assert check.residual(row, DEFAULT_PROFILE)[0] == chunked[i]
 
 
 @pytest.mark.parametrize("cid", sorted(BATCHED))
@@ -292,12 +311,13 @@ def test_batched_witness_replays_bit_for_bit(cid):
 
 
 @pytest.mark.parametrize("seed", [7, 42])
-@pytest.mark.parametrize("cid", sorted(cid for cid, check in build_registry().items() if not check.each))
+@pytest.mark.parametrize("cid", sorted(build_registry()))
 def test_every_generated_input_replays_its_suite_residual(cid, seed):
-    # each input of a batched check, replayed alone through run_check, scores
-    # the bits it scored in its batch, whichever rows shared its chunk
+    # each generated input, written as a witness and parsed back alone by
+    # run_check, scores the bits it scored in its block, whichever rows
+    # shared its chunk
     check = build_registry()[cid]
-    inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(seed, cid))
+    inputs = check.gen(dict(check.params, **SMALL[cid]), derive_stream(seed, cid))
     suite = check.residual(inputs, DEFAULT_PROFILE)
     for inp, residual in zip(inputs, suite):
         assert run_check(cid, {"witness": inp}).max_residual == residual, inp
@@ -305,11 +325,8 @@ def test_every_generated_input_replays_its_suite_residual(cid, seed):
 
 def test_out_of_ball_row_fails_the_batch():
     check, inputs = _inputs("L-projemb")
-    bad = dict(inputs[3])
-    z = np.asarray(bad["z"]["re"]) + 1j * np.asarray(bad["z"]["im"])
-    z *= 1.01 * bad["r"] / np.linalg.norm(z)
-    bad["z"] = {"re": z.real.tolist(), "im": z.imag.tolist()}
-    inputs[3] = bad
+    block = inputs.blocks[0]
+    block["z"][3] *= 1.01 * block["r"] / np.linalg.norm(block["z"][3])
     with pytest.raises(ValueError, match="outside the open ball"):
         check.residual(inputs, DEFAULT_PROFILE)
 
@@ -318,7 +335,7 @@ def test_uneven_row_fails_the_flow_batch():
     # the closed-form flow's membership guard scores the row NaN, leaving the rest
     check, inputs = _inputs("P-unitcut-flow")
     clean = check.residual(inputs, DEFAULT_PROFILE)
-    inputs[4] = dict(inputs[4], q=[1.1 * v for v in inputs[4]["q"]])
+    inputs.blocks[0]["q"][4] *= 1.1
     flagged = check.residual(inputs, DEFAULT_PROFILE)
     assert np.isnan(flagged[4])
     assert np.array_equal(np.delete(flagged, 4), np.delete(clean, 4))
@@ -390,8 +407,10 @@ def test_uneven_row_fails_the_evenedrescale_flow_batch():
     # only the uneven row scores NaN; its chunk is evaluated again row by row
     check, inputs = _inputs("P-evenedrescale")
     clean = check.residual(inputs, DEFAULT_PROFILE)
-    bad = next(i for i, inp in enumerate(inputs) if inp["part"] == "flow")
-    inputs[bad] = dict(inputs[bad], q=[1.1 * v for v in inputs[bad]["q"]])
+    # the first row of the first flow block
+    bad = len(inputs.blocks[0])
+    inputs.blocks[1]["q"][0] *= 1.1
+    assert inputs[bad]["part"] == "flow"
     flagged = check.residual(inputs, DEFAULT_PROFILE)
     assert np.isnan(flagged[bad])
     assert np.array_equal(np.delete(flagged, bad), np.delete(clean, bad))
@@ -401,15 +420,16 @@ def test_uneven_row_fails_the_evenedrescale_flow_batch():
 
 def test_branch_locus_row_fails_the_descent_batch():
     check, inputs = _inputs("P-omega-r-descent")
-    m = sample_cosphere(inputs[2]["n"], 1.0, 1.0, derive_stream(5, "branch"))
+    block = inputs.blocks[0]
+    m = sample_cosphere(block["n"], 1.0, 1.0, derive_stream(5, "branch"))
     near = CotangentPoint(p=m.p, q=(1.0 - 1e-9) * m.q)
-    rep = cotangent_to_quadric(near).rep
-    inputs[2] = dict(inputs[2], z={"re": rep.real.tolist(), "im": rep.imag.tolist()})
+    block["z"][2] = cotangent_to_quadric(near).rep
     with pytest.raises(BranchLocusError):
         check.residual(inputs, DEFAULT_PROFILE)
 
 
-def test_off_quadric_segre_row_gets_the_sentinel(monkeypatch):
+def test_off_quadric_segre_row_scores_nan(monkeypatch):
+    # NaN fails under every tolerance, where a score of 1.0 would pass one of 4
     check, inputs = _inputs("P-segre-pullback")
     clean = check.residual(inputs, DEFAULT_PROFILE)
 
@@ -421,7 +441,7 @@ def test_off_quadric_segre_row_gets_the_sentinel(monkeypatch):
 
     monkeypatch.setattr(checks_module, "segre_unitary", moved_first_row)
     flagged = check.residual(inputs, DEFAULT_PROFILE)
-    assert flagged[0] == SENTINEL
+    assert np.isnan(flagged[0])
     assert np.array_equal(flagged[1:], clean[1:])
 
 
@@ -487,6 +507,45 @@ def test_an_off_bundle_witness_fails_with_itself_as_witness(cid, witness):
     assert np.isnan(report.max_residual)
     assert report.witness == witness
     assert render_json([run_check(cid, {"witness": report.witness})]) == render_json([report])
+
+
+def _generated_row(cid, **changes):
+    check = build_registry()[cid]
+    return {**check.gen(dict(check.params, **SMALL[cid]), derive_stream(42, cid))[0], **changes}
+
+
+@pytest.mark.parametrize(
+    "cid, witness",
+    [
+        # raised IndexError: the point is indexed at n + 1
+        ("L-sphereembedding", {"n": 5, "p": [1.0, 0.0], "q": [0.0, 0.5]}),
+        # raised KeyError
+        ("L-sphereembedding", {"p": [1.0, 0.0], "q": [0.0, 0.5]}),
+        # passed: an unknown field was ignored
+        ("L-sphereembedding", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 0.5], "extra": 1}),
+        # raised ValueError from the arithmetic
+        ("P-unitcut-boundary", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0, 0.0]}),
+        ("P-unitcut-flow", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0], "t_grid": 0}),
+        # raised TypeError
+        ("P-unitcut-flow", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0], "t_grid": 1.5}),
+        # passed with residual 0.0
+        ("L-projemb", _generated_row("L-projemb", r=-1.0)),
+        # an integer radius too large for a float raised OverflowError
+        ("L-projemb", _generated_row("L-projemb", r=10**400)),
+        # raised from the differential
+        ("L-projemb", _generated_row("L-projemb", n=1, v1=[1.0, 0.0, 0.0])),
+        ("I-period-CP1", {"nodes": 1}),
+        ("R-omega-r-not-FS", _generated_row("R-omega-r-not-FS", dirs=[])),
+        ("T-zerosection", {"kind": "zero", "n": 2, "p": [1.0, 0.0, 0.0], "q": [0.0, 0.0]}),
+        # raised ZeroSectionError
+        ("P-evenedrescale", _generated_row("P-evenedrescale", r=0.0)),
+    ],
+)
+def test_a_malformed_witness_fails_with_nan(cid, witness):
+    report = run_check(cid, {"witness": witness})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness == witness
 
 
 def test_period_residuals_are_pinned():
@@ -642,7 +701,7 @@ def test_verdicts_hold_over_a_sweep_of_seeds():
             continue
         if "samples" not in check.params:
             # a period check draws nothing: every seed gives the same inputs
-            drawn = [check.gen(dict(check.params), derive_stream(s, cid)) for s in (1, 20)]
+            drawn = [list(check.gen(dict(check.params), derive_stream(s, cid))) for s in (1, 20)]
             assert drawn[0] == drawn[1], cid
             assert run_check(cid, seed=1).passed, cid
             continue
@@ -675,7 +734,7 @@ def test_rejection_loops_top_up_to_the_requested_count(monkeypatch):
         rows = [inp for inp in inputs if inp["n"] == n]
         assert len(rows) == 20
         for inp in rows:
-            m = quadric_to_cotangent(proj_normalize(checks_module._uncvec(inp["z"])))
+            m = quadric_to_cotangent(proj_normalize(np.asarray(inp["z"]["re"]) + 1j * np.asarray(inp["z"]["im"])))
             q2 = m.q @ m.q
             assert (1.0 - q2) / (1.0 + q2) > 0.9 - 1e-12
 

@@ -54,7 +54,8 @@ def test_segre_twist_with_a_flipped_sign(cid, monkeypatch):
     monkeypatch.setattr(maps_module, "segre_unitary", _segre_with_flipped_sign)
     monkeypatch.setattr(checks_module, "segre_unitary", _segre_with_flipped_sign)
     report = _assert_fails_with_witness(cid, {"samples": 50})
-    assert report.max_residual > 0.1
+    # the sign flip also leaves the quadric, where P-segre-pullback scores NaN
+    assert not report.max_residual <= 0.1
 
 
 def test_boundary_map_with_a_doubled_fiber(monkeypatch):

@@ -7,7 +7,6 @@ from quadcover.numerics import derive_stream, realify
 from quadcover.projective import (
     ProjectivePoint,
     horizontal_project,
-    in_hyperplane,
     proj_normalize,
     projective_defect,
     quadric_residual,
@@ -112,14 +111,6 @@ def test_quadric_residual_phase_covariance():
         b = complex(np.sum((np.exp(1j * theta) * z) ** 2))
         assert abs(b - np.exp(2j * theta) * a) < 1e-12
         assert abs(abs(b) - abs(a)) < 1e-12
-
-
-def test_in_hyperplane_examples():
-    assert in_hyperplane(proj_normalize(np.array([0.0, 1.0], dtype=complex)), 0)
-    assert in_hyperplane(proj_normalize(np.array([1, 1j, 0, 0])), 3)
-    assert not in_hyperplane(proj_normalize(np.array([1.0, 1.0], dtype=complex)), 0)
-    with pytest.raises(IndexError):
-        in_hyperplane(proj_normalize(np.array([1.0, 0.0], dtype=complex)), 2)
 
 
 def test_same_point_uses_overlap_modulus():
