@@ -8,10 +8,13 @@ with G X = 0, where g is the ambient gradient of H, G holds the constraint
 gradient rows (p, 0) and (q, p), and J(a, b) = (b, -a). Because
 G J G^T = [[0, |p|^2], [-|p|^2, 0]] exactly, the multipliers lambda are
 closed form: no frame and no linear solve. g is still a central difference
-of the energy of retracted ambient offsets, so dH is measured from H and only
-the constraint geometry is exact. The retracted energy depends on an offset
-only through its Gram entries |p|^2, |q|^2 and p.q, and an axis offset
-+-h e_i changes those by a closed-form update, so a field solve is O(d).
+of the energy of retracted ambient states, so dH is measured from H and only
+the constraint geometry is exact. The retracted energy depends on a state
+only through its Gram entries |p|^2, |q|^2 and p.q; by the chain rule its
+slopes in |p|^2 and p.q give gradient terms along the constraint rows (p, 0)
+and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
+reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
+energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
 so the field solve and the projected RK4 loop run on 2d Python floats and
 build one CotangentPoint at the end. On an "evened" cosphere (|p| = |q| = k)
@@ -89,11 +92,12 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
     With g the ambient gradient of the retracted energy and G the constraint
     rows (p, 0) and (q, p), X = J(g + G^T lambda) with G X = 0. G J G^T is
     [[0, |p|^2], [-|p|^2, 0]], so lambda needs no solve and X reads
-    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). g is a central
-    difference of the energy at the 4d offsets (p, q) +- h e_i, each read
-    from its Gram entries: a p-axis offset has |p|^2 +- 2h p_i + h^2 and
-    p.q +- h q_i, a q-axis offset |q|^2 +- 2h q_i + h^2 and p.q +- h p_i.
-    Called once per RK4 stage.
+    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). The slopes of the
+    energy in |p|^2 and p.q only add G^T terms to g, which lambda absorbs, so
+    g = (0, s q) with s twice the slope in |q|^2: one central difference at
+    the relative step h |q|^2, which keeps it well scaled at any size of q.
+    Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. Called once per
+    RK4 stage.
     """
     pp = hypot(*p) ** 2
     qq = hypot(*q) ** 2
@@ -103,22 +107,11 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
             "a degenerate restricted symplectic form"
         )
     pq = sum(map(mul, p, q))
-    energy = _restricted_energy
-    two_h = 2.0 * h
-    pp_h, qq_h = pp + h * h, qq + h * h
-    g_p = [
-        (energy(pp_h + two_h * a, qq, pq + h * b, k_ham) - energy(pp_h - two_h * a, qq, pq - h * b, k_ham))
-        / two_h
-        for a, b in zip(p, q)
-    ]
-    g_q = [
-        (energy(pp, qq_h + two_h * b, pq + h * a, k_ham) - energy(pp, qq_h - two_h * b, pq - h * a, k_ham))
-        / two_h
-        for a, b in zip(p, q)
-    ]
-    lam0, lam1 = _multipliers(pp, sum(map(mul, p, g_p)), sum(map(mul, q, g_q)), sum(map(mul, p, g_q)))
-    u = [g + lam1 * a for g, a in zip(g_q, p)]
-    w = [-(g + lam0 * a + lam1 * b) for g, a, b in zip(g_p, p, q)]
+    dqq = h * qq
+    slope = (_restricted_energy(pp, qq + dqq, pq, k_ham) - _restricted_energy(pp, qq - dqq, pq, k_ham)) / dqq
+    lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
+    u = [slope * b + lam1 * a for a, b in zip(p, q)]
+    w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
     residual = max(abs(sum(map(mul, p, u))), abs(sum(map(mul, q, u)) + sum(map(mul, p, w))))
     if residual > 1e-8:
         raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")

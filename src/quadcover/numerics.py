@@ -34,9 +34,11 @@ __all__ = [
 class ToleranceProfile:
     """Numerical knobs shared by every module.
 
-    fd_step balances O(h^2) truncation against double-precision cancellation;
-    branch_margin keeps the square-root lift of the pushed-down form away from
-    the branch locus where its derivative blows up.
+    fd_step balances O(h^2) truncation against double-precision cancellation:
+    it is the step of the map differentials and, relative to |q|^2, the step
+    of the one |q|^2 slope behind the RK4 field; branch_margin keeps the
+    square-root lift of the pushed-down form away from the branch locus
+    where its derivative blows up.
     """
 
     fd_step: float = 1e-5

@@ -114,17 +114,35 @@ def _plain_field(k_base, k_ham, p, q, h):
 
 
 def _numpy_field(k_ham, p, q, h):
-    """The field solve on numpy arrays: all 4d axis offsets through one batched energy."""
-    d = p.size
-    step = h * np.eye(2 * d)
-    offsets = np.concatenate((p, q)) + np.concatenate((step, -step))
-    op, oq = offsets[:, :d], offsets[:, d:]
-    pq = np.einsum("ij,ij->i", op, oq)
-    energy = k_ham * np.sqrt(np.einsum("ij,ij->i", oq, oq) - pq * pq / np.einsum("ij,ij->i", op, op))
-    grad = (energy[: 2 * d] - energy[2 * d :]) / (2.0 * h)
-    g_p, g_q = grad[:d], grad[d:]
-    pp = p @ p
-    lam0, lam1 = (q @ g_q - p @ g_p) / pp, -(p @ g_q) / pp
+    """The field solve on numpy arrays: the |q|^2 slope of the energy at +-h|q|^2, closed-form multipliers."""
+    pp, qq, pq = p @ p, q @ q, p @ q
+    dqq = h * qq
+    energy = k_ham * np.sqrt(qq + np.array([dqq, -dqq]) - pq * pq / pp)
+    slope = (energy[0] - energy[1]) / dqq
+    lam0, lam1 = slope * qq / pp, -slope * pq / pp
+    return np.concatenate((slope * q + lam1 * p, -(lam0 * p + lam1 * q)))
+
+
+def _axis_offset_field(k_ham, p, q, h):
+    """The field solve differenced along all 4d ambient axes, each offset read from its Gram entries.
+
+    A p-axis offset +-h e_i has |p|^2 +- 2h p_i + h^2 and p.q +- h q_i, a
+    q-axis offset |q|^2 +- 2h q_i + h^2 and p.q +- h p_i; 4d energy
+    evaluations where the |q|^2 slope needs two.
+    """
+    pp, qq, pq = p @ p, q @ q, p @ q
+    energy = dynamics._restricted_energy
+    two_h = 2.0 * h
+    pp_h, qq_h = pp + h * h, qq + h * h
+    g_p = np.array([
+        energy(pp_h + two_h * a, qq, pq + h * b, k_ham) - energy(pp_h - two_h * a, qq, pq - h * b, k_ham)
+        for a, b in zip(p, q)
+    ]) / two_h
+    g_q = np.array([
+        energy(pp, qq_h + two_h * b, pq + h * a, k_ham) - energy(pp, qq_h - two_h * b, pq - h * a, k_ham)
+        for a, b in zip(p, q)
+    ]) / two_h
+    lam0, lam1 = dynamics._multipliers(pp, p @ g_p, q @ g_q, p @ g_q)
     return np.concatenate((g_q + lam1 * p, -(g_p + lam0 * p + lam1 * q)))
 
 
@@ -163,7 +181,7 @@ def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
 
 
 def test_float_loop_matches_the_numpy_oracle():
-    # same scheme, same steps; only the rounding of the Gram-updated differences differs
+    # same scheme, same steps; only the rounding of float lists against arrays differs
     rng = derive_stream(76, "oracle")
     for n in range(1, 5):
         for k in (1.0, np.sqrt(0.5), 3.0):
@@ -178,7 +196,7 @@ def test_float_loop_matches_the_numpy_oracle():
                 assert abs(fast.constraint_drift - slow.constraint_drift) < 1e-10
 
 
-def test_field_solve_equals_the_plain_solve_bit_for_bit():
+def test_field_solve_matches_the_plain_frame_solve():
     # the closed-form multipliers against the frame solve, to the finite-difference floor
     rng = derive_stream(65, "plain")
     for n in range(1, 7):
@@ -187,6 +205,49 @@ def test_field_solve_equals_the_plain_solve_bit_for_bit():
                 for k_ham in (1.0, k):
                     lean = dynamics._solve_field(k_ham, m.p, m.q, 1e-5)
                     assert np.max(np.abs(lean - _plain_field(k, k_ham, m.p, m.q, 1e-5))) < 1e-9
+
+
+def test_q_slope_solve_matches_the_axis_offset_solve():
+    # one |q|^2 slope against differences along every ambient axis, at every
+    # scale; the axis step scales with the point, as the |q|^2 step does
+    rng = derive_stream(77, "slope")
+    for n in range(1, 7):
+        for k in (1.0, np.sqrt(0.5), 3.0):
+            for fiber in (k, 0.3 * k):
+                m = sample_cosphere(n, k, fiber, rng)
+                for scale in (1e-3, 1.0, 1e3):
+                    p, q = scale * m.p, scale * m.q
+                    lean = np.array(dynamics._solve_field(k, p.tolist(), q.tolist(), 1e-5))
+                    wide = _axis_offset_field(k, p, q, 1e-5 * scale)
+                    assert np.max(np.abs(lean - wide)) < 1e-9, (n, k, fiber, scale)
+
+
+def test_field_sees_the_energy_only_through_its_q_slope(monkeypatch):
+    # c|p|^2 and c p.q add constraint-row terms to the gradient, which the
+    # multipliers cancel; c|q|^2 adds 2c q, which turns the field. The
+    # axis-offset solve sees every slope, so it checks the cancellation itself
+    m = sample_cosphere(3, 1.0, 0.7, derive_stream(78, "gram"))
+    p, q = m.p.tolist(), m.q.tolist()
+    base = np.array(dynamics._solve_field(1.0, p, q, 1e-5))
+    wide_base = _axis_offset_field(1.0, m.p, m.q, 1e-5)
+    energy = dynamics._restricted_energy
+    c = 0.25
+    for extra, moves in (
+        (lambda pp, qq, pq: c * pp, False),
+        (lambda pp, qq, pq: c * pq, False),
+        (lambda pp, qq, pq: c * qq, True),
+    ):
+        monkeypatch.setattr(
+            dynamics,
+            "_restricted_energy",
+            lambda pp, qq, pq, k_ham, extra=extra: energy(pp, qq, pq, k_ham) + extra(pp, qq, pq),
+        )
+        change = np.max(np.abs(np.array(dynamics._solve_field(1.0, p, q, 1e-5)) - base))
+        wide_change = np.max(np.abs(_axis_offset_field(1.0, m.p, m.q, 1e-5) - wide_base))
+        if moves:
+            assert change > 0.1 and wide_change > 0.1
+        else:
+            assert change < 1e-14 and wide_change < 1e-9
 
 
 def test_rk4_loop_makes_no_svd_and_no_linear_solve(monkeypatch):
