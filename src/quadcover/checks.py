@@ -15,16 +15,16 @@ validate a generated run's params and parse a witness row into a one-row
 stored by field; a row becomes a plain-JSON dict only as a witness, in a
 report or for a hash.
 
-A residual takes one row (``each``) or a chunk of at most ``CHUNK_ROWS`` rows
-of one block, computed by row arithmetic only (elementwise operations,
-``einsum("ij,ij->i")``, reductions along the last axis; never stacked matmul
-or BLAS, whose rounding depends on the batch size), so a replayed witness
-reproduces its residual bit for bit. A body written once on the last axis
-reads :meth:`Block.flat`, so a chunk of one row, every witness replay among
-them, runs on the 1-D point, where the maps' 1-D twins use the reductions of
-their row twins. That identity depends on the loops numpy picks (Python
-``abs`` of a numpy complex scalar can differ from ``np.abs`` in the last
-bit); the tests of twins and of replays guard it.
+A sampling check's residual takes a chunk of rows of one block; only the RK4
+and period checks, whose row is a whole trajectory or integral, take one row
+a call (``each``). A chunk is computed by row arithmetic only (elementwise
+operations, ``einsum("ij,ij->i")``, reductions along the last axis; never
+stacked matmul or BLAS, whose rounding depends on the batch size), so a
+replayed witness reproduces its residual bit for bit. A body written once on
+the last axis reads :meth:`Block.flat`, so a chunk of one row, every replay
+among them, runs the maps' 1-D twins, which use the reductions of their row
+twins. That identity depends on the loops numpy picks (a complex product of
+strided columns can round unlike a contiguous one); tests guard it.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ from .maps import (
     locus_classify,
     quadric_fiber,
     quadric_to_cotangent,
+    real_defect,
     segre_map,
     segre_unitary,
 )
@@ -211,10 +212,10 @@ class _Vector:
     def parse(self, value, n):
         size = self.size(n) if callable(self.size) else self.size
         if not self.many:
-            return self._parse(value, size)[None]
+            return self._parse(value, size)
         if not isinstance(value, list) or not value:
             raise ValueError("malformed list of vectors")
-        return np.stack([self._parse(v, size) for v in value])[None]
+        return np.stack([self._parse(v, size) for v in value])
 
     def _parse(self, value, size) -> np.ndarray:
         if self.complex:
@@ -226,7 +227,8 @@ class _Vector:
         if a.dtype.kind not in "iuf" or a.ndim != len(shape) or (a.shape != shape if size else a.shape[-1] < 2):
             raise ValueError("malformed vector")
         a = a.astype(float, copy=False)
-        return a[0] + 1j * a[1] if self.complex else a
+        # the (re, im) rows interleaved are the complex entries, bit for bit
+        return a.T.ravel().view(complex) if self.complex else a
 
 
 class _Param(NamedTuple):
@@ -249,12 +251,18 @@ CP1 = _Vector(2, complex=True)
 
 
 class Block:
-    """Rows of a check's inputs stored by field: a column array with one entry per row, or one shared value."""
+    """Rows of a check's inputs stored by field: a column array with one entry per row, or one shared value.
 
-    __slots__ = ("size", "columns")
+    ``Block(1, row)`` holds one parsed witness row, its vectors 1-D: it hands
+    that row back as its row, and its columns are the vectors as one-row arrays.
+    """
 
-    def __init__(self, size: int, **columns):
-        self.size = size
+    __slots__ = ("size", "columns", "point")
+
+    def __init__(self, size: int, point: dict | None = None, /, **columns):
+        self.size, self.point = size, point
+        if point:
+            columns = {k: v[None] if isinstance(v, np.ndarray) else v for k, v in point.items()}
         self.columns = columns
 
     def __len__(self) -> int:
@@ -270,7 +278,7 @@ class Block:
 
     def row(self, i: int) -> dict:
         """Row ``i``: its vectors as 1-D arrays, its numbers and labels as Python scalars."""
-        return {
+        return self.point or {
             k: (v[i] if v.ndim > 1 else v[i].item()) if isinstance(v, np.ndarray) else v
             for k, v in self.columns.items()
         }
@@ -314,7 +322,7 @@ def _parse(fields: Mapping[str, Any], witness) -> Block | None:
     value carries), declared before those fields, keeps its value's only.
     """
     try:
-        columns: dict[str, Any] = {}
+        row: dict[str, Any] = {}
         skip: Any = ()
         for key, kind in fields.items():
             if isinstance(kind, _Param) or key in skip:
@@ -322,11 +330,11 @@ def _parse(fields: Mapping[str, Any], witness) -> Block | None:
             value = witness[key]
             if isinstance(kind, dict):
                 skip = set().union(*kind.values()).difference(kind[value])
-                columns[key] = value
+                row[key] = value
             else:
-                columns[key] = kind.parse(value, columns.get("n"))
+                row[key] = kind.parse(value, row.get("n"))
         # every parsed field is a key of the row, so equal counts mean no other keys
-        return Block(1, **columns) if len(witness) == len(columns) else None
+        return Block(1, row) if len(witness) == len(row) else None
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -346,10 +354,6 @@ def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
     return np.maximum(np.abs(a.p - b.p).max(axis=-1), np.abs(a.q - b.q).max(axis=-1))
 
 
-def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
-    return _worst(_row_dist(a, b))
-
-
 def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> float:
     """Largest distance of the RK4 trajectory of ``m``, on its base radius, from ``exact(m, t)`` at each ``ts``."""
     ham = HamiltonianSpec(m.base_radius)
@@ -357,7 +361,7 @@ def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exac
     for t in ts:
         point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
         t_done = t
-        dists.append(_dist(point, exact(m, t)))
+        dists.append(_row_dist(point, exact(m, t)))
     return _worst(dists)
 
 
@@ -474,9 +478,10 @@ class Check:
     (``_score_<name>`` for a witness check), looked up in this module when
     read, so a function rebound after import is the one that runs; an
     ``each`` residual takes one row (:func:`_each`), any other a chunk of rows
-    (:func:`_chunked`). ``tolerance`` is a number or the name of a
-    :class:`ToleranceProfile` field. ``params`` is read-only, list defaults
-    stored as tuples, so no caller can change a declared default later.
+    (:func:`_chunked`), fewer of them when the field ``points`` counts a row's
+    points. ``tolerance`` is a number or the name of a :class:`ToleranceProfile`
+    field. ``params`` is read-only, list defaults stored as tuples, so no
+    caller can change a declared default later.
     """
 
     id: str
@@ -489,6 +494,7 @@ class Check:
     name: str
     each: bool
     fields: Mapping[str, Any]
+    points: str | None
 
     @property
     def gen(self) -> Callable[[dict, np.random.Generator], Inputs]:
@@ -498,13 +504,13 @@ class Check:
     @property
     def residual(self) -> Callable[[Inputs, ToleranceProfile], np.ndarray]:
         func = globals()[("_score_" if self.kind == "witness" else "_res_") + self.name]
-        return _each(func) if self.each else _chunked(func)
+        return _each(func) if self.each else _chunked(func, self.points)
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=True):
+def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=False, points=None):
     """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
 
     ``fields`` declares each input field, in row order, with its kind; a label
@@ -520,7 +526,8 @@ def _check(id, statement, covers, tolerance, params, fields, kind="residual", ea
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
-            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each, MappingProxyType(fields)
+            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each,
+            MappingProxyType(fields), points,
         )
         return func
 
@@ -539,7 +546,7 @@ def build_registry() -> dict[str, Check]:
 
 
 def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
-    """Lift a per-row residual to the list contract, one call per :meth:`Block.row`; off the bundle scores NaN."""
+    """Lift a residual of one row (a trajectory or an integral) to the list contract; off the bundle scores NaN."""
 
     def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
         out = []
@@ -554,13 +561,15 @@ def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
     return batch
 
 
-def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Callable:
+def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray], points: str | None = None) -> Callable:
     """Lift a residual of a chunk of rows to the list contract: chunks of at most CHUNK_ROWS rows, in order.
 
-    The residual returns one value per row, or a scalar for a chunk of one
-    row that it evaluates as a 1-D point. A chunk that raises OffBundleError
-    is evaluated again row by row, bit-identical by row arithmetic, so only
-    the rows off the bundle score NaN, failing the check as its witnesses.
+    With ``points``, the field that counts the points a row evaluates, a chunk
+    holds at most max(1, CHUNK_ROWS // points) rows. The residual returns one
+    value per row, or a scalar for a chunk of one row that it evaluates as a
+    1-D point. A chunk that raises OffBundleError is evaluated again row by
+    row, bit-identical by row arithmetic, so only the rows off the bundle
+    score NaN, failing the check as its witnesses.
     """
 
     def or_nan(rows: Block, profile: ToleranceProfile) -> np.ndarray:
@@ -574,8 +583,9 @@ def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Calla
     def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
         out = []
         for block in inputs.blocks:
-            for lo in range(0, len(block), CHUNK_ROWS):
-                chunk = block if len(block) <= CHUNK_ROWS else block.rows(slice(lo, lo + CHUNK_ROWS))
+            size = max(1, CHUNK_ROWS // block[points]) if points else CHUNK_ROWS
+            for lo in range(0, len(block), size):
+                chunk = block if len(block) <= size else block.rows(slice(lo, lo + size))
                 out.append(or_nan(chunk, profile))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -619,7 +629,6 @@ def _gen_projemb(params, rng):
     covers=("ball-embedding-pullback",), tolerance=1e-6,
     params={"n": [1, 2, 3], "r": [1.0, ROOT2, 2.0], "samples": 1000, "pairs": 3},
     fields={"n": DIM, "r": RADIUS, "z": CVEC, "v1": TANGENT, "v2": TANGENT},
-    each=False,
 )
 def _res_projemb(rows, profile):
     n, r, v1, v2 = rows["n"], rows["r"], rows["v1"], rows["v2"]
@@ -637,7 +646,6 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
     covers=("cotangent-to-quadric-image",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
-    each=False,
 )
 def _res_sphereembedding(rows, profile):
     image = cotangent_to_quadric(_pq(rows.flat()))
@@ -670,7 +678,6 @@ def _gen_sphereembedding_lift(params, rng):
     covers=("cotangent-to-quadric-image",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "z": QVEC},
-    each=False,
 )
 def _res_sphereembedding_lift(rows, profile):
     point = proj_normalize(rows.flat()["z"])
@@ -690,7 +697,6 @@ _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
     covers=("unit-cosphere-cut",), tolerance="residual_tol",
     params={"n": [1, 2, 3], "samples": 200},
     fields={"n": DIM, "p": POINT, "q": POINT},
-    each=False,
 )
 def _res_unitcut_boundary(rows, profile):
     ts = np.linspace(0.0, TWO_PI, 17)[1:]
@@ -714,12 +720,19 @@ _gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: 
     covers=("unit-cosphere-cut",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
     fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
+    points="t_grid",
 )
-def _res_unitcut_flow(inp, profile):
-    # the whole time grid at once: both flows return one row per time
-    m = _pq(inp)
-    ts = np.linspace(0.0, TWO_PI, inp["t_grid"])
-    return _dist(flow_closed_form(m, ts), scalar_action(m, ts))
+def _res_unitcut_flow(rows, profile):
+    # both flows over the whole time grid at once: a point as it is, rows
+    # repeated so that row i * T + j is input i at the j-th time; then each
+    # input's largest entry gap in one reduction
+    flat = rows.flat()
+    m, ts = _pq(flat), np.linspace(0.0, TWO_PI, flat["t_grid"])
+    if len(rows) > 1:
+        m = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
+        ts = np.tile(ts, len(rows))
+    a, b = flow_closed_form(m, ts), scalar_action(m, ts)
+    return np.maximum(np.abs(a.p - b.p), np.abs(a.q - b.q)).reshape(len(rows), -1).max(axis=1)
 
 
 _gen_unitcut_rk4 = _cotangent_generator(
@@ -734,6 +747,7 @@ _gen_unitcut_rk4 = _cotangent_generator(
     covers=("unit-cosphere-cut",), tolerance=1e-6,
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt": TIME, "t_final": TIME},
+    each=True,
 )
 def _res_unitcut_rk4(inp, profile):
     # compared at a third and halfway as well: at t_final = 2 pi the closed
@@ -755,6 +769,7 @@ _gen_unitcut_rk4_order = _cotangent_generator(
     covers=("unit-cosphere-cut",), tolerance=4.0,
     params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt0": TIME, "t_final": TIME},
+    each=True,
 )
 def _res_unitcut_rk4_order(inp, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
@@ -776,7 +791,6 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
     covers=("branched-double-cover",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
-    each=False,
 )
 def _res_branchedcover_deck(rows, profile):
     m = _pq(rows.flat())
@@ -806,16 +820,15 @@ def _gen_branchedcover_fibers(params, rng):
     params={"n": [1, 2, 3], "samples": 200},
     fields={"kind": {"off": (), "on": ()}, "expected": COUNT, "z": _Vector(None, complex=True), "n": _Param(DIM)},
 )
-def _res_branchedcover_fibers(inp, profile):
-    point = proj_normalize(inp["z"])
-    fiber = quadric_fiber(point, tol=profile.residual_tol)
-    if len(fiber) != inp["expected"]:
-        return math.nan
-    worst = 0.0
-    for lift in fiber:
-        worst = max(worst, abs(quadric_residual(lift)))
-        worst = max(worst, projective_defect(branched_cover(lift), point))
-    return worst
+def _res_branchedcover_fibers(rows, profile):
+    flat = rows.flat()
+    point = proj_normalize(flat["z"])
+    *sheets, count = quadric_fiber(point, tol=profile.residual_tol)
+    plus, minus = (
+        np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets
+    )
+    # a wrong number of preimages scores NaN
+    return np.where(count == flat["expected"], np.maximum(plus, minus), np.nan)
 
 
 _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
@@ -827,7 +840,6 @@ _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
     covers=("branch-locus-degeneracy",), tolerance=1e-8,
     params={"n": [1, 2, 3], "samples": 100},
     fields={"n": DIM, "p": POINT, "q": POINT},
-    each=False,
 )
 def _res_pi_not_symplectic(rows, profile):
     # at a branch point the vertical direction is tangent to the quadric and
@@ -869,7 +881,6 @@ def _gen_segre_pullback(params, rng):
     covers=("quadric-product-structure",), tolerance=1e-6,
     params={"samples": 1000},
     fields={"a": CP1, "b": CP1, "v1": _Vector(8), "v2": _Vector(8)},
-    each=False,
 )
 def _res_segre_pullback(rows, profile):
     fs1 = scaled_form(fubini_study_form(1), 2.0)
@@ -893,12 +904,12 @@ def _gen_segre_equivariance(params, rng):
     params={"samples": 1000},
     fields={"a": CP1, "b": CP1},
 )
-def _res_segre_equivariance(inp, profile):
-    a = proj_normalize(inp["a"])
-    b = proj_normalize(inp["b"])
+def _res_segre_equivariance(rows, profile):
+    flat = rows.flat()
+    a, b = proj_normalize(flat["a"]), proj_normalize(flat["b"])
     swap = projective_defect(deck(segre_unitary(a, b)), segre_unitary(b, a))
-    diagonal = projective_defect(deck(segre_unitary(a, a)), segre_unitary(a, a))
-    return max(swap, diagonal)
+    diagonal = segre_unitary(a, a)
+    return np.maximum(swap, projective_defect(deck(diagonal), diagonal))
 
 
 def _gen_diag_antidiag(params, rng):
@@ -912,17 +923,13 @@ def _gen_diag_antidiag(params, rng):
     params={"samples": 1000},
     fields={"a": CP1},
 )
-def _res_diag_antidiag(inp, profile):
-    a = proj_normalize(inp["a"])
+def _res_diag_antidiag(rows, profile):
+    a = proj_normalize(rows.flat()["a"])
     on_conic = branched_cover(segre_unitary(a, a))
-    if locus_classify(on_conic) != "on_Q1":
-        return math.nan
     on_real = branched_cover(segre_unitary(a, antipodal_cp1(a)))
-    if locus_classify(on_real) != "on_RP2":
-        return math.nan
-    rep = on_real.rep
-    imag_defect = float(np.max(np.abs(np.imag(np.outer(rep, rep.conjugate())))))
-    return max(abs(quadric_residual(on_conic)), imag_defect)
+    # a point of the wrong locus class scores NaN
+    classes = (locus_classify(on_conic) == "on_Q1") & (locus_classify(on_real) == "on_RP2")
+    return np.where(classes, np.maximum(np.abs(quadric_residual(on_conic)), real_defect(on_real)), np.nan)
 
 
 def _gen_evenedrescale(params, rng):
@@ -948,7 +955,6 @@ def _gen_evenedrescale(params, rng):
         "part": {"form": ("v1", "v2"), "flow": ("t",)}, "n": DIM, "r": RADIUS, "p": POINT, "q": POINT,
         "v1": TANGENT, "v2": TANGENT, "t": TIME,
     },
-    each=False,
 )
 def _res_evenedrescale(rows, profile):
     n, r, m = rows["n"], rows["r"], _pq(rows)
@@ -988,6 +994,7 @@ def _gen_evenedflow_restored(params, rng):
         "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "t": TIME, "dt": TIME,
         "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
+    each=True,
 )
 def _res_evenedflow_restored(inp, profile):
     return _rk4_drift(even_rescale(_pq(inp), inp["r"]), (inp["t"],), inp["dt"], profile, scalar_action)
@@ -1006,6 +1013,7 @@ _gen_uneven_flow = _cotangent_generator(
     params={"n": [2], "r": 0.5, "trajectories": 3, "dt": 0.01, "t_checks": [float(np.pi / 2.0), float(np.pi)]},
     fields={"n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES, "t_checks": _Param(TIMES)},
     kind="witness",
+    each=True,
 )
 def _score_uneven_flow(inp, profile):
     # witness search: how far the true flow drifts from the scalar action
@@ -1045,7 +1053,6 @@ def _gen_omega_r_descent(params, rng):
     covers=("pushed-down-form",), tolerance=1e-6,
     params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
     fields={"n": DIM, "r": RADIUS, "z": QVEC, "v1": QVEC, "v2": QVEC},
-    each=False,
 )
 def _res_omega_r_descent(rows, profile):
     # each row with its own radius: the form and the expected value both
@@ -1081,12 +1088,14 @@ def _gen_omega_r_not_fs(params, rng):
     fields={"n": DIM, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
     kind="witness",
 )
-def _score_omega_r_not_fs(inp, profile):
-    # ratios omega_r(v, iv) / omega_FS(v, iv) across directions at one point;
-    # omega_FS(v, iv) = |v|^2 = 1 for unit horizontal v
-    point = proj_normalize(inp["z"])
-    ratios = [omega_r(point, realify(v), realify(1j * v), inp["r"], profile) for v in inp["dirs"]]
-    return max(ratios) - min(ratios)
+def _score_omega_r_not_fs(rows, profile):
+    # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
+    # rows x directions in one call on the row body; omega_FS(v, iv) = |v|^2 = 1
+    dirs = rows["dirs"]
+    point = ProjectivePoint(np.repeat(proj_normalize(rows["z"]).rep, dirs.shape[1], axis=0))
+    v = dirs.reshape(-1, dirs.shape[-1])
+    ratios = omega_r(point, realify(v), realify(1j * v), rows["r"], profile).reshape(dirs.shape[:2])
+    return ratios.max(axis=1) - ratios.min(axis=1)
 
 
 def _gen_period_cp1(params, rng):
@@ -1100,14 +1109,14 @@ def _gen_period_cp1(params, rng):
     covers=("pushed-down-form",), tolerance="quadrature_tol",
     params={"nodes": 200},
     fields={"nodes": NODES},
+    each=True,
 )
 def _res_period_cp1(inp, profile):
     value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=inp["nodes"])
     return abs(value - np.pi)
 
 
-def _gen_period_q1(params, rng):
-    return [Block(1, nodes=int(params["nodes"]))]
+_gen_period_q1 = _gen_period_cp1
 
 
 @_check(
@@ -1116,6 +1125,7 @@ def _gen_period_q1(params, rng):
     covers=("pushed-down-form",), tolerance=1e-5,
     params={"nodes": 64},
     fields={"nodes": NODES},
+    each=True,
 )
 def _res_period_q1(inp, profile):
     form = scaled_form(fubini_study_form(2), 2.0)
@@ -1133,6 +1143,7 @@ def _gen_period_match(params, rng):
     covers=("pushed-down-form",), tolerance=1e-5,
     params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
     fields={"nodes": NODES, "r": RADIUS},
+    each=True,
 )
 def _res_period_match(inp, profile):
     r = inp["r"]
@@ -1162,21 +1173,16 @@ def _gen_zerosection(params, rng):
     params={"n": [2], "samples": 500},
     fields={"kind": {"zero": (), "boundary": ()}, "n": DIM, "p": POINT, "q": POINT},
 )
-def _res_zerosection(inp, profile):
-    m = _pq(inp)
-    if inp["kind"] == "zero":
-        image = branched_cover(cotangent_to_quadric(m))
-        if inp["n"] == 2 and locus_classify(image) != "on_RP2":
-            return math.nan
-        rep = image.rep
-        return float(np.max(np.abs(np.imag(np.outer(rep, rep.conjugate())))))
-    image = branched_cover(cosphere_boundary(m))
-    if inp["n"] == 2 and locus_classify(image) != "on_Q1":
-        return math.nan
-    return abs(quadric_residual(image))
+def _res_zerosection(rows, profile):
+    flat = rows.flat()
+    zero = flat["kind"] == "zero"
+    image = branched_cover((cotangent_to_quadric if zero else cosphere_boundary)(_pq(flat)))
+    locus, defect = ("on_RP2", real_defect(image)) if zero else ("on_Q1", np.abs(quadric_residual(image)))
+    # in the plane, a point of the wrong locus class scores NaN
+    return np.where(locus_classify(image) == locus, defect, np.nan) if flat["n"] == 2 else defect
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckReport:
     id: str
     seed: int
@@ -1263,21 +1269,15 @@ def run_check(
     elapsed = time.perf_counter() - start
     finite = np.isfinite(residuals)
     # the first NaN or infinite residual fails either kind, with its input as the witness
-    top = int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
+    top = 0 if len(residuals) == 1 else int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
     max_residual = float(residuals[top])
     within = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
     passed = math.isfinite(max_residual) and within
     # a witness check always reports its best find; a residual check its worst failure
     witness = inputs[top] if check.kind == "witness" or not passed else None
     return CheckReport(
-        id=check_id,
-        seed=seed,
-        samples=len(inputs),
-        max_residual=max_residual,
-        tolerance=float(tolerance),
-        passed=passed,
-        elapsed=elapsed,
-        witness=witness,
+        id=check_id, seed=seed, samples=len(inputs), max_residual=max_residual,
+        tolerance=float(tolerance), passed=passed, elapsed=elapsed, witness=witness,
     )
 
 

@@ -36,7 +36,9 @@ class OffBundleError(ValueError):
     """A point lies off the bundle a map or flow is defined on."""
 
 
-@dataclass(frozen=True, eq=False)
+# not frozen: a frozen dataclass pays object.__setattr__ per field on each of
+# the many points the maps build
+@dataclass(eq=False, slots=True)
 class CotangentPoint:
     """Pair (p, q) with |p| = base_radius and <p, q> = 0.
 

@@ -2,13 +2,16 @@
 
 Ball embedding into projective space, cotangent bundle into the quadric,
 cosphere boundary onto the lower quadric, coordinate-dropping branched double
-cover with its deck involution, the twisted Segre identification of the
-quadric surface with a product of lines, and the locus classifiers for the
-conic and the real points of the plane.
+cover with its deck involution and its fibers, the twisted Segre
+identification of the quadric surface with a product of lines, the antipodal
+map of the line, and the locus classifier for the conic and the real points
+of the plane.
 
 All maps operate on canonical representatives and re-normalize outputs;
 identities between them are asserted through the projective equality
-predicate, never entrywise.
+predicate, never entrywise. Each map takes one point (1-D arrays) or a batch
+of points (one per row) and acts on the last axis, so a row of a batch has
+the bits of that point alone and a check can replay one row exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .cotangent import CotangentPoint, OffBundleError
 from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
 from .numerics import complexify, realify
-from .projective import ProjectivePoint, _normalize_point, proj_normalize
+from .projective import ProjectivePoint, _normalize_point, proj_normalize, quadric_residual
 
 __all__ = [
     "ball_to_projective",
@@ -33,6 +36,7 @@ __all__ = [
     "segre_unitary",
     "segre_map",
     "antipodal_cp1",
+    "real_defect",
     "locus_classify",
 ]
 
@@ -156,21 +160,21 @@ def branched_cover_map(n: int) -> SmoothMap:
     )
 
 
-def quadric_fiber(point: ProjectivePoint, tol: float = 1e-10) -> list[ProjectivePoint]:
-    """Preimages on the quadric upstairs of a point of CP^n.
+def quadric_fiber(point: ProjectivePoint, tol: float = 1e-10) -> tuple[ProjectivePoint, ProjectivePoint, int]:
+    """Preimages on the quadric upstairs of a point of CP^n: both sheets, and how many points they are.
 
-    Solving w^2 = -sum z_k^2 gives two sheets off the branch quadric and a
-    single point [z : 0] on it.
+    Solving w^2 = -sum z_k^2 gives the two sheets [z : w] and [z : -w], 2
+    points, off the branch quadric; on it (|sum z_k^2| <= ``tol``) both sheets
+    are the single point [z : 0], 1 point. Acts on the last axis, so a batch
+    of N points gives two batches of N sheets and an array of N counts, each
+    row with the bits of its point alone.
     """
     rep = point.rep
-    s = complex(np.sum(rep * rep))
-    if abs(s) <= tol:
-        return [proj_normalize(np.concatenate([rep, [0.0 + 0.0j]]))]
-    w = 1j * np.sqrt(s)
-    return [
-        proj_normalize(np.concatenate([rep, [w]])),
-        proj_normalize(np.concatenate([rep, [-w]])),
-    ]
+    s = quadric_residual(point)[..., None]
+    branch = np.abs(s) <= tol
+    w = np.where(branch, 0.0, 1j * np.sqrt(s))
+    plus, minus = (proj_normalize(np.concatenate([rep, last], axis=-1)) for last in (w, -w))
+    return plus, minus, 2 - branch[..., 0]
 
 
 def deck(point: ProjectivePoint) -> ProjectivePoint:
@@ -184,30 +188,17 @@ def deck(point: ProjectivePoint) -> ProjectivePoint:
 
 
 def segre_unitary(a: ProjectivePoint, b: ProjectivePoint) -> ProjectivePoint:
-    """Twisted Segre map ([x:y], [a:b]) -> [xa+yb : i(xa-yb) : i(xb+ya) : xb-ya].
+    """Twisted Segre map ([x:y], [s:t]) -> [xs+yt : i(xs-yt) : i(xt+ys) : xt-ys].
 
     Composition of the Segre embedding with a unitary (up to scale) change of
-    coordinates; the image lies on the quadric surface in CP^3. Two batches of
-    N points (representative arrays of shape (N, 2)) map to a batch of N.
+    coordinates; the image lies on the quadric surface in CP^3. Acts on the
+    last axis, so two batches of N points (representative arrays of shape
+    (N, 2)) map to a batch of N, each row with the bits of its pair alone.
     """
-    if a.rep.ndim != 1:
-        x, y = a.rep[:, 0], a.rep[:, 1]
-        s, t = b.rep[:, 0], b.rep[:, 1]
-        return proj_normalize(
-            np.stack([x * s + y * t, 1j * (x * s - y * t), 1j * (x * t + y * s), x * t - y * s], axis=1)
-        )
-    x, y = a.rep
-    s, t = b.rep
-    return proj_normalize(
-        np.array(
-            [
-                x * s + y * t,
-                1j * (x * s - y * t),
-                1j * (x * t + y * s),
-                x * t - y * s,
-            ]
-        )
-    )
+    x, y = a.rep[..., 0:1], a.rep[..., 1:2]
+    s, t = b.rep[..., 0:1], b.rep[..., 1:2]
+    xs, yt, xt, ys = x * s, y * t, x * t, y * s
+    return proj_normalize(np.concatenate([xs + yt, 1j * (xs - yt), 1j * (xt + ys), xt - ys], axis=-1))
 
 
 def segre_map() -> SmoothMap:
@@ -221,21 +212,36 @@ def segre_map() -> SmoothMap:
 
 
 def antipodal_cp1(a: ProjectivePoint) -> ProjectivePoint:
-    """Fixed-point-free involution of CP^1: [x : y] -> [-conj(y) : conj(x)]."""
-    x, y = a.rep
-    return proj_normalize(np.array([-y.conjugate(), x.conjugate()]))
+    """Fixed-point-free involution of CP^1: [x : y] -> [-conj(y) : conj(x)].
+
+    Acts on the last axis, so a batch of N points maps row by row.
+    """
+    rep = a.rep.conjugate()
+    return proj_normalize(np.concatenate([-rep[..., 1:2], rep[..., 0:1]], axis=-1))
 
 
-def locus_classify(point: ProjectivePoint, tol: float = 1e-9) -> str:
-    """Classify a point of CP^2 as ``on_Q1``, ``on_RP2``, or ``generic``.
+def real_defect(point: ProjectivePoint) -> float | np.ndarray:
+    """Largest |Im(z_j conj(z_k))| over the pairs (j, k); zero iff the point is real.
 
-    Real points are detected gauge-freely: some phase makes all coordinates
-    real iff Im(z_j conj(z_k)) vanishes for every pair (j, k).
+    Gauge-free: some phase makes all coordinates real iff every such
+    imaginary part vanishes. A batch of N points gives N defects, one per
+    row, each with the bits of its point alone.
     """
     rep = point.rep
-    if abs(np.sum(rep * rep)) < tol:
-        return "on_Q1"
-    pairwise = np.abs(np.imag(np.outer(rep, rep.conjugate())))
-    if float(pairwise.max()) < tol:
-        return "on_RP2"
-    return "generic"
+    pairwise = (rep[..., :, None] * rep[..., None, :].conjugate()).imag
+    return np.maximum.reduce(np.abs(pairwise.reshape(rep.shape[:-1] + (-1,))), axis=-1)
+
+
+# the labels by rank: 2 on the conic, else 1 if real
+_LOCI = np.array(["generic", "on_RP2", "on_Q1"])
+
+
+def locus_classify(point: ProjectivePoint, tol: float = 1e-9) -> str | np.ndarray:
+    """Classify a point of CP^2 as ``on_Q1``, ``on_RP2``, or ``generic``.
+
+    On the conic when |sum z_k^2| < ``tol``, else real when
+    :func:`real_defect` is below ``tol``. Acts on the last axis: a batch of N
+    points gives an array of N labels, one per row, and a point its label.
+    """
+    on_conic = np.abs(quadric_residual(point)) < tol
+    return _LOCI[np.maximum(2 * on_conic, real_defect(point) < tol)]

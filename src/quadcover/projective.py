@@ -10,6 +10,7 @@ orthogonality to the representative. Maps and forms take it realified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+# not frozen: a frozen dataclass pays object.__setattr__ per field on each of
+# the many points the maps build
+@dataclass(eq=False, slots=True)
 class ProjectivePoint:
     """Point of CP^n held as a unit-norm complex representative.
 
@@ -64,7 +67,8 @@ def proj_normalize(z: np.ndarray) -> ProjectivePoint:
 def _normalize_point(z: np.ndarray) -> np.ndarray:
     """Body of :func:`proj_normalize` on one 1-D point; the same reductions as the row twin."""
     mags = np.abs(z)
-    norm = np.sqrt(np.einsum("i,i->", mags, mags))
+    # math.sqrt rounds as np.sqrt does, without a numpy scalar's overhead
+    norm = math.sqrt(np.einsum("i,i->", mags, mags))
     if norm <= 1e-12:
         raise ValueError("degenerate point: representative norm below 1e-12")
     k = int(mags.argmax())
@@ -106,7 +110,7 @@ def quadric_residual(point: ProjectivePoint) -> complex | np.ndarray:
 
     A batch of N points gives an array of N sums, one per row.
     """
-    return np.sum(point.rep * point.rep, axis=-1)
+    return np.add.reduce(point.rep * point.rep, axis=-1)
 
 
 def projective_defect(a: ProjectivePoint, b: ProjectivePoint) -> float | np.ndarray:

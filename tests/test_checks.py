@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,13 @@ def test_every_entry_resolves_its_functions_and_tolerance():
     for cid, check in build_registry().items():
         assert callable(check.gen) and callable(check.residual), cid
         assert isinstance(check.tolerance, float) or check.tolerance in fields, cid
+
+
+def test_only_trajectories_and_integrals_take_one_row_a_call():
+    # every sampling check evaluates chunks of rows; a row of an RK4 check is
+    # a whole trajectory and a row of a period check a whole integral
+    each = {cid for cid, check in build_registry().items() if check.each}
+    assert each == RK4_CHECKS | {"I-period-CP1", "I-period-Q1", "I-period-match"}
 
 
 def test_mutating_the_returned_registry_leaves_run_check_alone():
@@ -246,15 +254,20 @@ def test_reports_keep_registry_order():
 # a chunk holds in the row-invariance test.
 BATCHED = {
     "C-branchedcover-deck": {"n": [1, 2], "samples": 6},
+    "C-branchedcover-fibers": {"n": [1, 2], "samples": 14},
     "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
     "L-sphereembedding": {"n": [1, 2], "samples": 6},
     "L-sphereembedding-lift": {"n": [1, 2], "samples": 6},
     "P-evenedrescale": {"n": [1, 2], "r": [0.5, 2.0], "samples": 24},
     "P-omega-r-descent": {"n": [1, 2], "r": [0.5, 2.0], "samples": 8},
+    "P-segre-equivariance": {"samples": 12},
     "P-segre-pullback": {"samples": 12},
     "P-unitcut-boundary": {"n": [1, 2], "samples": 6},
     "P-unitcut-flow": {"n": [1, 2], "samples": 6},
+    "R-diag-antidiag": {"samples": 12},
+    "R-omega-r-not-FS": {"n": [1, 2], "samples": 6, "pairs": 3},
     "R-pi-not-symplectic": {"n": [1, 2], "samples": 6},
+    "T-zerosection": {"n": [1, 2], "samples": 14},
 }
 
 
@@ -262,18 +275,13 @@ BATCHED = {
 # coarse RK4 steps and few quadrature nodes.
 SMALL = {
     **BATCHED,
-    "C-branchedcover-fibers": {"n": [1, 2], "samples": 6},
     "I-period-CP1": {"nodes": 8},
     "I-period-Q1": {"nodes": 8},
     "I-period-match": {"nodes": 8},
     "P-evenedflow-restored": {"dt": 0.1},
-    "P-segre-equivariance": {"samples": 6},
     "P-unitcut-rk4": {"dt": 0.05},
     "P-unitcut-rk4-order": {},
-    "R-diag-antidiag": {"samples": 6},
-    "R-omega-r-not-FS": {"samples": 4, "pairs": 2},
     "R-uneven-flow": {"trajectories": 2, "dt": 0.1},
-    "T-zerosection": {"n": [1, 2], "samples": 6},
 }
 
 
@@ -301,8 +309,9 @@ def test_batched_residual_is_row_invariant(cid, monkeypatch):
 @pytest.mark.parametrize("cid", sorted(BATCHED))
 def test_batched_witness_replays_bit_for_bit(cid):
     # a negative tolerance fails every finite residual, even the exact 0 of
-    # R-pi-not-symplectic
-    report = run_check(cid, dict(BATCHED[cid], tolerance=-1.0))
+    # R-pi-not-symplectic; an infinite threshold fails every finite score
+    witness_kind = build_registry()[cid].kind == "witness"
+    report = run_check(cid, dict(BATCHED[cid], tolerance=math.inf if witness_kind else -1.0))
     assert not report.passed
     witness = json.loads(render_json([report]))[0]["witness"]
     replay = run_check(cid, {"witness": witness})
@@ -377,10 +386,10 @@ def _evenedrescale_loop(inp):
         v2 = np.asarray(inp["v2"], dtype=float)
         omega = cotangent_omega_std(n, float(np.sqrt(r)))
         value = pullback(checks_module._evened_rescale_map(n, r), omega, m, v1, v2)
-        roundtrip = checks_module._dist(even_rescale_inverse(even_rescale(m, r), r), m)
+        roundtrip = checks_module._worst(checks_module._row_dist(even_rescale_inverse(even_rescale(m, r), r), m))
         return max(abs(value - _omega_std_ambient(v1, v2)), roundtrip)
     lhs = even_rescale(flow_uneven_cosphere(m, inp["t"]), r)
-    return checks_module._dist(lhs, flow_closed_form(even_rescale(m, r), inp["t"]))
+    return checks_module._worst(checks_module._row_dist(lhs, flow_closed_form(even_rescale(m, r), inp["t"])))
 
 
 # The per-input loops that the three row-batched residuals replaced, run on
@@ -459,7 +468,10 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
     inputs = check.gen({**check.params, **params}, derive_stream(42, cid))
     # argmax would pick the NaN and a witness check would pass on +inf
     values = iter([0.0, float("inf"), float("nan"), 0.0])
-    monkeypatch.setattr(checks_module, attr, lambda inp, profile: next(values))
+    if check.each:
+        monkeypatch.setattr(checks_module, attr, lambda inp, profile: next(values))
+    else:
+        monkeypatch.setattr(checks_module, attr, lambda rows, profile: [next(values) for _ in range(len(rows))])
     report = run_check(cid, params)
     assert not report.passed
     assert report.max_residual == float("inf")

@@ -155,8 +155,8 @@ def test_omega_r_linear_in_each_slot():
 
 def test_omega_r_standard_point_preimages():
     point = proj_normalize(np.array([1.0, 0, 0], dtype=complex))
-    fiber = quadric_fiber(point)
-    assert len(fiber) == 2
+    *fiber, count = quadric_fiber(point)
+    assert count == 2
     expected = [
         proj_normalize(np.array([1.0, 0, 0, 1j])),
         proj_normalize(np.array([1.0, 0, 0, -1j])),

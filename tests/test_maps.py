@@ -30,6 +30,7 @@ from quadcover.maps import (
     locus_classify,
     quadric_fiber,
     quadric_to_cotangent,
+    real_defect,
     segre_map,
     segre_unitary,
 )
@@ -223,14 +224,19 @@ def test_deck_equivariance_with_antipode():
 
 def test_fiber_counts_off_and_on_the_branch_quadric():
     generic = proj_normalize(np.array([1.0, 0.2, 0.1], dtype=complex))
-    fiber = quadric_fiber(generic)
-    assert len(fiber) == 2
-    assert projective_defect(fiber[0], fiber[1]) > 1e-9
-    for lift in fiber:
+    *sheets, count = quadric_fiber(generic)
+    assert count == 2
+    assert projective_defect(*sheets) > 1e-9
+    for lift in sheets:
         assert abs(quadric_residual(lift)) < 1e-12
         assert projective_defect(branched_cover(lift), generic) <= 1e-9
     on_quadric = proj_normalize(np.array([1.0, 1j, 0.0]))
-    assert len(quadric_fiber(on_quadric)) == 1
+    *sheets, count = quadric_fiber(on_quadric)
+    assert count == 1
+    assert projective_defect(*sheets) <= 1e-15
+    # a batch counts row by row
+    _, _, counts = quadric_fiber(proj_normalize(np.stack([generic.rep, on_quadric.rep])))
+    assert counts.tolist() == [2, 1]
 
 
 def test_segre_standard_values():
@@ -294,6 +300,10 @@ def test_locus_classification():
         assert locus_classify(anti) == "on_RP2"
     generic = proj_normalize(np.array([1.0, 1j, 1.0]))
     assert locus_classify(generic) == "generic"
+    # a batch gets one label per row
+    real = proj_normalize(np.array([1.0, 2.0, 0.5], dtype=complex))
+    labels = locus_classify(proj_normalize(np.stack([anti.rep, generic.rep, real.rep, anti.rep])))
+    assert labels.tolist() == ["on_RP2", "generic", "on_RP2", "on_RP2"]
 
 
 def test_antipodal_cp1_is_fixed_point_free_involution():
@@ -366,6 +376,23 @@ def _defect_of_halves(z):
     return projective_defect(ProjectivePoint(a), ProjectivePoint(b))
 
 
+def _segre_of_halves(z):
+    a, b = np.split(z, 2, axis=-1)
+    return segre_unitary(ProjectivePoint(a), ProjectivePoint(b)).rep
+
+
+def _fiber_of(z):
+    # both sheets of each point side by side, and its count
+    plus, minus, count = quadric_fiber(ProjectivePoint(z))
+    return np.concatenate([plus.rep, minus.rep, np.expand_dims(count, -1)], axis=-1)
+
+
+def _locus_mask_of(z):
+    # the two values the classifier compares with its tolerance: |sum z^2|, then the real defect
+    point = ProjectivePoint(z)
+    return np.stack([np.abs(quadric_residual(point)), real_defect(point)], axis=-1)
+
+
 def _chart_of(z):
     m = quadric_to_cotangent(ProjectivePoint(z))
     return np.concatenate([m.p, m.q], axis=-1)
@@ -379,6 +406,10 @@ TWINS = {
     "projective_defect": (_defect_of_halves, lambda n: 2 * (n + 1)),
     "deck": (lambda z: deck(ProjectivePoint(z)).rep, lambda n: n + 2),
     "quadric_to_cotangent": (_chart_of, lambda n: n + 2),
+    "segre_unitary": (_segre_of_halves, lambda n: 4),
+    "antipodal_cp1": (lambda z: antipodal_cp1(ProjectivePoint(z)).rep, lambda n: 2),
+    "quadric_fiber": (_fiber_of, lambda n: n + 1),
+    "locus_classify": (_locus_mask_of, lambda n: 3),
 }
 
 
