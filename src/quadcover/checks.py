@@ -344,14 +344,10 @@ def _pq(rows) -> CotangentPoint:
     return CotangentPoint(p=rows["p"], q=rows["q"])
 
 
-def _worst(values) -> float:
-    """Largest of the values; a NaN among them wins, where max() would drop it."""
-    return float(np.max(values))
-
-
 def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
     """Largest entry difference of p or q, one per row of (N, n+1) arrays; a NaN stays NaN."""
-    return np.maximum(np.abs(a.p - b.p).max(axis=-1), np.abs(a.q - b.q).max(axis=-1))
+    # one reduction of the larger gap: numpy reduces a short last axis slowly
+    return np.maximum(np.abs(a.p - b.p), np.abs(a.q - b.q)).max(axis=-1)
 
 
 def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> float:
@@ -362,7 +358,8 @@ def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exac
         point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
         t_done = t
         dists.append(_row_dist(point, exact(m, t)))
-    return _worst(dists)
+    # np.max, not max(): a NaN distance wins
+    return float(np.max(dists))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +475,9 @@ class Check:
     (``_score_<name>`` for a witness check), looked up in this module when
     read, so a function rebound after import is the one that runs; an
     ``each`` residual takes one row (:func:`_each`), any other a chunk of rows
-    (:func:`_chunked`), fewer of them when the field ``points`` counts a row's
-    points. ``tolerance`` is a number or the name of a :class:`ToleranceProfile`
-    field. ``params`` is read-only, list defaults stored as tuples, so no
-    caller can change a declared default later.
+    (:func:`_chunked`). ``tolerance`` is a number or the name of a
+    :class:`ToleranceProfile` field. ``params`` is read-only, list defaults
+    stored as tuples, so no caller can change a declared default later.
     """
 
     id: str
@@ -494,7 +490,6 @@ class Check:
     name: str
     each: bool
     fields: Mapping[str, Any]
-    points: str | None
 
     @property
     def gen(self) -> Callable[[dict, np.random.Generator], Inputs]:
@@ -504,13 +499,13 @@ class Check:
     @property
     def residual(self) -> Callable[[Inputs, ToleranceProfile], np.ndarray]:
         func = globals()[("_score_" if self.kind == "witness" else "_res_") + self.name]
-        return _each(func) if self.each else _chunked(func, self.points)
+        return _each(func) if self.each else _chunked(func)
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=False, points=None):
+def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=False):
     """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
 
     ``fields`` declares each input field, in row order, with its kind; a label
@@ -526,8 +521,7 @@ def _check(id, statement, covers, tolerance, params, fields, kind="residual", ea
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
-            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each,
-            MappingProxyType(fields), points,
+            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each, MappingProxyType(fields)
         )
         return func
 
@@ -561,15 +555,13 @@ def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
     return batch
 
 
-def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray], points: str | None = None) -> Callable:
+def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Callable:
     """Lift a residual of a chunk of rows to the list contract: chunks of at most CHUNK_ROWS rows, in order.
 
-    With ``points``, the field that counts the points a row evaluates, a chunk
-    holds at most max(1, CHUNK_ROWS // points) rows. The residual returns one
-    value per row, or a scalar for a chunk of one row that it evaluates as a
-    1-D point. A chunk that raises OffBundleError is evaluated again row by
-    row, bit-identical by row arithmetic, so only the rows off the bundle
-    score NaN, failing the check as its witnesses.
+    The residual returns one value per row, or a scalar for a chunk of one
+    row that it evaluates as a 1-D point. A chunk that raises OffBundleError
+    is evaluated again row by row, bit-identical by row arithmetic, so only
+    the rows off the bundle score NaN, failing the check as its witnesses.
     """
 
     def or_nan(rows: Block, profile: ToleranceProfile) -> np.ndarray:
@@ -583,9 +575,8 @@ def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray], points: 
     def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
         out = []
         for block in inputs.blocks:
-            size = max(1, CHUNK_ROWS // block[points]) if points else CHUNK_ROWS
-            for lo in range(0, len(block), size):
-                chunk = block if len(block) <= size else block.rows(slice(lo, lo + size))
+            for lo in range(0, len(block), CHUNK_ROWS):
+                chunk = block if len(block) <= CHUNK_ROWS else block.rows(slice(lo, lo + CHUNK_ROWS))
                 out.append(or_nan(chunk, profile))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -720,9 +711,13 @@ _gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: 
     covers=("unit-cosphere-cut",), tolerance="flow_tol",
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
     fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
-    points="t_grid",
 )
 def _res_unitcut_flow(rows, profile):
+    # a row spans t_grid orbit points: slices of rows keep a call's arrays to
+    # about CHUNK_ROWS points, as large as those of the other checks
+    step = max(1, CHUNK_ROWS // rows["t_grid"])
+    if len(rows) > step:
+        return np.hstack([_res_unitcut_flow(rows.rows(slice(i, i + step)), profile) for i in range(0, len(rows), step)])
     # both flows over the whole time grid at once: a point as it is, rows
     # repeated so that row i * T + j is input i at the j-th time; then each
     # input's largest entry gap in one reduction
@@ -824,11 +819,9 @@ def _res_branchedcover_fibers(rows, profile):
     flat = rows.flat()
     point = proj_normalize(flat["z"])
     *sheets, count = quadric_fiber(point, tol=profile.residual_tol)
-    plus, minus = (
-        np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets
-    )
+    worst = [np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets]
     # a wrong number of preimages scores NaN
-    return np.where(count == flat["expected"], np.maximum(plus, minus), np.nan)
+    return np.where(count == flat["expected"], np.maximum(*worst), np.nan)
 
 
 _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
@@ -1269,15 +1262,21 @@ def run_check(
     elapsed = time.perf_counter() - start
     finite = np.isfinite(residuals)
     # the first NaN or infinite residual fails either kind, with its input as the witness
-    top = 0 if len(residuals) == 1 else int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
+    top = int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
     max_residual = float(residuals[top])
     within = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
     passed = math.isfinite(max_residual) and within
     # a witness check always reports its best find; a residual check its worst failure
     witness = inputs[top] if check.kind == "witness" or not passed else None
     return CheckReport(
-        id=check_id, seed=seed, samples=len(inputs), max_residual=max_residual,
-        tolerance=float(tolerance), passed=passed, elapsed=elapsed, witness=witness,
+        id=check_id,
+        seed=seed,
+        samples=len(inputs),
+        max_residual=max_residual,
+        tolerance=float(tolerance),
+        passed=passed,
+        elapsed=elapsed,
+        witness=witness,
     )
 
 

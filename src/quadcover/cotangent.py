@@ -36,9 +36,7 @@ class OffBundleError(ValueError):
     """A point lies off the bundle a map or flow is defined on."""
 
 
-# not frozen: a frozen dataclass pays object.__setattr__ per field on each of
-# the many points the maps build
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CotangentPoint:
     """Pair (p, q) with |p| = base_radius and <p, q> = 0.
 

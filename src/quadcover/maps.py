@@ -160,21 +160,25 @@ def branched_cover_map(n: int) -> SmoothMap:
     )
 
 
-def quadric_fiber(point: ProjectivePoint, tol: float = 1e-10) -> tuple[ProjectivePoint, ProjectivePoint, int]:
+def quadric_fiber(
+    point: ProjectivePoint, tol: float = 1e-10
+) -> tuple[ProjectivePoint, ProjectivePoint, float | np.ndarray]:
     """Preimages on the quadric upstairs of a point of CP^n: both sheets, and how many points they are.
 
     Solving w^2 = -sum z_k^2 gives the two sheets [z : w] and [z : -w], 2
     points, off the branch quadric; on it (|sum z_k^2| <= ``tol``) both sheets
     are the single point [z : 0], 1 point. Acts on the last axis, so a batch
     of N points gives two batches of N sheets and an array of N counts, each
-    row with the bits of its point alone.
+    row with the bits of its point alone. A count is a float (1.0 or 2.0):
+    integer arithmetic and comparisons would page in about 0.2 MB of numpy
+    loops that nothing else in the package runs.
     """
     rep = point.rep
     s = quadric_residual(point)[..., None]
     branch = np.abs(s) <= tol
     w = np.where(branch, 0.0, 1j * np.sqrt(s))
     plus, minus = (proj_normalize(np.concatenate([rep, last], axis=-1)) for last in (w, -w))
-    return plus, minus, 2 - branch[..., 0]
+    return plus, minus, np.where(branch[..., 0], 1.0, 2.0)
 
 
 def deck(point: ProjectivePoint) -> ProjectivePoint:
@@ -244,4 +248,4 @@ def locus_classify(point: ProjectivePoint, tol: float = 1e-9) -> str | np.ndarra
     points gives an array of N labels, one per row, and a point its label.
     """
     on_conic = np.abs(quadric_residual(point)) < tol
-    return _LOCI[np.maximum(2 * on_conic, real_defect(point) < tol)]
+    return _LOCI[np.where(on_conic, 2, real_defect(point) < tol)]

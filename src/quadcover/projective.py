@@ -27,9 +27,7 @@ __all__ = [
 ]
 
 
-# not frozen: a frozen dataclass pays object.__setattr__ per field on each of
-# the many points the maps build
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProjectivePoint:
     """Point of CP^n held as a unit-norm complex representative.
 

@@ -386,10 +386,10 @@ def _evenedrescale_loop(inp):
         v2 = np.asarray(inp["v2"], dtype=float)
         omega = cotangent_omega_std(n, float(np.sqrt(r)))
         value = pullback(checks_module._evened_rescale_map(n, r), omega, m, v1, v2)
-        roundtrip = checks_module._worst(checks_module._row_dist(even_rescale_inverse(even_rescale(m, r), r), m))
+        roundtrip = float(checks_module._row_dist(even_rescale_inverse(even_rescale(m, r), r), m))
         return max(abs(value - _omega_std_ambient(v1, v2)), roundtrip)
     lhs = even_rescale(flow_uneven_cosphere(m, inp["t"]), r)
-    return checks_module._worst(checks_module._row_dist(lhs, flow_closed_form(even_rescale(m, r), inp["t"])))
+    return float(checks_module._row_dist(lhs, flow_closed_form(even_rescale(m, r), inp["t"])))
 
 
 # The per-input loops that the three row-batched residuals replaced, run on

@@ -1,5 +1,7 @@
 """Cotangent bundle points, samplers, constraint frames, antipode, rescaling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ from quadcover.cotangent import (
     sample_tangent,
 )
 from quadcover.numerics import derive_stream, row_norms
+from quadcover.projective import proj_normalize
+
+
+def test_points_are_immutable():
+    # maps and checks share point objects, so none may change a field in place
+    m = CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.0, 0.5]))
+    point = proj_normalize(np.array([1.0, 1j]))
+    for obj, field in ((m, "p"), (m, "base_radius"), (point, "rep")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
 
 
 def test_disc_sampler_satisfies_invariants_exactly():
