@@ -94,6 +94,7 @@ from .numerics import (
     DEFAULT_PROFILE,
     PROFILES,
     ToleranceProfile,
+    _null_frame,
     derive_stream,
     fill_accepted,
     realify,
@@ -392,11 +393,7 @@ def _quadric_frame(rep: np.ndarray) -> np.ndarray:
     independent everywhere on the quadric because sum rep^2 = 0. An (N, m)
     ``rep`` gives N stacked frames of shape (N, m - 2, m).
     """
-    rows = np.stack([np.conj(rep), rep], axis=-2)
-    _, svals, vh = np.linalg.svd(rows)
-    if not np.all(svals[..., 1] > 1e-10 * svals[..., 0]):
-        raise RuntimeError("degenerate quadric tangent frame")
-    return np.conj(vh[..., 2:, :])
+    return np.conj(_null_frame(np.stack([np.conj(rep), rep], axis=-2)))
 
 
 def _projective_off_quadric(n: int, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
@@ -967,15 +964,12 @@ def _res_evenedrescale(rows, profile):
     return _row_dist(lhs, rhs)
 
 
-def _gen_evenedflow_restored(params, rng):
-    # one row per trajectory and check time, a trajectory's times consecutive
-    r, ts = float(params["r_uneven"]), [float(t) for t in params["t_checks"]]
-    blocks = []
-    for n in params["n"]:
-        m = sample_cosphere(n, 1.0, r, rng, size=params["trajectories"])
-        p, q = (np.repeat(x, len(ts), axis=0) for x in (m.p, m.q))
-        blocks.append(Block(len(p), n=int(n), r=r, p=p, q=q, t=np.tile(ts, len(m.p)), dt=float(params["dt"])))
-    return blocks
+def _step_and_times(params):
+    """The RK4 step and the check times that every trajectory of an RK4 check shares."""
+    return {"dt": float(params["dt"]), "ts": tuple(float(t) for t in params["t_checks"])}
+
+
+_gen_evenedflow_restored = _cotangent_generator(sample_cosphere, "trajectories", "r_uneven", _step_and_times)
 
 
 @_check(
@@ -984,19 +978,17 @@ def _gen_evenedflow_restored(params, rng):
     covers=("evened-disc-bundle",), tolerance=1e-6,
     params={"n": [2], "r_uneven": 0.5, "trajectories": 1, "dt": 0.01, "t_checks": [float(np.pi), TWO_PI]},
     fields={
-        "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "t": TIME, "dt": TIME,
+        "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES,
         "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
     each=True,
 )
 def _res_evenedflow_restored(inp, profile):
-    return _rk4_drift(even_rescale(_pq(inp), inp["r"]), (inp["t"],), inp["dt"], profile, scalar_action)
+    # one trajectory, compared with the scalar action at each check time in turn
+    return _rk4_drift(even_rescale(_pq(inp), inp["r"]), inp["ts"], inp["dt"], profile, scalar_action)
 
 
-_gen_uneven_flow = _cotangent_generator(
-    sample_cosphere, "trajectories", "r",
-    lambda params: {"dt": float(params["dt"]), "ts": tuple(float(t) for t in params["t_checks"])},
-)
+_gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _step_and_times)
 
 
 @_check(
@@ -1067,9 +1059,10 @@ def _gen_omega_r_not_fs(params, rng):
     blocks = []
     margin = 2.0 * DEFAULT_PROFILE.branch_margin
     for n in params["n"]:
-        point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
-        dirs = np.stack([sample_horizontal(point, rng) for _ in range(params["pairs"])], axis=1)
-        blocks.append(Block(len(dirs), n=int(n), r=float(params["r"][0]), z=point.rep, dirs=dirs))
+        for r in params["r"]:
+            point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
+            dirs = np.stack([sample_horizontal(point, rng) for _ in range(params["pairs"])], axis=1)
+            blocks.append(Block(len(dirs), n=int(n), r=float(r), z=point.rep, dirs=dirs))
     return blocks
 
 
@@ -1083,7 +1076,7 @@ def _gen_omega_r_not_fs(params, rng):
 )
 def _score_omega_r_not_fs(rows, profile):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
-    # rows x directions in one call on the row body; omega_FS(v, iv) = |v|^2 = 1
+    # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1
     dirs = rows["dirs"]
     point = ProjectivePoint(np.repeat(proj_normalize(rows["z"]).rep, dirs.shape[1], axis=0))
     v = dirs.reshape(-1, dirs.shape[-1])

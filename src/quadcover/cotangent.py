@@ -16,7 +16,7 @@ from operator import mul
 
 import numpy as np
 
-from .numerics import fill_accepted, row_norms
+from .numerics import _null_frame, fill_accepted, row_norms
 
 __all__ = [
     "CotangentPoint",
@@ -179,20 +179,8 @@ def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Its one caller is :func:`sample_tangent`, whose draws this frame orders;
     the field solve and the tangent projection use the rows in closed form.
     """
-    d = p.shape[-1]
-    rows = np.stack(
-        [np.concatenate([p, np.zeros_like(p)], axis=-1), np.concatenate([q, p], axis=-1)],
-        axis=-2,
-    )
-    _, svals, vh = np.linalg.svd(rows)
-    degenerate = ~(svals[..., 1] > 1e-10 * svals[..., 0])
-    if degenerate.any():
-        first = svals[np.unravel_index(np.argmax(degenerate), degenerate.shape)]
-        rank = int(np.sum(first > 1e-10 * first[0]))
-        raise RuntimeError(
-            f"numerical rank failure: expected tangent dimension {2 * (d - 1)}, got {2 * d - rank}"
-        )
-    return vh[..., 2:, :]
+    rows = (np.concatenate([p, np.zeros_like(p)], axis=-1), np.concatenate([q, p], axis=-1))
+    return _null_frame(np.stack(rows, axis=-2))
 
 
 def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> np.ndarray:

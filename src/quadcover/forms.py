@@ -13,6 +13,10 @@ R^{2m} = C^m), the Fubini-Study form evaluated on horizontal lifts at unit
 representatives (where it coincides with omega_std), and the pushed-down
 form on CP^n obtained by lifting tangents through the square-root section of
 the branched double cover and evaluating 2r * omega_FS upstairs.
+
+Every function here acts on the last axis with one body, so a row of a batch
+gets the bits of the point alone: row arithmetic and ``einsum("...i,...i->...")``
+reductions only, never stacked matmul.
 """
 
 from __future__ import annotations
@@ -94,19 +98,10 @@ class ProjectiveSpace:
     def aligned_ambient(self, center: ProjectivePoint, point: ProjectivePoint) -> np.ndarray:
         # rotate the gauge so <center, point> is real positive; removes any
         # canonical-phase jump between nearby representatives
-        rep = point.rep
-        if rep.ndim != 1:
-            overlap = np.einsum("ij,ij->i", center.rep.conj(), rep)
-            mag = np.abs(overlap)
-            phase = np.ones_like(overlap)
-            keep = mag > 1e-12
-            phase[keep] = overlap[keep].conjugate() / mag[keep]
-            return realify(rep * phase[:, None])
-        overlap = np.vdot(center.rep, rep)
-        mag = abs(overlap)
-        if mag > 1e-12:
-            rep = rep * (overlap.conjugate() / mag)
-        return realify(rep)
+        overlap = np.einsum("...i,...i->...", center.rep.conj(), point.rep)
+        mag = np.abs(overlap)
+        phase = np.divide(overlap.conjugate(), mag, out=np.ones_like(overlap), where=mag > 1e-12)
+        return realify(point.rep * phase[..., None])
 
     def tangent_project(self, point: ProjectivePoint, w: np.ndarray) -> np.ndarray:
         return realify(horizontal_project(point, complexify(w)))
@@ -265,15 +260,11 @@ def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
 
     The first half of a vector (x-block) pairs with the second (y-block), as
     z_k = x_k + i y_k under :func:`quadcover.numerics.realify`.
+    An (N, 2m) batch of tangents gives one value per row.
     """
-    if v1.ndim != 1:
-        # (N, 2m) batches of tangents: one value per row
-        m = v1.shape[1] // 2
-        return np.einsum("ij,ij->i", v1[:, :m], v2[:, m:]) - np.einsum(
-            "ij,ij->i", v1[:, m:], v2[:, :m]
-        )
-    m = v1.size // 2
-    return float(v1[:m] @ v2[m:] - v1[m:] @ v2[:m])
+    m = v1.shape[-1] // 2
+    x1, y1, x2, y2 = v1[..., :m], v1[..., m:], v2[..., :m], v2[..., m:]
+    return np.einsum("...i,...i->...", x1, y2) - np.einsum("...i,...i->...", y1, x2)
 
 
 def cotangent_omega_std(n: int, base_radius: float = 1.0) -> TwoForm:
@@ -328,7 +319,7 @@ def omega_r(
     r: float,
     profile: ToleranceProfile = DEFAULT_PROFILE,
     sheet: int = +1,
-) -> float:
+) -> float | np.ndarray:
     """Pushed-down form on CP^n, off the branch quadric.
 
     Lifts the point and both tangents (realified horizontal vectors) through
@@ -340,55 +331,30 @@ def omega_r(
     the principal square root fixes the sheet, and ``sheet=-1`` selects the
     deck image.
 
-    A batch of N points (an (N, n+1) representative array) with (N, 2(n+1))
-    real tangents gives N values; BranchLocusError is raised if any row is
-    within the branch margin.
+    Acts on the last axis: one point with 1-D tangents gives one value, and a
+    batch of N points (an (N, n+1) representative array) with (N, 2(n+1))
+    real tangents gives N values, each with the bits of its row alone.
+    BranchLocusError is raised if any row is within the branch margin.
     """
     rep = point.rep
-    if rep.ndim != 1:
-        return _omega_r_rows(rep, v1, v2, r, profile, sheet)
-    s = complex(np.sum(rep * rep))
-    if abs(s) <= profile.branch_margin:
-        raise BranchLocusError(
-            f"|sum z^2| = {abs(s):.3e} is within the branch margin {profile.branch_margin:g}"
-        )
-    w = sheet * 1j * np.sqrt(s)
-    lifted = np.concatenate([rep, [w]])
-    norm2 = 1.0 + abs(s)
-
-    def lift_tangent(vc: np.ndarray) -> np.ndarray:
-        dw = -np.sum(rep * vc) / w
-        tilde = np.concatenate([vc, [dw]])
-        tilde = tilde - (np.vdot(lifted, tilde) / norm2) * lifted
-        return tilde / np.sqrt(norm2)
-
-    h1 = lift_tangent(complexify(v1))
-    h2 = lift_tangent(complexify(v2))
-    return 2.0 * r * float(np.imag(np.vdot(h1, h2)))
-
-
-def _omega_r_rows(rep, v1, v2, r, profile, sheet) -> np.ndarray:
-    """Row-wise :func:`omega_r` on a batch of representatives and real tangents."""
-    s = np.einsum("ij,ij->i", rep, rep)
+    s = np.einsum("...i,...i->...", rep, rep)
     near = np.abs(s) <= profile.branch_margin
     if near.any():
-        bad = abs(s[int(np.argmax(near))])
-        raise BranchLocusError(
-            f"|sum z^2| = {bad:.3e} is within the branch margin {profile.branch_margin:g}"
-        )
+        bad = np.extract(near, np.abs(s))[0]
+        raise BranchLocusError(f"|sum z^2| = {bad:.3e} is within the branch margin {profile.branch_margin:g}")
     w = sheet * 1j * np.sqrt(s)
-    lifted = np.concatenate([rep, w[:, None]], axis=1)
+    lifted = np.concatenate([rep, w[..., None]], axis=-1)
     norm2 = 1.0 + np.abs(s)
 
     def lift_tangent(vc: np.ndarray) -> np.ndarray:
-        dw = -np.einsum("ij,ij->i", rep, vc) / w
-        tilde = np.concatenate([vc, dw[:, None]], axis=1)
-        tilde = tilde - (np.einsum("ij,ij->i", lifted.conj(), tilde) / norm2)[:, None] * lifted
-        return tilde / np.sqrt(norm2)[:, None]
+        dw = -np.einsum("...i,...i->...", rep, vc) / w
+        tilde = np.concatenate([vc, dw[..., None]], axis=-1)
+        tilde = tilde - (np.einsum("...i,...i->...", lifted.conj(), tilde) / norm2)[..., None] * lifted
+        return tilde / np.sqrt(norm2)[..., None]
 
     h1 = lift_tangent(complexify(v1))
     h2 = lift_tangent(complexify(v2))
-    return 2.0 * r * np.einsum("ij,ij->i", h1.conj(), h2).imag
+    return 2.0 * r * np.einsum("...i,...i->...", h1.conj(), h2).imag
 
 
 # ---------------------------------------------------------------------------

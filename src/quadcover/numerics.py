@@ -108,6 +108,24 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
+def _null_frame(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of ``rows``, k independent rows of length m.
+
+    The last m - k right singular vectors. A stack of (..., k, m) matrices
+    gives (..., m - k, m) frames. A smallest singular value at or below 1e-10
+    of the largest (or NaN) in any matrix raises RuntimeError with the
+    dimension found. ``np.linalg.svd`` is looked up at each call.
+    """
+    k, m = rows.shape[-2:]
+    _, svals, vh = np.linalg.svd(rows)
+    degenerate = ~(svals[..., -1] > 1e-10 * svals[..., 0])
+    if degenerate.any():
+        first = svals[np.unravel_index(np.argmax(degenerate), degenerate.shape)]
+        rank = int(np.sum(first > 1e-10 * first[0]))
+        raise RuntimeError(f"numerical rank failure: expected tangent dimension {m - k}, got {m - rank}")
+    return vh[..., k:, :]
+
+
 def gauss_legendre_2d(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     a: float,

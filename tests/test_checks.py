@@ -265,7 +265,7 @@ BATCHED = {
     "P-unitcut-boundary": {"n": [1, 2], "samples": 6},
     "P-unitcut-flow": {"n": [1, 2], "samples": 6},
     "R-diag-antidiag": {"samples": 12},
-    "R-omega-r-not-FS": {"n": [1, 2], "samples": 6, "pairs": 3},
+    "R-omega-r-not-FS": {"n": [1, 2], "r": [0.5, 2.0], "samples": 6, "pairs": 3},
     "R-pi-not-symplectic": {"n": [1, 2], "samples": 6},
     "T-zerosection": {"n": [1, 2], "samples": 14},
 }
@@ -638,6 +638,7 @@ def test_run_check_rejects_a_time_that_is_not_finite_and_positive(cid, key, list
         ("P-unitcut-rk4", {"t_final": float("nan")}),
         ("P-unitcut-rk4-order", {"t_final": float("nan")}),
         ("R-uneven-flow", {"ts": [float("nan"), 1.0]}),
+        ("P-evenedflow-restored", {"ts": [float("nan"), 1.0]}),
     ],
 )
 def test_a_nan_time_in_a_witness_fails_with_itself_as_witness(cid, times):
@@ -659,7 +660,7 @@ def test_a_nan_time_in_a_witness_fails_with_itself_as_witness(cid, times):
         ("P-unitcut-rk4", "dt"),
         ("P-unitcut-rk4-order", "t_final"),
         ("P-unitcut-rk4-order", "dt0"),
-        ("P-evenedflow-restored", "t"),
+        ("P-evenedflow-restored", "ts"),
         ("P-evenedflow-restored", "dt"),
         ("R-uneven-flow", "ts"),
         ("R-uneven-flow", "dt"),
@@ -768,7 +769,7 @@ PINNED_INPUT_HASHES = {
     "P-segre-equivariance": "59bf9c05d629298a40e4c03630c994a4f1b81fe3be6d8eb7a4804b70b19ceca4",
     "R-diag-antidiag": "52f58e96177d52fe5b9b67c60761c22d1c21dc1ce5b3e18f0197ac268fb3e109",
     "P-evenedrescale": "65a2c4b4a5736bf593c2332a8f6aa6b788fa8820ef17ce5b848b1a2bbd8b76f4",
-    "P-evenedflow-restored": "3634cd7272505c9ccbd5ee9679f8cc41f2eca84d6d1ed9591c393ead0f29e40a",
+    "P-evenedflow-restored": "3f2bebb13203cdbf5733ff90d40c6786d6d5aadfa6fe44e3f65c36adbd68eb17",
     "R-uneven-flow": "83865a5d2c43d67df608307971918ae86d25f46b1f22709572adb7e17d7310ea",
     "P-omega-r-descent": "8ef0849b70d095eae458be9389886f0b4542be6965cffb617adb5cce95cf4d9b",
     "R-omega-r-not-FS": "e4e126e8a72148f3e86b76e85037fe2b578157d8947424f98de4b7e5fac1b761",

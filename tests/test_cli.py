@@ -58,29 +58,23 @@ def test_bad_environment_seed_is_usage_error(monkeypatch, capsys):
     assert "VERIFY_SEED" in capsys.readouterr().err
 
 
-def test_radius_and_dimension_overrides(tmp_path):
+@pytest.mark.parametrize(
+    "suite, n, radii, samples",
+    [
+        # one dimension, one radius, 40 samples, 3 tangent pairs each
+        ("L-projemb", "1", ["1.0"], 120),
+        # one dimension, 40 samples at each of two radii; at n = 1 every
+        # two-form is proportional to omega_FS, so no witness exists there
+        ("R-omega-r-not-FS", "2", ["0.5", "2"], 80),
+    ],
+)
+def test_radius_and_dimension_overrides(tmp_path, suite, n, radii, samples):
     out = tmp_path / "r.json"
-    code = main(
-        [
-            "run",
-            "--suite",
-            "L-projemb",
-            "--n",
-            "1",
-            "--radius",
-            "1.0",
-            "--samples",
-            "40",
-            "--format",
-            "json",
-            "--out",
-            str(out),
-        ]
-    )
+    flags = [arg for r in radii for arg in ("--radius", r)]
+    code = main(["run", "--suite", suite, "--n", n, *flags, "--samples", "40", "--format", "json", "--out", str(out)])
     assert code == 0
     entry = json.loads(out.read_text())[0]
-    # one dimension, one radius, 40 samples, 3 tangent pairs each
-    assert entry["samples"] == 120
+    assert entry["samples"] == samples
 
 
 def test_tol_profile_flag(capsys):

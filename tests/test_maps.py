@@ -13,7 +13,9 @@ from quadcover.forms import (
     ProductSpace,
     ProjectiveSpace,
     SmoothMap,
+    _omega_std_ambient,
     fubini_study_form,
+    omega_r,
     product_form,
     pullback,
     scaled_form,
@@ -37,6 +39,7 @@ from quadcover.maps import (
 from quadcover.numerics import derive_stream, realify, row_norms
 from quadcover.projective import (
     ProjectivePoint,
+    horizontal_project,
     proj_normalize,
     projective_defect,
     quadric_residual,
@@ -393,6 +396,21 @@ def _locus_mask_of(z):
     return np.stack([np.abs(quadric_residual(point)), real_defect(point)], axis=-1)
 
 
+def _omega_r_of_thirds(z):
+    rep, v1, v2 = np.split(z, 3, axis=-1)
+    return omega_r(ProjectivePoint(rep), realify(v1), realify(v2), 0.7)
+
+
+def _horizontal_of_halves(z):
+    a, v = np.split(z, 2, axis=-1)
+    return horizontal_project(ProjectivePoint(a), v)
+
+
+def _aligned_of_halves(z):
+    center, point = np.split(z, 2, axis=-1)
+    return ProjectiveSpace(1).aligned_ambient(ProjectivePoint(center), ProjectivePoint(point))
+
+
 def _chart_of(z):
     m = quadric_to_cotangent(ProjectivePoint(z))
     return np.concatenate([m.p, m.q], axis=-1)
@@ -410,6 +428,10 @@ TWINS = {
     "antipodal_cp1": (lambda z: antipodal_cp1(ProjectivePoint(z)).rep, lambda n: 2),
     "quadric_fiber": (_fiber_of, lambda n: n + 1),
     "locus_classify": (_locus_mask_of, lambda n: 3),
+    "omega_r": (_omega_r_of_thirds, lambda n: 3 * (n + 1)),
+    "horizontal_project": (_horizontal_of_halves, lambda n: 2 * (n + 1)),
+    "_omega_std_ambient": (lambda z: _omega_std_ambient(z.real, z.imag), lambda n: 2 * (n + 1)),
+    "aligned_ambient": (_aligned_of_halves, lambda n: 2 * (n + 1)),
 }
 
 

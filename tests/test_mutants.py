@@ -13,7 +13,6 @@ import pytest
 
 import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
-import quadcover.forms as forms_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint, retract
 from quadcover.dynamics import FlowResult, hamiltonian_vector_field
@@ -155,22 +154,23 @@ def test_even_rescale_without_its_square_roots(monkeypatch):
 
 
 def test_omega_r_lift_without_the_dw_term(monkeypatch):
-    def lift_without_dw(rep, v1, v2, r, profile, sheet):
+    def lift_without_dw(point, v1, v2, r, profile=None, sheet=+1):
         # the lifted tangent keeps dw = 0, so it leaves the quadric's tangent space
-        s = np.einsum("ij,ij->i", rep, rep)
-        lifted = np.concatenate([rep, (sheet * 1j * np.sqrt(s))[:, None]], axis=1)
+        rep = point.rep
+        s = np.einsum("...i,...i->...", rep, rep)
+        lifted = np.concatenate([rep, (sheet * 1j * np.sqrt(s))[..., None]], axis=-1)
         norm2 = 1.0 + np.abs(s)
 
         def lift_tangent(vc):
-            tilde = np.concatenate([vc, np.zeros((len(vc), 1))], axis=1)
-            tilde = tilde - (np.einsum("ij,ij->i", lifted.conj(), tilde) / norm2)[:, None] * lifted
-            return tilde / np.sqrt(norm2)[:, None]
+            tilde = np.concatenate([vc, np.zeros_like(vc[..., :1])], axis=-1)
+            tilde = tilde - (np.einsum("...i,...i->...", lifted.conj(), tilde) / norm2)[..., None] * lifted
+            return tilde / np.sqrt(norm2)[..., None]
 
         h1 = lift_tangent(complexify(v1))
         h2 = lift_tangent(complexify(v2))
-        return 2.0 * r * np.einsum("ij,ij->i", h1.conj(), h2).imag
+        return 2.0 * r * np.einsum("...i,...i->...", h1.conj(), h2).imag
 
-    monkeypatch.setattr(forms_module, "_omega_r_rows", lift_without_dw)
+    monkeypatch.setattr(checks_module, "omega_r", lift_without_dw)
     report = _assert_fails_with_witness("P-omega-r-descent", {"samples": 30})
     assert report.max_residual > 0.1
 
