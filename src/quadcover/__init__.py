@@ -3,7 +3,7 @@
 The package realizes the explicit maps, two-forms, and Hamiltonian flows of
 the compactification of T*S^n and T*RP^n into quadrics and projective spaces,
 and certifies every computationally checkable identity among them by seeded
-sampling, finite-difference calculus, and Gauss-Legendre quadrature.
+sampling, exact forward-mode differentials, and Gauss-Legendre quadrature.
 """
 
 from .checks import (

@@ -16,6 +16,7 @@ from operator import mul
 
 import numpy as np
 
+from .jets import primal
 from .numerics import _null_frame, fill_accepted, row_norms
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "antipode",
     "even_rescale",
     "even_rescale_inverse",
-    "retract",
     "sample_tangent",
 ]
 
@@ -70,9 +70,10 @@ class CotangentPoint:
         bundle their input (at 1e-10), checking their fiber bound on the
         returned norms, one per row (a numpy float for a single point). A
         single point or a batch of one row (a witness replay) is checked on
-        Python floats, at about a quarter of the cost of the array path.
+        Python floats, at about a quarter of the cost of the array path. A
+        point holding jets is judged by its values.
         """
-        p, q, k = self.p, self.q, self.base_radius
+        p, q, k = primal(self.p), primal(self.q), self.base_radius
         # |q| has the bits of row_norms on both paths, so a fiber bound judges
         # a point alone as it judges the same row in a batch
         fiber = row_norms(q)
@@ -205,7 +206,8 @@ def even_rescale(m: CotangentPoint, r: float) -> CotangentPoint:
     (p, q) -> (sqrt(r) p, q / sqrt(r)) maps the bundle over S^n(1) with fiber
     bound r onto the bundle over S^n(sqrt(r)) with fiber bound sqrt(r); the
     rescale preserves omega_std because the sqrt(r) factors cancel in
-    sum dp_k ^ dq_k.
+    sum dp_k ^ dq_k. A point holding jets maps to one, which gives the
+    rescale's exact pushforward.
     """
     if r <= 0:
         raise ValueError("rescale parameter r must be positive")
@@ -223,22 +225,3 @@ def even_rescale_inverse(m: CotangentPoint, r: float) -> CotangentPoint:
     if abs(m.base_radius - s) > 1e-9:
         raise OffBundleError("point is not on the evened bundle for this r")
     return CotangentPoint(p=m.p / s, q=m.q * s, base_radius=1.0)
-
-
-def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
-    """Project an ambient (p, q) pair back onto the constraint set.
-
-    Normalizes p to the base radius and removes the p-component of q; used
-    after finite-difference offsets. Acts on the last axis with row
-    arithmetic, so (N, d) arrays retract N pairs, each as it would alone.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    norm = row_norms(p)[..., None]
-    if (norm <= 1e-12).any():
-        raise ValueError("cannot retract: base point collapsed to the origin")
-    p = p * (base_radius / norm)
-    pq = np.einsum("...i,...i->...", p, q)[..., None]
-    pp = np.einsum("...i,...i->...", p, p)[..., None]
-    q = q - pq / pp * p
-    return CotangentPoint(p=p, q=q, base_radius=base_radius)

@@ -1,12 +1,16 @@
 """Two-forms, smooth maps between coordinate domains and manifolds, pullbacks.
 
 Every tangent vector is a plain real ambient array (a complex horizontal
-vector of CP^n enters realified) so one finite-difference pipeline serves all
-point kinds: real boxes, the cotangent constraint set, projective spaces, and
-products of projective spaces. Maps into projective targets get their offset
-outputs phase-aligned against the center value before differencing (a
-canonical-phase gauge can jump when the largest-modulus entry changes index)
-and the difference quotient is then projected onto the horizontal space.
+vector of CP^n enters realified), so one pushforward serves all point kinds:
+real boxes, the cotangent constraint set, projective spaces, and products of
+projective spaces. A map's differential is exact: the domain point carries
+its tangents as :class:`~quadcover.jets.Jet` arrays through one pass of the
+map's own code. A map into a projective target differentiates its
+unnormalized lift, and the tangent at the normalized point is the horizontal
+projection of that derivative times the gauge factor the normalization
+applied (see :func:`quadcover.projective.proj_normalize`); the phase of the
+representative is never differentiated, since every form here is invariant
+under it.
 
 The concrete forms are omega_std (the constant symplectic form of
 R^{2m} = C^m), the Fubini-Study form evaluated on horizontal lifts at unit
@@ -26,9 +30,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .cotangent import CotangentPoint, retract
+from .cotangent import CotangentPoint
+from .jets import Jet
 from .numerics import DEFAULT_PROFILE, ToleranceProfile, complexify, gauss_legendre_2d, realify
-from .projective import ProjectivePoint, horizontal_project, proj_normalize
+from .projective import ProjectivePoint, horizontal_project
 
 __all__ = [
     "BranchLocusError",
@@ -53,8 +58,23 @@ class BranchLocusError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Point domains: uniform ambient-vector view of every space we map between.
+# Point domains: each seeds a point with k ambient tangents as jets, and
+# splits a map's output back into its value and k ambient tangents.
 # ---------------------------------------------------------------------------
+
+
+def _tangents(vs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``vs``, k ambient tangents on its leading axis, broadcast to ``(k,) + shape``."""
+    if vs.ndim != len(shape) + 1:
+        raise ValueError(f"expected tangents of shape (k,) + {shape}, got {vs.shape}")
+    return np.broadcast_to(vs, vs.shape[:1] + shape)
+
+
+def _parts(x, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Value and tangents of a jet; a constant has k zero tangents."""
+    if isinstance(x, Jet):
+        return x.value, x.tangent
+    return x, np.zeros((k, *np.shape(x)), dtype=np.result_type(x))
 
 
 class BoxSpace:
@@ -66,17 +86,12 @@ class BoxSpace:
 
     ambient = property(lambda self: self.dim)
 
-    def to_ambient(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+    def seed(self, x, vs: np.ndarray) -> Jet:
+        x = np.asarray(x, dtype=float)
+        return Jet(x, _tangents(vs, x.shape))
 
-    def from_ambient(self, x: np.ndarray):
-        return np.asarray(x, dtype=float)
-
-    def aligned_ambient(self, center, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
-    def tangent_project(self, x, w: np.ndarray) -> np.ndarray:
-        return w
+    def split(self, y, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return _parts(y, k)
 
 
 class ProjectiveSpace:
@@ -89,29 +104,24 @@ class ProjectiveSpace:
     def ambient(self) -> int:
         return 2 * (self.n + 1)
 
-    def to_ambient(self, point: ProjectivePoint) -> np.ndarray:
-        return realify(point.rep)
+    def seed(self, point: ProjectivePoint, vs: np.ndarray) -> ProjectivePoint:
+        rep = point.rep
+        return ProjectivePoint(Jet(rep, complexify(_tangents(vs, rep.shape[:-1] + (2 * rep.shape[-1],)))))
 
-    def from_ambient(self, x: np.ndarray) -> ProjectivePoint:
-        return proj_normalize(complexify(x))
-
-    def aligned_ambient(self, center: ProjectivePoint, point: ProjectivePoint) -> np.ndarray:
-        # rotate the gauge so <center, point> is real positive; removes any
-        # canonical-phase jump between nearby representatives
-        overlap = np.einsum("...i,...i->...", center.rep.conj(), point.rep)
-        mag = np.abs(overlap)
-        phase = np.divide(overlap.conjugate(), mag, out=np.ones_like(overlap), where=mag > 1e-12)
-        return realify(point.rep * phase[..., None])
-
-    def tangent_project(self, point: ProjectivePoint, w: np.ndarray) -> np.ndarray:
-        return realify(horizontal_project(point, complexify(w)))
+    def split(self, point: ProjectivePoint, k: int) -> tuple[ProjectivePoint, np.ndarray]:
+        # the tangents are c dF of the lift F; the horizontal part is the pushforward
+        rep, tangent = _parts(point.rep, k)
+        center = ProjectivePoint(rep)
+        return center, realify(horizontal_project(center, tangent))
 
 
 class CotangentSpace:
     """Constraint set {|p| = k, <p,q> = 0} inside R^{n+1} + R^{n+1}.
 
     Points holding (N, n+1) arrays and (N, 2(n+1)) tangents are N rows, each
-    mapped by the same row arithmetic as a single point.
+    mapped by the same row arithmetic as a single point. A map between two
+    constraint sets takes tangent vectors to tangent vectors, so a
+    pushforward needs no projection.
     """
 
     def __init__(self, n: int, base_radius: float = 1.0):
@@ -122,32 +132,14 @@ class CotangentSpace:
     def ambient(self) -> int:
         return 2 * (self.n + 1)
 
-    def to_ambient(self, m: CotangentPoint) -> np.ndarray:
-        return np.concatenate([m.p, m.q], axis=-1)
+    def seed(self, m: CotangentPoint, vs: np.ndarray) -> CotangentPoint:
+        d = m.p.shape[-1]
+        t = _tangents(vs, m.p.shape[:-1] + (2 * d,))
+        return CotangentPoint(p=Jet(m.p, t[..., :d]), q=Jet(m.q, t[..., d:]), base_radius=m.base_radius)
 
-    def from_ambient(self, x: np.ndarray) -> CotangentPoint:
-        d = x.shape[-1] // 2
-        return retract(x[..., :d], x[..., d:], self.base_radius)
-
-    def aligned_ambient(self, center: CotangentPoint, m: CotangentPoint) -> np.ndarray:
-        return self.to_ambient(m)
-
-    def tangent_project(self, m: CotangentPoint, w: np.ndarray) -> np.ndarray:
-        # w - G^T (G G^T)^{-1} G w for the constraint rows G = [(p, 0); (q, p)]
-        p, q = m.p, m.q
-        d = p.shape[-1]
-        u, v = w[..., :d], w[..., d:]
-
-        def dot(a, b):
-            return np.einsum("...i,...i->...", a, b)[..., None]
-
-        pp, pq, qq = dot(p, p), dot(p, q), dot(q, q)
-        a0 = dot(p, u)
-        a1 = dot(q, u) + dot(p, v)
-        det = pp * (pp + qq) - pq * pq
-        mu0 = ((pp + qq) * a0 - pq * a1) / det
-        mu1 = (pp * a1 - pq * a0) / det
-        return np.concatenate((u - mu0 * p - mu1 * q, v - mu1 * p), axis=-1)
+    def split(self, m: CotangentPoint, k: int) -> tuple[CotangentPoint, np.ndarray]:
+        (p, dp), (q, dq) = _parts(m.p, k), _parts(m.q, k)
+        return CotangentPoint(p=p, q=q, base_radius=m.base_radius), np.concatenate([dp, dq], axis=-1)
 
 
 class ProductSpace:
@@ -165,73 +157,48 @@ class ProductSpace:
         k = self.left.ambient
         return x[..., :k], x[..., k:]
 
-    def to_ambient(self, pair) -> np.ndarray:
-        return np.concatenate(
-            [self.left.to_ambient(pair[0]), self.right.to_ambient(pair[1])], axis=-1
-        )
+    def seed(self, pair, vs: np.ndarray):
+        a, b = self._split(vs)
+        return (self.left.seed(pair[0], a), self.right.seed(pair[1], b))
 
-    def from_ambient(self, x: np.ndarray):
-        a, b = self._split(x)
-        return (self.left.from_ambient(a), self.right.from_ambient(b))
-
-    def aligned_ambient(self, center, pair) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.left.aligned_ambient(center[0], pair[0]),
-                self.right.aligned_ambient(center[1], pair[1]),
-            ],
-            axis=-1,
-        )
-
-    def tangent_project(self, pair, w: np.ndarray) -> np.ndarray:
-        a, b = self._split(w)
-        return np.concatenate(
-            [self.left.tangent_project(pair[0], a), self.right.tangent_project(pair[1], b)],
-            axis=-1,
-        )
+    def split(self, pair, k: int):
+        (a, da), (b, db) = self.left.split(pair[0], k), self.right.split(pair[1], k)
+        return (a, b), np.concatenate([da, db], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# Smooth maps with finite-difference jacobian action.
+# Smooth maps with exact pushforwards.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Evaluator plus finite-difference differential between two spaces.
+    """Evaluator plus exact differential between two spaces.
 
-    ``func`` maps domain points to target points. ``differential`` realizes
-    the jacobian action on ambient tangent vectors by a central difference:
-    offsets are retracted onto the domain manifold, outputs are gauge-aligned
-    against the center value, and the quotient is projected onto the target
-    tangent space (horizontal projection for projective targets).
+    ``func`` maps domain points to target points, a single point or a batch
+    (one per row), and must be written with the operations a
+    :class:`~quadcover.jets.Jet` supports. ``differential`` runs ``func``
+    once on the domain point seeded with k tangents, so a changed ``func``
+    changes its pushforward with it; a projective target returns the
+    horizontal projection of the lift's derivative at the normalized value.
     """
 
     domain: Any
     target: Any
     func: Callable[[Any], Any]
-    name: str = ""
-    step: float = DEFAULT_PROFILE.fd_step
 
     def __call__(self, x):
         return self.func(x)
 
-    def differential(self, x, v, center=None) -> np.ndarray:
-        h = self.step
-        if center is None:
-            center = self.func(x)
-        base = self.domain.to_ambient(x)
-        outs = []
-        for sgn in (1.0, -1.0):
-            try:
-                y = self.func(self.domain.from_ambient(base + sgn * h * v))
-            except Exception as exc:
-                raise ValueError(
-                    f"map {self.name or '<anonymous>'} failed at offset x {'+' if sgn > 0 else '-'} {h:g}*v: {exc}"
-                ) from exc
-            outs.append(self.target.aligned_ambient(center, y))
-        quotient = (outs[0] - outs[1]) / (2.0 * h)
-        return self.target.tangent_project(center, quotient)
+    def differential(self, x, vs: np.ndarray) -> tuple[Any, np.ndarray]:
+        """f(x) and the pushforwards Df(x) v of the k ambient tangents stacked on the leading axis of ``vs``.
+
+        ``vs`` has shape ``(k,) + ambient shape of x`` (its middle axes may
+        broadcast); the pushforwards come back as ``(k, ...)`` real ambient
+        arrays of the target, in one pass of ``func``.
+        """
+        vs = np.asarray(vs, dtype=float)
+        return self.target.split(self.func(self.domain.seed(x, vs)), len(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +330,13 @@ def omega_r(
 
 
 def pullback(f: SmoothMap, target_form: TwoForm, x, v1, v2) -> float:
-    """(f^* form)(x; v1, v2) = form(f(x), Df(x) v1, Df(x) v2), with f(x) evaluated once."""
-    center = f(x)
-    w1 = f.differential(x, v1, center=center)
-    w2 = f.differential(x, v2, center=center)
+    """(f^* form)(x; v1, v2) = form(f(x), Df(x) v1, Df(x) v2), from one jet pass of f."""
+    center, (w1, w2) = f.differential(x, np.stack((v1, v2)))
     return target_form(center, w1, w2)
+
+
+# the coordinate directions of a 2d box, one per leading row, for a batch of nodes
+_BOX_AXES = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
 
 
 def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> float:
@@ -377,8 +346,8 @@ def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> floa
     form(param(u, v), d_u param, d_v param) evaluated by tensor-product
     Gauss-Legendre quadrature on blocks of whole rows of nodes (see
     :func:`quadcover.numerics.gauss_legendre_2d`): each block makes one
-    ``param`` call on the (N, 2) array of its (u, v) nodes and two
-    differentials that share that value as their center, and ``form`` is
+    jet pass of ``param`` on the (N, 2) array of its (u, v) nodes, which
+    gives the points and both coordinate pushforwards, and ``form`` is
     called once on the block. The chart and the form must accept a leading
     batch axis and compute each node by row arithmetic (a chart that
     returns a single point for the whole block is allowed; its value is
@@ -388,14 +357,9 @@ def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> floa
     if not isinstance(dom, BoxSpace) or dom.dim != 2 or dom.bounds is None:
         raise ValueError("integrate_surface needs a parametrization on a bounded 2d box")
     (lo, hi) = dom.bounds
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
 
     def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
-        x = np.column_stack([u, v])
-        point = param(x)
-        du = param.differential(x, e1, center=point)
-        dv = param.differential(x, e2, center=point)
+        point, (du, dv) = param.differential(np.column_stack([u, v]), _BOX_AXES)
         return form(point, du, dv)
 
     return gauss_legendre_2d(integrand, lo[0], hi[0], lo[1], hi[1], nodes_per_axis=nodes)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cotangent import CotangentPoint, OffBundleError
 from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
+from .jets import Jet, primal
 from .numerics import complexify, realify
 from .projective import ProjectivePoint, _normalize_point, proj_normalize, quadric_residual
 
@@ -49,32 +50,36 @@ def ball_to_projective(z: np.ndarray, r: float) -> ProjectivePoint:
     The image misses the last coordinate hyperplane; |z| >= r is a domain
     error. An (N, n+1) ``z`` is a batch of N points, mapped row by row with
     the bits of each row alone (a batch of one row takes the 1-D body); the
-    domain error is raised if any row is outside the ball.
+    domain error is raised if any row is outside the ball. A jet ``z`` takes
+    the row body whatever its shape.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return ProjectivePoint(rep=_ball_point(z, r))
-    if len(z) == 1:
-        return ProjectivePoint(rep=_ball_point(z[0], r)[None])
+    if not isinstance(z, Jet):
+        z = np.asarray(z, dtype=complex)
+        if z.ndim == 1:
+            return ProjectivePoint(rep=_ball_point(z, r))
+        if len(z) == 1:
+            return ProjectivePoint(rep=_ball_point(z[0], r)[None])
     x = realify(z)
-    rad2 = float(r) ** 2 - np.einsum("ij,ij->i", x, x)
+    size2 = np.einsum("...i,...i->...", x, x)
+    rad2 = float(r) ** 2 - size2
     outside = rad2 <= 0.0
     if outside.any():
-        _outside_ball(x[int(np.argmax(outside))], r)
-    return proj_normalize(np.concatenate([z, 1j * np.sqrt(rad2)[:, None]], axis=1))
+        _outside_ball(np.extract(outside, primal(size2))[0], r)
+    return proj_normalize(np.concatenate([z, 1j * np.sqrt(rad2)[..., None]], axis=-1))
 
 
 def _ball_point(z: np.ndarray, r: float) -> np.ndarray:
     """Representative of :func:`ball_to_projective` at one 1-D point, by the row arithmetic."""
     x = realify(z)
-    rad2 = float(r) ** 2 - float(np.einsum("i,i->", x, x))
+    size2 = float(np.einsum("i,i->", x, x))
+    rad2 = float(r) ** 2 - size2
     if rad2 <= 0.0:
-        _outside_ball(x, r)
+        _outside_ball(size2, r)
     return _normalize_point(np.concatenate([z, [1j * np.sqrt(rad2)]]))
 
 
-def _outside_ball(x: np.ndarray, r: float):
-    raise ValueError(f"point with |z| = {np.linalg.norm(x):.6g} is outside the open ball B({r:g})")
+def _outside_ball(size2: float, r: float):
+    raise ValueError(f"point with |z| = {np.sqrt(size2):.6g} is outside the open ball B({r:g})")
 
 
 def ball_embedding(n: int, r: float) -> SmoothMap:
@@ -82,8 +87,7 @@ def ball_embedding(n: int, r: float) -> SmoothMap:
     return SmoothMap(
         domain=BoxSpace(2 * (n + 1)),
         target=ProjectiveSpace(n + 1),
-        func=lambda x: ball_to_projective(complexify(np.asarray(x, dtype=float)), r),
-        name=f"ball({r:g})->CP{n + 1}",
+        func=lambda x: ball_to_projective(complexify(x), r),
     )
 
 
@@ -156,7 +160,6 @@ def branched_cover_map(n: int) -> SmoothMap:
         domain=ProjectiveSpace(n + 1),
         target=ProjectiveSpace(n),
         func=branched_cover,
-        name=f"CP{n + 1}->CP{n}",
     )
 
 
@@ -184,11 +187,11 @@ def quadric_fiber(
 def deck(point: ProjectivePoint) -> ProjectivePoint:
     """Deck involution of the cover: negate the last homogeneous coordinate.
 
-    Acts on the last axis, so a batch of N points maps row by row.
+    Acts on the last axis, so a batch of N points maps row by row; a point
+    holding a jet maps to one, which gives the involution's pushforward.
     """
-    rep = point.rep.copy()
-    rep[..., -1] = -rep[..., -1]
-    return proj_normalize(rep)
+    rep = point.rep
+    return proj_normalize(np.concatenate([rep[..., :-1], -rep[..., -1:]], axis=-1))
 
 
 def segre_unitary(a: ProjectivePoint, b: ProjectivePoint) -> ProjectivePoint:
@@ -211,7 +214,6 @@ def segre_map() -> SmoothMap:
         domain=ProductSpace(p1, p1),
         target=ProjectiveSpace(3),
         func=lambda pair: segre_unitary(pair[0], pair[1]),
-        name="CP1xCP1->Q2",
     )
 
 

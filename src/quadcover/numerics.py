@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import Jet
+
 __all__ = [
     "CHUNK_ROWS",
     "ToleranceProfile",
@@ -35,16 +37,16 @@ class ToleranceProfile:
     """Numerical knobs shared by every module.
 
     fd_step balances O(h^2) truncation against double-precision cancellation:
-    it is the step of the map differentials and, relative to |q|^2, the step
-    of the one |q|^2 slope behind the RK4 field; branch_margin keeps the
-    square-root lift of the pushed-down form away from the branch locus
-    where its derivative blows up.
+    relative to |q|^2, it is the step of the one |q|^2 slope behind the RK4
+    field (the map differentials are exact, see :mod:`quadcover.jets`);
+    branch_margin keeps the square-root lift of the pushed-down form away
+    from the branch locus where its derivative blows up.
     """
 
     fd_step: float = 1e-5
     residual_tol: float = 1e-10
     flow_tol: float = 1e-12
-    quadrature_tol: float = 1e-6
+    quadrature_tol: float = 2e-11
     branch_margin: float = 1e-3
 
     def __post_init__(self) -> None:
@@ -56,7 +58,7 @@ class ToleranceProfile:
 
 
 DEFAULT_PROFILE = ToleranceProfile()
-STRICT_PROFILE = ToleranceProfile(residual_tol=1e-11, flow_tol=1e-13, quadrature_tol=1e-7)
+STRICT_PROFILE = ToleranceProfile(residual_tol=1e-11, flow_tol=1e-13, quadrature_tol=2e-12)
 PROFILES = {"default": DEFAULT_PROFILE, "strict": STRICT_PROFILE}
 
 # most rows a batched residual, or quadrature nodes an integrand call,
@@ -174,18 +176,24 @@ def gauss_legendre_2d(
 def realify(z: np.ndarray) -> np.ndarray:
     """Complex C^m vector as real R^{2m}: real parts first, imaginary second.
 
-    Acts on the last axis, so an (N, m) array of N vectors gives (N, 2m).
+    Acts on the last axis, so an (N, m) array of N vectors gives (N, 2m); a
+    jet gives a jet.
     """
-    z = np.asarray(z, dtype=complex)
+    if not isinstance(z, Jet):
+        z = np.asarray(z, dtype=complex)
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def complexify(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify` on the last axis; requires real input of even length."""
-    if np.iscomplexobj(x):
-        raise ValueError("cannot pair coordinates of a complex vector; realify it first")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] % 2:
-        raise ValueError("cannot pair coordinates of an odd-length vector")
+    """Inverse of :func:`realify` on the last axis; requires real input of even length.
+
+    A jet of real values gives a jet.
+    """
+    if not isinstance(x, Jet):
+        if np.iscomplexobj(x):
+            raise ValueError("cannot pair coordinates of a complex vector; realify it first")
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] % 2:
+            raise ValueError("cannot pair coordinates of an odd-length vector")
     m = x.shape[-1] // 2
     return x[..., :m] + 1j * x[..., m:]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import Jet
 from .numerics import fill_accepted, row_norms
 
 __all__ = [
@@ -44,26 +45,38 @@ class ProjectivePoint:
         return self.rep.shape[-1] - 1
 
 
-def proj_normalize(z: np.ndarray) -> ProjectivePoint:
+def proj_normalize(z) -> ProjectivePoint:
     """Canonical-phase unit representative of the projective class [z].
 
     A 1-D ``z`` is one point. An (N, m) array is a batch of N points, each
     row normalized by the same arithmetic as a 1-D input, so a row and the
     point alone give the same bits; one point, or a batch of one row, takes
-    the 1-D body, at about a third of the row body's cost. Raises ValueError
-    on near-zero input (degenerate point), for a batch if any row is
+    the 1-D body, at under half the row body's cost. Raises ValueError on
+    near-zero input (degenerate point), for a batch if any row is
     degenerate.
+
+    A :class:`~quadcover.jets.Jet` ``z`` (an unnormalized lift F with its
+    tangents dF) gives a point whose representative is the jet of the
+    normalized value by the row body, with tangents c dF, c the gauge factor
+    applied to each row. c dF differs from the derivative of the normalized
+    lift by a multiple of the representative, which the horizontal
+    projection of a pushforward removes.
     """
+    if isinstance(z, Jet):
+        value = z.value.reshape(-1, z.shape[-1])
+        rep, gauge = _normalize_rows(value)
+        gauge = gauge.reshape(z.shape[:-1])[..., None]
+        return ProjectivePoint(rep=Jet(rep.reshape(z.shape), z.tangent * gauge))
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
         return ProjectivePoint(rep=_normalize_point(z))
     if len(z) == 1:
         return ProjectivePoint(rep=_normalize_point(z[0])[None])
-    return ProjectivePoint(rep=_normalize_rows(z))
+    return ProjectivePoint(rep=_normalize_rows(z)[0])
 
 
 def _normalize_point(z: np.ndarray) -> np.ndarray:
-    """Body of :func:`proj_normalize` on one 1-D point; the same reductions as the row twin."""
+    """Body of :func:`proj_normalize` on one 1-D point; the same reductions as the row body."""
     mags = np.abs(z)
     # math.sqrt rounds as np.sqrt does, without a numpy scalar's overhead
     norm = math.sqrt(np.einsum("i,i->", mags, mags))
@@ -76,17 +89,23 @@ def _normalize_point(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _normalize_rows(z: np.ndarray) -> np.ndarray:
-    """Body of :func:`proj_normalize` on the rows of an (N, m) array."""
+def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Body of :func:`proj_normalize` on the rows of an (N, m) array, and the gauge factor of each row.
+
+    The pivot of each row is read and written through one flat index.
+    """
     mags = np.abs(z)
     norm = np.sqrt(np.einsum("ij,ij->i", mags, mags))
-    if np.any(norm <= 1e-12):
+    if (norm <= 1e-12).any():
         raise ValueError("degenerate point: representative norm below 1e-12")
-    rows = np.arange(z.shape[0])
-    k = np.argmax(mags, axis=1)
-    z = z * (z[rows, k].conjugate() / (mags[rows, k] * norm))[:, None]
-    z[rows, k] = z[rows, k].real
-    return z
+    rows, m = z.shape
+    pivot = mags.argmax(axis=1)
+    pivot += np.arange(0, rows * m, m)
+    gauge = z.ravel()[pivot].conjugate() / (mags.ravel()[pivot] * norm)
+    z = z * gauge[:, None]
+    flat = z.reshape(-1)
+    flat[pivot] = flat[pivot].real
+    return z, gauge
 
 
 def horizontal_project(point: ProjectivePoint, v: np.ndarray) -> np.ndarray:

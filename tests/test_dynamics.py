@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from fd_oracle import retract
 
 from quadcover import dynamics
 from quadcover.cotangent import (
@@ -10,7 +11,6 @@ from quadcover.cotangent import (
     antipode,
     constraint_frame,
     even_rescale,
-    retract,
     sample_cosphere,
 )
 from quadcover.dynamics import (

@@ -80,8 +80,7 @@ def test_fubini_study_matches_affine_chart_formula():
     chart = SmoothMap(
         domain=BoxSpace(2),
         target=ProjectiveSpace(1),
-        func=lambda x: proj_normalize(np.array([1.0, x[0] + 1j * x[1]])),
-        name="affine-chart",
+        func=lambda x: proj_normalize(np.stack([1.0, x[0] + 1j * x[1]])),
     )
     form = fubini_study_form(1)
     rng = derive_stream(34, "chart")
@@ -90,13 +89,13 @@ def test_fubini_study_matches_affine_chart_formula():
         x = rng.uniform(-2, 2, size=2)
         value = pullback(chart, form, x, e1, e2)
         expected = 1.0 / (1.0 + x @ x) ** 2
-        assert abs(value - expected) < 1e-8
+        assert abs(value - expected) < 1e-15
 
 
 def test_pullback_along_identity_map():
     rng = derive_stream(35, "ident")
     space = ProjectiveSpace(2)
-    identity = SmoothMap(domain=space, target=space, func=lambda p: p, name="id")
+    identity = SmoothMap(domain=space, target=space, func=lambda p: p)
     point = sample_projective(2, rng)
     u = realify(sample_horizontal(point, rng))
     v = realify(sample_horizontal(point, rng))
@@ -121,9 +120,8 @@ def test_smooth_map_differential_is_linear():
     v1 = rng.standard_normal(4)
     v2 = rng.standard_normal(4)
     a, b = 0.7, -1.3
-    combo = emb.differential(x, a * v1 + b * v2)
-    split = a * emb.differential(x, v1) + b * emb.differential(x, v2)
-    assert np.max(np.abs(combo - split)) < 1e-8
+    _, (combo, w1, w2) = emb.differential(x, np.stack([a * v1 + b * v2, v1, v2]))
+    assert np.max(np.abs(combo - (a * w1 + b * w2))) < 1e-14
 
 
 def test_omega_r_sheet_independence_and_antisymmetry():
@@ -176,7 +174,7 @@ def test_integrate_surface_constant_param_is_zero():
     fixed = proj_normalize(np.array([1.0, 1.0], dtype=complex))
     bounds = (np.zeros(2), np.ones(2))
     param = SmoothMap(
-        domain=BoxSpace(2, bounds), target=ProjectiveSpace(1), func=lambda x: fixed, name="const"
+        domain=BoxSpace(2, bounds), target=ProjectiveSpace(1), func=lambda x: fixed
     )
     assert abs(integrate_surface(param, fubini_study_form(1), nodes=8)) < 1e-12
 
@@ -190,6 +188,11 @@ PERIOD_CHARTS = [
         product_form(scaled_form(fubini_study_form(1), 3.0), scaled_form(fubini_study_form(1), 3.0)),
     ),
 ]
+
+
+def _reps(point):
+    # the representative of a projective point, or both of a pair side by side
+    return np.concatenate([_reps(p) for p in point], axis=-1) if isinstance(point, tuple) else point.rep
 
 
 @pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
@@ -208,7 +211,6 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
         domain=chart.domain,
         target=chart.target,
         func=lambda x: calls.append(len(x)) or chart(x),
-        name=chart.name,
     )
     blocks = []
     original = forms_module.gauss_legendre_2d
@@ -223,33 +225,28 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
 
     monkeypatch.setattr(forms_module, "gauss_legendre_2d", recording)
     integrate_surface(counted, form, nodes=nodes)
-    # one chart call for the center and two per differential, on whole rows
+    # one jet pass of the chart per block of whole rows
     assert [len(u) for u, _, _ in blocks] == [24, 24, 16]
-    assert calls == [size for size in (24, 24, 16) for _ in range(5)]
+    assert calls == [24, 24, 16]
     lo, hi = chart.domain.bounds
     xs = np.polynomial.legendre.leggauss(nodes)[0]
     us = 0.5 * (hi[0] - lo[0]) * xs + 0.5 * (lo[0] + hi[0])
     vs = 0.5 * (hi[1] - lo[1]) * xs + 0.5 * (lo[1] + hi[1])
     assert np.array_equal(np.concatenate([u for u, _, _ in blocks]), np.repeat(us, nodes))
     assert np.array_equal(np.concatenate([v for _, v, _ in blocks]), np.tile(vs, nodes))
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     for u, v, vals in blocks:
-        # the block's points and differentials too: the integrands of the
+        # the block's points and pushforwards too: the integrands of the
         # sphere and diagonal charts depend on u alone, so a shuffled row
         # hides in vals
         batch = np.column_stack([u, v])
-        block_point = chart.target.to_ambient(chart(batch))
-        block_du = chart.differential(batch, e1)
-        block_dv = chart.differential(batch, e2)
+        block_point, (block_du, block_dv) = chart.differential(batch, np.eye(2)[:, None, :])
         for j in range(len(u)):
             x = np.array([u[j], v[j]])
-            point = chart(x)
-            du = chart.differential(x, e1, center=point)
-            dv = chart.differential(x, e2, center=point)
-            assert np.max(np.abs(block_point[j] - chart.target.to_ambient(point))) < 1e-12
-            assert np.max(np.abs(block_du[j] - du)) < 1e-9
-            assert np.max(np.abs(block_dv[j] - dv)) < 1e-9
-            assert abs(vals[j] - form(point, du, dv)) < 1e-9
+            point, (du, dv) = chart.differential(x, np.eye(2))
+            assert np.max(np.abs(_reps(block_point)[j] - _reps(point))) < 1e-15
+            assert np.max(np.abs(block_du[j] - du)) < 1e-15
+            assert np.max(np.abs(block_dv[j] - dv)) < 1e-15
+            assert abs(vals[j] - form(point, du, dv)) < 1e-15
 
 
 @pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
@@ -288,7 +285,6 @@ def test_even_rescale_pullback_preserves_omega_std():
         domain=CotangentSpace(2, 1.0),
         target=CotangentSpace(2, float(np.sqrt(r))),
         func=lambda m: even_rescale(m, r),
-        name="rescale",
     )
     omega = cotangent_omega_std(2, float(np.sqrt(r)))
     for _ in range(10):
@@ -299,43 +295,25 @@ def test_even_rescale_pullback_preserves_omega_std():
         assert abs(value - _omega_std_ambient(v1, v2)) < 1e-9
 
 
-def test_cotangent_tangent_project_matches_the_frame_projection():
-    # the closed form w - G^T (G G^T)^{-1} G w against the SVD frame's projector
-    from quadcover.cotangent import constraint_frame
-    from quadcover.forms import CotangentSpace
-
-    rng = derive_stream(41, "tproj")
-    for n in range(1, 6):
-        for k in (0.3, 1.0, 3.0):
-            space = CotangentSpace(n, k)
-            m = sample_disc_bundle(n, k, 2.0, rng)
-            frame = constraint_frame(m.p, m.q)
-            for _ in range(5):
-                w = rng.standard_normal(2 * (n + 1))
-                out = space.tangent_project(m, w)
-                assert np.max(np.abs(out - frame.T @ (frame @ w))) < 1e-13
-                assert np.max(np.abs(space.tangent_project(m, out) - out)) < 1e-13
-
-
 def test_cotangent_space_rows_match_single_points():
-    # retract and the tangent projection act on the last axis, row by row
+    # a seeded batch pushes forward row by row, as each point alone
+    from quadcover.cotangent import even_rescale
     from quadcover.forms import CotangentSpace
 
     rng = derive_stream(42, "cot-rows")
-    space = CotangentSpace(2, 1.5)
-    m = sample_disc_bundle(2, 1.5, 1.0, rng, size=5)
-    w = rng.standard_normal((5, 6))
-    x = space.to_ambient(m) + 0.1 * w
-    assert x.shape == (5, 6)
-    back = space.from_ambient(x)
-    projected = space.tangent_project(m, w)
+    rescale = SmoothMap(CotangentSpace(2, 1.0), CotangentSpace(2, 1.5), lambda m: even_rescale(m, 2.25))
+    m = sample_disc_bundle(2, 1.0, 1.0, rng, size=5)
+    vs = np.stack([sample_tangent(m, rng) for _ in range(3)])
+    image, w = rescale.differential(m, vs)
+    assert w.shape == (3, 5, 6)
     for i in range(5):
-        single = CotangentPoint(p=m.p[i], q=m.q[i], base_radius=1.5)
-        one = space.from_ambient(x[i])
-        assert np.max(np.abs(back.p[i] - one.p)) < 1e-15
-        assert np.max(np.abs(back.q[i] - one.q)) < 1e-15
-        assert max(one.residuals()) < 1e-14
-        assert np.max(np.abs(projected[i] - space.tangent_project(single, w[i]))) < 1e-15
+        single = CotangentPoint(p=m.p[i], q=m.q[i])
+        one, w_one = rescale.differential(single, vs[:, i])
+        assert np.array_equal(image.p[i], one.p) and np.array_equal(image.q[i], one.q)
+        assert one.base_radius == image.base_radius == 1.5
+        assert np.array_equal(w[:, i], w_one)
+        # (p, q) -> (1.5 p, q / 1.5) pushes (u, w) forward to (1.5 u, w / 1.5)
+        assert np.max(np.abs(w_one - np.concatenate([1.5 * vs[:, i, :3], vs[:, i, 3:] / 1.5], axis=-1))) < 1e-15
 
 
 def test_pullback_evaluates_the_map_once():
@@ -349,8 +327,8 @@ def test_pullback_evaluates_the_map_once():
     counted = SmoothMap(emb.domain, emb.target, counting)
     x = np.array([0.1, 0.2, 0.3, -0.1])
     pullback(counted, fubini_study_form(2), x, np.eye(4)[0], np.eye(4)[1])
-    # the center once, and two offsets for each of the two differentials
-    assert len(calls) == 5
+    # one jet pass gives the center and both pushforwards
+    assert len(calls) == 1
 
 
 def test_omega_r_rows_match_single_points():

@@ -1,11 +1,17 @@
 """The explicit maps: embeddings, cover, deck, Segre twist, locus classifiers."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 
-from quadcover.cotangent import CotangentPoint, OffBundleError, antipode, sample_cosphere, sample_disc_bundle
+from quadcover.cotangent import (
+    CotangentPoint,
+    OffBundleError,
+    antipode,
+    sample_cosphere,
+    sample_disc_bundle,
+    sample_tangent,
+)
 from quadcover.dynamics import scalar_action
 from quadcover.forms import (
     BoxSpace,
@@ -43,6 +49,7 @@ from quadcover.projective import (
     proj_normalize,
     projective_defect,
     quadric_residual,
+    sample_horizontal,
     sample_projective,
 )
 
@@ -266,8 +273,6 @@ def test_segre_pullback_of_double_fs_is_product_form():
     fs1 = scaled_form(fubini_study_form(1), 2.0)
     expected_form = product_form(fs1, fs1)
     target = scaled_form(fubini_study_form(3), 2.0)
-    from quadcover.projective import sample_horizontal
-
     worst = 0.0
     for _ in range(60):
         a = sample_projective(1, rng)
@@ -316,43 +321,96 @@ def test_antipodal_cp1_is_fixed_point_free_involution():
     assert projective_defect(antipodal_cp1(a), a) > 1e-9
 
 
-def _domain_sample(space, rng):
+def _domain_sample(space, rng, size):
+    """``size`` points of ``space`` as one batch, and two unit tangents at each, stacked (2, size, ambient)."""
     if isinstance(space, BoxSpace):
-        z = rng.standard_normal(space.dim // 2) + 1j * rng.standard_normal(space.dim // 2)
-        z *= 0.4 / np.linalg.norm(z)
-        return realify(z)
-    if isinstance(space, CotangentSpace):
-        return sample_disc_bundle(space.n, space.base_radius, 0.9, rng)
-    if isinstance(space, ProjectiveSpace):
-        return sample_projective(space.n, rng)
-    if isinstance(space, ProductSpace):
-        return (_domain_sample(space.left, rng), _domain_sample(space.right, rng))
-    raise AssertionError(f"unexpected space {space}")
+        if space.bounds is not None:
+            lo, hi = space.bounds
+            x = rng.uniform(lo, hi, size=(size, space.dim))
+        else:
+            z = rng.standard_normal((size, space.dim // 2)) + 1j * rng.standard_normal((size, space.dim // 2))
+            x = realify(0.4 * z / row_norms(z)[:, None])
+        v = rng.standard_normal((2, size, space.dim))
+    elif isinstance(space, CotangentSpace):
+        x = sample_disc_bundle(space.n, space.base_radius, 0.9, rng, size=size)
+        v = np.stack([sample_tangent(x, rng) for _ in range(2)])
+    elif isinstance(space, ProjectiveSpace):
+        x = sample_projective(space.n, rng, size=size)
+        v = np.stack([realify(sample_horizontal(x, rng)) for _ in range(2)])
+    else:
+        (a, va), (b, vb) = _domain_sample(space.left, rng, size), _domain_sample(space.right, rng, size)
+        return (a, b), np.concatenate([va, vb], axis=-1)
+    return x, v / row_norms(v)[..., None]
 
 
-def test_catalog_maps_agree_with_coarser_differences():
-    # jacobian-action consistency: a chord at step 3e-4 reproduces the
-    # differential at the default step within 1e-6, for the construction's
-    # six maps at n = 2 and r = sqrt(2)
-    rng = derive_stream(55, "catalog")
-    n = 2
+def _row(point, i):
+    """Row i of a batch of points, as a batch of one."""
+    if isinstance(point, tuple):
+        return tuple(_row(p, i) for p in point)
+    if isinstance(point, ProjectivePoint):
+        return ProjectivePoint(point.rep[i : i + 1])
+    if isinstance(point, CotangentPoint):
+        return CotangentPoint(p=point.p[i : i + 1], q=point.q[i : i + 1], base_radius=point.base_radius)
+    return point[i : i + 1]
+
+
+def _arrays(point):
+    """The arrays that hold a point, side by side."""
+    if isinstance(point, tuple):
+        return np.concatenate([_arrays(p) for p in point], axis=-1)
+    if isinstance(point, ProjectivePoint):
+        return point.rep
+    if isinstance(point, CotangentPoint):
+        return np.concatenate([point.p, point.q], axis=-1)
+    return point
+
+
+def _smooth_maps(n=2):
+    """Every SmoothMap the package builds, the quadric embedding, the deck involution and a factor swap.
+
+    At n = 2 and r = sqrt(2).
+    """
+    from quadcover import checks
+
     p1 = ProjectiveSpace(1)
-    catalog = {
+    return {
         "ball-embedding": ball_embedding(n, ROOT2),
         "cotangent-embedding": SmoothMap(CotangentSpace(n, 1.0), ProjectiveSpace(n + 1), cotangent_to_quadric),
         "branched-cover": branched_cover_map(n),
         "deck": SmoothMap(ProjectiveSpace(n + 1), ProjectiveSpace(n + 1), deck),
         "segre-unitary": segre_map(),
+        "sphere-chart": checks._sphere_chart(),
+        "conic-chart": checks._conic_chart(),
+        "diagonal-chart": checks._diagonal_chart(),
+        "evened-rescale": checks._evened_rescale_map(n, ROOT2),
         "factor-swap": SmoothMap(ProductSpace(p1, p1), ProductSpace(p1, p1), lambda pair: (pair[1], pair[0])),
     }
-    for name, smooth in catalog.items():
-        for _ in range(5):
-            x = _domain_sample(smooth.domain, rng)
-            v = rng.standard_normal(smooth.domain.ambient)
-            v /= np.linalg.norm(v)
-            fine = smooth.differential(x, v)
-            coarse = dataclasses.replace(smooth, step=3e-4).differential(x, v)
-            assert np.max(np.abs(fine - coarse)) < 1e-6, name
+
+
+def test_catalog_maps_agree_with_coarser_differences():
+    # the exact pushforward of each map against a central difference at
+    # step 1e-5, whose O(h^2) truncation and eps / h rounding stay below 1e-6
+    for name, smooth in _smooth_maps().items():
+        x, vs = _domain_sample(smooth.domain, derive_stream(55, name), 5)
+        _, pushed = smooth.differential(x, vs)
+        for i in range(5):
+            point = _row(x, i)
+            for j in range(2):
+                chord = central_difference(smooth, point, vs[j, i : i + 1], 1e-5)
+                assert np.max(np.abs(pushed[j, i] - chord[0])) < 1e-6, (name, i, j)
+
+
+@pytest.mark.parametrize("name", sorted(_smooth_maps()))
+def test_a_batch_row_pushes_forward_as_the_row_alone(name):
+    # value and pushforwards of a row of a batch, bit for bit those of a
+    # batch of that one row: a witness replays its pullback alone
+    smooth = _smooth_maps()[name]
+    x, vs = _domain_sample(smooth.domain, derive_stream(56, name), 7)
+    value, pushed = smooth.differential(x, vs)
+    for i in range(7):
+        one, pushed_one = smooth.differential(_row(x, i), vs[:, i : i + 1])
+        assert np.array_equal(_arrays(one), _arrays(value)[i : i + 1]), (name, i)
+        assert np.array_equal(pushed_one, pushed[:, i : i + 1]), (name, i)
 
 
 def test_batched_maps_match_single_points_row_by_row():
@@ -406,11 +464,6 @@ def _horizontal_of_halves(z):
     return horizontal_project(ProjectivePoint(a), v)
 
 
-def _aligned_of_halves(z):
-    center, point = np.split(z, 2, axis=-1)
-    return ProjectiveSpace(1).aligned_ambient(ProjectivePoint(center), ProjectivePoint(point))
-
-
 def _chart_of(z):
     m = quadric_to_cotangent(ProjectivePoint(z))
     return np.concatenate([m.p, m.q], axis=-1)
@@ -431,7 +484,6 @@ TWINS = {
     "omega_r": (_omega_r_of_thirds, lambda n: 3 * (n + 1)),
     "horizontal_project": (_horizontal_of_halves, lambda n: 2 * (n + 1)),
     "_omega_std_ambient": (lambda z: _omega_std_ambient(z.real, z.imag), lambda n: 2 * (n + 1)),
-    "aligned_ambient": (_aligned_of_halves, lambda n: 2 * (n + 1)),
 }
 
 

@@ -6,17 +6,19 @@ nothing. Each test patches one wrong map into the modules that call it and
 runs the targeted check at its pinned tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from fd_oracle import retract
 
 import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
 import quadcover.maps as maps_module
-from quadcover.cotangent import CotangentPoint, retract
+from quadcover.cotangent import CotangentPoint
 from quadcover.dynamics import FlowResult, hamiltonian_vector_field
-from quadcover.forms import ProductSpace, TwoForm
+from quadcover.forms import ProductSpace, TwoForm, scaled_form
 from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
 
@@ -185,3 +187,43 @@ def test_product_form_that_drops_its_right_factor(monkeypatch):
     # the diagonal period halves: 2 pi r short of the conic's 4 pi r
     report = _assert_fails_with_witness("I-period-match")
     assert abs(report.max_residual - 2.0 * np.pi * report.witness["r"]) < 1e-6
+
+
+def _scaled_fubini_study(eps):
+    original = checks_module.fubini_study_form
+    return lambda n, name="omega_FS": scaled_form(original(n, name), 1.0 + eps)
+
+
+def _scaled_evened_rescale_map(eps):
+    # (p, q) -> (1 + eps)(sqrt(r) p, q / sqrt(r)), in the pullback only
+    original = checks_module._evened_rescale_map
+
+    def scaled(n, r):
+        exact = original(n, r)
+
+        def func(m):
+            image = exact(m)
+            return CotangentPoint(p=(1 + eps) * image.p, q=(1 + eps) * image.q, base_radius=image.base_radius)
+
+        return dataclasses.replace(exact, func=func)
+
+    return scaled
+
+
+# Sensitivity: the certified form or map scaled by 1 + eps, with eps at the
+# size each check resolves now that its differentials are exact: the name the
+# check reads, its scaled version, and the params of the run.
+SCALED = {
+    "L-projemb": ("fubini_study_form", lambda: _scaled_fubini_study(1e-6), {"samples": 20}),
+    "I-period-Q1": ("fubini_study_form", lambda: _scaled_fubini_study(1e-7), None),
+    "P-evenedrescale": ("_evened_rescale_map", lambda: _scaled_evened_rescale_map(1e-8), {"samples": 60}),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SCALED))
+def test_a_map_or_form_scaled_by_one_plus_eps_fails(cid, monkeypatch):
+    attr, scaled, params = SCALED[cid]
+    monkeypatch.setattr(checks_module, attr, scaled())
+    report = _assert_fails_with_witness(cid, params)
+    # a finite residual: the scaled form or pushforward itself, not a guard, fails it
+    assert report.tolerance < report.max_residual < 1e-4

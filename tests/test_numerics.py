@@ -1,7 +1,8 @@
-"""Finite differences, seeded streams, and quadrature."""
+"""Exact Jacobians from jets, seeded streams, and quadrature."""
 
 import numpy as np
 import pytest
+from fd_oracle import central_difference
 
 from quadcover.forms import BoxSpace, SmoothMap
 from quadcover.numerics import (
@@ -13,24 +14,39 @@ from quadcover.numerics import (
 )
 
 
-def jacobian(f, x, h=1e-5):
-    """Central-difference Jacobian of f: R^m -> R^k, one SmoothMap.differential per axis."""
+def _box_map(f, x):
     x = np.asarray(x, dtype=float)
-    smooth = SmoothMap(domain=BoxSpace(x.size), target=BoxSpace(np.size(f(x))), func=f, step=h)
-    return np.stack([smooth.differential(x, e) for e in np.eye(x.size)], axis=1)
+    return SmoothMap(domain=BoxSpace(x.size), target=BoxSpace(np.size(f(x))), func=f)
+
+
+def jacobian(f, x):
+    """Jacobian of f: R^m -> R^k from one SmoothMap.differential of all m coordinate axes."""
+    x = np.asarray(x, dtype=float)
+    _, columns = _box_map(f, x).differential(x, np.eye(x.size))
+    return columns.T
+
+
+def difference_jacobian(f, x, h=1e-5):
+    """The same Jacobian from the central-difference oracle, one axis at a time."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([central_difference(_box_map(f, x), x, e, h) for e in np.eye(x.size)], axis=1)
+
+
+def _linear(a):
+    return lambda v: np.einsum("...j,...ij->...i", v, a)
 
 
 def test_jacobian_linear_map_is_exact_up_to_rounding():
     rng = derive_stream(0, "jac-linear")
     a = rng.standard_normal((3, 4))
     x = rng.standard_normal(4)
-    jac = jacobian(lambda v: a @ v, x, h=1e-5)
-    assert np.max(np.abs(jac - a)) < 1e-9
+    assert np.array_equal(jacobian(_linear(a), x), a)
+    assert np.max(np.abs(difference_jacobian(_linear(a), x) - a)) < 1e-9
 
 
 def test_jacobian_square_at_three():
-    jac = jacobian(lambda v: np.array([v[0] ** 2]), np.array([3.0]), h=1e-5)
-    assert abs(jac[0, 0] - 6.0) < 1e-9
+    jac = jacobian(lambda v: v * v, np.array([3.0]))
+    assert jac[0, 0] == 6.0
 
 
 def test_jacobian_of_ball_lift_at_origin_matches_hand_derivative():
@@ -40,31 +56,43 @@ def test_jacobian_of_ball_lift_at_origin_matches_hand_derivative():
 
     def lift(x):
         z = complexify(x)
-        w = 1j * np.sqrt(r**2 - np.vdot(z, z).real)
-        return realify(np.concatenate([z, [w]]))
+        w = 1j * np.sqrt(r**2 - np.einsum("...i,...i->...", x, x))[..., None]
+        return realify(np.concatenate([z, w], axis=-1))
 
-    jac = jacobian(lift, np.zeros(2 * (n + 1)), h=1e-5)
+    jac = jacobian(lift, np.zeros(2 * (n + 1)))
     expected = np.zeros((2 * (n + 2), 2 * (n + 1)))
     # real parts of z: rows 0..n; imaginary parts: rows n+2 .. 2n+2
     expected[:n + 1, :n + 1] = np.eye(n + 1)
     expected[n + 2 : 2 * n + 3, n + 1 :] = np.eye(n + 1)
-    assert np.max(np.abs(jac - expected)) < 1e-8
-    # the two rows of the last complex coordinate are identically zero
-    assert np.max(np.abs(jac[n + 1])) < 1e-9
-    assert np.max(np.abs(jac[2 * n + 3])) < 1e-9
+    assert np.array_equal(jac, expected)
+    assert np.max(np.abs(difference_jacobian(lift, np.zeros(2 * (n + 1))) - expected)) < 1e-9
 
 
-def test_jacobian_names_offending_offset_on_domain_exit():
+def test_jacobian_of_a_conjugating_map_matches_the_difference():
+    # conj(z) is not holomorphic, so a complex step would get it wrong; the
+    # jet differentiates it as the real-linear map it is
     def f(x):
-        if x[0] > 1.0:
+        z = complexify(x)
+        return realify(np.conj(z) * z * z + np.exp(1j * z.conj()) * np.sqrt(2.0 + z))
+
+    x = derive_stream(4, "jac-conj").standard_normal(4) * 0.3
+    assert np.max(np.abs(jacobian(f, x) - difference_jacobian(f, x))) < 1e-8
+
+
+def test_differential_raises_where_the_map_does():
+    def f(x):
+        if (x[..., 0] > 1.0).any():
             raise ValueError("out of domain")
         return x
 
-    with pytest.raises(ValueError, match=r"x \+ 1e-05\*v: out of domain"):
-        jacobian(f, np.array([1.0 - 1e-6, 0.0]), h=1e-5)
+    assert np.array_equal(jacobian(f, np.array([1.0 - 1e-6, 0.0])), np.eye(2))
+    with pytest.raises(ValueError, match="out of domain"):
+        jacobian(f, np.array([1.0 + 1e-6, 0.0]))
 
 
 def test_jacobian_chain_rule_within_ten_h_squared():
+    # the exact Jacobian of a composition is the product of the exact
+    # Jacobians, and the central difference at step h agrees within 10 h^2
     h = 1e-5
     rng = derive_stream(3, "jac-chain")
     for _ in range(5):
@@ -74,15 +102,16 @@ def test_jacobian_chain_rule_within_ten_h_squared():
         b2 = 0.5 * rng.standard_normal((3, 3))
 
         def f(x):
-            return a1 @ x + 0.1 * np.sin(b1 @ x)
+            return _linear(a1)(x) + 0.1 * np.sin(_linear(b1)(x))
 
         def g(y):
-            return a2 @ y + 0.1 * np.sin(b2 @ y)
+            return _linear(a2)(y) + 0.1 * np.sin(_linear(b2)(y))
 
         x = rng.standard_normal(3)
-        composed = jacobian(lambda v: g(f(v)), x, h)
-        chained = jacobian(g, f(x), h) @ jacobian(f, x, h)
-        assert np.max(np.abs(composed - chained)) < 10 * h**2
+        composed = jacobian(lambda v: g(f(v)), x)
+        chained = jacobian(g, f(x)) @ jacobian(f, x)
+        assert np.max(np.abs(composed - chained)) < 1e-14
+        assert np.max(np.abs(composed - difference_jacobian(lambda v: g(f(v)), x, h))) < 10 * h**2
 
 
 def test_streams_are_reproducible_over_long_prefixes():
