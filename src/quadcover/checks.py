@@ -239,6 +239,7 @@ class _Param(NamedTuple):
 
 
 DIM = _Number(1, many="dimensions")
+DIM2 = _Number(2, many="dimensions")  # on CP^1 every 2-form is a multiple of omega_FS
 COUNT = _Number(1)
 NODES = _Number(2)  # a quadrature rule needs two nodes per axis
 RADIUS = _Number(one="radius", many="radii")
@@ -391,9 +392,31 @@ def _quadric_frame(rep: np.ndarray) -> np.ndarray:
     Tangency means complex orthogonality to both rep (horizontality) and
     conj(rep) (the quadric constraint sum z_k v_k = 0); the two are
     independent everywhere on the quadric because sum rep^2 = 0. An (N, m)
-    ``rep`` gives N stacked frames of shape (N, m - 2, m).
+    ``rep`` gives N stacked frames of shape (N, m - 2, m). Only the residual
+    of R-pi-not-symplectic takes a frame; generators draw tangents with
+    :func:`_quadric_tangent`.
     """
     return np.conj(_null_frame(np.stack([np.conj(rep), rep], axis=-2)))
+
+
+def _quadric_tangent(point: ProjectivePoint, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random unit tangents of the quadric at a batch of its points, one per row.
+
+    A unit horizontal tangent (:func:`sample_horizontal`) with its component
+    along conj(rep) removed: tangency to the quadric is Hermitian
+    orthogonality to rep and conj(rep), which are orthogonal to each other
+    because sum rep^2 = 0. A draw whose remainder has norm at or below 1e-12
+    is drawn again.
+    """
+
+    def draw(index):
+        rep = point.rep[index]
+        v = sample_horizontal(ProjectivePoint(rep), rng)
+        # <conj(rep), v> = sum rep v, and |rep| = 1
+        return (v - np.einsum("ij,ij->i", rep, v)[:, None] * rep.conj(),)
+
+    (v,) = fill_accepted(len(point.rep), draw, lambda v: row_norms(v) > 1e-12)
+    return v / row_norms(v)[:, None]
 
 
 def _projective_off_quadric(n: int, rng: np.random.Generator, size: int, margin: float) -> np.ndarray:
@@ -1008,15 +1031,10 @@ def _gen_omega_r_descent(params, rng):
     radii = np.array(params["r"], dtype=float)
     for n in params["n"]:
         p, q = fill_accepted(params["samples"], lambda index, n=n: draw(n, index), away_from_branch)
-        upstairs = cotangent_to_quadric(CotangentPoint(p=p, q=q)).rep
-        frame = _quadric_frame(upstairs)
-        tangents = []
-        for _ in range(2):
-            coeff = rng.standard_normal(frame.shape[:2]) + 1j * rng.standard_normal(frame.shape[:2])
-            v = np.einsum("ik,ikj->ij", coeff, frame)
-            tangents.append(v / row_norms(v)[:, None])
+        upstairs = cotangent_to_quadric(CotangentPoint(p=p, q=q))
+        v1, v2 = _quadric_tangent(upstairs, rng), _quadric_tangent(upstairs, rng)
         r = np.resize(radii, len(p))  # the radii take turns along the rows
-        blocks.append(Block(len(p), n=int(n), r=r, z=upstairs, v1=tangents[0], v2=tangents[1]))
+        blocks.append(Block(len(p), n=int(n), r=r, z=upstairs.rep, v1=v1, v2=v2))
     return blocks
 
 
@@ -1056,7 +1074,7 @@ def _gen_omega_r_not_fs(params, rng):
     "the pushed-down form is not pointwise proportional to omega_FS",
     covers=("pushed-down-form",), tolerance=0.1,
     params={"n": [2], "r": [1.0], "samples": 50, "pairs": 4},
-    fields={"n": DIM, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
+    fields={"n": DIM2, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
     kind="witness",
 )
 def _score_omega_r_not_fs(rows, profile):
@@ -1258,6 +1276,22 @@ def run_check(
     )
 
 
+def _dimensions_for(check: Check, n_values: Sequence) -> list:
+    """The values of a suite-wide dimension list that ``check`` accepts, in order.
+
+    A value that is no dimension at all stays, for the check to reject; a
+    dimension below the check's own least is dropped, and a list that
+    leaves the check no dimension is a UsageError naming it.
+    """
+    kind = check.fields["n"]
+    kind = kind.kind if isinstance(kind, _Param) else kind
+    kept = [n for n in n_values if DIM.problem("n", n, False) or not kind.problem("n", n, False)]
+    if not kept:
+        problem = kind.problem("n", list(n_values), True)
+        raise UsageError(f"check {check.id} takes none of the dimensions {list(n_values)}: {problem}")
+    return kept
+
+
 def run_suite(
     pattern: str = "*",
     config: SuiteConfig = SuiteConfig(),
@@ -1266,9 +1300,11 @@ def run_suite(
     """Run all checks matching the id glob, in registry order.
 
     ``overrides`` maps check ids to extra per-check parameters (including an
-    injected ``tolerance``). Returns the reports plus an exit status: 0 iff
-    every matched check passed. Raises UsageError if the glob matches nothing
-    or a check's parameters are invalid (see :func:`run_check`).
+    injected ``tolerance``). A check takes the dimensions of
+    ``config.n_values`` that it accepts (:func:`_dimensions_for`). Returns
+    the reports plus an exit status: 0 iff every matched check passed.
+    Raises UsageError if the glob matches nothing or a check's parameters
+    are invalid (see :func:`run_check`).
     """
     prof = _resolve_profile(config.profile)
     registry = build_registry()
@@ -1282,7 +1318,7 @@ def run_suite(
         if config.samples is not None and "samples" in check.params:
             params["samples"] = config.samples
         if config.n_values is not None and "n" in check.params:
-            params["n"] = list(config.n_values)
+            params["n"] = _dimensions_for(check, config.n_values)
         if config.radii is not None and "r" in check.params and isinstance(check.params["r"], tuple):
             params["r"] = list(config.radii)
         if overrides and cid in overrides:

@@ -9,6 +9,7 @@ overrides the default seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -16,7 +17,13 @@ from .checks import SuiteConfig, UsageError, build_registry, emit_report, run_su
 from .numerics import PROFILES
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``verify`` parser, built on the first call and shared after it.
+
+    Building it costs several times a parse; sharing it is safe because
+    every ``parse_args`` fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run named numerical verifications of the disc-bundle compactification maps.",

@@ -4,8 +4,9 @@ A point is a pair (p, q) with |p| equal to the base radius and <p, q> = 0;
 q is the fiber coordinate. Disc and sphere sub-bundles are sampled with
 explicit generator streams, and the antipodal map and the "evening" rescale
 are provided as exact formulas. A tangent vector is the ambient (u, w) array
-annihilated by the constraint gradient rows (p, 0) and (q, p); the rows of
-:func:`constraint_frame` are an orthonormal basis of them.
+annihilated by the constraint gradient rows (p, 0) and (q, p), which are
+orthogonal to each other; :func:`sample_tangent` draws one by projecting a
+Gaussian off both rows, with no null-space frame.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from operator import mul
 import numpy as np
 
 from .jets import primal
-from .numerics import _null_frame, fill_accepted, row_norms
+from .numerics import fill_accepted, row_norms
 
 __all__ = [
     "CotangentPoint",
     "OffBundleError",
     "sample_disc_bundle",
     "sample_cosphere",
-    "constraint_frame",
     "antipode",
     "even_rescale",
     "even_rescale_inverse",
@@ -169,30 +169,36 @@ def _fiber_direction(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return g / row_norms(g)[:, None]
 
 
-def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Orthonormal rows (ambient inner product) spanning the constraint tangent space at (p, q).
-
-    The two linearized constraints are the rows (p, 0) and (q, p) of a
-    2 x 2d matrix; its null space, the last 2d - 2 right singular vectors, has
-    dimension exactly 2(d - 1) for every valid point. A second singular value
-    at or below 1e-10 of the first signals numerically degenerate input.
-    (N, d) arrays p and q give N stacked frames of shape (N, 2d - 2, 2d).
-    Its one caller is :func:`sample_tangent`, whose draws this frame orders;
-    the field solve and the tangent projection use the rows in closed form.
-    """
-    rows = (np.concatenate([p, np.zeros_like(p)], axis=-1), np.concatenate([q, p], axis=-1))
-    return _null_frame(np.stack(rows, axis=-2))
-
-
 def sample_tangent(m: CotangentPoint, rng: np.random.Generator) -> np.ndarray:
-    """Random unit constraint-tangent vector at ``m``, as an ambient (u, w) array.
+    """Uniform random unit constraint-tangent vector at ``m``, as an ambient (u, w) array.
 
-    A point holding (N, d) arrays gives an (N, 2d) array, one vector per row.
+    A standard normal (u, w) with its components along g1 = (p, 0) and
+    g2 = (q - (p.q / |p|^2) p, p), an orthogonal basis of the constraint rows,
+    subtracted in turn, then normalized: an isotropic Gaussian projected onto
+    a subspace points uniformly within it. g2 is (q, p) with its g1 part
+    removed, so the projection holds whatever the rounding in p.q. A draw
+    whose remainder has norm at or below 1e-12 is drawn again. |p|^2 at or
+    below 1e-20 |(p, q)|^2 leaves the rows dependent and raises a numerical
+    rank failure. A point holding (N, d) arrays gives an (N, 2d) array, one
+    vector per row.
     """
-    frame = constraint_frame(m.p, m.q)
-    coeff = rng.standard_normal(frame.shape[:-1])
-    coeff /= row_norms(coeff)[..., None]
-    return np.einsum("...k,...kj->...j", coeff, frame)
+    p, q = np.atleast_2d(m.p), np.atleast_2d(m.q)
+    pp, qq = np.einsum("ij,ij->i", p, p), np.einsum("ij,ij->i", q, q)
+    if not (pp > 1e-20 * (pp + qq)).all():
+        raise RuntimeError("numerical rank failure: |p|^2 is at or below 1e-20 |(p, q)|^2")
+    g1 = np.concatenate([p, np.zeros_like(p)], axis=-1)
+    g2 = np.concatenate([q - (np.einsum("ij,ij->i", p, q) / pp)[:, None] * p, p], axis=-1)
+    units = [g / row_norms(g)[:, None] for g in (g1, g2)]
+
+    def draw(index):
+        t = rng.standard_normal((index.size, g1.shape[1]))
+        for e in units:
+            e = e[index]
+            t -= np.einsum("ij,ij->i", e, t)[:, None] * e
+        return (t,)
+
+    (t,) = fill_accepted(len(p), draw, lambda t: row_norms(t) > 1e-12)
+    return (t / row_norms(t)[:, None]).reshape(*m.p.shape[:-1], -1)
 
 
 def antipode(m: CotangentPoint) -> CotangentPoint:

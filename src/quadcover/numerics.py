@@ -4,11 +4,13 @@ Counter-based seeded sampling streams, tensor-product Gauss-Legendre
 quadrature, the real-complex coordinate pairing and the tolerance profiles.
 Everything downstream (pullback checks, flow comparisons, period integrals)
 is built on these ingredients, so their contracts are kept deliberately
-small: pure functions, explicit generator state, no hidden caches.
+small: pure functions, explicit generator state, and one cache, of the
+read-only Gauss-Legendre rules.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable
@@ -128,6 +130,15 @@ def _null_frame(rows: np.ndarray) -> np.ndarray:
     return vh[..., k:, :]
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count and read-only."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def gauss_legendre_2d(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray | float],
     a: float,
@@ -152,7 +163,7 @@ def gauss_legendre_2d(
     """
     if nodes_per_axis < 2:
         raise ValueError("nodes_per_axis must be >= 2")
-    xs, wx = np.polynomial.legendre.leggauss(nodes_per_axis)
+    xs, wx = _legendre_rule(nodes_per_axis)
     us = 0.5 * (b - a) * xs + 0.5 * (a + b)
     vs = 0.5 * (d - c) * xs + 0.5 * (c + d)
     wu = 0.5 * (b - a) * wx

@@ -10,14 +10,15 @@ truncation.
 
 ``retract`` puts an ambient (p, q) pair back on the constraint set of a
 cotangent bundle; the oracle's offsets and the tests' reference integrators
-use it.
+use it. ``constraint_frame`` is an orthonormal basis of that set's tangent
+space, from an SVD, for tests of the closed-form samplers and field.
 """
 
 import numpy as np
 
 from quadcover.cotangent import CotangentPoint
 from quadcover.forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace
-from quadcover.numerics import complexify, realify, row_norms
+from quadcover.numerics import _null_frame, complexify, realify, row_norms
 from quadcover.projective import horizontal_project, proj_normalize
 
 
@@ -38,6 +39,16 @@ def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
     pp = np.einsum("...i,...i->...", p, p)[..., None]
     q = q - pq / pp * p
     return CotangentPoint(p=p, q=q, base_radius=base_radius)
+
+
+def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the constraint tangent space at (p, q): the null space of (p, 0) and (q, p).
+
+    (N, d) arrays p and q give N stacked frames of shape (N, 2d - 2, 2d).
+    Dependent rows raise a numerical rank failure.
+    """
+    rows = (np.concatenate([p, np.zeros_like(p)], axis=-1), np.concatenate([q, p], axis=-1))
+    return _null_frame(np.stack(rows, axis=-2))
 
 
 def _offset(space, x, w):

@@ -28,6 +28,8 @@ from quadcover.cotangent import (
     even_rescale,
     even_rescale_inverse,
     sample_cosphere,
+    sample_disc_bundle,
+    sample_tangent,
 )
 from quadcover.dynamics import flow_closed_form, flow_uneven_cosphere, scalar_action
 from quadcover.forms import BranchLocusError, _omega_std_ambient, cotangent_omega_std, pullback
@@ -265,7 +267,7 @@ BATCHED = {
     "P-unitcut-boundary": {"n": [1, 2], "samples": 6},
     "P-unitcut-flow": {"n": [1, 2], "samples": 6},
     "R-diag-antidiag": {"samples": 12},
-    "R-omega-r-not-FS": {"n": [1, 2], "r": [0.5, 2.0], "samples": 6, "pairs": 3},
+    "R-omega-r-not-FS": {"n": [2, 3], "r": [0.5, 2.0], "samples": 6, "pairs": 3},
     "R-pi-not-symplectic": {"n": [1, 2], "samples": 6},
     "T-zerosection": {"n": [1, 2], "samples": 14},
 }
@@ -588,6 +590,8 @@ def test_json_writes_non_finite_reals_as_strings():
         ("I-period-CP1", {"nodes": 1}, "nodes must be at least 2"),
         ("L-projemb", {"samples": 0}, "samples must be at least 1"),
         ("R-omega-r-not-FS", {"pairs": 0}, "pairs must be at least 1"),
+        # failed with 1.8e-15: on CP^1 every 2-form is a multiple of omega_FS
+        ("R-omega-r-not-FS", {"n": [1]}, "dimensions must be at least 2"),
         ("R-uneven-flow", {"r": float("nan")}, "radii must be finite and positive"),
         ("P-evenedflow-restored", {"r_uneven": -0.5}, "radii must be finite and positive"),
         # ended in a TypeError inside the generator
@@ -767,10 +771,10 @@ PINNED_INPUT_HASHES = {
     "P-segre-pullback": "296b2bf3ae91086f38d926a58ce14476f0f4a3284ed3351f7e9b4c8ad9ee5a80",
     "P-segre-equivariance": "59bf9c05d629298a40e4c03630c994a4f1b81fe3be6d8eb7a4804b70b19ceca4",
     "R-diag-antidiag": "52f58e96177d52fe5b9b67c60761c22d1c21dc1ce5b3e18f0197ac268fb3e109",
-    "P-evenedrescale": "65a2c4b4a5736bf593c2332a8f6aa6b788fa8820ef17ce5b848b1a2bbd8b76f4",
+    "P-evenedrescale": "b251ade713f6881ec130c3941444eedf2b5409d3e34ce45afe80ea4b02ede432",
     "P-evenedflow-restored": "3f2bebb13203cdbf5733ff90d40c6786d6d5aadfa6fe44e3f65c36adbd68eb17",
     "R-uneven-flow": "83865a5d2c43d67df608307971918ae86d25f46b1f22709572adb7e17d7310ea",
-    "P-omega-r-descent": "8ef0849b70d095eae458be9389886f0b4542be6965cffb617adb5cce95cf4d9b",
+    "P-omega-r-descent": "1ea5dc9fc5844f19a8ea2bc29721858b03b2496abdd51c7e25fb692838c31281",
     "R-omega-r-not-FS": "e4e126e8a72148f3e86b76e85037fe2b578157d8947424f98de4b7e5fac1b761",
     "I-period-CP1": "087e30deae33f4c3c97859894f9848d64c0adbde42a376592342be3ba8f42524",
     "I-period-Q1": "320a66c0d9a75fca980b42c80a6958c7e038a7646dd55d4d1a53ffc9568b0202",
@@ -787,3 +791,22 @@ def test_generated_inputs_match_their_pinned_hashes():
         params = {**check.params, "samples": 4} if "samples" in check.params else dict(check.params)
         text = checks_module._json_scalar(check.gen(params, derive_stream(42, cid)))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INPUT_HASHES[cid], cid
+
+
+@pytest.mark.parametrize("sampler", ["sample_tangent", "_quadric_tangent"])
+def test_tangent_samplers_are_isotropic(sampler):
+    # over 20k draws at one point, the mean of t t^T is P / dim, P the
+    # projector onto the tangent space: a sampler that skips a projection or
+    # favours a direction misses it
+    draws, rng = 20_000, derive_stream(91, sampler)
+    m = sample_disc_bundle(2, 1.0, 0.7, rng)
+    if sampler == "sample_tangent":
+        t = sample_tangent(CotangentPoint(p=np.tile(m.p, (draws, 1)), q=np.tile(m.q, (draws, 1))), rng)
+        normals = [np.concatenate([m.p, np.zeros(3)]), np.concatenate([m.q, m.p])]
+    else:
+        rep = cotangent_to_quadric(m).rep
+        t = realify(checks_module._quadric_tangent(ProjectivePoint(np.tile(rep, (draws, 1))), rng))
+        normals = [realify(v) for v in (rep, 1j * rep, rep.conj(), 1j * rep.conj())]
+    basis = np.linalg.qr(np.array(normals).T)[0]
+    projector = np.eye(t.shape[1]) - basis @ basis.T
+    assert np.max(np.abs(t.T @ t / draws - projector / (t.shape[1] - len(normals)))) < 0.01

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import quadcover.cli as cli
+from quadcover.checks import build_registry
 from quadcover.cli import main
 
 
@@ -101,6 +103,33 @@ def test_bad_dimension_or_radius_is_usage_error(suite, flags, capsys):
     assert main(["run", "--suite", suite, *flags]) == 2
     err = capsys.readouterr().err
     assert "dimensions must be at least 1" in err or "radii must be finite and positive" in err
+
+
+def test_dimension_below_a_checks_least_is_usage_error(tmp_path, capsys):
+    # on CP^1 every two-form is a multiple of omega_FS, so the check takes n >= 2
+    assert main(["run", "--suite", "R-omega-r-not-FS", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "R-omega-r-not-FS" in err and "dimensions must be at least 2" in err
+    # a suite-wide list passes each check only the dimensions it takes
+    out = tmp_path / "n.json"
+    flags = ["--n", "1", "--n", "3", "--samples", "20", "--format", "json", "--out", str(out)]
+    assert main(["run", "--suite", "R-omega-r-not-FS", *flags]) == 0
+    assert json.loads(out.read_text())[0]["samples"] == 20
+
+
+def test_the_shared_parser_leaks_nothing_between_runs(tmp_path, monkeypatch):
+    # the parser is built once a process; a run without --n after one with it
+    # runs at the declared dimensions
+    configs, run_suite = [], cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda pattern, config: configs.append(config) or run_suite(pattern, config))
+    out = tmp_path / "n.json"
+    common = ["--suite", "L-sphereembedding", "--samples", "5", "--format", "json", "--out", str(out)]
+    for flags in (["--n", "1", "--n", "3"], []):
+        assert main(["run", *common, *flags]) == 0
+    assert [c.n_values for c in configs] == [(1, 3), None]
+    declared = build_registry()["L-sphereembedding"].params["n"]
+    assert json.loads(out.read_text())[0]["samples"] == 5 * len(declared)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_non_finite_residual_exits_one_with_string_value(tmp_path, monkeypatch):

@@ -4,13 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from fd_oracle import retract
+from fd_oracle import constraint_frame, retract
 
 from quadcover.cotangent import (
     CotangentPoint,
     OffBundleError,
     antipode,
-    constraint_frame,
     even_rescale,
     even_rescale_inverse,
     sample_cosphere,

@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
-from fd_oracle import retract
+from fd_oracle import constraint_frame, retract
 
 from quadcover import dynamics
 from quadcover.cotangent import (
     CotangentPoint,
     OffBundleError,
     antipode,
-    constraint_frame,
     even_rescale,
     sample_cosphere,
+    sample_tangent,
 )
 from quadcover.dynamics import (
     FlowResult,
@@ -66,6 +66,12 @@ def test_collapsed_base_point_is_a_rank_failure():
         constraint_frame(m.p, m.q)
     with pytest.raises(RuntimeError, match="rank failure"):
         hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+    # the sampler's guard, alone and in a batch with one healthy row
+    with pytest.raises(RuntimeError, match="rank failure"):
+        sample_tangent(m, derive_stream(63, "rank"))
+    batch = CotangentPoint(p=np.stack([np.array([1.0, 0.0, 0.0]), m.p]), q=np.stack([m.q, m.q]))
+    with pytest.raises(RuntimeError, match="rank failure"):
+        sample_tangent(batch, derive_stream(63, "rank"))
 
 
 def test_inexact_field_solve_trips_the_residual_guard(monkeypatch):

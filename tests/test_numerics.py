@@ -191,6 +191,20 @@ def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, chu
     assert seen == sizes
 
 
+def test_each_legendre_rule_is_computed_once_and_read_only(monkeypatch):
+    from quadcover import numerics
+
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    numerics._legendre_rule.cache_clear()
+    totals = {gauss_legendre_2d(lambda u, v: np.exp(u) * np.cos(v), 0, 1, 0, 0.5, 9) for _ in range(3)}
+    assert calls == [9] and len(totals) == 1
+    xs, wx = numerics._legendre_rule(9)
+    assert np.array_equal(xs, leggauss(9)[0]) and np.array_equal(wx, leggauss(9)[1])
+    with pytest.raises(ValueError, match="read-only"):
+        wx[0] = 0.0
+
+
 def test_quadrature_rejects_single_node():
     with pytest.raises(ValueError):
         gauss_legendre_2d(lambda u, v: 1.0, 0, 1, 0, 1, 1)
