@@ -54,8 +54,10 @@ from .cotangent import (
 )
 from .dynamics import (
     HamiltonianSpec,
+    StepLimitError,
     flow_closed_form,
     flow_uneven_cosphere,
+    require_steps,
     rk4_integrate,
     scalar_action,
 )
@@ -353,7 +355,11 @@ def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
 
 
 def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> float:
-    """Largest distance of the RK4 trajectory of ``m``, on its base radius, from ``exact(m, t)`` at each ``ts``."""
+    """Largest distance of the RK4 trajectory of ``m``, on its base radius, from ``exact(m, t)`` at each ``ts``.
+
+    A trajectory of more than MAX_STEPS steps in all is refused before it starts.
+    """
+    require_steps(ts[-1], dt)
     ham = HamiltonianSpec(m.base_radius)
     point, t_done, dists = m, 0.0, [0.0]
     for t in ts:
@@ -785,7 +791,8 @@ def _res_unitcut_rk4_order(inp, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
     m, t_final, dt0 = _pq(inp), (inp["t_final"],), inp["dt0"]
-    coarse, fine = (_rk4_drift(m, t_final, dt, profile, flow_closed_form) for dt in (dt0, dt0 / 2.0))
+    # the fine trajectory first: a step limit refuses it before the coarse one runs
+    fine, coarse = (_rk4_drift(m, t_final, dt, profile, flow_closed_form) for dt in (dt0 / 2.0, dt0))
     # a fine-step error of 0 shows no order and fails with an infinite
     # ratio; a NaN error stays NaN
     ratio = coarse / fine if fine != 0.0 else math.inf
@@ -1216,8 +1223,10 @@ def run_check(
 
     ``params`` may override the check's declared parameters, inject a
     ``tolerance``, or supply a single serialized ``witness`` input to
-    re-evaluate; a witness that breaks the check's input fields scores NaN,
-    and a param of a generated run that breaks its kind is a UsageError.
+    re-evaluate; a witness that breaks the check's input fields, or whose
+    trajectory would take more than MAX_STEPS RK4 steps, scores NaN, and a
+    param of a generated run that breaks its kind, or sets such a
+    trajectory, is a UsageError.
     """
     prof = _resolve_profile(profile)
     registry = build_registry()
@@ -1239,7 +1248,10 @@ def run_check(
     start = time.perf_counter()
     if witness_input is not None:
         inputs, block = [witness_input], _parse(check.fields, witness_input)
-        residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]), prof)
+        try:
+            residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]), prof)
+        except StepLimitError:
+            residuals = np.full(1, np.nan)
     else:
         merged = {**check.params, **overrides}
         for key, value in merged.items():
@@ -1254,7 +1266,10 @@ def run_check(
                 f"check {check_id} generated no inputs: sample counts must be positive "
                 "and parameter lists non-empty"
             )
-        residuals = check.residual(inputs, prof)
+        try:
+            residuals = check.residual(inputs, prof)
+        except StepLimitError as exc:
+            raise UsageError(f"check {check_id}: {exc}") from None
     elapsed = time.perf_counter() - start
     finite = np.isfinite(residuals)
     # the first NaN or infinite residual fails either kind, with its input as the witness

@@ -7,16 +7,21 @@ omega_std(X, v) = dH(v) for every v tangent to the constraint set
 with G X = 0, where g is the ambient gradient of H, G holds the constraint
 gradient rows (p, 0) and (q, p), and J(a, b) = (b, -a). Because
 G J G^T = [[0, |p|^2], [-|p|^2, 0]] exactly, the multipliers lambda are
-closed form: no frame and no linear solve. g is still a central difference
-of the energy of retracted ambient states, so dH is measured from H and only
-the constraint geometry is exact. The retracted energy depends on a state
+closed form: no frame and no linear solve. The identity holds at every
+ambient (p, q) with p != 0, so the solved field has G X = 0 off the
+constraint set too, and RK4 is the standard projection method (Hairer,
+Lubich & Wanner, Geometric Numerical Integration, sec. IV.4): its stages
+are solved at ambient points and only each step's endpoint is retracted
+onto the constraint set. g is still a central difference of the energy of
+retracted ambient states, so dH is measured from H and only the
+constraint geometry is exact. The retracted energy depends on a state
 only through its Gram entries |p|^2, |q|^2 and p.q; by the chain rule its
 slopes in |p|^2 and p.q give gradient terms along the constraint rows (p, 0)
 and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
 reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
 energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
-so the field solve and the projected RK4 loop run on 2d Python floats and
+so the field solve and the RK4 loop run on 2d Python floats and
 build one CotangentPoint at the end. On an "evened" cosphere (|p| = |q| = k)
 the flow has the closed form (cos t p + sin t q, cos t q - sin t p), which
 equals the scalar action e^{-it} on z = p + iq; on an uneven cosphere over
@@ -40,6 +45,9 @@ __all__ = [
     "HamiltonianSpec",
     "FlowResult",
     "ZeroSectionError",
+    "StepLimitError",
+    "MAX_STEPS",
+    "require_steps",
     "hamiltonian_vector_field",
     "flow_closed_form",
     "flow_uneven_cosphere",
@@ -50,6 +58,26 @@ __all__ = [
 
 class ZeroSectionError(ValueError):
     """H(p, q) = k|q| is not differentiable on the zero section."""
+
+
+MAX_STEPS = 10**6  # the checks' default trajectories take at most 6,283
+
+
+class StepLimitError(ValueError):
+    """A trajectory of more than MAX_STEPS RK4 steps, refused before its first step.
+
+    A step below about ulp(t) no longer advances t, so without a bound such
+    a trajectory would never end.
+    """
+
+
+def require_steps(t_final: float, dt: float) -> None:
+    """Raise StepLimitError if RK4 steps of dt up to t_final would number more than MAX_STEPS."""
+    if t_final / dt > MAX_STEPS:
+        raise StepLimitError(
+            f"a trajectory to t = {t_final:.6g} in steps of {dt:.3g} needs {t_final / dt:.3g} RK4 steps, "
+            f"more than the limit of {MAX_STEPS:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,8 +124,9 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
     energy in |p|^2 and p.q only add G^T terms to g, which lambda absorbs, so
     g = (0, s q) with s twice the slope in |q|^2: one central difference at
     the relative step h |q|^2, which keeps it well scaled at any size of q.
-    Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. Called once per
-    RK4 stage.
+    Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. None of this needs
+    (p, q) on the constraint set: called once per RK4 stage, at the stage's
+    ambient point.
     """
     pp = hypot(*p) ** 2
     qq = hypot(*q) ** 2
@@ -216,31 +245,39 @@ def rk4_integrate(
     dt: float,
     profile: ToleranceProfile = DEFAULT_PROFILE,
 ) -> FlowResult:
-    """Classical RK4 for the solved vector field, with per-step reprojection.
+    """Classical RK4 for the solved vector field, as the standard projection method.
 
-    Stage points are retracted onto the constraint set before each field
-    evaluation; after every step the endpoint is reprojected, which keeps the
-    constraint drift at rounding level over full periods. Energy and
-    constraint drifts are measured along the reported trajectory. A step that
-    is not positive, or a final time that is not finite, raises ValueError.
+    The start point is retracted onto the constraint set once. Each step
+    solves the field at the ambient stage points x + dt/2 k1, x + dt/2 k2
+    and x + dt k3 as they are, which the closed-form multipliers allow: G X = 0
+    holds at every (p, q) with p != 0, on the constraint set or off it. Only
+    the step's endpoint is retracted, and it starts the next step (Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, sec. IV.4). That keeps
+    the constraint drift at rounding level over full periods with one
+    retraction a step. Energy and constraint drifts are measured along the
+    reported trajectory. A step that is not positive, or a final time that
+    is not finite, raises ValueError; a trajectory of more than MAX_STEPS
+    steps raises StepLimitError before the first step.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not isfinite(t_final):
         raise ValueError("t_final must be finite")
+    require_steps(t_final, dt)
     k = m.base_radius
     k_ham = ham.base_radius
     d = m.p.size
     h = profile.fd_step
 
     def field(x: list[float]) -> list[float]:
-        # retract the stage point, then solve the field there
-        p, q = _retract(x, k, d)
+        # the field at the ambient stage point as it is
+        p, q = x[:d], x[d:]
         if hypot(*q) <= 1e-8:
             raise ZeroSectionError("trajectory reached the zero section")
         return _solve_field(k_ham, p, q, h)
 
-    x = m.p.tolist() + m.q.tolist()
+    p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
+    x = p + q
     energy0 = ham.value(m)
     energy_drift = 0.0
     constraint_drift = max(m.residuals())
@@ -264,7 +301,6 @@ def rk4_integrate(
         constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(sum(map(mul, p, q))))
         t += step
         steps += 1
-    p, q = _retract(x, k, d)
     return FlowResult(
         endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k),
         energy_drift=energy_drift,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import quadcover.checks as checks_module
+from quadcover import dynamics
 from quadcover.checks import (
     Inputs,
     SuiteConfig,
@@ -690,6 +691,37 @@ def test_an_uneven_flow_witness_whose_times_do_not_increase_scores_nan():
         report = run_check(check.id, {"witness": {**inp, "ts": ts}})
         assert not report.passed
         assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize(
+    "cid, key, value",
+    [
+        ("P-unitcut-rk4", "dt", 1e-300),
+        ("P-unitcut-rk4", "t_final", 1e300),
+        # each of its three segments alone fits (at most 750,000 steps), the whole trajectory does not
+        ("P-unitcut-rk4", "t_final", 1500.0),
+        ("P-unitcut-rk4-order", "dt0", 1e-300),
+        # the coarse trajectory alone fits (628,319 steps), the fine one does not
+        ("P-unitcut-rk4-order", "dt0", 5e-6),
+        ("P-evenedflow-restored", "dt", 1e-300),
+        ("R-uneven-flow", "dt", 1e-300),
+    ],
+)
+def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, value, monkeypatch):
+    # a step below ulp(t) left t as it was: a run and a replay at dt = 1e-300
+    # both ran until killed; a refused trajectory solves no field
+    def no_step(*args):
+        raise AssertionError("a refused trajectory must not solve the field")
+
+    monkeypatch.setattr(dynamics, "_solve_field", no_step)
+    with pytest.raises(UsageError, match=f"check {cid}: .* RK4 steps, more than the limit of 1,000,000"):
+        run_check(cid, {key: value})
+    check = build_registry()[cid]
+    inp = {**check.gen(dict(check.params), derive_stream(42, cid))[0], key: value}
+    report = run_check(cid, {"witness": inp})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
+    assert report.witness == inp
 
 
 @pytest.mark.parametrize(

@@ -14,12 +14,15 @@ from quadcover.cotangent import (
     sample_tangent,
 )
 from quadcover.dynamics import (
+    MAX_STEPS,
     FlowResult,
     HamiltonianSpec,
+    StepLimitError,
     ZeroSectionError,
     flow_closed_form,
     flow_uneven_cosphere,
     hamiltonian_vector_field,
+    require_steps,
     rk4_integrate,
     scalar_action,
 )
@@ -98,6 +101,24 @@ def test_singular_field_solve_is_a_runtime_error():
         assert np.all(np.isfinite(just_above))
 
 
+def test_field_is_tangent_off_the_constraint_set():
+    # G J G^T = [[0, |p|^2], [-|p|^2, 0]] at every ambient (p, q) with p != 0,
+    # so the solved field has G X = 0 there too: the premise of solving RK4's
+    # stages unretracted
+    rng = derive_stream(79, "ambient")
+    for n in range(1, 7):
+        for k in (1.0, np.sqrt(0.5), 3.0):
+            for scale in (1e-3, 1.0, 1e3):
+                for _ in range(5):
+                    p, q = scale * rng.standard_normal((2, n + 1))
+                    assert abs(np.linalg.norm(p) - k) > 1e-6 and abs(p @ q) > 1e-6 * scale * scale
+                    x = np.array(dynamics._solve_field(k, p.tolist(), q.tolist(), 1e-5))
+                    u, w = x[: n + 1], x[n + 1 :]
+                    size = np.linalg.norm(np.concatenate([p, q])) * np.linalg.norm(x)
+                    assert abs(p @ u) <= 1e-12 * size, (n, k, scale)
+                    assert abs(q @ u + p @ w) <= 1e-12 * size, (n, k, scale)
+
+
 def _plain_field(k_base, k_ham, p, q, h):
     """The field solved on an SVD frame: Omega on the frame, then np.linalg.solve."""
     d = p.size
@@ -153,18 +174,19 @@ def _axis_offset_field(k_ham, p, q, h):
 
 
 def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
-    """Projected RK4 with an ndarray state: the oracle for the float loop."""
+    """The standard projection method with an ndarray state: the oracle for the float loop.
+
+    Stages are solved at ambient points; the start point and each step's
+    endpoint are retracted onto the constraint set.
+    """
     k = m.base_radius
     d = m.p.size
 
     def field(x):
-        p = x[:d]
-        q = x[d:]
-        p = p * (k / np.sqrt(p @ p))
-        q = q - ((p @ q) / (k * k)) * p
-        return _numpy_field(ham.base_radius, p, q, h)
+        return _numpy_field(ham.base_radius, x[:d], x[d:], h)
 
-    x = np.concatenate([m.p, m.q])
+    point = retract(m.p, m.q, k)
+    x = np.concatenate([point.p, point.q])
     energy0 = ham.value(m)
     energy_drift = 0.0
     constraint_drift = max(m.residuals())
@@ -183,7 +205,7 @@ def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
         constraint_drift = max(constraint_drift, *point.residuals())
         t += step
         steps += 1
-    return FlowResult(retract(x[:d], x[d:], k), energy_drift, constraint_drift, steps)
+    return FlowResult(point, energy_drift, constraint_drift, steps)
 
 
 def test_float_loop_matches_the_numpy_oracle():
@@ -267,6 +289,41 @@ def test_rk4_loop_makes_no_svd_and_no_linear_solve(monkeypatch):
     result = rk4_integrate(HamiltonianSpec(1.0), m, 0.05, 0.01)
     assert result.steps == 5
     assert _dist(result.endpoint, flow_closed_form(m, 0.05)) < 1e-9
+
+
+def test_rk4_retracts_the_start_and_each_endpoint_once(monkeypatch):
+    # the standard projection method: stages are solved unretracted, so N
+    # steps make N + 1 retractions, the start point's and each endpoint's
+    calls = []
+    retract_once = dynamics._retract
+
+    def counted(*args):
+        calls.append(args)
+        return retract_once(*args)
+
+    monkeypatch.setattr(dynamics, "_retract", counted)
+    m = sample_cosphere(2, 1.0, 0.6, derive_stream(80, "project"))
+    for t_final, dt in ((0.5, 0.01), (1.0, 0.3), (1e-13, 0.1)):
+        calls.clear()
+        result = rk4_integrate(HamiltonianSpec(1.0), m, t_final, dt)
+        assert len(calls) == result.steps + 1
+    assert result.steps == 0
+    assert _dist(result.endpoint, m) < 1e-15
+
+
+def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypatch):
+    # once dt fell below ulp(t), t += dt left t as it was and dt = 1e-300 ran until killed
+    def no_step(*args):
+        raise AssertionError("a refused trajectory must not solve the field")
+
+    monkeypatch.setattr(dynamics, "_solve_field", no_step)
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
+    for t_final, dt in ((1.0, 1e-300), (1e300, 1e-3), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)):
+        with pytest.raises(StepLimitError, match="more than the limit of 1,000,000"):
+            rk4_integrate(HamiltonianSpec(1.0), m, t_final, dt)
+    # exactly MAX_STEPS steps are allowed; the default trajectories take 6,283
+    require_steps(1.0, 1.0 / MAX_STEPS)
+    require_steps(2.0 * np.pi, 1e-3)
 
 
 def test_closed_form_flow_special_times():
