@@ -31,7 +31,6 @@ from .dynamics import (
     ZeroSectionError,
     flow_closed_form,
     flow_uneven_cosphere,
-    hamiltonian_vector_field,
     rk4_integrate,
     scalar_action,
 )

@@ -160,20 +160,24 @@ class _Number:
     """An integer of at least ``least`` (a dimension or a count) or, with no ``least``, a finite positive real.
 
     ``one`` and ``many`` name one value and a list of them in messages, the key
-    by default; with ``increasing``, a row holds a list that strictly increases.
+    by default; with ``increasing``, a row holds a list that strictly increases;
+    with ``span``, a real lies in that closed range.
     """
 
     least: int | None = None
     one: str = ""
     many: str = ""
     increasing: bool = False
+    span: tuple[float, float] | None = None
 
     def typed(self, value) -> bool:
         # the builtin types first: an isinstance test against a numbers ABC costs about a microsecond
         return isinstance(value, (int, Integral) if self.least is not None else (float, int, Real))
 
     def in_range(self, value) -> bool:
-        return value >= self.least if self.least is not None else math.isfinite(value) and value > 0
+        if self.least is not None:
+            return value >= self.least
+        return math.isfinite(value) and value > 0 and (self.span is None or self.span[0] <= value <= self.span[1])
 
     def problem(self, key: str, value, listed: bool) -> str | None:
         """Why ``value``, one value or with ``listed`` a list of them, is not of this kind; None if it is."""
@@ -185,7 +189,10 @@ class _Number:
                 return f"{many} must be a list of {noun}s"
             return f"{self.one or key} must be {'an' if integer else 'a'} {noun}"
         if not all(map(self.in_range, values)):
-            return f"{many} must be at least {self.least}" if integer else f"{many} must be finite and positive"
+            if integer:
+                return f"{many} must be at least {self.least}"
+            within = f", within [{self.span[0]:g}, {self.span[1]:g}]" if self.span else ""
+            return f"{many} must be finite and positive{within}"
         if self.increasing and not all(a < b for a, b in zip(values, values[1:])):
             return f"{many} must strictly increase"
         return None
@@ -244,7 +251,12 @@ DIM = _Number(1, many="dimensions")
 DIM2 = _Number(2, many="dimensions")  # on CP^1 every 2-form is a multiple of omega_FS
 COUNT = _Number(1)
 NODES = _Number(2)  # a quadrature rule needs two nodes per axis
-RADIUS = _Number(one="radius", many="radii")
+# No check raises at either end over seeds 1-100. At 1e-8 R-uneven-flow's
+# fiber reaches the zero-section guard, and at 3e7 the |G X| guard of the RK4
+# field trips on rounding; 1e-12 raised "degenerate point", 1.1e10 a rank
+# failure and 1e200 OverflowError. Some verdicts fail at the ends, because
+# their tolerances are absolute while the residuals scale with the radius.
+RADIUS = _Number(one="radius", many="radii", span=(1e-6, 1e6))
 TIME = _Number()
 TIMES = _Number(increasing=True)
 POINT = _Vector(lambda n: n + 1)  # p or q of a point of the cotangent bundle of S^n

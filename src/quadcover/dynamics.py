@@ -21,10 +21,13 @@ and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
 reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
 energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
-so the field solve and the RK4 loop run on 2d Python floats and
-build one CotangentPoint at the end. On an "evened" cosphere (|p| = |q| = k)
-the flow has the closed form (cos t p + sin t q, cos t q - sin t p), which
-equals the scalar action e^{-it} on z = p + iq; on an uneven cosphere over
+so the RK4 loop runs on 2d Python floats and builds one CotangentPoint at the
+end. At that size a loop over lists costs more than its arithmetic too, so the
+field solve is one function per d, generated and compiled on first use, that
+takes and returns the 2d floats as named scalars. On an "evened" cosphere
+(|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
+cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq; on
+an uneven cosphere over
 the unit sphere (|q| = r != 1) the trajectory instead reads
 (cos t p + sin t q / r, cos t q - r sin t p) and the two actions diverge,
 which is what the evening rescale repairs.
@@ -32,6 +35,7 @@ which is what the evening rescale repairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import hypot, isfinite, sqrt
 from operator import mul
@@ -48,7 +52,6 @@ __all__ = [
     "StepLimitError",
     "MAX_STEPS",
     "require_steps",
-    "hamiltonian_vector_field",
     "flow_closed_form",
     "flow_uneven_cosphere",
     "scalar_action",
@@ -114,6 +117,80 @@ def _multipliers(pp, p_gp, q_gq, p_gq):
     return (q_gq - p_gp) / pp, -p_gq / pp
 
 
+_FIELD_KERNEL = """\
+def kernel(k_ham, h, {p}, {q}):
+    norm_q = hypot({q})
+    if norm_q <= 1e-8:
+        raise ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
+    pp = hypot({p}) ** 2
+    qq = norm_q ** 2
+    if not pp > 1e-20 * (pp + qq):
+        raise RuntimeError(
+            f"numerical rank failure: |p|^2 = {{pp:.3e}} is at or below 1e-20 |(p, q)|^2, "
+            "a degenerate restricted symplectic form"
+        )
+{pq}
+    dqq = h * qq
+    slope = (_restricted_energy(pp, qq + dqq, pq, k_ham) - _restricted_energy(pp, qq - dqq, pq, k_ham)) / dqq
+    lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
+{uw}
+{pu}
+{qu}
+{pw}
+    residual = max(abs(pu), abs(qu + pw))
+    if residual > 1e-8:
+        raise RuntimeError(f"vector field solve residual {{residual:.3e}} exceeds 1e-8")
+    return {u}, {w}
+"""
+
+
+def _dot_source(name: str, a: list[str], b: list[str]) -> str:
+    """Statements that leave sum(a_i * b_i) in ``name``, added left to right from 0.0 as sum() adds.
+
+    At most 100 products a statement: one expression of thousands nests too
+    deep for the compiler.
+    """
+    products = [f"{x} * {y}" for x, y in zip(a, b)]
+    return "\n".join(
+        f"    {name} = {'0.0' if start == 0 else name} + {' + '.join(products[start : start + 100])}"
+        for start in range(0, len(products), 100)
+    )
+
+
+@functools.cache
+def _field_kernel(d: int):
+    """The field solve at d = n + 1, compiled on first use: kernel(k_ham, h, *p, *q) -> (*u, *w).
+
+    One function per d over 2d named floats, with no list and no loop, whose
+    per-element machinery costs more than the arithmetic at d <= 4. It keeps
+    the operation order of the same solve written as list loops, so it
+    returns that loop's floats bit for bit: hypot for the norms, and each dot
+    product added left to right from 0.0, as sum() adds floats. It runs in this module's globals, so
+    _restricted_energy and _multipliers are looked up at each call. The
+    guards of the solve, in order: |q| at or below 1e-8 raises
+    ZeroSectionError, |p|^2 at or below 1e-20 |(p, q)|^2 a numerical rank
+    failure, and a field that leaves |G X| above 1e-8 a RuntimeError.
+    """
+    p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
+    source = _FIELD_KERNEL.format(
+        p=", ".join(p),
+        q=", ".join(q),
+        u=", ".join(u),
+        w=", ".join(w),
+        pq=_dot_source("pq", p, q),
+        uw="\n".join(
+            [f"    {u[i]} = slope * {q[i]} + lam1 * {p[i]}" for i in range(d)]
+            + [f"    {w[i]} = -(lam0 * {p[i]} + lam1 * {q[i]})" for i in range(d)]
+        ),
+        pu=_dot_source("pu", p, u),
+        qu=_dot_source("qu", q, u),
+        pw=_dot_source("pw", p, w),
+    )
+    namespace = {}
+    exec(compile(source, f"<field kernel, d = {d}>", "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
     """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q), as 2d floats.
 
@@ -126,44 +203,9 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
     the relative step h |q|^2, which keeps it well scaled at any size of q.
     Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. None of this needs
     (p, q) on the constraint set: called once per RK4 stage, at the stage's
-    ambient point.
+    ambient point. The solve is :func:`_field_kernel`'s, with its guards.
     """
-    pp = hypot(*p) ** 2
-    qq = hypot(*q) ** 2
-    if not pp > 1e-20 * (pp + qq):
-        raise RuntimeError(
-            f"numerical rank failure: |p|^2 = {pp:.3e} is at or below 1e-20 |(p, q)|^2, "
-            "a degenerate restricted symplectic form"
-        )
-    pq = sum(map(mul, p, q))
-    dqq = h * qq
-    slope = (_restricted_energy(pp, qq + dqq, pq, k_ham) - _restricted_energy(pp, qq - dqq, pq, k_ham)) / dqq
-    lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
-    u = [slope * b + lam1 * a for a, b in zip(p, q)]
-    w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
-    residual = max(abs(sum(map(mul, p, u))), abs(sum(map(mul, q, u)) + sum(map(mul, p, w))))
-    if residual > 1e-8:
-        raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
-    return u + w
-
-
-def hamiltonian_vector_field(
-    ham: HamiltonianSpec,
-    m: CotangentPoint,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> np.ndarray:
-    """Solve omega_std(X, v) = dH(v) for every v tangent to the constraint set.
-
-    X is returned as the ambient (u, w) array, from the closed-form
-    multipliers of :func:`_solve_field`; dH is differenced along ambient
-    offsets that are retracted onto the constraint set. A base point with
-    |p|^2 at or below 1e-20 |(p, q)|^2 makes the constraint rows dependent and
-    the restricted symplectic form degenerate, and raises a numerical rank
-    failure; a field that leaves |G X| above 1e-8 raises too.
-    """
-    if np.linalg.norm(m.q) <= 1e-8:
-        raise ZeroSectionError("Hamiltonian vector field undefined within 1e-8 of the zero section")
-    return np.array(_solve_field(ham.base_radius, m.p.tolist(), m.q.tolist(), profile.fd_step))
+    return list(_field_kernel(len(p))(k_ham, h, *p, *q))
 
 
 def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
@@ -269,13 +311,7 @@ def rk4_integrate(
     d = m.p.size
     h = profile.fd_step
 
-    def field(x: list[float]) -> list[float]:
-        # the field at the ambient stage point as it is
-        p, q = x[:d], x[d:]
-        if hypot(*q) <= 1e-8:
-            raise ZeroSectionError("trajectory reached the zero section")
-        return _solve_field(k_ham, p, q, h)
-
+    kernel = _field_kernel(d)
     p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
     x = p + q
     energy0 = ham.value(m)
@@ -286,10 +322,11 @@ def rk4_integrate(
     while t < t_final - 1e-12:
         step = min(dt, t_final - t)
         half = 0.5 * step
-        k1 = field(x)
-        k2 = field([a + half * b for a, b in zip(x, k1)])
-        k3 = field([a + half * b for a, b in zip(x, k2)])
-        k4 = field([a + step * b for a, b in zip(x, k3)])
+        # the field at each ambient stage point as it is
+        k1 = kernel(k_ham, h, *x)
+        k2 = kernel(k_ham, h, *[a + half * b for a, b in zip(x, k1)])
+        k3 = kernel(k_ham, h, *[a + half * b for a, b in zip(x, k2)])
+        k4 = kernel(k_ham, h, *[a + step * b for a, b in zip(x, k3)])
         sixth = step / 6.0
         x = [
             a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)

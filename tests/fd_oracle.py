@@ -12,10 +12,17 @@ truncation.
 cotangent bundle; the oracle's offsets and the tests' reference integrators
 use it. ``constraint_frame`` is an orthonormal basis of that set's tangent
 space, from an SVD, for tests of the closed-form samplers and field.
+
+``reference_field`` is the Hamiltonian field solve as a loop over lists, the
+body the compiled per-dimension kernel unrolls; the kernel must return its
+floats bit for bit.
 """
+
+from math import hypot
 
 import numpy as np
 
+from quadcover import dynamics
 from quadcover.cotangent import CotangentPoint
 from quadcover.forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace
 from quadcover.numerics import _null_frame, complexify, realify, row_norms
@@ -94,3 +101,35 @@ def central_difference(f, x, v, h: float = 1e-5) -> np.ndarray:
     plus, minus = (_aligned(f.target, center, f(_offset(f.domain, x, s * h * v))) for s in (1.0, -1.0))
     return _projected(f.target, center, (plus - minus) / (2.0 * h))
 
+
+
+def _dot(a, b) -> float:
+    """sum(a_i * b_i) added left to right from 0.0, as sum() adds floats up to Python 3.11."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
+    """The ambient (u, w) field of H = k_ham |q| at (p, q), solved with list loops; see dynamics._solve_field."""
+    if hypot(*q) <= 1e-8:
+        raise dynamics.ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
+    pp = hypot(*p) ** 2
+    qq = hypot(*q) ** 2
+    if not pp > 1e-20 * (pp + qq):
+        raise RuntimeError(
+            f"numerical rank failure: |p|^2 = {pp:.3e} is at or below 1e-20 |(p, q)|^2, "
+            "a degenerate restricted symplectic form"
+        )
+    pq = _dot(p, q)
+    dqq = h * qq
+    energy = dynamics._restricted_energy
+    slope = (energy(pp, qq + dqq, pq, k_ham) - energy(pp, qq - dqq, pq, k_ham)) / dqq
+    lam0, lam1 = dynamics._multipliers(pp, 0.0, slope * qq, slope * pq)
+    u = [slope * b + lam1 * a for a, b in zip(p, q)]
+    w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
+    residual = max(abs(_dot(p, u)), abs(_dot(q, u) + _dot(p, w)))
+    if residual > 1e-8:
+        raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
+    return u + w

@@ -553,6 +553,10 @@ def _generated_row(cid, **changes):
         ("T-zerosection", {"kind": "zero", "n": 2, "p": [1.0, 0.0, 0.0], "q": [0.0, 0.0]}),
         # raised ZeroSectionError
         ("P-evenedrescale", _generated_row("P-evenedrescale", r=0.0)),
+        # a radius outside [1e-6, 1e6]: raised ValueError, OverflowError, or passed with 0.0
+        ("L-projemb", _generated_row("L-projemb", r=1e-12)),
+        ("L-projemb", _generated_row("L-projemb", r=1e200)),
+        ("P-evenedrescale", _generated_row("P-evenedrescale", r=1.1e10)),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):
@@ -595,6 +599,10 @@ def test_json_writes_non_finite_reals_as_strings():
         ("R-omega-r-not-FS", {"n": [1]}, "dimensions must be at least 2"),
         ("R-uneven-flow", {"r": float("nan")}, "radii must be finite and positive"),
         ("P-evenedflow-restored", {"r_uneven": -0.5}, "radii must be finite and positive"),
+        # at 1e-8 the fiber reaches the zero-section guard; at 3e7 the field's |G X| guard trips
+        ("R-uneven-flow", {"r": 1e-8}, r"radii must be finite and positive, within \[1e-06, 1e\+06\]"),
+        ("P-evenedflow-restored", {"r_uneven": 3e7}, r"within \[1e-06, 1e\+06\]"),
+        ("L-projemb", {"r": [1.0, 1e-12]}, r"within \[1e-06, 1e\+06\]"),
         # ended in a TypeError inside the generator
         ("L-sphereembedding", {"n": 2}, "dimensions must be a list of integers"),
         ("L-projemb", {"samples": 2.5}, "samples must be an integer"),
@@ -613,6 +621,17 @@ def test_json_writes_non_finite_reals_as_strings():
 def test_run_check_rejects_invalid_params(cid, params, message):
     with pytest.raises(UsageError, match=message):
         run_check(cid, params)
+
+
+@pytest.mark.parametrize("end", [1e-6, 1e6])
+def test_no_check_raises_at_either_end_of_the_radius_range(end):
+    # the range's basis, swept over seeds 1-100; some verdicts fail at the ends,
+    # whose tolerances are absolute while the residuals scale with the radius
+    for cid, check in build_registry().items():
+        for key in ("r", "r_uneven"):
+            if key in check.params:
+                report = run_check(cid, {key: [end] if isinstance(check.params[key], tuple) else end})
+                assert report.samples > 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
@@ -713,7 +732,7 @@ def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, 
     def no_step(*args):
         raise AssertionError("a refused trajectory must not solve the field")
 
-    monkeypatch.setattr(dynamics, "_solve_field", no_step)
+    monkeypatch.setattr(dynamics, "_field_kernel", no_step)
     with pytest.raises(UsageError, match=f"check {cid}: .* RK4 steps, more than the limit of 1,000,000"):
         run_check(cid, {key: value})
     check = build_registry()[cid]

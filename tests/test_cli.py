@@ -105,6 +105,16 @@ def test_bad_dimension_or_radius_is_usage_error(suite, flags, capsys):
     assert "dimensions must be at least 1" in err or "radii must be finite and positive" in err
 
 
+@pytest.mark.parametrize("radius", ["1e-200", "1e-12", "1.1e10", "1e200"])
+def test_a_radius_outside_the_declared_range_is_usage_error(radius, capsys):
+    # finite and positive, yet 1e-200 and 1e-12 raised "degenerate point" (or
+    # left the ball), 1.1e10 a rank failure and 1e200 OverflowError
+    assert main(["run", "--radius", radius]) == 2
+    err = capsys.readouterr().err
+    assert "radii must be finite and positive, within [1e-06, 1e+06]" in err
+    assert "Traceback" not in err
+
+
 def test_dimension_below_a_checks_least_is_usage_error(tmp_path, capsys):
     # on CP^1 every two-form is a multiple of omega_FS, so the check takes n >= 2
     assert main(["run", "--suite", "R-omega-r-not-FS", "--n", "1"]) == 2

@@ -1,8 +1,12 @@
 """Hamiltonian vector field, closed-form flows, scalar action, RK4."""
 
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from fd_oracle import constraint_frame, retract
+from fd_oracle import constraint_frame, reference_field, retract
 
 from quadcover import dynamics
 from quadcover.cotangent import (
@@ -21,7 +25,6 @@ from quadcover.dynamics import (
     ZeroSectionError,
     flow_closed_form,
     flow_uneven_cosphere,
-    hamiltonian_vector_field,
     require_steps,
     rk4_integrate,
     scalar_action,
@@ -33,9 +36,14 @@ def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
     return max(float(np.max(np.abs(a.p - b.p))), float(np.max(np.abs(a.q - b.q))))
 
 
+def _field(k_ham: float, m: CotangentPoint) -> np.ndarray:
+    """The solved field at m as an ambient (u, w) array, at the default profile's step."""
+    return np.array(dynamics._solve_field(k_ham, m.p.tolist(), m.q.tolist(), 1e-5))
+
+
 def test_vector_field_matches_flow_derivative_at_standard_point():
     m = CotangentPoint(p=np.array([1.0, 0, 0]), q=np.array([0.0, 1.0, 0.0]))
-    x = hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+    x = _field(1.0, m)
     assert np.max(np.abs(x[:3] - m.q)) < 1e-6
     assert np.max(np.abs(x[3:] + m.p)) < 1e-6
 
@@ -45,8 +53,7 @@ def test_vector_field_satisfies_defining_equation():
     rng = derive_stream(61, "hvf")
     for k in (1.0, np.sqrt(0.5)):
         m = sample_cosphere(2, k, k, rng)
-        ham = HamiltonianSpec(k)
-        x = hamiltonian_vector_field(ham, m)
+        x = _field(k, m)
         qn = np.linalg.norm(m.q)
         for b in constraint_frame(m.p, m.q):
             lhs = float(x[:3] @ b[3:] - x[3:] @ b[:3])
@@ -59,7 +66,10 @@ def test_vector_field_satisfies_defining_equation():
 def test_vector_field_rejects_zero_section():
     m = CotangentPoint(p=np.array([1.0, 0.0]), q=np.zeros(2))
     with pytest.raises(ZeroSectionError):
-        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+        _field(1.0, m)
+    # the zero-section guard comes before the rank guard
+    with pytest.raises(ZeroSectionError):
+        dynamics._solve_field(1.0, [0.0, 0.0], [0.0, 0.0], 1e-5)
 
 
 def test_collapsed_base_point_is_a_rank_failure():
@@ -68,7 +78,7 @@ def test_collapsed_base_point_is_a_rank_failure():
     with pytest.raises(RuntimeError, match="rank failure"):
         constraint_frame(m.p, m.q)
     with pytest.raises(RuntimeError, match="rank failure"):
-        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+        _field(1.0, m)
     # the sampler's guard, alone and in a batch with one healthy row
     with pytest.raises(RuntimeError, match="rank failure"):
         sample_tangent(m, derive_stream(63, "rank"))
@@ -87,7 +97,7 @@ def test_inexact_field_solve_trips_the_residual_guard(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_multipliers", off_by_a_little)
     with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
-        hamiltonian_vector_field(HamiltonianSpec(1.0), m)
+        _field(1.0, m)
 
 
 def test_singular_field_solve_is_a_runtime_error():
@@ -117,6 +127,59 @@ def test_field_is_tangent_off_the_constraint_set():
                     size = np.linalg.norm(np.concatenate([p, q])) * np.linalg.norm(x)
                     assert abs(p @ u) <= 1e-12 * size, (n, k, scale)
                     assert abs(q @ u + p @ w) <= 1e-12 * size, (n, k, scale)
+
+
+def _outcome(solve, *args):
+    """The floats a solve returns, as hex so that signed zeros count, or the error it raises."""
+    try:
+        return [float(x).hex() for x in solve(*args)]
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_field_kernel_returns_the_reference_loop_floats_bit_for_bit():
+    # the unrolled kernel keeps the list loop's operation order, at ambient
+    # points off the constraint set too; at d = 5,000 each of its sums spans
+    # 50 statements, and it still compiles
+    rng = derive_stream(81, "kernel")
+    for d in (*range(1, 9), 5000):
+        for k_ham in (1.0, math.sqrt(0.5), 3.0):
+            for scale in (1e-3, 1.0, 1e3):
+                p, q = (scale * rng.standard_normal((2, d))).tolist()
+                got = _outcome(dynamics._solve_field, k_ham, p, q, 1e-5)
+                assert got == _outcome(reference_field, k_ham, p, q, 1e-5), (d, k_ham, scale)
+                # at d = 1 every q is parallel to p: both raise from the energy's sqrt
+                assert isinstance(got, list) == (d > 1), got
+
+
+def test_field_kernel_keeps_the_sign_of_an_exact_zero_sum():
+    # each product of p.q is -0.0: added from 0.0, as sum() adds, p.q is +0.0
+    # and u_0 = -0.0; added from the first product it would be -0.0 and u_0 +0.0
+    p, q = [1.0, -0.0], [-0.0, 2.0]
+    got = _outcome(dynamics._solve_field, 1.0, p, q, 1e-5)
+    assert got == _outcome(reference_field, 1.0, p, q, 1e-5)
+    assert got[0] == "-0x0.0p+0"
+
+
+def test_field_kernel_guards_raise_as_the_reference_loop_does(monkeypatch):
+    cases = (([1.0, 0.0], [0.0, 1e-9]), ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1e-11, 0.0], [0.0, 1.0]))
+    for p, q in cases:
+        assert _outcome(dynamics._solve_field, 1.0, p, q, 1e-5) == _outcome(reference_field, 1.0, p, q, 1e-5)
+    # a patched multiplier reaches the kernel: it looks the module's names up at each call
+    monkeypatch.setattr(dynamics, "_multipliers", lambda *args: (0.0, 1e-6))
+    p, q = [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]
+    got = _outcome(dynamics._solve_field, 1.0, p, q, 1e-5)
+    assert got == _outcome(reference_field, 1.0, p, q, 1e-5)
+    assert got[0] is RuntimeError and "solve residual" in got[1]
+
+
+def test_importing_the_package_and_building_the_registry_compiles_no_kernel():
+    code = (
+        "import quadcover; quadcover.build_registry(); "
+        "from quadcover import dynamics; print(dynamics._field_kernel.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def _plain_field(k_base, k_ham, p, q, h):
@@ -316,7 +379,7 @@ def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypat
     def no_step(*args):
         raise AssertionError("a refused trajectory must not solve the field")
 
-    monkeypatch.setattr(dynamics, "_solve_field", no_step)
+    monkeypatch.setattr(dynamics, "_field_kernel", no_step)
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
     for t_final, dt in ((1.0, 1e-300), (1e300, 1e-3), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)):
         with pytest.raises(StepLimitError, match="more than the limit of 1,000,000"):

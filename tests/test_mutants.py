@@ -17,7 +17,7 @@ import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint
-from quadcover.dynamics import FlowResult, hamiltonian_vector_field
+from quadcover.dynamics import FlowResult
 from quadcover.forms import ProductSpace, TwoForm, scaled_form
 from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
@@ -87,6 +87,9 @@ def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
 
 
 def test_rk2_step_in_place_of_rk4(monkeypatch):
+    def field(ham, point, profile):
+        return np.array(dynamics_module._solve_field(ham.base_radius, point.p.tolist(), point.q.tolist(), profile.fd_step))
+
     def rk2_integrate(ham, m, t_final, dt, profile):
         # explicit midpoint rule: second order, so halving the step cuts the
         # error about 4x where the check expects 16x
@@ -94,10 +97,10 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
         while t < t_final - 1e-12:
             step = min(dt, t_final - t)
             x = np.concatenate([point.p, point.q])
-            k1 = hamiltonian_vector_field(ham, point, profile)
+            k1 = field(ham, point, profile)
             mid = x + 0.5 * step * k1
             half = retract(mid[: m.p.size], mid[m.p.size :], m.base_radius)
-            k2 = hamiltonian_vector_field(ham, half, profile)
+            k2 = field(ham, half, profile)
             x = x + step * k2
             point = retract(x[: m.p.size], x[m.p.size :], m.base_radius)
             t += step
@@ -111,7 +114,7 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
 def test_zero_hamiltonian_field(monkeypatch):
     # a field whose flow is 2 pi periodic (here: constant) lands on the closed
     # form at t = 2 pi; the halfway comparison must catch it
-    monkeypatch.setattr(dynamics_module, "_solve_field", lambda k_ham, p, q, h: [0.0] * (2 * len(p)))
+    monkeypatch.setattr(dynamics_module, "_field_kernel", lambda d: lambda k_ham, h, *x: (0.0,) * (2 * d))
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
 
