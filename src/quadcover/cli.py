@@ -13,7 +13,7 @@ import functools
 import os
 import sys
 
-from .checks import SuiteConfig, UsageError, build_registry, emit_report, run_suite
+from .checks import MAX_DIM, SuiteConfig, UsageError, build_registry, emit_report, run_suite
 from .numerics import PROFILES
 
 
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         metavar="INT",
-        help="override the ambient dimension list (repeatable)",
+        help=f"override the ambient dimension list, each in [1, {MAX_DIM}] (repeatable)",
     )
     run.add_argument(
         "--radius",

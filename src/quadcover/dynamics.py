@@ -21,10 +21,12 @@ and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
 reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
 energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
-so the RK4 loop runs on 2d Python floats and builds one CotangentPoint at the
-end. At that size a loop over lists costs more than its arithmetic too, so the
-field solve is one function per d, generated and compiled on first use, that
-takes and returns the 2d floats as named scalars. On an "evened" cosphere
+so the RK4 trajectory runs on 2d Python floats and builds one CotangentPoint
+at the end. At that size a loop over lists costs more than its arithmetic
+too, so both the field solve and the whole trajectory are one function per
+d each, generated and compiled on first use over the 2d floats as named
+scalars: the trajectory kernel holds the step loop, with its retractions
+and drifts, and calls the field kernel at each stage. On an "evened" cosphere
 (|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
 cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq; on
 an uneven cosphere over
@@ -36,9 +38,9 @@ which is what the evening rescale repairs.
 from __future__ import annotations
 
 import functools
+import textwrap
 from dataclasses import dataclass
 from math import hypot, isfinite, sqrt
-from operator import mul
 
 import numpy as np
 
@@ -157,6 +159,17 @@ def _dot_source(name: str, a: list[str], b: list[str]) -> str:
     )
 
 
+def _compile_kernel(source: str, name: str):
+    """The function ``kernel`` that ``source`` defines, run in this module's globals.
+
+    The globals are the module's own, not a copy, so a kernel looks up
+    _restricted_energy and _multipliers at each call and sees them patched.
+    """
+    namespace = {}
+    exec(compile(source, name, "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 @functools.cache
 def _field_kernel(d: int):
     """The field solve at d = n + 1, compiled on first use: kernel(k_ham, h, *p, *q) -> (*u, *w).
@@ -186,9 +199,91 @@ def _field_kernel(d: int):
         qu=_dot_source("qu", q, u),
         pw=_dot_source("pw", p, w),
     )
-    namespace = {}
-    exec(compile(source, f"<field kernel, d = {d}>", "exec"), globals(), namespace)
-    return namespace["kernel"]
+    return _compile_kernel(source, f"<field kernel, d = {d}>")
+
+
+_RK4_KERNEL = """\
+def kernel(field, k_ham, h, k, t_final, dt, energy0, constraint_drift, {x}):
+{retract}
+    energy_drift = 0.0
+    steps = 0
+    t = 0.0
+    while t < t_final - 1e-12:
+        step = min(dt, t_final - t)
+        half = 0.5 * step
+        {k1} = field(k_ham, h, {x})
+        {k2} = field(k_ham, h, {x_k1})
+        {k3} = field(k_ham, h, {x_k2})
+        {k4} = field(k_ham, h, {x_k3})
+        sixth = step / 6.0
+{advance}
+{step_retract}
+        energy_drift = max(energy_drift, abs(k_ham * hypot({q}) - energy0))
+{step_pq}
+        constraint_drift = max(constraint_drift, abs(hypot({p}) - k), abs(pq))
+        t += step
+        steps += 1
+    return ({x}), energy_drift, constraint_drift, steps
+"""
+
+# the state (p, q) retracted in place: |p| = k, then q loses its p-component
+_RETRACT = """\
+    norm = hypot({p})
+    if norm <= 1e-12:
+        raise ValueError("cannot retract: base point collapsed to the origin")
+    scale = k / norm
+{scale}
+{pq}
+    c = pq / (k * k)
+{shift}"""
+
+
+@functools.cache
+def _rk4_kernel(d: int):
+    """The RK4 trajectory at d = n + 1, compiled on first use.
+
+    kernel(field, k_ham, h, k, t_final, dt, energy0, constraint_drift, *p, *q)
+    returns ((*p, *q), energy_drift, constraint_drift, steps). It retracts
+    the start point onto |p| = k, p.q = 0, then runs the steps of
+    :func:`rk4_integrate`: the field kernel ``field`` at the four ambient
+    stage points, passed as argument expressions, the RK4 combination, the
+    retraction of the endpoint in place, and the two drifts. One function
+    per d over 2d named floats, with no list: the same operations in the
+    same order as the loop over lists it replaces, so the same floats bit
+    for bit. The norms are hypot's, each dot product is added left to right
+    from 0.0, and the drifts keep the builtin max and its argument order,
+    so a NaN drift is passed over as max passes it over.
+    """
+    p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")
+    x = p + q
+    k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(2 * d)] for j in range(1, 5))
+    pq = _dot_source("pq", p, q)
+    retract = _RETRACT.format(
+        p=", ".join(p),
+        scale="\n".join(f"    {a} = scale * {a}" for a in p),
+        pq=pq,
+        shift="\n".join(f"    {b} = {b} - c * {a}" for a, b in zip(p, q)),
+    )
+    source = _RK4_KERNEL.format(
+        x=", ".join(x),
+        p=", ".join(p),
+        q=", ".join(q),
+        retract=retract,
+        k1=", ".join(k1),
+        k2=", ".join(k2),
+        k3=", ".join(k3),
+        k4=", ".join(k4),
+        x_k1=", ".join(f"{a} + half * {b}" for a, b in zip(x, k1)),
+        x_k2=", ".join(f"{a} + half * {b}" for a, b in zip(x, k2)),
+        x_k3=", ".join(f"{a} + step * {b}" for a, b in zip(x, k3)),
+        advance="\n".join(
+            f"        {a} = {a} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ),
+        step_retract=textwrap.indent(retract, "    "),
+        step_pq=textwrap.indent(pq, "    "),
+    )
+    return _compile_kernel(source, f"<RK4 kernel, d = {d}>")
 
 
 def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
@@ -268,18 +363,6 @@ def scalar_action(m: CotangentPoint, t: float) -> CotangentPoint:
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=m.base_radius)
 
 
-def _retract(x: list[float], k: float, d: int) -> tuple[list[float], list[float]]:
-    """Scalar retract of an ambient 2d-float state: |p| = k, then q loses its p-component."""
-    p, q = x[:d], x[d:]
-    norm = hypot(*p)
-    if norm <= 1e-12:
-        raise ValueError("cannot retract: base point collapsed to the origin")
-    scale = k / norm
-    p = [scale * a for a in p]
-    c = sum(map(mul, p, q)) / (k * k)
-    return p, [b - c * a for a, b in zip(p, q)]
-
-
 def rk4_integrate(
     ham: HamiltonianSpec,
     m: CotangentPoint,
@@ -299,7 +382,9 @@ def rk4_integrate(
     retraction a step. Energy and constraint drifts are measured along the
     reported trajectory. A step that is not positive, or a final time that
     is not finite, raises ValueError; a trajectory of more than MAX_STEPS
-    steps raises StepLimitError before the first step.
+    steps raises StepLimitError before the first step, and before a kernel
+    is fetched. The trajectory is :func:`_rk4_kernel`'s, with the field of
+    :func:`_field_kernel`.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -307,39 +392,13 @@ def rk4_integrate(
         raise ValueError("t_final must be finite")
     require_steps(t_final, dt)
     k = m.base_radius
-    k_ham = ham.base_radius
     d = m.p.size
-    h = profile.fd_step
-
-    kernel = _field_kernel(d)
-    p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
-    x = p + q
-    energy0 = ham.value(m)
-    energy_drift = 0.0
-    constraint_drift = max(m.residuals())
-    steps = 0
-    t = 0.0
-    while t < t_final - 1e-12:
-        step = min(dt, t_final - t)
-        half = 0.5 * step
-        # the field at each ambient stage point as it is
-        k1 = kernel(k_ham, h, *x)
-        k2 = kernel(k_ham, h, *[a + half * b for a, b in zip(x, k1)])
-        k3 = kernel(k_ham, h, *[a + half * b for a, b in zip(x, k2)])
-        k4 = kernel(k_ham, h, *[a + step * b for a, b in zip(x, k3)])
-        sixth = step / 6.0
-        x = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
-        p, q = _retract(x, k, d)
-        x = p + q
-        energy_drift = max(energy_drift, abs(k_ham * hypot(*q) - energy0))
-        constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(sum(map(mul, p, q))))
-        t += step
-        steps += 1
+    x, energy_drift, constraint_drift, steps = _rk4_kernel(d)(
+        _field_kernel(d), ham.base_radius, profile.fd_step, k, t_final, dt,
+        ham.value(m), max(m.residuals()), *m.p.tolist(), *m.q.tolist(),
+    )
     return FlowResult(
-        endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k),
+        endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k),
         energy_drift=energy_drift,
         constraint_drift=constraint_drift,
         steps=steps,

@@ -14,18 +14,20 @@ use it. ``constraint_frame`` is an orthonormal basis of that set's tangent
 space, from an SVD, for tests of the closed-form samplers and field.
 
 ``reference_field`` is the Hamiltonian field solve as a loop over lists, the
-body the compiled per-dimension kernel unrolls; the kernel must return its
-floats bit for bit.
+body the compiled per-dimension field kernel unrolls, and ``reference_rk4``
+the RK4 trajectory around it as a loop over lists, the body the compiled
+per-dimension RK4 kernel unrolls; each kernel must return its loop's floats
+bit for bit.
 """
 
-from math import hypot
+from math import hypot, isfinite
 
 import numpy as np
 
 from quadcover import dynamics
 from quadcover.cotangent import CotangentPoint
 from quadcover.forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace
-from quadcover.numerics import _null_frame, complexify, realify, row_norms
+from quadcover.numerics import DEFAULT_PROFILE, _null_frame, complexify, realify, row_norms
 from quadcover.projective import horizontal_project, proj_normalize
 
 
@@ -133,3 +135,68 @@ def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> l
     if residual > 1e-8:
         raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
     return u + w
+
+
+def _retract(x: list[float], k: float, d: int) -> tuple[list[float], list[float]]:
+    """Scalar retract of an ambient 2d-float state: |p| = k, then q loses its p-component."""
+    p, q = x[:d], x[d:]
+    norm = hypot(*p)
+    if norm <= 1e-12:
+        raise ValueError("cannot retract: base point collapsed to the origin")
+    scale = k / norm
+    p = [scale * a for a in p]
+    c = _dot(p, q) / (k * k)
+    return p, [b - c * a for a, b in zip(p, q)]
+
+
+def reference_rk4(ham, m: CotangentPoint, t_final: float, dt: float, profile=DEFAULT_PROFILE) -> dynamics.FlowResult:
+    """RK4 as the standard projection method, as a loop over lists; see dynamics.rk4_integrate.
+
+    The start point and each step's endpoint are retracted with ``_retract``,
+    one retraction a step, and the field is ``reference_field`` at the four
+    ambient stage points.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not isfinite(t_final):
+        raise ValueError("t_final must be finite")
+    dynamics.require_steps(t_final, dt)
+    k = m.base_radius
+    k_ham = ham.base_radius
+    d = m.p.size
+    h = profile.fd_step
+
+    def field(x):
+        return reference_field(k_ham, x[:d], x[d:], h)
+
+    p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
+    x = p + q
+    energy0 = ham.value(m)
+    energy_drift = 0.0
+    constraint_drift = max(m.residuals())
+    steps = 0
+    t = 0.0
+    while t < t_final - 1e-12:
+        step = min(dt, t_final - t)
+        half = 0.5 * step
+        k1 = field(x)
+        k2 = field([a + half * b for a, b in zip(x, k1)])
+        k3 = field([a + half * b for a, b in zip(x, k2)])
+        k4 = field([a + step * b for a, b in zip(x, k3)])
+        sixth = step / 6.0
+        x = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        p, q = _retract(x, k, d)
+        x = p + q
+        energy_drift = max(energy_drift, abs(k_ham * hypot(*q) - energy0))
+        constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(_dot(p, q)))
+        t += step
+        steps += 1
+    return dynamics.FlowResult(
+        endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k),
+        energy_drift=energy_drift,
+        constraint_drift=constraint_drift,
+        steps=steps,
+    )

@@ -13,6 +13,7 @@ import quadcover.checks as checks_module
 from quadcover import dynamics
 from quadcover.checks import (
     Inputs,
+    MAX_DIM,
     SuiteConfig,
     UsageError,
     VERIFIED_STATEMENTS,
@@ -557,6 +558,8 @@ def _generated_row(cid, **changes):
         ("L-projemb", _generated_row("L-projemb", r=1e-12)),
         ("L-projemb", _generated_row("L-projemb", r=1e200)),
         ("P-evenedrescale", _generated_row("P-evenedrescale", r=1.1e10)),
+        # a dimension above the bound, its point of matching size
+        ("L-sphereembedding", {"n": 129, "p": [1.0] + [0.0] * 129, "q": [0.0, 0.5] + [0.0] * 128}),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):
@@ -597,6 +600,9 @@ def test_json_writes_non_finite_reals_as_strings():
         ("R-omega-r-not-FS", {"pairs": 0}, "pairs must be at least 1"),
         # failed with 1.8e-15: on CP^1 every 2-form is a multiple of omega_FS
         ("R-omega-r-not-FS", {"n": [1]}, "dimensions must be at least 2"),
+        # no upper bound: each RK4 dimension compiles kernels whose source grows with n
+        ("P-unitcut-rk4", {"n": [100_000]}, "dimensions must be at least 1 and at most 128"),
+        ("R-omega-r-not-FS", {"n": [129]}, "dimensions must be at least 2 and at most 128"),
         ("R-uneven-flow", {"r": float("nan")}, "radii must be finite and positive"),
         ("P-evenedflow-restored", {"r_uneven": -0.5}, "radii must be finite and positive"),
         # at 1e-8 the fiber reaches the zero-section guard; at 3e7 the field's |G X| guard trips
@@ -728,11 +734,12 @@ def test_an_uneven_flow_witness_whose_times_do_not_increase_scores_nan():
 )
 def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, value, monkeypatch):
     # a step below ulp(t) left t as it was: a run and a replay at dt = 1e-300
-    # both ran until killed; a refused trajectory solves no field
+    # both ran until killed; a refused trajectory fetches no kernel of either kind
     def no_step(*args):
-        raise AssertionError("a refused trajectory must not solve the field")
+        raise AssertionError("a refused trajectory must fetch no kernel")
 
     monkeypatch.setattr(dynamics, "_field_kernel", no_step)
+    monkeypatch.setattr(dynamics, "_rk4_kernel", no_step)
     with pytest.raises(UsageError, match=f"check {cid}: .* RK4 steps, more than the limit of 1,000,000"):
         run_check(cid, {key: value})
     check = build_registry()[cid]
@@ -741,6 +748,26 @@ def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, 
     assert not report.passed
     assert np.isnan(report.max_residual)
     assert report.witness == inp
+
+
+@pytest.mark.parametrize("cid", ["P-unitcut-rk4", "P-unitcut-rk4-order", "P-evenedflow-restored", "R-uneven-flow"])
+def test_a_dimension_above_the_bound_compiles_no_kernel(cid, monkeypatch):
+    # compiling the kernels of a dimension takes memory that grows with it,
+    # about 17 KB a dimension for the field kernel: unbounded, --n 100000
+    # would have needed about 1.7 GB before its first step
+    def no_kernel(*args):
+        raise AssertionError("a refused dimension must compile no kernel")
+
+    monkeypatch.setattr(dynamics, "_field_kernel", no_kernel)
+    monkeypatch.setattr(dynamics, "_rk4_kernel", no_kernel)
+    for n in (MAX_DIM + 1, 100_000):
+        with pytest.raises(UsageError, match=f"at most {MAX_DIM}"):
+            run_check(cid, {"n": [n]})
+    n = MAX_DIM + 1
+    witness = _generated_row(cid, n=n, p=[1.0] + [0.0] * n, q=[0.0, 1.0] + [0.0] * (n - 1))
+    report = run_check(cid, {"witness": witness})
+    assert not report.passed
+    assert np.isnan(report.max_residual)
 
 
 @pytest.mark.parametrize(

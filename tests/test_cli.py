@@ -115,6 +115,14 @@ def test_a_radius_outside_the_declared_range_is_usage_error(radius, capsys):
     assert "Traceback" not in err
 
 
+def test_a_dimension_above_the_bound_is_usage_error(capsys):
+    # unbounded, --n 100000 would have compiled RK4 kernels of about 1.7 GB
+    assert main(["run", "--suite", "P-unitcut-rk4", "--n", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "dimensions must be at least 1 and at most 128" in err
+    assert "Traceback" not in err
+
+
 def test_dimension_below_a_checks_least_is_usage_error(tmp_path, capsys):
     # on CP^1 every two-form is a multiple of omega_FS, so the check takes n >= 2
     assert main(["run", "--suite", "R-omega-r-not-FS", "--n", "1"]) == 2

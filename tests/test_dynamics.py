@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 import pytest
-from fd_oracle import constraint_frame, reference_field, retract
+import fd_oracle
+from fd_oracle import constraint_frame, reference_field, reference_rk4, retract
 
 from quadcover import dynamics
 from quadcover.cotangent import (
@@ -176,10 +177,11 @@ def test_field_kernel_guards_raise_as_the_reference_loop_does(monkeypatch):
 def test_importing_the_package_and_building_the_registry_compiles_no_kernel():
     code = (
         "import quadcover; quadcover.build_registry(); "
-        "from quadcover import dynamics; print(dynamics._field_kernel.cache_info().currsize)"
+        "from quadcover import dynamics; "
+        "print(dynamics._field_kernel.cache_info().currsize, dynamics._rk4_kernel.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 def _plain_field(k_base, k_ham, p, q, h):
@@ -356,30 +358,78 @@ def test_rk4_loop_makes_no_svd_and_no_linear_solve(monkeypatch):
 
 def test_rk4_retracts_the_start_and_each_endpoint_once(monkeypatch):
     # the standard projection method: stages are solved unretracted, so N
-    # steps make N + 1 retractions, the start point's and each endpoint's
+    # steps make N + 1 retractions, the start point's and each endpoint's;
+    # the kernel returns this loop's floats bit for bit (next test), which
+    # ties it to the same scheme
     calls = []
-    retract_once = dynamics._retract
+    retract_once = fd_oracle._retract
 
     def counted(*args):
         calls.append(args)
         return retract_once(*args)
 
-    monkeypatch.setattr(dynamics, "_retract", counted)
+    monkeypatch.setattr(fd_oracle, "_retract", counted)
     m = sample_cosphere(2, 1.0, 0.6, derive_stream(80, "project"))
     for t_final, dt in ((0.5, 0.01), (1.0, 0.3), (1e-13, 0.1)):
         calls.clear()
-        result = rk4_integrate(HamiltonianSpec(1.0), m, t_final, dt)
+        result = reference_rk4(HamiltonianSpec(1.0), m, t_final, dt)
         assert len(calls) == result.steps + 1
     assert result.steps == 0
     assert _dist(result.endpoint, m) < 1e-15
 
 
+def _trajectory(integrate, *args):
+    """A trajectory's endpoint and drifts as hex so that signed zeros count, and its steps; or the error it raises."""
+    try:
+        result = integrate(*args)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    floats = [*result.endpoint.p, *result.endpoint.q, result.energy_drift, result.constraint_drift]
+    return [float(x).hex() for x in floats], result.steps
+
+
+def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
+    # the trajectory kernel keeps the list loop's operation order, from
+    # off-bundle starts (so the start retraction acts) at every base radius;
+    # the pairs (t_final, dt) give whole steps, a partial last step, no step,
+    # and a refusal. At d = 150 each dot product spans two statements
+    rng = derive_stream(82, "rk4 kernel")
+    times = ((0.5, 0.05), (0.3, 0.07), (1e-13, 0.1), (0.0, 0.1), (1.0, 1e-300), (0.2, 0.0))
+    for d in (*range(1, 9), 100, 150):
+        for k in (1e-3, 0.5, 1.0, 3.0, 1e3):
+            p, q = rng.standard_normal((2, d))
+            m = CotangentPoint(p=k * p, q=q, base_radius=k)
+            # H = |q| over a small base sphere turns fast, and its field trips the |G X| guard
+            for k_ham in (k, 1.0):
+                for t_final, dt in times:
+                    got = _trajectory(rk4_integrate, HamiltonianSpec(k_ham), m, t_final, dt)
+                    assert got == _trajectory(reference_rk4, HamiltonianSpec(k_ham), m, t_final, dt), (d, k, k_ham)
+                    # at d = 1 the retracted q is 0 or parallel to p: both raise once a step runs
+                    runs = dt > 0 and t_final / dt <= MAX_STEPS and (d > 1 or t_final < 1e-12)
+                    assert isinstance(got[0], list) == runs or k_ham != k, (d, k, got)
+    # a collapsed base point, the zero section, and a NaN entry raise as the loop raises
+    for p, q in (([0.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [1.0, 0.0]), ([1.0, float("nan")], [0.0, 1.0])):
+        m = CotangentPoint(p=np.array(p), q=np.array(q))
+        got = _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.1, 0.05)
+        assert got == _trajectory(reference_rk4, HamiltonianSpec(1.0), m, 0.1, 0.05)
+        assert not isinstance(got[0], list)
+    # a patched energy reaches both: the kernels look the module's names up at each call
+    energy = dynamics._restricted_energy
+    monkeypatch.setattr(dynamics, "_restricted_energy", lambda pp, qq, pq, k_ham: 3.0 * energy(pp, qq, pq, k_ham))
+    m = sample_cosphere(3, 1.0, 0.6, derive_stream(82, "patched"))
+    got = _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.3, 0.07)
+    assert got == _trajectory(reference_rk4, HamiltonianSpec(1.0), m, 0.3, 0.07)
+    monkeypatch.undo()
+    assert got != _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.3, 0.07)
+
+
 def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypatch):
     # once dt fell below ulp(t), t += dt left t as it was and dt = 1e-300 ran until killed
     def no_step(*args):
-        raise AssertionError("a refused trajectory must not solve the field")
+        raise AssertionError("a refused trajectory must fetch no kernel")
 
     monkeypatch.setattr(dynamics, "_field_kernel", no_step)
+    monkeypatch.setattr(dynamics, "_rk4_kernel", no_step)
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
     for t_final, dt in ((1.0, 1e-300), (1e300, 1e-3), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)):
         with pytest.raises(StepLimitError, match="more than the limit of 1,000,000"):
