@@ -15,16 +15,17 @@ validate a generated run's params and parse a witness row into a one-row
 stored by field; a row becomes a plain-JSON dict only as a witness, in a
 report or for a hash.
 
-A sampling check's residual takes a chunk of rows of one block; only the RK4
-and period checks, whose row is a whole trajectory or integral, take one row
-a call (``each``). A chunk is computed by row arithmetic only (elementwise
-operations, ``einsum("ij,ij->i")``, reductions along the last axis; never
-stacked matmul or BLAS, whose rounding depends on the batch size), so a
-replayed witness reproduces its residual bit for bit. A body written once on
-the last axis reads :meth:`Block.flat`, so a chunk of one row, every replay
-among them, runs the maps' 1-D twins, which use the reductions of their row
-twins. That identity depends on the loops numpy picks (a complex product of
-strided columns can round unlike a contiguous one); tests guard it.
+Every residual takes a chunk of rows of one block and returns one value per
+row; an RK4 or period check, whose row is a whole trajectory or integral,
+loops over its chunk's rows. A chunk is computed by row arithmetic only
+(elementwise operations, ``einsum("ij,ij->i")``, reductions along the last
+axis; never stacked matmul or BLAS, whose rounding depends on the batch
+size), so a replayed witness reproduces its residual bit for bit. A body
+written once on the last axis reads :meth:`Block.flat`, so a chunk of one
+row, every replay among them, runs the maps' 1-D twins, which use the
+reductions of their row twins. That identity depends on the loops numpy
+picks (a complex product of strided columns can round unlike a contiguous
+one); tests guard it.
 """
 
 from __future__ import annotations
@@ -376,20 +377,26 @@ def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
     return np.maximum(np.abs(a.p - b.p), np.abs(a.q - b.q)).max(axis=-1)
 
 
-def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> float:
-    """Largest distance of the RK4 trajectory of ``m``, on its base radius, from ``exact(m, t)`` at each ``ts``.
+def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> np.ndarray:
+    """Per row of ``m``: the largest distance of its RK4 trajectory, on its base radius, from ``exact`` at each ``ts``.
 
-    A trajectory of more than MAX_STEPS steps in all is refused before it starts.
+    One trajectory a row, each compared with ``exact(start, t)`` at the
+    row's own 1-D start point. Trajectories of more than MAX_STEPS steps in
+    all are refused before the first one starts.
     """
     require_steps(ts[-1], dt)
     ham = HamiltonianSpec(m.base_radius)
-    point, t_done, dists = m, 0.0, [0.0]
-    for t in ts:
-        point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
-        t_done = t
-        dists.append(_row_dist(point, exact(m, t)))
-    # np.max, not max(): a NaN distance wins
-    return float(np.max(dists))
+    drifts = []
+    for p, q in zip(m.p, m.q):
+        start = CotangentPoint(p=p, q=q, base_radius=m.base_radius)
+        point, t_done, dists = start, 0.0, [0.0]
+        for t in ts:
+            point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
+            t_done = t
+            dists.append(_row_dist(point, exact(start, t)))
+        # np.max, not max(): a NaN distance wins
+        drifts.append(np.max(dists))
+    return np.array(drifts, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +523,8 @@ class Check:
 
     ``gen`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
     (``_score_<name>`` for a witness check), looked up in this module when
-    read, so a function rebound after import is the one that runs; an
-    ``each`` residual takes one row (:func:`_each`), any other a chunk of rows
+    read, so a function rebound after import is the one that runs. Every
+    residual takes a chunk of rows and returns one value per row
     (:func:`_chunked`). ``tolerance`` is a number or the name of a
     :class:`ToleranceProfile` field. ``params`` is read-only, list defaults
     stored as tuples, so no caller can change a declared default later.
@@ -531,7 +538,6 @@ class Check:
     tolerance: float | str
     params: Mapping[str, Any]
     name: str
-    each: bool
     fields: Mapping[str, Any]
 
     @property
@@ -541,14 +547,13 @@ class Check:
 
     @property
     def residual(self) -> Callable[[Inputs, ToleranceProfile], np.ndarray]:
-        func = globals()[("_score_" if self.kind == "witness" else "_res_") + self.name]
-        return _each(func) if self.each else _chunked(func)
+        return _chunked(globals()[("_score_" if self.kind == "witness" else "_res_") + self.name])
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id, statement, covers, tolerance, params, fields, kind="residual", each=False):
+def _check(id, statement, covers, tolerance, params, fields, kind="residual"):
     """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
 
     ``fields`` declares each input field, in row order, with its kind; a label
@@ -564,7 +569,7 @@ def _check(id, statement, covers, tolerance, params, fields, kind="residual", ea
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
-            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, each, MappingProxyType(fields)
+            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, MappingProxyType(fields)
         )
         return func
 
@@ -578,24 +583,8 @@ def build_registry() -> dict[str, Check]:
 
 # ---------------------------------------------------------------------------
 # Check implementations: a generator of blocks of rows plus a pure residual
-# (or witness score) of one row or of a chunk of rows.
+# (or witness score) of a chunk of rows.
 # ---------------------------------------------------------------------------
-
-
-def _each(residual: Callable[[dict, ToleranceProfile], float]) -> Callable:
-    """Lift a residual of one row (a trajectory or an integral) to the list contract; off the bundle scores NaN."""
-
-    def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
-        out = []
-        for block in inputs.blocks:
-            for i in range(len(block)):
-                try:
-                    out.append(residual(block.row(i), profile))
-                except OffBundleError:
-                    out.append(np.nan)
-        return np.array(out, dtype=float)
-
-    return batch
 
 
 def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Callable:
@@ -785,14 +774,13 @@ _gen_unitcut_rk4 = _cotangent_generator(
     covers=("unit-cosphere-cut",), tolerance=1e-6,
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt": TIME, "t_final": TIME},
-    each=True,
 )
-def _res_unitcut_rk4(inp, profile):
+def _res_unitcut_rk4(rows, profile):
     # compared at a third and halfway as well: at t_final = 2 pi the closed
     # form is the identity and at pi the antipode, so a field whose flow is
     # 2 pi periodic, or three times too fast, would pass at those two times
-    t_final = inp["t_final"]
-    return _rk4_drift(_pq(inp), (t_final / 3.0, t_final / 2.0, t_final), inp["dt"], profile, flow_closed_form)
+    t_final = rows["t_final"]
+    return _rk4_drift(_pq(rows), (t_final / 3.0, t_final / 2.0, t_final), rows["dt"], profile, flow_closed_form)
 
 
 _gen_unitcut_rk4_order = _cotangent_generator(
@@ -807,18 +795,17 @@ _gen_unitcut_rk4_order = _cotangent_generator(
     covers=("unit-cosphere-cut",), tolerance=4.0,
     params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt0": TIME, "t_final": TIME},
-    each=True,
 )
-def _res_unitcut_rk4_order(inp, profile):
+def _res_unitcut_rk4_order(rows, profile):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
-    m, t_final, dt0 = _pq(inp), (inp["t_final"],), inp["dt0"]
-    # the fine trajectory first: a step limit refuses it before the coarse one runs
+    m, t_final, dt0 = _pq(rows), (rows["t_final"],), rows["dt0"]
+    # every fine trajectory first: a step limit refuses them before a coarse one runs
     fine, coarse = (_rk4_drift(m, t_final, dt, profile, flow_closed_form) for dt in (dt0 / 2.0, dt0))
     # a fine-step error of 0 shows no order and fails with an infinite
     # ratio; a NaN error stays NaN
-    ratio = coarse / fine if fine != 0.0 else math.inf
-    return abs(ratio - 16.0)
+    ratio = np.divide(coarse, fine, out=np.full(len(rows), np.inf), where=fine != 0.0)
+    return np.abs(ratio - 16.0)
 
 
 _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
@@ -1021,11 +1008,10 @@ _gen_evenedflow_restored = _cotangent_generator(sample_cosphere, "trajectories",
         "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES,
         "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
-    each=True,
 )
-def _res_evenedflow_restored(inp, profile):
-    # one trajectory, compared with the scalar action at each check time in turn
-    return _rk4_drift(even_rescale(_pq(inp), inp["r"]), inp["ts"], inp["dt"], profile, scalar_action)
+def _res_evenedflow_restored(rows, profile):
+    # one trajectory a row, compared with the scalar action at each check time in turn
+    return _rk4_drift(even_rescale(_pq(rows), rows["r"]), rows["ts"], rows["dt"], profile, scalar_action)
 
 
 _gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _step_and_times)
@@ -1038,11 +1024,10 @@ _gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _s
     params={"n": [2], "r": 0.5, "trajectories": 3, "dt": 0.01, "t_checks": [float(np.pi / 2.0), float(np.pi)]},
     fields={"n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES, "t_checks": _Param(TIMES)},
     kind="witness",
-    each=True,
 )
-def _score_uneven_flow(inp, profile):
+def _score_uneven_flow(rows, profile):
     # witness search: how far the true flow drifts from the scalar action
-    return _rk4_drift(_pq(inp), inp["ts"], inp["dt"], profile, scalar_action)
+    return _rk4_drift(_pq(rows), rows["ts"], rows["dt"], profile, scalar_action)
 
 
 def _gen_omega_r_descent(params, rng):
@@ -1117,7 +1102,7 @@ def _score_omega_r_not_fs(rows, profile):
 
 
 def _gen_period_cp1(params, rng):
-    # the one input of a period check: its node count per axis
+    # the one input of a period check, a block of one row: its node count per axis
     return [Block(1, nodes=int(params["nodes"]))]
 
 
@@ -1127,10 +1112,9 @@ def _gen_period_cp1(params, rng):
     covers=("pushed-down-form",), tolerance="quadrature_tol",
     params={"nodes": 200},
     fields={"nodes": NODES},
-    each=True,
 )
-def _res_period_cp1(inp, profile):
-    value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=inp["nodes"])
+def _res_period_cp1(rows, profile):
+    value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=rows["nodes"])
     return abs(value - np.pi)
 
 
@@ -1143,11 +1127,10 @@ _gen_period_q1 = _gen_period_cp1
     covers=("pushed-down-form",), tolerance=2e-11,
     params={"nodes": 64},
     fields={"nodes": NODES},
-    each=True,
 )
-def _res_period_q1(inp, profile):
+def _res_period_q1(rows, profile):
     form = scaled_form(fubini_study_form(2), 2.0)
-    value = integrate_surface(_conic_chart(), form, nodes=inp["nodes"])
+    value = integrate_surface(_conic_chart(), form, nodes=rows["nodes"])
     return abs(value - 4.0 * np.pi)
 
 
@@ -1161,15 +1144,16 @@ def _gen_period_match(params, rng):
     covers=("pushed-down-form",), tolerance=3e-12,
     params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
     fields={"nodes": NODES, "r": RADIUS},
-    each=True,
 )
-def _res_period_match(inp, profile):
-    r = inp["r"]
-    fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
-    diag = integrate_surface(_diagonal_chart(), product_form(fs1, fs1), nodes=inp["nodes"])
-    form = scaled_form(fubini_study_form(2), 2.0 * r)
-    conic = integrate_surface(_conic_chart(), form, nodes=inp["nodes"])
-    return abs(diag - conic)
+def _res_period_match(rows, profile):
+    out = []
+    for r in np.broadcast_to(rows["r"], len(rows)).tolist():
+        fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
+        diag = integrate_surface(_diagonal_chart(), product_form(fs1, fs1), nodes=rows["nodes"])
+        form = scaled_form(fubini_study_form(2), 2.0 * r)
+        conic = integrate_surface(_conic_chart(), form, nodes=rows["nodes"])
+        out.append(abs(diag - conic))
+    return out
 
 
 def _gen_zerosection(params, rng):
@@ -1433,7 +1417,11 @@ def render_text(reports: list[CheckReport]) -> str:
 
 
 def emit_report(reports: list[CheckReport], format: str = "text", destination=None) -> None:
-    """Write reports as text or json to a path or file object (stdout if None)."""
+    """Write reports as text or json to a path or file object (stdout if None).
+
+    A path that cannot be opened for writing (a missing directory, a
+    directory itself) is a UsageError naming it.
+    """
     if format == "json":
         payload = render_json(reports)
     elif format == "text":
@@ -1445,5 +1433,9 @@ def emit_report(reports: list[CheckReport], format: str = "text", destination=No
     elif hasattr(destination, "write"):
         destination.write(payload + "\n")
     else:
-        with open(destination, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(destination, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {destination}: {exc.strerror}") from None
+        with handle:
             handle.write(payload + "\n")

@@ -98,13 +98,6 @@ def test_every_entry_resolves_its_functions_and_tolerance():
         assert isinstance(check.tolerance, float) or check.tolerance in fields, cid
 
 
-def test_only_trajectories_and_integrals_take_one_row_a_call():
-    # every sampling check evaluates chunks of rows; a row of an RK4 check is
-    # a whole trajectory and a row of a period check a whole integral
-    each = {cid for cid, check in build_registry().items() if check.each}
-    assert each == RK4_CHECKS | {"I-period-CP1", "I-period-Q1", "I-period-match"}
-
-
 def test_mutating_the_returned_registry_leaves_run_check_alone():
     registry = build_registry()
     registry["I-period-CP1"] = dataclasses.replace(registry["I-period-CP1"], tolerance=1e-300)
@@ -253,39 +246,34 @@ def test_reports_keep_registry_order():
     assert [r.id for r in reports] == ["I-period-CP1", "I-period-Q1", "I-period-match"]
 
 
-# The checks whose residuals evaluate chunks of rows, with parameters that
-# give several blocks at a small sample count, some larger than the five rows
-# a chunk holds in the row-invariance test.
+# Every check, with parameters that give several blocks at a small sample
+# count, some larger than the five rows a chunk holds in the row-invariance
+# test, and that keep a replay of each input cheap: coarse RK4 steps and few
+# quadrature nodes. A row of an RK4 check is a whole trajectory, and a row of
+# a period check a whole integral.
 BATCHED = {
     "C-branchedcover-deck": {"n": [1, 2], "samples": 6},
     "C-branchedcover-fibers": {"n": [1, 2], "samples": 14},
+    "I-period-CP1": {"nodes": 8},
+    "I-period-Q1": {"nodes": 8},
+    "I-period-match": {"nodes": 8, "r": [0.5, 1.0, 2.0, 3.0]},
     "L-projemb": {"n": [1, 2], "r": [1.0, 2.0], "samples": 3, "pairs": 2},
     "L-sphereembedding": {"n": [1, 2], "samples": 6},
     "L-sphereembedding-lift": {"n": [1, 2], "samples": 6},
+    "P-evenedflow-restored": {"n": [1, 2], "trajectories": 6, "dt": 0.1},
     "P-evenedrescale": {"n": [1, 2], "r": [0.5, 2.0], "samples": 24},
     "P-omega-r-descent": {"n": [1, 2], "r": [0.5, 2.0], "samples": 8},
     "P-segre-equivariance": {"samples": 12},
     "P-segre-pullback": {"samples": 12},
     "P-unitcut-boundary": {"n": [1, 2], "samples": 6},
     "P-unitcut-flow": {"n": [1, 2], "samples": 6},
+    "P-unitcut-rk4": {"n": [1, 2], "trajectories": 6, "dt": 0.05},
+    "P-unitcut-rk4-order": {"n": [1, 2], "trajectories": 6},
     "R-diag-antidiag": {"samples": 12},
     "R-omega-r-not-FS": {"n": [2, 3], "r": [0.5, 2.0], "samples": 6, "pairs": 3},
     "R-pi-not-symplectic": {"n": [1, 2], "samples": 6},
+    "R-uneven-flow": {"n": [1, 2], "trajectories": 6, "dt": 0.1},
     "T-zerosection": {"n": [1, 2], "samples": 14},
-}
-
-
-# Every other check, with parameters that keep a replay of each input cheap:
-# coarse RK4 steps and few quadrature nodes.
-SMALL = {
-    **BATCHED,
-    "I-period-CP1": {"nodes": 8},
-    "I-period-Q1": {"nodes": 8},
-    "I-period-match": {"nodes": 8},
-    "P-evenedflow-restored": {"dt": 0.1},
-    "P-unitcut-rk4": {"dt": 0.05},
-    "P-unitcut-rk4-order": {},
-    "R-uneven-flow": {"trajectories": 2, "dt": 0.1},
 }
 
 
@@ -330,7 +318,7 @@ def test_every_generated_input_replays_its_suite_residual(cid, seed):
     # run_check, scores the bits it scored in its block, whichever rows
     # shared its chunk
     check = build_registry()[cid]
-    inputs = check.gen(dict(check.params, **SMALL[cid]), derive_stream(seed, cid))
+    inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(seed, cid))
     suite = check.residual(inputs, DEFAULT_PROFILE)
     for inp, residual in zip(inputs, suite):
         assert run_check(cid, {"witness": inp}).max_residual == residual, inp
@@ -471,10 +459,7 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
     inputs = check.gen({**check.params, **params}, derive_stream(42, cid))
     # argmax would pick the NaN and a witness check would pass on +inf
     values = iter([0.0, float("inf"), float("nan"), 0.0])
-    if check.each:
-        monkeypatch.setattr(checks_module, attr, lambda inp, profile: next(values))
-    else:
-        monkeypatch.setattr(checks_module, attr, lambda rows, profile: [next(values) for _ in range(len(rows))])
+    monkeypatch.setattr(checks_module, attr, lambda rows, profile: [next(values) for _ in range(len(rows))])
     report = run_check(cid, params)
     assert not report.passed
     assert report.max_residual == float("inf")
@@ -485,11 +470,30 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
 
 
 def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
+    # a chunk of three trajectories, one of which leaves the bundle, is scored
+    # again row by row: that row scores NaN and the other two keep their bits
+    check = build_registry()["R-uneven-flow"]
+    inputs = check.gen({**check.params, "trajectories": 3}, derive_stream(42, check.id))
+    clean = check.residual(inputs, DEFAULT_PROFILE)
+    bad_start, integrate = inputs.blocks[0]["p"][1], checks_module.rk4_integrate
+
+    def off_bundle_row(ham, m, t_final, dt, profile):
+        if np.array_equal(m.p, bad_start):
+            raise OffBundleError("not on the bundle")
+        return integrate(ham, m, t_final, dt, profile)
+
+    monkeypatch.setattr(checks_module, "rk4_integrate", off_bundle_row)
+    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    assert len(inputs) == 3 and np.isnan(flagged[1])
+    assert np.array_equal(np.delete(flagged, 1), np.delete(clean, 1))
+    report = run_check(check.id, {"trajectories": 3})
+    assert not report.passed and report.witness == inputs[1]
+
     # a NaN, not the sentinel: a sentinel score of 1.0 would pass a witness check
-    def off_bundle(inp, profile):
+    def off_bundle(rows, profile):
         raise OffBundleError("not on the evened bundle")
 
-    def broken(inp, profile):
+    def broken(rows, profile):
         raise ValueError("a bug, not a domain error")
 
     monkeypatch.setattr(checks_module, "_score_uneven_flow", off_bundle)
@@ -526,7 +530,7 @@ def test_an_off_bundle_witness_fails_with_itself_as_witness(cid, witness):
 
 def _generated_row(cid, **changes):
     check = build_registry()[cid]
-    return {**check.gen(dict(check.params, **SMALL[cid]), derive_stream(42, cid))[0], **changes}
+    return {**check.gen(dict(check.params, **BATCHED[cid]), derive_stream(42, cid))[0], **changes}
 
 
 @pytest.mark.parametrize(

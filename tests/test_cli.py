@@ -162,3 +162,14 @@ def test_non_finite_residual_exits_one_with_string_value(tmp_path, monkeypatch):
     assert entry["max_residual"] == "-inf"
     assert entry["passed"] is False
     assert "witness" in entry
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_out_path_is_usage_error(tmp_path, where, capsys):
+    # a missing directory or a directory itself raised FileNotFoundError or
+    # IsADirectoryError with a traceback and exit 1, the code of a failed check
+    out = tmp_path / "nonexistent" / "r.json" if where == "missing" else tmp_path
+    assert main(["run", "--suite", "T-zerosection", "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write report to {out}" in err
+    assert "Traceback" not in err

@@ -17,8 +17,8 @@ import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint
-from quadcover.dynamics import FlowResult
-from quadcover.forms import ProductSpace, TwoForm, scaled_form
+from quadcover.dynamics import FlowResult, scalar_action
+from quadcover.forms import ProductSpace, TwoForm, fubini_study_form, scaled_form
 from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
 
@@ -156,6 +156,28 @@ def test_even_rescale_without_its_square_roots(monkeypatch):
     report = _assert_fails_with_witness("P-evenedrescale", {"samples": 60})
     assert math.isnan(report.max_residual)
     assert report.witness["r"] != 1.0
+
+
+def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
+    # an integrator whose endpoint is the scalar action, the flow of an evened
+    # cosphere: on the uneven one it keeps to the scalar orbit, so no witness
+    def scalar_integrate(ham, m, t_final, dt, profile):
+        return FlowResult(endpoint=scalar_action(m, t_final), energy_drift=0.0, constraint_drift=0.0, steps=0)
+
+    monkeypatch.setattr(checks_module, "rk4_integrate", scalar_integrate)
+    report = _assert_fails_with_witness("R-uneven-flow")
+    # the segments' rotations compose to the scalar action up to rounding
+    assert report.max_residual < 1e-12
+
+
+def test_omega_r_replaced_by_a_multiple_of_fubini_study(monkeypatch):
+    # 2r omega_FS is pointwise proportional to omega_FS, so every ratio is 2r
+    def multiple_of_fs(point, v1, v2, r, profile=None, sheet=+1):
+        return 2.0 * r * fubini_study_form(point.rep.shape[-1] - 1)(point, v1, v2)
+
+    monkeypatch.setattr(checks_module, "omega_r", multiple_of_fs)
+    report = _assert_fails_with_witness("R-omega-r-not-FS")
+    assert report.max_residual < 1e-12
 
 
 def test_omega_r_lift_without_the_dw_term(monkeypatch):
