@@ -1003,14 +1003,20 @@ _gen_evenedflow_restored = _cotangent_generator(sample_cosphere, "trajectories",
     "P-evenedflow-restored",
     "after evening, the RK4 flow agrees with the scalar action",
     covers=("evened-disc-bundle",), tolerance=1e-6,
-    params={"n": [2], "r_uneven": 0.5, "trajectories": 1, "dt": 0.01, "t_checks": [float(np.pi), TWO_PI]},
+    params={
+        "n": [2], "r_uneven": 0.5, "trajectories": 1, "dt": 0.01,
+        "t_checks": [float(np.pi / 2.0), float(np.pi), TWO_PI],
+    },
     fields={
         "n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES,
         "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
 )
 def _res_evenedflow_restored(rows, profile):
-    # one trajectory a row, compared with the scalar action at each check time in turn
+    # one trajectory a row, compared with the scalar action at each check time
+    # in turn. Like the scalar action, the uneven flow maps (p, q) to (-p, -q)
+    # at pi and back at 2 pi, so an evening left out or wrong passes at those
+    # two times; at pi / 2 it fails
     return _rk4_drift(even_rescale(_pq(rows), rows["r"]), rows["ts"], rows["dt"], profile, scalar_action)
 
 

@@ -26,7 +26,11 @@ at the end. At that size a loop over lists costs more than its arithmetic
 too, so both the field solve and the whole trajectory are one function per
 d each, generated and compiled on first use over the 2d floats as named
 scalars: the trajectory kernel holds the step loop, with its retractions
-and drifts, and calls the field kernel at each stage. On an "evened" cosphere
+and drifts, and calls the field kernel at each stage. Both kernels take
+Python floats only: one numpy scalar among the inputs, such as the base
+radius sqrt(r) that even_rescale returns, would make every operation of the
+loop a numpy-scalar operation, at twice the cost of a float one or more,
+with the same rounding. On an "evened" cosphere
 (|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
 cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq; on
 an uneven cosphere over
@@ -183,6 +187,8 @@ def _field_kernel(d: int):
     guards of the solve, in order: |q| at or below 1e-8 raises
     ZeroSectionError, |p|^2 at or below 1e-20 |(p, q)|^2 a numerical rank
     failure, and a field that leaves |G X| above 1e-8 a RuntimeError.
+    Every argument is a Python float; a numpy scalar would keep its bits but
+    make each operation a numpy-scalar one.
     """
     p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
     source = _FIELD_KERNEL.format(
@@ -252,7 +258,8 @@ def _rk4_kernel(d: int):
     same order as the loop over lists it replaces, so the same floats bit
     for bit. The norms are hypot's, each dot product is added left to right
     from 0.0, and the drifts keep the builtin max and its argument order,
-    so a NaN drift is passed over as max passes it over.
+    so a NaN drift is passed over as max passes it over. Every argument but
+    ``field`` is a Python float, as :func:`_field_kernel` takes them.
     """
     p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")
     x = p + q
@@ -298,9 +305,10 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
     the relative step h |q|^2, which keeps it well scaled at any size of q.
     Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. None of this needs
     (p, q) on the constraint set: called once per RK4 stage, at the stage's
-    ambient point. The solve is :func:`_field_kernel`'s, with its guards.
+    ambient point. The solve is :func:`_field_kernel`'s, with its guards,
+    and k_ham and h reach it as Python floats.
     """
-    return list(_field_kernel(len(p))(k_ham, h, *p, *q))
+    return list(_field_kernel(len(p))(float(k_ham), float(h), *p, *q))
 
 
 def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
@@ -384,7 +392,11 @@ def rk4_integrate(
     is not finite, raises ValueError; a trajectory of more than MAX_STEPS
     steps raises StepLimitError before the first step, and before a kernel
     is fetched. The trajectory is :func:`_rk4_kernel`'s, with the field of
-    :func:`_field_kernel`.
+    :func:`_field_kernel`. Both kernels are passed Python floats only, each
+    scalar through float() and p and q through tolist(): one numpy scalar
+    among them, such as the numpy.float64 base radius of an evened point,
+    makes every operation of the loop a numpy-scalar one, with the same
+    rounding at about twice the cost a step.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -394,8 +406,8 @@ def rk4_integrate(
     k = m.base_radius
     d = m.p.size
     x, energy_drift, constraint_drift, steps = _rk4_kernel(d)(
-        _field_kernel(d), ham.base_radius, profile.fd_step, k, t_final, dt,
-        ham.value(m), max(m.residuals()), *m.p.tolist(), *m.q.tolist(),
+        _field_kernel(d), float(ham.base_radius), float(profile.fd_step), float(k), float(t_final), float(dt),
+        float(ham.value(m)), float(max(m.residuals())), *m.p.tolist(), *m.q.tolist(),
     )
     return FlowResult(
         endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k),

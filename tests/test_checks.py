@@ -854,7 +854,7 @@ PINNED_INPUT_HASHES = {
     "P-segre-equivariance": "59bf9c05d629298a40e4c03630c994a4f1b81fe3be6d8eb7a4804b70b19ceca4",
     "R-diag-antidiag": "52f58e96177d52fe5b9b67c60761c22d1c21dc1ce5b3e18f0197ac268fb3e109",
     "P-evenedrescale": "b251ade713f6881ec130c3941444eedf2b5409d3e34ce45afe80ea4b02ede432",
-    "P-evenedflow-restored": "3f2bebb13203cdbf5733ff90d40c6786d6d5aadfa6fe44e3f65c36adbd68eb17",
+    "P-evenedflow-restored": "13ed212c0d978be62eec9d614021fee69d73cf94887a0e6dc6d8790428b23b30",
     "R-uneven-flow": "83865a5d2c43d67df608307971918ae86d25f46b1f22709572adb7e17d7310ea",
     "P-omega-r-descent": "1ea5dc9fc5844f19a8ea2bc29721858b03b2496abdd51c7e25fb692838c31281",
     "R-omega-r-not-FS": "e4e126e8a72148f3e86b76e85037fe2b578157d8947424f98de4b7e5fac1b761",

@@ -1,5 +1,7 @@
 """Hamiltonian vector field, closed-form flows, scalar action, RK4."""
 
+import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import fd_oracle
 from fd_oracle import constraint_frame, reference_field, reference_rk4, retract
 
 from quadcover import dynamics
+from quadcover.checks import render_json, run_check
 from quadcover.cotangent import (
     CotangentPoint,
     OffBundleError,
@@ -30,7 +33,7 @@ from quadcover.dynamics import (
     rk4_integrate,
     scalar_action,
 )
-from quadcover.numerics import derive_stream
+from quadcover.numerics import DEFAULT_PROFILE, derive_stream
 
 
 def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
@@ -404,6 +407,11 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
                 for t_final, dt in times:
                     got = _trajectory(rk4_integrate, HamiltonianSpec(k_ham), m, t_final, dt)
                     assert got == _trajectory(reference_rk4, HamiltonianSpec(k_ham), m, t_final, dt), (d, k, k_ham)
+                    # numpy scalars in, as even_rescale's sqrt gives them: the same bits
+                    ham64 = HamiltonianSpec(np.float64(k_ham))
+                    m64 = CotangentPoint(p=m.p, q=m.q, base_radius=np.float64(k))
+                    assert got == _trajectory(rk4_integrate, ham64, m64, t_final, dt), (d, k, k_ham)
+                    assert got == _trajectory(reference_rk4, ham64, m64, t_final, dt), (d, k, k_ham)
                     # at d = 1 the retracted q is 0 or parallel to p: both raise once a step runs
                     runs = dt > 0 and t_final / dt <= MAX_STEPS and (d > 1 or t_final < 1e-12)
                     assert isinstance(got[0], list) == runs or k_ham != k, (d, k, got)
@@ -421,6 +429,40 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
     assert got == _trajectory(reference_rk4, HamiltonianSpec(1.0), m, 0.3, 0.07)
     monkeypatch.undo()
     assert got != _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.3, 0.07)
+
+
+def test_kernels_take_python_floats_only(monkeypatch):
+    # one numpy scalar among a kernel's inputs makes every operation of its
+    # loop a numpy-scalar one, at twice the cost or more; isinstance would
+    # pass np.float64, which subclasses float, so each type is compared
+    calls = []
+
+    def recorded(make):
+        def make_recorded(d):
+            kernel = make(d)
+            return lambda *args: calls.append(args) or kernel(*args)
+
+        return make_recorded
+
+    monkeypatch.setattr(dynamics, "_rk4_kernel", recorded(dynamics._rk4_kernel))
+    monkeypatch.setattr(dynamics, "_field_kernel", recorded(dynamics._field_kernel))
+    report = run_check("P-evenedflow-restored", {"tolerance": -1.0})
+    witness = json.loads(render_json([report]))[0]["witness"]
+    assert run_check("P-evenedflow-restored", {"witness": witness}).max_residual == report.max_residual
+    # every scalar input a numpy scalar; off the base sphere, the start drift
+    # is the numpy-scalar |p| defect, not the float p.q
+    m = even_rescale(sample_cosphere(2, 1.0, 0.5, derive_stream(83, "float contract")), 0.5)
+    profile = dataclasses.replace(DEFAULT_PROFILE, fd_step=np.float64(1e-5))
+    start = CotangentPoint(p=1.01 * m.p, q=m.q, base_radius=m.base_radius)
+    rk4_integrate(HamiltonianSpec(m.base_radius), start, np.float64(0.3), np.float64(0.01), profile)
+    dynamics._solve_field(m.base_radius, m.p.tolist(), m.q.tolist(), np.float64(1e-5))
+    # three segments for each of the run and its replay, and one more
+    # trajectory; each passes the field kernel first, four calls a step
+    trajectories = sum(callable(args[0]) for args in calls)
+    assert trajectories == 7 and len(calls) - trajectories > 4 * 600
+    for args in calls:
+        scalars = [x for x in args if not callable(x)]
+        assert all(type(x) is float for x in scalars), [type(x).__name__ for x in scalars]
 
 
 def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypatch):

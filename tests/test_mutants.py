@@ -146,16 +146,44 @@ def test_hamiltonian_three_times_too_fast(monkeypatch):
     assert report.max_residual > 1.0
 
 
-def test_even_rescale_without_its_square_roots(monkeypatch):
-    def unrooted(m, r):
-        # (p, q) -> (r p, q / r): lands over the radius-r sphere, not radius sqrt(r)
-        return CotangentPoint(p=r * m.p, q=m.q / r, base_radius=r)
+def _unrooted_rescale(m, r):
+    # (p, q) -> (r p, q / r): lands over the radius-r sphere, not radius sqrt(r)
+    return CotangentPoint(p=r * m.p, q=m.q / r, base_radius=r)
 
-    monkeypatch.setattr(checks_module, "even_rescale", unrooted)
+
+def test_even_rescale_without_its_square_roots(monkeypatch):
+    monkeypatch.setattr(checks_module, "even_rescale", _unrooted_rescale)
     # the evened bundle's membership guards trip, so the check fails with NaN
     report = _assert_fails_with_witness("P-evenedrescale", {"samples": 60})
     assert math.isnan(report.max_residual)
     assert report.witness["r"] != 1.0
+
+
+@pytest.mark.parametrize(
+    "rescale", [lambda m, r: m, _unrooted_rescale], ids=["no evening", "r in place of sqrt r"]
+)
+def test_evened_flow_with_a_wrong_evening(rescale, monkeypatch):
+    # the uneven flow, like the scalar action, is (-p, -q) at pi and (p, q) at
+    # 2 pi, so only the comparison at pi / 2 tells a wrong evening apart
+    monkeypatch.setattr(checks_module, "even_rescale", rescale)
+    report = _assert_fails_with_witness("P-evenedflow-restored")
+    assert report.max_residual > 0.1
+
+
+def test_closed_form_flow_turning_backwards(monkeypatch):
+    original = checks_module.flow_closed_form
+
+    def backwards(m, t):
+        # (cos t p - sin t q, cos t q + sin t p): the action e^{+it}, behind the
+        # original flow's evened-input guard
+        original(m, t)
+        c, s = dynamics_module._cos_sin(t)
+        return CotangentPoint(p=c * m.p - s * m.q, q=c * m.q + s * m.p, base_radius=m.base_radius)
+
+    monkeypatch.setattr(checks_module, "flow_closed_form", backwards)
+    report = _assert_fails_with_witness("P-unitcut-flow", {"samples": 20})
+    # the two actions part by 2 sin t (q, -p), up to 2 on the unit cosphere
+    assert report.max_residual > 1.0
 
 
 def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
