@@ -27,7 +27,6 @@ from .cotangent import (
 )
 from .dynamics import (
     FlowResult,
-    HamiltonianSpec,
     ZeroSectionError,
     flow_closed_form,
     flow_uneven_cosphere,

@@ -54,7 +54,6 @@ from .cotangent import (
     sample_tangent,
 )
 from .dynamics import (
-    HamiltonianSpec,
     StepLimitError,
     flow_closed_form,
     flow_uneven_cosphere,
@@ -63,6 +62,7 @@ from .dynamics import (
     scalar_action,
 )
 from .forms import (
+    BRANCH_MARGIN,
     BoxSpace,
     CotangentSpace,
     ProjectiveSpace,
@@ -94,7 +94,6 @@ from .maps import (
 )
 from .numerics import (
     CHUNK_ROWS,
-    DEFAULT_PROFILE,
     PROFILES,
     ToleranceProfile,
     _null_frame,
@@ -128,6 +127,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+# |entry| at or below which a residual counts a point as on a hyperplane or
+# on the quadric, whatever profile judges the run
+LOCUS_TOL = 1e-10
 
 
 class UsageError(ValueError):
@@ -377,7 +380,7 @@ def _row_dist(a: CotangentPoint, b: CotangentPoint) -> np.ndarray:
     return np.maximum(np.abs(a.p - b.p), np.abs(a.q - b.q)).max(axis=-1)
 
 
-def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exact: Callable) -> np.ndarray:
+def _rk4_drift(m: CotangentPoint, ts, dt: float, exact: Callable) -> np.ndarray:
     """Per row of ``m``: the largest distance of its RK4 trajectory, on its base radius, from ``exact`` at each ``ts``.
 
     One trajectory a row, each compared with ``exact(start, t)`` at the
@@ -385,13 +388,12 @@ def _rk4_drift(m: CotangentPoint, ts, dt: float, profile: ToleranceProfile, exac
     all are refused before the first one starts.
     """
     require_steps(ts[-1], dt)
-    ham = HamiltonianSpec(m.base_radius)
     drifts = []
     for p, q in zip(m.p, m.q):
         start = CotangentPoint(p=p, q=q, base_radius=m.base_radius)
         point, t_done, dists = start, 0.0, [0.0]
         for t in ts:
-            point = rk4_integrate(ham, point, t - t_done, dt, profile).endpoint
+            point = rk4_integrate(point, t - t_done, dt).endpoint
             t_done = t
             dists.append(_row_dist(point, exact(start, t)))
         # np.max, not max(): a NaN distance wins
@@ -546,7 +548,7 @@ class Check:
         return lambda params, rng: Inputs(self.fields, blocks(params, rng))
 
     @property
-    def residual(self) -> Callable[[Inputs, ToleranceProfile], np.ndarray]:
+    def residual(self) -> Callable[[Inputs], np.ndarray]:
         return _chunked(globals()[("_score_" if self.kind == "witness" else "_res_") + self.name])
 
 
@@ -587,7 +589,7 @@ def build_registry() -> dict[str, Check]:
 # ---------------------------------------------------------------------------
 
 
-def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Callable:
+def _chunked(residual: Callable[[Block], np.ndarray]) -> Callable:
     """Lift a residual of a chunk of rows to the list contract: chunks of at most CHUNK_ROWS rows, in order.
 
     The residual returns one value per row, or a scalar for a chunk of one
@@ -596,20 +598,20 @@ def _chunked(residual: Callable[[Block, ToleranceProfile], np.ndarray]) -> Calla
     the rows off the bundle score NaN, failing the check as its witnesses.
     """
 
-    def or_nan(rows: Block, profile: ToleranceProfile) -> np.ndarray:
+    def or_nan(rows: Block) -> np.ndarray:
         try:
-            return np.asarray(residual(rows, profile), dtype=float).reshape(len(rows))
+            return np.asarray(residual(rows), dtype=float).reshape(len(rows))
         except OffBundleError:
             if len(rows) == 1:
                 return np.full(1, np.nan)
-            return np.concatenate([or_nan(rows.rows(slice(i, i + 1)), profile) for i in range(len(rows))])
+            return np.concatenate([or_nan(rows.rows(slice(i, i + 1))) for i in range(len(rows))])
 
-    def batch(inputs: Inputs, profile: ToleranceProfile) -> np.ndarray:
+    def batch(inputs: Inputs) -> np.ndarray:
         out = []
         for block in inputs.blocks:
             for lo in range(0, len(block), CHUNK_ROWS):
                 chunk = block if len(block) <= CHUNK_ROWS else block.rows(slice(lo, lo + CHUNK_ROWS))
-                out.append(or_nan(chunk, profile))
+                out.append(or_nan(chunk))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     return batch
@@ -653,7 +655,7 @@ def _gen_projemb(params, rng):
     params={"n": [1, 2, 3], "r": [1.0, ROOT2, 2.0], "samples": 1000, "pairs": 3},
     fields={"n": DIM, "r": RADIUS, "z": CVEC, "v1": TANGENT, "v2": TANGENT},
 )
-def _res_projemb(rows, profile):
+def _res_projemb(rows):
     n, r, v1, v2 = rows["n"], rows["r"], rows["v1"], rows["v2"]
     target = scaled_form(fubini_study_form(n + 1), r * r)
     value = pullback(ball_embedding(n, r), target, realify(rows["z"]), v1, v2)
@@ -670,9 +672,9 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
-def _res_sphereembedding(rows, profile):
+def _res_sphereembedding(rows):
     image = cotangent_to_quadric(_pq(rows.flat()))
-    on_hyperplane = np.abs(image.rep[..., rows["n"] + 1]) <= profile.residual_tol
+    on_hyperplane = np.abs(image.rep[..., rows["n"] + 1]) <= LOCUS_TOL
     return np.where(on_hyperplane, np.nan, np.abs(quadric_residual(image)))
 
 
@@ -702,7 +704,7 @@ def _gen_sphereembedding_lift(params, rng):
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "z": QVEC},
 )
-def _res_sphereembedding_lift(rows, profile):
+def _res_sphereembedding_lift(rows):
     point = proj_normalize(rows.flat()["z"])
     m = quadric_to_cotangent(point)
     base_defect = np.abs(row_norms(m.p) - 1.0)
@@ -721,11 +723,11 @@ _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
     params={"n": [1, 2, 3], "samples": 200},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
-def _res_unitcut_boundary(rows, profile):
+def _res_unitcut_boundary(rows):
     ts = np.linspace(0.0, TWO_PI, 17)[1:]
     m = _pq(rows)
     image = cosphere_boundary(m)
-    off_hyperplane = ~(np.abs(image.rep[:, rows["n"] + 1]) <= profile.residual_tol)
+    off_hyperplane = ~(np.abs(image.rep[:, rows["n"] + 1]) <= LOCUS_TOL)
     # the N x 16 orbit points in one call: row i * 16 + j is input i at ts[j]
     repeated = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
     orbit = cosphere_boundary(scalar_action(repeated, np.tile(ts, len(rows))))
@@ -744,12 +746,12 @@ _gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: 
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
     fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
 )
-def _res_unitcut_flow(rows, profile):
+def _res_unitcut_flow(rows):
     # a row spans t_grid orbit points: slices of rows keep a call's arrays to
     # about CHUNK_ROWS points, as large as those of the other checks
     step = max(1, CHUNK_ROWS // rows["t_grid"])
     if len(rows) > step:
-        return np.hstack([_res_unitcut_flow(rows.rows(slice(i, i + step)), profile) for i in range(0, len(rows), step)])
+        return np.hstack([_res_unitcut_flow(rows.rows(slice(i, i + step))) for i in range(0, len(rows), step)])
     # both flows over the whole time grid at once: a point as it is, rows
     # repeated so that row i * T + j is input i at the j-th time; then each
     # input's largest entry gap in one reduction
@@ -775,12 +777,12 @@ _gen_unitcut_rk4 = _cotangent_generator(
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt": TIME, "t_final": TIME},
 )
-def _res_unitcut_rk4(rows, profile):
+def _res_unitcut_rk4(rows):
     # compared at a third and halfway as well: at t_final = 2 pi the closed
     # form is the identity and at pi the antipode, so a field whose flow is
     # 2 pi periodic, or three times too fast, would pass at those two times
     t_final = rows["t_final"]
-    return _rk4_drift(_pq(rows), (t_final / 3.0, t_final / 2.0, t_final), rows["dt"], profile, flow_closed_form)
+    return _rk4_drift(_pq(rows), (t_final / 3.0, t_final / 2.0, t_final), rows["dt"], flow_closed_form)
 
 
 _gen_unitcut_rk4_order = _cotangent_generator(
@@ -796,12 +798,12 @@ _gen_unitcut_rk4_order = _cotangent_generator(
     params={"n": [2], "trajectories": 1, "dt0": 0.1, "t_final": float(np.pi)},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt0": TIME, "t_final": TIME},
 )
-def _res_unitcut_rk4_order(rows, profile):
+def _res_unitcut_rk4_order(rows):
     # endpoint error must fall ~16x when the step is halved (fourth order);
     # measured at coarse steps where truncation dominates the noise floor
     m, t_final, dt0 = _pq(rows), (rows["t_final"],), rows["dt0"]
     # every fine trajectory first: a step limit refuses them before a coarse one runs
-    fine, coarse = (_rk4_drift(m, t_final, dt, profile, flow_closed_form) for dt in (dt0 / 2.0, dt0))
+    fine, coarse = (_rk4_drift(m, t_final, dt, flow_closed_form) for dt in (dt0 / 2.0, dt0))
     # a fine-step error of 0 shows no order and fails with an infinite
     # ratio; a NaN error stays NaN
     ratio = np.divide(coarse, fine, out=np.full(len(rows), np.inf), where=fine != 0.0)
@@ -818,7 +820,7 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
-def _res_branchedcover_deck(rows, profile):
+def _res_branchedcover_deck(rows):
     m = _pq(rows.flat())
     upstairs = cotangent_to_quadric(m)
     flipped = deck(upstairs)
@@ -846,10 +848,10 @@ def _gen_branchedcover_fibers(params, rng):
     params={"n": [1, 2, 3], "samples": 200},
     fields={"kind": {"off": (), "on": ()}, "expected": COUNT, "z": _Vector(None, complex=True), "n": _Param(DIM)},
 )
-def _res_branchedcover_fibers(rows, profile):
+def _res_branchedcover_fibers(rows):
     flat = rows.flat()
     point = proj_normalize(flat["z"])
-    *sheets, count = quadric_fiber(point, tol=profile.residual_tol)
+    *sheets, count = quadric_fiber(point, tol=LOCUS_TOL)
     worst = [np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets]
     # a wrong number of preimages scores NaN
     return np.where(count == flat["expected"], np.maximum(*worst), np.nan)
@@ -865,7 +867,7 @@ _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
     params={"n": [1, 2, 3], "samples": 100},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
-def _res_pi_not_symplectic(rows, profile):
+def _res_pi_not_symplectic(rows):
     # at a branch point the vertical direction is tangent to the quadric and
     # killed by the cover, yet pairs nontrivially with its i-rotation upstairs
     n = rows["n"]
@@ -899,11 +901,11 @@ def _gen_segre_pullback(params, rng):
     params={"samples": 1000},
     fields={"a": CP1, "b": CP1, "v1": _Vector(8), "v2": _Vector(8)},
 )
-def _res_segre_pullback(rows, profile):
+def _res_segre_pullback(rows):
     fs1 = scaled_form(fubini_study_form(1), 2.0)
     target = scaled_form(fubini_study_form(3), 2.0)
     pair = (proj_normalize(rows["a"]), proj_normalize(rows["b"]))
-    off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > profile.residual_tol
+    off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > LOCUS_TOL
     v1, v2 = rows["v1"], rows["v2"]
     value = pullback(segre_map(), target, pair, v1, v2)
     return np.where(off_quadric, np.nan, np.abs(value - product_form(fs1, fs1)(pair, v1, v2)))
@@ -921,7 +923,7 @@ def _gen_segre_equivariance(params, rng):
     params={"samples": 1000},
     fields={"a": CP1, "b": CP1},
 )
-def _res_segre_equivariance(rows, profile):
+def _res_segre_equivariance(rows):
     flat = rows.flat()
     a, b = proj_normalize(flat["a"]), proj_normalize(flat["b"])
     swap = projective_defect(deck(segre_unitary(a, b)), segre_unitary(b, a))
@@ -940,7 +942,7 @@ def _gen_diag_antidiag(params, rng):
     params={"samples": 1000},
     fields={"a": CP1},
 )
-def _res_diag_antidiag(rows, profile):
+def _res_diag_antidiag(rows):
     a = proj_normalize(rows.flat()["a"])
     on_conic = branched_cover(segre_unitary(a, a))
     on_real = branched_cover(segre_unitary(a, antipodal_cp1(a)))
@@ -973,7 +975,7 @@ def _gen_evenedrescale(params, rng):
         "v1": TANGENT, "v2": TANGENT, "t": TIME,
     },
 )
-def _res_evenedrescale(rows, profile):
+def _res_evenedrescale(rows):
     n, r, m = rows["n"], rows["r"], _pq(rows)
     if rows["part"] == "form":
         rescale = _evened_rescale_map(n, r)
@@ -1012,12 +1014,12 @@ _gen_evenedflow_restored = _cotangent_generator(sample_cosphere, "trajectories",
         "r_uneven": _Param(RADIUS), "t_checks": _Param(TIMES),
     },
 )
-def _res_evenedflow_restored(rows, profile):
+def _res_evenedflow_restored(rows):
     # one trajectory a row, compared with the scalar action at each check time
     # in turn. Like the scalar action, the uneven flow maps (p, q) to (-p, -q)
     # at pi and back at 2 pi, so an evening left out or wrong passes at those
     # two times; at pi / 2 it fails
-    return _rk4_drift(even_rescale(_pq(rows), rows["r"]), rows["ts"], rows["dt"], profile, scalar_action)
+    return _rk4_drift(even_rescale(_pq(rows), rows["r"]), rows["ts"], rows["dt"], scalar_action)
 
 
 _gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _step_and_times)
@@ -1031,14 +1033,14 @@ _gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _s
     fields={"n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES, "t_checks": _Param(TIMES)},
     kind="witness",
 )
-def _score_uneven_flow(rows, profile):
+def _score_uneven_flow(rows):
     # witness search: how far the true flow drifts from the scalar action
-    return _rk4_drift(_pq(rows), rows["ts"], rows["dt"], profile, scalar_action)
+    return _rk4_drift(_pq(rows), rows["ts"], rows["dt"], scalar_action)
 
 
 def _gen_omega_r_descent(params, rng):
     blocks = []
-    margin = 2.5 * DEFAULT_PROFILE.branch_margin
+    margin = 2.5 * BRANCH_MARGIN
 
     def draw(n, index):
         m = sample_disc_bundle(n, 1.0, 1.0, rng, size=index.size)
@@ -1065,7 +1067,7 @@ def _gen_omega_r_descent(params, rng):
     params={"n": [1, 2, 3], "r": [0.5, 1.0, 2.0], "samples": 1000},
     fields={"n": DIM, "r": RADIUS, "z": QVEC, "v1": QVEC, "v2": QVEC},
 )
-def _res_omega_r_descent(rows, profile):
+def _res_omega_r_descent(rows):
     # each row with its own radius: the form and the expected value both
     # scale elementwise by 2r
     n, r = rows["n"], np.broadcast_to(rows["r"], len(rows))
@@ -1073,14 +1075,14 @@ def _res_omega_r_descent(rows, profile):
     v1 = realify(rows["v1"])
     v2 = realify(rows["v2"])
     image, (w1, w2) = branched_cover_map(n).differential(upstairs, np.stack((v1, v2)))
-    value = omega_r(image, w1, w2, r, profile)
+    value = omega_r(image, w1, w2, r)
     expected = 2.0 * r * _omega_std_ambient(v1, v2)
     return np.abs(value - expected)
 
 
 def _gen_omega_r_not_fs(params, rng):
     blocks = []
-    margin = 2.0 * DEFAULT_PROFILE.branch_margin
+    margin = 2.0 * BRANCH_MARGIN
     for n in params["n"]:
         for r in params["r"]:
             point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
@@ -1097,13 +1099,13 @@ def _gen_omega_r_not_fs(params, rng):
     fields={"n": DIM2, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
     kind="witness",
 )
-def _score_omega_r_not_fs(rows, profile):
+def _score_omega_r_not_fs(rows):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
     # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1
     dirs = rows["dirs"]
     point = ProjectivePoint(np.repeat(proj_normalize(rows["z"]).rep, dirs.shape[1], axis=0))
     v = dirs.reshape(-1, dirs.shape[-1])
-    ratios = omega_r(point, realify(v), realify(1j * v), rows["r"], profile).reshape(dirs.shape[:2])
+    ratios = omega_r(point, realify(v), realify(1j * v), rows["r"]).reshape(dirs.shape[:2])
     return ratios.max(axis=1) - ratios.min(axis=1)
 
 
@@ -1119,7 +1121,7 @@ def _gen_period_cp1(params, rng):
     params={"nodes": 200},
     fields={"nodes": NODES},
 )
-def _res_period_cp1(rows, profile):
+def _res_period_cp1(rows):
     value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=rows["nodes"])
     return abs(value - np.pi)
 
@@ -1134,7 +1136,7 @@ _gen_period_q1 = _gen_period_cp1
     params={"nodes": 64},
     fields={"nodes": NODES},
 )
-def _res_period_q1(rows, profile):
+def _res_period_q1(rows):
     form = scaled_form(fubini_study_form(2), 2.0)
     value = integrate_surface(_conic_chart(), form, nodes=rows["nodes"])
     return abs(value - 4.0 * np.pi)
@@ -1151,7 +1153,7 @@ def _gen_period_match(params, rng):
     params={"nodes": 64, "r": [0.5, 1.0, 2.0]},
     fields={"nodes": NODES, "r": RADIUS},
 )
-def _res_period_match(rows, profile):
+def _res_period_match(rows):
     out = []
     for r in np.broadcast_to(rows["r"], len(rows)).tolist():
         fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
@@ -1181,7 +1183,7 @@ def _gen_zerosection(params, rng):
     params={"n": [2], "samples": 500},
     fields={"kind": {"zero": (), "boundary": ()}, "n": DIM, "p": POINT, "q": POINT},
 )
-def _res_zerosection(rows, profile):
+def _res_zerosection(rows):
     flat = rows.flat()
     zero = flat["kind"] == "zero"
     image = branched_cover((cotangent_to_quadric if zero else cosphere_boundary)(_pq(flat)))
@@ -1225,6 +1227,17 @@ def _resolve_profile(profile: str | ToleranceProfile) -> ToleranceProfile:
         raise UsageError(f"unknown tolerance profile {profile!r}") from None
 
 
+def _injected_tolerance(check_id: str, value) -> float:
+    """An injected tolerance as a float; anything but a real number other than NaN is a UsageError."""
+    try:
+        real = isinstance(value, (float, int, Real)) and not math.isnan(value)
+    except OverflowError:
+        real = False
+    if not real:
+        raise UsageError(f"check {check_id}: tolerance must be a real number other than NaN, got {value!r}")
+    return float(value)
+
+
 def run_check(
     check_id: str,
     params: dict | None = None,
@@ -1234,11 +1247,13 @@ def run_check(
     """Run one named check; deterministic given (id, params, seed).
 
     ``params`` may override the check's declared parameters, inject a
-    ``tolerance``, or supply a single serialized ``witness`` input to
-    re-evaluate; a witness that breaks the check's input fields, or whose
-    trajectory would take more than MAX_STEPS RK4 steps, scores NaN, and a
-    param of a generated run that breaks its kind, or sets such a
-    trajectory, is a UsageError.
+    ``tolerance`` (any real number but NaN), or supply a single serialized
+    ``witness`` input to re-evaluate, alone or with a tolerance; a witness
+    that breaks the check's input fields, or whose trajectory would take
+    more than MAX_STEPS RK4 steps, scores NaN, and a param of a generated
+    run that breaks its kind, or sets such a trajectory, is a UsageError.
+    The profile picks the tolerance of a check that names one, and nothing
+    else.
     """
     prof = _resolve_profile(profile)
     registry = build_registry()
@@ -1250,18 +1265,20 @@ def run_check(
     witness_input, overrides = None, {}
     for key, value in (params or {}).items():
         if key == "tolerance":
-            tolerance = float(value)
+            tolerance = _injected_tolerance(check_id, value)
         elif key == "witness":
             witness_input = value
         elif key in check.params:
             overrides[key] = value
         else:
             raise UsageError(f"check {check_id} does not take parameter {key!r}")
+    if witness_input is not None and overrides:
+        raise UsageError(f"check {check_id}: a witness takes no parameter but tolerance, got {sorted(overrides)}")
     start = time.perf_counter()
     if witness_input is not None:
         inputs, block = [witness_input], _parse(check.fields, witness_input)
         try:
-            residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]), prof)
+            residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]))
         except StepLimitError:
             residuals = np.full(1, np.nan)
     else:
@@ -1279,7 +1296,7 @@ def run_check(
                 "and parameter lists non-empty"
             )
         try:
-            residuals = check.residual(inputs, prof)
+            residuals = check.residual(inputs)
         except StepLimitError as exc:
             raise UsageError(f"check {check_id}: {exc}") from None
     elapsed = time.perf_counter() - start
@@ -1319,16 +1336,10 @@ def _dimensions_for(check: Check, n_values: Sequence) -> list:
     return kept
 
 
-def run_suite(
-    pattern: str = "*",
-    config: SuiteConfig = SuiteConfig(),
-    overrides: dict[str, dict] | None = None,
-) -> tuple[list[CheckReport], int]:
+def run_suite(pattern: str = "*", config: SuiteConfig = SuiteConfig()) -> tuple[list[CheckReport], int]:
     """Run all checks matching the id glob, in registry order.
 
-    ``overrides`` maps check ids to extra per-check parameters (including an
-    injected ``tolerance``). A check takes the dimensions of
-    ``config.n_values`` that it accepts (:func:`_dimensions_for`). Returns
+    A check takes the dimensions of ``config.n_values`` that it accepts (:func:`_dimensions_for`). Returns
     the reports plus an exit status: 0 iff every matched check passed.
     Raises UsageError if the glob matches nothing or a check's parameters
     are invalid (see :func:`run_check`).
@@ -1348,8 +1359,6 @@ def run_suite(
             params["n"] = _dimensions_for(check, config.n_values)
         if config.radii is not None and "r" in check.params and isinstance(check.params["r"], tuple):
             params["r"] = list(config.radii)
-        if overrides and cid in overrides:
-            params.update(overrides[cid])
         reports.append(run_check(cid, params or None, seed=config.seed, profile=prof))
     status = 0 if all(r.passed for r in reports) else 1
     return reports, status

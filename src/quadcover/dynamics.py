@@ -49,14 +49,14 @@ from math import hypot, isfinite, sqrt
 import numpy as np
 
 from .cotangent import CotangentPoint, OffBundleError
-from .numerics import DEFAULT_PROFILE, ToleranceProfile, row_norms
+from .numerics import row_norms
 
 __all__ = [
-    "HamiltonianSpec",
     "FlowResult",
     "ZeroSectionError",
     "StepLimitError",
     "MAX_STEPS",
+    "FD_STEP",
     "require_steps",
     "flow_closed_form",
     "flow_uneven_cosphere",
@@ -70,6 +70,10 @@ class ZeroSectionError(ValueError):
 
 
 MAX_STEPS = 10**6  # the checks' default trajectories take at most 6,283
+
+# the relative step of the one |q|^2 slope behind the RK4 field: relative to
+# |q|^2, it balances O(h^2) truncation against double-precision cancellation
+FD_STEP = 1e-5
 
 
 class StepLimitError(ValueError):
@@ -87,16 +91,6 @@ def require_steps(t_final: float, dt: float) -> None:
             f"a trajectory to t = {t_final:.6g} in steps of {dt:.3g} needs {t_final / dt:.3g} RK4 steps, "
             f"more than the limit of {MAX_STEPS:,}"
         )
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Fiber-norm Hamiltonian H_k(p, q) = k |q| over the radius-k base sphere."""
-
-    base_radius: float = 1.0
-
-    def value(self, m: CotangentPoint) -> float:
-        return self.base_radius * float(np.sqrt(m.q @ m.q))
 
 
 @dataclass(frozen=True)
@@ -371,14 +365,8 @@ def scalar_action(m: CotangentPoint, t: float) -> CotangentPoint:
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=m.base_radius)
 
 
-def rk4_integrate(
-    ham: HamiltonianSpec,
-    m: CotangentPoint,
-    t_final: float,
-    dt: float,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
-) -> FlowResult:
-    """Classical RK4 for the solved vector field, as the standard projection method.
+def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
+    """Classical RK4 for the field of H_k = k|q|, k the base radius of ``m``, as the standard projection method.
 
     The start point is retracted onto the constraint set once. Each step
     solves the field at the ambient stage points x + dt/2 k1, x + dt/2 k2
@@ -406,8 +394,8 @@ def rk4_integrate(
     k = m.base_radius
     d = m.p.size
     x, energy_drift, constraint_drift, steps = _rk4_kernel(d)(
-        _field_kernel(d), float(ham.base_radius), float(profile.fd_step), float(k), float(t_final), float(dt),
-        float(ham.value(m)), float(max(m.residuals())), *m.p.tolist(), *m.q.tolist(),
+        _field_kernel(d), float(k), FD_STEP, float(k), float(t_final), float(dt),
+        float(k * float(np.sqrt(m.q @ m.q))), float(max(m.residuals())), *m.p.tolist(), *m.q.tolist(),
     )
     return FlowResult(
         endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k),

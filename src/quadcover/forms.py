@@ -32,10 +32,11 @@ import numpy as np
 
 from .cotangent import CotangentPoint
 from .jets import Jet
-from .numerics import DEFAULT_PROFILE, ToleranceProfile, complexify, gauss_legendre_2d, realify
+from .numerics import complexify, gauss_legendre_2d, realify
 from .projective import ProjectivePoint, horizontal_project
 
 __all__ = [
+    "BRANCH_MARGIN",
     "BranchLocusError",
     "BoxSpace",
     "CotangentSpace",
@@ -55,6 +56,11 @@ __all__ = [
 
 class BranchLocusError(ValueError):
     """Raised when the pushed-down form is evaluated too close to the branch locus."""
+
+
+# the least |sum z^2| at which omega_r lifts a point: it keeps the square-root
+# lift away from the branch locus, where its derivative blows up
+BRANCH_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,6 @@ class TwoForm:
 
     space: Any
     func: Callable[[Any, np.ndarray, np.ndarray], float]
-    name: str = ""
 
     def __call__(self, point, v1, v2) -> float:
         return self.func(point, v1, v2)
@@ -236,34 +241,24 @@ def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
 
 def cotangent_omega_std(n: int, base_radius: float = 1.0) -> TwoForm:
     """Restriction of omega_std to the cotangent constraint set."""
-    return TwoForm(
-        space=CotangentSpace(n, base_radius),
-        func=lambda _, a, b: _omega_std_ambient(a, b),
-        name="omega_std|T*S^n",
-    )
+    return TwoForm(space=CotangentSpace(n, base_radius), func=lambda _, a, b: _omega_std_ambient(a, b))
 
 
-def fubini_study_form(n: int, name: str = "omega_FS") -> TwoForm:
+def fubini_study_form(n: int) -> TwoForm:
     """Fubini-Study form of CP^n on horizontal lifts at unit representatives.
 
     On horizontal vectors at a unit representative the form equals omega_std
     of the realified ambient space; this normalization gives CP^1 total area
     pi (the round sphere of radius 1/2).
     """
-    return TwoForm(
-        space=ProjectiveSpace(n), func=lambda _, a, b: _omega_std_ambient(a, b), name=name
-    )
+    return TwoForm(space=ProjectiveSpace(n), func=lambda _, a, b: _omega_std_ambient(a, b))
 
 
-def scaled_form(form: TwoForm, c: float, name: str = "") -> TwoForm:
-    return TwoForm(
-        space=form.space,
-        func=lambda pt, a, b: c * form.func(pt, a, b),
-        name=name or f"{c:g}*{form.name}",
-    )
+def scaled_form(form: TwoForm, c: float) -> TwoForm:
+    return TwoForm(space=form.space, func=lambda pt, a, b: c * form.func(pt, a, b))
 
 
-def product_form(left: TwoForm, right: TwoForm, name: str = "") -> TwoForm:
+def product_form(left: TwoForm, right: TwoForm) -> TwoForm:
     """Direct sum form on the product of the two underlying spaces."""
     space = ProductSpace(left.space, right.space)
 
@@ -271,7 +266,7 @@ def product_form(left: TwoForm, right: TwoForm, name: str = "") -> TwoForm:
         (a1, a2), (b1, b2) = space._split(a), space._split(b)
         return left.func(pair[0], a1, b1) + right.func(pair[1], a2, b2)
 
-    return TwoForm(space=space, func=evaluate, name=name or f"{left.name}(+){right.name}")
+    return TwoForm(space=space, func=evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +279,6 @@ def omega_r(
     v1,
     v2,
     r: float,
-    profile: ToleranceProfile = DEFAULT_PROFILE,
     sheet: int = +1,
 ) -> float | np.ndarray:
     """Pushed-down form on CP^n, off the branch quadric.
@@ -301,14 +295,14 @@ def omega_r(
     Acts on the last axis: one point with 1-D tangents gives one value, and a
     batch of N points (an (N, n+1) representative array) with (N, 2(n+1))
     real tangents gives N values, each with the bits of its row alone.
-    BranchLocusError is raised if any row is within the branch margin.
+    BranchLocusError is raised if any row has |sum z^2| at or below BRANCH_MARGIN.
     """
     rep = point.rep
     s = np.einsum("...i,...i->...", rep, rep)
-    near = np.abs(s) <= profile.branch_margin
+    near = np.abs(s) <= BRANCH_MARGIN
     if near.any():
         bad = np.extract(near, np.abs(s))[0]
-        raise BranchLocusError(f"|sum z^2| = {bad:.3e} is within the branch margin {profile.branch_margin:g}")
+        raise BranchLocusError(f"|sum z^2| = {bad:.3e} is within the branch margin {BRANCH_MARGIN:g}")
     w = sheet * 1j * np.sqrt(s)
     lifted = np.concatenate([rep, w[..., None]], axis=-1)
     norm2 = 1.0 + np.abs(s)

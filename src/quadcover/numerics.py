@@ -36,27 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Numerical knobs shared by every module.
+    """The tolerances a check's result is judged against, by name; no computation reads them."""
 
-    fd_step balances O(h^2) truncation against double-precision cancellation:
-    relative to |q|^2, it is the step of the one |q|^2 slope behind the RK4
-    field (the map differentials are exact, see :mod:`quadcover.jets`);
-    branch_margin keeps the square-root lift of the pushed-down form away
-    from the branch locus where its derivative blows up.
-    """
-
-    fd_step: float = 1e-5
     residual_tol: float = 1e-10
     flow_tol: float = 1e-12
     quadrature_tol: float = 2e-11
-    branch_margin: float = 1e-3
 
     def __post_init__(self) -> None:
-        for field in ("fd_step", "residual_tol", "flow_tol", "quadrature_tol", "branch_margin"):
+        for field in ("residual_tol", "flow_tol", "quadrature_tol"):
             if not getattr(self, field) > 0.0:
                 raise ValueError(f"{field} must be strictly positive")
-        if self.fd_step >= 1e-3:
-            raise ValueError("fd_step must be below 1e-3")
 
 
 DEFAULT_PROFILE = ToleranceProfile()

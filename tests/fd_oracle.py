@@ -27,7 +27,7 @@ import numpy as np
 from quadcover import dynamics
 from quadcover.cotangent import CotangentPoint
 from quadcover.forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace
-from quadcover.numerics import DEFAULT_PROFILE, _null_frame, complexify, realify, row_norms
+from quadcover.numerics import _null_frame, complexify, realify, row_norms
 from quadcover.projective import horizontal_project, proj_normalize
 
 
@@ -149,8 +149,10 @@ def _retract(x: list[float], k: float, d: int) -> tuple[list[float], list[float]
     return p, [b - c * a for a, b in zip(p, q)]
 
 
-def reference_rk4(ham, m: CotangentPoint, t_final: float, dt: float, profile=DEFAULT_PROFILE) -> dynamics.FlowResult:
-    """RK4 as the standard projection method, as a loop over lists; see dynamics.rk4_integrate.
+def reference_rk4(m: CotangentPoint, t_final: float, dt: float) -> dynamics.FlowResult:
+    """RK4 for H_k = k|q|, k the base radius of m, as the standard projection method, as a loop over lists.
+
+    See dynamics.rk4_integrate.
 
     The start point and each step's endpoint are retracted with ``_retract``,
     one retraction a step, and the field is ``reference_field`` at the four
@@ -162,16 +164,15 @@ def reference_rk4(ham, m: CotangentPoint, t_final: float, dt: float, profile=DEF
         raise ValueError("t_final must be finite")
     dynamics.require_steps(t_final, dt)
     k = m.base_radius
-    k_ham = ham.base_radius
     d = m.p.size
-    h = profile.fd_step
+    h = dynamics.FD_STEP
 
     def field(x):
-        return reference_field(k_ham, x[:d], x[d:], h)
+        return reference_field(k, x[:d], x[d:], h)
 
     p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
     x = p + q
-    energy0 = ham.value(m)
+    energy0 = k * float(np.sqrt(m.q @ m.q))
     energy_drift = 0.0
     constraint_drift = max(m.residuals())
     steps = 0
@@ -190,7 +191,7 @@ def reference_rk4(ham, m: CotangentPoint, t_final: float, dt: float, profile=DEF
         ]
         p, q = _retract(x, k, d)
         x = p + q
-        energy_drift = max(energy_drift, abs(k_ham * hypot(*q) - energy0))
+        energy_drift = max(energy_drift, abs(k * hypot(*q) - energy0))
         constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(_dot(p, q)))
         t += step
         steps += 1

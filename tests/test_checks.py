@@ -42,7 +42,7 @@ from quadcover.maps import (
     quadric_to_cotangent,
     segre_unitary,
 )
-from quadcover.numerics import DEFAULT_PROFILE, ToleranceProfile, derive_stream, realify
+from quadcover.numerics import PROFILES, ToleranceProfile, derive_stream, realify
 from quadcover.projective import (
     ProjectivePoint,
     proj_normalize,
@@ -85,7 +85,7 @@ def test_registering_a_duplicate_id_raises():
     before = build_registry()
     with pytest.raises(RuntimeError, match="already registered"):
         checks_module._check("L-projemb", "again", ("ball-embedding-pullback",), 1.0, {}, {})(
-            lambda inp, profile: 0.0
+            lambda rows: 0.0
         )
     assert build_registry() == before
 
@@ -177,10 +177,16 @@ def test_injected_tolerance_forces_failure_with_witness():
     assert report.max_residual > report.tolerance
 
 
-def test_failed_check_yields_suite_exit_status_one():
-    reports, status = run_suite(
-        "L-projemb", SuiteConfig(), overrides={"L-projemb": dict(FAST_FAIL)}
-    )
+def test_failed_check_yields_suite_exit_status_one(monkeypatch):
+    original = build_registry
+
+    def forced():
+        registry = original()
+        registry["L-projemb"] = dataclasses.replace(registry["L-projemb"], tolerance=1e-16)
+        return registry
+
+    monkeypatch.setattr(checks_module, "build_registry", forced)
+    reports, status = run_suite("L-projemb", SuiteConfig(samples=5, n_values=(2,), radii=(1.0,)))
     assert status == 1
     assert not reports[0].passed
 
@@ -288,14 +294,14 @@ def _inputs(cid):
 @pytest.mark.parametrize("cid", sorted(BATCHED))
 def test_batched_residual_is_row_invariant(cid, monkeypatch):
     check, inputs = _inputs(cid)
-    whole = check.residual(inputs, DEFAULT_PROFILE)
+    whole = check.residual(inputs)
     monkeypatch.setattr(checks_module, "CHUNK_ROWS", 5)
-    chunked = check.residual(inputs, DEFAULT_PROFILE)
+    chunked = check.residual(inputs)
     assert whole.shape == (len(inputs),)
     assert np.array_equal(whole, chunked)
     alone = [Inputs(check.fields, [block.rows([i])]) for block in inputs.blocks for i in range(len(block))]
     for i, row in enumerate(alone):
-        assert check.residual(row, DEFAULT_PROFILE)[0] == chunked[i]
+        assert check.residual(row)[0] == chunked[i]
 
 
 @pytest.mark.parametrize("cid", sorted(BATCHED))
@@ -311,6 +317,22 @@ def test_batched_witness_replays_bit_for_bit(cid):
     assert replay.max_residual == report.max_residual
 
 
+@pytest.mark.parametrize("cid", sorted(BATCHED))
+def test_the_profile_only_picks_the_tolerance(cid):
+    # residuals, sample counts and witnesses do not read the profile; a check
+    # whose tolerance names a profile field takes that field's value, and
+    # every other check judges its result as before
+    check = build_registry()[cid]
+    default, strict = (run_check(cid, BATCHED[cid], seed=3, profile=name) for name in ("default", "strict"))
+    if isinstance(check.tolerance, str):
+        assert (default.tolerance, strict.tolerance) == (
+            getattr(PROFILES["default"], check.tolerance), getattr(PROFILES["strict"], check.tolerance)
+        )
+        assert default.tolerance != strict.tolerance
+    ignored = {"tolerance": 0.0, "elapsed": 0.0}
+    assert dataclasses.replace(default, **ignored) == dataclasses.replace(strict, **ignored)
+
+
 @pytest.mark.parametrize("seed", [7, 42])
 @pytest.mark.parametrize("cid", sorted(build_registry()))
 def test_every_generated_input_replays_its_suite_residual(cid, seed):
@@ -319,7 +341,7 @@ def test_every_generated_input_replays_its_suite_residual(cid, seed):
     # shared its chunk
     check = build_registry()[cid]
     inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(seed, cid))
-    suite = check.residual(inputs, DEFAULT_PROFILE)
+    suite = check.residual(inputs)
     for inp, residual in zip(inputs, suite):
         assert run_check(cid, {"witness": inp}).max_residual == residual, inp
 
@@ -329,15 +351,15 @@ def test_out_of_ball_row_fails_the_batch():
     block = inputs.blocks[0]
     block["z"][3] *= 1.01 * block["r"] / np.linalg.norm(block["z"][3])
     with pytest.raises(ValueError, match="outside the open ball"):
-        check.residual(inputs, DEFAULT_PROFILE)
+        check.residual(inputs)
 
 
 def test_uneven_row_fails_the_flow_batch():
     # the closed-form flow's membership guard scores the row NaN, leaving the rest
     check, inputs = _inputs("P-unitcut-flow")
-    clean = check.residual(inputs, DEFAULT_PROFILE)
+    clean = check.residual(inputs)
     inputs.blocks[0]["q"][4] *= 1.1
-    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    flagged = check.residual(inputs)
     assert np.isnan(flagged[4])
     assert np.array_equal(np.delete(flagged, 4), np.delete(clean, 4))
     report = run_check("P-unitcut-flow", {"witness": inputs[4]})
@@ -398,7 +420,7 @@ PER_INPUT_LOOPS = {
 def test_row_batched_residuals_match_their_per_input_loops(cid):
     loop, bound = PER_INPUT_LOOPS[cid]
     check, inputs = _inputs(cid)
-    batched = check.residual(inputs, DEFAULT_PROFILE)
+    batched = check.residual(inputs)
     looped = np.array([loop(inp) for inp in inputs])
     assert np.max(np.abs(batched - looped)) <= bound
 
@@ -406,12 +428,12 @@ def test_row_batched_residuals_match_their_per_input_loops(cid):
 def test_uneven_row_fails_the_evenedrescale_flow_batch():
     # only the uneven row scores NaN; its chunk is evaluated again row by row
     check, inputs = _inputs("P-evenedrescale")
-    clean = check.residual(inputs, DEFAULT_PROFILE)
+    clean = check.residual(inputs)
     # the first row of the first flow block
     bad = len(inputs.blocks[0])
     inputs.blocks[1]["q"][0] *= 1.1
     assert inputs[bad]["part"] == "flow"
-    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    flagged = check.residual(inputs)
     assert np.isnan(flagged[bad])
     assert np.array_equal(np.delete(flagged, bad), np.delete(clean, bad))
     report = run_check("P-evenedrescale", {"witness": inputs[bad]})
@@ -425,13 +447,13 @@ def test_branch_locus_row_fails_the_descent_batch():
     near = CotangentPoint(p=m.p, q=(1.0 - 1e-9) * m.q)
     block["z"][2] = cotangent_to_quadric(near).rep
     with pytest.raises(BranchLocusError):
-        check.residual(inputs, DEFAULT_PROFILE)
+        check.residual(inputs)
 
 
 def test_off_quadric_segre_row_scores_nan(monkeypatch):
     # NaN fails under every tolerance, where a score of 1.0 would pass one of 4
     check, inputs = _inputs("P-segre-pullback")
-    clean = check.residual(inputs, DEFAULT_PROFILE)
+    clean = check.residual(inputs)
 
     def moved_first_row(a, b):
         image = segre_unitary(a, b)
@@ -440,7 +462,7 @@ def test_off_quadric_segre_row_scores_nan(monkeypatch):
         return ProjectivePoint(rep=rep)
 
     monkeypatch.setattr(checks_module, "segre_unitary", moved_first_row)
-    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    flagged = check.residual(inputs)
     assert np.isnan(flagged[0])
     assert np.array_equal(flagged[1:], clean[1:])
 
@@ -459,7 +481,7 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
     inputs = check.gen({**check.params, **params}, derive_stream(42, cid))
     # argmax would pick the NaN and a witness check would pass on +inf
     values = iter([0.0, float("inf"), float("nan"), 0.0])
-    monkeypatch.setattr(checks_module, attr, lambda rows, profile: [next(values) for _ in range(len(rows))])
+    monkeypatch.setattr(checks_module, attr, lambda rows: [next(values) for _ in range(len(rows))])
     report = run_check(cid, params)
     assert not report.passed
     assert report.max_residual == float("inf")
@@ -474,26 +496,26 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
     # again row by row: that row scores NaN and the other two keep their bits
     check = build_registry()["R-uneven-flow"]
     inputs = check.gen({**check.params, "trajectories": 3}, derive_stream(42, check.id))
-    clean = check.residual(inputs, DEFAULT_PROFILE)
+    clean = check.residual(inputs)
     bad_start, integrate = inputs.blocks[0]["p"][1], checks_module.rk4_integrate
 
-    def off_bundle_row(ham, m, t_final, dt, profile):
+    def off_bundle_row(m, t_final, dt):
         if np.array_equal(m.p, bad_start):
             raise OffBundleError("not on the bundle")
-        return integrate(ham, m, t_final, dt, profile)
+        return integrate(m, t_final, dt)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", off_bundle_row)
-    flagged = check.residual(inputs, DEFAULT_PROFILE)
+    flagged = check.residual(inputs)
     assert len(inputs) == 3 and np.isnan(flagged[1])
     assert np.array_equal(np.delete(flagged, 1), np.delete(clean, 1))
     report = run_check(check.id, {"trajectories": 3})
     assert not report.passed and report.witness == inputs[1]
 
     # a NaN, not the sentinel: a sentinel score of 1.0 would pass a witness check
-    def off_bundle(rows, profile):
+    def off_bundle(rows):
         raise OffBundleError("not on the evened bundle")
 
-    def broken(rows, profile):
+    def broken(rows):
         raise ValueError("a bug, not a domain error")
 
     monkeypatch.setattr(checks_module, "_score_uneven_flow", off_bundle)
@@ -631,6 +653,36 @@ def test_json_writes_non_finite_reals_as_strings():
 def test_run_check_rejects_invalid_params(cid, params, message):
     with pytest.raises(UsageError, match=message):
         run_check(cid, params)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # raised a bare ValueError or TypeError
+        ({"tolerance": "abc"}, "tolerance must be a real number other than NaN, got 'abc'"),
+        ({"tolerance": None}, "tolerance must be a real number other than NaN, got None"),
+        ({"tolerance": [1]}, r"tolerance must be a real number other than NaN, got \[1\]"),
+        # was accepted, and reported as the tolerance of a failed check
+        ({"tolerance": float("nan")}, "tolerance must be a real number other than NaN, got nan"),
+        ({"tolerance": 10**400}, "tolerance must be a real number other than NaN"),
+        # the witness was replayed and the other params ignored
+        ({"witness": {"n": 1, "p": [1.0, 0.0], "q": [0.0, 0.5]}, "samples": -5},
+         r"a witness takes no parameter but tolerance, got \['samples'\]"),
+        ({"witness": {"n": 1, "p": [1.0, 0.0], "q": [0.0, 0.5]}, "tolerance": 1.0, "n": [2]},
+         r"a witness takes no parameter but tolerance, got \['n'\]"),
+    ],
+    ids=["string", "None", "list", "nan", "huge int", "witness and samples", "witness, tolerance and n"],
+)
+def test_run_check_rejects_a_bad_tolerance_or_a_witness_with_params(params, message):
+    with pytest.raises(UsageError, match=f"check L-sphereembedding: {message}"):
+        run_check("L-sphereembedding", params)
+
+
+def test_a_witness_takes_an_injected_tolerance_of_any_real_but_nan():
+    witness = {"n": 1, "p": [1.0, 0.0], "q": [0.0, 0.5]}
+    for tolerance, passed in ((1.0, True), (math.inf, True), (-1, False), (-math.inf, False)):
+        report = run_check("L-sphereembedding", {"witness": witness, "tolerance": tolerance})
+        assert (report.tolerance, report.passed) == (tolerance, passed)
 
 
 @pytest.mark.parametrize("end", [1e-6, 1e6])
@@ -810,9 +862,7 @@ def test_verdicts_hold_over_a_sweep_of_seeds():
 
 def test_rejection_loops_top_up_to_the_requested_count(monkeypatch):
     # a branch margin that rejects about 95% of the disc draws at n = 2
-    monkeypatch.setattr(
-        checks_module, "DEFAULT_PROFILE", dataclasses.replace(DEFAULT_PROFILE, branch_margin=0.36)
-    )
+    monkeypatch.setattr(checks_module, "BRANCH_MARGIN", 0.36)
     drawn = []
     sampler = checks_module.sample_disc_bundle
 

@@ -154,7 +154,7 @@ def test_non_finite_residual_exits_one_with_string_value(tmp_path, monkeypatch):
     import quadcover.checks as checks_module
 
     # -inf is below every tolerance, yet it is no residual
-    monkeypatch.setattr(checks_module, "_res_zerosection", lambda inp, profile: float("-inf"))
+    monkeypatch.setattr(checks_module, "_res_zerosection", lambda rows: float("-inf"))
     out = tmp_path / "inf.json"
     code = main(["run", "--suite", "T-zerosection", "--samples", "2", "--format", "json", "--out", str(out)])
     assert code == 1

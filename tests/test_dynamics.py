@@ -1,6 +1,5 @@
 """Hamiltonian vector field, closed-form flows, scalar action, RK4."""
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -24,7 +23,6 @@ from quadcover.cotangent import (
 from quadcover.dynamics import (
     MAX_STEPS,
     FlowResult,
-    HamiltonianSpec,
     StepLimitError,
     ZeroSectionError,
     flow_closed_form,
@@ -33,7 +31,7 @@ from quadcover.dynamics import (
     rk4_integrate,
     scalar_action,
 )
-from quadcover.numerics import DEFAULT_PROFILE, derive_stream
+from quadcover.numerics import derive_stream
 
 
 def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
@@ -41,8 +39,8 @@ def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
 
 
 def _field(k_ham: float, m: CotangentPoint) -> np.ndarray:
-    """The solved field at m as an ambient (u, w) array, at the default profile's step."""
-    return np.array(dynamics._solve_field(k_ham, m.p.tolist(), m.q.tolist(), 1e-5))
+    """The solved field at m as an ambient (u, w) array, at the RK4 field's step."""
+    return np.array(dynamics._solve_field(k_ham, m.p.tolist(), m.q.tolist(), dynamics.FD_STEP))
 
 
 def test_vector_field_matches_flow_derivative_at_standard_point():
@@ -241,7 +239,7 @@ def _axis_offset_field(k_ham, p, q, h):
     return np.concatenate((g_q + lam1 * p, -(g_p + lam0 * p + lam1 * q)))
 
 
-def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
+def _numpy_rk4(m, t_final, dt, h=1e-5):
     """The standard projection method with an ndarray state: the oracle for the float loop.
 
     Stages are solved at ambient points; the start point and each step's
@@ -251,11 +249,11 @@ def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
     d = m.p.size
 
     def field(x):
-        return _numpy_field(ham.base_radius, x[:d], x[d:], h)
+        return _numpy_field(k, x[:d], x[d:], h)
 
     point = retract(m.p, m.q, k)
     x = np.concatenate([point.p, point.q])
-    energy0 = ham.value(m)
+    energy0 = k * float(np.sqrt(m.q @ m.q))
     energy_drift = 0.0
     constraint_drift = max(m.residuals())
     steps = 0
@@ -269,7 +267,7 @@ def _numpy_rk4(ham, m, t_final, dt, h=1e-5):
         x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         point = retract(x[:d], x[d:], k)
         x = np.concatenate([point.p, point.q])
-        energy_drift = max(energy_drift, abs(ham.value(point) - energy0))
+        energy_drift = max(energy_drift, abs(k * float(np.sqrt(point.q @ point.q)) - energy0))
         constraint_drift = max(constraint_drift, *point.residuals())
         t += step
         steps += 1
@@ -283,9 +281,8 @@ def test_float_loop_matches_the_numpy_oracle():
         for k in (1.0, np.sqrt(0.5), 3.0):
             for fiber in (k, 0.4 * k):
                 m = sample_cosphere(n, k, fiber, rng)
-                ham = HamiltonianSpec(k)
-                fast = rk4_integrate(ham, m, 0.5, 0.01)
-                slow = _numpy_rk4(ham, m, 0.5, 0.01)
+                fast = rk4_integrate(m, 0.5, 0.01)
+                slow = _numpy_rk4(m, 0.5, 0.01)
                 assert fast.steps == slow.steps == 50
                 assert _dist(fast.endpoint, slow.endpoint) < 1e-10
                 assert abs(fast.energy_drift - slow.energy_drift) < 1e-10
@@ -354,7 +351,7 @@ def test_rk4_loop_makes_no_svd_and_no_linear_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    result = rk4_integrate(HamiltonianSpec(1.0), m, 0.05, 0.01)
+    result = rk4_integrate(m, 0.05, 0.01)
     assert result.steps == 5
     assert _dist(result.endpoint, flow_closed_form(m, 0.05)) < 1e-9
 
@@ -375,7 +372,7 @@ def test_rk4_retracts_the_start_and_each_endpoint_once(monkeypatch):
     m = sample_cosphere(2, 1.0, 0.6, derive_stream(80, "project"))
     for t_final, dt in ((0.5, 0.01), (1.0, 0.3), (1e-13, 0.1)):
         calls.clear()
-        result = reference_rk4(HamiltonianSpec(1.0), m, t_final, dt)
+        result = reference_rk4(m, t_final, dt)
         assert len(calls) == result.steps + 1
     assert result.steps == 0
     assert _dist(result.endpoint, m) < 1e-15
@@ -402,33 +399,31 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
         for k in (1e-3, 0.5, 1.0, 3.0, 1e3):
             p, q = rng.standard_normal((2, d))
             m = CotangentPoint(p=k * p, q=q, base_radius=k)
-            # H = |q| over a small base sphere turns fast, and its field trips the |G X| guard
-            for k_ham in (k, 1.0):
-                for t_final, dt in times:
-                    got = _trajectory(rk4_integrate, HamiltonianSpec(k_ham), m, t_final, dt)
-                    assert got == _trajectory(reference_rk4, HamiltonianSpec(k_ham), m, t_final, dt), (d, k, k_ham)
-                    # numpy scalars in, as even_rescale's sqrt gives them: the same bits
-                    ham64 = HamiltonianSpec(np.float64(k_ham))
-                    m64 = CotangentPoint(p=m.p, q=m.q, base_radius=np.float64(k))
-                    assert got == _trajectory(rk4_integrate, ham64, m64, t_final, dt), (d, k, k_ham)
-                    assert got == _trajectory(reference_rk4, ham64, m64, t_final, dt), (d, k, k_ham)
-                    # at d = 1 the retracted q is 0 or parallel to p: both raise once a step runs
-                    runs = dt > 0 and t_final / dt <= MAX_STEPS and (d > 1 or t_final < 1e-12)
-                    assert isinstance(got[0], list) == runs or k_ham != k, (d, k, got)
+            # a numpy.float64 base radius, as even_rescale's sqrt gives it
+            m64 = CotangentPoint(p=m.p, q=m.q, base_radius=np.float64(k))
+            for t_final, dt in times:
+                got = _trajectory(rk4_integrate, m, t_final, dt)
+                assert got == _trajectory(reference_rk4, m, t_final, dt), (d, k)
+                # numpy scalars in: the same bits
+                assert got == _trajectory(rk4_integrate, m64, t_final, dt), (d, k)
+                assert got == _trajectory(reference_rk4, m64, t_final, dt), (d, k)
+                # at d = 1 the retracted q is 0 or parallel to p: both raise once a step runs
+                runs = dt > 0 and t_final / dt <= MAX_STEPS and (d > 1 or t_final < 1e-12)
+                assert isinstance(got[0], list) == runs, (d, k, got)
     # a collapsed base point, the zero section, and a NaN entry raise as the loop raises
     for p, q in (([0.0, 0.0], [0.0, 1.0]), ([1.0, 0.0], [1.0, 0.0]), ([1.0, float("nan")], [0.0, 1.0])):
         m = CotangentPoint(p=np.array(p), q=np.array(q))
-        got = _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.1, 0.05)
-        assert got == _trajectory(reference_rk4, HamiltonianSpec(1.0), m, 0.1, 0.05)
+        got = _trajectory(rk4_integrate, m, 0.1, 0.05)
+        assert got == _trajectory(reference_rk4, m, 0.1, 0.05)
         assert not isinstance(got[0], list)
     # a patched energy reaches both: the kernels look the module's names up at each call
     energy = dynamics._restricted_energy
     monkeypatch.setattr(dynamics, "_restricted_energy", lambda pp, qq, pq, k_ham: 3.0 * energy(pp, qq, pq, k_ham))
     m = sample_cosphere(3, 1.0, 0.6, derive_stream(82, "patched"))
-    got = _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.3, 0.07)
-    assert got == _trajectory(reference_rk4, HamiltonianSpec(1.0), m, 0.3, 0.07)
+    got = _trajectory(rk4_integrate, m, 0.3, 0.07)
+    assert got == _trajectory(reference_rk4, m, 0.3, 0.07)
     monkeypatch.undo()
-    assert got != _trajectory(rk4_integrate, HamiltonianSpec(1.0), m, 0.3, 0.07)
+    assert got != _trajectory(rk4_integrate, m, 0.3, 0.07)
 
 
 def test_kernels_take_python_floats_only(monkeypatch):
@@ -452,9 +447,8 @@ def test_kernels_take_python_floats_only(monkeypatch):
     # every scalar input a numpy scalar; off the base sphere, the start drift
     # is the numpy-scalar |p| defect, not the float p.q
     m = even_rescale(sample_cosphere(2, 1.0, 0.5, derive_stream(83, "float contract")), 0.5)
-    profile = dataclasses.replace(DEFAULT_PROFILE, fd_step=np.float64(1e-5))
     start = CotangentPoint(p=1.01 * m.p, q=m.q, base_radius=m.base_radius)
-    rk4_integrate(HamiltonianSpec(m.base_radius), start, np.float64(0.3), np.float64(0.01), profile)
+    rk4_integrate(start, np.float64(0.3), np.float64(0.01))
     dynamics._solve_field(m.base_radius, m.p.tolist(), m.q.tolist(), np.float64(1e-5))
     # three segments for each of the run and its replay, and one more
     # trajectory; each passes the field kernel first, four calls a step
@@ -475,7 +469,7 @@ def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypat
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
     for t_final, dt in ((1.0, 1e-300), (1e300, 1e-3), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)):
         with pytest.raises(StepLimitError, match="more than the limit of 1,000,000"):
-            rk4_integrate(HamiltonianSpec(1.0), m, t_final, dt)
+            rk4_integrate(m, t_final, dt)
     # exactly MAX_STEPS steps are allowed; the default trajectories take 6,283
     require_steps(1.0, 1.0 / MAX_STEPS)
     require_steps(2.0 * np.pi, 1e-3)
@@ -541,14 +535,14 @@ def test_uneven_cosphere_flow_matches_rk4():
     # independent validation of the uneven trajectory formula
     rng = derive_stream(69, "veri")
     m = sample_cosphere(2, 1.0, 0.5, rng)
-    result = rk4_integrate(HamiltonianSpec(1.0), m, 1.0, 0.01)
+    result = rk4_integrate(m, 1.0, 0.01)
     assert _dist(result.endpoint, flow_uneven_cosphere(m, 1.0)) < 1e-6
 
 
 def test_rk4_tracks_closed_form_and_conserves_energy():
     rng = derive_stream(70, "rk4")
     m = sample_cosphere(2, 1.0, 1.0, rng)
-    result = rk4_integrate(HamiltonianSpec(1.0), m, 2 * np.pi, 5e-3)
+    result = rk4_integrate(m, 2 * np.pi, 5e-3)
     assert isinstance(result, FlowResult)
     assert _dist(result.endpoint, flow_closed_form(m, 2 * np.pi)) < 1e-6
     assert result.energy_drift < 1e-8
@@ -559,10 +553,9 @@ def test_rk4_tracks_closed_form_and_conserves_energy():
 def test_rk4_halving_shows_fourth_order():
     rng = derive_stream(71, "order")
     m = sample_cosphere(2, 1.0, 1.0, rng)
-    ham = HamiltonianSpec(1.0)
     exact = flow_closed_form(m, np.pi)
-    coarse = _dist(rk4_integrate(ham, m, np.pi, 0.1).endpoint, exact)
-    fine = _dist(rk4_integrate(ham, m, np.pi, 0.05).endpoint, exact)
+    coarse = _dist(rk4_integrate(m, np.pi, 0.1).endpoint, exact)
+    fine = _dist(rk4_integrate(m, np.pi, 0.05).endpoint, exact)
     assert 12.0 < coarse / fine < 20.0
 
 
@@ -570,7 +563,7 @@ def test_rk4_rejects_nonpositive_step():
     rng = derive_stream(72, "step")
     m = sample_cosphere(2, 1.0, 1.0, rng)
     with pytest.raises(ValueError):
-        rk4_integrate(HamiltonianSpec(1.0), m, 1.0, 0.0)
+        rk4_integrate(m, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("t_final", [float("inf"), float("nan")])
@@ -578,7 +571,7 @@ def test_rk4_rejects_a_final_time_that_is_not_finite(t_final):
     # an infinite final time looped forever
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
     with pytest.raises(ValueError, match="t_final must be finite"):
-        rk4_integrate(HamiltonianSpec(1.0), m, t_final, 0.1)
+        rk4_integrate(m, t_final, 0.1)
 
 
 def test_flows_take_one_time_per_row():
@@ -603,11 +596,10 @@ def test_uneven_flow_diverges_from_scalar_action_until_evened():
     rng = derive_stream(73, "fix")
     r = 0.5
     m = sample_cosphere(2, 1.0, r, rng)
-    ham = HamiltonianSpec(1.0)
-    deviation = _dist(rk4_integrate(ham, m, np.pi / 2, 0.02).endpoint, scalar_action(m, np.pi / 2))
+    deviation = _dist(rk4_integrate(m, np.pi / 2, 0.02).endpoint, scalar_action(m, np.pi / 2))
     assert deviation > 0.01
     evened = even_rescale(m, r)
-    restored = rk4_integrate(HamiltonianSpec(evened.base_radius), evened, np.pi / 2, 0.02)
+    restored = rk4_integrate(evened, np.pi / 2, 0.02)
     assert _dist(restored.endpoint, scalar_action(evened, np.pi / 2)) < 1e-6
 
 

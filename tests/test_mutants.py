@@ -87,20 +87,21 @@ def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
 
 
 def test_rk2_step_in_place_of_rk4(monkeypatch):
-    def field(ham, point, profile):
-        return np.array(dynamics_module._solve_field(ham.base_radius, point.p.tolist(), point.q.tolist(), profile.fd_step))
+    def field(point):
+        k = point.base_radius
+        return np.array(dynamics_module._solve_field(k, point.p.tolist(), point.q.tolist(), dynamics_module.FD_STEP))
 
-    def rk2_integrate(ham, m, t_final, dt, profile):
+    def rk2_integrate(m, t_final, dt):
         # explicit midpoint rule: second order, so halving the step cuts the
         # error about 4x where the check expects 16x
         point, t = m, 0.0
         while t < t_final - 1e-12:
             step = min(dt, t_final - t)
             x = np.concatenate([point.p, point.q])
-            k1 = field(ham, point, profile)
+            k1 = field(point)
             mid = x + 0.5 * step * k1
             half = retract(mid[: m.p.size], mid[m.p.size :], m.base_radius)
-            k2 = field(ham, half, profile)
+            k2 = field(half)
             x = x + step * k2
             point = retract(x[: m.p.size], x[m.p.size :], m.base_radius)
             t += step
@@ -189,7 +190,7 @@ def test_closed_form_flow_turning_backwards(monkeypatch):
 def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
     # an integrator whose endpoint is the scalar action, the flow of an evened
     # cosphere: on the uneven one it keeps to the scalar orbit, so no witness
-    def scalar_integrate(ham, m, t_final, dt, profile):
+    def scalar_integrate(m, t_final, dt):
         return FlowResult(endpoint=scalar_action(m, t_final), energy_drift=0.0, constraint_drift=0.0, steps=0)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", scalar_integrate)
@@ -200,7 +201,7 @@ def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
 
 def test_omega_r_replaced_by_a_multiple_of_fubini_study(monkeypatch):
     # 2r omega_FS is pointwise proportional to omega_FS, so every ratio is 2r
-    def multiple_of_fs(point, v1, v2, r, profile=None, sheet=+1):
+    def multiple_of_fs(point, v1, v2, r, sheet=+1):
         return 2.0 * r * fubini_study_form(point.rep.shape[-1] - 1)(point, v1, v2)
 
     monkeypatch.setattr(checks_module, "omega_r", multiple_of_fs)
@@ -209,7 +210,7 @@ def test_omega_r_replaced_by_a_multiple_of_fubini_study(monkeypatch):
 
 
 def test_omega_r_lift_without_the_dw_term(monkeypatch):
-    def lift_without_dw(point, v1, v2, r, profile=None, sheet=+1):
+    def lift_without_dw(point, v1, v2, r, sheet=+1):
         # the lifted tangent keeps dw = 0, so it leaves the quadric's tangent space
         rep = point.rep
         s = np.einsum("...i,...i->...", rep, rep)
@@ -231,7 +232,7 @@ def test_omega_r_lift_without_the_dw_term(monkeypatch):
 
 
 def test_product_form_that_drops_its_right_factor(monkeypatch):
-    def left_factor_only(left, right, name=""):
+    def left_factor_only(left, right):
         space = ProductSpace(left.space, right.space)
         k = space.left.ambient
         return TwoForm(space, lambda pair, a, b: left.func(pair[0], a[..., :k], b[..., :k]))
@@ -244,7 +245,7 @@ def test_product_form_that_drops_its_right_factor(monkeypatch):
 
 def _scaled_fubini_study(eps):
     original = checks_module.fubini_study_form
-    return lambda n, name="omega_FS": scaled_form(original(n, name), 1.0 + eps)
+    return lambda n: scaled_form(original(n), 1.0 + eps)
 
 
 def _scaled_evened_rescale_map(eps):

@@ -212,10 +212,6 @@ def test_quadrature_rejects_single_node():
 
 def test_tolerance_profile_validation():
     with pytest.raises(ValueError):
-        ToleranceProfile(fd_step=-1e-5)
-    with pytest.raises(ValueError):
-        ToleranceProfile(fd_step=1e-2)
-    with pytest.raises(ValueError):
         ToleranceProfile(residual_tol=0.0)
 
 
