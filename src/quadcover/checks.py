@@ -16,16 +16,17 @@ stored by field; a row becomes a plain-JSON dict only as a witness, in a
 report or for a hash.
 
 Every residual takes a chunk of rows of one block and returns one value per
-row; an RK4 or period check, whose row is a whole trajectory or integral,
-loops over its chunk's rows. A chunk is computed by row arithmetic only
-(elementwise operations, ``einsum("ij,ij->i")``, reductions along the last
-axis; never stacked matmul or BLAS, whose rounding depends on the batch
-size), so a replayed witness reproduces its residual bit for bit. A body
-written once on the last axis reads :meth:`Block.flat`, so a chunk of one
-row, every replay among them, runs the maps' 1-D twins, which use the
-reductions of their row twins. That identity depends on the loops numpy
-picks (a complex product of strided columns can round unlike a contiguous
-one); tests guard it.
+row; an RK4 check, whose row is a whole trajectory, loops over its chunk's
+rows, and a period check, whose row is a whole integral, integrates every
+row's form over one jet pass of each chart. A chunk is computed by row
+arithmetic only (elementwise operations, ``einsum("ij,ij->i")``, reductions
+along the last axis; never stacked matmul or BLAS, whose rounding depends
+on the batch size), so a replayed witness reproduces its residual bit for
+bit. A body written once on the last axis reads :meth:`Block.flat`, so a
+chunk of one row, every replay among them, runs the maps' 1-D twins, which
+use the reductions of their row twins. That identity depends on the loops
+numpy picks (a complex product of strided columns can round unlike a
+contiguous one); tests guard it.
 """
 
 from __future__ import annotations
@@ -1154,14 +1155,14 @@ def _gen_period_match(params, rng):
     fields={"nodes": NODES, "r": RADIUS},
 )
 def _res_period_match(rows):
-    out = []
-    for r in np.broadcast_to(rows["r"], len(rows)).tolist():
-        fs1 = scaled_form(fubini_study_form(1), 2.0 * r)
-        diag = integrate_surface(_diagonal_chart(), product_form(fs1, fs1), nodes=rows["nodes"])
-        form = scaled_form(fubini_study_form(2), 2.0 * r)
-        conic = integrate_surface(_conic_chart(), form, nodes=rows["nodes"])
-        out.append(abs(diag - conic))
-    return out
+    # r enters only as the forms' factor 2r, so one jet pass of each chart
+    # integrates every row's form
+    radii = np.broadcast_to(rows["r"], len(rows)).tolist()
+    fs1 = [scaled_form(fubini_study_form(1), 2.0 * r) for r in radii]
+    diag = integrate_surface(_diagonal_chart(), [product_form(f, f) for f in fs1], nodes=rows["nodes"])
+    fs2 = [scaled_form(fubini_study_form(2), 2.0 * r) for r in radii]
+    conic = integrate_surface(_conic_chart(), fs2, nodes=rows["nodes"])
+    return [abs(a - b) for a, b in zip(diag, conic)]
 
 
 def _gen_zerosection(params, rng):
@@ -1249,9 +1250,10 @@ def run_check(
     ``params`` may override the check's declared parameters, inject a
     ``tolerance`` (any real number but NaN), or supply a single serialized
     ``witness`` input to re-evaluate, alone or with a tolerance; a witness
-    that breaks the check's input fields, or whose trajectory would take
-    more than MAX_STEPS RK4 steps, scores NaN, and a param of a generated
-    run that breaks its kind, or sets such a trajectory, is a UsageError.
+    that breaks the check's input fields (``None`` among them), or whose
+    trajectory would take more than MAX_STEPS RK4 steps, scores NaN, and a
+    param of a generated run that breaks its kind, or sets such a
+    trajectory, is a UsageError.
     The profile picks the tolerance of a check that names one, and nothing
     else.
     """
@@ -1262,20 +1264,21 @@ def run_check(
     check = registry[check_id]
     # a tolerance declared by name is the field of that name in the run's profile
     tolerance = getattr(prof, check.tolerance) if isinstance(check.tolerance, str) else check.tolerance
-    witness_input, overrides = None, {}
-    for key, value in (params or {}).items():
+    params = params or {}
+    # a witness is given by its key: a null witness is a malformed one, never a generated run
+    replay, overrides = "witness" in params, {}
+    for key, value in params.items():
         if key == "tolerance":
             tolerance = _injected_tolerance(check_id, value)
-        elif key == "witness":
-            witness_input = value
         elif key in check.params:
             overrides[key] = value
-        else:
+        elif key != "witness":
             raise UsageError(f"check {check_id} does not take parameter {key!r}")
-    if witness_input is not None and overrides:
+    if replay and overrides:
         raise UsageError(f"check {check_id}: a witness takes no parameter but tolerance, got {sorted(overrides)}")
     start = time.perf_counter()
-    if witness_input is not None:
+    if replay:
+        witness_input = params["witness"]
         inputs, block = [witness_input], _parse(check.fields, witness_input)
         try:
             residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]))

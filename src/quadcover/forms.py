@@ -25,6 +25,7 @@ reductions only, never stacked matmul.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -333,8 +334,10 @@ def pullback(f: SmoothMap, target_form: TwoForm, x, v1, v2) -> float:
 _BOX_AXES = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
 
 
-def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> float:
-    """Integrate a two-form over a surface parametrized on a closed rectangle.
+def integrate_surface(
+    param: SmoothMap, form: TwoForm | Sequence[TwoForm], nodes: int = 200
+) -> float | list[float]:
+    """Integrate a two-form, or several, over a surface parametrized on a closed rectangle.
 
     ``param`` must have a bounded 2d BoxSpace domain; the integrand is
     form(param(u, v), d_u param, d_v param) evaluated by tensor-product
@@ -346,14 +349,24 @@ def integrate_surface(param: SmoothMap, form: TwoForm, nodes: int = 200) -> floa
     batch axis and compute each node by row arithmetic (a chart that
     returns a single point for the whole block is allowed; its value is
     broadcast over the block).
+
+    A sequence of K forms on the chart's target gives a list of K integrals
+    from the same jet passes: every form is called on each block's point and
+    pushforwards, and its values fill row k of the (K, N) integrand. A form
+    that returns a contiguous array of one value per node, as every form here
+    does, thus gets the bits of integrating it alone (a dot product of a
+    strided or broadcast row may round unlike a contiguous one).
     """
     dom = param.domain
     if not isinstance(dom, BoxSpace) or dom.dim != 2 or dom.bounds is None:
         raise ValueError("integrate_surface needs a parametrization on a bounded 2d box")
     (lo, hi) = dom.bounds
+    forms = None if isinstance(form, TwoForm) else tuple(form)
 
     def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
         point, (du, dv) = param.differential(np.column_stack([u, v]), _BOX_AXES)
-        return form(point, du, dv)
+        if forms is None:
+            return form(point, du, dv)
+        return np.stack([np.broadcast_to(f(point, du, dv), u.shape) for f in forms])
 
     return gauss_legendre_2d(integrand, lo[0], hi[0], lo[1], hi[1], nodes_per_axis=nodes)

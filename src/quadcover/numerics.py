@@ -135,19 +135,27 @@ def gauss_legendre_2d(
     c: float,
     d: float,
     nodes_per_axis: int = 200,
-) -> float:
-    """Tensor-product Gauss-Legendre estimate of a double integral.
+) -> float | list[float]:
+    """Tensor-product Gauss-Legendre estimate of a double integral, or of K at once.
 
     ``g`` is called as ``g(u, v)`` on blocks of whole quadrature rows: a
     block holds ``max(1, CHUNK_ROWS // nodes_per_axis)`` consecutive rows
     (the last one may hold fewer), and ``u`` and ``v`` are flat arrays of
-    equal length with the block's nodes row by row, a row being one node on
-    [a, b] paired with every node on [c, d]. ``g`` returns one value per
-    node, or a scalar that is broadcast over the block. Each row is reduced
-    as ``wv @ row`` and the rows are summed in order, so an integrand that
-    computes each node by elementwise row arithmetic gives the same bits at
-    every block size. ``g`` must be continuous on the closed rectangle; a
-    non-finite value at any node is raised as an evaluation error naming the
+    equal length N with the block's nodes row by row, a row being one node
+    on [a, b] paired with every node on [c, d]. ``g`` returns one value per
+    node, or a scalar that is broadcast over the block, and the estimate is
+    a float. Each row is reduced as ``wv @ row`` and the rows are summed in
+    order, so an integrand that computes each node by elementwise row
+    arithmetic gives the same bits at every block size.
+
+    An integrand that returns a (K, N) array, K values per node on its
+    leading axis, gives a list of K estimates. Each component is reduced by
+    the same loop, one ``wv @ row`` per row in order and never one product
+    over the K components (whose BLAS rounding differs), so estimate k has
+    the bits of an integrand that returns row k of that array alone.
+
+    ``g`` must be continuous on the closed rectangle; a non-finite value at
+    any node, in any component, is raised as an evaluation error naming the
     first such node, rather than silently summed.
     """
     if nodes_per_axis < 2:
@@ -158,19 +166,25 @@ def gauss_legendre_2d(
     wu = 0.5 * (b - a) * wx
     wv = 0.5 * (d - c) * wx
     per_block = max(1, CHUNK_ROWS // nodes_per_axis)
-    total = 0.0
+    totals: list[float] = []
     for lo in range(0, nodes_per_axis, per_block):
         rows = us[lo : lo + per_block]
         u = np.repeat(rows, nodes_per_axis)
         v = np.tile(vs, rows.size)
-        vals = np.broadcast_to(np.asarray(g(u, v), dtype=float), u.shape)
+        vals = np.asarray(g(u, v), dtype=float)
+        many = vals.ndim == 2
+        # one leading component axis either way: a single integrand is component 0
+        vals = vals if many else np.broadcast_to(vals, u.shape)[None]
         bad = ~np.isfinite(vals)
         if bad.any():
-            j = int(np.argmax(bad))
-            raise ValueError(f"integrand returned non-finite value {vals[j]} at ({u[j]}, {v[j]})")
-        for i, row in enumerate(vals.reshape(rows.size, nodes_per_axis), start=lo):
-            total += wu[i] * float(wv @ row)
-    return total
+            j = int(np.argmax(bad.any(axis=0)))
+            k = int(np.argmax(bad[:, j]))
+            raise ValueError(f"integrand returned non-finite value {vals[k, j]} at ({u[j]}, {v[j]})")
+        totals = totals or [0.0] * len(vals)
+        for k, component in enumerate(vals):
+            for i, row in enumerate(component.reshape(rows.size, nodes_per_axis), start=lo):
+                totals[k] += wu[i] * float(wv @ row)
+    return totals if many else totals[0]
 
 
 def realify(z: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from quadcover.cotangent import (
     sample_tangent,
 )
 from quadcover.dynamics import flow_closed_form, flow_uneven_cosphere, scalar_action
-from quadcover.forms import BranchLocusError, _omega_std_ambient, cotangent_omega_std, pullback
+from quadcover.forms import BranchLocusError, SmoothMap, _omega_std_ambient, cotangent_omega_std, pullback
 from quadcover.maps import (
     branched_cover_map,
     cosphere_boundary,
@@ -586,6 +586,9 @@ def _generated_row(cid, **changes):
         ("P-evenedrescale", _generated_row("P-evenedrescale", r=1.1e10)),
         # a dimension above the bound, its point of matching size
         ("L-sphereembedding", {"n": 129, "p": [1.0] + [0.0] * 129, "q": [0.0, 0.5] + [0.0] * 128}),
+        # an empty witness, and a null one, which ran all 3,000 generated samples and passed
+        ("L-sphereembedding", {}),
+        ("L-sphereembedding", None),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):
@@ -600,6 +603,32 @@ def test_period_residuals_are_pinned():
     assert run_check("I-period-CP1").max_residual == 2.042810365310288e-14
     assert run_check("I-period-Q1").max_residual == 2.1316282072803006e-14
     assert run_check("I-period-match").max_residual == 3.552713678800501e-15
+
+
+@pytest.mark.parametrize("radii", [[1.0], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 3.0, 4.0]])
+def test_period_match_makes_one_jet_pass_of_each_chart_per_block(monkeypatch, radii):
+    # r enters only as the forms' factor 2r: however many radii, the diagonal
+    # chart and then the conic chart each make one pass a block, 25 and 15
+    # rows of 40 nodes
+    passes, differential = [], SmoothMap.differential
+
+    def counted(self, x, vs):
+        passes.append(len(x))
+        return differential(self, x, vs)
+
+    monkeypatch.setattr(SmoothMap, "differential", counted)
+    report = run_check("I-period-match", {"r": radii, "nodes": 40})
+    assert report.passed and report.samples == len(radii)
+    assert passes == [1000, 600] * 2
+
+
+def test_period_match_rows_replay_bit_for_bit():
+    # each radius's integrals from the shared chart passes equal the row's own
+    check = build_registry()["I-period-match"]
+    inputs = check.gen(dict(check.params, r=(0.5, 1.0, 2.0, 3.0)), derive_stream(42, check.id))
+    batched = check.residual(inputs)
+    assert len(batched) == 4 and batched.any()
+    assert batched.tolist() == [run_check(check.id, {"witness": inputs[i]}).max_residual for i in range(4)]
 
 
 def test_json_writes_non_finite_reals_as_strings():
@@ -670,8 +699,13 @@ def test_run_check_rejects_invalid_params(cid, params, message):
          r"a witness takes no parameter but tolerance, got \['samples'\]"),
         ({"witness": {"n": 1, "p": [1.0, 0.0], "q": [0.0, 0.5]}, "tolerance": 1.0, "n": [2]},
          r"a witness takes no parameter but tolerance, got \['n'\]"),
+        # a null witness was taken for none, and 2 samples a dimension were generated and passed
+        ({"witness": None, "samples": 2}, r"a witness takes no parameter but tolerance, got \['samples'\]"),
     ],
-    ids=["string", "None", "list", "nan", "huge int", "witness and samples", "witness, tolerance and n"],
+    ids=[
+        "string", "None", "list", "nan", "huge int", "witness and samples", "witness, tolerance and n",
+        "null witness and samples",
+    ],
 )
 def test_run_check_rejects_a_bad_tolerance_or_a_witness_with_params(params, message):
     with pytest.raises(UsageError, match=f"check L-sphereembedding: {message}"):

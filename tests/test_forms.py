@@ -265,6 +265,26 @@ def test_integrate_surface_total_does_not_depend_on_the_block_size(monkeypatch, 
     assert totals[0] == totals[1] == totals[2]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
+def test_integrate_surface_gives_each_of_k_forms_the_bits_of_its_own_call(monkeypatch, chunk, chart_name, form):
+    # K forms share each block's jet pass, one pass a block, and each
+    # integral is the integral of its form alone
+    from quadcover import checks, numerics
+
+    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    nodes = 12
+    chart = getattr(checks, chart_name)()
+    passes = []
+    counted = SmoothMap(domain=chart.domain, target=chart.target, func=lambda x: passes.append(len(x)) or chart(x))
+    forms = [scaled_form(form, c) for c in (0.5, 1.0, 3.0)] + [form]
+    totals = integrate_surface(counted, forms, nodes=nodes)
+    per_block = max(1, chunk // nodes)
+    assert passes == [min(per_block, nodes - lo) * nodes for lo in range(0, nodes, per_block)]
+    assert totals == [integrate_surface(chart, f, nodes=nodes) for f in forms]
+    assert totals[1] != totals[2]
+
+
 def test_integrate_surface_requires_bounded_2d_domain():
     param = SmoothMap(
         domain=BoxSpace(2),

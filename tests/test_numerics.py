@@ -191,6 +191,35 @@ def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, chu
     assert seen == sizes
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_a_k_valued_integrand_gives_each_component_the_bits_of_its_own_call(monkeypatch, chunk):
+    # one reduction per row and component, never one product over the K
+    # components, so each total is the total of that component alone
+    from quadcover import numerics
+
+    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    parts = [lambda u, v: np.exp(u) * np.cos(v), lambda u, v: np.sin(3.0 * u * v), lambda u, v: u * u - v]
+    totals = gauss_legendre_2d(lambda u, v: np.stack([f(u, v) for f in parts]), 0, 1, 0, 0.5, 9)
+    assert totals == [gauss_legendre_2d(f, 0, 1, 0, 0.5, 9) for f in parts]
+    # one component on a leading axis is a list of one total
+    assert gauss_legendre_2d(lambda u, v: parts[1](u, v)[None], 0, 1, 0, 0.5, 9) == totals[1:2]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_non_finite_value_in_any_component_names_its_node(k):
+    # node 6 of a 4 x 4 rule is the second node on [a, b] with the third on
+    # [c, d]; another component turns non-finite only at node 9
+    def g(u, v):
+        vals = np.ones((3, u.size))
+        vals[k, 6:] = np.nan
+        vals[(k + 1) % 3, 9] = np.inf
+        return vals
+
+    xs = np.polynomial.legendre.leggauss(4)[0]
+    with pytest.raises(ValueError, match=rf"non-finite value nan at \({xs[1]}, {xs[2]}\)"):
+        gauss_legendre_2d(g, -1, 1, -1, 1, 4)
+
+
 def test_each_legendre_rule_is_computed_once_and_read_only(monkeypatch):
     from quadcover import numerics
 
