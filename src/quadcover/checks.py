@@ -386,17 +386,23 @@ def _rk4_drift(m: CotangentPoint, ts, dt: float, exact: Callable) -> np.ndarray:
 
     One trajectory a row, each compared with ``exact(start, t)`` at the
     row's own 1-D start point. Trajectories of more than MAX_STEPS steps in
-    all are refused before the first one starts.
+    all are refused before the first one starts. A row that raises
+    OffBundleError scores NaN where it stands, as :func:`_chunked` would
+    score it, so the other rows of its chunk are not integrated again; any
+    other error propagates.
     """
     require_steps(ts[-1], dt)
     drifts = []
     for p, q in zip(m.p, m.q):
         start = CotangentPoint(p=p, q=q, base_radius=m.base_radius)
         point, t_done, dists = start, 0.0, [0.0]
-        for t in ts:
-            point = rk4_integrate(point, t - t_done, dt).endpoint
-            t_done = t
-            dists.append(_row_dist(point, exact(start, t)))
+        try:
+            for t in ts:
+                point = rk4_integrate(point, t - t_done, dt).endpoint
+                t_done = t
+                dists.append(_row_dist(point, exact(start, t)))
+        except OffBundleError:
+            dists.append(np.nan)
         # np.max, not max(): a NaN distance wins
         drifts.append(np.max(dists))
     return np.array(drifts, dtype=float)

@@ -23,14 +23,18 @@ energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
 so the RK4 trajectory runs on 2d Python floats and builds one CotangentPoint
 at the end. At that size a loop over lists costs more than its arithmetic
-too, so both the field solve and the whole trajectory are one function per
-d each, generated and compiled on first use over the 2d floats as named
-scalars: the trajectory kernel holds the step loop, with its retractions
-and drifts, and calls the field kernel at each stage. Both kernels take
-Python floats only: one numpy scalar among the inputs, such as the base
-radius sqrt(r) that even_rescale returns, would make every operation of the
-loop a numpy-scalar operation, at twice the cost of a float one or more,
-with the same rounding. On an "evened" cosphere
+too, so the field solve and the whole trajectory are each one function per
+d, generated and compiled on first use over the 2d floats as named scalars
+from one template of the solve's statements. The trajectory kernel holds
+the step loop, with its retractions and drifts, and inlines the solve at
+each of the four stages, so a step calls no field kernel and packs no
+tuple; the first stage solves at the previous step's retracted endpoint,
+and the |q|, |p| and p.q it computes give that endpoint's drifts. The
+loop's min() and max() are comparisons that pick as they pick, NaN
+included. Both kernels take Python floats only: one numpy scalar among the
+inputs, such as the base radius sqrt(r) that even_rescale returns, would
+make every operation of the loop a numpy-scalar operation, at twice the
+cost of a float one or more, with the same rounding. On an "evened" cosphere
 (|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
 cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq; on
 an uneven cosphere over
@@ -117,12 +121,12 @@ def _multipliers(pp, p_gp, q_gq, p_gq):
     return (q_gq - p_gp) / pp, -p_gq / pp
 
 
-_FIELD_KERNEL = """\
-def kernel(k_ham, h, {p}, {q}):
+_FIELD_BODY = """\
     norm_q = hypot({q})
     if norm_q <= 1e-8:
         raise ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
-    pp = hypot({p}) ** 2
+    norm_p = hypot({p})
+    pp = norm_p ** 2
     qq = norm_q ** 2
     if not pp > 1e-20 * (pp + qq):
         raise RuntimeError(
@@ -131,17 +135,18 @@ def kernel(k_ham, h, {p}, {q}):
         )
 {pq}
     dqq = h * qq
-    slope = (_restricted_energy(pp, qq + dqq, pq, k_ham) - _restricted_energy(pp, qq - dqq, pq, k_ham)) / dqq
+    slope = (_restricted_energy(pp, qq + dqq, pq, k) - _restricted_energy(pp, qq - dqq, pq, k)) / dqq
     lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
 {uw}
 {pu}
 {qu}
 {pw}
-    residual = max(abs(pu), abs(qu + pw))
+    residual = abs(pu)
+    tangent = abs(qu + pw)
+    if tangent > residual:
+        residual = tangent
     if residual > 1e-8:
-        raise RuntimeError(f"vector field solve residual {{residual:.3e}} exceeds 1e-8")
-    return {u}, {w}
-"""
+        raise RuntimeError(f"vector field solve residual {{residual:.3e}} exceeds 1e-8")"""
 
 
 def _dot_source(name: str, a: list[str], b: list[str]) -> str:
@@ -157,11 +162,33 @@ def _dot_source(name: str, a: list[str], b: list[str]) -> str:
     )
 
 
+def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
+    """The field solve at the floats named ``p`` and ``q``, as statements that leave the field in ``u`` and ``w``.
+
+    The statements read k, h and the module's globals, leave |p|, |q| and
+    p.q in norm_p, norm_q and pq, and sit at an indent of 4. Both kernels
+    are made from them, so the solve is written once.
+    """
+    return _FIELD_BODY.format(
+        p=", ".join(p),
+        q=", ".join(q),
+        pq=_dot_source("pq", p, q),
+        uw="\n".join(
+            [f"    {u[i]} = slope * {q[i]} + lam1 * {p[i]}" for i in range(len(p))]
+            + [f"    {w[i]} = -(lam0 * {p[i]} + lam1 * {q[i]})" for i in range(len(p))]
+        ),
+        pu=_dot_source("pu", p, u),
+        qu=_dot_source("qu", q, u),
+        pw=_dot_source("pw", p, w),
+    )
+
+
 def _compile_kernel(source: str, name: str):
     """The function ``kernel`` that ``source`` defines, run in this module's globals.
 
-    The globals are the module's own, not a copy, so a kernel looks up
-    _restricted_energy and _multipliers at each call and sees them patched.
+    The globals are the module's own, not a copy, so each field solve of a
+    kernel, inlined or not, looks up _restricted_energy and _multipliers at
+    the time it runs and sees them patched.
     """
     namespace = {}
     exec(compile(source, name, "exec"), globals(), namespace)
@@ -170,59 +197,58 @@ def _compile_kernel(source: str, name: str):
 
 @functools.cache
 def _field_kernel(d: int):
-    """The field solve at d = n + 1, compiled on first use: kernel(k_ham, h, *p, *q) -> (*u, *w).
+    """The field solve at d = n + 1, compiled on first use: kernel(k, h, *p, *q) -> (*u, *w).
 
     One function per d over 2d named floats, with no list and no loop, whose
     per-element machinery costs more than the arithmetic at d <= 4. It keeps
     the operation order of the same solve written as list loops, so it
-    returns that loop's floats bit for bit: hypot for the norms, and each dot
-    product added left to right from 0.0, as sum() adds floats. It runs in this module's globals, so
+    returns that loop's floats bit for bit: hypot for the norms, each dot
+    product added left to right from 0.0, as sum() adds floats, and the
+    larger of the two |G X| terms kept by a comparison that picks as max()
+    picks, NaN included. It runs in this module's globals, so
     _restricted_energy and _multipliers are looked up at each call. The
     guards of the solve, in order: |q| at or below 1e-8 raises
     ZeroSectionError, |p|^2 at or below 1e-20 |(p, q)|^2 a numerical rank
     failure, and a field that leaves |G X| above 1e-8 a RuntimeError.
     Every argument is a Python float; a numpy scalar would keep its bits but
-    make each operation a numpy-scalar one.
+    make each operation a numpy-scalar one. :func:`_rk4_kernel` inlines the
+    same statements (:func:`_field_body`) at each of its stages.
     """
     p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
-    source = _FIELD_KERNEL.format(
-        p=", ".join(p),
-        q=", ".join(q),
-        u=", ".join(u),
-        w=", ".join(w),
-        pq=_dot_source("pq", p, q),
-        uw="\n".join(
-            [f"    {u[i]} = slope * {q[i]} + lam1 * {p[i]}" for i in range(d)]
-            + [f"    {w[i]} = -(lam0 * {p[i]} + lam1 * {q[i]})" for i in range(d)]
-        ),
-        pu=_dot_source("pu", p, u),
-        qu=_dot_source("qu", q, u),
-        pw=_dot_source("pw", p, w),
-    )
+    source = f"def kernel(k, h, {', '.join(p + q)}):\n{_field_body(p, q, u, w)}\n    return {', '.join(u + w)}\n"
     return _compile_kernel(source, f"<field kernel, d = {d}>")
 
 
 _RK4_KERNEL = """\
-def kernel(field, k_ham, h, k, t_final, dt, energy0, constraint_drift, {x}):
+def kernel(k, h, t_final, dt, energy0, constraint_drift, {x}):
 {retract}
     energy_drift = 0.0
     steps = 0
     t = 0.0
     while t < t_final - 1e-12:
-        step = min(dt, t_final - t)
+        step = dt
+        if t_final - t < step:
+            step = t_final - t
         half = 0.5 * step
-        {k1} = field(k_ham, h, {x})
-        {k2} = field(k_ham, h, {x_k1})
-        {k3} = field(k_ham, h, {x_k2})
-        {k4} = field(k_ham, h, {x_k3})
+{stage1}
+        if steps:
+{step_drifts}
+{point2}
+{stage2}
+{point3}
+{stage3}
+{point4}
+{stage4}
         sixth = step / 6.0
 {advance}
 {step_retract}
-        energy_drift = max(energy_drift, abs(k_ham * hypot({q}) - energy0))
-{step_pq}
-        constraint_drift = max(constraint_drift, abs(hypot({p}) - k), abs(pq))
         t += step
         steps += 1
+    if steps:
+        norm_q = hypot({q})
+        norm_p = hypot({p})
+{end_pq}
+{end_drifts}
     return ({x}), energy_drift, constraint_drift, steps
 """
 
@@ -237,26 +263,44 @@ _RETRACT = """\
     c = pq / (k * k)
 {shift}"""
 
+# the drifts of a retracted endpoint from its |q|, |p| and p.q, each kept by
+# a comparison that picks as max(drift, new) picks: a NaN is passed over
+_DRIFTS = """\
+    drift = abs(k * norm_q - energy0)
+    if drift > energy_drift:
+        energy_drift = drift
+    drift = abs(norm_p - k)
+    if drift > constraint_drift:
+        constraint_drift = drift
+    drift = abs(pq)
+    if drift > constraint_drift:
+        constraint_drift = drift"""
+
 
 @functools.cache
 def _rk4_kernel(d: int):
     """The RK4 trajectory at d = n + 1, compiled on first use.
 
-    kernel(field, k_ham, h, k, t_final, dt, energy0, constraint_drift, *p, *q)
-    returns ((*p, *q), energy_drift, constraint_drift, steps). It retracts
-    the start point onto |p| = k, p.q = 0, then runs the steps of
-    :func:`rk4_integrate`: the field kernel ``field`` at the four ambient
-    stage points, passed as argument expressions, the RK4 combination, the
-    retraction of the endpoint in place, and the two drifts. One function
-    per d over 2d named floats, with no list: the same operations in the
-    same order as the loop over lists it replaces, so the same floats bit
-    for bit. The norms are hypot's, each dot product is added left to right
-    from 0.0, and the drifts keep the builtin max and its argument order,
-    so a NaN drift is passed over as max passes it over. Every argument but
-    ``field`` is a Python float, as :func:`_field_kernel` takes them.
+    kernel(k, h, t_final, dt, energy0, constraint_drift, *p, *q) returns
+    ((*p, *q), energy_drift, constraint_drift, steps). It retracts the start
+    point onto |p| = k, p.q = 0, then runs the steps of
+    :func:`rk4_integrate`: the field solve inlined at the four ambient stage
+    points, from the statements :func:`_field_kernel` is made of, the RK4
+    combination, and the retraction of the endpoint in place. No field
+    kernel is called and no stage is packed into a tuple. Stage 1 of a step
+    solves at the previous step's retracted endpoint, so the |q|, |p| and
+    p.q it computes give that endpoint's energy and constraint drifts; only
+    the last endpoint computes its own, after the loop. One function per d
+    over 2d named floats, with no list: the same operations in the same
+    order as the loop over lists it replaces, so the same floats bit for
+    bit. The norms are hypot's, each dot product is added left to right
+    from 0.0, and each builtin min() and max() of that loop is a comparison
+    with max's argument order (``if b > a: a = b``), so a NaN drift is passed
+    over as max passes it over. Every argument is a Python float, as
+    :func:`_field_kernel` takes them.
     """
     p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")
-    x = p + q
+    x, y = p + q, [f"y_{i}" for i in range(2 * d)]
     k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(2 * d)] for j in range(1, 5))
     pq = _dot_source("pq", p, q)
     retract = _RETRACT.format(
@@ -265,24 +309,34 @@ def _rk4_kernel(d: int):
         pq=pq,
         shift="\n".join(f"    {b} = {b} - c * {a}" for a, b in zip(p, q)),
     )
+
+    def point(factor, ks):
+        # the ambient stage point x + factor * ks, in the names y
+        return "\n".join(f"        {a} = {b} + {factor} * {c}" for a, b, c in zip(y, x, ks))
+
+    def stage(at, out):
+        return textwrap.indent(_field_body(at[:d], at[d:], out[:d], out[d:]), "    ")
+
     source = _RK4_KERNEL.format(
         x=", ".join(x),
         p=", ".join(p),
         q=", ".join(q),
         retract=retract,
-        k1=", ".join(k1),
-        k2=", ".join(k2),
-        k3=", ".join(k3),
-        k4=", ".join(k4),
-        x_k1=", ".join(f"{a} + half * {b}" for a, b in zip(x, k1)),
-        x_k2=", ".join(f"{a} + half * {b}" for a, b in zip(x, k2)),
-        x_k3=", ".join(f"{a} + step * {b}" for a, b in zip(x, k3)),
+        stage1=stage(x, k1),
+        step_drifts=textwrap.indent(_DRIFTS, " " * 8),
+        point2=point("half", k1),
+        stage2=stage(y, k2),
+        point3=point("half", k2),
+        stage3=stage(y, k3),
+        point4=point("step", k3),
+        stage4=stage(y, k4),
         advance="\n".join(
             f"        {a} = {a} + sixth * ({b1} + 2.0 * {b2} + 2.0 * {b3} + {b4})"
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
         ),
         step_retract=textwrap.indent(retract, "    "),
-        step_pq=textwrap.indent(pq, "    "),
+        end_pq=textwrap.indent(pq, "    "),
+        end_drifts=textwrap.indent(_DRIFTS, "    "),
     )
     return _compile_kernel(source, f"<RK4 kernel, d = {d}>")
 
@@ -298,9 +352,10 @@ def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list
     g = (0, s q) with s twice the slope in |q|^2: one central difference at
     the relative step h |q|^2, which keeps it well scaled at any size of q.
     Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. None of this needs
-    (p, q) on the constraint set: called once per RK4 stage, at the stage's
-    ambient point. The solve is :func:`_field_kernel`'s, with its guards,
-    and k_ham and h reach it as Python floats.
+    (p, q) on the constraint set: :func:`_rk4_kernel` runs the same
+    statements at each stage's ambient point. The solve is
+    :func:`_field_kernel`'s, with its guards, and k_ham and h reach it as
+    Python floats.
     """
     return list(_field_kernel(len(p))(float(k_ham), float(h), *p, *q))
 
@@ -376,15 +431,18 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     Lubich & Wanner, Geometric Numerical Integration, sec. IV.4). That keeps
     the constraint drift at rounding level over full periods with one
     retraction a step. Energy and constraint drifts are measured along the
-    reported trajectory. A step that is not positive, or a final time that
-    is not finite, raises ValueError; a trajectory of more than MAX_STEPS
-    steps raises StepLimitError before the first step, and before a kernel
-    is fetched. The trajectory is :func:`_rk4_kernel`'s, with the field of
-    :func:`_field_kernel`. Both kernels are passed Python floats only, each
-    scalar through float() and p and q through tolist(): one numpy scalar
-    among them, such as the numpy.float64 base radius of an evened point,
-    makes every operation of the loop a numpy-scalar one, with the same
-    rounding at about twice the cost a step.
+    reported trajectory: each step's endpoint reads its drifts from the
+    norms and p.q that the next step's first stage computes, and the last
+    endpoint computes its own. A step that is not positive, or a final time
+    that is not finite, raises ValueError; a trajectory of more than
+    MAX_STEPS steps raises StepLimitError before the first step, and before
+    the kernel is fetched. The trajectory is :func:`_rk4_kernel`'s, one
+    function with the field solve of :func:`_field_kernel` inlined at each
+    stage. It is passed Python floats only, each scalar through float() and
+    p and q through tolist(): one numpy scalar among them, such as the
+    numpy.float64 base radius of an evened point, makes every operation of
+    the loop a numpy-scalar one, with the same rounding at about twice the
+    cost a step.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -394,7 +452,7 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     k = m.base_radius
     d = m.p.size
     x, energy_drift, constraint_drift, steps = _rk4_kernel(d)(
-        _field_kernel(d), float(k), FD_STEP, float(k), float(t_final), float(dt),
+        float(k), FD_STEP, float(t_final), float(dt),
         float(k * float(np.sqrt(m.q @ m.q))), float(max(m.residuals())), *m.p.tolist(), *m.q.tolist(),
     )
     return FlowResult(

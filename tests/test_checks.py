@@ -492,21 +492,24 @@ def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkey
 
 
 def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
-    # a chunk of three trajectories, one of which leaves the bundle, is scored
-    # again row by row: that row scores NaN and the other two keep their bits
+    # in a chunk of three trajectories, one of which leaves the bundle, that
+    # row scores NaN where it stands and the other two keep their bits: two
+    # segments for each of them and one for the failing row, none run twice
     check = build_registry()["R-uneven-flow"]
     inputs = check.gen({**check.params, "trajectories": 3}, derive_stream(42, check.id))
     clean = check.residual(inputs)
     bad_start, integrate = inputs.blocks[0]["p"][1], checks_module.rk4_integrate
+    calls = []
 
     def off_bundle_row(m, t_final, dt):
+        calls.append(m)
         if np.array_equal(m.p, bad_start):
             raise OffBundleError("not on the bundle")
         return integrate(m, t_final, dt)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", off_bundle_row)
     flagged = check.residual(inputs)
-    assert len(inputs) == 3 and np.isnan(flagged[1])
+    assert len(inputs) == 3 and np.isnan(flagged[1]) and len(calls) == 5
     assert np.array_equal(np.delete(flagged, 1), np.delete(clean, 1))
     report = run_check(check.id, {"trajectories": 3})
     assert not report.passed and report.witness == inputs[1]

@@ -426,21 +426,54 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
     assert got != _trajectory(rk4_integrate, m, 0.3, 0.07)
 
 
+def test_the_fused_stages_look_up_the_helpers_at_each_call(monkeypatch):
+    # the kernel is compiled before the helpers are patched: each inlined
+    # stage reads the module's names when it runs, two energies and one
+    # multiplier pair a stage, and the |G X| guard still trips at every stage
+    dynamics._rk4_kernel(3)
+    m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "fused"))
+    clean = _trajectory(rk4_integrate, m, 0.5, 0.01)
+    energy, multipliers = dynamics._restricted_energy, dynamics._multipliers
+    calls = {"energy": 0, "multipliers": 0}
+
+    def counted(name, helper):
+        def call(*args):
+            calls[name] += 1
+            return helper(*args)
+
+        return call
+
+    monkeypatch.setattr(dynamics, "_restricted_energy", counted("energy", energy))
+    monkeypatch.setattr(dynamics, "_multipliers", counted("multipliers", multipliers))
+    assert _trajectory(rk4_integrate, m, 0.5, 0.01) == clean
+    assert clean[1] == 50 and calls == {"energy": 8 * 50, "multipliers": 4 * 50}
+
+    def off_by_a_little(*args):
+        lam0, lam1 = multipliers(*args)
+        return lam0, lam1 + 1e-6
+
+    monkeypatch.setattr(dynamics, "_multipliers", off_by_a_little)
+    with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
+        rk4_integrate(m, 0.5, 0.01)
+
+
 def test_kernels_take_python_floats_only(monkeypatch):
     # one numpy scalar among a kernel's inputs makes every operation of its
     # loop a numpy-scalar one, at twice the cost or more; isinstance would
     # pass np.float64, which subclasses float, so each type is compared
-    calls = []
+    calls = {"_rk4_kernel": [], "_field_kernel": []}
 
-    def recorded(make):
+    def recorded(name):
+        make = getattr(dynamics, name)
+
         def make_recorded(d):
             kernel = make(d)
-            return lambda *args: calls.append(args) or kernel(*args)
+            return lambda *args: calls[name].append(args) or kernel(*args)
 
-        return make_recorded
+        monkeypatch.setattr(dynamics, name, make_recorded)
 
-    monkeypatch.setattr(dynamics, "_rk4_kernel", recorded(dynamics._rk4_kernel))
-    monkeypatch.setattr(dynamics, "_field_kernel", recorded(dynamics._field_kernel))
+    recorded("_rk4_kernel")
+    recorded("_field_kernel")
     report = run_check("P-evenedflow-restored", {"tolerance": -1.0})
     witness = json.loads(render_json([report]))[0]["witness"]
     assert run_check("P-evenedflow-restored", {"witness": witness}).max_residual == report.max_residual
@@ -451,12 +484,11 @@ def test_kernels_take_python_floats_only(monkeypatch):
     rk4_integrate(start, np.float64(0.3), np.float64(0.01))
     dynamics._solve_field(m.base_radius, m.p.tolist(), m.q.tolist(), np.float64(1e-5))
     # three segments for each of the run and its replay, and one more
-    # trajectory; each passes the field kernel first, four calls a step
-    trajectories = sum(callable(args[0]) for args in calls)
-    assert trajectories == 7 and len(calls) - trajectories > 4 * 600
-    for args in calls:
-        scalars = [x for x in args if not callable(x)]
-        assert all(type(x) is float for x in scalars), [type(x).__name__ for x in scalars]
+    # trajectory, whose stages solve the field inline; the one field-kernel
+    # call is _solve_field's
+    assert len(calls["_rk4_kernel"]) == 7 and len(calls["_field_kernel"]) == 1
+    for args in calls["_rk4_kernel"] + calls["_field_kernel"]:
+        assert all(type(x) is float for x in args), [type(x).__name__ for x in args]
 
 
 def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypatch):
