@@ -78,6 +78,7 @@ from .forms import (
     scaled_form,
 )
 from .maps import (
+    LOCUS_TOL,
     ROOT2,
     antipodal_cp1,
     ball_embedding,
@@ -128,10 +129,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-# |entry| at or below which a residual counts a point as on a hyperplane or
-# on the quadric, whatever profile judges the run
-LOCUS_TOL = 1e-10
 
 
 class UsageError(ValueError):
@@ -858,7 +855,7 @@ def _gen_branchedcover_fibers(params, rng):
 def _res_branchedcover_fibers(rows):
     flat = rows.flat()
     point = proj_normalize(flat["z"])
-    *sheets, count = quadric_fiber(point, tol=LOCUS_TOL)
+    *sheets, count = quadric_fiber(point)
     worst = [np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets]
     # a wrong number of preimages scores NaN
     return np.where(count == flat["expected"], np.maximum(*worst), np.nan)

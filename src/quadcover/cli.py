@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run checks matching an id glob")
-    run.add_argument("--suite", default="*", metavar="GLOB", help="check id glob (default '*')")
+    run.add_argument("--suite", action="append", metavar="GLOB", help="check id glob (default '*'; at most one)")
     run.add_argument(
         "--n",
         type=int,
@@ -84,6 +84,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{cid:<{width}}  {check.statement}")
             return 0
 
+        # one glob a run: a second is refused, so that no glob is silently ignored
+        suite, *extra = args.suite or ["*"]
+        if extra:
+            raise UsageError(f"--suite takes one glob, got {len(args.suite)}: {', '.join(map(repr, args.suite))}")
         config = SuiteConfig(
             seed=_resolve_seed(args.seed),
             samples=args.samples,
@@ -91,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             radii=tuple(args.radius) if args.radius else None,
             profile=args.tol_profile,
         )
-        reports, status = run_suite(args.suite, config)
+        reports, status = run_suite(suite, config)
         emit_report(reports, format=args.format, destination=args.out)
         return status
     except UsageError as exc:

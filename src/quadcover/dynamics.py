@@ -26,19 +26,18 @@ at the end. At that size a loop over lists costs more than its arithmetic
 too, so the field solve and the whole trajectory are each one function per
 d, generated and compiled on first use over the 2d floats as named scalars
 from one template of the solve's statements. The trajectory kernel holds
-the step loop, with its retractions and drifts, and inlines the solve at
-each of the four stages, so a step calls no field kernel and packs no
-tuple; the first stage solves at the previous step's retracted endpoint,
-and the |q|, |p| and p.q it computes give that endpoint's drifts. The
-loop's min() and max() are comparisons that pick as they pick, NaN
-included. Both kernels take Python floats only: one numpy scalar among the
-inputs, such as the base radius sqrt(r) that even_rescale returns, would
-make every operation of the loop a numpy-scalar operation, at twice the
-cost of a float one or more, with the same rounding. On an "evened" cosphere
-(|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
-cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq; on
-an uneven cosphere over
-the unit sphere (|q| = r != 1) the trajectory instead reads
+the step loop, with its retractions, and inlines the solve at each of the
+four stages, so a step calls no field kernel and packs no tuple. It
+computes the trajectory alone, its endpoint and its step count: a check
+that compares energies reads them from the endpoints it holds. The loop's
+min() is a comparison that picks as min() picks. Both kernels take Python
+floats only: one numpy scalar among the inputs, such as the base radius
+sqrt(r) that even_rescale returns, would make every operation of the loop
+a numpy-scalar operation, at twice the cost of a float one or more, with
+the same rounding. On an "evened" cosphere (|p| = |q| = k) the flow has
+the closed form (cos t p + sin t q, cos t q - sin t p), which equals the
+scalar action e^{-it} on z = p + iq; on an uneven cosphere over the unit
+sphere (|q| = r != 1) the trajectory instead reads
 (cos t p + sin t q / r, cos t q - r sin t p) and the two actions diverge,
 which is what the evening rescale repairs.
 """
@@ -99,11 +98,9 @@ def require_steps(t_final: float, dt: float) -> None:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Integrator output; drifts are reported, never silently discarded."""
+    """Integrator output: the retracted endpoint of the trajectory and the number of RK4 steps taken."""
 
     endpoint: CotangentPoint
-    energy_drift: float
-    constraint_drift: float
     steps: int
 
 
@@ -165,9 +162,8 @@ def _dot_source(name: str, a: list[str], b: list[str]) -> str:
 def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
     """The field solve at the floats named ``p`` and ``q``, as statements that leave the field in ``u`` and ``w``.
 
-    The statements read k, h and the module's globals, leave |p|, |q| and
-    p.q in norm_p, norm_q and pq, and sit at an indent of 4. Both kernels
-    are made from them, so the solve is written once.
+    The statements read k, h and the module's globals and sit at an indent
+    of 4. Both kernels are made from them, so the solve is written once.
     """
     return _FIELD_BODY.format(
         p=", ".join(p),
@@ -220,9 +216,8 @@ def _field_kernel(d: int):
 
 
 _RK4_KERNEL = """\
-def kernel(k, h, t_final, dt, energy0, constraint_drift, {x}):
+def kernel(k, h, t_final, dt, {x}):
 {retract}
-    energy_drift = 0.0
     steps = 0
     t = 0.0
     while t < t_final - 1e-12:
@@ -231,8 +226,6 @@ def kernel(k, h, t_final, dt, energy0, constraint_drift, {x}):
             step = t_final - t
         half = 0.5 * step
 {stage1}
-        if steps:
-{step_drifts}
 {point2}
 {stage2}
 {point3}
@@ -244,12 +237,7 @@ def kernel(k, h, t_final, dt, energy0, constraint_drift, {x}):
 {step_retract}
         t += step
         steps += 1
-    if steps:
-        norm_q = hypot({q})
-        norm_p = hypot({p})
-{end_pq}
-{end_drifts}
-    return ({x}), energy_drift, constraint_drift, steps
+    return ({x}), steps
 """
 
 # the state (p, q) retracted in place: |p| = k, then q loses its p-component
@@ -263,50 +251,31 @@ _RETRACT = """\
     c = pq / (k * k)
 {shift}"""
 
-# the drifts of a retracted endpoint from its |q|, |p| and p.q, each kept by
-# a comparison that picks as max(drift, new) picks: a NaN is passed over
-_DRIFTS = """\
-    drift = abs(k * norm_q - energy0)
-    if drift > energy_drift:
-        energy_drift = drift
-    drift = abs(norm_p - k)
-    if drift > constraint_drift:
-        constraint_drift = drift
-    drift = abs(pq)
-    if drift > constraint_drift:
-        constraint_drift = drift"""
-
 
 @functools.cache
 def _rk4_kernel(d: int):
     """The RK4 trajectory at d = n + 1, compiled on first use.
 
-    kernel(k, h, t_final, dt, energy0, constraint_drift, *p, *q) returns
-    ((*p, *q), energy_drift, constraint_drift, steps). It retracts the start
-    point onto |p| = k, p.q = 0, then runs the steps of
+    kernel(k, h, t_final, dt, *p, *q) returns ((*p, *q), steps). It
+    retracts the start point onto |p| = k, p.q = 0, then runs the steps of
     :func:`rk4_integrate`: the field solve inlined at the four ambient stage
     points, from the statements :func:`_field_kernel` is made of, the RK4
     combination, and the retraction of the endpoint in place. No field
-    kernel is called and no stage is packed into a tuple. Stage 1 of a step
-    solves at the previous step's retracted endpoint, so the |q|, |p| and
-    p.q it computes give that endpoint's energy and constraint drifts; only
-    the last endpoint computes its own, after the loop. One function per d
+    kernel is called and no stage is packed into a tuple. One function per d
     over 2d named floats, with no list: the same operations in the same
     order as the loop over lists it replaces, so the same floats bit for
     bit. The norms are hypot's, each dot product is added left to right
-    from 0.0, and each builtin min() and max() of that loop is a comparison
-    with max's argument order (``if b > a: a = b``), so a NaN drift is passed
-    over as max passes it over. Every argument is a Python float, as
-    :func:`_field_kernel` takes them.
+    from 0.0, and the loop's min(dt, t_final - t) is a comparison that picks
+    as min picks. Every argument is a Python float, as :func:`_field_kernel`
+    takes them.
     """
     p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")
     x, y = p + q, [f"y_{i}" for i in range(2 * d)]
     k1, k2, k3, k4 = ([f"k{j}_{i}" for i in range(2 * d)] for j in range(1, 5))
-    pq = _dot_source("pq", p, q)
     retract = _RETRACT.format(
         p=", ".join(p),
         scale="\n".join(f"    {a} = scale * {a}" for a in p),
-        pq=pq,
+        pq=_dot_source("pq", p, q),
         shift="\n".join(f"    {b} = {b} - c * {a}" for a, b in zip(p, q)),
     )
 
@@ -319,11 +288,8 @@ def _rk4_kernel(d: int):
 
     source = _RK4_KERNEL.format(
         x=", ".join(x),
-        p=", ".join(p),
-        q=", ".join(q),
         retract=retract,
         stage1=stage(x, k1),
-        step_drifts=textwrap.indent(_DRIFTS, " " * 8),
         point2=point("half", k1),
         stage2=stage(y, k2),
         point3=point("half", k2),
@@ -335,8 +301,6 @@ def _rk4_kernel(d: int):
             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
         ),
         step_retract=textwrap.indent(retract, "    "),
-        end_pq=textwrap.indent(pq, "    "),
-        end_drifts=textwrap.indent(_DRIFTS, "    "),
     )
     return _compile_kernel(source, f"<RK4 kernel, d = {d}>")
 
@@ -429,16 +393,14 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     holds at every (p, q) with p != 0, on the constraint set or off it. Only
     the step's endpoint is retracted, and it starts the next step (Hairer,
     Lubich & Wanner, Geometric Numerical Integration, sec. IV.4). That keeps
-    the constraint drift at rounding level over full periods with one
-    retraction a step. Energy and constraint drifts are measured along the
-    reported trajectory: each step's endpoint reads its drifts from the
-    norms and p.q that the next step's first stage computes, and the last
-    endpoint computes its own. A step that is not positive, or a final time
-    that is not finite, raises ValueError; a trajectory of more than
-    MAX_STEPS steps raises StepLimitError before the first step, and before
-    the kernel is fetched. The trajectory is :func:`_rk4_kernel`'s, one
-    function with the field solve of :func:`_field_kernel` inlined at each
-    stage. It is passed Python floats only, each scalar through float() and
+    the endpoint on the constraint set to rounding level over full periods
+    with one retraction a step. Only the trajectory is computed: a caller
+    that compares energies reads them from the endpoints it holds. A step
+    that is not positive, or a final time that is not finite, raises
+    ValueError; a trajectory of more than MAX_STEPS steps raises
+    StepLimitError before the first step, and before the kernel is fetched.
+    The trajectory is :func:`_rk4_kernel`'s, one function with the field
+    solve of :func:`_field_kernel` inlined at each stage. It is passed Python floats only, each scalar through float() and
     p and q through tolist(): one numpy scalar among them, such as the
     numpy.float64 base radius of an evened point, makes every operation of
     the loop a numpy-scalar one, with the same rounding at about twice the
@@ -451,13 +413,5 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     require_steps(t_final, dt)
     k = m.base_radius
     d = m.p.size
-    x, energy_drift, constraint_drift, steps = _rk4_kernel(d)(
-        float(k), FD_STEP, float(t_final), float(dt),
-        float(k * float(np.sqrt(m.q @ m.q))), float(max(m.residuals())), *m.p.tolist(), *m.q.tolist(),
-    )
-    return FlowResult(
-        endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k),
-        energy_drift=energy_drift,
-        constraint_drift=constraint_drift,
-        steps=steps,
-    )
+    x, steps = _rk4_kernel(d)(float(k), FD_STEP, float(t_final), float(dt), *m.p.tolist(), *m.q.tolist())
+    return FlowResult(endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k), steps=steps)

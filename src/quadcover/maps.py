@@ -43,6 +43,10 @@ __all__ = [
 
 ROOT2 = float(np.sqrt(2.0))
 
+# |entry| at or below which a residual counts a point as on a hyperplane or
+# on the quadric, whatever profile judges the run
+LOCUS_TOL = 1e-10
+
 
 def ball_to_projective(z: np.ndarray, r: float) -> ProjectivePoint:
     """Embed the open radius-r complex ball: z -> [z : i sqrt(r^2 - |z|^2)].
@@ -163,13 +167,11 @@ def branched_cover_map(n: int) -> SmoothMap:
     )
 
 
-def quadric_fiber(
-    point: ProjectivePoint, tol: float = 1e-10
-) -> tuple[ProjectivePoint, ProjectivePoint, float | np.ndarray]:
+def quadric_fiber(point: ProjectivePoint) -> tuple[ProjectivePoint, ProjectivePoint, float | np.ndarray]:
     """Preimages on the quadric upstairs of a point of CP^n: both sheets, and how many points they are.
 
     Solving w^2 = -sum z_k^2 gives the two sheets [z : w] and [z : -w], 2
-    points, off the branch quadric; on it (|sum z_k^2| <= ``tol``) both sheets
+    points, off the branch quadric; on it (|sum z_k^2| <= LOCUS_TOL) both sheets
     are the single point [z : 0], 1 point. Acts on the last axis, so a batch
     of N points gives two batches of N sheets and an array of N counts, each
     row with the bits of its point alone. A count is a float (1.0 or 2.0):
@@ -178,7 +180,7 @@ def quadric_fiber(
     """
     rep = point.rep
     s = quadric_residual(point)[..., None]
-    branch = np.abs(s) <= tol
+    branch = np.abs(s) <= LOCUS_TOL
     w = np.where(branch, 0.0, 1j * np.sqrt(s))
     plus, minus = (proj_normalize(np.concatenate([rep, last], axis=-1)) for last in (w, -w))
     return plus, minus, np.where(branch[..., 0], 1.0, 2.0)
@@ -241,13 +243,16 @@ def real_defect(point: ProjectivePoint) -> float | np.ndarray:
 # the labels by rank: 2 on the conic, else 1 if real
 _LOCI = np.array(["generic", "on_RP2", "on_Q1"])
 
+# the bound below which locus_classify counts |sum z_k^2| or the real defect as zero
+_CLASSIFY_TOL = 1e-9
 
-def locus_classify(point: ProjectivePoint, tol: float = 1e-9) -> str | np.ndarray:
+
+def locus_classify(point: ProjectivePoint) -> str | np.ndarray:
     """Classify a point of CP^2 as ``on_Q1``, ``on_RP2``, or ``generic``.
 
-    On the conic when |sum z_k^2| < ``tol``, else real when
-    :func:`real_defect` is below ``tol``. Acts on the last axis: a batch of N
+    On the conic when |sum z_k^2| < _CLASSIFY_TOL, else real when
+    :func:`real_defect` is below it. Acts on the last axis: a batch of N
     points gives an array of N labels, one per row, and a point its label.
     """
-    on_conic = np.abs(quadric_residual(point)) < tol
-    return _LOCI[np.where(on_conic, 2, real_defect(point) < tol)]
+    on_conic = np.abs(quadric_residual(point)) < _CLASSIFY_TOL
+    return _LOCI[np.where(on_conic, 2, real_defect(point) < _CLASSIFY_TOL)]

@@ -172,9 +172,6 @@ def reference_rk4(m: CotangentPoint, t_final: float, dt: float) -> dynamics.Flow
 
     p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
     x = p + q
-    energy0 = k * float(np.sqrt(m.q @ m.q))
-    energy_drift = 0.0
-    constraint_drift = max(m.residuals())
     steps = 0
     t = 0.0
     while t < t_final - 1e-12:
@@ -191,13 +188,6 @@ def reference_rk4(m: CotangentPoint, t_final: float, dt: float) -> dynamics.Flow
         ]
         p, q = _retract(x, k, d)
         x = p + q
-        energy_drift = max(energy_drift, abs(k * hypot(*q) - energy0))
-        constraint_drift = max(constraint_drift, abs(hypot(*p) - k), abs(_dot(p, q)))
         t += step
         steps += 1
-    return dynamics.FlowResult(
-        endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k),
-        energy_drift=energy_drift,
-        constraint_drift=constraint_drift,
-        steps=steps,
-    )
+    return dynamics.FlowResult(endpoint=CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k), steps=steps)

@@ -40,6 +40,12 @@ def test_empty_match_is_usage_error(capsys):
     assert "no check matches" in capsys.readouterr().err
 
 
+def test_a_repeated_suite_is_usage_error(capsys):
+    # argparse kept the last glob: this ran R-uneven-flow alone and exited 0
+    assert main(["run", "--suite", "P-*", "--suite", "R-uneven-flow"]) == 2
+    assert "--suite takes one glob, got 2: 'P-*', 'R-uneven-flow'" in capsys.readouterr().err
+
+
 def test_bad_flag_is_usage_error():
     assert main(["run", "--definitely-not-a-flag"]) == 2
     assert main(["frobnicate"]) == 2

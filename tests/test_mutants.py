@@ -105,7 +105,7 @@ def test_rk2_step_in_place_of_rk4(monkeypatch):
             x = x + step * k2
             point = retract(x[: m.p.size], x[m.p.size :], m.base_radius)
             t += step
-        return FlowResult(endpoint=point, energy_drift=0.0, constraint_drift=0.0, steps=0)
+        return FlowResult(endpoint=point, steps=0)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", rk2_integrate)
     report = _assert_fails_with_witness("P-unitcut-rk4-order")
@@ -192,7 +192,7 @@ def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
     # an integrator whose endpoint is the scalar action, the flow of an evened
     # cosphere: on the uneven one it keeps to the scalar orbit, so no witness
     def scalar_integrate(m, t_final, dt):
-        return FlowResult(endpoint=scalar_action(m, t_final), energy_drift=0.0, constraint_drift=0.0, steps=0)
+        return FlowResult(endpoint=scalar_action(m, t_final), steps=0)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", scalar_integrate)
     report = _assert_fails_with_witness("R-uneven-flow")
