@@ -8,7 +8,6 @@ sampling, exact forward-mode differentials, and Gauss-Legendre quadrature.
 
 from .checks import (
     CheckReport,
-    SuiteConfig,
     UsageError,
     VERIFIED_STATEMENTS,
     build_registry,
@@ -54,12 +53,7 @@ from .maps import (
     quadric_to_cotangent,
     segre_unitary,
 )
-from .numerics import (
-    DEFAULT_PROFILE,
-    ToleranceProfile,
-    derive_stream,
-    gauss_legendre_2d,
-)
+from .numerics import derive_stream, gauss_legendre_2d
 from .projective import (
     ProjectivePoint,
     proj_normalize,

@@ -96,8 +96,6 @@ from .maps import (
 )
 from .numerics import (
     CHUNK_ROWS,
-    PROFILES,
-    ToleranceProfile,
     _null_frame,
     derive_stream,
     fill_accepted,
@@ -117,7 +115,7 @@ __all__ = [
     "Check",
     "CheckReport",
     "MAX_DIM",
-    "SuiteConfig",
+    "PROFILES",
     "UsageError",
     "VERIFIED_STATEMENTS",
     "build_registry",
@@ -256,8 +254,8 @@ class _Param(NamedTuple):
 # Every check passes at n = 128 (seed 42): a full run takes 3.2-3.5 s and
 # peaks at 0.40 GB, against 0.13 GB at n = 64 and 0.04 GB at n = 8. The peak
 # is R-pi-not-symplectic's stack of complex frames, which grows as n^2, so
-# n = 256 would need about 1.5 GB; each RK4 dimension also compiles a field
-# and a trajectory kernel whose source grows with n.
+# n = 256 would need about 1.5 GB; each RK4 dimension also compiles a
+# trajectory kernel (``_rk4_kernel``) whose source grows with n.
 MAX_DIM = 128
 DIM = _Number(1, many="dimensions", most=MAX_DIM)
 DIM2 = _Number(2, many="dimensions", most=MAX_DIM)  # on CP^1 every 2-form is a multiple of omega_FS
@@ -531,9 +529,9 @@ class Check:
     (``_score_<name>`` for a witness check), looked up in this module when
     read, so a function rebound after import is the one that runs. Every
     residual takes a chunk of rows and returns one value per row
-    (:func:`_chunked`). ``tolerance`` is a number or the name of a
-    :class:`ToleranceProfile` field. ``params`` is read-only, list defaults
-    stored as tuples, so no caller can change a declared default later.
+    (:func:`_chunked`). ``strict`` is the tolerance of a run under the
+    strict profile, ``tolerance`` otherwise. ``params`` is read-only, list
+    defaults stored as tuples, so no caller can change a declared default later.
     """
 
     id: str
@@ -541,7 +539,8 @@ class Check:
     covers: tuple[str, ...]
     kind: str  # "residual": pass iff max residual <= tolerance;
     #            "witness": pass iff some sampled score exceeds the threshold
-    tolerance: float | str
+    tolerance: float
+    strict: float
     params: Mapping[str, Any]
     name: str
     fields: Mapping[str, Any]
@@ -559,8 +558,10 @@ class Check:
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id, statement, covers, tolerance, params, fields, kind="residual"):
+def _check(id, statement, covers, tolerance, params, fields, kind="residual", strict=None):
     """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
+
+    ``strict``, the tolerance under the strict profile, defaults to ``tolerance``.
 
     ``fields`` declares each input field, in row order, with its kind; a label
     is a dict from each of its values to the extra fields its rows carry, and
@@ -575,7 +576,8 @@ def _check(id, statement, covers, tolerance, params, fields, kind="residual"):
         name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
-            id, statement, covers, kind, tolerance, MappingProxyType(frozen), name, MappingProxyType(fields)
+            id, statement, covers, kind, tolerance, tolerance if strict is None else strict,
+            MappingProxyType(frozen), name, MappingProxyType(fields),
         )
         return func
 
@@ -672,7 +674,7 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
 @_check(
     "L-sphereembedding",
     "disc bundle images satisfy the quadric equation and avoid the last hyperplane",
-    covers=("cotangent-to-quadric-image",), tolerance="residual_tol",
+    covers=("cotangent-to-quadric-image",), tolerance=1e-10, strict=1e-11,
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
@@ -723,7 +725,7 @@ _gen_unitcut_boundary = _cotangent_generator(sample_cosphere)
 @_check(
     "P-unitcut-boundary",
     "the unit cosphere maps into the lower quadric and circle orbits collapse",
-    covers=("unit-cosphere-cut",), tolerance="residual_tol",
+    covers=("unit-cosphere-cut",), tolerance=1e-10, strict=1e-11,
     params={"n": [1, 2, 3], "samples": 200},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
@@ -746,7 +748,7 @@ _gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: 
 @_check(
     "P-unitcut-flow",
     "the evened closed-form flow equals the scalar circle action",
-    covers=("unit-cosphere-cut",), tolerance="flow_tol",
+    covers=("unit-cosphere-cut",), tolerance=1e-12, strict=1e-13,
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
     fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
 )
@@ -820,7 +822,7 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
 @_check(
     "C-branchedcover-deck",
     "the deck involution intertwines the embedding with the antipodal map",
-    covers=("branched-double-cover",), tolerance="flow_tol",
+    covers=("branched-double-cover",), tolerance=1e-12, strict=1e-13,
     params={"n": [1, 2, 3], "samples": 1000},
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
@@ -923,7 +925,7 @@ def _gen_segre_equivariance(params, rng):
 @_check(
     "P-segre-equivariance",
     "the twisted Segre map intertwines the deck involution with the factor swap",
-    covers=("quadric-product-structure",), tolerance="flow_tol",
+    covers=("quadric-product-structure",), tolerance=1e-12, strict=1e-13,
     params={"samples": 1000},
     fields={"a": CP1, "b": CP1},
 )
@@ -1121,7 +1123,7 @@ def _gen_period_cp1(params, rng):
 @_check(
     "I-period-CP1",
     "the projective line has omega_FS area pi",
-    covers=("pushed-down-form",), tolerance="quadrature_tol",
+    covers=("pushed-down-form",), tolerance=2e-11, strict=2e-12,
     params={"nodes": 200},
     fields={"nodes": NODES},
 )
@@ -1213,22 +1215,8 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 42
-    samples: int | None = None
-    n_values: tuple[int, ...] | None = None
-    radii: tuple[float, ...] | None = None
-    profile: str = "default"
-
-
-def _resolve_profile(profile: str | ToleranceProfile) -> ToleranceProfile:
-    if isinstance(profile, ToleranceProfile):
-        return profile
-    try:
-        return PROFILES[profile]
-    except KeyError:
-        raise UsageError(f"unknown tolerance profile {profile!r}") from None
+# "strict" judges a check against its ``strict`` tolerance, "default" against its ``tolerance``
+PROFILES = ("default", "strict")
 
 
 def _injected_tolerance(check_id: str, value) -> float:
@@ -1246,7 +1234,7 @@ def run_check(
     check_id: str,
     params: dict | None = None,
     seed: int = 42,
-    profile: str | ToleranceProfile = "default",
+    profile: str = "default",
 ) -> CheckReport:
     """Run one named check; deterministic given (id, params, seed).
 
@@ -1257,16 +1245,16 @@ def run_check(
     trajectory would take more than MAX_STEPS RK4 steps, scores NaN, and a
     param of a generated run that breaks its kind, or sets such a
     trajectory, is a UsageError.
-    The profile picks the tolerance of a check that names one, and nothing
+    The profile, one of :data:`PROFILES`, picks the tolerance and nothing
     else.
     """
-    prof = _resolve_profile(profile)
+    if profile not in PROFILES:
+        raise UsageError(f"unknown tolerance profile {profile!r}")
     registry = build_registry()
     if check_id not in registry:
         raise UsageError(f"unknown check id {check_id!r}")
     check = registry[check_id]
-    # a tolerance declared by name is the field of that name in the run's profile
-    tolerance = getattr(prof, check.tolerance) if isinstance(check.tolerance, str) else check.tolerance
+    tolerance = check.strict if profile == "strict" else check.tolerance
     params = params or {}
     # a witness is given by its key: a null witness is a malformed one, never a generated run
     replay, overrides = "witness" in params, {}
@@ -1327,30 +1315,44 @@ def run_check(
 
 
 def _dimensions_for(check: Check, n_values: Sequence) -> list:
-    """The values of a suite-wide dimension list that ``check`` accepts, in order.
+    """The dimensions of a suite-wide list that ``check`` accepts, in order.
 
-    A value that is no dimension at all stays, for the check to reject; a
-    dimension below the check's own least is dropped, and a list that
+    A dimension below the check's own least is dropped, and a list that
     leaves the check no dimension is a UsageError naming it.
     """
     kind = check.fields["n"]
     kind = kind.kind if isinstance(kind, _Param) else kind
-    kept = [n for n in n_values if DIM.problem("n", n, False) or not kind.problem("n", n, False)]
+    kept = [n for n in n_values if not kind.problem("n", n, False)]
     if not kept:
         problem = kind.problem("n", list(n_values), True)
         raise UsageError(f"check {check.id} takes none of the dimensions {list(n_values)}: {problem}")
     return kept
 
 
-def run_suite(pattern: str = "*", config: SuiteConfig = SuiteConfig()) -> tuple[list[CheckReport], int]:
+def run_suite(
+    pattern: str = "*",
+    *,
+    seed: int = 42,
+    samples: int | None = None,
+    n_values: Sequence[int] | None = None,
+    radii: Sequence[float] | None = None,
+    profile: str = "default",
+) -> tuple[list[CheckReport], int]:
     """Run all checks matching the id glob, in registry order.
 
-    A check takes the dimensions of ``config.n_values`` that it accepts (:func:`_dimensions_for`). Returns
-    the reports plus an exit status: 0 iff every matched check passed.
-    Raises UsageError if the glob matches nothing or a check's parameters
-    are invalid (see :func:`run_check`).
+    ``samples``, ``n_values`` and ``radii`` override the declared values of
+    every check that takes them, and a check takes the dimensions of
+    ``n_values`` that it accepts (:func:`_dimensions_for`). Returns the
+    reports plus an exit status: 0 iff every matched check passed. Raises
+    UsageError if an override is invalid, whether or not a matched check
+    reads it, if the glob matches nothing, or if a check's parameters are
+    invalid (see :func:`run_check`).
     """
-    prof = _resolve_profile(config.profile)
+    for kind, key, value, listed in (
+        (COUNT, "samples", samples, False), (DIM, "n", n_values, True), (RADIUS, "r", radii, True)
+    ):
+        if value is not None and (problem := kind.problem(key, value, listed)):
+            raise UsageError(f"{problem}, got {value!r}")
     registry = build_registry()
     matched = [cid for cid in registry if fnmatch.fnmatchcase(cid, pattern)]
     if not matched:
@@ -1359,13 +1361,13 @@ def run_suite(pattern: str = "*", config: SuiteConfig = SuiteConfig()) -> tuple[
     for cid in matched:
         check = registry[cid]
         params: dict[str, Any] = {}
-        if config.samples is not None and "samples" in check.params:
-            params["samples"] = config.samples
-        if config.n_values is not None and "n" in check.params:
-            params["n"] = _dimensions_for(check, config.n_values)
-        if config.radii is not None and "r" in check.params and isinstance(check.params["r"], tuple):
-            params["r"] = list(config.radii)
-        reports.append(run_check(cid, params or None, seed=config.seed, profile=prof))
+        if samples is not None and "samples" in check.params:
+            params["samples"] = samples
+        if n_values is not None and "n" in check.params:
+            params["n"] = _dimensions_for(check, n_values)
+        if radii is not None and "r" in check.params and isinstance(check.params["r"], tuple):
+            params["r"] = list(radii)
+        reports.append(run_check(cid, params or None, seed=seed, profile=profile))
     status = 0 if all(r.passed for r in reports) else 1
     return reports, status
 

@@ -13,8 +13,7 @@ import functools
 import os
 import sys
 
-from .checks import MAX_DIM, SuiteConfig, UsageError, build_registry, emit_report, run_suite
-from .numerics import PROFILES
+from .checks import MAX_DIM, PROFILES, UsageError, build_registry, emit_report, run_suite
 
 
 @functools.cache
@@ -48,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--samples", type=int, metavar="INT", help="override sample counts")
     run.add_argument("--seed", type=int, default=None, metavar="INT", help="master seed (default 42)")
-    run.add_argument("--tol-profile", choices=sorted(PROFILES), default="default")
+    run.add_argument("--tol-profile", choices=PROFILES, default="default")
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", metavar="PATH", help="write the report to a file instead of stdout")
 
@@ -88,14 +87,14 @@ def main(argv: list[str] | None = None) -> int:
         suite, *extra = args.suite or ["*"]
         if extra:
             raise UsageError(f"--suite takes one glob, got {len(args.suite)}: {', '.join(map(repr, args.suite))}")
-        config = SuiteConfig(
+        reports, status = run_suite(
+            suite,
             seed=_resolve_seed(args.seed),
             samples=args.samples,
-            n_values=tuple(args.n) if args.n else None,
-            radii=tuple(args.radius) if args.radius else None,
+            n_values=args.n,
+            radii=args.radius,
             profile=args.tol_profile,
         )
-        reports, status = run_suite(suite, config)
         emit_report(reports, format=args.format, destination=args.out)
         return status
     except UsageError as exc:

@@ -1,7 +1,7 @@
 """Shared numerical primitives.
 
 Counter-based seeded sampling streams, tensor-product Gauss-Legendre
-quadrature, the real-complex coordinate pairing and the tolerance profiles.
+quadrature and the real-complex coordinate pairing.
 Everything downstream (pullback checks, flow comparisons, period integrals)
 is built on these ingredients, so their contracts are kept deliberately
 small: pure functions, explicit generator state, and one cache, of the
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,10 +20,6 @@ from .jets import Jet
 
 __all__ = [
     "CHUNK_ROWS",
-    "ToleranceProfile",
-    "DEFAULT_PROFILE",
-    "STRICT_PROFILE",
-    "PROFILES",
     "derive_stream",
     "fill_accepted",
     "gauss_legendre_2d",
@@ -33,24 +28,6 @@ __all__ = [
     "complexify",
 ]
 
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """The tolerances a check's result is judged against, by name; no computation reads them."""
-
-    residual_tol: float = 1e-10
-    flow_tol: float = 1e-12
-    quadrature_tol: float = 2e-11
-
-    def __post_init__(self) -> None:
-        for field in ("residual_tol", "flow_tol", "quadrature_tol"):
-            if not getattr(self, field) > 0.0:
-                raise ValueError(f"{field} must be strictly positive")
-
-
-DEFAULT_PROFILE = ToleranceProfile()
-STRICT_PROFILE = ToleranceProfile(residual_tol=1e-11, flow_tol=1e-13, quadrature_tol=2e-12)
-PROFILES = {"default": DEFAULT_PROFILE, "strict": STRICT_PROFILE}
 
 # most rows a batched residual, or quadrature nodes an integrand call,
 # evaluates at once; bounds peak memory whatever the sample or node count

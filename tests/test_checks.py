@@ -14,7 +14,6 @@ from quadcover import dynamics
 from quadcover.checks import (
     Inputs,
     MAX_DIM,
-    SuiteConfig,
     UsageError,
     VERIFIED_STATEMENTS,
     build_registry,
@@ -42,7 +41,7 @@ from quadcover.maps import (
     quadric_to_cotangent,
     segre_unitary,
 )
-from quadcover.numerics import PROFILES, ToleranceProfile, derive_stream, realify
+from quadcover.numerics import derive_stream, realify
 from quadcover.projective import (
     ProjectivePoint,
     proj_normalize,
@@ -91,11 +90,10 @@ def test_registering_a_duplicate_id_raises():
 
 
 def test_every_entry_resolves_its_functions_and_tolerance():
-    # a misspelt function or profile field fails here, not in the middle of a run
-    fields = {f.name for f in dataclasses.fields(ToleranceProfile)}
+    # a misspelt function or a tolerance that is no float fails here, not in the middle of a run
     for cid, check in build_registry().items():
         assert callable(check.gen) and callable(check.residual), cid
-        assert isinstance(check.tolerance, float) or check.tolerance in fields, cid
+        assert isinstance(check.tolerance, float) and isinstance(check.strict, float), cid
 
 
 def test_mutating_the_returned_registry_leaves_run_check_alone():
@@ -104,7 +102,7 @@ def test_mutating_the_returned_registry_leaves_run_check_alone():
     del registry["I-period-Q1"]
     assert run_check("I-period-CP1", {"nodes": 24}).passed
     assert run_check("I-period-Q1", {"nodes": 24}).passed
-    assert build_registry()["I-period-CP1"].tolerance == "quadrature_tol"
+    assert build_registry()["I-period-CP1"].tolerance == 2e-11
 
 
 def test_declared_params_are_read_only():
@@ -141,9 +139,8 @@ def test_run_check_is_deterministic():
 
 def test_checks_are_isolated_from_each_other():
     # the residual of a check does not change with which other checks run
-    config = SuiteConfig(samples=40)
-    alone, _ = run_suite("L-sphereembedding", config)
-    together, _ = run_suite("L-sphere*", config)
+    alone, _ = run_suite("L-sphereembedding", samples=40)
+    together, _ = run_suite("L-sphere*", samples=40)
     combined = {r.id: r.max_residual for r in together}
     assert combined["L-sphereembedding"] == alone[0].max_residual
 
@@ -156,7 +153,7 @@ def test_seed_changes_residuals_but_not_outcome():
 
 
 def test_glob_matches_exactly_the_two_segre_checks():
-    reports, status = run_suite("P-segre-*", SuiteConfig(samples=50))
+    reports, status = run_suite("P-segre-*", samples=50)
     assert [r.id for r in reports] == ["P-segre-pullback", "P-segre-equivariance"]
     assert status == 0
 
@@ -168,6 +165,8 @@ def test_unknown_id_and_unknown_param_are_usage_errors():
         run_check("I-period-CP1", {"bogus": 1})
     with pytest.raises(UsageError, match="no check matches"):
         run_suite("zzz-*")
+    with pytest.raises(UsageError, match="unknown tolerance profile 'lenient'"):
+        run_check("I-period-CP1", {"nodes": 4}, profile="lenient")
 
 
 def test_injected_tolerance_forces_failure_with_witness():
@@ -186,7 +185,7 @@ def test_failed_check_yields_suite_exit_status_one(monkeypatch):
         return registry
 
     monkeypatch.setattr(checks_module, "build_registry", forced)
-    reports, status = run_suite("L-projemb", SuiteConfig(samples=5, n_values=(2,), radii=(1.0,)))
+    reports, status = run_suite("L-projemb", samples=5, n_values=(2,), radii=(1.0,))
     assert status == 1
     assert not reports[0].passed
 
@@ -248,7 +247,7 @@ def test_strict_profile_still_passes_representative_checks():
 
 
 def test_reports_keep_registry_order():
-    reports, _ = run_suite("I-period-*", SuiteConfig())
+    reports, _ = run_suite("I-period-*")
     assert [r.id for r in reports] == ["I-period-CP1", "I-period-Q1", "I-period-match"]
 
 
@@ -317,18 +316,27 @@ def test_batched_witness_replays_bit_for_bit(cid):
     assert replay.max_residual == report.max_residual
 
 
+# the strict tolerances of the six checks that the strict profile tightens,
+# each a literal: 1e-10 / 10 is 1.0000000000000001e-11, not 1e-11
+STRICT = {
+    "L-sphereembedding": 1e-11,
+    "P-unitcut-boundary": 1e-11,
+    "P-unitcut-flow": 1e-13,
+    "C-branchedcover-deck": 1e-13,
+    "P-segre-equivariance": 1e-13,
+    "I-period-CP1": 2e-12,
+}
+
+
 @pytest.mark.parametrize("cid", sorted(BATCHED))
 def test_the_profile_only_picks_the_tolerance(cid):
-    # residuals, sample counts and witnesses do not read the profile; a check
-    # whose tolerance names a profile field takes that field's value, and
-    # every other check judges its result as before
+    # residuals, sample counts and witnesses do not read the profile; the
+    # strict profile judges the six checks of STRICT against their pinned
+    # tolerances, and every other check against its default
+    assert set(STRICT) <= set(BATCHED)
     check = build_registry()[cid]
     default, strict = (run_check(cid, BATCHED[cid], seed=3, profile=name) for name in ("default", "strict"))
-    if isinstance(check.tolerance, str):
-        assert (default.tolerance, strict.tolerance) == (
-            getattr(PROFILES["default"], check.tolerance), getattr(PROFILES["strict"], check.tolerance)
-        )
-        assert default.tolerance != strict.tolerance
+    assert (default.tolerance, strict.tolerance) == (check.tolerance, STRICT.get(cid, check.tolerance))
     ignored = {"tolerance": 0.0, "elapsed": 0.0}
     assert dataclasses.replace(default, **ignored) == dataclasses.replace(strict, **ignored)
 

@@ -121,6 +121,24 @@ def test_a_radius_outside_the_declared_range_is_usage_error(radius, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("T-zerosection", ["--radius", "nan"]),
+        ("T-zerosection", ["--radius", "1e200"]),
+        ("P-segre-pullback", ["--n", "0"]),
+        ("P-segre-pullback", ["--n", "100000"]),
+        ("I-period-CP1", ["--samples", "0"]),
+        ("I-period-CP1", ["--samples", "-5"]),
+    ],
+)
+def test_an_invalid_suite_wide_flag_is_usage_error_whatever_the_glob(suite, flags, capsys):
+    # no matched check reads the flag; a bad value is refused before any check runs
+    assert main(["run", "--suite", suite, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_a_dimension_above_the_bound_is_usage_error(capsys):
     # unbounded, --n 100000 would have compiled RK4 kernels of about 1.7 GB
     assert main(["run", "--suite", "P-unitcut-rk4", "--n", "100000"]) == 2
@@ -145,12 +163,12 @@ def test_the_shared_parser_leaks_nothing_between_runs(tmp_path, monkeypatch):
     # the parser is built once a process; a run without --n after one with it
     # runs at the declared dimensions
     configs, run_suite = [], cli.run_suite
-    monkeypatch.setattr(cli, "run_suite", lambda pattern, config: configs.append(config) or run_suite(pattern, config))
+    monkeypatch.setattr(cli, "run_suite", lambda pattern, **kw: configs.append(kw) or run_suite(pattern, **kw))
     out = tmp_path / "n.json"
     common = ["--suite", "L-sphereembedding", "--samples", "5", "--format", "json", "--out", str(out)]
     for flags in (["--n", "1", "--n", "3"], []):
         assert main(["run", *common, *flags]) == 0
-    assert [c.n_values for c in configs] == [(1, 3), None]
+    assert [c["n_values"] for c in configs] == [[1, 3], None]
     declared = build_registry()["L-sphereembedding"].params["n"]
     assert json.loads(out.read_text())[0]["samples"] == 5 * len(declared)
     assert cli._build_parser() is cli._build_parser()

@@ -18,7 +18,7 @@ from quadcover.forms import (
     scaled_form,
 )
 from quadcover.maps import ball_embedding, quadric_fiber
-from quadcover.numerics import DEFAULT_PROFILE, derive_stream, realify
+from quadcover.numerics import derive_stream, realify
 from quadcover.projective import (
     ProjectivePoint,
     horizontal_project,

@@ -6,7 +6,6 @@ from fd_oracle import central_difference
 
 from quadcover.forms import BoxSpace, SmoothMap
 from quadcover.numerics import (
-    ToleranceProfile,
     complexify,
     derive_stream,
     gauss_legendre_2d,
@@ -237,11 +236,6 @@ def test_each_legendre_rule_is_computed_once_and_read_only(monkeypatch):
 def test_quadrature_rejects_single_node():
     with pytest.raises(ValueError):
         gauss_legendre_2d(lambda u, v: 1.0, 0, 1, 0, 1, 1)
-
-
-def test_tolerance_profile_validation():
-    with pytest.raises(ValueError):
-        ToleranceProfile(residual_tol=0.0)
 
 
 def test_realify_complexify_roundtrip():
