@@ -11,9 +11,13 @@ reproduce its residual exactly.
 
 Each check declares its input fields in row order with their kinds, which
 validate a generated run's params and parse a witness row into a one-row
-:class:`Block` (NaN if the row breaks them). Generators return blocks of rows
-stored by field; a row becomes a plain-JSON dict only as a witness, in a
-report or for a hash.
+:class:`Block` (NaN if the row breaks them). A generator returns a list of
+draws, zero-argument functions that each draw one block of rows stored by
+field from the check's stream, called in list order. A generated run calls a
+draw, scores its block chunk by chunk, keeps the running worst residual with
+a plain-JSON copy of its row, and drops the block before the next draw, so it
+holds one block plus one chunk's temporaries, whatever its sample count. A
+row becomes a plain-JSON dict only as a witness, in a report or for a hash.
 
 Every residual takes a chunk of rows of one block and returns one value per
 row; an RK4 check, whose row is a whole trajectory, loops over its chunk's
@@ -38,6 +42,7 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
@@ -191,6 +196,8 @@ class _Number:
             if listed:
                 return f"{many} must be a list of {noun}s"
             return f"{self.one or key} must be {'an' if integer else 'a'} {noun}"
+        if not values:
+            return f"{many} must not be empty"
         if not all(map(self.in_range, values)):
             if integer:
                 most = f" and at most {self.most}" if self.most is not None else ""
@@ -525,13 +532,14 @@ def _evened_rescale_map(n: int, r: float) -> SmoothMap:
 class Check:
     """One named verification: statement, tolerance, input fields, and the name of its functions.
 
-    ``gen`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
+    ``draws`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
     (``_score_<name>`` for a witness check), looked up in this module when
-    read, so a function rebound after import is the one that runs. Every
-    residual takes a chunk of rows and returns one value per row
-    (:func:`_chunked`). ``strict`` is the tolerance of a run under the
-    strict profile, ``tolerance`` otherwise. ``params`` is read-only, list
-    defaults stored as tuples, so no caller can change a declared default later.
+    read, so a function rebound after import is the one that runs. ``gen``
+    calls every draw in order and holds all the blocks. Every residual takes
+    a chunk of rows and returns one value per row (:func:`_chunked`).
+    ``strict`` is the tolerance of a run under the strict profile,
+    ``tolerance`` otherwise. ``params`` is read-only, list defaults stored as
+    tuples, so no caller can change a declared default later.
     """
 
     id: str
@@ -546,9 +554,13 @@ class Check:
     fields: Mapping[str, Any]
 
     @property
+    def draws(self) -> Callable[[dict, np.random.Generator], list[Callable[[], Block]]]:
+        return globals()[f"_gen_{self.name}"]
+
+    @property
     def gen(self) -> Callable[[dict, np.random.Generator], Inputs]:
-        blocks = globals()[f"_gen_{self.name}"]
-        return lambda params, rng: Inputs(self.fields, blocks(params, rng))
+        draws = self.draws
+        return lambda params, rng: Inputs(self.fields, [draw() for draw in draws(params, rng)])
 
     @property
     def residual(self) -> Callable[[Inputs], np.ndarray]:
@@ -590,8 +602,8 @@ def build_registry() -> dict[str, Check]:
 
 
 # ---------------------------------------------------------------------------
-# Check implementations: a generator of blocks of rows plus a pure residual
-# (or witness score) of a chunk of rows.
+# Check implementations: a generator of draws, each of one block of rows, plus
+# a pure residual (or witness score) of a chunk of rows.
 # ---------------------------------------------------------------------------
 
 
@@ -624,7 +636,7 @@ def _chunked(residual: Callable[[Block], np.ndarray]) -> Callable:
 
 
 def _cotangent_generator(sampler: Callable, count="samples", radius=None, shared=lambda params: {}):
-    """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``, one block per ``n``.
+    """Generator of ``params[count]`` points ``sampler(n, 1, r, rng)`` for each ``n``, one draw per ``n``.
 
     The fiber radius r is 1, or the field ``r`` read from ``params[radius]``;
     ``shared(params)`` gives the other values every row shares.
@@ -633,25 +645,26 @@ def _cotangent_generator(sampler: Callable, count="samples", radius=None, shared
     def gen(params, rng):
         r = float(params[radius]) if radius else 1.0
         fixed = {"r": r} if radius else {}
-        blocks = []
-        for n in params["n"]:
+
+        def draw(n):
             m = sampler(n, 1.0, r, rng, size=params[count])
-            blocks.append(Block(len(m.p), n=int(n), **fixed, p=m.p, q=m.q, **shared(params)))
-        return blocks
+            return Block(len(m.p), n=int(n), **fixed, p=m.p, q=m.q, **shared(params))
+
+        return [partial(draw, n) for n in params["n"]]
 
     return gen
 
 
 def _gen_projemb(params, rng):
-    blocks = []
     samples, pairs = params["samples"], params["pairs"]
-    for n in params["n"]:
-        for r in params["r"]:
-            z = np.repeat(_ball_sample(n, r, rng, samples), pairs, axis=0)
-            # v1, v2 of each pair are consecutive rows of one draw
-            vs = _unit_rows((2 * len(z), 2 * (n + 1)), rng)
-            blocks.append(Block(len(z), n=int(n), r=float(r), z=z, v1=vs[0::2].copy(), v2=vs[1::2].copy()))
-    return blocks
+
+    def draw(n, r):
+        z = np.repeat(_ball_sample(n, r, rng, samples), pairs, axis=0)
+        # v1, v2 of each pair are consecutive rows of one draw
+        vs = _unit_rows((2 * len(z), 2 * (n + 1)), rng)
+        return Block(len(z), n=int(n), r=float(r), z=z, v1=vs[0::2].copy(), v2=vs[1::2].copy())
+
+    return [partial(draw, n, r) for n in params["n"] for r in params["r"]]
 
 
 @_check(
@@ -692,15 +705,15 @@ def _quadric_lifts(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _gen_sphereembedding_lift(params, rng):
-    blocks = []
-    for n in params["n"]:
+    def draw(n):
         (reps,) = fill_accepted(
             params["samples"],
-            lambda index, n=n: (_quadric_lifts(n, rng, index.size),),
+            lambda index: (_quadric_lifts(n, rng, index.size),),
             lambda reps: np.abs(reps[:, -1]) > 1e-6,
         )
-        blocks.append(Block(len(reps), n=int(n), z=reps))
-    return blocks
+        return Block(len(reps), n=int(n), z=reps)
+
+    return [partial(draw, n) for n in params["n"]]
 
 
 @_check(
@@ -837,14 +850,17 @@ def _res_branchedcover_deck(rows):
 
 def _gen_branchedcover_fibers(params, rng):
     # each half gets at least one input, so a single sample still draws both kinds
-    blocks = []
-    for n in params["n"]:
-        half = params["samples"] // 2
-        off = _projective_off_quadric(n, rng, max(1, half), 1e-3)
+    half = params["samples"] // 2
+
+    def off(n):
+        z = _projective_off_quadric(n, rng, max(1, half), 1e-3)
+        return Block(len(z), kind="off", expected=2, z=z)
+
+    def on(n):
         m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
-        on = proj_normalize(m.p + 1j * m.q).rep
-        blocks += [Block(len(off), kind="off", expected=2, z=off), Block(len(on), kind="on", expected=1, z=on)]
-    return blocks
+        return Block(len(m.p), kind="on", expected=1, z=proj_normalize(m.p + 1j * m.q).rep)
+
+    return [partial(kind, n) for n in params["n"] for kind in (off, on)]
 
 
 @_check(
@@ -891,13 +907,16 @@ def _res_pi_not_symplectic(rows):
 
 
 def _gen_segre_pullback(params, rng):
-    a = sample_projective(1, rng, params["samples"])
-    b = sample_projective(1, rng, params["samples"])
-    v1, v2 = (
-        np.concatenate([realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))], axis=1)
-        for _ in range(2)
-    )
-    return [Block(len(a.rep), a=a.rep, b=b.rep, v1=v1, v2=v2)]
+    def draw():
+        a = sample_projective(1, rng, params["samples"])
+        b = sample_projective(1, rng, params["samples"])
+        v1, v2 = (
+            np.concatenate([realify(sample_horizontal(a, rng)), realify(sample_horizontal(b, rng))], axis=1)
+            for _ in range(2)
+        )
+        return Block(len(a.rep), a=a.rep, b=b.rep, v1=v1, v2=v2)
+
+    return [draw]
 
 
 @_check(
@@ -918,8 +937,11 @@ def _res_segre_pullback(rows):
 
 
 def _gen_segre_equivariance(params, rng):
-    a = sample_projective(1, rng, params["samples"]).rep
-    return [Block(len(a), a=a, b=sample_projective(1, rng, params["samples"]).rep)]
+    def draw():
+        a = sample_projective(1, rng, params["samples"]).rep
+        return Block(len(a), a=a, b=sample_projective(1, rng, params["samples"]).rep)
+
+    return [draw]
 
 
 @_check(
@@ -938,7 +960,7 @@ def _res_segre_equivariance(rows):
 
 
 def _gen_diag_antidiag(params, rng):
-    return [Block(params["samples"], a=sample_projective(1, rng, params["samples"]).rep)]
+    return [lambda: Block(params["samples"], a=sample_projective(1, rng, params["samples"]).rep)]
 
 
 @_check(
@@ -958,17 +980,18 @@ def _res_diag_antidiag(rows):
 
 
 def _gen_evenedrescale(params, rng):
-    blocks = []
-    for n in params["n"]:
-        per_r = max(1, params["samples"] // (2 * len(params["r"])))
-        for r in params["r"]:
-            shared = {"n": int(n), "r": float(r)}
-            m = sample_disc_bundle(n, 1.0, r, rng, size=per_r)
-            v1, v2 = sample_tangent(m, rng), sample_tangent(m, rng)
-            blocks.append(Block(per_r, part="form", **shared, p=m.p, q=m.q, v1=v1, v2=v2))
-            m = sample_cosphere(n, 1.0, r, rng, size=per_r)
-            blocks.append(Block(per_r, part="flow", **shared, p=m.p, q=m.q, t=rng.uniform(0.0, TWO_PI, per_r)))
-    return blocks
+    per_r = max(1, params["samples"] // (2 * len(params["r"])))
+
+    def form(n, r):
+        m = sample_disc_bundle(n, 1.0, r, rng, size=per_r)
+        v1, v2 = sample_tangent(m, rng), sample_tangent(m, rng)
+        return Block(per_r, part="form", n=int(n), r=float(r), p=m.p, q=m.q, v1=v1, v2=v2)
+
+    def flow(n, r):
+        m = sample_cosphere(n, 1.0, r, rng, size=per_r)
+        return Block(per_r, part="flow", n=int(n), r=float(r), p=m.p, q=m.q, t=rng.uniform(0.0, TWO_PI, per_r))
+
+    return [partial(part, n, r) for n in params["n"] for r in params["r"] for part in (form, flow)]
 
 
 @_check(
@@ -1045,25 +1068,25 @@ def _score_uneven_flow(rows):
 
 
 def _gen_omega_r_descent(params, rng):
-    blocks = []
     margin = 2.5 * BRANCH_MARGIN
-
-    def draw(n, index):
-        m = sample_disc_bundle(n, 1.0, 1.0, rng, size=index.size)
-        return m.p, m.q
+    radii = np.array(params["r"], dtype=float)
 
     def away_from_branch(p, q):
         q2 = np.einsum("ij,ij->i", q, q)
         return (1.0 - q2) / (1.0 + q2) > margin
 
-    radii = np.array(params["r"], dtype=float)
-    for n in params["n"]:
-        p, q = fill_accepted(params["samples"], lambda index, n=n: draw(n, index), away_from_branch)
+    def draw(n):
+        def disc(index):
+            m = sample_disc_bundle(n, 1.0, 1.0, rng, size=index.size)
+            return m.p, m.q
+
+        p, q = fill_accepted(params["samples"], disc, away_from_branch)
         upstairs = cotangent_to_quadric(CotangentPoint(p=p, q=q))
         v1, v2 = _quadric_tangent(upstairs, rng), _quadric_tangent(upstairs, rng)
         r = np.resize(radii, len(p))  # the radii take turns along the rows
-        blocks.append(Block(len(p), n=int(n), r=r, z=upstairs.rep, v1=v1, v2=v2))
-    return blocks
+        return Block(len(p), n=int(n), r=r, z=upstairs.rep, v1=v1, v2=v2)
+
+    return [partial(draw, n) for n in params["n"]]
 
 
 @_check(
@@ -1087,14 +1110,14 @@ def _res_omega_r_descent(rows):
 
 
 def _gen_omega_r_not_fs(params, rng):
-    blocks = []
     margin = 2.0 * BRANCH_MARGIN
-    for n in params["n"]:
-        for r in params["r"]:
-            point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
-            dirs = np.stack([sample_horizontal(point, rng) for _ in range(params["pairs"])], axis=1)
-            blocks.append(Block(len(dirs), n=int(n), r=float(r), z=point.rep, dirs=dirs))
-    return blocks
+
+    def draw(n, r):
+        point = ProjectivePoint(_projective_off_quadric(n, rng, params["samples"], margin))
+        dirs = np.stack([sample_horizontal(point, rng) for _ in range(params["pairs"])], axis=1)
+        return Block(len(dirs), n=int(n), r=float(r), z=point.rep, dirs=dirs)
+
+    return [partial(draw, n, r) for n in params["n"] for r in params["r"]]
 
 
 @_check(
@@ -1117,7 +1140,7 @@ def _score_omega_r_not_fs(rows):
 
 def _gen_period_cp1(params, rng):
     # the one input of a period check, a block of one row: its node count per axis
-    return [Block(1, nodes=int(params["nodes"]))]
+    return [lambda: Block(1, nodes=int(params["nodes"]))]
 
 
 @_check(
@@ -1149,7 +1172,7 @@ def _res_period_q1(rows):
 
 
 def _gen_period_match(params, rng):
-    return [Block(len(params["r"]), nodes=int(params["nodes"]), r=np.array(params["r"], dtype=float))]
+    return [lambda: Block(len(params["r"]), nodes=int(params["nodes"]), r=np.array(params["r"], dtype=float))]
 
 
 @_check(
@@ -1172,14 +1195,17 @@ def _res_period_match(rows):
 
 def _gen_zerosection(params, rng):
     # each half gets at least one input, as in _gen_branchedcover_fibers
-    blocks = []
-    for n in params["n"]:
-        half = params["samples"] // 2
-        zero = _unit_rows((max(1, half), n + 1), rng)
+    half = params["samples"] // 2
+
+    def zero(n):
+        p = _unit_rows((max(1, half), n + 1), rng)
+        return Block(len(p), kind="zero", n=int(n), p=p, q=np.zeros_like(p))
+
+    def boundary(n):
         m = sample_cosphere(n, 1.0, 1.0, rng, size=params["samples"] - half)
-        blocks.append(Block(len(zero), kind="zero", n=int(n), p=zero, q=np.zeros_like(zero)))
-        blocks.append(Block(len(m.p), kind="boundary", n=int(n), p=m.p, q=m.q))
-    return blocks
+        return Block(len(m.p), kind="boundary", n=int(n), p=m.p, q=m.q)
+
+    return [partial(kind, n) for n in params["n"] for kind in (zero, boundary)]
 
 
 @_check(
@@ -1230,6 +1256,12 @@ def _injected_tolerance(check_id: str, value) -> float:
     return float(value)
 
 
+def _worst(residuals: np.ndarray) -> int:
+    """The index of the first NaN or infinite residual, which fails either kind of check, else of the first maximum."""
+    finite = np.isfinite(residuals)
+    return int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
+
+
 def run_check(
     check_id: str,
     params: dict | None = None,
@@ -1269,12 +1301,12 @@ def run_check(
         raise UsageError(f"check {check_id}: a witness takes no parameter but tolerance, got {sorted(overrides)}")
     start = time.perf_counter()
     if replay:
-        witness_input = params["witness"]
-        inputs, block = [witness_input], _parse(check.fields, witness_input)
+        worst_row, samples = params["witness"], 1
+        block = _parse(check.fields, worst_row)
         try:
-            residuals = np.full(1, np.nan) if block is None else check.residual(Inputs(check.fields, [block]))
+            max_residual = math.nan if block is None else float(check.residual(Inputs(check.fields, [block]))[0])
         except StepLimitError:
-            residuals = np.full(1, np.nan)
+            max_residual = math.nan
     else:
         merged = {**check.params, **overrides}
         for key, value in merged.items():
@@ -1283,29 +1315,30 @@ def run_check(
             problem = kind.problem(key, value, isinstance(check.params[key], tuple))
             if problem:
                 raise UsageError(f"check {check_id}: {problem}, got {value!r}")
-        inputs = check.gen(merged, derive_stream(seed, check_id))
-        if not inputs:
-            raise UsageError(
-                f"check {check_id} generated no inputs: sample counts must be positive "
-                "and parameter lists non-empty"
-            )
-        try:
-            residuals = check.residual(inputs)
-        except StepLimitError as exc:
-            raise UsageError(f"check {check_id}: {exc}") from None
+        residual, max_residual, samples = check.residual, None, 0
+        for draw in check.draws(merged, derive_stream(seed, check_id)):
+            inputs = Inputs(check.fields, [draw()])
+            try:
+                residuals = residual(inputs)
+            except StepLimitError as exc:
+                raise UsageError(f"check {check_id}: {exc}") from None
+            top = _worst(residuals)
+            # the block's worst is the run's if it is worse than the worst of the blocks before
+            if max_residual is None or _worst(np.array([max_residual, residuals[top]])):
+                # a plain-JSON copy of the row, so no view keeps the block alive
+                max_residual, worst_row = float(residuals[top]), inputs[top]
+            samples += len(inputs)
+            # drop the block before the next draw
+            del inputs, residuals
     elapsed = time.perf_counter() - start
-    finite = np.isfinite(residuals)
-    # the first NaN or infinite residual fails either kind, with its input as the witness
-    top = int(residuals.argmax()) if finite.all() else int(np.argmin(finite))
-    max_residual = float(residuals[top])
     within = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
     passed = math.isfinite(max_residual) and within
     # a witness check always reports its best find; a residual check its worst failure
-    witness = inputs[top] if check.kind == "witness" or not passed else None
+    witness = worst_row if check.kind == "witness" or not passed else None
     return CheckReport(
         id=check_id,
         seed=seed,
-        samples=len(inputs),
+        samples=samples,
         max_residual=max_residual,
         tolerance=float(tolerance),
         passed=passed,

@@ -30,7 +30,8 @@ __all__ = [
 
 
 # most rows a batched residual, or quadrature nodes an integrand call,
-# evaluates at once; bounds peak memory whatever the sample or node count
+# evaluates at once, which bounds the temporaries of one call; the inputs a
+# generated run holds are bounded by its largest block, not by the chunk
 CHUNK_ROWS = 1024
 
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,72 @@ def test_run_check_calls_the_generator_bound_at_call_time(monkeypatch):
     report = run_check("L-sphereembedding", {"samples": 3})
     assert calls == [3]
     assert report.samples == 9
+
+
+def test_a_generated_run_scores_each_block_before_it_draws_the_next(monkeypatch):
+    # one block alive at a time: draw, score, draw, score over L-projemb's 9 (n, r) blocks
+    events = []
+    draws, residual = checks_module._gen_projemb, checks_module._res_projemb
+
+    def recorded(event, func):
+        def call(*args):
+            events.append(event)
+            return func(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        checks_module, "_gen_projemb", lambda params, rng: [recorded("draw", d) for d in draws(params, rng)]
+    )
+    monkeypatch.setattr(checks_module, "_res_projemb", recorded("score", residual))
+    report = run_check("L-projemb", {"samples": 10})
+    assert report.passed and report.samples == 270
+    assert events == ["draw", "score"] * 9
+
+
+def test_a_generated_run_holds_less_than_its_whole_input():
+    # all 81,000 rows of L-projemb at 3,000 samples take 11.1 MiB of columns;
+    # a run that drew every block before scoring the first peaked above them
+    check = build_registry()["L-projemb"]
+    inputs = check.gen({**check.params, "samples": 3000}, derive_stream(42, check.id))
+    whole = sum(v.nbytes for block in inputs.blocks for v in block.columns.values() if isinstance(v, np.ndarray))
+    del inputs
+    tracemalloc.start()
+    try:
+        report = run_check("L-projemb", {"samples": 3000})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.samples == 81_000
+    assert peak < whole, (peak, whole)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[1.0, 3.0], [3.0, 2.0]], [[5.0, 1.0], [1.0, math.nan]], [[1.0, math.inf], [math.nan, 1.0]]],
+    ids=["equal maxima: the first", "a later NaN: the NaN", "inf then a NaN: the inf"],
+)
+@pytest.mark.parametrize(
+    "cid, attr, params",
+    [
+        ("T-zerosection", "_res_zerosection", {"samples": 4}),
+        ("R-omega-r-not-FS", "_score_omega_r_not_fs", {"samples": 2, "r": [1.0, 2.0]}),
+    ],
+)
+def test_the_running_worst_follows_the_rule_over_all_rows(cid, attr, params, values, monkeypatch):
+    # each block's values chosen, the run's worst and witness are those of the
+    # rule over all rows at once: the first NaN or infinite value, else the first maximum
+    check = build_registry()[cid]
+    inputs = check.gen({**check.params, **params}, derive_stream(42, cid))
+    assert [len(block) for block in inputs.blocks] == [2, 2]
+    blocks = iter(values)
+    monkeypatch.setattr(checks_module, attr, lambda rows: next(blocks))
+    report = run_check(cid, params)
+    rows = np.concatenate(values)
+    finite = np.isfinite(rows)
+    top = int(rows.argmax()) if finite.all() else int(np.argmin(finite))
+    assert report.witness == inputs[top]
+    assert np.array_equal(report.max_residual, rows[top], equal_nan=True)
 
 
 def test_run_check_is_deterministic():
@@ -476,10 +543,35 @@ def test_off_quadric_segre_row_scores_nan(monkeypatch):
 
 
 def test_empty_input_list_is_usage_error():
-    with pytest.raises(UsageError, match="generated no inputs"):
+    with pytest.raises(UsageError, match="dimensions must not be empty"):
         run_check("L-projemb", {"n": []})
     with pytest.raises(UsageError, match="t_grid must be at least 1"):
         run_check("P-unitcut-flow", {"t_grid": 0})
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        # passed vacuously: 3,000 samples, each with no radius to take in turn, scored 0
+        (lambda: run_check("P-omega-r-descent", {"r": []}), "check P-omega-r-descent: radii must not be empty"),
+        # raised IndexError
+        (lambda: run_check("R-uneven-flow", {"t_checks": []}), "check R-uneven-flow: t_checks must not be empty"),
+        (lambda: run_check("P-evenedflow-restored", {"t_checks": []}), "t_checks must not be empty"),
+        # raised ZeroDivisionError
+        (lambda: run_check("P-evenedrescale", {"r": []}), "check P-evenedrescale: radii must not be empty"),
+        # was refused only as "generated no inputs", after the run had started
+        (lambda: run_check("L-projemb", {"n": []}), "check L-projemb: dimensions must not be empty"),
+        # ran and returned status 0
+        (lambda: run_suite("T-zerosection", radii=[]), r"^radii must not be empty, got \[\]"),
+        # ended "takes none of the dimensions []: None"
+        (lambda: run_suite("T-zerosection", n_values=[]), r"^dimensions must not be empty, got \[\]"),
+    ],
+    ids=["descent r", "uneven t_checks", "restored t_checks", "evenedrescale r", "projemb n", "suite radii",
+         "suite n_values"],
+)
+def test_an_empty_list_param_is_a_usage_error(run, message):
+    with pytest.raises(UsageError, match=message):
+        run()
 
 
 @pytest.mark.parametrize("cid, attr", [("T-zerosection", "_res_zerosection"), ("R-uneven-flow", "_score_uneven_flow")])
@@ -600,6 +692,8 @@ def _generated_row(cid, **changes):
         # an empty witness, and a null one, which ran all 3,000 generated samples and passed
         ("L-sphereembedding", {}),
         ("L-sphereembedding", None),
+        # no check times: raised IndexError
+        ("R-uneven-flow", _generated_row("R-uneven-flow", ts=[])),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):
