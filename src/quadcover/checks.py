@@ -179,7 +179,10 @@ class _Number:
     most: int | None = None
 
     def typed(self, value) -> bool:
-        # the builtin types first: an isinstance test against a numbers ABC costs about a microsecond
+        # a bool is an int, so its type is refused first; then the builtin
+        # types, since an isinstance test against a numbers ABC costs about a microsecond
+        if type(value) is bool:
+            return False
         return isinstance(value, (int, Integral) if self.least is not None else (float, int, Real))
 
     def in_range(self, value) -> bool:
@@ -1248,7 +1251,7 @@ PROFILES = ("default", "strict")
 def _injected_tolerance(check_id: str, value) -> float:
     """An injected tolerance as a float; anything but a real number other than NaN is a UsageError."""
     try:
-        real = isinstance(value, (float, int, Real)) and not math.isnan(value)
+        real = type(value) is not bool and isinstance(value, (float, int, Real)) and not math.isnan(value)
     except OverflowError:
         real = False
     if not real:
@@ -1424,7 +1427,7 @@ def _json_scalar(value) -> str:
         return json.dumps(value)
     if value is None:
         return "null"
-    if isinstance(value, (list, tuple, Inputs)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_scalar(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}" for k, v in value.items()) + "}"

@@ -41,24 +41,12 @@ class CotangentPoint:
     """Pair (p, q) with |p| = base_radius and <p, q> = 0.
 
     p and q may also be (N, n+1) arrays of N points, one per row, as a bulk
-    draw of the samplers or :func:`flow_closed_form` over T times returns;
-    :meth:`residuals` takes a single point.
+    draw of the samplers or :func:`flow_closed_form` over T times returns.
     """
 
     p: np.ndarray
     q: np.ndarray
     base_radius: float = 1.0
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[-1] - 1
-
-    def residuals(self) -> tuple[float, float]:
-        """(base-norm defect, orthogonality defect) of a single point."""
-        return (
-            abs(float(np.sqrt(self.p @ self.p)) - self.base_radius),
-            abs(float(self.p @ self.q)),
-        )
 
     def validate(self, tol: float = 1e-12) -> np.ndarray | float:
         """|q| of every row; OffBundleError unless every row lies on the bundle to within ``tol``.

@@ -23,23 +23,22 @@ energy evaluations per field solve, whatever d.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
 so the RK4 trajectory runs on 2d Python floats and builds one CotangentPoint
 at the end. At that size a loop over lists costs more than its arithmetic
-too, so the field solve and the whole trajectory are each one function per
-d, generated and compiled on first use over the 2d floats as named scalars
-from one template of the solve's statements. The trajectory kernel holds
-the step loop, with its retractions, and inlines the solve at each of the
-four stages, so a step calls no field kernel and packs no tuple. It
-computes the trajectory alone, its endpoint and its step count: a check
-that compares energies reads them from the endpoints it holds. The loop's
-min() is a comparison that picks as min() picks. Both kernels take Python
-floats only: one numpy scalar among the inputs, such as the base radius
-sqrt(r) that even_rescale returns, would make every operation of the loop
-a numpy-scalar operation, at twice the cost of a float one or more, with
-the same rounding. On an "evened" cosphere (|p| = |q| = k) the flow has
-the closed form (cos t p + sin t q, cos t q - sin t p), which equals the
-scalar action e^{-it} on z = p + iq; on an uneven cosphere over the unit
-sphere (|q| = r != 1) the trajectory instead reads
-(cos t p + sin t q / r, cos t q - r sin t p) and the two actions diverge,
-which is what the evening rescale repairs.
+too, so the whole trajectory is one function per d, generated and compiled
+on first use over the 2d floats as named scalars. It holds the step loop,
+with its retractions, and inlines the field solve, from one template of the
+solve's statements, at each of the four stages, so a step calls no field
+function and packs no tuple. It computes the trajectory alone, its endpoint
+and its step count: a check that compares energies reads them from the
+endpoints it holds. The loop's min() is a comparison that picks as min()
+picks. The kernel takes Python floats only: one numpy scalar among the
+inputs, such as the base radius sqrt(r) that even_rescale returns, would
+make every operation of the loop a numpy-scalar operation, at twice the
+cost of a float one or more, with the same rounding. On an "evened"
+cosphere (|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
+cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq;
+on an uneven cosphere over the unit sphere (|q| = r != 1) the trajectory
+instead reads (cos t p + sin t q / r, cos t q - r sin t p) and the two
+actions diverge, which is what the evening rescale repairs.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
     """The field solve at the floats named ``p`` and ``q``, as statements that leave the field in ``u`` and ``w``.
 
     The statements read k, h and the module's globals and sit at an indent
-    of 4. Both kernels are made from them, so the solve is written once.
+    of 4. :func:`_rk4_kernel` inlines them at each of its four stages.
     """
     return _FIELD_BODY.format(
         p=", ".join(p),
@@ -177,42 +176,6 @@ def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
         qu=_dot_source("qu", q, u),
         pw=_dot_source("pw", p, w),
     )
-
-
-def _compile_kernel(source: str, name: str):
-    """The function ``kernel`` that ``source`` defines, run in this module's globals.
-
-    The globals are the module's own, not a copy, so each field solve of a
-    kernel, inlined or not, looks up _restricted_energy and _multipliers at
-    the time it runs and sees them patched.
-    """
-    namespace = {}
-    exec(compile(source, name, "exec"), globals(), namespace)
-    return namespace["kernel"]
-
-
-@functools.cache
-def _field_kernel(d: int):
-    """The field solve at d = n + 1, compiled on first use: kernel(k, h, *p, *q) -> (*u, *w).
-
-    One function per d over 2d named floats, with no list and no loop, whose
-    per-element machinery costs more than the arithmetic at d <= 4. It keeps
-    the operation order of the same solve written as list loops, so it
-    returns that loop's floats bit for bit: hypot for the norms, each dot
-    product added left to right from 0.0, as sum() adds floats, and the
-    larger of the two |G X| terms kept by a comparison that picks as max()
-    picks, NaN included. It runs in this module's globals, so
-    _restricted_energy and _multipliers are looked up at each call. The
-    guards of the solve, in order: |q| at or below 1e-8 raises
-    ZeroSectionError, |p|^2 at or below 1e-20 |(p, q)|^2 a numerical rank
-    failure, and a field that leaves |G X| above 1e-8 a RuntimeError.
-    Every argument is a Python float; a numpy scalar would keep its bits but
-    make each operation a numpy-scalar one. :func:`_rk4_kernel` inlines the
-    same statements (:func:`_field_body`) at each of its stages.
-    """
-    p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
-    source = f"def kernel(k, h, {', '.join(p + q)}):\n{_field_body(p, q, u, w)}\n    return {', '.join(u + w)}\n"
-    return _compile_kernel(source, f"<field kernel, d = {d}>")
 
 
 _RK4_KERNEL = """\
@@ -258,16 +221,19 @@ def _rk4_kernel(d: int):
 
     kernel(k, h, t_final, dt, *p, *q) returns ((*p, *q), steps). It
     retracts the start point onto |p| = k, p.q = 0, then runs the steps of
-    :func:`rk4_integrate`: the field solve inlined at the four ambient stage
-    points, from the statements :func:`_field_kernel` is made of, the RK4
-    combination, and the retraction of the endpoint in place. No field
-    kernel is called and no stage is packed into a tuple. One function per d
-    over 2d named floats, with no list: the same operations in the same
-    order as the loop over lists it replaces, so the same floats bit for
-    bit. The norms are hypot's, each dot product is added left to right
-    from 0.0, and the loop's min(dt, t_final - t) is a comparison that picks
-    as min picks. Every argument is a Python float, as :func:`_field_kernel`
-    takes them.
+    :func:`rk4_integrate`: the field solve of :func:`_field_body` inlined at
+    the four ambient stage points, the RK4 combination, and the retraction
+    of the endpoint in place. No function is called for a field and no stage
+    is packed into a tuple. One function per d over 2d named floats, with no
+    list: the same operations in the same order as the loop over lists it
+    replaces, so the same floats bit for bit. The norms are hypot's, each
+    dot product is added left to right from 0.0, as sum() adds floats, the
+    larger of the two |G X| terms is kept by a comparison that picks as
+    max() picks, NaN included, and the loop's min(dt, t_final - t) is a
+    comparison that picks as min() picks. The kernel runs in this module's
+    globals, not a copy, so each inlined solve looks up _restricted_energy
+    and _multipliers at the time it runs and sees them patched. Every
+    argument is a Python float, as :func:`rk4_integrate` passes them.
     """
     p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")
     x, y = p + q, [f"y_{i}" for i in range(2 * d)]
@@ -302,26 +268,9 @@ def _rk4_kernel(d: int):
         ),
         step_retract=textwrap.indent(retract, "    "),
     )
-    return _compile_kernel(source, f"<RK4 kernel, d = {d}>")
-
-
-def _solve_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
-    """Ambient (u, w) vector of the Hamiltonian field of H = k_ham |q| at (p, q), as 2d floats.
-
-    With g the ambient gradient of the retracted energy and G the constraint
-    rows (p, 0) and (q, p), X = J(g + G^T lambda) with G X = 0. G J G^T is
-    [[0, |p|^2], [-|p|^2, 0]], so lambda needs no solve and X reads
-    (g_q + lambda_1 p, -(g_p + lambda_0 p + lambda_1 q)). The slopes of the
-    energy in |p|^2 and p.q only add G^T terms to g, which lambda absorbs, so
-    g = (0, s q) with s twice the slope in |q|^2: one central difference at
-    the relative step h |q|^2, which keeps it well scaled at any size of q.
-    Then q.g_q = s |q|^2 and p.g_q = s p.q need no sums. None of this needs
-    (p, q) on the constraint set: :func:`_rk4_kernel` runs the same
-    statements at each stage's ambient point. The solve is
-    :func:`_field_kernel`'s, with its guards, and k_ham and h reach it as
-    Python floats.
-    """
-    return list(_field_kernel(len(p))(float(k_ham), float(h), *p, *q))
+    namespace = {}
+    exec(compile(source, f"<RK4 kernel, d = {d}>", "exec"), globals(), namespace)
+    return namespace["kernel"]
 
 
 def flow_closed_form(m: CotangentPoint, t) -> CotangentPoint:
@@ -400,11 +349,11 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     ValueError; a trajectory of more than MAX_STEPS steps raises
     StepLimitError before the first step, and before the kernel is fetched.
     The trajectory is :func:`_rk4_kernel`'s, one function with the field
-    solve of :func:`_field_kernel` inlined at each stage. It is passed Python floats only, each scalar through float() and
-    p and q through tolist(): one numpy scalar among them, such as the
-    numpy.float64 base radius of an evened point, makes every operation of
-    the loop a numpy-scalar one, with the same rounding at about twice the
-    cost a step.
+    solve inlined at each stage. It is passed Python floats only, each
+    scalar through float() and p and q through tolist(): one numpy scalar
+    among them, such as the numpy.float64 base radius of an evened point,
+    makes every operation of the loop a numpy-scalar one, with the same
+    rounding at about twice the cost a step.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")

@@ -135,10 +135,6 @@ class CotangentSpace:
         self.n = n
         self.base_radius = base_radius
 
-    @property
-    def ambient(self) -> int:
-        return 2 * (self.n + 1)
-
     def seed(self, m: CotangentPoint, vs: np.ndarray) -> CotangentPoint:
         d = m.p.shape[-1]
         t = _tangents(vs, m.p.shape[:-1] + (2 * d,))
@@ -155,10 +151,6 @@ class ProductSpace:
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    @property
-    def ambient(self) -> int:
-        return self.left.ambient + self.right.ambient
 
     def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = self.left.ambient

@@ -37,16 +37,11 @@ class Jet(NDArrayOperatorsMixin):
     real = property(lambda self: Jet(self.value.real, self.tangent.real))
     imag = property(lambda self: Jet(self.value.imag, self.tangent.imag))
 
-    def __len__(self) -> int:
-        return len(self.value)
-
     def __array__(self, *args, **kwargs):
         raise TypeError("a Jet does not convert to an array; take its value")
 
-    def conjugate(self) -> Jet:
-        return Jet(self.value.conjugate(), self.tangent.conjugate())
-
-    conj = conjugate
+    def conj(self) -> Jet:
+        return Jet(self.value.conj(), self.tangent.conj())
 
     def __getitem__(self, index) -> Jet:
         index = index if isinstance(index, tuple) else (index,)

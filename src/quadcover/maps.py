@@ -125,7 +125,7 @@ def quadric_to_cotangent(point: ProjectivePoint) -> CotangentPoint:
     size = np.abs(last)
     if (size <= 1e-12).any():
         raise ValueError("point lies on the last coordinate hyperplane; chart does not apply")
-    z = ROOT2 * (1j * last.conjugate() / size) * rep[..., :-1]
+    z = ROOT2 * (1j * last.conj() / size) * rep[..., :-1]
     return CotangentPoint(p=z.real.copy(), q=z.imag.copy(), base_radius=1.0)
 
 
@@ -224,7 +224,7 @@ def antipodal_cp1(a: ProjectivePoint) -> ProjectivePoint:
 
     Acts on the last axis, so a batch of N points maps row by row.
     """
-    rep = a.rep.conjugate()
+    rep = a.rep.conj()
     return proj_normalize(np.concatenate([-rep[..., 1:2], rep[..., 0:1]], axis=-1))
 
 
@@ -236,7 +236,7 @@ def real_defect(point: ProjectivePoint) -> float | np.ndarray:
     row, each with the bits of its point alone.
     """
     rep = point.rep
-    pairwise = (rep[..., :, None] * rep[..., None, :].conjugate()).imag
+    pairwise = (rep[..., :, None] * rep[..., None, :].conj()).imag
     return np.maximum.reduce(np.abs(pairwise.reshape(rep.shape[:-1] + (-1,))), axis=-1)
 
 

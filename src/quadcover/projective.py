@@ -40,10 +40,6 @@ class ProjectivePoint:
 
     rep: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.rep.shape[-1] - 1
-
 
 def proj_normalize(z) -> ProjectivePoint:
     """Canonical-phase unit representative of the projective class [z].

@@ -10,16 +10,19 @@ truncation.
 
 ``retract`` puts an ambient (p, q) pair back on the constraint set of a
 cotangent bundle; the oracle's offsets and the tests' reference integrators
-use it. ``constraint_frame`` is an orthonormal basis of that set's tangent
+use it, and ``bundle_residuals`` measures how far a single point lies off
+that set. ``constraint_frame`` is an orthonormal basis of that set's tangent
 space, from an SVD, for tests of the closed-form samplers and field.
 
-``reference_field`` is the Hamiltonian field solve as a loop over lists, the
-body the compiled per-dimension field kernel unrolls, and ``reference_rk4``
-the RK4 trajectory around it as a loop over lists, the body the compiled
-per-dimension RK4 kernel unrolls; each kernel must return its loop's floats
-bit for bit.
+``solve_field`` is the Hamiltonian field solve alone, compiled per dimension
+from the statements the RK4 kernel inlines at each stage.
+``reference_field`` is the same solve as a loop over lists, and
+``reference_rk4`` the RK4 trajectory around it as a loop over lists, the
+body the compiled per-dimension RK4 kernel unrolls; each compiled solve must
+return its loop's floats bit for bit.
 """
 
+import functools
 from math import hypot, isfinite
 
 import numpy as np
@@ -48,6 +51,11 @@ def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
     pp = np.einsum("...i,...i->...", p, p)[..., None]
     q = q - pq / pp * p
     return CotangentPoint(p=p, q=q, base_radius=base_radius)
+
+
+def bundle_residuals(m: CotangentPoint) -> tuple[float, float]:
+    """(base-norm defect, orthogonality defect) of a single point."""
+    return abs(float(np.sqrt(m.p @ m.p)) - m.base_radius), abs(float(m.p @ m.q))
 
 
 def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -113,8 +121,34 @@ def _dot(a, b) -> float:
     return total
 
 
+@functools.cache
+def _field_kernel(d: int):
+    """kernel(k, h, *p, *q) -> (*u, *w): the statements of dynamics._field_body as one function.
+
+    It runs in the dynamics module's globals, so patches of its
+    _restricted_energy and _multipliers reach it at each call.
+    """
+    p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
+    head, tail = f"def kernel(k, h, {', '.join(p + q)}):\n", f"\n    return {', '.join(u + w)}\n"
+    source = head + dynamics._field_body(p, q, u, w) + tail
+    namespace = {}
+    exec(compile(source, f"<field kernel, d = {d}>", "exec"), vars(dynamics), namespace)
+    return namespace["kernel"]
+
+
+def solve_field(k_ham: float, p, q, h: float) -> list[float]:
+    """The ambient (u, w) field of H = k_ham |q| at (p, q), as 2d floats, by the RK4 kernel's inlined solve.
+
+    With g the ambient gradient of the retracted energy and G the constraint
+    rows (p, 0) and (q, p), X = J(g + G^T lambda) with G X = 0; see the
+    dynamics module. It needs no (p, q) on the constraint set: the RK4
+    kernel runs the same statements at each stage's ambient point.
+    """
+    return list(_field_kernel(len(p))(k_ham, h, *p, *q))
+
+
 def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
-    """The ambient (u, w) field of H = k_ham |q| at (p, q), solved with list loops; see dynamics._solve_field."""
+    """The ambient (u, w) field of H = k_ham |q| at (p, q), solved with list loops; see ``solve_field``."""
     if hypot(*q) <= 1e-8:
         raise dynamics.ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
     pp = hypot(*p) ** 2

@@ -703,6 +703,26 @@ def test_a_malformed_witness_fails_with_nan(cid, witness):
     assert report.witness == witness
 
 
+def test_a_bool_is_not_a_number():
+    # bool is an int: True ran as 1 in a param (as a sample count it raised
+    # numpy's TypeError), and a witness field true replayed the valid row with
+    # 1 in that field
+    for params in ({"samples": True}, {"n": [True]}, {"pairs": True}, {"r": [True]}, {"tolerance": True}):
+        with pytest.raises(UsageError, match=r"must be .*, got \[?True"):
+            run_check("L-projemb", params)
+    for kwargs in ({"samples": True}, {"n_values": [True]}, {"radii": [True]}):
+        with pytest.raises(UsageError, match=r"must be .*, got \[?True"):
+            run_suite("L-projemb", **kwargs)
+    for cid, key in (("C-branchedcover-fibers", "expected"), ("L-sphereembedding", "n")):
+        check = build_registry()[cid]
+        rows = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(42, cid))
+        row = next(row for row in rows if row[key] == 1)
+        assert run_check(cid, {"witness": row}).passed
+        report = run_check(cid, {"witness": {**row, key: True}})
+        assert not report.passed
+        assert np.isnan(report.max_residual)
+
+
 def test_period_residuals_are_pinned():
     # the quadrature's block size must not move a bit of the three periods
     assert run_check("I-period-CP1").max_residual == 2.042810365310288e-14
@@ -929,11 +949,10 @@ def test_an_uneven_flow_witness_whose_times_do_not_increase_scores_nan():
 )
 def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, value, monkeypatch):
     # a step below ulp(t) left t as it was: a run and a replay at dt = 1e-300
-    # both ran until killed; a refused trajectory fetches no kernel of either kind
+    # both ran until killed; a refused trajectory fetches no kernel
     def no_step(*args):
         raise AssertionError("a refused trajectory must fetch no kernel")
 
-    monkeypatch.setattr(dynamics, "_field_kernel", no_step)
     monkeypatch.setattr(dynamics, "_rk4_kernel", no_step)
     with pytest.raises(UsageError, match=f"check {cid}: .* RK4 steps, more than the limit of 1,000,000"):
         run_check(cid, {key: value})
@@ -947,13 +966,12 @@ def test_a_trajectory_over_the_step_limit_is_refused_before_it_starts(cid, key, 
 
 @pytest.mark.parametrize("cid", ["P-unitcut-rk4", "P-unitcut-rk4-order", "P-evenedflow-restored", "R-uneven-flow"])
 def test_a_dimension_above_the_bound_compiles_no_kernel(cid, monkeypatch):
-    # compiling the kernels of a dimension takes memory that grows with it,
-    # about 17 KB a dimension for the field kernel: unbounded, --n 100000
-    # would have needed about 1.7 GB before its first step
+    # compiling the RK4 kernel of a dimension takes memory that grows with
+    # it, a peak of about 105 KB a dimension (tracemalloc, d = 33 to 129):
+    # unbounded, --n 100000 would have needed about 10 GB before its first step
     def no_kernel(*args):
         raise AssertionError("a refused dimension must compile no kernel")
 
-    monkeypatch.setattr(dynamics, "_field_kernel", no_kernel)
     monkeypatch.setattr(dynamics, "_rk4_kernel", no_kernel)
     for n in (MAX_DIM + 1, 100_000):
         with pytest.raises(UsageError, match=f"at most {MAX_DIM}"):
@@ -1014,7 +1032,7 @@ def test_rejection_loops_top_up_to_the_requested_count(monkeypatch):
     params = {**check.params, "samples": 20}
     inputs = check.gen(params, derive_stream(42, check.id))
     again = check.gen(params, derive_stream(42, check.id))
-    assert checks_module._json_scalar(inputs) == checks_module._json_scalar(again)
+    assert checks_module._json_scalar(list(inputs)) == checks_module._json_scalar(list(again))
     # several rounds per n, each drawing only the shortfall, and most rows rejected
     assert len(drawn) > 2 * len(params["n"]) and sum(drawn) > 5 * len(inputs)
     for n in params["n"]:
@@ -1060,7 +1078,7 @@ def test_generated_inputs_match_their_pinned_hashes():
     assert set(registry) == set(PINNED_INPUT_HASHES)
     for cid, check in registry.items():
         params = {**check.params, "samples": 4} if "samples" in check.params else dict(check.params)
-        text = checks_module._json_scalar(check.gen(params, derive_stream(42, cid)))
+        text = checks_module._json_scalar(list(check.gen(params, derive_stream(42, cid))))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INPUT_HASHES[cid], cid
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 import fd_oracle
-from fd_oracle import constraint_frame, reference_field, reference_rk4, retract
+from fd_oracle import bundle_residuals, constraint_frame, reference_field, reference_rk4, retract, solve_field
 
 from quadcover import dynamics
 from quadcover.checks import render_json, run_check
@@ -40,7 +40,7 @@ def _dist(a: CotangentPoint, b: CotangentPoint) -> float:
 
 def _field(k_ham: float, m: CotangentPoint) -> np.ndarray:
     """The solved field at m as an ambient (u, w) array, at the RK4 field's step."""
-    return np.array(dynamics._solve_field(k_ham, m.p.tolist(), m.q.tolist(), dynamics.FD_STEP))
+    return np.array(solve_field(k_ham, m.p.tolist(), m.q.tolist(), dynamics.FD_STEP))
 
 
 def test_vector_field_matches_flow_derivative_at_standard_point():
@@ -71,7 +71,7 @@ def test_vector_field_rejects_zero_section():
         _field(1.0, m)
     # the zero-section guard comes before the rank guard
     with pytest.raises(ZeroSectionError):
-        dynamics._solve_field(1.0, [0.0, 0.0], [0.0, 0.0], 1e-5)
+        solve_field(1.0, [0.0, 0.0], [0.0, 0.0], 1e-5)
 
 
 def test_collapsed_base_point_is_a_rank_failure():
@@ -108,8 +108,8 @@ def test_singular_field_solve_is_a_runtime_error():
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
     for scale in (1e-3, 1.0, 1e3):
         with pytest.raises(RuntimeError, match="degenerate restricted symplectic form"):
-            dynamics._solve_field(1.0, 1e-11 * scale * m.p, scale * m.q, 1e-5)
-        just_above = dynamics._solve_field(1.0, 1e-9 * scale * m.p, scale * m.q, 1e-5)
+            solve_field(1.0, 1e-11 * scale * m.p, scale * m.q, 1e-5)
+        just_above = solve_field(1.0, 1e-9 * scale * m.p, scale * m.q, 1e-5)
         assert np.all(np.isfinite(just_above))
 
 
@@ -124,7 +124,7 @@ def test_field_is_tangent_off_the_constraint_set():
                 for _ in range(5):
                     p, q = scale * rng.standard_normal((2, n + 1))
                     assert abs(np.linalg.norm(p) - k) > 1e-6 and abs(p @ q) > 1e-6 * scale * scale
-                    x = np.array(dynamics._solve_field(k, p.tolist(), q.tolist(), 1e-5))
+                    x = np.array(solve_field(k, p.tolist(), q.tolist(), 1e-5))
                     u, w = x[: n + 1], x[n + 1 :]
                     size = np.linalg.norm(np.concatenate([p, q])) * np.linalg.norm(x)
                     assert abs(p @ u) <= 1e-12 * size, (n, k, scale)
@@ -148,7 +148,7 @@ def test_field_kernel_returns_the_reference_loop_floats_bit_for_bit():
         for k_ham in (1.0, math.sqrt(0.5), 3.0):
             for scale in (1e-3, 1.0, 1e3):
                 p, q = (scale * rng.standard_normal((2, d))).tolist()
-                got = _outcome(dynamics._solve_field, k_ham, p, q, 1e-5)
+                got = _outcome(solve_field, k_ham, p, q, 1e-5)
                 assert got == _outcome(reference_field, k_ham, p, q, 1e-5), (d, k_ham, scale)
                 # at d = 1 every q is parallel to p: both raise from the energy's sqrt
                 assert isinstance(got, list) == (d > 1), got
@@ -158,7 +158,7 @@ def test_field_kernel_keeps_the_sign_of_an_exact_zero_sum():
     # each product of p.q is -0.0: added from 0.0, as sum() adds, p.q is +0.0
     # and u_0 = -0.0; added from the first product it would be -0.0 and u_0 +0.0
     p, q = [1.0, -0.0], [-0.0, 2.0]
-    got = _outcome(dynamics._solve_field, 1.0, p, q, 1e-5)
+    got = _outcome(solve_field, 1.0, p, q, 1e-5)
     assert got == _outcome(reference_field, 1.0, p, q, 1e-5)
     assert got[0] == "-0x0.0p+0"
 
@@ -166,11 +166,11 @@ def test_field_kernel_keeps_the_sign_of_an_exact_zero_sum():
 def test_field_kernel_guards_raise_as_the_reference_loop_does(monkeypatch):
     cases = (([1.0, 0.0], [0.0, 1e-9]), ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1e-11, 0.0], [0.0, 1.0]))
     for p, q in cases:
-        assert _outcome(dynamics._solve_field, 1.0, p, q, 1e-5) == _outcome(reference_field, 1.0, p, q, 1e-5)
+        assert _outcome(solve_field, 1.0, p, q, 1e-5) == _outcome(reference_field, 1.0, p, q, 1e-5)
     # a patched multiplier reaches the kernel: it looks the module's names up at each call
     monkeypatch.setattr(dynamics, "_multipliers", lambda *args: (0.0, 1e-6))
     p, q = [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]
-    got = _outcome(dynamics._solve_field, 1.0, p, q, 1e-5)
+    got = _outcome(solve_field, 1.0, p, q, 1e-5)
     assert got == _outcome(reference_field, 1.0, p, q, 1e-5)
     assert got[0] is RuntimeError and "solve residual" in got[1]
 
@@ -179,10 +179,10 @@ def test_importing_the_package_and_building_the_registry_compiles_no_kernel():
     code = (
         "import quadcover; quadcover.build_registry(); "
         "from quadcover import dynamics; "
-        "print(dynamics._field_kernel.cache_info().currsize, dynamics._rk4_kernel.cache_info().currsize)"
+        "print(dynamics._rk4_kernel.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"]
 
 
 def _plain_field(k_base, k_ham, p, q, h):
@@ -289,7 +289,7 @@ def test_field_solve_matches_the_plain_frame_solve():
         for k in (1.0, np.sqrt(0.5), 3.0):
             for m in (sample_cosphere(n, k, k, rng), sample_cosphere(n, k, 0.3, rng)):
                 for k_ham in (1.0, k):
-                    lean = dynamics._solve_field(k_ham, m.p, m.q, 1e-5)
+                    lean = solve_field(k_ham, m.p, m.q, 1e-5)
                     assert np.max(np.abs(lean - _plain_field(k, k_ham, m.p, m.q, 1e-5))) < 1e-9
 
 
@@ -303,7 +303,7 @@ def test_q_slope_solve_matches_the_axis_offset_solve():
                 m = sample_cosphere(n, k, fiber, rng)
                 for scale in (1e-3, 1.0, 1e3):
                     p, q = scale * m.p, scale * m.q
-                    lean = np.array(dynamics._solve_field(k, p.tolist(), q.tolist(), 1e-5))
+                    lean = np.array(solve_field(k, p.tolist(), q.tolist(), 1e-5))
                     wide = _axis_offset_field(k, p, q, 1e-5 * scale)
                     assert np.max(np.abs(lean - wide)) < 1e-9, (n, k, fiber, scale)
 
@@ -314,7 +314,7 @@ def test_field_sees_the_energy_only_through_its_q_slope(monkeypatch):
     # axis-offset solve sees every slope, so it checks the cancellation itself
     m = sample_cosphere(3, 1.0, 0.7, derive_stream(78, "gram"))
     p, q = m.p.tolist(), m.q.tolist()
-    base = np.array(dynamics._solve_field(1.0, p, q, 1e-5))
+    base = np.array(solve_field(1.0, p, q, 1e-5))
     wide_base = _axis_offset_field(1.0, m.p, m.q, 1e-5)
     energy = dynamics._restricted_energy
     c = 0.25
@@ -328,7 +328,7 @@ def test_field_sees_the_energy_only_through_its_q_slope(monkeypatch):
             "_restricted_energy",
             lambda pp, qq, pq, k_ham, extra=extra: energy(pp, qq, pq, k_ham) + extra(pp, qq, pq),
         )
-        change = np.max(np.abs(np.array(dynamics._solve_field(1.0, p, q, 1e-5)) - base))
+        change = np.max(np.abs(np.array(solve_field(1.0, p, q, 1e-5)) - base))
         wide_change = np.max(np.abs(_axis_offset_field(1.0, m.p, m.q, 1e-5) - wide_base))
         if moves:
             assert change > 0.1 and wide_change > 0.1
@@ -453,19 +453,14 @@ def test_kernels_take_python_floats_only(monkeypatch):
     # one numpy scalar among a kernel's inputs makes every operation of its
     # loop a numpy-scalar one, at twice the cost or more; isinstance would
     # pass np.float64, which subclasses float, so each type is compared
-    calls = {"_rk4_kernel": [], "_field_kernel": []}
+    calls = []
+    make = dynamics._rk4_kernel
 
-    def recorded(name):
-        make = getattr(dynamics, name)
+    def make_recorded(d):
+        kernel = make(d)
+        return lambda *args: calls.append(args) or kernel(*args)
 
-        def make_recorded(d):
-            kernel = make(d)
-            return lambda *args: calls[name].append(args) or kernel(*args)
-
-        monkeypatch.setattr(dynamics, name, make_recorded)
-
-    recorded("_rk4_kernel")
-    recorded("_field_kernel")
+    monkeypatch.setattr(dynamics, "_rk4_kernel", make_recorded)
     report = run_check("P-evenedflow-restored", {"tolerance": -1.0})
     witness = json.loads(render_json([report]))[0]["witness"]
     assert run_check("P-evenedflow-restored", {"witness": witness}).max_residual == report.max_residual
@@ -473,12 +468,10 @@ def test_kernels_take_python_floats_only(monkeypatch):
     m = even_rescale(sample_cosphere(2, 1.0, 0.5, derive_stream(83, "float contract")), 0.5)
     start = CotangentPoint(p=1.01 * m.p, q=m.q, base_radius=m.base_radius)
     rk4_integrate(start, np.float64(0.3), np.float64(0.01))
-    dynamics._solve_field(m.base_radius, m.p.tolist(), m.q.tolist(), np.float64(1e-5))
     # three segments for each of the run and its replay, and one more
-    # trajectory, whose stages solve the field inline; the one field-kernel
-    # call is _solve_field's
-    assert len(calls["_rk4_kernel"]) == 7 and len(calls["_field_kernel"]) == 1
-    for args in calls["_rk4_kernel"] + calls["_field_kernel"]:
+    # trajectory, whose stages solve the field inline
+    assert len(calls) == 7
+    for args in calls:
         assert all(type(x) is float for x in args), [type(x).__name__ for x in args]
 
 
@@ -487,7 +480,6 @@ def test_rk4_refuses_a_trajectory_over_the_step_limit_before_it_starts(monkeypat
     def no_step(*args):
         raise AssertionError("a refused trajectory must fetch no kernel")
 
-    monkeypatch.setattr(dynamics, "_field_kernel", no_step)
     monkeypatch.setattr(dynamics, "_rk4_kernel", no_step)
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(72, "step"))
     for t_final, dt in ((1.0, 1e-300), (1e300, 1e-3), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)):
@@ -513,7 +505,7 @@ def test_closed_form_flow_preserves_constraints_and_period():
     rng = derive_stream(63, "per")
     m = sample_cosphere(3, 1.0, 1.0, rng)
     out = flow_closed_form(m, 1.234)
-    assert max(out.residuals()) < 1e-12
+    assert max(bundle_residuals(out)) < 1e-12
     assert abs(np.linalg.norm(out.q) - 1.0) < 1e-12
     assert _dist(flow_closed_form(m, 2 * np.pi), m) < 1e-12
 
@@ -550,7 +542,7 @@ def test_uneven_cosphere_flow_stays_on_cosphere():
     rng = derive_stream(68, "stay")
     m = sample_cosphere(2, 1.0, 0.5, rng)
     out = flow_uneven_cosphere(m, 0.9)
-    assert max(out.residuals()) < 1e-12
+    assert max(bundle_residuals(out)) < 1e-12
     assert abs(np.linalg.norm(out.q) - 0.5) < 1e-12
 
 
@@ -575,7 +567,7 @@ def test_rk4_tracks_closed_form_and_conserves_energy():
         assert result.steps == int(np.ceil(np.pi / 4 / 5e-3))
         point = result.endpoint
         assert abs(point.base_radius * np.linalg.norm(point.q) - energy0) <= 1e-8
-        assert max(point.residuals()) < 1e-12
+        assert max(bundle_residuals(point)) < 1e-12
         assert _dist(point, flow_closed_form(m, j * np.pi / 4)) < 1e-6
 
 

@@ -210,7 +210,7 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
     counted = SmoothMap(
         domain=chart.domain,
         target=chart.target,
-        func=lambda x: calls.append(len(x)) or chart(x),
+        func=lambda x: calls.append(x.shape[0]) or chart(x),
     )
     blocks = []
     original = forms_module.gauss_legendre_2d
@@ -276,7 +276,7 @@ def test_integrate_surface_gives_each_of_k_forms_the_bits_of_its_own_call(monkey
     nodes = 12
     chart = getattr(checks, chart_name)()
     passes = []
-    counted = SmoothMap(domain=chart.domain, target=chart.target, func=lambda x: passes.append(len(x)) or chart(x))
+    counted = SmoothMap(domain=chart.domain, target=chart.target, func=lambda x: passes.append(x.shape[0]) or chart(x))
     forms = [scaled_form(form, c) for c in (0.5, 1.0, 3.0)] + [form]
     totals = integrate_surface(counted, forms, nodes=nodes)
     per_block = max(1, chunk // nodes)

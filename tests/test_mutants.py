@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from fd_oracle import retract
+from fd_oracle import retract, solve_field
 
 import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
@@ -89,7 +89,7 @@ def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
 def test_rk2_step_in_place_of_rk4(monkeypatch):
     def field(point):
         k = point.base_radius
-        return np.array(dynamics_module._solve_field(k, point.p.tolist(), point.q.tolist(), dynamics_module.FD_STEP))
+        return np.array(solve_field(k, point.p.tolist(), point.q.tolist(), dynamics_module.FD_STEP))
 
     def rk2_integrate(m, t_final, dt):
         # explicit midpoint rule: second order, so halving the step cuts the

@@ -133,7 +133,7 @@ def test_sample_horizontal_is_unit_and_horizontal():
 def test_bulk_projective_draws_are_unit_and_their_tangents_horizontal():
     rng = derive_stream(18, "tan-rows")
     points = sample_projective(2, rng, size=500)
-    assert points.rep.shape == (500, 3) and points.dim == 2
+    assert points.rep.shape == (500, 3)
     assert np.max(np.abs(np.linalg.norm(points.rep, axis=1) - 1.0)) < 1e-12
     tangents = sample_horizontal(points, rng)
     assert tangents.shape == (500, 3)

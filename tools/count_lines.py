@@ -1,7 +1,8 @@
 """Code lines of src/quadcover/*.py: no docstring (ast), comment or blank line (tokenize).
 
 Run from the root of a checkout, or name one: ``python3 tools/count_lines.py [ROOT]``.
-Prints each module's count and the total.
+Prints each module's count and the total, then the total of tests/*.py
+counted the same way, so that code moved from src/ into tests/ shows.
 """
 
 import ast
@@ -37,6 +38,8 @@ def main(root: str = ".") -> None:
         total += count
         print(f"{count:6d} {path}")
     print(f"{total:6d} total")
+    tests = sum(code_lines(path) for path in glob.glob(root + "/tests/*.py"))
+    print(f"{tests:6d} total of tests/")
 
 
 if __name__ == "__main__":
