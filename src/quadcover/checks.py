@@ -69,9 +69,6 @@ from .dynamics import (
 )
 from .forms import (
     BRANCH_MARGIN,
-    BoxSpace,
-    CotangentSpace,
-    ProjectiveSpace,
     SmoothMap,
     _omega_std_ambient,
     cotangent_omega_std,
@@ -478,12 +475,17 @@ def _projective_off_quadric(n: int, rng: np.random.Generator, size: int, margin:
     return reps
 
 
+# the closed rectangle ((theta0, theta1), (phi0, phi1)) of the period charts
+_CHART_BOUNDS = ((0.0, np.pi), (0.0, TWO_PI))
+
+
 def _sphere_chart() -> SmoothMap:
     """Polar-angle chart of the projective line covering all of CP^1.
 
     (theta, phi) -> [cos(theta/2) : sin(theta/2) e^{i phi}] on the closed
-    rectangle [0, pi] x [0, 2 pi]. Like the conic and diagonal charts built
-    on it, it maps one point (shape (2,)) or a batch (shape (N, 2)).
+    rectangle [0, pi] x [0, 2 pi] (_CHART_BOUNDS). Like the conic and
+    diagonal charts built on it, it maps one point (shape (2,)) or a batch
+    (shape (N, 2)).
     """
 
     def func(x):
@@ -492,8 +494,7 @@ def _sphere_chart() -> SmoothMap:
             np.stack([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)], axis=-1)
         )
 
-    bounds = (np.array([0.0, 0.0]), np.array([np.pi, TWO_PI]))
-    return SmoothMap(domain=BoxSpace(2, bounds), target=ProjectiveSpace(1), func=func)
+    return SmoothMap(func)
 
 
 def _conic_chart() -> SmoothMap:
@@ -505,7 +506,7 @@ def _conic_chart() -> SmoothMap:
         s, t = a.rep[..., 0], a.rep[..., 1]
         return proj_normalize(np.stack([s * s + t * t, 1j * (s * s - t * t), 2j * s * t], axis=-1))
 
-    return SmoothMap(domain=chart.domain, target=ProjectiveSpace(2), func=func)
+    return SmoothMap(func)
 
 
 def _diagonal_chart() -> SmoothMap:
@@ -515,15 +516,12 @@ def _diagonal_chart() -> SmoothMap:
         a = chart(x)
         return (a, a)
 
-    return SmoothMap(domain=chart.domain, target=segre_map().domain, func=func)
+    return SmoothMap(func)
 
 
 def _evened_rescale_map(n: int, r: float) -> SmoothMap:
-    return SmoothMap(
-        domain=CotangentSpace(n, 1.0),
-        target=CotangentSpace(n, float(np.sqrt(r))),
-        func=lambda m: even_rescale(m, r),
-    )
+    # n only names the bundle
+    return SmoothMap(lambda m: even_rescale(m, r))
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +781,7 @@ def _res_unitcut_flow(rows):
         m = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
         ts = np.tile(ts, len(rows))
     a, b = flow_closed_form(m, ts), scalar_action(m, ts)
-    return np.maximum(np.abs(a.p - b.p), np.abs(a.q - b.q)).reshape(len(rows), -1).max(axis=1)
+    return _row_dist(a, b).reshape(len(rows), -1).max(axis=1)
 
 
 _gen_unitcut_rk4 = _cotangent_generator(
@@ -1133,12 +1131,14 @@ def _gen_omega_r_not_fs(params, rng):
 )
 def _score_omega_r_not_fs(rows):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
-    # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1
+    # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1 holds only
+    # for unit directions, so a row with any other direction scores NaN
     dirs = rows["dirs"]
     point = ProjectivePoint(np.repeat(proj_normalize(rows["z"]).rep, dirs.shape[1], axis=0))
     v = dirs.reshape(-1, dirs.shape[-1])
     ratios = omega_r(point, realify(v), realify(1j * v), rows["r"]).reshape(dirs.shape[:2])
-    return ratios.max(axis=1) - ratios.min(axis=1)
+    unit = (np.abs(row_norms(dirs) - 1.0) <= 1e-12).all(axis=1)
+    return np.where(unit, ratios.max(axis=1) - ratios.min(axis=1), np.nan)
 
 
 def _gen_period_cp1(params, rng):
@@ -1154,7 +1154,7 @@ def _gen_period_cp1(params, rng):
     fields={"nodes": NODES},
 )
 def _res_period_cp1(rows):
-    value = integrate_surface(_sphere_chart(), fubini_study_form(1), nodes=rows["nodes"])
+    value = integrate_surface(_sphere_chart(), fubini_study_form(1), _CHART_BOUNDS, rows["nodes"])
     return abs(value - np.pi)
 
 
@@ -1170,7 +1170,7 @@ _gen_period_q1 = _gen_period_cp1
 )
 def _res_period_q1(rows):
     form = scaled_form(fubini_study_form(2), 2.0)
-    value = integrate_surface(_conic_chart(), form, nodes=rows["nodes"])
+    value = integrate_surface(_conic_chart(), form, _CHART_BOUNDS, rows["nodes"])
     return abs(value - 4.0 * np.pi)
 
 
@@ -1190,9 +1190,9 @@ def _res_period_match(rows):
     # integrates every row's form
     radii = np.broadcast_to(rows["r"], len(rows)).tolist()
     fs1 = [scaled_form(fubini_study_form(1), 2.0 * r) for r in radii]
-    diag = integrate_surface(_diagonal_chart(), [product_form(f, f) for f in fs1], nodes=rows["nodes"])
+    diag = integrate_surface(_diagonal_chart(), [product_form(f, f) for f in fs1], _CHART_BOUNDS, rows["nodes"])
     fs2 = [scaled_form(fubini_study_form(2), 2.0 * r) for r in radii]
-    conic = integrate_surface(_conic_chart(), fs2, nodes=rows["nodes"])
+    conic = integrate_surface(_conic_chart(), fs2, _CHART_BOUNDS, rows["nodes"])
     return [abs(a - b) for a, b in zip(diag, conic)]
 
 

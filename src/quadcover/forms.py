@@ -2,13 +2,15 @@
 
 Every tangent vector is a plain real ambient array (a complex horizontal
 vector of CP^n enters realified), so one pushforward serves all point kinds:
-real boxes, the cotangent constraint set, projective spaces, and products of
-projective spaces. A map's differential is exact: the domain point carries
-its tangents as :class:`~quadcover.jets.Jet` arrays through one pass of the
-map's own code. A map into a projective target differentiates its
-unnormalized lift, and the tangent at the normalized point is the horizontal
-projection of that derivative times the gauge factor the normalization
-applied (see :func:`quadcover.projective.proj_normalize`); the phase of the
+real arrays, cotangent points, projective points, and pairs of any two of
+them. A point's type is its space: it alone says how the point carries
+tangents and how a map's output splits into value and pushforwards. A map's
+differential is exact: the point carries its tangents as
+:class:`~quadcover.jets.Jet` arrays through one pass of the map's own code.
+A map into a projective target differentiates its unnormalized lift, and
+the tangent at the normalized point is the horizontal projection of that
+derivative times the gauge factor the normalization applied (see
+:func:`quadcover.projective.proj_normalize`); the phase of the
 representative is never differentiated, since every form here is invariant
 under it.
 
@@ -39,10 +41,6 @@ from .projective import ProjectivePoint, horizontal_project
 __all__ = [
     "BRANCH_MARGIN",
     "BranchLocusError",
-    "BoxSpace",
-    "CotangentSpace",
-    "ProjectiveSpace",
-    "ProductSpace",
     "SmoothMap",
     "TwoForm",
     "cotangent_omega_std",
@@ -65,8 +63,12 @@ BRANCH_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# Point domains: each seeds a point with k ambient tangents as jets, and
-# splits a map's output back into its value and k ambient tangents.
+# Points and their tangents: the point's own type says how to seed it with k
+# ambient tangents as jets and how to split a map's output back into its
+# value and k ambient tangents. A pair works factor by factor; a projective
+# point holds complex jets of its representative and its output is
+# horizontally projected; a cotangent point holds jets of p and q; anything
+# else is a real array.
 # ---------------------------------------------------------------------------
 
 
@@ -84,85 +86,49 @@ def _parts(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, np.zeros((k, *np.shape(x)), dtype=np.result_type(x))
 
 
-class BoxSpace:
-    """Flat real coordinate domain, optionally with rectangle bounds."""
-
-    def __init__(self, dim: int, bounds: tuple[np.ndarray, np.ndarray] | None = None):
-        self.dim = dim
-        self.bounds = bounds
-
-    ambient = property(lambda self: self.dim)
-
-    def seed(self, x, vs: np.ndarray) -> Jet:
-        x = np.asarray(x, dtype=float)
-        return Jet(x, _tangents(vs, x.shape))
-
-    def split(self, y, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return _parts(y, k)
+def _ambient(x) -> int:
+    """Length of a real ambient tangent at ``x``; a pair's is the sum of its factors'."""
+    if isinstance(x, tuple):
+        return _ambient(x[0]) + _ambient(x[1])
+    if isinstance(x, ProjectivePoint):
+        return 2 * x.rep.shape[-1]
+    if isinstance(x, CotangentPoint):
+        return 2 * x.p.shape[-1]
+    return np.shape(x)[-1]
 
 
-class ProjectiveSpace:
-    """CP^n through unit representatives; ambient = realified C^{n+1}."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @property
-    def ambient(self) -> int:
-        return 2 * (self.n + 1)
-
-    def seed(self, point: ProjectivePoint, vs: np.ndarray) -> ProjectivePoint:
-        rep = point.rep
+def _seed(x, vs: np.ndarray):
+    """The point ``x`` carrying the k ambient tangents ``vs`` as jets."""
+    if isinstance(x, tuple):
+        k = _ambient(x[0])
+        return (_seed(x[0], vs[..., :k]), _seed(x[1], vs[..., k:]))
+    if isinstance(x, ProjectivePoint):
+        rep = x.rep
         return ProjectivePoint(Jet(rep, complexify(_tangents(vs, rep.shape[:-1] + (2 * rep.shape[-1],)))))
+    if isinstance(x, CotangentPoint):
+        d = x.p.shape[-1]
+        t = _tangents(vs, x.p.shape[:-1] + (2 * d,))
+        return CotangentPoint(p=Jet(x.p, t[..., :d]), q=Jet(x.q, t[..., d:]), base_radius=x.base_radius)
+    x = np.asarray(x, dtype=float)
+    return Jet(x, _tangents(vs, x.shape))
 
-    def split(self, point: ProjectivePoint, k: int) -> tuple[ProjectivePoint, np.ndarray]:
+
+def _split(y, k: int):
+    """A map's output ``y`` as its value and its k pushforwards, real ambient arrays."""
+    if isinstance(y, tuple):
+        (a, da), (b, db) = _split(y[0], k), _split(y[1], k)
+        return (a, b), np.concatenate([da, db], axis=-1)
+    if isinstance(y, ProjectivePoint):
         # the tangents are c dF of the lift F; the horizontal part is the pushforward
-        rep, tangent = _parts(point.rep, k)
+        rep, tangent = _parts(y.rep, k)
         center = ProjectivePoint(rep)
         return center, realify(horizontal_project(center, tangent))
-
-
-class CotangentSpace:
-    """Constraint set {|p| = k, <p,q> = 0} inside R^{n+1} + R^{n+1}.
-
-    Points holding (N, n+1) arrays and (N, 2(n+1)) tangents are N rows, each
-    mapped by the same row arithmetic as a single point. A map between two
-    constraint sets takes tangent vectors to tangent vectors, so a
-    pushforward needs no projection.
-    """
-
-    def __init__(self, n: int, base_radius: float = 1.0):
-        self.n = n
-        self.base_radius = base_radius
-
-    def seed(self, m: CotangentPoint, vs: np.ndarray) -> CotangentPoint:
-        d = m.p.shape[-1]
-        t = _tangents(vs, m.p.shape[:-1] + (2 * d,))
-        return CotangentPoint(p=Jet(m.p, t[..., :d]), q=Jet(m.q, t[..., d:]), base_radius=m.base_radius)
-
-    def split(self, m: CotangentPoint, k: int) -> tuple[CotangentPoint, np.ndarray]:
-        (p, dp), (q, dq) = _parts(m.p, k), _parts(m.q, k)
-        return CotangentPoint(p=p, q=q, base_radius=m.base_radius), np.concatenate([dp, dq], axis=-1)
-
-
-class ProductSpace:
-    """Cartesian product of two spaces; points are 2-tuples."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = self.left.ambient
-        return x[..., :k], x[..., k:]
-
-    def seed(self, pair, vs: np.ndarray):
-        a, b = self._split(vs)
-        return (self.left.seed(pair[0], a), self.right.seed(pair[1], b))
-
-    def split(self, pair, k: int):
-        (a, da), (b, db) = self.left.split(pair[0], k), self.right.split(pair[1], k)
-        return (a, b), np.concatenate([da, db], axis=-1)
+    if isinstance(y, CotangentPoint):
+        # a map between two constraint sets takes tangent vectors to tangent
+        # vectors, so its pushforward needs no projection
+        (p, dp), (q, dq) = _parts(y.p, k), _parts(y.q, k)
+        return CotangentPoint(p=p, q=q, base_radius=y.base_radius), np.concatenate([dp, dq], axis=-1)
+    return _parts(y, k)
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +138,16 @@ class ProductSpace:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Evaluator plus exact differential between two spaces.
+    """Evaluator plus exact differential.
 
-    ``func`` maps domain points to target points, a single point or a batch
-    (one per row), and must be written with the operations a
-    :class:`~quadcover.jets.Jet` supports. ``differential`` runs ``func``
-    once on the domain point seeded with k tangents, so a changed ``func``
-    changes its pushforward with it; a projective target returns the
-    horizontal projection of the lift's derivative at the normalized value.
+    ``func`` maps points to points, a single point or a batch (one per row),
+    and must be written with the operations a :class:`~quadcover.jets.Jet`
+    supports. ``differential`` runs ``func`` once on the point seeded with k
+    tangents, so a changed ``func`` changes its pushforward with it; a
+    projective output gives the horizontal projection of the lift's
+    derivative at the normalized value.
     """
 
-    domain: Any
-    target: Any
     func: Callable[[Any], Any]
 
     def __call__(self, x):
@@ -194,10 +158,10 @@ class SmoothMap:
 
         ``vs`` has shape ``(k,) + ambient shape of x`` (its middle axes may
         broadcast); the pushforwards come back as ``(k, ...)`` real ambient
-        arrays of the target, in one pass of ``func``.
+        arrays at the output, in one pass of ``func``.
         """
         vs = np.asarray(vs, dtype=float)
-        return self.target.split(self.func(self.domain.seed(x, vs)), len(vs))
+        return _split(self.func(_seed(x, vs)), len(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +173,10 @@ class SmoothMap:
 class TwoForm:
     """Antisymmetric bilinear evaluator (point, v1, v2) -> real.
 
-    ``space`` fixes the point kind; both tangents are real ambient arrays of
-    that space, or (N, ambient) batches of them for a batch of points.
+    Both tangents are real ambient arrays at the point, or (N, ambient)
+    batches of them for a batch of points.
     """
 
-    space: Any
     func: Callable[[Any, np.ndarray, np.ndarray], float]
 
     def __call__(self, point, v1, v2) -> float:
@@ -233,8 +196,8 @@ def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
 
 
 def cotangent_omega_std(n: int, base_radius: float = 1.0) -> TwoForm:
-    """Restriction of omega_std to the cotangent constraint set."""
-    return TwoForm(space=CotangentSpace(n, base_radius), func=lambda _, a, b: _omega_std_ambient(a, b))
+    """Restriction of omega_std to the cotangent constraint set; ``n`` and ``base_radius`` only name the set."""
+    return TwoForm(lambda _, a, b: _omega_std_ambient(a, b))
 
 
 def fubini_study_form(n: int) -> TwoForm:
@@ -242,24 +205,23 @@ def fubini_study_form(n: int) -> TwoForm:
 
     On horizontal vectors at a unit representative the form equals omega_std
     of the realified ambient space; this normalization gives CP^1 total area
-    pi (the round sphere of radius 1/2).
+    pi (the round sphere of radius 1/2). ``n`` only names the space.
     """
-    return TwoForm(space=ProjectiveSpace(n), func=lambda _, a, b: _omega_std_ambient(a, b))
+    return TwoForm(lambda _, a, b: _omega_std_ambient(a, b))
 
 
 def scaled_form(form: TwoForm, c: float) -> TwoForm:
-    return TwoForm(space=form.space, func=lambda pt, a, b: c * form.func(pt, a, b))
+    return TwoForm(lambda pt, a, b: c * form.func(pt, a, b))
 
 
 def product_form(left: TwoForm, right: TwoForm) -> TwoForm:
-    """Direct sum form on the product of the two underlying spaces."""
-    space = ProductSpace(left.space, right.space)
+    """Direct sum form on pairs: a tangent splits where the left factor's ambient ends."""
 
     def evaluate(pair, a, b):
-        (a1, a2), (b1, b2) = space._split(a), space._split(b)
-        return left.func(pair[0], a1, b1) + right.func(pair[1], a2, b2)
+        k = _ambient(pair[0])
+        return left.func(pair[0], a[..., :k], b[..., :k]) + right.func(pair[1], a[..., k:], b[..., k:])
 
-    return TwoForm(space=space, func=evaluate)
+    return TwoForm(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +289,14 @@ _BOX_AXES = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
 
 
 def integrate_surface(
-    param: SmoothMap, form: TwoForm | Sequence[TwoForm], nodes: int = 200
+    param: SmoothMap,
+    form: TwoForm | Sequence[TwoForm],
+    bounds: tuple[tuple[float, float], tuple[float, float]],
+    nodes: int = 200,
 ) -> float | list[float]:
     """Integrate a two-form, or several, over a surface parametrized on a closed rectangle.
 
-    ``param`` must have a bounded 2d BoxSpace domain; the integrand is
+    ``param`` maps (u, v) in ``bounds``, ((u0, u1), (v0, v1)); the integrand is
     form(param(u, v), d_u param, d_v param) evaluated by tensor-product
     Gauss-Legendre quadrature on blocks of whole rows of nodes (see
     :func:`quadcover.numerics.gauss_legendre_2d`): each block makes one
@@ -349,10 +314,7 @@ def integrate_surface(
     does, thus gets the bits of integrating it alone (a dot product of a
     strided or broadcast row may round unlike a contiguous one).
     """
-    dom = param.domain
-    if not isinstance(dom, BoxSpace) or dom.dim != 2 or dom.bounds is None:
-        raise ValueError("integrate_surface needs a parametrization on a bounded 2d box")
-    (lo, hi) = dom.bounds
+    (u0, u1), (v0, v1) = bounds
     forms = None if isinstance(form, TwoForm) else tuple(form)
 
     def integrand(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
@@ -361,4 +323,4 @@ def integrate_surface(
             return form(point, du, dv)
         return np.stack([np.broadcast_to(f(point, du, dv), u.shape) for f in forms])
 
-    return gauss_legendre_2d(integrand, lo[0], hi[0], lo[1], hi[1], nodes_per_axis=nodes)
+    return gauss_legendre_2d(integrand, u0, u1, v0, v1, nodes_per_axis=nodes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cotangent import CotangentPoint, OffBundleError
-from .forms import BoxSpace, ProductSpace, ProjectiveSpace, SmoothMap
+from .forms import SmoothMap
 from .jets import Jet, primal
 from .numerics import complexify, realify
 from .projective import ProjectivePoint, _normalize_point, proj_normalize, quadric_residual
@@ -87,12 +87,8 @@ def _outside_ball(size2: float, r: float):
 
 
 def ball_embedding(n: int, r: float) -> SmoothMap:
-    """Ball embedding as a smooth map from real coordinates R^{2(n+1)} to CP^{n+1}."""
-    return SmoothMap(
-        domain=BoxSpace(2 * (n + 1)),
-        target=ProjectiveSpace(n + 1),
-        func=lambda x: ball_to_projective(complexify(x), r),
-    )
+    """Ball embedding as a smooth map from real coordinates R^{2(n+1)} to CP^{n+1}; ``n`` only names the spaces."""
+    return SmoothMap(lambda x: ball_to_projective(complexify(x), r))
 
 
 def cotangent_to_quadric(m: CotangentPoint) -> ProjectivePoint:
@@ -160,11 +156,8 @@ def branched_cover(point: ProjectivePoint) -> ProjectivePoint:
 
 
 def branched_cover_map(n: int) -> SmoothMap:
-    return SmoothMap(
-        domain=ProjectiveSpace(n + 1),
-        target=ProjectiveSpace(n),
-        func=branched_cover,
-    )
+    """The cover CP^{n+1} -> CP^n as a smooth map; ``n`` only names the spaces."""
+    return SmoothMap(branched_cover)
 
 
 def quadric_fiber(point: ProjectivePoint) -> tuple[ProjectivePoint, ProjectivePoint, float | np.ndarray]:
@@ -211,12 +204,7 @@ def segre_unitary(a: ProjectivePoint, b: ProjectivePoint) -> ProjectivePoint:
 
 
 def segre_map() -> SmoothMap:
-    p1 = ProjectiveSpace(1)
-    return SmoothMap(
-        domain=ProductSpace(p1, p1),
-        target=ProjectiveSpace(3),
-        func=lambda pair: segre_unitary(pair[0], pair[1]),
-    )
+    return SmoothMap(lambda pair: segre_unitary(pair[0], pair[1]))
 
 
 def antipodal_cp1(a: ProjectivePoint) -> ProjectivePoint:

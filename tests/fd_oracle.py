@@ -29,9 +29,9 @@ import numpy as np
 
 from quadcover import dynamics
 from quadcover.cotangent import CotangentPoint
-from quadcover.forms import BoxSpace, CotangentSpace, ProductSpace, ProjectiveSpace
+from quadcover.forms import _ambient
 from quadcover.numerics import _null_frame, complexify, realify, row_norms
-from quadcover.projective import horizontal_project, proj_normalize
+from quadcover.projective import ProjectivePoint, horizontal_project, proj_normalize
 
 
 def retract(p: np.ndarray, q: np.ndarray, base_radius: float) -> CotangentPoint:
@@ -68,48 +68,46 @@ def constraint_frame(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _null_frame(np.stack(rows, axis=-2))
 
 
-def _offset(space, x, w):
-    """The domain point x moved by the ambient vector w and put back on the domain."""
-    if isinstance(space, BoxSpace):
-        return np.asarray(x, dtype=float) + w
-    if isinstance(space, ProjectiveSpace):
+def _offset(x, w):
+    """The point x moved by the ambient vector w and put back on its space."""
+    if isinstance(x, tuple):
+        k = _ambient(x[0])
+        return (_offset(x[0], w[..., :k]), _offset(x[1], w[..., k:]))
+    if isinstance(x, ProjectivePoint):
         return proj_normalize(x.rep + complexify(w))
-    if isinstance(space, CotangentSpace):
+    if isinstance(x, CotangentPoint):
         d = x.p.shape[-1]
         return retract(x.p + w[..., :d], x.q + w[..., d:], x.base_radius)
-    k = space.left.ambient
-    return (_offset(space.left, x[0], w[..., :k]), _offset(space.right, x[1], w[..., k:]))
+    return np.asarray(x, dtype=float) + w
 
 
-def _aligned(space, center, y) -> np.ndarray:
+def _aligned(center, y) -> np.ndarray:
     """The output y as a real ambient array, a projective one in the gauge closest to ``center``."""
-    if isinstance(space, BoxSpace):
-        return np.asarray(y, dtype=float)
-    if isinstance(space, ProjectiveSpace):
+    if isinstance(y, tuple):
+        return np.concatenate([_aligned(center[0], y[0]), _aligned(center[1], y[1])], axis=-1)
+    if isinstance(y, ProjectivePoint):
         overlap = np.einsum("...i,...i->...", center.rep.conj(), y.rep)
         return realify(y.rep * (overlap.conjugate() / np.abs(overlap))[..., None])
-    if isinstance(space, CotangentSpace):
+    if isinstance(y, CotangentPoint):
         return np.concatenate([y.p, y.q], axis=-1)
-    return np.concatenate([_aligned(space.left, center[0], y[0]), _aligned(space.right, center[1], y[1])], axis=-1)
+    return np.asarray(y, dtype=float)
 
 
-def _projected(space, center, w) -> np.ndarray:
-    """A difference quotient projected as the target's pushforward is: horizontally on CP^n."""
-    if isinstance(space, ProjectiveSpace):
+def _projected(center, w) -> np.ndarray:
+    """A difference quotient projected as the output's pushforward is: horizontally on CP^n."""
+    if isinstance(center, ProjectivePoint):
         return realify(horizontal_project(center, complexify(w)))
-    if isinstance(space, ProductSpace):
-        k = space.left.ambient
-        return np.concatenate(
-            [_projected(space.left, center[0], w[..., :k]), _projected(space.right, center[1], w[..., k:])], axis=-1
-        )
+    if isinstance(center, tuple):
+        k = _ambient(center[0])
+        return np.concatenate([_projected(center[0], w[..., :k]), _projected(center[1], w[..., k:])], axis=-1)
     return w
 
 
 def central_difference(f, x, v, h: float = 1e-5) -> np.ndarray:
     """(f(x + h v) - f(x - h v)) / 2h at one point x along one ambient tangent v."""
     center = f(x)
-    plus, minus = (_aligned(f.target, center, f(_offset(f.domain, x, s * h * v))) for s in (1.0, -1.0))
-    return _projected(f.target, center, (plus - minus) / (2.0 * h))
+    plus, minus = (_aligned(center, f(_offset(x, s * h * v))) for s in (1.0, -1.0))
+    return _projected(center, (plus - minus) / (2.0 * h))
 
 
 

@@ -658,6 +658,12 @@ def _generated_row(cid, **changes):
     return {**check.gen(dict(check.params, **BATCHED[cid]), derive_stream(42, cid))[0], **changes}
 
 
+def _with_zero_direction(row):
+    """The row with its first direction zeroed, where omega_FS(v, iv) = |v|^2 is 0, not 1."""
+    zero = {"re": [0.0] * (row["n"] + 1), "im": [0.0] * (row["n"] + 1)}
+    return {**row, "dirs": [zero, *row["dirs"][1:]]}
+
+
 @pytest.mark.parametrize(
     "cid, witness",
     [
@@ -694,6 +700,8 @@ def _generated_row(cid, **changes):
         ("L-sphereembedding", None),
         # no check times: raised IndexError
         ("R-uneven-flow", _generated_row("R-uneven-flow", ts=[])),
+        # a direction that is not unit: passed with a ratio spread of 0.74
+        ("R-omega-r-not-FS", _with_zero_direction(_generated_row("R-omega-r-not-FS"))),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):

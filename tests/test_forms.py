@@ -5,9 +5,7 @@ import pytest
 
 from quadcover.cotangent import CotangentPoint, sample_disc_bundle, sample_tangent
 from quadcover.forms import (
-    BoxSpace,
     BranchLocusError,
-    ProjectiveSpace,
     SmoothMap,
     _omega_std_ambient,
     fubini_study_form,
@@ -77,11 +75,7 @@ def test_fubini_study_matches_affine_chart_formula():
     # cross-check the horizontal-lift definition once against the closed
     # chart expression: pullback under (x, y) -> [1 : x + iy] equals
     # 1 / (1 + x^2 + y^2)^2 on coordinate directions
-    chart = SmoothMap(
-        domain=BoxSpace(2),
-        target=ProjectiveSpace(1),
-        func=lambda x: proj_normalize(np.stack([1.0, x[0] + 1j * x[1]])),
-    )
+    chart = SmoothMap(lambda x: proj_normalize(np.stack([1.0, x[0] + 1j * x[1]])))
     form = fubini_study_form(1)
     rng = derive_stream(34, "chart")
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -94,8 +88,7 @@ def test_fubini_study_matches_affine_chart_formula():
 
 def test_pullback_along_identity_map():
     rng = derive_stream(35, "ident")
-    space = ProjectiveSpace(2)
-    identity = SmoothMap(domain=space, target=space, func=lambda p: p)
+    identity = SmoothMap(lambda p: p)
     point = sample_projective(2, rng)
     u = realify(sample_horizontal(point, rng))
     v = realify(sample_horizontal(point, rng))
@@ -172,11 +165,8 @@ def test_omega_r_raises_on_branch_locus():
 
 def test_integrate_surface_constant_param_is_zero():
     fixed = proj_normalize(np.array([1.0, 1.0], dtype=complex))
-    bounds = (np.zeros(2), np.ones(2))
-    param = SmoothMap(
-        domain=BoxSpace(2, bounds), target=ProjectiveSpace(1), func=lambda x: fixed
-    )
-    assert abs(integrate_surface(param, fubini_study_form(1), nodes=8)) < 1e-12
+    param = SmoothMap(lambda x: fixed)
+    assert abs(integrate_surface(param, fubini_study_form(1), ((0.0, 1.0), (0.0, 1.0)), nodes=8)) < 1e-12
 
 
 # the charts of the period checks, each with a form on its target
@@ -207,11 +197,7 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
     monkeypatch.setattr(numerics, "CHUNK_ROWS", 3 * nodes)
     chart = getattr(checks, chart_name)()
     calls = []
-    counted = SmoothMap(
-        domain=chart.domain,
-        target=chart.target,
-        func=lambda x: calls.append(x.shape[0]) or chart(x),
-    )
+    counted = SmoothMap(lambda x: calls.append(x.shape[0]) or chart(x))
     blocks = []
     original = forms_module.gauss_legendre_2d
 
@@ -224,11 +210,11 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
         return original(block, *args, **kwargs)
 
     monkeypatch.setattr(forms_module, "gauss_legendre_2d", recording)
-    integrate_surface(counted, form, nodes=nodes)
+    integrate_surface(counted, form, checks._CHART_BOUNDS, nodes)
     # one jet pass of the chart per block of whole rows
     assert [len(u) for u, _, _ in blocks] == [24, 24, 16]
     assert calls == [24, 24, 16]
-    lo, hi = chart.domain.bounds
+    lo, hi = np.transpose(checks._CHART_BOUNDS)
     xs = np.polynomial.legendre.leggauss(nodes)[0]
     us = 0.5 * (hi[0] - lo[0]) * xs + 0.5 * (lo[0] + hi[0])
     vs = 0.5 * (hi[1] - lo[1]) * xs + 0.5 * (lo[1] + hi[1])
@@ -261,7 +247,7 @@ def test_integrate_surface_total_does_not_depend_on_the_block_size(monkeypatch, 
     totals = []
     for chunk in (1, 3 * nodes, nodes * nodes):
         monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
-        totals.append(integrate_surface(chart, form, nodes=nodes))
+        totals.append(integrate_surface(chart, form, checks._CHART_BOUNDS, nodes))
     assert totals[0] == totals[1] == totals[2]
 
 
@@ -276,36 +262,22 @@ def test_integrate_surface_gives_each_of_k_forms_the_bits_of_its_own_call(monkey
     nodes = 12
     chart = getattr(checks, chart_name)()
     passes = []
-    counted = SmoothMap(domain=chart.domain, target=chart.target, func=lambda x: passes.append(x.shape[0]) or chart(x))
+    counted = SmoothMap(lambda x: passes.append(x.shape[0]) or chart(x))
     forms = [scaled_form(form, c) for c in (0.5, 1.0, 3.0)] + [form]
-    totals = integrate_surface(counted, forms, nodes=nodes)
+    totals = integrate_surface(counted, forms, checks._CHART_BOUNDS, nodes)
     per_block = max(1, chunk // nodes)
     assert passes == [min(per_block, nodes - lo) * nodes for lo in range(0, nodes, per_block)]
-    assert totals == [integrate_surface(chart, f, nodes=nodes) for f in forms]
+    assert totals == [integrate_surface(chart, f, checks._CHART_BOUNDS, nodes) for f in forms]
     assert totals[1] != totals[2]
-
-
-def test_integrate_surface_requires_bounded_2d_domain():
-    param = SmoothMap(
-        domain=BoxSpace(2),
-        target=ProjectiveSpace(1),
-        func=lambda x: proj_normalize(np.array([1.0, x[0] + 1j * x[1]])),
-    )
-    with pytest.raises(ValueError, match="bounded"):
-        integrate_surface(param, fubini_study_form(1))
 
 
 def test_even_rescale_pullback_preserves_omega_std():
     from quadcover.cotangent import even_rescale
-    from quadcover.forms import CotangentSpace, cotangent_omega_std
+    from quadcover.forms import cotangent_omega_std
 
     rng = derive_stream(40, "resc")
     r = 2.5
-    rescale = SmoothMap(
-        domain=CotangentSpace(2, 1.0),
-        target=CotangentSpace(2, float(np.sqrt(r))),
-        func=lambda m: even_rescale(m, r),
-    )
+    rescale = SmoothMap(lambda m: even_rescale(m, r))
     omega = cotangent_omega_std(2, float(np.sqrt(r)))
     for _ in range(10):
         m = sample_disc_bundle(2, 1.0, r, rng)
@@ -318,10 +290,9 @@ def test_even_rescale_pullback_preserves_omega_std():
 def test_cotangent_space_rows_match_single_points():
     # a seeded batch pushes forward row by row, as each point alone
     from quadcover.cotangent import even_rescale
-    from quadcover.forms import CotangentSpace
 
     rng = derive_stream(42, "cot-rows")
-    rescale = SmoothMap(CotangentSpace(2, 1.0), CotangentSpace(2, 1.5), lambda m: even_rescale(m, 2.25))
+    rescale = SmoothMap(lambda m: even_rescale(m, 2.25))
     m = sample_disc_bundle(2, 1.0, 1.0, rng, size=5)
     vs = np.stack([sample_tangent(m, rng) for _ in range(3)])
     image, w = rescale.differential(m, vs)
@@ -344,7 +315,7 @@ def test_pullback_evaluates_the_map_once():
         calls.append(x)
         return emb(x)
 
-    counted = SmoothMap(emb.domain, emb.target, counting)
+    counted = SmoothMap(counting)
     x = np.array([0.1, 0.2, 0.3, -0.1])
     pullback(counted, fubini_study_form(2), x, np.eye(4)[0], np.eye(4)[1])
     # one jet pass gives the center and both pushforwards

@@ -14,10 +14,6 @@ from quadcover.cotangent import (
 )
 from quadcover.dynamics import scalar_action
 from quadcover.forms import (
-    BoxSpace,
-    CotangentSpace,
-    ProductSpace,
-    ProjectiveSpace,
     SmoothMap,
     _omega_std_ambient,
     fubini_study_form,
@@ -321,26 +317,49 @@ def test_antipodal_cp1_is_fixed_point_free_involution():
     assert projective_defect(antipodal_cp1(a), a) > 1e-9
 
 
-def _domain_sample(space, rng, size):
-    """``size`` points of ``space`` as one batch, and two unit tangents at each, stacked (2, size, ambient)."""
-    if isinstance(space, BoxSpace):
-        if space.bounds is not None:
-            lo, hi = space.bounds
-            x = rng.uniform(lo, hi, size=(size, space.dim))
-        else:
-            z = rng.standard_normal((size, space.dim // 2)) + 1j * rng.standard_normal((size, space.dim // 2))
-            x = realify(0.4 * z / row_norms(z)[:, None])
-        v = rng.standard_normal((2, size, space.dim))
-    elif isinstance(space, CotangentSpace):
-        x = sample_disc_bundle(space.n, space.base_radius, 0.9, rng, size=size)
-        v = np.stack([sample_tangent(x, rng) for _ in range(2)])
-    elif isinstance(space, ProjectiveSpace):
-        x = sample_projective(space.n, rng, size=size)
-        v = np.stack([realify(sample_horizontal(x, rng)) for _ in range(2)])
-    else:
-        (a, va), (b, vb) = _domain_sample(space.left, rng, size), _domain_sample(space.right, rng, size)
+def _unit(v):
+    return v / row_norms(v)[..., None]
+
+
+# domain samplers: each gives ``size`` points as one batch, and two unit
+# tangents at each, stacked (2, size, ambient)
+
+
+def _in_ball(dim):
+    def sample(rng, size):
+        z = rng.standard_normal((size, dim // 2)) + 1j * rng.standard_normal((size, dim // 2))
+        return realify(0.4 * z / row_norms(z)[:, None]), _unit(rng.standard_normal((2, size, dim)))
+
+    return sample
+
+
+def _in_rectangle(bounds):
+    lo, hi = np.transpose(bounds)
+    return lambda rng, size: (rng.uniform(lo, hi, size=(size, 2)), _unit(rng.standard_normal((2, size, 2))))
+
+
+def _on_bundle(n):
+    def sample(rng, size):
+        x = sample_disc_bundle(n, 1.0, 0.9, rng, size=size)
+        return x, _unit(np.stack([sample_tangent(x, rng) for _ in range(2)]))
+
+    return sample
+
+
+def _on_projective(n):
+    def sample(rng, size):
+        x = sample_projective(n, rng, size=size)
+        return x, _unit(np.stack([realify(sample_horizontal(x, rng)) for _ in range(2)]))
+
+    return sample
+
+
+def _on_pair(left, right):
+    def sample(rng, size):
+        (a, va), (b, vb) = left(rng, size), right(rng, size)
         return (a, b), np.concatenate([va, vb], axis=-1)
-    return x, v / row_norms(v)[..., None]
+
+    return sample
 
 
 def _row(point, i):
@@ -366,32 +385,35 @@ def _arrays(point):
 
 
 def _smooth_maps(n=2):
-    """Every SmoothMap the package builds, the quadric embedding, the deck involution and a factor swap.
+    """Every SmoothMap the package builds, the quadric embedding, the deck involution and two factor swaps.
 
-    At n = 2 and r = sqrt(2).
+    At n = 2 and r = sqrt(2), each with a sampler of its domain.
     """
     from quadcover import checks
 
-    p1 = ProjectiveSpace(1)
+    p1, rectangle = _on_projective(1), _in_rectangle(checks._CHART_BOUNDS)
+    swap = SmoothMap(lambda pair: (pair[1], pair[0]))
     return {
-        "ball-embedding": ball_embedding(n, ROOT2),
-        "cotangent-embedding": SmoothMap(CotangentSpace(n, 1.0), ProjectiveSpace(n + 1), cotangent_to_quadric),
-        "branched-cover": branched_cover_map(n),
-        "deck": SmoothMap(ProjectiveSpace(n + 1), ProjectiveSpace(n + 1), deck),
-        "segre-unitary": segre_map(),
-        "sphere-chart": checks._sphere_chart(),
-        "conic-chart": checks._conic_chart(),
-        "diagonal-chart": checks._diagonal_chart(),
-        "evened-rescale": checks._evened_rescale_map(n, ROOT2),
-        "factor-swap": SmoothMap(ProductSpace(p1, p1), ProductSpace(p1, p1), lambda pair: (pair[1], pair[0])),
+        "ball-embedding": (ball_embedding(n, ROOT2), _in_ball(2 * (n + 1))),
+        "cotangent-embedding": (SmoothMap(cotangent_to_quadric), _on_bundle(n)),
+        "branched-cover": (branched_cover_map(n), _on_projective(n + 1)),
+        "deck": (SmoothMap(deck), _on_projective(n + 1)),
+        "segre-unitary": (segre_map(), _on_pair(p1, p1)),
+        "sphere-chart": (checks._sphere_chart(), rectangle),
+        "conic-chart": (checks._conic_chart(), rectangle),
+        "diagonal-chart": (checks._diagonal_chart(), rectangle),
+        "evened-rescale": (checks._evened_rescale_map(n, ROOT2), _on_bundle(n)),
+        "factor-swap": (swap, _on_pair(p1, p1)),
+        # a pair of two kinds: its tangent splits where the cotangent factor's ends
+        "cotangent-projective-swap": (swap, _on_pair(_on_bundle(n), _on_projective(n))),
     }
 
 
 def test_catalog_maps_agree_with_coarser_differences():
     # the exact pushforward of each map against a central difference at
     # step 1e-5, whose O(h^2) truncation and eps / h rounding stay below 1e-6
-    for name, smooth in _smooth_maps().items():
-        x, vs = _domain_sample(smooth.domain, derive_stream(55, name), 5)
+    for name, (smooth, sample) in _smooth_maps().items():
+        x, vs = sample(derive_stream(55, name), 5)
         _, pushed = smooth.differential(x, vs)
         for i in range(5):
             point = _row(x, i)
@@ -404,8 +426,8 @@ def test_catalog_maps_agree_with_coarser_differences():
 def test_a_batch_row_pushes_forward_as_the_row_alone(name):
     # value and pushforwards of a row of a batch, bit for bit those of a
     # batch of that one row: a witness replays its pullback alone
-    smooth = _smooth_maps()[name]
-    x, vs = _domain_sample(smooth.domain, derive_stream(56, name), 7)
+    smooth, sample = _smooth_maps()[name]
+    x, vs = sample(derive_stream(56, name), 7)
     value, pushed = smooth.differential(x, vs)
     for i in range(7):
         one, pushed_one = smooth.differential(_row(x, i), vs[:, i : i + 1])

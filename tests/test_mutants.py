@@ -18,7 +18,7 @@ import quadcover.dynamics as dynamics_module
 import quadcover.maps as maps_module
 from quadcover.cotangent import CotangentPoint
 from quadcover.dynamics import FlowResult, scalar_action
-from quadcover.forms import ProductSpace, TwoForm, fubini_study_form, scaled_form
+from quadcover.forms import TwoForm, fubini_study_form, scaled_form
 from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
 
@@ -234,9 +234,8 @@ def test_omega_r_lift_without_the_dw_term(monkeypatch):
 
 def test_product_form_that_drops_its_right_factor(monkeypatch):
     def left_factor_only(left, right):
-        space = ProductSpace(left.space, right.space)
-        k = space.left.ambient
-        return TwoForm(space, lambda pair, a, b: left.func(pair[0], a[..., :k], b[..., :k]))
+        # the diagonal chart's pairs hold two CP^1 points, whose ambient is 4
+        return TwoForm(lambda pair, a, b: left.func(pair[0], a[..., :4], b[..., :4]))
 
     monkeypatch.setattr(checks_module, "product_form", left_factor_only)
     # the diagonal period halves: 2 pi r short of the conic's 4 pi r

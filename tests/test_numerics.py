@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fd_oracle import central_difference
 
-from quadcover.forms import BoxSpace, SmoothMap
+from quadcover.forms import SmoothMap
 from quadcover.numerics import (
     complexify,
     derive_stream,
@@ -13,22 +13,17 @@ from quadcover.numerics import (
 )
 
 
-def _box_map(f, x):
-    x = np.asarray(x, dtype=float)
-    return SmoothMap(domain=BoxSpace(x.size), target=BoxSpace(np.size(f(x))), func=f)
-
-
 def jacobian(f, x):
     """Jacobian of f: R^m -> R^k from one SmoothMap.differential of all m coordinate axes."""
     x = np.asarray(x, dtype=float)
-    _, columns = _box_map(f, x).differential(x, np.eye(x.size))
+    _, columns = SmoothMap(f).differential(x, np.eye(x.size))
     return columns.T
 
 
 def difference_jacobian(f, x, h=1e-5):
     """The same Jacobian from the central-difference oracle, one axis at a time."""
     x = np.asarray(x, dtype=float)
-    return np.stack([central_difference(_box_map(f, x), x, e, h) for e in np.eye(x.size)], axis=1)
+    return np.stack([central_difference(SmoothMap(f), x, e, h) for e in np.eye(x.size)], axis=1)
 
 
 def _linear(a):

@@ -26,7 +26,6 @@ UNREACHED = {
     "checks._check.<locals>.register": "runs at import too, once for each check",
     "checks.Check.gen": "draws a check's inputs whole for perfbench/run.py; a run draws one block at a time",
     "cli.entry": "the verify console script: it calls main and exits with its status",
-    "forms.BoxSpace.split": "a SmoothMap may target a box; no check's map does",
     "jets.Jet.__array__": "a guard: it refuses to turn a jet into an array, which only a defect tries",
     "jets.Jet.conj": "the method form of np.conj, which a map written on arrays may call; no check's map does",
     "maps._outside_ball": "a guard: it raises for a point outside the ball, and no valid input is one",
