@@ -519,8 +519,7 @@ def _diagonal_chart() -> SmoothMap:
     return SmoothMap(func)
 
 
-def _evened_rescale_map(n: int, r: float) -> SmoothMap:
-    # n only names the bundle
+def _evened_rescale_map(r: float) -> SmoothMap:
     return SmoothMap(lambda m: even_rescale(m, r))
 
 
@@ -676,9 +675,9 @@ def _gen_projemb(params, rng):
     fields={"n": DIM, "r": RADIUS, "z": CVEC, "v1": TANGENT, "v2": TANGENT},
 )
 def _res_projemb(rows):
-    n, r, v1, v2 = rows["n"], rows["r"], rows["v1"], rows["v2"]
-    target = scaled_form(fubini_study_form(n + 1), r * r)
-    value = pullback(ball_embedding(n, r), target, realify(rows["z"]), v1, v2)
+    r, v1, v2 = rows["r"], rows["v1"], rows["v2"]
+    target = scaled_form(fubini_study_form(), r * r)
+    value = pullback(ball_embedding(r), target, realify(rows["z"]), v1, v2)
     return np.abs(value - _omega_std_ambient(v1, v2))
 
 
@@ -902,8 +901,8 @@ def _res_pi_not_symplectic(rows):
     tangents = np.stack([frame, 1j * frame], axis=2).reshape(len(rows), 2 * n, n + 2)
     dirs = np.concatenate([vertical, tangents], axis=1)
     # all 2n + 1 directions of a point pushed forward in one pass
-    image, w = branched_cover_map(n).differential(branch, realify(dirs.swapaxes(0, 1)))
-    pairing = fubini_study_form(n)(image, w[0], w[1:])
+    image, w = branched_cover_map().differential(branch, realify(dirs.swapaxes(0, 1)))
+    pairing = fubini_study_form()(image, w[0], w[1:])
     return np.abs(pairing).max(axis=0)
 
 
@@ -928,13 +927,13 @@ def _gen_segre_pullback(params, rng):
     fields={"a": CP1, "b": CP1, "v1": _Vector(8), "v2": _Vector(8)},
 )
 def _res_segre_pullback(rows):
-    fs1 = scaled_form(fubini_study_form(1), 2.0)
-    target = scaled_form(fubini_study_form(3), 2.0)
+    # 2 omega_FS, on CP^3 upstairs and on each CP^1 factor
+    form = scaled_form(fubini_study_form(), 2.0)
     pair = (proj_normalize(rows["a"]), proj_normalize(rows["b"]))
     off_quadric = np.abs(quadric_residual(segre_unitary(*pair))) > LOCUS_TOL
     v1, v2 = rows["v1"], rows["v2"]
-    value = pullback(segre_map(), target, pair, v1, v2)
-    return np.where(off_quadric, np.nan, np.abs(value - product_form(fs1, fs1)(pair, v1, v2)))
+    value = pullback(segre_map(), form, pair, v1, v2)
+    return np.where(off_quadric, np.nan, np.abs(value - product_form(form, form)(pair, v1, v2)))
 
 
 def _gen_segre_equivariance(params, rng):
@@ -1006,10 +1005,10 @@ def _gen_evenedrescale(params, rng):
     },
 )
 def _res_evenedrescale(rows):
-    n, r, m = rows["n"], rows["r"], _pq(rows)
+    r, m = rows["r"], _pq(rows)
     if rows["part"] == "form":
-        rescale = _evened_rescale_map(n, r)
-        omega = cotangent_omega_std(n, float(np.sqrt(r)))
+        rescale = _evened_rescale_map(r)
+        omega = cotangent_omega_std()
         v1, v2 = rows["v1"], rows["v2"]
         value = pullback(rescale, omega, m, v1, v2)
         form_defect = np.abs(value - _omega_std_ambient(v1, v2))
@@ -1100,11 +1099,11 @@ def _gen_omega_r_descent(params, rng):
 def _res_omega_r_descent(rows):
     # each row with its own radius: the form and the expected value both
     # scale elementwise by 2r
-    n, r = rows["n"], np.broadcast_to(rows["r"], len(rows))
+    r = np.broadcast_to(rows["r"], len(rows))
     upstairs = proj_normalize(rows["z"])
     v1 = realify(rows["v1"])
     v2 = realify(rows["v2"])
-    image, (w1, w2) = branched_cover_map(n).differential(upstairs, np.stack((v1, v2)))
+    image, (w1, w2) = branched_cover_map().differential(upstairs, np.stack((v1, v2)))
     value = omega_r(image, w1, w2, r)
     expected = 2.0 * r * _omega_std_ambient(v1, v2)
     return np.abs(value - expected)
@@ -1154,7 +1153,7 @@ def _gen_period_cp1(params, rng):
     fields={"nodes": NODES},
 )
 def _res_period_cp1(rows):
-    value = integrate_surface(_sphere_chart(), fubini_study_form(1), _CHART_BOUNDS, rows["nodes"])
+    value = integrate_surface(_sphere_chart(), fubini_study_form(), _CHART_BOUNDS, rows["nodes"])
     return abs(value - np.pi)
 
 
@@ -1169,7 +1168,7 @@ _gen_period_q1 = _gen_period_cp1
     fields={"nodes": NODES},
 )
 def _res_period_q1(rows):
-    form = scaled_form(fubini_study_form(2), 2.0)
+    form = scaled_form(fubini_study_form(), 2.0)
     value = integrate_surface(_conic_chart(), form, _CHART_BOUNDS, rows["nodes"])
     return abs(value - 4.0 * np.pi)
 
@@ -1189,10 +1188,9 @@ def _res_period_match(rows):
     # r enters only as the forms' factor 2r, so one jet pass of each chart
     # integrates every row's form
     radii = np.broadcast_to(rows["r"], len(rows)).tolist()
-    fs1 = [scaled_form(fubini_study_form(1), 2.0 * r) for r in radii]
-    diag = integrate_surface(_diagonal_chart(), [product_form(f, f) for f in fs1], _CHART_BOUNDS, rows["nodes"])
-    fs2 = [scaled_form(fubini_study_form(2), 2.0 * r) for r in radii]
-    conic = integrate_surface(_conic_chart(), fs2, _CHART_BOUNDS, rows["nodes"])
+    forms = [scaled_form(fubini_study_form(), 2.0 * r) for r in radii]
+    diag = integrate_surface(_diagonal_chart(), [product_form(f, f) for f in forms], _CHART_BOUNDS, rows["nodes"])
+    conic = integrate_surface(_conic_chart(), forms, _CHART_BOUNDS, rows["nodes"])
     return [abs(a - b) for a, b in zip(diag, conic)]
 
 

@@ -19,21 +19,24 @@ only through its Gram entries |p|^2, |q|^2 and p.q; by the chain rule its
 slopes in |p|^2 and p.q give gradient terms along the constraint rows (p, 0)
 and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
 reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
-energy evaluations per field solve, whatever d.
+energy evaluations per field solve, whatever d. The retracted energy is
+k sqrt(|q|^2 - (p.q)^2 / |p|^2).
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
 so the RK4 trajectory runs on 2d Python floats and builds one CotangentPoint
 at the end. At that size a loop over lists costs more than its arithmetic
 too, so the whole trajectory is one function per d, generated and compiled
 on first use over the 2d floats as named scalars. It holds the step loop,
 with its retractions, and inlines the field solve, from one template of the
-solve's statements, at each of the four stages, so a step calls no field
-function and packs no tuple. It computes the trajectory alone, its endpoint
-and its step count: a check that compares energies reads them from the
-endpoints it holds. The loop's min() is a comparison that picks as min()
-picks. The kernel takes Python floats only: one numpy scalar among the
-inputs, such as the base radius sqrt(r) that even_rescale returns, would
-make every operation of the loop a numpy-scalar operation, at twice the
-cost of a float one or more, with the same rounding. On an "evened"
+solve's statements, at each of the four stages. The template writes out
+the two energies, their slope and the multipliers as arithmetic and takes
+the |G X| guard's absolute values by comparisons, so a stage calls nothing
+but hypot and sqrt, and a step packs no tuple. It computes the trajectory
+alone, its endpoint and its step count: a check that compares energies
+reads them from the endpoints it holds. The loop's min() is a comparison
+that picks as min() picks. The kernel takes Python floats only: one numpy
+scalar among the inputs, such as the base radius sqrt(r) that even_rescale
+returns, would make every operation of the loop a numpy-scalar operation,
+at twice the cost of a float one or more, with the same rounding. On an "evened"
 cosphere (|p| = |q| = k) the flow has the closed form (cos t p + sin t q,
 cos t q - sin t p), which equals the scalar action e^{-it} on z = p + iq;
 on an uneven cosphere over the unit sphere (|q| = r != 1) the trajectory
@@ -103,25 +106,13 @@ class FlowResult:
     steps: int
 
 
-def _restricted_energy(pp: float, qq: float, pq: float, k_ham: float) -> float:
-    """H = k|q| at the retraction of an ambient (p, q) with Gram entries |p|^2, |q|^2, p.q.
-
-    Retracting (p, q) leaves q - (p.q / |p|^2) p whatever the base radius, so
-    the retracted energy is k sqrt(|q|^2 - (p.q)^2 / |p|^2).
-    """
-    return k_ham * sqrt(qq - pq * pq / pp)
-
-
-def _multipliers(pp, p_gp, q_gq, p_gq):
-    """Closed-form Lagrange multipliers (lambda_0, lambda_1) that keep X tangent."""
-    return (q_gq - p_gp) / pp, -p_gq / pp
-
-
 _FIELD_BODY = """\
     norm_q = hypot({q})
     if norm_q <= 1e-8:
         raise ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
     norm_p = hypot({p})
+    # a power, not norm_p * norm_p: libm's pow(x, 2) and x * x round apart
+    # on nearly one float in a thousand, so a product moves the trajectories
     pp = norm_p ** 2
     qq = norm_q ** 2
     if not pp > 1e-20 * (pp + qq):
@@ -131,14 +122,17 @@ _FIELD_BODY = """\
         )
 {pq}
     dqq = h * qq
-    slope = (_restricted_energy(pp, qq + dqq, pq, k) - _restricted_energy(pp, qq - dqq, pq, k)) / dqq
-    lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
+    ratio = pq * pq / pp
+    slope = (k * sqrt(qq + dqq - ratio) - k * sqrt(qq - dqq - ratio)) / dqq
+    lam0, lam1 = slope * qq / pp, -(slope * pq) / pp
 {uw}
 {pu}
 {qu}
 {pw}
-    residual = abs(pu)
-    tangent = abs(qu + pw)
+    residual = pu if pu > 0.0 else 0.0 - pu
+    tangent = qu + pw
+    if not tangent > 0.0:
+        tangent = 0.0 - tangent
     if tangent > residual:
         residual = tangent
     if residual > 1e-8:
@@ -227,12 +221,15 @@ def _rk4_kernel(d: int):
     is packed into a tuple. One function per d over 2d named floats, with no
     list: the same operations in the same order as the loop over lists it
     replaces, so the same floats bit for bit. The norms are hypot's, each
-    dot product is added left to right from 0.0, as sum() adds floats, the
-    larger of the two |G X| terms is kept by a comparison that picks as
-    max() picks, NaN included, and the loop's min(dt, t_final - t) is a
-    comparison that picks as min() picks. The kernel runs in this module's
-    globals, not a copy, so each inlined solve looks up _restricted_energy
-    and _multipliers at the time it runs and sees them patched. Every
+    dot product is added left to right from 0.0, as sum() adds floats, and
+    the energies, their slope and the multipliers are the arithmetic of the
+    loop's helpers written out, with (p.q)^2 / |p|^2 computed once. Each
+    |G X| term is x if x > 0.0 else 0.0 - x, which is abs(x) for every
+    float, -0.0 included, and NaN for NaN; the larger of the two is kept by
+    a comparison that picks as max() picks, NaN included; and the loop's
+    min(dt, t_final - t) is a comparison that picks as min() picks. The
+    kernel runs in this module's globals, which give it hypot, sqrt and the
+    error classes, and reads _FIELD_BODY when it is compiled. Every
     argument is a Python float, as :func:`rk4_integrate` passes them.
     """
     p, q = ([f"{c}_{i}" for i in range(d)] for c in "pq")

@@ -195,17 +195,17 @@ def _omega_std_ambient(v1: np.ndarray, v2: np.ndarray) -> float | np.ndarray:
     return np.einsum("...i,...i->...", x1, y2) - np.einsum("...i,...i->...", y1, x2)
 
 
-def cotangent_omega_std(n: int, base_radius: float = 1.0) -> TwoForm:
-    """Restriction of omega_std to the cotangent constraint set; ``n`` and ``base_radius`` only name the set."""
+def cotangent_omega_std() -> TwoForm:
+    """Restriction of omega_std to the cotangent constraint set, of any dimension and base radius."""
     return TwoForm(lambda _, a, b: _omega_std_ambient(a, b))
 
 
-def fubini_study_form(n: int) -> TwoForm:
+def fubini_study_form() -> TwoForm:
     """Fubini-Study form of CP^n on horizontal lifts at unit representatives.
 
     On horizontal vectors at a unit representative the form equals omega_std
     of the realified ambient space; this normalization gives CP^1 total area
-    pi (the round sphere of radius 1/2). ``n`` only names the space.
+    pi (the round sphere of radius 1/2). One form serves every CP^n.
     """
     return TwoForm(lambda _, a, b: _omega_std_ambient(a, b))
 

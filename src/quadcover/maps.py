@@ -86,8 +86,8 @@ def _outside_ball(size2: float, r: float):
     raise ValueError(f"point with |z| = {np.sqrt(size2):.6g} is outside the open ball B({r:g})")
 
 
-def ball_embedding(n: int, r: float) -> SmoothMap:
-    """Ball embedding as a smooth map from real coordinates R^{2(n+1)} to CP^{n+1}; ``n`` only names the spaces."""
+def ball_embedding(r: float) -> SmoothMap:
+    """Ball embedding as a smooth map from real coordinates R^{2(n+1)} to CP^{n+1}, for every n."""
     return SmoothMap(lambda x: ball_to_projective(complexify(x), r))
 
 
@@ -155,8 +155,8 @@ def branched_cover(point: ProjectivePoint) -> ProjectivePoint:
         raise ValueError("branched cover is undefined at the center point [0:...:0:1]") from None
 
 
-def branched_cover_map(n: int) -> SmoothMap:
-    """The cover CP^{n+1} -> CP^n as a smooth map; ``n`` only names the spaces."""
+def branched_cover_map() -> SmoothMap:
+    """The cover CP^{n+1} -> CP^n as a smooth map, for every n."""
     return SmoothMap(branched_cover)
 
 

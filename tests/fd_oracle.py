@@ -19,11 +19,15 @@ from the statements the RK4 kernel inlines at each stage.
 ``reference_field`` is the same solve as a loop over lists, and
 ``reference_rk4`` the RK4 trajectory around it as a loop over lists, the
 body the compiled per-dimension RK4 kernel unrolls; each compiled solve must
-return its loop's floats bit for bit.
+return its loop's floats bit for bit. The loop calls ``_restricted_energy``
+and ``_multipliers``, whose arithmetic the template writes out, so the oracle
+is written apart from the statements it checks. ``patch_field_body``
+compiles both kernels from a template with statements replaced, such as the
+slope with ``ENERGY_SLOPE`` to call a mutant energy back in.
 """
 
 import functools
-from math import hypot, isfinite
+from math import hypot, isfinite, sqrt
 
 import numpy as np
 
@@ -119,12 +123,32 @@ def _dot(a, b) -> float:
     return total
 
 
+def _restricted_energy(pp: float, qq: float, pq: float, k_ham: float) -> float:
+    """H = k|q| at the retraction of an ambient (p, q) with Gram entries |p|^2, |q|^2, p.q.
+
+    Retracting (p, q) leaves q - (p.q / |p|^2) p whatever the base radius, so
+    the retracted energy is k sqrt(|q|^2 - (p.q)^2 / |p|^2).
+    """
+    return k_ham * sqrt(qq - pq * pq / pp)
+
+
+def _multipliers(pp, p_gp, q_gq, p_gq):
+    """Closed-form Lagrange multipliers (lambda_0, lambda_1) that keep X tangent."""
+    return (q_gq - p_gp) / pp, -p_gq / pp
+
+
+# right-hand sides for patch_field_body: the template's slope and multiplier
+# statements with an ``energy`` and a ``multipliers`` called back in
+ENERGY_SLOPE = "(energy(pp, qq + dqq, pq, k) - energy(pp, qq - dqq, pq, k)) / dqq"
+MULTIPLIER_CALL = "multipliers(pp, 0.0, slope * qq, slope * pq)"
+
+
 @functools.cache
 def _field_kernel(d: int):
     """kernel(k, h, *p, *q) -> (*u, *w): the statements of dynamics._field_body as one function.
 
-    It runs in the dynamics module's globals, so patches of its
-    _restricted_energy and _multipliers reach it at each call.
+    It runs in the dynamics module's globals, as the RK4 kernel does, and
+    reads dynamics._FIELD_BODY when it is compiled.
     """
     p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
     head, tail = f"def kernel(k, h, {', '.join(p + q)}):\n", f"\n    return {', '.join(u + w)}\n"
@@ -132,6 +156,29 @@ def _field_kernel(d: int):
     namespace = {}
     exec(compile(source, f"<field kernel, d = {d}>", "exec"), vars(dynamics), namespace)
     return namespace["kernel"]
+
+
+def patch_field_body(monkeypatch, statements: dict[str, str], **names) -> None:
+    """Make the RK4 kernel and the field kernel compile from dynamics._FIELD_BODY with statements replaced.
+
+    Each key of ``statements`` is the target of one assignment of the
+    template, such as "slope" or "lam0, lam1", and its value the right-hand
+    side that replaces that assignment's. ``names`` are set in the dynamics
+    module, where both kernels run, for the new statements to call. Each
+    kernel is fetched through a fresh cache, so the patched template compiles
+    on first use, and the kernels compiled before come back when monkeypatch
+    undoes.
+    """
+    body = dynamics._FIELD_BODY
+    for target, value in statements.items():
+        lines = [line for line in body.splitlines() if line.startswith(f"    {target} = ")]
+        assert len(lines) == 1, (target, lines)
+        body = body.replace(lines[0], f"    {target} = {value}")
+    monkeypatch.setattr(dynamics, "_FIELD_BODY", body)
+    for name, value in names.items():
+        monkeypatch.setattr(dynamics, name, value, raising=False)
+    monkeypatch.setattr(dynamics, "_rk4_kernel", functools.cache(dynamics._rk4_kernel.__wrapped__))
+    monkeypatch.setitem(globals(), "_field_kernel", functools.cache(_field_kernel.__wrapped__))
 
 
 def solve_field(k_ham: float, p, q, h: float) -> list[float]:
@@ -158,9 +205,9 @@ def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> l
         )
     pq = _dot(p, q)
     dqq = h * qq
-    energy = dynamics._restricted_energy
+    energy = _restricted_energy
     slope = (energy(pp, qq + dqq, pq, k_ham) - energy(pp, qq - dqq, pq, k_ham)) / dqq
-    lam0, lam1 = dynamics._multipliers(pp, 0.0, slope * qq, slope * pq)
+    lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
     u = [slope * b + lam1 * a for a, b in zip(p, q)]
     w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
     residual = max(abs(_dot(p, u)), abs(_dot(q, u) + _dot(p, w)))

@@ -456,7 +456,7 @@ def _unitcut_boundary_loop(inp):
 
 def _pi_not_symplectic_loop(inp):
     branch = cosphere_boundary(_cotangent_point(inp))
-    cover = branched_cover_map(inp["n"])
+    cover = branched_cover_map()
     vertical = np.zeros(inp["n"] + 2, dtype=complex)
     vertical[-1] = 1.0
     return max(
@@ -467,13 +467,13 @@ def _pi_not_symplectic_loop(inp):
 
 
 def _evenedrescale_loop(inp):
-    n, r = inp["n"], inp["r"]
+    r = inp["r"]
     m = _cotangent_point(inp)
     if inp["part"] == "form":
         v1 = np.asarray(inp["v1"], dtype=float)
         v2 = np.asarray(inp["v2"], dtype=float)
-        omega = cotangent_omega_std(n, float(np.sqrt(r)))
-        value = pullback(checks_module._evened_rescale_map(n, r), omega, m, v1, v2)
+        omega = cotangent_omega_std()
+        value = pullback(checks_module._evened_rescale_map(r), omega, m, v1, v2)
         roundtrip = float(checks_module._row_dist(even_rescale_inverse(even_rescale(m, r), r), m))
         return max(abs(value - _omega_std_ambient(v1, v2)), roundtrip)
     lhs = even_rescale(flow_uneven_cosphere(m, inp["t"]), r)

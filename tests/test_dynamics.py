@@ -8,7 +8,17 @@ import sys
 import numpy as np
 import pytest
 import fd_oracle
-from fd_oracle import bundle_residuals, constraint_frame, reference_field, reference_rk4, retract, solve_field
+from fd_oracle import (
+    ENERGY_SLOPE,
+    MULTIPLIER_CALL,
+    bundle_residuals,
+    constraint_frame,
+    patch_field_body,
+    reference_field,
+    reference_rk4,
+    retract,
+    solve_field,
+)
 
 from quadcover import dynamics
 from quadcover.checks import render_json, run_check
@@ -91,13 +101,12 @@ def test_collapsed_base_point_is_a_rank_failure():
 
 def test_inexact_field_solve_trips_the_residual_guard(monkeypatch):
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "guard"))
-    multipliers = dynamics._multipliers
 
     def off_by_a_little(*args):
-        lam0, lam1 = multipliers(*args)
+        lam0, lam1 = fd_oracle._multipliers(*args)
         return lam0, lam1 + 1e-6
 
-    monkeypatch.setattr(dynamics, "_multipliers", off_by_a_little)
+    patch_field_body(monkeypatch, {"lam0, lam1": MULTIPLIER_CALL}, multipliers=off_by_a_little)
     with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
         _field(1.0, m)
 
@@ -167,8 +176,15 @@ def test_field_kernel_guards_raise_as_the_reference_loop_does(monkeypatch):
     cases = (([1.0, 0.0], [0.0, 1e-9]), ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1e-11, 0.0], [0.0, 1.0]))
     for p, q in cases:
         assert _outcome(solve_field, 1.0, p, q, 1e-5) == _outcome(reference_field, 1.0, p, q, 1e-5)
-    # a patched multiplier reaches the kernel: it looks the module's names up at each call
-    monkeypatch.setattr(dynamics, "_multipliers", lambda *args: (0.0, 1e-6))
+    # near overflow the |G X| terms are huge, then NaN: the guard's comparisons
+    # trip as abs() and max() trip, and let a NaN residual through as they do
+    near = [_outcome(solve_field, 1.0, [1e150, 0.0], [0.0, q], 1e-5) for q in (1.3407e154, 1.34078e154)]
+    assert near == [_outcome(reference_field, 1.0, [1e150, 0.0], [0.0, q], 1e-5) for q in (1.3407e154, 1.34078e154)]
+    assert near[0] == (RuntimeError, "vector field solve residual 1.489e+138 exceeds 1e-8")
+    assert near[1] == ["nan"] * 4
+    # wrong multipliers in both: compiled into the kernel's template, called by the loop
+    patch_field_body(monkeypatch, {"lam0, lam1": "0.0, 1e-6"})
+    monkeypatch.setattr(fd_oracle, "_multipliers", lambda *args: (0.0, 1e-6))
     p, q = [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]
     got = _outcome(solve_field, 1.0, p, q, 1e-5)
     assert got == _outcome(reference_field, 1.0, p, q, 1e-5)
@@ -224,7 +240,7 @@ def _axis_offset_field(k_ham, p, q, h):
     evaluations where the |q|^2 slope needs two.
     """
     pp, qq, pq = p @ p, q @ q, p @ q
-    energy = dynamics._restricted_energy
+    energy = fd_oracle._restricted_energy
     two_h = 2.0 * h
     pp_h, qq_h = pp + h * h, qq + h * h
     g_p = np.array([
@@ -235,7 +251,7 @@ def _axis_offset_field(k_ham, p, q, h):
         energy(pp, qq_h + two_h * b, pq + h * a, k_ham) - energy(pp, qq_h - two_h * b, pq - h * a, k_ham)
         for a, b in zip(p, q)
     ]) / two_h
-    lam0, lam1 = dynamics._multipliers(pp, p @ g_p, q @ g_q, p @ g_q)
+    lam0, lam1 = fd_oracle._multipliers(pp, p @ g_p, q @ g_q, p @ g_q)
     return np.concatenate((g_q + lam1 * p, -(g_p + lam0 * p + lam1 * q)))
 
 
@@ -316,18 +332,19 @@ def test_field_sees_the_energy_only_through_its_q_slope(monkeypatch):
     p, q = m.p.tolist(), m.q.tolist()
     base = np.array(solve_field(1.0, p, q, 1e-5))
     wide_base = _axis_offset_field(1.0, m.p, m.q, 1e-5)
-    energy = dynamics._restricted_energy
+    energy = fd_oracle._restricted_energy
     c = 0.25
     for extra, moves in (
         (lambda pp, qq, pq: c * pp, False),
         (lambda pp, qq, pq: c * pq, False),
         (lambda pp, qq, pq: c * qq, True),
     ):
-        monkeypatch.setattr(
-            dynamics,
-            "_restricted_energy",
-            lambda pp, qq, pq, k_ham, extra=extra: energy(pp, qq, pq, k_ham) + extra(pp, qq, pq),
-        )
+        def shifted(pp, qq, pq, k_ham, extra=extra):
+            return energy(pp, qq, pq, k_ham) + extra(pp, qq, pq)
+
+        # the kernel calls the shifted energy from its slope statement
+        patch_field_body(monkeypatch, {"slope": ENERGY_SLOPE}, energy=shifted)
+        monkeypatch.setattr(fd_oracle, "_restricted_energy", shifted)
         change = np.max(np.abs(np.array(solve_field(1.0, p, q, 1e-5)) - base))
         wide_change = np.max(np.abs(_axis_offset_field(1.0, m.p, m.q, 1e-5) - wide_base))
         if moves:
@@ -408,9 +425,14 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
         got = _trajectory(rk4_integrate, m, 0.1, 0.05)
         assert got == _trajectory(reference_rk4, m, 0.1, 0.05)
         assert not isinstance(got[0], list)
-    # a patched energy reaches both: the kernels look the module's names up at each call
-    energy = dynamics._restricted_energy
-    monkeypatch.setattr(dynamics, "_restricted_energy", lambda pp, qq, pq, k_ham: 3.0 * energy(pp, qq, pq, k_ham))
+    # a tripled energy in both: compiled into the kernel's slope, called by the loop
+    energy = fd_oracle._restricted_energy
+
+    def tripled(pp, qq, pq, k_ham):
+        return 3.0 * energy(pp, qq, pq, k_ham)
+
+    patch_field_body(monkeypatch, {"slope": ENERGY_SLOPE}, energy=tripled)
+    monkeypatch.setattr(fd_oracle, "_restricted_energy", tripled)
     m = sample_cosphere(3, 1.0, 0.6, derive_stream(82, "patched"))
     got = _trajectory(rk4_integrate, m, 0.3, 0.07)
     assert got == _trajectory(reference_rk4, m, 0.3, 0.07)
@@ -418,14 +440,14 @@ def test_rk4_kernel_returns_the_reference_loop_floats_bit_for_bit(monkeypatch):
     assert got != _trajectory(rk4_integrate, m, 0.3, 0.07)
 
 
-def test_the_fused_stages_look_up_the_helpers_at_each_call(monkeypatch):
-    # the kernel is compiled before the helpers are patched: each inlined
-    # stage reads the module's names when it runs, two energies and one
-    # multiplier pair a stage, and the |G X| guard still trips at every stage
-    dynamics._rk4_kernel(3)
+def test_the_stages_with_the_oracle_helpers_called_back_in_return_the_inlined_floats(monkeypatch):
+    # the template writes out the arithmetic of the oracle's energy and
+    # multipliers: a kernel compiled with them called back in, two energies
+    # and one multiplier pair a stage, returns the same trajectory bit for
+    # bit, and one compiled with inexact multipliers trips the |G X| guard
     m = sample_cosphere(2, 1.0, 1.0, derive_stream(64, "fused"))
     clean = _trajectory(rk4_integrate, m, 0.5, 0.01)
-    energy, multipliers = dynamics._restricted_energy, dynamics._multipliers
+    energy, multipliers = fd_oracle._restricted_energy, fd_oracle._multipliers
     calls = {"energy": 0, "multipliers": 0}
 
     def counted(name, helper):
@@ -435,8 +457,12 @@ def test_the_fused_stages_look_up_the_helpers_at_each_call(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(dynamics, "_restricted_energy", counted("energy", energy))
-    monkeypatch.setattr(dynamics, "_multipliers", counted("multipliers", multipliers))
+    patch_field_body(
+        monkeypatch,
+        {"slope": ENERGY_SLOPE, "lam0, lam1": MULTIPLIER_CALL},
+        energy=counted("energy", energy),
+        multipliers=counted("multipliers", multipliers),
+    )
     assert _trajectory(rk4_integrate, m, 0.5, 0.01) == clean
     assert clean[1] == 50 and calls == {"energy": 8 * 50, "multipliers": 4 * 50}
 
@@ -444,9 +470,51 @@ def test_the_fused_stages_look_up_the_helpers_at_each_call(monkeypatch):
         lam0, lam1 = multipliers(*args)
         return lam0, lam1 + 1e-6
 
-    monkeypatch.setattr(dynamics, "_multipliers", off_by_a_little)
+    patch_field_body(monkeypatch, {"lam0, lam1": MULTIPLIER_CALL}, multipliers=off_by_a_little)
     with pytest.raises(RuntimeError, match="solve residual .* exceeds 1e-8"):
         rk4_integrate(m, 0.5, 0.01)
+
+
+# fixed starts at d = 2, 3 and 4, in floats their literals give exactly, and
+# each trajectory's steps and endpoint as the kernel returned them. Base
+# radii and fiber norms near 1.25, 1.5 and 2.5, where libm's pow(x, 2) and
+# x * x round apart more often than elsewhere: (p, q, base radius, t_final,
+# dt), steps, endpoint hex
+PINNED_TRAJECTORIES = (
+    (
+        ((0.75, -0.5), (0.25, 1.125), 1.25, 10.0, 0.005),
+        2000,
+        ["-0x1.3ff94f3fea1a7p+0", "0x1.05bd240a4fc6cp-6", "-0x1.c2141219039ccp-7", "-0x1.131bdc1aa6464p+0"],
+    ),
+    (
+        ((1.0, 0.5, -1.0), (0.5, 1.0, 1.0), 1.5, 10.0, 0.005),
+        2000,
+        [
+            "-0x1.1c6fe02023f3dp+0", "-0x1.ed5753a80b678p-1", "0x1.2e21b260f2051p-2",
+            "0x1.fde458bd98cb6p-4", "-0x1.2255d0e0687b4p-1", "-0x1.62125bf81b901p+0",
+        ],
+    ),
+    (
+        ((0.5, -0.25, 0.625, 0.125), (-0.375, 0.5, 0.25, 1.25), 2.5, 10.0, 0.005),
+        2000,
+        [
+            "-0x1.c17cd69b4266bp-1", "0x1.1de03d1d74b71p-3", "-0x1.c93223283e234p+0", "-0x1.81ba13e0e0f26p+0",
+            "0x1.8a532b999345ep-1", "-0x1.4b69f479ce249p-1", "0x1.70416cb0db655p-2", "-0x1.deb3329b2e9a8p-1",
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize("start, steps, endpoint", PINNED_TRAJECTORIES, ids=["d=2", "d=3", "d=4"])
+def test_rk4_kernel_returns_its_pinned_floats(start, steps, endpoint):
+    # the loop oracle pins the kernel only to itself: an edit made to both,
+    # such as |q|^2 as norm_q * norm_q in place of norm_q ** 2, passes the
+    # bit-for-bit tests and moves these endpoints. No numpy ufunc runs here,
+    # only float arithmetic, hypot, sqrt and pow, so SIMD dispatch cannot
+    # move them; a libm whose pow rounds otherwise can
+    p, q, k, t_final, dt = start
+    m = CotangentPoint(p=np.array(p), q=np.array(q), base_radius=k)
+    assert _trajectory(rk4_integrate, m, t_final, dt) == (endpoint, steps)
 
 
 def test_kernels_take_python_floats_only(monkeypatch):

@@ -52,7 +52,7 @@ def test_omega_fs_at_standard_point():
     point = proj_normalize(np.array([1.0, 0.0], dtype=complex))
     u = realify(horizontal_project(point, np.array([0.0, 1.0], dtype=complex)))
     v = realify(horizontal_project(point, np.array([0.0, 1j])))
-    omega_fs = fubini_study_form(1)
+    omega_fs = fubini_study_form()
     assert abs(omega_fs(point, u, v) - 1.0) < 1e-12
     assert omega_fs(point, u, u) == 0.0
 
@@ -62,7 +62,7 @@ def test_omega_fs_is_gauge_independent():
     point = sample_projective(2, rng)
     u = sample_horizontal(point, rng)
     v = sample_horizontal(point, rng)
-    omega_fs = fubini_study_form(2)
+    omega_fs = fubini_study_form()
     base_value = omega_fs(point, realify(u), realify(v))
     phase = np.exp(0.7j)
     rotated = ProjectivePoint(rep=phase * point.rep)
@@ -76,7 +76,7 @@ def test_fubini_study_matches_affine_chart_formula():
     # chart expression: pullback under (x, y) -> [1 : x + iy] equals
     # 1 / (1 + x^2 + y^2)^2 on coordinate directions
     chart = SmoothMap(lambda x: proj_normalize(np.stack([1.0, x[0] + 1j * x[1]])))
-    form = fubini_study_form(1)
+    form = fubini_study_form()
     rng = derive_stream(34, "chart")
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     for _ in range(25):
@@ -92,23 +92,23 @@ def test_pullback_along_identity_map():
     point = sample_projective(2, rng)
     u = realify(sample_horizontal(point, rng))
     v = realify(sample_horizontal(point, rng))
-    value = pullback(identity, fubini_study_form(2), point, u, v)
-    assert abs(value - fubini_study_form(2)(point, u, v)) < 1e-9
+    value = pullback(identity, fubini_study_form(), point, u, v)
+    assert abs(value - fubini_study_form()(point, u, v)) < 1e-9
 
 
 def test_pullback_ball_embedding_at_origin():
     # phi^*(2 omega_FS) = (2 / r^2) omega_std = omega_std at r = sqrt(2)
     r = np.sqrt(2.0)
-    emb = ball_embedding(0, r)
+    emb = ball_embedding(r)
     v1 = np.array([1.0, 0.0])
     v2 = np.array([0.0, 1.0])
-    value = pullback(emb, scaled_form(fubini_study_form(1), 2.0), np.zeros(2), v1, v2)
+    value = pullback(emb, scaled_form(fubini_study_form(), 2.0), np.zeros(2), v1, v2)
     assert abs(value - 1.0) < 1e-9
 
 
 def test_smooth_map_differential_is_linear():
     rng = derive_stream(36, "lin")
-    emb = ball_embedding(1, 2.0)
+    emb = ball_embedding(2.0)
     x = realify(0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)))
     v1 = rng.standard_normal(4)
     v2 = rng.standard_normal(4)
@@ -166,16 +166,16 @@ def test_omega_r_raises_on_branch_locus():
 def test_integrate_surface_constant_param_is_zero():
     fixed = proj_normalize(np.array([1.0, 1.0], dtype=complex))
     param = SmoothMap(lambda x: fixed)
-    assert abs(integrate_surface(param, fubini_study_form(1), ((0.0, 1.0), (0.0, 1.0)), nodes=8)) < 1e-12
+    assert abs(integrate_surface(param, fubini_study_form(), ((0.0, 1.0), (0.0, 1.0)), nodes=8)) < 1e-12
 
 
 # the charts of the period checks, each with a form on its target
 PERIOD_CHARTS = [
-    ("_sphere_chart", fubini_study_form(1)),
-    ("_conic_chart", scaled_form(fubini_study_form(2), 2.0)),
+    ("_sphere_chart", fubini_study_form()),
+    ("_conic_chart", scaled_form(fubini_study_form(), 2.0)),
     (
         "_diagonal_chart",
-        product_form(scaled_form(fubini_study_form(1), 3.0), scaled_form(fubini_study_form(1), 3.0)),
+        product_form(scaled_form(fubini_study_form(), 3.0), scaled_form(fubini_study_form(), 3.0)),
     ),
 ]
 
@@ -278,7 +278,7 @@ def test_even_rescale_pullback_preserves_omega_std():
     rng = derive_stream(40, "resc")
     r = 2.5
     rescale = SmoothMap(lambda m: even_rescale(m, r))
-    omega = cotangent_omega_std(2, float(np.sqrt(r)))
+    omega = cotangent_omega_std()
     for _ in range(10):
         m = sample_disc_bundle(2, 1.0, r, rng)
         v1 = sample_tangent(m, rng)
@@ -309,7 +309,7 @@ def test_cotangent_space_rows_match_single_points():
 
 def test_pullback_evaluates_the_map_once():
     calls = []
-    emb = ball_embedding(1, 1.0)
+    emb = ball_embedding(1.0)
 
     def counting(x):
         calls.append(x)
@@ -317,7 +317,7 @@ def test_pullback_evaluates_the_map_once():
 
     counted = SmoothMap(counting)
     x = np.array([0.1, 0.2, 0.3, -0.1])
-    pullback(counted, fubini_study_form(2), x, np.eye(4)[0], np.eye(4)[1])
+    pullback(counted, fubini_study_form(), x, np.eye(4)[0], np.eye(4)[1])
     # one jet pass gives the center and both pushforwards
     assert len(calls) == 1
 

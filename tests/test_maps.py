@@ -72,8 +72,8 @@ def test_ball_rejects_exterior_points():
 def test_ball_pullback_identity_sampled():
     rng = derive_stream(41, "ball")
     n, r = 2, ROOT2
-    emb = ball_embedding(n, r)
-    form = scaled_form(fubini_study_form(n + 1), r * r)
+    emb = ball_embedding(r)
+    form = scaled_form(fubini_study_form(), r * r)
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
@@ -266,9 +266,9 @@ def test_segre_lands_on_quadric_everywhere():
 def test_segre_pullback_of_double_fs_is_product_form():
     rng = derive_stream(51, "spull")
     segre = segre_map()
-    fs1 = scaled_form(fubini_study_form(1), 2.0)
-    expected_form = product_form(fs1, fs1)
-    target = scaled_form(fubini_study_form(3), 2.0)
+    # 2 omega_FS, on CP^3 upstairs and on each CP^1 factor
+    target = scaled_form(fubini_study_form(), 2.0)
+    expected_form = product_form(target, target)
     worst = 0.0
     for _ in range(60):
         a = sample_projective(1, rng)
@@ -394,15 +394,15 @@ def _smooth_maps(n=2):
     p1, rectangle = _on_projective(1), _in_rectangle(checks._CHART_BOUNDS)
     swap = SmoothMap(lambda pair: (pair[1], pair[0]))
     return {
-        "ball-embedding": (ball_embedding(n, ROOT2), _in_ball(2 * (n + 1))),
+        "ball-embedding": (ball_embedding(ROOT2), _in_ball(2 * (n + 1))),
         "cotangent-embedding": (SmoothMap(cotangent_to_quadric), _on_bundle(n)),
-        "branched-cover": (branched_cover_map(n), _on_projective(n + 1)),
+        "branched-cover": (branched_cover_map(), _on_projective(n + 1)),
         "deck": (SmoothMap(deck), _on_projective(n + 1)),
         "segre-unitary": (segre_map(), _on_pair(p1, p1)),
         "sphere-chart": (checks._sphere_chart(), rectangle),
         "conic-chart": (checks._conic_chart(), rectangle),
         "diagonal-chart": (checks._diagonal_chart(), rectangle),
-        "evened-rescale": (checks._evened_rescale_map(n, ROOT2), _on_bundle(n)),
+        "evened-rescale": (checks._evened_rescale_map(ROOT2), _on_bundle(n)),
         "factor-swap": (swap, _on_pair(p1, p1)),
         # a pair of two kinds: its tangent splits where the cotangent factor's ends
         "cotangent-projective-swap": (swap, _on_pair(_on_bundle(n), _on_projective(n))),

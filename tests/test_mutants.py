@@ -2,8 +2,9 @@
 
 After DeMillo, Lipton & Sayward, "Hints on test data selection" (1978): a
 check that still passes once the map it certifies is broken certifies
-nothing. Each test patches one wrong map into the modules that call it and
-runs the targeted check at its pinned tolerance.
+nothing. Each test patches one wrong map into the modules that call it, or
+compiles one into the RK4 kernel's template, and runs the targeted check at
+its pinned tolerance.
 """
 
 import dataclasses
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from fd_oracle import retract, solve_field
+import fd_oracle
+from fd_oracle import ENERGY_SLOPE, patch_field_body, retract, solve_field
 
 import quadcover.checks as checks_module
 import quadcover.dynamics as dynamics_module
@@ -116,7 +118,7 @@ def test_zero_hamiltonian_field(monkeypatch):
     # a field whose flow is 2 pi periodic (here: constant) lands on the closed
     # form at t = 2 pi; the halfway comparison must catch it. A constant
     # energy has slope 0, so every stage's field is zero
-    monkeypatch.setattr(dynamics_module, "_restricted_energy", lambda pp, qq, pq, k_ham: 0.0)
+    patch_field_body(monkeypatch, {"slope": ENERGY_SLOPE}, energy=lambda pp, qq, pq, k_ham: 0.0)
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
 
@@ -124,11 +126,11 @@ def test_zero_hamiltonian_field(monkeypatch):
 def test_hamiltonian_squared_in_place_of_the_norm(monkeypatch):
     # H = k|q|^2 turns the unit cosphere at twice the speed: the flow at pi is
     # the identity where the closed form is the antipode
-    original = dynamics_module._restricted_energy
-    monkeypatch.setattr(
-        dynamics_module,
-        "_restricted_energy",
-        lambda pp, qq, pq, k_ham: original(pp, qq, pq, k_ham) ** 2 / k_ham,
+    original = fd_oracle._restricted_energy
+    patch_field_body(
+        monkeypatch,
+        {"slope": ENERGY_SLOPE},
+        energy=lambda pp, qq, pq, k_ham: original(pp, qq, pq, k_ham) ** 2 / k_ham,
     )
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
@@ -138,11 +140,11 @@ def test_hamiltonian_three_times_too_fast(monkeypatch):
     # H = 3k|q| flows the unit cosphere at three times the speed: at pi and
     # 2 pi it lands where the closed form does (the antipode, the identity),
     # so only the comparison at t_final / 3 catches it
-    original = dynamics_module._restricted_energy
-    monkeypatch.setattr(
-        dynamics_module,
-        "_restricted_energy",
-        lambda pp, qq, pq, k_ham: 3.0 * original(pp, qq, pq, k_ham),
+    original = fd_oracle._restricted_energy
+    patch_field_body(
+        monkeypatch,
+        {"slope": ENERGY_SLOPE},
+        energy=lambda pp, qq, pq, k_ham: 3.0 * original(pp, qq, pq, k_ham),
     )
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
@@ -203,7 +205,7 @@ def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
 def test_omega_r_replaced_by_a_multiple_of_fubini_study(monkeypatch):
     # 2r omega_FS is pointwise proportional to omega_FS, so every ratio is 2r
     def multiple_of_fs(point, v1, v2, r, sheet=+1):
-        return 2.0 * r * fubini_study_form(point.rep.shape[-1] - 1)(point, v1, v2)
+        return 2.0 * r * fubini_study_form()(point, v1, v2)
 
     monkeypatch.setattr(checks_module, "omega_r", multiple_of_fs)
     report = _assert_fails_with_witness("R-omega-r-not-FS")
@@ -245,15 +247,15 @@ def test_product_form_that_drops_its_right_factor(monkeypatch):
 
 def _scaled_fubini_study(eps):
     original = checks_module.fubini_study_form
-    return lambda n: scaled_form(original(n), 1.0 + eps)
+    return lambda: scaled_form(original(), 1.0 + eps)
 
 
 def _scaled_evened_rescale_map(eps):
     # (p, q) -> (1 + eps)(sqrt(r) p, q / sqrt(r)), in the pullback only
     original = checks_module._evened_rescale_map
 
-    def scaled(n, r):
-        exact = original(n, r)
+    def scaled(r):
+        exact = original(r)
 
         def func(m):
             image = exact(m)
