@@ -13,11 +13,13 @@ Each check declares its input fields in row order with their kinds, which
 validate a generated run's params and parse a witness row into a one-row
 :class:`Block` (NaN if the row breaks them). A generator returns a list of
 draws, zero-argument functions that each draw one block of rows stored by
-field from the check's stream, called in list order. A generated run calls a
-draw, scores its block chunk by chunk, keeps the running worst residual with
-a plain-JSON copy of its row, and drops the block before the next draw, so it
-holds one block plus one chunk's temporaries, whatever its sample count. A
-row becomes a plain-JSON dict only as a witness, in a report or for a hash.
+field from the check's stream, called in list order. :meth:`Check.score` is
+the one scorer of rows: a generated run calls a draw, scores its block chunk
+by chunk, keeps the running worst residual with a plain-JSON copy of its row
+(:meth:`Block.plain`), and drops the block before the next draw, so it holds
+one block plus one chunk's temporaries, whatever its sample count; a replay
+scores its parsed witness, a block of one row, the same way. A row becomes a
+plain-JSON dict only as a witness, in a report or for a hash.
 
 Every residual takes a chunk of rows of one block and returns one value per
 row; an RK4 check, whose row is a whole trajectory, loops over its chunk's
@@ -320,9 +322,18 @@ class Block:
         """A block of one row as that row, for a body written on the last axis; any other block as it is."""
         return Block(1, **self.row(0)) if self.size == 1 else self
 
+    def plain(self, i: int, fields: Mapping[str, Any]) -> dict:
+        """Row ``i`` as a plain-JSON dict of the ``fields`` it holds, in their order: a witness."""
+        row = self.row(i)
+        return {key: _plain(row[key]) for key in fields if key in row}
+
 
 class Inputs(Sequence):
-    """A check's inputs in row order, held as blocks; ``inputs[i]`` is row i as a plain-JSON dict."""
+    """A check's inputs in row order, held as blocks; ``inputs[i]`` is row i as a plain-JSON dict.
+
+    Only :meth:`Check.gen` builds one, for the tests and perfbench/run.py; a
+    run scores each block as it is drawn.
+    """
 
     def __init__(self, fields: Mapping[str, Any], blocks: list[Block]):
         self.fields, self.blocks = fields, blocks
@@ -333,8 +344,7 @@ class Inputs(Sequence):
     def __getitem__(self, i: int) -> dict:
         for block in self.blocks:
             if 0 <= i < len(block):
-                row = block.row(i)
-                return {key: _plain(row[key]) for key in self.fields if key in row}
+                return block.plain(i, self.fields)
             i -= len(block)
         raise IndexError("input index out of range")
 
@@ -389,7 +399,7 @@ def _rk4_drift(m: CotangentPoint, ts, dt: float, exact: Callable) -> np.ndarray:
     One trajectory a row, each compared with ``exact(start, t)`` at the
     row's own 1-D start point. Trajectories of more than MAX_STEPS steps in
     all are refused before the first one starts. A row that raises
-    OffBundleError scores NaN where it stands, as :func:`_chunked` would
+    OffBundleError scores NaN where it stands, as :meth:`Check.score` would
     score it, so the other rows of its chunk are not integrated again; any
     other error propagates.
     """
@@ -532,14 +542,15 @@ def _evened_rescale_map(r: float) -> SmoothMap:
 class Check:
     """One named verification: statement, tolerance, input fields, and the name of its functions.
 
-    ``draws`` and ``residual`` are ``_gen_<name>`` and ``_res_<name>``
-    (``_score_<name>`` for a witness check), looked up in this module when
-    read, so a function rebound after import is the one that runs. ``gen``
-    calls every draw in order and holds all the blocks. Every residual takes
-    a chunk of rows and returns one value per row (:func:`_chunked`).
-    ``strict`` is the tolerance of a run under the strict profile,
-    ``tolerance`` otherwise. ``params`` is read-only, list defaults stored as
-    tuples, so no caller can change a declared default later.
+    ``draws`` and :meth:`score` call ``_gen_<name>`` and ``_res_<name>``,
+    looked up in this module when called, so a function rebound after import
+    is the one that runs. :meth:`score` is the one scorer of rows, of a
+    drawn block and of a parsed witness alike. :meth:`gen` calls every draw
+    in order and holds all the blocks, the whole-input view of the tests
+    and perfbench/run.py. ``strict`` is the tolerance of a run under the
+    strict profile, ``tolerance`` otherwise. ``params`` is read-only, list
+    defaults stored as tuples, so no caller can change a declared default
+    later.
     """
 
     id: str
@@ -557,21 +568,39 @@ class Check:
     def draws(self) -> Callable[[dict, np.random.Generator], list[Callable[[], Block]]]:
         return globals()[f"_gen_{self.name}"]
 
-    @property
-    def gen(self) -> Callable[[dict, np.random.Generator], Inputs]:
-        draws = self.draws
-        return lambda params, rng: Inputs(self.fields, [draw() for draw in draws(params, rng)])
+    def gen(self, params: dict, rng: np.random.Generator) -> Inputs:
+        return Inputs(self.fields, [draw() for draw in self.draws(params, rng)])
 
-    @property
-    def residual(self) -> Callable[[Inputs], np.ndarray]:
-        return _chunked(globals()[("_score_" if self.kind == "witness" else "_res_") + self.name])
+    def score(self, block: Block) -> np.ndarray:
+        """One value per row of ``block``, in chunks of at most CHUNK_ROWS rows, in order.
+
+        The residual returns one value per row, or a scalar for a chunk of one
+        row that it evaluates as a 1-D point. A chunk that raises OffBundleError
+        is evaluated again row by row, bit-identical by row arithmetic, so only
+        the rows off the bundle score NaN, failing the check as its witnesses.
+        """
+        residual = globals()[f"_res_{self.name}"]
+
+        def or_nan(rows: Block) -> np.ndarray:
+            try:
+                return np.asarray(residual(rows), dtype=float).reshape(len(rows))
+            except OffBundleError:
+                if len(rows) == 1:
+                    return np.full(1, np.nan)
+                return np.concatenate([or_nan(rows.rows(slice(i, i + 1))) for i in range(len(rows))])
+
+        if len(block) <= CHUNK_ROWS:
+            return or_nan(block)
+        return np.concatenate(
+            [or_nan(block.rows(slice(lo, lo + CHUNK_ROWS))) for lo in range(0, len(block), CHUNK_ROWS)]
+        )
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
 def _check(id, statement, covers, tolerance, params, fields, kind="residual", strict=None):
-    """Register check ``id`` on the decorated ``_res_<name>`` or ``_score_<name>``.
+    """Register check ``id`` on the decorated ``_res_<name>``.
 
     ``strict``, the tolerance under the strict profile, defaults to ``tolerance``.
 
@@ -585,7 +614,7 @@ def _check(id, statement, covers, tolerance, params, fields, kind="residual", st
     def register(func):
         if id in _REGISTRY:
             raise RuntimeError(f"check id {id!r} is already registered")
-        name = func.__name__.removeprefix("_score_" if kind == "witness" else "_res_")
+        name = func.__name__.removeprefix("_res_")
         frozen = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
         _REGISTRY[id] = Check(
             id, statement, covers, kind, tolerance, tolerance if strict is None else strict,
@@ -603,36 +632,8 @@ def build_registry() -> dict[str, Check]:
 
 # ---------------------------------------------------------------------------
 # Check implementations: a generator of draws, each of one block of rows, plus
-# a pure residual (or witness score) of a chunk of rows.
+# a pure residual (or witness score) of a chunk of rows, scored by Check.score.
 # ---------------------------------------------------------------------------
-
-
-def _chunked(residual: Callable[[Block], np.ndarray]) -> Callable:
-    """Lift a residual of a chunk of rows to the list contract: chunks of at most CHUNK_ROWS rows, in order.
-
-    The residual returns one value per row, or a scalar for a chunk of one
-    row that it evaluates as a 1-D point. A chunk that raises OffBundleError
-    is evaluated again row by row, bit-identical by row arithmetic, so only
-    the rows off the bundle score NaN, failing the check as its witnesses.
-    """
-
-    def or_nan(rows: Block) -> np.ndarray:
-        try:
-            return np.asarray(residual(rows), dtype=float).reshape(len(rows))
-        except OffBundleError:
-            if len(rows) == 1:
-                return np.full(1, np.nan)
-            return np.concatenate([or_nan(rows.rows(slice(i, i + 1))) for i in range(len(rows))])
-
-    def batch(inputs: Inputs) -> np.ndarray:
-        out = []
-        for block in inputs.blocks:
-            for lo in range(0, len(block), CHUNK_ROWS):
-                chunk = block if len(block) <= CHUNK_ROWS else block.rows(slice(lo, lo + CHUNK_ROWS))
-                out.append(or_nan(chunk))
-        return out[0] if len(out) == 1 else np.concatenate(out)
-
-    return batch
 
 
 def _cotangent_generator(sampler: Callable, count="samples", radius=None, shared=lambda params: {}):
@@ -1062,7 +1063,7 @@ _gen_uneven_flow = _cotangent_generator(sample_cosphere, "trajectories", "r", _s
     fields={"n": DIM, "r": RADIUS, "p": POINT, "q": POINT, "dt": TIME, "ts": TIMES, "t_checks": _Param(TIMES)},
     kind="witness",
 )
-def _score_uneven_flow(rows):
+def _res_uneven_flow(rows):
     # witness search: how far the true flow drifts from the scalar action
     return _rk4_drift(_pq(rows), rows["ts"], rows["dt"], scalar_action)
 
@@ -1128,7 +1129,7 @@ def _gen_omega_r_not_fs(params, rng):
     fields={"n": DIM2, "r": RADIUS, "z": CVEC, "dirs": _Vector(lambda n: n + 1, complex=True, many=True)},
     kind="witness",
 )
-def _score_omega_r_not_fs(rows):
+def _res_omega_r_not_fs(rows):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
     # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1 holds only
     # for unit directions, so a row with any other direction scores NaN
@@ -1305,7 +1306,7 @@ def run_check(
         worst_row, samples = params["witness"], 1
         block = _parse(check.fields, worst_row)
         try:
-            max_residual = math.nan if block is None else float(check.residual(Inputs(check.fields, [block]))[0])
+            max_residual = math.nan if block is None else float(check.score(block)[0])
         except StepLimitError:
             max_residual = math.nan
     else:
@@ -1316,21 +1317,21 @@ def run_check(
             problem = kind.problem(key, value, isinstance(check.params[key], tuple))
             if problem:
                 raise UsageError(f"check {check_id}: {problem}, got {value!r}")
-        residual, max_residual, samples = check.residual, None, 0
+        max_residual, samples = None, 0
         for draw in check.draws(merged, derive_stream(seed, check_id)):
-            inputs = Inputs(check.fields, [draw()])
+            block = draw()
             try:
-                residuals = residual(inputs)
+                residuals = check.score(block)
             except StepLimitError as exc:
                 raise UsageError(f"check {check_id}: {exc}") from None
             top = _worst(residuals)
             # the block's worst is the run's if it is worse than the worst of the blocks before
             if max_residual is None or _worst(np.array([max_residual, residuals[top]])):
                 # a plain-JSON copy of the row, so no view keeps the block alive
-                max_residual, worst_row = float(residuals[top]), inputs[top]
-            samples += len(inputs)
+                max_residual, worst_row = float(residuals[top]), block.plain(top, check.fields)
+            samples += len(block)
             # drop the block before the next draw
-            del inputs, residuals
+            del block, residuals
     elapsed = time.perf_counter() - start
     within = max_residual > tolerance if check.kind == "witness" else max_residual <= tolerance
     passed = math.isfinite(max_residual) and within

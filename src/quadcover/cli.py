@@ -2,15 +2,13 @@
 
 ``verify run`` executes checks matching an id glob and emits a text table or
 deterministic JSON; ``verify list`` prints the registry. Exit codes: 0 all
-pass, 1 any fail, 2 usage error. The environment variable VERIFY_SEED
-overrides the default seed when --seed is absent.
+pass, 1 any fail, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .checks import MAX_DIM, PROFILES, UsageError, build_registry, emit_report, run_suite
@@ -46,25 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the radius list (repeatable)",
     )
     run.add_argument("--samples", type=int, metavar="INT", help="override sample counts")
-    run.add_argument("--seed", type=int, default=None, metavar="INT", help="master seed (default 42)")
+    run.add_argument("--seed", type=int, default=42, metavar="INT", help="master seed (default 42)")
     run.add_argument("--tol-profile", choices=PROFILES, default="default")
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", metavar="PATH", help="write the report to a file instead of stdout")
 
     sub.add_parser("list", help="print the check registry")
     return parser
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("VERIFY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"VERIFY_SEED must be an integer, got {env!r}") from None
-    return 42
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--suite takes one glob, got {len(args.suite)}: {', '.join(map(repr, args.suite))}")
         reports, status = run_suite(
             suite,
-            seed=_resolve_seed(args.seed),
+            seed=args.seed,
             samples=args.samples,
             n_values=args.n,
             radii=args.radius,

@@ -133,10 +133,8 @@ _FIELD_BODY = """\
     tangent = qu + pw
     if not tangent > 0.0:
         tangent = 0.0 - tangent
-    if tangent > residual:
-        residual = tangent
-    if residual > 1e-8:
-        raise RuntimeError(f"vector field solve residual {{residual:.3e}} exceeds 1e-8")"""
+    if not (residual <= 1e-8 and tangent <= 1e-8):
+        raise RuntimeError(f"vector field solve residual {{np.max((residual, tangent)):.3e}} exceeds 1e-8")"""
 
 
 def _dot_source(name: str, a: list[str], b: list[str]) -> str:
@@ -225,8 +223,9 @@ def _rk4_kernel(d: int):
     the energies, their slope and the multipliers are the arithmetic of the
     loop's helpers written out, with (p.q)^2 / |p|^2 computed once. Each
     |G X| term is x if x > 0.0 else 0.0 - x, which is abs(x) for every
-    float, -0.0 included, and NaN for NaN; the larger of the two is kept by
-    a comparison that picks as max() picks, NaN included; and the loop's
+    float, -0.0 included, and NaN for NaN; each term is compared with 1e-8
+    on its own, so a NaN in either trips the guard, and only the message
+    takes their larger, a NaN first, as np.max takes it; and the loop's
     min(dt, t_final - t) is a comparison that picks as min() picks. The
     kernel runs in this module's globals, which give it hypot, sqrt and the
     error classes, and reads _FIELD_BODY when it is compiled. Every

@@ -210,9 +210,9 @@ def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> l
     lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
     u = [slope * b + lam1 * a for a, b in zip(p, q)]
     w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
-    residual = max(abs(_dot(p, u)), abs(_dot(q, u) + _dot(p, w)))
-    if residual > 1e-8:
-        raise RuntimeError(f"vector field solve residual {residual:.3e} exceeds 1e-8")
+    terms = abs(_dot(p, u)), abs(_dot(q, u) + _dot(p, w))
+    if not all(term <= 1e-8 for term in terms):
+        raise RuntimeError(f"vector field solve residual {np.max(terms):.3e} exceeds 1e-8")
     return u + w
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import quadcover.checks as checks_module
-from quadcover import dynamics
+from quadcover import cli, dynamics
 from quadcover.checks import (
     Inputs,
     MAX_DIM,
@@ -93,7 +93,8 @@ def test_registering_a_duplicate_id_raises():
 def test_every_entry_resolves_its_functions_and_tolerance():
     # a misspelt function or a tolerance that is no float fails here, not in the middle of a run
     for cid, check in build_registry().items():
-        assert callable(check.gen) and callable(check.residual), cid
+        assert callable(getattr(checks_module, f"_gen_{check.name}")), cid
+        assert callable(getattr(checks_module, f"_res_{check.name}")), cid
         assert isinstance(check.tolerance, float) and isinstance(check.strict, float), cid
 
 
@@ -178,7 +179,7 @@ def test_a_generated_run_holds_less_than_its_whole_input():
     "cid, attr, params",
     [
         ("T-zerosection", "_res_zerosection", {"samples": 4}),
-        ("R-omega-r-not-FS", "_score_omega_r_not_fs", {"samples": 2, "r": [1.0, 2.0]}),
+        ("R-omega-r-not-FS", "_res_omega_r_not_fs", {"samples": 2, "r": [1.0, 2.0]}),
     ],
 )
 def test_the_running_worst_follows_the_rule_over_all_rows(cid, attr, params, values, monkeypatch):
@@ -195,6 +196,21 @@ def test_the_running_worst_follows_the_rule_over_all_rows(cid, attr, params, val
     top = int(rows.argmax()) if finite.all() else int(np.argmin(finite))
     assert report.witness == inputs[top]
     assert np.array_equal(report.max_residual, rows[top], equal_nan=True)
+
+
+def test_no_run_builds_the_whole_input_view(monkeypatch):
+    # Inputs is the row view of Check.gen for the tests and perfbench/run.py:
+    # a generated run scores each drawn block, a replay its parsed witness
+    rows = {cid: _generated_row(cid) for cid in build_registry()}
+
+    def refused(*args):
+        raise AssertionError("a run built an Inputs")
+
+    monkeypatch.setattr(checks_module, "Inputs", refused)
+    assert run_check("L-projemb", {"samples": 4}).passed
+    for cid, row in rows.items():
+        assert math.isfinite(run_check(cid, {"witness": row}).max_residual), cid
+    assert cli.main(["run", "--samples", "4", "--n", "2"]) == 0
 
 
 def test_run_check_is_deterministic():
@@ -357,17 +373,22 @@ def _inputs(cid):
     return check, Inputs(check.fields, [block.rows(rng.permutation(len(block))) for block in inputs.blocks])
 
 
+def _scores(check, inputs):
+    """Each row's score, block by block, as a run scores them."""
+    return np.concatenate([check.score(block) for block in inputs.blocks])
+
+
 @pytest.mark.parametrize("cid", sorted(BATCHED))
 def test_batched_residual_is_row_invariant(cid, monkeypatch):
     check, inputs = _inputs(cid)
-    whole = check.residual(inputs)
+    whole = _scores(check, inputs)
     monkeypatch.setattr(checks_module, "CHUNK_ROWS", 5)
-    chunked = check.residual(inputs)
+    chunked = _scores(check, inputs)
     assert whole.shape == (len(inputs),)
     assert np.array_equal(whole, chunked)
-    alone = [Inputs(check.fields, [block.rows([i])]) for block in inputs.blocks for i in range(len(block))]
+    alone = [block.rows([i]) for block in inputs.blocks for i in range(len(block))]
     for i, row in enumerate(alone):
-        assert check.residual(row)[0] == chunked[i]
+        assert check.score(row)[0] == chunked[i]
 
 
 @pytest.mark.parametrize("cid", sorted(BATCHED))
@@ -416,7 +437,7 @@ def test_every_generated_input_replays_its_suite_residual(cid, seed):
     # shared its chunk
     check = build_registry()[cid]
     inputs = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(seed, cid))
-    suite = check.residual(inputs)
+    suite = _scores(check, inputs)
     for inp, residual in zip(inputs, suite):
         assert run_check(cid, {"witness": inp}).max_residual == residual, inp
 
@@ -426,15 +447,15 @@ def test_out_of_ball_row_fails_the_batch():
     block = inputs.blocks[0]
     block["z"][3] *= 1.01 * block["r"] / np.linalg.norm(block["z"][3])
     with pytest.raises(ValueError, match="outside the open ball"):
-        check.residual(inputs)
+        _scores(check, inputs)
 
 
 def test_uneven_row_fails_the_flow_batch():
     # the closed-form flow's membership guard scores the row NaN, leaving the rest
     check, inputs = _inputs("P-unitcut-flow")
-    clean = check.residual(inputs)
+    clean = _scores(check, inputs)
     inputs.blocks[0]["q"][4] *= 1.1
-    flagged = check.residual(inputs)
+    flagged = _scores(check, inputs)
     assert np.isnan(flagged[4])
     assert np.array_equal(np.delete(flagged, 4), np.delete(clean, 4))
     report = run_check("P-unitcut-flow", {"witness": inputs[4]})
@@ -495,7 +516,7 @@ PER_INPUT_LOOPS = {
 def test_row_batched_residuals_match_their_per_input_loops(cid):
     loop, bound = PER_INPUT_LOOPS[cid]
     check, inputs = _inputs(cid)
-    batched = check.residual(inputs)
+    batched = _scores(check, inputs)
     looped = np.array([loop(inp) for inp in inputs])
     assert np.max(np.abs(batched - looped)) <= bound
 
@@ -503,12 +524,12 @@ def test_row_batched_residuals_match_their_per_input_loops(cid):
 def test_uneven_row_fails_the_evenedrescale_flow_batch():
     # only the uneven row scores NaN; its chunk is evaluated again row by row
     check, inputs = _inputs("P-evenedrescale")
-    clean = check.residual(inputs)
+    clean = _scores(check, inputs)
     # the first row of the first flow block
     bad = len(inputs.blocks[0])
     inputs.blocks[1]["q"][0] *= 1.1
     assert inputs[bad]["part"] == "flow"
-    flagged = check.residual(inputs)
+    flagged = _scores(check, inputs)
     assert np.isnan(flagged[bad])
     assert np.array_equal(np.delete(flagged, bad), np.delete(clean, bad))
     report = run_check("P-evenedrescale", {"witness": inputs[bad]})
@@ -522,13 +543,13 @@ def test_branch_locus_row_fails_the_descent_batch():
     near = CotangentPoint(p=m.p, q=(1.0 - 1e-9) * m.q)
     block["z"][2] = cotangent_to_quadric(near).rep
     with pytest.raises(BranchLocusError):
-        check.residual(inputs)
+        _scores(check, inputs)
 
 
 def test_off_quadric_segre_row_scores_nan(monkeypatch):
     # NaN fails under every tolerance, where a score of 1.0 would pass one of 4
     check, inputs = _inputs("P-segre-pullback")
-    clean = check.residual(inputs)
+    clean = _scores(check, inputs)
 
     def moved_first_row(a, b):
         image = segre_unitary(a, b)
@@ -537,7 +558,7 @@ def test_off_quadric_segre_row_scores_nan(monkeypatch):
         return ProjectivePoint(rep=rep)
 
     monkeypatch.setattr(checks_module, "segre_unitary", moved_first_row)
-    flagged = check.residual(inputs)
+    flagged = _scores(check, inputs)
     assert np.isnan(flagged[0])
     assert np.array_equal(flagged[1:], clean[1:])
 
@@ -574,7 +595,7 @@ def test_an_empty_list_param_is_a_usage_error(run, message):
         run()
 
 
-@pytest.mark.parametrize("cid, attr", [("T-zerosection", "_res_zerosection"), ("R-uneven-flow", "_score_uneven_flow")])
+@pytest.mark.parametrize("cid, attr", [("T-zerosection", "_res_zerosection"), ("R-uneven-flow", "_res_uneven_flow")])
 def test_non_finite_residual_fails_with_first_non_finite_input(cid, attr, monkeypatch):
     params = {"samples": 4} if cid == "T-zerosection" else {"trajectories": 4}
     check = build_registry()[cid]
@@ -597,7 +618,7 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
     # segments for each of them and one for the failing row, none run twice
     check = build_registry()["R-uneven-flow"]
     inputs = check.gen({**check.params, "trajectories": 3}, derive_stream(42, check.id))
-    clean = check.residual(inputs)
+    clean = _scores(check, inputs)
     bad_start, integrate = inputs.blocks[0]["p"][1], checks_module.rk4_integrate
     calls = []
 
@@ -608,7 +629,7 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
         return integrate(m, t_final, dt)
 
     monkeypatch.setattr(checks_module, "rk4_integrate", off_bundle_row)
-    flagged = check.residual(inputs)
+    flagged = _scores(check, inputs)
     assert len(inputs) == 3 and np.isnan(flagged[1]) and len(calls) == 5
     assert np.array_equal(np.delete(flagged, 1), np.delete(clean, 1))
     report = run_check(check.id, {"trajectories": 3})
@@ -621,11 +642,11 @@ def test_only_an_off_bundle_error_becomes_a_failing_nan(monkeypatch):
     def broken(rows):
         raise ValueError("a bug, not a domain error")
 
-    monkeypatch.setattr(checks_module, "_score_uneven_flow", off_bundle)
+    monkeypatch.setattr(checks_module, "_res_uneven_flow", off_bundle)
     report = run_check("R-uneven-flow", {"trajectories": 1})
     assert not report.passed and np.isnan(report.max_residual)
     assert report.witness is not None
-    monkeypatch.setattr(checks_module, "_score_uneven_flow", broken)
+    monkeypatch.setattr(checks_module, "_res_uneven_flow", broken)
     with pytest.raises(ValueError, match="a bug"):
         run_check("R-uneven-flow", {"trajectories": 1})
 
@@ -702,6 +723,9 @@ def _with_zero_direction(row):
         ("R-uneven-flow", _generated_row("R-uneven-flow", ts=[])),
         # a direction that is not unit: passed with a ratio spread of 0.74
         ("R-omega-r-not-FS", _with_zero_direction(_generated_row("R-omega-r-not-FS"))),
+        # a complex field that is not a {"re", "im"} pair: a real list, a pair without "im"
+        ("P-segre-equivariance", _generated_row("P-segre-equivariance", a=[1.0, 0.0])),
+        ("P-segre-equivariance", _generated_row("P-segre-equivariance", a={"re": [1.0, 0.0]})),
     ],
 )
 def test_a_malformed_witness_fails_with_nan(cid, witness):
@@ -709,6 +733,15 @@ def test_a_malformed_witness_fails_with_nan(cid, witness):
     assert not report.passed
     assert np.isnan(report.max_residual)
     assert report.witness == witness
+
+
+def test_a_null_field_of_a_witness_renders_as_json_null_and_replays():
+    witness = _generated_row("L-projemb", r=None)
+    text = render_json([run_check("L-projemb", {"witness": witness})])
+    assert '"r": null' in text
+    parsed = json.loads(text)[0]
+    assert parsed["witness"] == witness and parsed["max_residual"] == "nan"
+    assert render_json([run_check("L-projemb", {"witness": parsed["witness"]})]) == text
 
 
 def test_a_bool_is_not_a_number():
@@ -759,7 +792,7 @@ def test_period_match_rows_replay_bit_for_bit():
     # each radius's integrals from the shared chart passes equal the row's own
     check = build_registry()["I-period-match"]
     inputs = check.gen(dict(check.params, r=(0.5, 1.0, 2.0, 3.0)), derive_stream(42, check.id))
-    batched = check.residual(inputs)
+    batched = _scores(check, inputs)
     assert len(batched) == 4 and batched.any()
     assert batched.tolist() == [run_check(check.id, {"witness": inputs[i]}).max_residual for i in range(4)]
 

@@ -51,19 +51,12 @@ def test_bad_flag_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
-def test_seed_flag_beats_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("VERIFY_SEED", "7")
+def test_seed_flag_sets_the_seed(tmp_path):
     out = tmp_path / "a.json"
     main(["run", "--suite", "I-period-CP1", "--format", "json", "--out", str(out)])
-    assert json.loads(out.read_text())[0]["seed"] == 7
+    assert json.loads(out.read_text())[0]["seed"] == 42
     main(["run", "--suite", "I-period-CP1", "--seed", "11", "--format", "json", "--out", str(out)])
     assert json.loads(out.read_text())[0]["seed"] == 11
-
-
-def test_bad_environment_seed_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("VERIFY_SEED", "not-a-number")
-    assert main(["run", "--suite", "I-period-CP1"]) == 2
-    assert "VERIFY_SEED" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

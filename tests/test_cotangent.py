@@ -215,6 +215,8 @@ def test_even_rescale_rejects_bad_input():
         even_rescale(m, -2.0)
     with pytest.raises(ValueError):
         even_rescale(CotangentPoint(p=np.array([2.0, 0.0]), q=np.zeros(2), base_radius=2.0), 2.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        even_rescale_inverse(even_rescale(m, 4.0), 0.0)
 
 
 def test_validate_flags_constraint_violations():

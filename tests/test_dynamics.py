@@ -176,12 +176,12 @@ def test_field_kernel_guards_raise_as_the_reference_loop_does(monkeypatch):
     cases = (([1.0, 0.0], [0.0, 1e-9]), ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1e-11, 0.0], [0.0, 1.0]))
     for p, q in cases:
         assert _outcome(solve_field, 1.0, p, q, 1e-5) == _outcome(reference_field, 1.0, p, q, 1e-5)
-    # near overflow the |G X| terms are huge, then NaN: the guard's comparisons
-    # trip as abs() and max() trip, and let a NaN residual through as they do
+    # near overflow the |G X| terms are huge, then NaN: each term is compared
+    # on its own, so a NaN trips the guard as a huge term does
     near = [_outcome(solve_field, 1.0, [1e150, 0.0], [0.0, q], 1e-5) for q in (1.3407e154, 1.34078e154)]
     assert near == [_outcome(reference_field, 1.0, [1e150, 0.0], [0.0, q], 1e-5) for q in (1.3407e154, 1.34078e154)]
     assert near[0] == (RuntimeError, "vector field solve residual 1.489e+138 exceeds 1e-8")
-    assert near[1] == ["nan"] * 4
+    assert near[1] == (RuntimeError, "vector field solve residual nan exceeds 1e-8")
     # wrong multipliers in both: compiled into the kernel's template, called by the loop
     patch_field_body(monkeypatch, {"lam0, lam1": "0.0, 1e-6"})
     monkeypatch.setattr(fd_oracle, "_multipliers", lambda *args: (0.0, 1e-6))
@@ -612,6 +612,15 @@ def test_uneven_cosphere_flow_stays_on_cosphere():
     out = flow_uneven_cosphere(m, 0.9)
     assert max(bundle_residuals(out)) < 1e-12
     assert abs(np.linalg.norm(out.q) - 0.5) < 1e-12
+
+
+def test_uneven_cosphere_flow_refuses_a_base_off_the_unit_sphere_and_the_zero_section():
+    with pytest.raises(OffBundleError, match="unit base sphere"):
+        flow_uneven_cosphere(CotangentPoint(p=np.array([2.0, 0.0]), q=np.array([0.0, 0.5]), base_radius=2.0), 0.3)
+    # one row on the zero section among good ones refuses the whole batch
+    m = CotangentPoint(p=np.array([[1.0, 0.0], [0.0, 1.0]]), q=np.array([[0.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ZeroSectionError, match="zero section"):
+        flow_uneven_cosphere(m, 0.3)
 
 
 def test_uneven_cosphere_flow_matches_rk4():

@@ -7,6 +7,7 @@ from quadcover.cotangent import CotangentPoint, sample_disc_bundle, sample_tange
 from quadcover.forms import (
     BranchLocusError,
     SmoothMap,
+    _ambient,
     _omega_std_ambient,
     fubini_study_form,
     integrate_surface,
@@ -115,6 +116,20 @@ def test_smooth_map_differential_is_linear():
     a, b = 0.7, -1.3
     _, (combo, w1, w2) = emb.differential(x, np.stack([a * v1 + b * v2, v1, v2]))
     assert np.max(np.abs(combo - (a * w1 + b * w2))) < 1e-14
+
+
+def test_smooth_map_differential_refuses_tangents_of_the_wrong_shape():
+    # k tangents of a point of R^4 have shape (k, 4); one tangent without its k axis is refused
+    with pytest.raises(ValueError, match=r"expected tangents of shape \(k,\) \+ \(4,\), got \(4,\)"):
+        ball_embedding(2.0).differential(np.zeros(4), np.ones(4))
+
+
+def test_ambient_length_of_an_array_and_of_a_nested_pair():
+    rep = proj_normalize(np.array([1.0, 1j, 0.0])).rep
+    m = CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.0, 0.5]))
+    assert _ambient(np.zeros((5, 3))) == 3
+    # a pair's length is the sum of its factors', a pair among them included
+    assert _ambient((ProjectivePoint(rep), (np.zeros(4), m))) == 6 + 4 + 4
 
 
 def test_omega_r_sheet_independence_and_antisymmetry():

@@ -161,6 +161,12 @@ def test_cosphere_boundary_requires_unit_fiber():
         cosphere_boundary(CotangentPoint(p=np.array([1.0, 0.0]), q=np.array([0.0, 0.5])))
 
 
+def test_cosphere_boundary_requires_the_unit_base_sphere():
+    m = CotangentPoint(p=np.array([2.0, 0.0]), q=np.array([0.0, 1.0]), base_radius=2.0)
+    with pytest.raises(OffBundleError, match="unit base sphere"):
+        cosphere_boundary(m)
+
+
 def test_boundary_map_and_embedding_rows_match_single_points():
     rng = derive_stream(47, "rows")
     for sampler, embed in ((sample_cosphere, cosphere_boundary), (sample_disc_bundle, cotangent_to_quadric)):

@@ -5,6 +5,7 @@ import pytest
 from fd_oracle import central_difference
 
 from quadcover.forms import SmoothMap
+from quadcover.jets import Jet
 from quadcover.numerics import (
     complexify,
     derive_stream,
@@ -71,6 +72,28 @@ def test_jacobian_of_a_conjugating_map_matches_the_difference():
 
     x = derive_stream(4, "jac-conj").standard_normal(4) * 0.3
     assert np.max(np.abs(jacobian(f, x) - difference_jacobian(f, x))) < 1e-8
+
+
+def test_jacobian_of_a_constant_over_a_jet_matches_the_difference():
+    # constant / jet: the quotient rule with no tangent on the numerator
+    def f(x):
+        return 3.0 / (2.0 + x * x)
+
+    x = np.array([0.3, -0.7])
+    assert np.max(np.abs(jacobian(f, x) - difference_jacobian(f, x))) < 1e-9
+
+
+def test_a_jet_refuses_what_it_cannot_differentiate():
+    jet = Jet(np.ones(3), np.zeros((2, 3)))
+    # turned into a plain array it would lose its tangents
+    with pytest.raises(TypeError, match="does not convert to an array"):
+        np.asarray(jet)
+    # a ufunc without a chain rule returns NotImplemented, which numpy raises
+    with pytest.raises(TypeError):
+        np.tan(jet)
+    # the k axis of a tangent joins the batch axes under a leading "..."
+    with pytest.raises(NotImplementedError, match="'...' leading every term"):
+        np.einsum("i,i->", jet, np.ones(3))
 
 
 def test_differential_raises_where_the_map_does():

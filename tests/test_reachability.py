@@ -25,6 +25,9 @@ UNREACHED = {
     "checks._check": "runs when quadcover.checks is imported, to register each check",
     "checks._check.<locals>.register": "runs at import too, once for each check",
     "checks.Check.gen": "draws a check's inputs whole for perfbench/run.py; a run draws one block at a time",
+    "checks.Inputs.__init__": "the row view Check.gen returns to perfbench/run.py; a run scores each block alone",
+    "checks.Inputs.__len__": "the row view Check.gen returns to perfbench/run.py; a run scores each block alone",
+    "checks.Inputs.__getitem__": "the row view Check.gen returns to perfbench/run.py; a run scores each block alone",
     "cli.entry": "the verify console script: it calls main and exits with its status",
     "jets.Jet.__array__": "a guard: it refuses to turn a jet into an array, which only a defect tries",
     "jets.Jet.conj": "the method form of np.conj, which a map written on arrays may call; no check's map does",
