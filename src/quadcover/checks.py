@@ -28,11 +28,10 @@ row's form over one jet pass of each chart. A chunk is computed by row
 arithmetic only (elementwise operations, ``einsum("ij,ij->i")``, reductions
 along the last axis; never stacked matmul or BLAS, whose rounding depends
 on the batch size), so a replayed witness reproduces its residual bit for
-bit. A body written once on the last axis reads :meth:`Block.flat`, so a
-chunk of one row, every replay among them, runs the maps' 1-D twins, which
-use the reductions of their row twins. That identity depends on the loops
-numpy picks (a complex product of strided columns can round unlike a
-contiguous one); tests guard it.
+bit. A residual reads its chunk as it is: a chunk of one row, every replay
+among them, is a (1, m) batch that runs the same body. That identity
+depends on the loops numpy picks (a complex product of strided columns can
+round unlike a contiguous one); tests guard it.
 """
 
 from __future__ import annotations
@@ -233,12 +232,13 @@ class _Vector:
     many: bool = False
 
     def parse(self, value, n):
+        """The value as a one-row column: shape (1, size), or (1, k, size) for a list of k vectors."""
         size = self.size(n) if callable(self.size) else self.size
         if not self.many:
-            return self._parse(value, size)
+            return self._parse(value, size)[None]
         if not isinstance(value, list) or not value:
             raise ValueError("malformed list of vectors")
-        return np.stack([self._parse(v, size) for v in value])
+        return np.stack([self._parse(v, size) for v in value])[None]
 
     def _parse(self, value, size) -> np.ndarray:
         if self.complex:
@@ -288,17 +288,14 @@ CP1 = _Vector(2, complex=True)
 class Block:
     """Rows of a check's inputs stored by field: a column array with one entry per row, or one shared value.
 
-    ``Block(1, row)`` holds one parsed witness row, its vectors 1-D: it hands
-    that row back as its row, and its columns are the vectors as one-row arrays.
+    A parsed witness is a block of one row, as a draw of one row is: each
+    vector a one-row array, each number and label one shared value.
     """
 
-    __slots__ = ("size", "columns", "point")
+    __slots__ = ("size", "columns")
 
-    def __init__(self, size: int, point: dict | None = None, /, **columns):
-        self.size, self.point = size, point
-        if point:
-            columns = {k: v[None] if isinstance(v, np.ndarray) else v for k, v in point.items()}
-        self.columns = columns
+    def __init__(self, size: int, /, **columns):
+        self.size, self.columns = size, columns
 
     def __len__(self) -> int:
         return self.size
@@ -311,21 +308,16 @@ class Block:
         size = np.arange(self.size)[index].size
         return Block(size, **{k: v[index] if isinstance(v, np.ndarray) else v for k, v in self.columns.items()})
 
-    def row(self, i: int) -> dict:
-        """Row ``i``: its vectors as 1-D arrays, its numbers and labels as Python scalars."""
-        return self.point or {
-            k: (v[i] if v.ndim > 1 else v[i].item()) if isinstance(v, np.ndarray) else v
-            for k, v in self.columns.items()
-        }
-
-    def flat(self) -> Block:
-        """A block of one row as that row, for a body written on the last axis; any other block as it is."""
-        return Block(1, **self.row(0)) if self.size == 1 else self
-
     def plain(self, i: int, fields: Mapping[str, Any]) -> dict:
-        """Row ``i`` as a plain-JSON dict of the ``fields`` it holds, in their order: a witness."""
-        row = self.row(i)
-        return {key: _plain(row[key]) for key in fields if key in row}
+        """Row ``i`` as a plain-JSON dict of the ``fields`` it holds, in their order: a witness.
+
+        A number of a 1-D column becomes a Python scalar, as a shared value is.
+        """
+        row = {key: self.columns[key] for key in fields if key in self.columns}
+        return {
+            key: _plain((v[i] if v.ndim > 1 else v[i].item()) if isinstance(v, np.ndarray) else v)
+            for key, v in row.items()
+        }
 
 
 class Inputs(Sequence):
@@ -363,6 +355,7 @@ def _parse(fields: Mapping[str, Any], witness) -> Block | None:
 
     A label (a dict from each of its values to the extra fields a row of that
     value carries), declared before those fields, keeps its value's only.
+    Each vector is parsed as a one-row column, as a draw of one row holds it.
     """
     try:
         row: dict[str, Any] = {}
@@ -377,7 +370,7 @@ def _parse(fields: Mapping[str, Any], witness) -> Block | None:
             else:
                 row[key] = kind.parse(value, row.get("n"))
         # every parsed field is a key of the row, so equal counts mean no other keys
-        return Block(1, row) if len(witness) == len(row) else None
+        return Block(1, **row) if len(witness) == len(row) else None
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -574,8 +567,8 @@ class Check:
     def score(self, block: Block) -> np.ndarray:
         """One value per row of ``block``, in chunks of at most CHUNK_ROWS rows, in order.
 
-        The residual returns one value per row, or a scalar for a chunk of one
-        row that it evaluates as a 1-D point. A chunk that raises OffBundleError
+        The residual returns one value per row; only a period check, whose one
+        row is the whole block, may return a scalar. A chunk that raises OffBundleError
         is evaluated again row by row, bit-identical by row arithmetic, so only
         the rows off the bundle score NaN, failing the check as its witnesses.
         """
@@ -693,7 +686,7 @@ _gen_sphereembedding = _cotangent_generator(sample_disc_bundle)
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
 def _res_sphereembedding(rows):
-    image = cotangent_to_quadric(_pq(rows.flat()))
+    image = cotangent_to_quadric(_pq(rows))
     on_hyperplane = np.abs(image.rep[..., rows["n"] + 1]) <= LOCUS_TOL
     return np.where(on_hyperplane, np.nan, np.abs(quadric_residual(image)))
 
@@ -725,7 +718,7 @@ def _gen_sphereembedding_lift(params, rng):
     fields={"n": DIM, "z": QVEC},
 )
 def _res_sphereembedding_lift(rows):
-    point = proj_normalize(rows.flat()["z"])
+    point = proj_normalize(rows["z"])
     m = quadric_to_cotangent(point)
     base_defect = np.abs(row_norms(m.p) - 1.0)
     ortho_defect = np.abs(np.einsum("...i,...i->...", m.p, m.q))
@@ -764,7 +757,9 @@ _gen_unitcut_flow = _cotangent_generator(sample_cosphere, shared=lambda params: 
     "the evened closed-form flow equals the scalar circle action",
     covers=("unit-cosphere-cut",), tolerance=1e-12, strict=1e-13,
     params={"n": [1, 2, 3], "samples": 100, "t_grid": 100},
-    fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": COUNT},
+    # a grid of at most three times holds 0, pi and 2 pi only, where the two
+    # flows agree to rounding whether or not they agree in between
+    fields={"n": DIM, "p": POINT, "q": POINT, "t_grid": _Number(4)},
 )
 def _res_unitcut_flow(rows):
     # a row spans t_grid orbit points: slices of rows keep a call's arrays to
@@ -772,14 +767,12 @@ def _res_unitcut_flow(rows):
     step = max(1, CHUNK_ROWS // rows["t_grid"])
     if len(rows) > step:
         return np.hstack([_res_unitcut_flow(rows.rows(slice(i, i + step))) for i in range(0, len(rows), step)])
-    # both flows over the whole time grid at once: a point as it is, rows
-    # repeated so that row i * T + j is input i at the j-th time; then each
-    # input's largest entry gap in one reduction
-    flat = rows.flat()
-    m, ts = _pq(flat), np.linspace(0.0, TWO_PI, flat["t_grid"])
-    if len(rows) > 1:
-        m = CotangentPoint(p=np.repeat(m.p, ts.size, axis=0), q=np.repeat(m.q, ts.size, axis=0))
-        ts = np.tile(ts, len(rows))
+    # both flows over the whole time grid at once, rows repeated so that row
+    # i * T + j is input i at the j-th time; then each input's largest entry
+    # gap in one reduction
+    ts = np.linspace(0.0, TWO_PI, rows["t_grid"])
+    m = CotangentPoint(p=np.repeat(rows["p"], ts.size, axis=0), q=np.repeat(rows["q"], ts.size, axis=0))
+    ts = np.tile(ts, len(rows))
     a, b = flow_closed_form(m, ts), scalar_action(m, ts)
     return _row_dist(a, b).reshape(len(rows), -1).max(axis=1)
 
@@ -841,7 +834,7 @@ _gen_branchedcover_deck = _cotangent_generator(sample_disc_bundle)
     fields={"n": DIM, "p": POINT, "q": POINT},
 )
 def _res_branchedcover_deck(rows):
-    m = _pq(rows.flat())
+    m = _pq(rows)
     upstairs = cotangent_to_quadric(m)
     flipped = deck(upstairs)
     equivariance = projective_defect(flipped, cotangent_to_quadric(antipode(m)))
@@ -872,12 +865,11 @@ def _gen_branchedcover_fibers(params, rng):
     fields={"kind": {"off": (), "on": ()}, "expected": COUNT, "z": _Vector(None, complex=True), "n": _Param(DIM)},
 )
 def _res_branchedcover_fibers(rows):
-    flat = rows.flat()
-    point = proj_normalize(flat["z"])
+    point = proj_normalize(rows["z"])
     *sheets, count = quadric_fiber(point)
     worst = [np.maximum(np.abs(quadric_residual(s)), projective_defect(branched_cover(s), point)) for s in sheets]
     # a wrong number of preimages scores NaN
-    return np.where(count == flat["expected"], np.maximum(*worst), np.nan)
+    return np.where(count == rows["expected"], np.maximum(*worst), np.nan)
 
 
 _gen_pi_not_symplectic = _cotangent_generator(sample_cosphere)
@@ -953,8 +945,7 @@ def _gen_segre_equivariance(params, rng):
     fields={"a": CP1, "b": CP1},
 )
 def _res_segre_equivariance(rows):
-    flat = rows.flat()
-    a, b = proj_normalize(flat["a"]), proj_normalize(flat["b"])
+    a, b = proj_normalize(rows["a"]), proj_normalize(rows["b"])
     swap = projective_defect(deck(segre_unitary(a, b)), segre_unitary(b, a))
     diagonal = segre_unitary(a, a)
     return np.maximum(swap, projective_defect(deck(diagonal), diagonal))
@@ -972,7 +963,7 @@ def _gen_diag_antidiag(params, rng):
     fields={"a": CP1},
 )
 def _res_diag_antidiag(rows):
-    a = proj_normalize(rows.flat()["a"])
+    a = proj_normalize(rows["a"])
     on_conic = branched_cover(segre_unitary(a, a))
     on_real = branched_cover(segre_unitary(a, antipodal_cp1(a)))
     # a point of the wrong locus class scores NaN
@@ -1218,12 +1209,11 @@ def _gen_zerosection(params, rng):
     fields={"kind": {"zero": (), "boundary": ()}, "n": DIM, "p": POINT, "q": POINT},
 )
 def _res_zerosection(rows):
-    flat = rows.flat()
-    zero = flat["kind"] == "zero"
-    image = branched_cover((cotangent_to_quadric if zero else cosphere_boundary)(_pq(flat)))
+    zero = rows["kind"] == "zero"
+    image = branched_cover((cotangent_to_quadric if zero else cosphere_boundary)(_pq(rows)))
     locus, defect = ("on_RP2", real_defect(image)) if zero else ("on_Q1", np.abs(quadric_residual(image)))
     # in the plane, a point of the wrong locus class scores NaN
-    return np.where(locus_classify(image) == locus, defect, np.nan) if flat["n"] == 2 else defect
+    return np.where(locus_classify(image) == locus, defect, np.nan) if rows["n"] == 2 else defect
 
 
 @dataclass(slots=True)

@@ -442,6 +442,29 @@ def test_every_generated_input_replays_its_suite_residual(cid, seed):
         assert run_check(cid, {"witness": inp}).max_residual == residual, inp
 
 
+@pytest.mark.parametrize("cid", sorted(build_registry()))
+def test_a_replay_hands_the_maps_a_one_row_batch(cid, monkeypatch):
+    # a witness is replayed as a one-row block through the residual's own
+    # batch body, so no point reaches these maps 1-D (a jet of a period
+    # chart by its value)
+    check = build_registry()[cid]
+    witness = check.gen(dict(check.params, **BATCHED[cid]), derive_stream(7, cid))[0]
+    ndims = []
+
+    def recorded(func, array_of):
+        def wrapper(x, *args):
+            array = array_of(x)
+            ndims.append(np.ndim(getattr(array, "value", array)))
+            return func(x, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(checks_module, "proj_normalize", recorded(proj_normalize, lambda z: z))
+    monkeypatch.setattr(checks_module, "cotangent_to_quadric", recorded(cotangent_to_quadric, lambda m: m.p))
+    assert math.isfinite(run_check(cid, {"witness": witness}).max_residual)
+    assert 1 not in ndims, ndims
+
+
 def test_out_of_ball_row_fails_the_batch():
     check, inputs = _inputs("L-projemb")
     block = inputs.blocks[0]
@@ -566,7 +589,7 @@ def test_off_quadric_segre_row_scores_nan(monkeypatch):
 def test_empty_input_list_is_usage_error():
     with pytest.raises(UsageError, match="dimensions must not be empty"):
         run_check("L-projemb", {"n": []})
-    with pytest.raises(UsageError, match="t_grid must be at least 1"):
+    with pytest.raises(UsageError, match="t_grid must be at least 4"):
         run_check("P-unitcut-flow", {"t_grid": 0})
 
 
@@ -699,6 +722,8 @@ def _with_zero_direction(row):
         ("P-unitcut-flow", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0], "t_grid": 0}),
         # raised TypeError
         ("P-unitcut-flow", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0], "t_grid": 1.5}),
+        # passed vacuously: a grid of three times holds 0, pi and 2 pi only
+        ("P-unitcut-flow", {"n": 1, "p": [1.0, 0.0], "q": [0.0, 1.0], "t_grid": 3}),
         # passed with residual 0.0
         ("L-projemb", _generated_row("L-projemb", r=-1.0)),
         # an integer radius too large for a float raised OverflowError

@@ -185,9 +185,15 @@ def test_closed_form_flow_turning_backwards(monkeypatch):
         return CotangentPoint(p=c * m.p - s * m.q, q=c * m.q + s * m.p, base_radius=m.base_radius)
 
     monkeypatch.setattr(checks_module, "flow_closed_form", backwards)
-    report = _assert_fails_with_witness("P-unitcut-flow", {"samples": 20})
-    # the two actions part by 2 sin t (q, -p), up to 2 on the unit cosphere
-    assert report.max_residual > 1.0
+    # the two actions part by 2 sin t (q, -p), up to 2 on the unit cosphere;
+    # at 0, pi and 2 pi they meet to rounding, so a grid of at most three
+    # times passed (5e-16 at t_grid 2 and 3) and is refused: the least grid
+    # taken, 4, adds 2 pi / 3
+    for t_grid in (100, 4):
+        report = _assert_fails_with_witness("P-unitcut-flow", {"samples": 20, "t_grid": t_grid})
+        assert report.max_residual > 1.0
+    with pytest.raises(checks_module.UsageError, match="t_grid must be at least 4"):
+        checks_module.run_check("P-unitcut-flow", {"t_grid": 3})
 
 
 def test_evened_flow_in_place_of_the_uneven_one(monkeypatch):
