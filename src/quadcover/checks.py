@@ -786,7 +786,9 @@ _gen_unitcut_rk4 = _cotangent_generator(
 @_check(
     "P-unitcut-rk4",
     "RK4 integration of the solved Hamiltonian field reproduces the closed form",
-    covers=("unit-cosphere-cut",), tolerance=1e-6,
+    # 1e3 times the worst residual over seeds 1-20, 3.36e-13 at seed 7; a
+    # Hamiltonian scaled by 1 + 1e-9 reads about 5e-9
+    covers=("unit-cosphere-cut",), tolerance=3e-10,
     params={"n": [2], "trajectories": 1, "dt": 1e-3, "t_final": TWO_PI},
     fields={"n": DIM, "p": POINT, "q": POINT, "dt": TIME, "t_final": TIME},
 )
@@ -1123,12 +1125,14 @@ def _gen_omega_r_not_fs(params, rng):
 def _res_omega_r_not_fs(rows):
     # ratios omega_r(v, iv) / omega_FS(v, iv) across each point's directions,
     # rows x directions in one call; omega_FS(v, iv) = |v|^2 = 1 holds only
-    # for unit directions, so a row with any other direction scores NaN
-    dirs = rows["dirs"]
+    # for unit directions, so a row with any other direction scores NaN, and
+    # its directions are zeroed before any arithmetic, where one scaled by
+    # 1e200 would subtract inf from inf
+    unit = (np.abs(row_norms(rows["dirs"]) - 1.0) <= 1e-12).all(axis=1)
+    dirs = np.where(unit[:, None, None], rows["dirs"], 0.0)
     point = ProjectivePoint(np.repeat(proj_normalize(rows["z"]).rep, dirs.shape[1], axis=0))
     v = dirs.reshape(-1, dirs.shape[-1])
     ratios = omega_r(point, realify(v), realify(1j * v), rows["r"]).reshape(dirs.shape[:2])
-    unit = (np.abs(row_norms(dirs) - 1.0) <= 1e-12).all(axis=1)
     return np.where(unit, ratios.max(axis=1) - ratios.min(axis=1), np.nan)
 
 

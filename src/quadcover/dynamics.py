@@ -12,15 +12,18 @@ ambient (p, q) with p != 0, so the solved field has G X = 0 off the
 constraint set too, and RK4 is the standard projection method (Hairer,
 Lubich & Wanner, Geometric Numerical Integration, sec. IV.4): its stages
 are solved at ambient points and only each step's endpoint is retracted
-onto the constraint set. g is still a central difference of the energy of
-retracted ambient states, so dH is measured from H and only the
-constraint geometry is exact. The retracted energy depends on a state
+onto the constraint set. g is the gradient of the energy of retracted
+ambient states, k sqrt(|q|^2 - (p.q)^2 / |p|^2), which depends on a state
 only through its Gram entries |p|^2, |q|^2 and p.q; by the chain rule its
 slopes in |p|^2 and p.q give gradient terms along the constraint rows (p, 0)
 and (q, p), which the multipliers cancel exactly. Only the slope in |q|^2
-reaches X, so g = (0, 2 (dE/d|q|^2) q) from one central difference: two
-energy evaluations per field solve, whatever d. The retracted energy is
-k sqrt(|q|^2 - (p.q)^2 / |p|^2).
+reaches X, so g = (0, 2 (dE/d|q|^2) q), and that slope is exact:
+2 dE/d|q|^2 = k / sqrt(|q|^2 - (p.q)^2 / |p|^2), what forward-mode
+differentiation of E gives (Griewank & Walther, Evaluating Derivatives,
+2nd ed., ch. 3). Its radicand is the squared retracted fiber |q_perp|^2,
+q_perp = q - (p.q / |p|^2) p, and H is not differentiable where it is 0.
+A radicand at or below 1e-12 |q|^2 is refused as the zero section: its
+subtraction leaves an error of a few ulps of |q|^2, over 1e-4 of it there.
 Vectors of d = n + 1 <= 4 entries are too short for numpy's per-call cost,
 so the RK4 trajectory runs on 2d Python floats and builds one CotangentPoint
 at the end. At that size a loop over lists costs more than its arithmetic
@@ -28,7 +31,7 @@ too, so the whole trajectory is one function per d, generated and compiled
 on first use over the 2d floats as named scalars. It holds the step loop,
 with its retractions, and inlines the field solve, from one template of the
 solve's statements, at each of the four stages. The template writes out
-the two energies, their slope and the multipliers as arithmetic and takes
+the energy's slope and the multipliers as arithmetic and takes
 the |G X| guard's absolute values by comparisons, so a stage calls nothing
 but hypot and sqrt, and a step packs no tuple. It computes the trajectory
 alone, its endpoint and its step count: a check that compares energies
@@ -61,7 +64,6 @@ __all__ = [
     "ZeroSectionError",
     "StepLimitError",
     "MAX_STEPS",
-    "FD_STEP",
     "require_steps",
     "flow_closed_form",
     "flow_uneven_cosphere",
@@ -75,10 +77,6 @@ class ZeroSectionError(ValueError):
 
 
 MAX_STEPS = 10**6  # the checks' default trajectories take at most 6,283
-
-# the relative step of the one |q|^2 slope behind the RK4 field: relative to
-# |q|^2, it balances O(h^2) truncation against double-precision cancellation
-FD_STEP = 1e-5
 
 
 class StepLimitError(ValueError):
@@ -121,9 +119,10 @@ _FIELD_BODY = """\
             "a degenerate restricted symplectic form"
         )
 {pq}
-    dqq = h * qq
-    ratio = pq * pq / pp
-    slope = (k * sqrt(qq + dqq - ratio) - k * sqrt(qq - dqq - ratio)) / dqq
+    perp = qq - pq * pq / pp
+    if not perp > 1e-12 * qq:
+        raise ZeroSectionError("Hamiltonian field undefined: the retracted fiber is within 1e-6 |q| of zero")
+    slope = k / sqrt(perp)
     lam0, lam1 = slope * qq / pp, -(slope * pq) / pp
 {uw}
 {pu}
@@ -153,7 +152,7 @@ def _dot_source(name: str, a: list[str], b: list[str]) -> str:
 def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
     """The field solve at the floats named ``p`` and ``q``, as statements that leave the field in ``u`` and ``w``.
 
-    The statements read k, h and the module's globals and sit at an indent
+    The statements read k and the module's globals and sit at an indent
     of 4. :func:`_rk4_kernel` inlines them at each of its four stages.
     """
     return _FIELD_BODY.format(
@@ -171,7 +170,7 @@ def _field_body(p: list[str], q: list[str], u: list[str], w: list[str]) -> str:
 
 
 _RK4_KERNEL = """\
-def kernel(k, h, t_final, dt, {x}):
+def kernel(k, t_final, dt, {x}):
 {retract}
     steps = 0
     t = 0.0
@@ -211,7 +210,7 @@ _RETRACT = """\
 def _rk4_kernel(d: int):
     """The RK4 trajectory at d = n + 1, compiled on first use.
 
-    kernel(k, h, t_final, dt, *p, *q) returns ((*p, *q), steps). It
+    kernel(k, t_final, dt, *p, *q) returns ((*p, *q), steps). It
     retracts the start point onto |p| = k, p.q = 0, then runs the steps of
     :func:`rk4_integrate`: the field solve of :func:`_field_body` inlined at
     the four ambient stage points, the RK4 combination, and the retraction
@@ -220,13 +219,13 @@ def _rk4_kernel(d: int):
     list: the same operations in the same order as the loop over lists it
     replaces, so the same floats bit for bit. The norms are hypot's, each
     dot product is added left to right from 0.0, as sum() adds floats, and
-    the energies, their slope and the multipliers are the arithmetic of the
-    loop's helpers written out, with (p.q)^2 / |p|^2 computed once. Each
-    |G X| term is x if x > 0.0 else 0.0 - x, which is abs(x) for every
-    float, -0.0 included, and NaN for NaN; each term is compared with 1e-8
-    on its own, so a NaN in either trips the guard, and only the message
-    takes their larger, a NaN first, as np.max takes it; and the loop's
-    min(dt, t_final - t) is a comparison that picks as min() picks. The
+    the energy's slope and the multipliers are the arithmetic of the loop's
+    helpers written out. Each |G X| term is x if x > 0.0 else 0.0 - x,
+    which is abs(x) for every float, -0.0 included, and NaN for NaN; each
+    term is compared with 1e-8 on its own, so a NaN in either trips the
+    guard, and only the message takes their larger, a NaN first, as np.max
+    takes it; and the loop's min(dt, t_final - t) is a comparison that picks
+    as min() picks. The
     kernel runs in this module's globals, which give it hypot, sqrt and the
     error classes, and reads _FIELD_BODY when it is compiled. Every
     argument is a Python float, as :func:`rk4_integrate` passes them.
@@ -358,5 +357,5 @@ def rk4_integrate(m: CotangentPoint, t_final: float, dt: float) -> FlowResult:
     require_steps(t_final, dt)
     k = m.base_radius
     d = m.p.size
-    x, steps = _rk4_kernel(d)(float(k), FD_STEP, float(t_final), float(dt), *m.p.tolist(), *m.q.tolist())
+    x, steps = _rk4_kernel(d)(float(k), float(t_final), float(dt), *m.p.tolist(), *m.q.tolist())
     return FlowResult(endpoint=CotangentPoint(p=np.array(x[:d]), q=np.array(x[d:]), base_radius=k), steps=steps)

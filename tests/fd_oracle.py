@@ -19,11 +19,13 @@ from the statements the RK4 kernel inlines at each stage.
 ``reference_field`` is the same solve as a loop over lists, and
 ``reference_rk4`` the RK4 trajectory around it as a loop over lists, the
 body the compiled per-dimension RK4 kernel unrolls; each compiled solve must
-return its loop's floats bit for bit. The loop calls ``_restricted_energy``
-and ``_multipliers``, whose arithmetic the template writes out, so the oracle
-is written apart from the statements it checks. ``patch_field_body``
-compiles both kernels from a template with statements replaced, such as the
-slope with ``ENERGY_SLOPE`` to call a mutant energy back in.
+return its loop's floats bit for bit. The loop calls ``_energy_slope`` and
+``_multipliers``, whose arithmetic the template writes out, so the oracle
+is written apart from the statements it checks. Both take the energy's
+slope in |q|^2 exactly. ``patch_field_body`` compiles both kernels from a
+template with statements replaced, such as the slope with ``SLOPE_CALL`` to
+call a slope back in, or with ``ENERGY_SLOPE``, a central difference of its
+own, to call a mutant energy back in.
 """
 
 import functools
@@ -132,26 +134,41 @@ def _restricted_energy(pp: float, qq: float, pq: float, k_ham: float) -> float:
     return k_ham * sqrt(qq - pq * pq / pp)
 
 
+def _energy_slope(pp: float, qq: float, pq: float, k_ham: float) -> float:
+    """2 dE/d|q|^2 of the retracted energy E, exactly: k / sqrt(|q|^2 - (p.q)^2 / |p|^2).
+
+    The radicand is the squared retracted fiber; at or below 1e-12 |q|^2 it
+    is refused as the zero section, as the field template refuses it.
+    """
+    perp = qq - pq * pq / pp
+    if not perp > 1e-12 * qq:
+        raise dynamics.ZeroSectionError("Hamiltonian field undefined: the retracted fiber is within 1e-6 |q| of zero")
+    return k_ham / sqrt(perp)
+
+
 def _multipliers(pp, p_gp, q_gq, p_gq):
     """Closed-form Lagrange multipliers (lambda_0, lambda_1) that keep X tangent."""
     return (q_gq - p_gp) / pp, -p_gq / pp
 
 
 # right-hand sides for patch_field_body: the template's slope and multiplier
-# statements with an ``energy`` and a ``multipliers`` called back in
-ENERGY_SLOPE = "(energy(pp, qq + dqq, pq, k) - energy(pp, qq - dqq, pq, k)) / dqq"
+# statements with an ``energy_slope`` and a ``multipliers`` called back in,
+# and the slope as a central difference of an ``energy`` at the relative step
+# 1e-5 of |q|^2, which balances O(h^2) truncation against cancellation
+SLOPE_CALL = "energy_slope(pp, qq, pq, k)"
 MULTIPLIER_CALL = "multipliers(pp, 0.0, slope * qq, slope * pq)"
+ENERGY_SLOPE = "(energy(pp, qq + 1e-5 * qq, pq, k) - energy(pp, qq - 1e-5 * qq, pq, k)) / (1e-5 * qq)"
 
 
 @functools.cache
 def _field_kernel(d: int):
-    """kernel(k, h, *p, *q) -> (*u, *w): the statements of dynamics._field_body as one function.
+    """kernel(k, *p, *q) -> (*u, *w): the statements of dynamics._field_body as one function.
 
     It runs in the dynamics module's globals, as the RK4 kernel does, and
     reads dynamics._FIELD_BODY when it is compiled.
     """
     p, q, u, w = ([f"{c}_{i}" for i in range(d)] for c in "pquw")
-    head, tail = f"def kernel(k, h, {', '.join(p + q)}):\n", f"\n    return {', '.join(u + w)}\n"
+    head, tail = f"def kernel(k, {', '.join(p + q)}):\n", f"\n    return {', '.join(u + w)}\n"
     source = head + dynamics._field_body(p, q, u, w) + tail
     namespace = {}
     exec(compile(source, f"<field kernel, d = {d}>", "exec"), vars(dynamics), namespace)
@@ -181,7 +198,7 @@ def patch_field_body(monkeypatch, statements: dict[str, str], **names) -> None:
     monkeypatch.setitem(globals(), "_field_kernel", functools.cache(_field_kernel.__wrapped__))
 
 
-def solve_field(k_ham: float, p, q, h: float) -> list[float]:
+def solve_field(k_ham: float, p, q) -> list[float]:
     """The ambient (u, w) field of H = k_ham |q| at (p, q), as 2d floats, by the RK4 kernel's inlined solve.
 
     With g the ambient gradient of the retracted energy and G the constraint
@@ -189,10 +206,10 @@ def solve_field(k_ham: float, p, q, h: float) -> list[float]:
     dynamics module. It needs no (p, q) on the constraint set: the RK4
     kernel runs the same statements at each stage's ambient point.
     """
-    return list(_field_kernel(len(p))(k_ham, h, *p, *q))
+    return list(_field_kernel(len(p))(k_ham, *p, *q))
 
 
-def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> list[float]:
+def reference_field(k_ham: float, p: list[float], q: list[float]) -> list[float]:
     """The ambient (u, w) field of H = k_ham |q| at (p, q), solved with list loops; see ``solve_field``."""
     if hypot(*q) <= 1e-8:
         raise dynamics.ZeroSectionError("Hamiltonian field undefined within 1e-8 of the zero section")
@@ -204,9 +221,7 @@ def reference_field(k_ham: float, p: list[float], q: list[float], h: float) -> l
             "a degenerate restricted symplectic form"
         )
     pq = _dot(p, q)
-    dqq = h * qq
-    energy = _restricted_energy
-    slope = (energy(pp, qq + dqq, pq, k_ham) - energy(pp, qq - dqq, pq, k_ham)) / dqq
+    slope = _energy_slope(pp, qq, pq, k_ham)
     lam0, lam1 = _multipliers(pp, 0.0, slope * qq, slope * pq)
     u = [slope * b + lam1 * a for a, b in zip(p, q)]
     w = [-(lam0 * a + lam1 * b) for a, b in zip(p, q)]
@@ -244,10 +259,9 @@ def reference_rk4(m: CotangentPoint, t_final: float, dt: float) -> dynamics.Flow
     dynamics.require_steps(t_final, dt)
     k = m.base_radius
     d = m.p.size
-    h = dynamics.FD_STEP
 
     def field(x):
-        return reference_field(k, x[:d], x[d:], h)
+        return reference_field(k, x[:d], x[d:])
 
     p, q = _retract(m.p.tolist() + m.q.tolist(), k, d)
     x = p + q

@@ -708,6 +708,12 @@ def _with_zero_direction(row):
     return {**row, "dirs": [zero, *row["dirs"][1:]]}
 
 
+def _with_scaled_directions(row, factor):
+    """The row with every direction scaled by ``factor``."""
+    dirs = [{part: [factor * x for x in v[part]] for part in ("re", "im")} for v in row["dirs"]]
+    return {**row, "dirs": dirs}
+
+
 @pytest.mark.parametrize(
     "cid, witness",
     [
@@ -748,6 +754,8 @@ def _with_zero_direction(row):
         ("R-uneven-flow", _generated_row("R-uneven-flow", ts=[])),
         # a direction that is not unit: passed with a ratio spread of 0.74
         ("R-omega-r-not-FS", _with_zero_direction(_generated_row("R-omega-r-not-FS"))),
+        # directions scaled by 1e200: inf - inf in the ratios raised numpy's RuntimeWarning
+        ("R-omega-r-not-FS", _with_scaled_directions(_generated_row("R-omega-r-not-FS"), 1e200)),
         # a complex field that is not a {"re", "im"} pair: a real list, a pair without "im"
         ("P-segre-equivariance", _generated_row("P-segre-equivariance", a=[1.0, 0.0])),
         ("P-segre-equivariance", _generated_row("P-segre-equivariance", a={"re": [1.0, 0.0]})),

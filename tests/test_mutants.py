@@ -25,8 +25,8 @@ from quadcover.numerics import complexify
 from quadcover.projective import ProjectivePoint, proj_normalize
 
 
-def _assert_fails_with_witness(cid, params=None):
-    report = checks_module.run_check(cid, params)
+def _assert_fails_with_witness(cid, params=None, seed=42):
+    report = checks_module.run_check(cid, params, seed)
     assert not report.passed, (cid, report.max_residual)
     assert report.witness is not None
     # the witness alone reproduces the failure, bit for bit (NaN replays as NaN)
@@ -91,7 +91,7 @@ def test_deck_map_flipping_the_wrong_coordinate(monkeypatch):
 def test_rk2_step_in_place_of_rk4(monkeypatch):
     def field(point):
         k = point.base_radius
-        return np.array(solve_field(k, point.p.tolist(), point.q.tolist(), dynamics_module.FD_STEP))
+        return np.array(solve_field(k, point.p.tolist(), point.q.tolist()))
 
     def rk2_integrate(m, t_final, dt):
         # explicit midpoint rule: second order, so halving the step cuts the
@@ -148,6 +148,16 @@ def test_hamiltonian_three_times_too_fast(monkeypatch):
     )
     report = _assert_fails_with_witness("P-unitcut-rk4")
     assert report.max_residual > 1.0
+
+
+@pytest.mark.parametrize("seed", [42, 7, 101])
+def test_hamiltonian_scaled_by_one_plus_eps(seed, monkeypatch):
+    # H = (1 + 1e-9) k|q| turns the cosphere 1e-9 too fast, a few 1e-9 off the
+    # closed form by 2 pi: below 1e-6, so only a tolerance near the rounding
+    # floor of the exact field catches it
+    patch_field_body(monkeypatch, {"slope": "(1.0 + 1e-9) * k / sqrt(perp)"})
+    report = _assert_fails_with_witness("P-unitcut-rk4", seed=seed)
+    assert report.tolerance < report.max_residual < 1e-6
 
 
 def _unrooted_rescale(m, r):
