@@ -298,7 +298,8 @@ def integrate_surface(
 
     ``param`` maps (u, v) in ``bounds``, ((u0, u1), (v0, v1)); the integrand is
     form(param(u, v), d_u param, d_v param) evaluated by tensor-product
-    Gauss-Legendre quadrature on blocks of whole rows of nodes (see
+    Gauss-Legendre quadrature on blocks of ``max(1, BLOCK_NODES // nodes)``
+    whole rows of nodes (see
     :func:`quadcover.numerics.gauss_legendre_2d`): each block makes one
     jet pass of ``param`` on the (N, 2) array of its (u, v) nodes, which
     gives the points and both coordinate pushforwards, and ``form`` is

@@ -19,6 +19,7 @@ import numpy as np
 from .jets import Jet
 
 __all__ = [
+    "BLOCK_NODES",
     "CHUNK_ROWS",
     "derive_stream",
     "fill_accepted",
@@ -29,10 +30,21 @@ __all__ = [
 ]
 
 
-# most rows a batched residual, or quadrature nodes an integrand call,
-# evaluates at once, which bounds the temporaries of one call; the inputs a
-# generated run holds are bounded by its largest block, not by the chunk
+# most rows a batched residual evaluates at once, which bounds the
+# temporaries of one call; the inputs a generated run holds are bounded by its
+# largest block, not by the chunk. A row can carry several 4-8-entry tangents,
+# and L-projemb ran slower at 4096 rows a chunk (median 27.1 -> 28.0 ms, 30
+# interleaved runs on 2 cores)
 CHUNK_ROWS = 1024
+
+# most quadrature nodes an integrand call evaluates at once, in whole rows. A
+# node is one point of CP^1 to CP^3, far lighter than a residual row, and a
+# jet pass of a period chart makes 230-430 Python calls whatever its size
+# (cProfile). On 2 cores the three period checks' benchmark pass took 22.6 ms
+# at 1024 nodes a block, 19 at 2048, 16.8 at 4096 and 17.5 at 8192 (4
+# interleaved runs each), and a period check's traced peak rose from 0.4-0.6
+# to 1.1-1.8 MiB at 4096
+BLOCK_NODES = 4096
 
 
 def derive_stream(master_seed: int, name: str) -> np.random.Generator:
@@ -117,8 +129,9 @@ def gauss_legendre_2d(
     """Tensor-product Gauss-Legendre estimate of a double integral, or of K at once.
 
     ``g`` is called as ``g(u, v)`` on blocks of whole quadrature rows: a
-    block holds ``max(1, CHUNK_ROWS // nodes_per_axis)`` consecutive rows
-    (the last one may hold fewer), and ``u`` and ``v`` are flat arrays of
+    block holds ``max(1, BLOCK_NODES // nodes_per_axis)`` consecutive rows
+    (the last one may hold fewer), so at most ``max(BLOCK_NODES,
+    nodes_per_axis)`` nodes, and ``u`` and ``v`` are flat arrays of
     equal length N with the block's nodes row by row, a row being one node
     on [a, b] paired with every node on [c, d]. ``g`` returns one value per
     node, or a scalar that is broadcast over the block, and the estimate is
@@ -143,7 +156,7 @@ def gauss_legendre_2d(
     vs = 0.5 * (d - c) * xs + 0.5 * (c + d)
     wu = 0.5 * (b - a) * wx
     wv = 0.5 * (d - c) * wx
-    per_block = max(1, CHUNK_ROWS // nodes_per_axis)
+    per_block = max(1, BLOCK_NODES // nodes_per_axis)
     totals: list[float] = []
     for lo in range(0, nodes_per_axis, per_block):
         rows = us[lo : lo + per_block]

@@ -15,6 +15,7 @@ from quadcover import cli, dynamics
 from quadcover.checks import (
     Inputs,
     MAX_DIM,
+    MAX_NODES,
     UsageError,
     VERIFIED_STATEMENTS,
     build_registry,
@@ -737,6 +738,9 @@ def _with_scaled_directions(row, factor):
         # raised from the differential
         ("L-projemb", _generated_row("L-projemb", n=1, v1=[1.0, 0.0, 0.0])),
         ("I-period-CP1", {"nodes": 1}),
+        # nodes above the bound
+        ("I-period-CP1", {"nodes": MAX_NODES + 1}),
+        ("I-period-match", {"nodes": MAX_NODES + 1, "r": 1.0}),
         ("R-omega-r-not-FS", _generated_row("R-omega-r-not-FS", dirs=[])),
         ("T-zerosection", {"kind": "zero", "n": 2, "p": [1.0, 0.0, 0.0], "q": [0.0, 0.0]}),
         # raised ZeroSectionError
@@ -804,11 +808,8 @@ def test_period_residuals_are_pinned():
     assert run_check("I-period-match").max_residual == 3.552713678800501e-15
 
 
-@pytest.mark.parametrize("radii", [[1.0], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 3.0, 4.0]])
-def test_period_match_makes_one_jet_pass_of_each_chart_per_block(monkeypatch, radii):
-    # r enters only as the forms' factor 2r: however many radii, the diagonal
-    # chart and then the conic chart each make one pass a block, 25 and 15
-    # rows of 40 nodes
+def _counted_jet_passes(monkeypatch) -> list:
+    """The batch size of each jet pass of a SmoothMap, appended as it is made."""
     passes, differential = [], SmoothMap.differential
 
     def counted(self, x, vs):
@@ -816,9 +817,45 @@ def test_period_match_makes_one_jet_pass_of_each_chart_per_block(monkeypatch, ra
         return differential(self, x, vs)
 
     monkeypatch.setattr(SmoothMap, "differential", counted)
-    report = run_check("I-period-match", {"r": radii, "nodes": 40})
+    return passes
+
+
+@pytest.mark.parametrize("radii", [[1.0], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 3.0, 4.0]])
+def test_period_match_makes_one_jet_pass_of_each_chart_per_block(monkeypatch, radii):
+    # r enters only as the forms' factor 2r: however many radii, the diagonal
+    # chart and then the conic chart each make one pass a block, 51 and 29
+    # rows of 80 nodes
+    passes = _counted_jet_passes(monkeypatch)
+    report = run_check("I-period-match", {"r": radii, "nodes": 80})
     assert report.passed and report.samples == len(radii)
-    assert passes == [1000, 600] * 2
+    assert passes == [4080, 2320] * 2
+
+
+def test_period_checks_make_13_jet_passes_at_their_default_nodes(monkeypatch):
+    # a block holds BLOCK_NODES // nodes whole rows: 20 rows of 200 nodes for
+    # CP^1, and the whole 64 x 64 grid of the conic and of each chart of the
+    # match; blocks of 1024 nodes made 40, 4 and 4 + 4 passes
+    passes = _counted_jet_passes(monkeypatch)
+    expected = {"I-period-CP1": [4000] * 10, "I-period-Q1": [4096], "I-period-match": [4096, 4096]}
+    for cid, sizes in expected.items():
+        passes.clear()
+        assert run_check(cid).passed
+        assert passes == sizes, cid
+
+
+@pytest.mark.parametrize("cid", ["I-period-CP1", "I-period-Q1", "I-period-match"])
+def test_nodes_above_the_bound_allocate_nothing(cid):
+    # the Gauss-Legendre rule holds a nodes x nodes companion matrix, which
+    # the bound keeps to 8 MB (20,000 nodes asked for 2.98 GiB); a count above
+    # it is refused before the rule is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=f"nodes must be at least 2 and at most {MAX_NODES}, got {MAX_NODES + 1}"):
+            run_check(cid, {"nodes": MAX_NODES + 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_period_match_rows_replay_bit_for_bit():

@@ -209,7 +209,7 @@ def test_integrate_surface_rows_match_node_by_node(monkeypatch, chart_name, form
     from quadcover import checks, numerics
 
     nodes = 8
-    monkeypatch.setattr(numerics, "CHUNK_ROWS", 3 * nodes)
+    monkeypatch.setattr(numerics, "BLOCK_NODES", 3 * nodes)
     chart = getattr(checks, chart_name)()
     calls = []
     counted = SmoothMap(lambda x: calls.append(x.shape[0]) or chart(x))
@@ -260,27 +260,27 @@ def test_integrate_surface_total_does_not_depend_on_the_block_size(monkeypatch, 
     nodes = 20
     chart = getattr(checks, chart_name)()
     totals = []
-    for chunk in (1, 3 * nodes, nodes * nodes):
-        monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    for block_nodes in (1, 3 * nodes, nodes * nodes):
+        monkeypatch.setattr(numerics, "BLOCK_NODES", block_nodes)
         totals.append(integrate_surface(chart, form, checks._CHART_BOUNDS, nodes))
     assert totals[0] == totals[1] == totals[2]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("block_nodes", [1, 7, 1024])
 @pytest.mark.parametrize("chart_name, form", PERIOD_CHARTS)
-def test_integrate_surface_gives_each_of_k_forms_the_bits_of_its_own_call(monkeypatch, chunk, chart_name, form):
+def test_integrate_surface_gives_each_of_k_forms_the_bits_of_its_own_call(monkeypatch, block_nodes, chart_name, form):
     # K forms share each block's jet pass, one pass a block, and each
     # integral is the integral of its form alone
     from quadcover import checks, numerics
 
-    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(numerics, "BLOCK_NODES", block_nodes)
     nodes = 12
     chart = getattr(checks, chart_name)()
     passes = []
     counted = SmoothMap(lambda x: passes.append(x.shape[0]) or chart(x))
     forms = [scaled_form(form, c) for c in (0.5, 1.0, 3.0)] + [form]
     totals = integrate_surface(counted, forms, checks._CHART_BOUNDS, nodes)
-    per_block = max(1, chunk // nodes)
+    per_block = max(1, block_nodes // nodes)
     assert passes == [min(per_block, nodes - lo) * nodes for lo in range(0, nodes, per_block)]
     assert totals == [integrate_surface(chart, f, checks._CHART_BOUNDS, nodes) for f in forms]
     assert totals[1] != totals[2]

@@ -287,6 +287,7 @@ def _scaled_evened_rescale_map(eps):
 # check reads, its scaled version, and the params of the run.
 SCALED = {
     "L-projemb": ("fubini_study_form", lambda: _scaled_fubini_study(1e-6), {"samples": 20}),
+    "I-period-CP1": ("fubini_study_form", lambda: _scaled_fubini_study(1e-10), None),
     "I-period-Q1": ("fubini_study_form", lambda: _scaled_fubini_study(1e-7), None),
     "P-evenedrescale": ("_evened_rescale_map", lambda: _scaled_evened_rescale_map(1e-8), {"samples": 60}),
 }

@@ -188,10 +188,10 @@ def test_quadrature_names_first_non_finite_node_of_a_row():
         gauss_legendre_2d(g, -1, 1, -1, 1, 4)
 
 
-@pytest.mark.parametrize("chunk, nodes, sizes", [(7, 3, [6, 3]), (8, 4, [8, 8]), (10, 12, [12] * 12)])
-def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, chunk, nodes, sizes):
-    # max(1, CHUNK_ROWS // nodes) rows a call, the last block possibly short,
-    # so no call sees more than max(CHUNK_ROWS, nodes) nodes
+@pytest.mark.parametrize("block_nodes, nodes, sizes", [(7, 3, [6, 3]), (8, 4, [8, 8]), (10, 12, [12] * 12)])
+def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, block_nodes, nodes, sizes):
+    # max(1, BLOCK_NODES // nodes) rows a call, the last block possibly short,
+    # so no call sees more than max(BLOCK_NODES, nodes) nodes
     from quadcover import numerics
 
     seen = []
@@ -202,19 +202,19 @@ def test_quadrature_calls_the_integrand_on_blocks_of_whole_rows(monkeypatch, chu
         return np.exp(u) * np.cos(v)
 
     one_block = gauss_legendre_2d(g, 0, 1, 0, 0.5, nodes)
-    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(numerics, "BLOCK_NODES", block_nodes)
     seen.clear()
     assert gauss_legendre_2d(g, 0, 1, 0, 0.5, nodes) == one_block
     assert seen == sizes
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024])
-def test_a_k_valued_integrand_gives_each_component_the_bits_of_its_own_call(monkeypatch, chunk):
+@pytest.mark.parametrize("block_nodes", [1, 7, 1024])
+def test_a_k_valued_integrand_gives_each_component_the_bits_of_its_own_call(monkeypatch, block_nodes):
     # one reduction per row and component, never one product over the K
     # components, so each total is the total of that component alone
     from quadcover import numerics
 
-    monkeypatch.setattr(numerics, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr(numerics, "BLOCK_NODES", block_nodes)
     parts = [lambda u, v: np.exp(u) * np.cos(v), lambda u, v: np.sin(3.0 * u * v), lambda u, v: u * u - v]
     totals = gauss_legendre_2d(lambda u, v: np.stack([f(u, v) for f in parts]), 0, 1, 0, 0.5, 9)
     assert totals == [gauss_legendre_2d(f, 0, 1, 0, 0.5, 9) for f in parts]
